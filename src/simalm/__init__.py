@@ -8,12 +8,11 @@ portfolio experiment harness with a CLI.
 """
 
 from .cones import (Cone, NonnegativeOrthant, ProductCone, SecondOrderCone,
-                    ZeroCone, dist, dist_neg, dist_neg_sq_grad, project,
-                    project_dual, project_neg)
+                    ZeroCone)
 from .model import (ParametricProblem, PortfolioInstance, ProblemConstants,
                     constraint_value, evaluate_f, infeasibility,
                     portfolio_problem, project_simplex, simplex_prox)
-from .al_core import AlPoint, dual_update, eval_L, grad_lambda_L
+from .al_core import dual_update, eval_L, grad_lambda_L
 from .inner_apg import (ApgConfig, BudgetError, apg_solve, certified_solve,
                         fista, grad_nu, iteration_budget, lipschitz_nu,
                         nu_value)
@@ -31,11 +30,11 @@ from .bounds import (BoundInputs, b_g, b_k, bound_report, c_lambda,
 from .linalg import jacobi_eigh, spectral_norm
 from .reference import ReferenceSolution, active_set_qp, portfolio_reference, simplex_qp
 from .experiments import (ExperimentConfig, InstanceBundle, SampleData,
-                          TableRow, band_covariance, bound_curves_for_trace,
-                          bound_inputs_for_run, dual_gap_estimates,
-                          generate_instance, load_bundle, make_sectors,
-                          portfolio_kappa, prepare_bundle, run_seq_vs_sim,
-                          run_solve, run_table, save_bundle, write_seqsim,
-                          write_table)
+                          StaleBundleError, TableRow, band_covariance,
+                          bound_curves_for_trace, bound_inputs_for_run,
+                          dual_gap_estimates, generate_instance, load_bundle,
+                          make_sectors, portfolio_kappa, prepare_bundle,
+                          run_seq_vs_sim, run_solve, run_table, save_bundle,
+                          write_seqsim, write_table)
 
 __version__ = "0.1.0"

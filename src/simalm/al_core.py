@@ -11,27 +11,11 @@ update is lam <- proj_{K*}(lam + rho h(x; theta)), which keeps every iterate
 inside the dual cone. All functions are stateless.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import constraint_value, evaluate_f
 
-__all__ = ["AlPoint", "eval_L", "grad_lambda_L", "dual_update"]
-
-
-@dataclass
-class AlPoint:
-    """Primal-dual state (x, lam) with the penalty and parameter in force."""
-
-    x: np.ndarray
-    lam: np.ndarray
-    rho: float
-    theta: object
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("penalty rho must be positive")
+__all__ = ["eval_L", "grad_lambda_L", "dual_update"]
 
 
 def eval_L(problem, x, lam, rho, theta):

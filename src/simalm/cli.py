@@ -10,10 +10,10 @@ import sys
 from pathlib import Path
 
 
-from .experiments import (ExperimentConfig, bound_inputs_for_run,
-                          load_bundle, prepare_bundle, run_seq_vs_sim,
-                          run_solve, run_table, save_bundle, write_seqsim,
-                          write_table, _schedules)
+from .experiments import (ExperimentConfig, StaleBundleError,
+                          bound_inputs_for_run, load_bundle, prepare_bundle,
+                          run_seq_vs_sim, run_solve, run_table, save_bundle,
+                          write_seqsim, write_table, _schedules)
 from .bounds import bound_report
 from .inner_apg import BudgetError
 from .outer_alm import ScheduleError
@@ -72,11 +72,11 @@ def _load_config(args):
 
 
 def _bundle(config, out):
-    marker = out / "meta.json"
-    if marker.exists():
+    """Cached bundle in out, rebuilt only when it belongs to another instance."""
+    if (out / "meta.json").exists():
         try:
             return load_bundle(config, out)
-        except Exception:
+        except StaleBundleError:
             pass
     bundle = prepare_bundle(config)
     save_bundle(bundle, out)

@@ -12,8 +12,6 @@ import numpy as np
 
 __all__ = [
     "Cone", "ZeroCone", "NonnegativeOrthant", "SecondOrderCone", "ProductCone",
-    "project", "project_dual", "project_neg", "dist", "dist_neg",
-    "dist_neg_sq_grad",
 ]
 
 
@@ -149,26 +147,3 @@ class ProductCone(Cone):
         inner = ", ".join(repr(c) for c in self.components)
         return f"ProductCone([{inner}])"
 
-
-def project(cone, y):
-    return cone.project(y)
-
-
-def project_dual(cone, y):
-    return cone.project_dual(y)
-
-
-def project_neg(cone, y):
-    return cone.project_neg(y)
-
-
-def dist(cone, y):
-    return cone.dist(y)
-
-
-def dist_neg(cone, y):
-    return cone.dist_neg(y)
-
-
-def dist_neg_sq_grad(cone, y):
-    return cone.dist_neg_sq_grad(y)

@@ -5,8 +5,9 @@ uniform mean returns generate a sample covariance, the sparse covariance
 selection problem defines the learning target Sigma*, and the portfolio
 program at Sigma* is solved under four regimes (constant or geometric
 penalty, parameter known or learned). Every derived file is a deterministic
-function of the configuration seed; wall-clock timings are written to
-sidecar files so the primary CSV outputs are byte-reproducible.
+function of the configuration seed; table timings are written to sidecar
+files, and trace CSVs differ between runs only in their wall-clock columns
+cpu_learn_s and cpu_opt_s.
 """
 
 import json
@@ -30,13 +31,18 @@ from .reference import portfolio_reference
 
 __all__ = [
     "ExperimentConfig", "SampleData", "InstanceBundle", "TableRow",
-    "band_covariance", "make_sectors", "generate_instance", "prepare_bundle",
+    "StaleBundleError", "band_covariance", "make_sectors", "generate_instance", "prepare_bundle",
     "save_bundle", "load_bundle", "portfolio_kappa", "bound_inputs_for_run",
     "bound_curves_for_trace", "dual_gap_estimates", "run_solve", "run_table",
     "write_table", "run_seq_vs_sim", "write_seqsim",
 ]
 
 _FMT = "{:.12g}"
+
+
+class StaleBundleError(ValueError):
+    """A cached bundle was built for a different instance (n, s, seed)."""
+
 
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}
 
@@ -290,7 +296,7 @@ def load_bundle(config, out_dir):
     meta = json.loads((out / "meta.json").read_text())
     key = meta.get("instance_key", {})
     if key != {"n": config.n, "s": config.s, "seed": config.seed}:
-        raise ValueError("cached bundle belongs to a different instance")
+        raise StaleBundleError(f"cached bundle in {out} belongs to instance {key}")
     instance = PortfolioInstance.from_json(out / "instance.json")
     scs = ScsProblem.from_json(out / "scs.json")
     sigma_star = np.load(out / "sigma_star.npy")
@@ -402,21 +408,18 @@ class TableRow:
     flagged: bool
 
 
-def run_solve(config, epsilon, bundle, specification=None, regime=None,
-              apg_mode="budget", max_outer=None):
+def run_solve(config, epsilon, bundle, specification=None, regime=None):
     """One full run at a target accuracy; returns (trace, bound curves)."""
     regime = regime or config.regime
     spec = specification or config.specification
     penalty, inexact = _schedules(config, bundle, epsilon, spec, regime)
     problem = bundle.problem()
     learner = _learner(bundle, spec)
-    if max_outer is None:
-        max_outer = _MAX_OUTER[regime][spec]
     x0 = np.full(config.n, 1.0 / config.n)
+    stop = StopRule(max_outer=_MAX_OUTER[regime][spec], epsilon=epsilon)
     trace = alm_run(problem, learner, penalty, inexact, x0,
-                    theta_star=bundle.sigma_star,
-                    stop=StopRule(max_outer=max_outer, epsilon=epsilon),
-                    reference=bundle.reference, apg_mode=apg_mode)
+                    theta_star=bundle.sigma_star, stop=stop,
+                    reference=bundle.reference)
     inputs = bound_inputs_for_run(bundle, penalty, inexact, spec)
     curves = bound_curves_for_trace(trace, inputs, bundle.reference.f_value)
     return trace, curves

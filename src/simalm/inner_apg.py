@@ -4,17 +4,21 @@ Each outer iteration minimizes q(x; theta) + nu_rho(x, lam; theta) over X,
 where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2,
 so plain FISTA (momentum (1 + sqrt(1 + 4 m^2)) / 2, no restarts, no line
-search) applies. In budget mode the solver runs the fixed iteration count
+search) applies. Both solvers share one set-up of L, gradient and prox and
+differ only in their stopping rule:
 
-    T = ceil(sqrt(2 L / alpha) * D_x)
+* apg_solve runs the fixed iteration budget
 
-that suffices for an alpha-accurate value; in certified mode it stops as
-soon as a measured optimality gap drops below alpha.
+      T = ceil(sqrt(2 L / alpha) * D_x)
+
+  that suffices for an alpha-accurate value;
+* certified_solve stops as soon as the linear-minimizer gap certificate
+  max_{s in X} <grad, z - s> drops below the tolerance (used by the
+  sequential-vs-simultaneous comparison and by dual_gap_estimates).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,37 +26,27 @@ from .linalg import spectral_norm
 from .model import constraint_value
 
 __all__ = [
-    "ApgConfig", "BudgetError", "lipschitz_nu", "grad_nu", "nu_value",
-    "iteration_budget", "fista", "apg_solve", "certified_solve",
+    "ApgConfig", "BudgetError", "MAX_ITERATIONS", "lipschitz_nu", "grad_nu",
+    "nu_value", "iteration_budget", "fista", "apg_solve", "certified_solve",
 ]
+
+# Cap on the iterations of one inner solve, for either stopping rule.
+MAX_ITERATIONS = 2_000_000
 
 
 class BudgetError(RuntimeError):
-    """Raised when a required iteration budget exceeds the configured cap."""
+    """Raised when a required iteration budget exceeds MAX_ITERATIONS."""
 
 
 @dataclass
 class ApgConfig:
-    """Inner-solver settings.
-
-    mode is "budget" (run the guaranteed iteration count) or "certified"
-    (stop early once the measured gap against reference_value is at most
-    alpha; reference_value should come from a high-accuracy reference solve
-    and is meant for test harnesses).
-    """
+    """Inner-solver settings: the target inexactness alpha of one solve."""
 
     alpha: float
-    mode: str = "budget"
-    max_iterations: int = 2_000_000
-    reference_value: Optional[float] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("target inexactness alpha must be positive")
-        if self.mode not in ("budget", "certified"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 def lipschitz_nu(problem, rho, theta):
@@ -66,15 +60,43 @@ def lipschitz_nu(problem, rho, theta):
     return problem.smooth_curvature(theta) + rho * spectral_norm(A) ** 2
 
 
-def grad_nu(problem, x, lam, rho, theta):
-    """Gradient in x of the smooth part: grad p + rho A' proj_{K*}(h + lam/rho)."""
+def _bound_gradient(problem, lam, rho, theta):
+    """grad nu_rho(., lam; theta) with A, b, lam/rho and the oracles bound once."""
     if rho <= 0:
         raise ValueError("penalty rho must be positive")
-    lam = np.asarray(lam, dtype=float)
     A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    h = constraint_value(problem, x, theta)
-    _, gp = problem.smooth_value_grad(x, theta)
-    return np.asarray(gp, dtype=float) + rho * (A.T @ problem.cone.project_dual(h + lam / rho))
+    b = np.asarray(problem.constraint_offset(theta), dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError("constraint shapes are inconsistent")
+    shift = np.asarray(lam, dtype=float) / rho
+    smooth_value_grad = problem.smooth_value_grad
+    project_dual = problem.cone.project_dual
+
+    def grad(y):
+        _, gp = smooth_value_grad(y, theta)
+        penalty = A.T @ project_dual((A @ y + b) + shift)
+        return np.asarray(gp, dtype=float) + rho * penalty
+
+    return grad
+
+
+def _setup(problem, lam, rho, theta):
+    """(L, grad, prox) of one subproblem solve."""
+    grad = _bound_gradient(problem, lam, rho, theta)
+
+    def prox(y, g, L):
+        return problem.prox_step(y, g, L, theta)
+
+    return lipschitz_nu(problem, rho, theta), grad, prox
+
+
+def _budget(problem, L, alpha):
+    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * problem.constants.D_x))
+
+
+def grad_nu(problem, x, lam, rho, theta):
+    """Gradient in x of the smooth part: grad p + rho A' proj_{K*}(h + lam/rho)."""
+    return _bound_gradient(problem, lam, rho, theta)(np.asarray(x, dtype=float))
 
 
 def nu_value(problem, x, lam, rho, theta):
@@ -93,8 +115,7 @@ def iteration_budget(problem, rho, theta, alpha):
     The bound is a real number while iterations are integral; ceiling keeps
     the accuracy guarantee.
     """
-    L = lipschitz_nu(problem, rho, theta)
-    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * problem.constants.D_x))
+    return _budget(problem, lipschitz_nu(problem, rho, theta), alpha)
 
 
 def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
@@ -125,49 +146,21 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
 def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
     """Solve one penalized subproblem from the warm start x_init.
 
-    Returns (x, iterations_used, certified_gap_bound). In budget mode the
-    gap bound is the target alpha by construction; in certified mode it is
-    the measured value gap at the stopping iterate.
+    Runs the iteration budget for config.alpha and returns
+    (x, iterations_used). Raises BudgetError when that budget exceeds
+    MAX_ITERATIONS.
     """
-    lam = np.asarray(lam, dtype=float)
-    L = lipschitz_nu(problem, rho, theta)
-    budget = max(1, math.ceil(math.sqrt(2.0 * L / config.alpha)
-                              * problem.constants.D_x))
-
-    def grad(y):
-        return grad_nu(problem, y, lam, rho, theta)
-
-    def prox(y, g, Lc):
-        return problem.prox_step(y, g, Lc, theta)
-
-    if config.mode == "budget":
-        if budget > config.max_iterations:
-            where = f" at epoch {epoch}" if epoch is not None else ""
-            raise BudgetError(
-                f"required budget {budget} exceeds cap "
-                f"{config.max_iterations}{where}")
-        x, steps = fista(grad, prox, L, x_init, budget)
-        return x, steps, config.alpha
-
-    if config.reference_value is None:
-        raise ValueError("certified mode needs a reference_value")
-    ref = config.reference_value
-    cap = min(budget, config.max_iterations)
-    gap = {"value": math.inf}
-
-    def composite(z):
-        return float(problem.nonsmooth_value(z, theta)) + nu_value(problem, z, lam, rho, theta)
-
-    def stop(t, z):
-        gap["value"] = composite(z) - ref
-        return gap["value"] <= config.alpha
-
-    x, steps = fista(grad, prox, L, x_init, cap, stop=stop)
-    return x, steps, max(gap["value"], 0.0)
+    L, grad, prox = _setup(problem, lam, rho, theta)
+    budget = _budget(problem, L, config.alpha)
+    if budget > MAX_ITERATIONS:
+        where = f" at epoch {epoch}" if epoch is not None else ""
+        raise BudgetError(
+            f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
+    return fista(grad, prox, L, x_init, budget)
 
 
-def certified_solve(problem, x_init, lam, rho, theta, gap_tol, max_iter=200_000,
-                    check_every=1):
+def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
+                    max_iter=MAX_ITERATIONS):
     """Inner solve with a self-contained optimality-gap certificate.
 
     Requires problem.linear_minimizer and q == 0. For a smooth convex
@@ -183,20 +176,10 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol, max_iter=200_000,
     """
     if problem.linear_minimizer is None:
         raise ValueError("problem lacks a linear minimization oracle")
-    lam = np.asarray(lam, dtype=float)
-    L = lipschitz_nu(problem, rho, theta)
-
-    def grad(y):
-        return grad_nu(problem, y, lam, rho, theta)
-
-    def prox(y, g, Lc):
-        return problem.prox_step(y, g, Lc, theta)
-
+    L, grad, prox = _setup(problem, lam, rho, theta)
     best = {"gap": math.inf, "x": np.asarray(x_init, dtype=float)}
 
     def stop(t, z):
-        if t % check_every:
-            return False
         g = grad(z)
         s = problem.linear_minimizer(g)
         cert = float(g @ (z - s))

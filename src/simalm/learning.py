@@ -46,10 +46,6 @@ class SyntheticLearner:
         self.steps_taken = 0
         self.theta = self.theta0.copy()
 
-    @property
-    def theta_dim(self):
-        return self.theta_star.size
-
     def step(self):
         self.steps_taken += 1
         drift = self.tau ** self.steps_taken * (self.theta0 - self.theta_star)
@@ -70,10 +66,6 @@ class FrozenLearner:
     def __init__(self, theta):
         self.theta = np.asarray(theta, dtype=float).copy()
         self.steps_taken = 0
-
-    @property
-    def theta_dim(self):
-        return self.theta.size
 
     def step(self):
         self.steps_taken += 1
@@ -234,10 +226,6 @@ class AdmmScsLearner:
     @property
     def theta(self):
         return self.state.Sigma
-
-    @property
-    def theta_dim(self):
-        return self.state.Sigma.size
 
     @property
     def steps_taken(self):

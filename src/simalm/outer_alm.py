@@ -180,7 +180,6 @@ class AlmRecord:
     learner_steps: int
     cpu_learn_s: float
     cpu_opt_s: float
-    wall_time: float
     phase: str = "opt"
 
 
@@ -263,8 +262,7 @@ def _learner_rate(learner):
 
 
 def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
-            stop=StopRule(max_outer=50), reference=None, apg_mode="budget",
-            apg_max_iterations=2_000_000):
+            stop=StopRule(max_outer=50), reference=None, apg_mode="budget"):
     """Run the inexact multiplier scheme and return its trace.
 
     Parameters
@@ -281,7 +279,8 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
         stops once the reported iterate meets the target.
     reference : ReferenceSolution, optional; provides f* for suboptimality.
     apg_mode : "budget" runs the guaranteed inner iteration count;
-        "certified" stops each inner solve on a measured gap certificate.
+        "certified" stops each inner solve on the linear-minimizer gap
+        certificate.
     """
     if penalty.is_geometric:
         tau = _learner_rate(learner)
@@ -301,7 +300,6 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
     x_sum = np.zeros_like(x)
     cpu_learn = 0.0
     cpu_opt = 0.0
-    t_start = time.perf_counter()
 
     for k in range(stop.max_outer):
         t0 = time.perf_counter()
@@ -314,13 +312,11 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
         rho_k = penalty.rho(k)
         alpha_k = inexact.alpha(k)
         if apg_mode == "budget":
-            config = ApgConfig(alpha=alpha_k, mode="budget",
-                               max_iterations=apg_max_iterations)
-            x, inner, _ = apg_solve(problem, x, lam, rho_k, theta_k, config, epoch=k)
+            x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
+                                 ApgConfig(alpha=alpha_k), epoch=k)
         elif apg_mode == "certified":
             x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
-                                             gap_tol=alpha_k,
-                                             max_iter=apg_max_iterations)
+                                             gap_tol=alpha_k)
         else:
             raise ValueError(f"unknown apg_mode {apg_mode!r}")
         lam = dual_update(problem, lam, rho_k, x, theta_k)
@@ -342,7 +338,6 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
             f_at_theta_star=f_rep, infeas_at_theta_star=infeas_rep,
             f_rel_subopt=rel, learner_steps=learner.steps_taken,
             cpu_learn_s=cpu_learn, cpu_opt_s=cpu_opt,
-            wall_time=time.perf_counter() - t_start,
         ))
         if (stop.epsilon is not None and not math.isnan(rel)
                 and rel <= stop.epsilon and infeas_rep <= stop.epsilon):
@@ -375,7 +370,6 @@ def sequential_baseline(problem, learner, learn_budget, penalty, inexact, x0,
 
     learn_records = []
     cpu_learn = 0.0
-    t_start = time.perf_counter()
     for j in range(learn_budget):
         t0 = time.perf_counter()
         theta_j = learner.step()
@@ -387,8 +381,7 @@ def sequential_baseline(problem, learner, learn_budget, penalty, inexact, x0,
             theta_err=theta_err, theta_err_rel=theta_err_rel,
             f_at_theta_star=f0, infeas_at_theta_star=infeas0,
             f_rel_subopt=rel0, learner_steps=learner.steps_taken,
-            cpu_learn_s=cpu_learn, cpu_opt_s=0.0,
-            wall_time=time.perf_counter() - t_start, phase="learn",
+            cpu_learn_s=cpu_learn, cpu_opt_s=0.0, phase="learn",
         ))
 
     frozen = FrozenLearner(learner.theta)

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from simalm.al_core import AlPoint, dual_update, eval_L, grad_lambda_L
+from simalm.al_core import dual_update, eval_L, grad_lambda_L
 from simalm.inner_apg import certified_solve
 from simalm.model import constraint_value, evaluate_f, infeasibility
 from conftest import make_small_portfolio, random_simplex_point
-
-
-def test_alpoint_validates_rho():
-    with pytest.raises(ValueError):
-        AlPoint(x=np.zeros(2), lam=np.zeros(1), rho=0.0, theta=None)
 
 
 def test_value_reduces_to_objective_when_feasible(rng):

@@ -110,3 +110,27 @@ def test_table_byte_identical_across_runs(tmp_path):
     t1 = (tmp_path / "det1" / "table_constant_learned.csv").read_bytes()
     t2 = (tmp_path / "det2" / "table_constant_learned.csv").read_bytes()
     assert t1 == t2
+
+
+def test_stale_cached_bundle_is_rebuilt(tmp_path):
+    cfg = small_config(tmp_path, "stale")
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / "meta.json").write_text(json.dumps(
+        {"instance_key": {"n": 30, "s": 5, "seed": 4}}))
+    res = run_cli("bounds", "--config", str(cfg))
+    assert res.returncode == 0, res.stderr
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["instance_key"] == {"n": 30, "s": 5, "seed": 3}
+
+
+def test_corrupt_cached_bundle_is_reported_not_rebuilt(tmp_path):
+    cfg = small_config(tmp_path, "corrupt")
+    out = tmp_path / "corrupt"
+    out.mkdir()
+    (out / "meta.json").write_text('{"instance_key": {"n": 30,')
+    res = run_cli("bounds", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr
+    assert (out / "meta.json").read_text() == '{"instance_key": {"n": 30,'
+    assert not (out / "instance.json").exists()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
-                          ZeroCone, dist, dist_neg, dist_neg_sq_grad, project,
-                          project_dual, project_neg)
+                          ZeroCone)
 
 ALL_VARIANTS = [
     ZeroCone(4),
@@ -33,21 +32,21 @@ def test_construction_validation():
 
 def test_orthant_projection_clamps():
     cone = NonnegativeOrthant(2)
-    np.testing.assert_allclose(project(cone, [-1.0, 2.0]), [0.0, 2.0])
-    np.testing.assert_allclose(project_neg(cone, [-1.0, 2.0]), [-1.0, 0.0])
+    np.testing.assert_allclose(cone.project([-1.0, 2.0]), [0.0, 2.0])
+    np.testing.assert_allclose(cone.project_neg([-1.0, 2.0]), [-1.0, 0.0])
 
 
 def test_soc_member_is_fixed():
     cone = SecondOrderCone(3)
     y = np.array([2.0, 1.0, 0.5])  # ||u|| < t
-    np.testing.assert_allclose(project(cone, y), y)
+    np.testing.assert_allclose(cone.project(y), y)
 
 
 def test_soc_boundary_case_brute_force():
     # polar-boundary point (t, u) = (0, -1); closed form gives (0.5, -0.5)
     cone = SecondOrderCone(2)
     y = np.array([0.0, -1.0])
-    proj = project(cone, y)
+    proj = cone.project(y)
     np.testing.assert_allclose(proj, [0.5, -0.5], atol=1e-12)
     # optimality against sampled members of the cone
     gen = np.random.default_rng(0)
@@ -62,42 +61,42 @@ def test_soc_boundary_case_brute_force():
 
 def test_soc_dim_one_degenerates_to_halfline():
     cone = SecondOrderCone(1)
-    assert project(cone, np.array([-2.0]))[0] == 0.0
-    assert project(cone, np.array([3.0]))[0] == 3.0
+    assert cone.project(np.array([-2.0]))[0] == 0.0
+    assert cone.project(np.array([3.0]))[0] == 3.0
 
 
 def test_zero_cone_projections():
     cone = ZeroCone(3)
     y = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(project(cone, y), np.zeros(3))
-    np.testing.assert_allclose(project_dual(cone, y), y)  # dual is everything
-    assert dist_neg(cone, y) == pytest.approx(np.linalg.norm(y))
+    np.testing.assert_allclose(cone.project(y), np.zeros(3))
+    np.testing.assert_allclose(cone.project_dual(y), y)  # dual is everything
+    assert cone.dist_neg(y) == pytest.approx(np.linalg.norm(y))
 
 
 def test_orthant_and_soc_are_self_dual(rng):
     for cone in (NonnegativeOrthant(4), SecondOrderCone(5)):
         y = sample(rng, cone, 50)
-        np.testing.assert_allclose(project_dual(cone, y), project(cone, y))
+        np.testing.assert_allclose(cone.project_dual(y), cone.project(y))
 
 
 def test_neg_member_fixed_and_dist_zero(rng):
     for cone in ALL_VARIANTS:
         y = sample(rng, cone, 40)
-        inside = project_neg(cone, y)
-        np.testing.assert_allclose(project_neg(cone, inside), inside, atol=1e-12)
-        assert np.all(dist_neg(cone, inside) <= 1e-12)
+        inside = cone.project_neg(y)
+        np.testing.assert_allclose(cone.project_neg(inside), inside, atol=1e-12)
+        assert np.all(cone.dist_neg(inside) <= 1e-12)
 
 
 def test_orthant_dist_neg_example():
     cone = NonnegativeOrthant(2)
-    assert dist_neg(cone, np.array([3.0, -1.0])) == pytest.approx(3.0)
+    assert cone.dist_neg(np.array([3.0, -1.0])) == pytest.approx(3.0)
 
 
 def test_moreau_decomposition(rng):
     for cone in ALL_VARIANTS:
         y = sample(rng, cone, 200)
-        neg = project_neg(cone, y)
-        dual = project_dual(cone, y)
+        neg = cone.project_neg(y)
+        dual = cone.project_dual(y)
         np.testing.assert_allclose(neg + dual, y, atol=1e-10)
         inner = np.sum(neg * dual, axis=-1)
         np.testing.assert_allclose(inner, 0.0, atol=1e-10)
@@ -106,15 +105,15 @@ def test_moreau_decomposition(rng):
 def test_idempotence(rng):
     for cone in ALL_VARIANTS:
         y = sample(rng, cone, 200)
-        p = project(cone, y)
-        np.testing.assert_allclose(project(cone, p), p, atol=1e-12)
+        p = cone.project(y)
+        np.testing.assert_allclose(cone.project(p), p, atol=1e-12)
 
 
 def test_nonexpansiveness(rng):
     for cone in ALL_VARIANTS:
         y1 = sample(rng, cone, 200)
         y2 = sample(rng, cone, 200)
-        lhs = np.linalg.norm(project(cone, y1) - project(cone, y2), axis=-1)
+        lhs = np.linalg.norm(cone.project(y1) - cone.project(y2), axis=-1)
         rhs = np.linalg.norm(y1 - y2, axis=-1)
         assert np.all(lhs <= rhs + 1e-12)
 
@@ -123,15 +122,15 @@ def test_distance_triangle_inequality(rng):
     for cone in ALL_VARIANTS:
         y = sample(rng, cone, 200)
         yp = sample(rng, cone, 200)
-        lhs = dist(cone, y + yp)
-        rhs = dist(cone, y) + np.linalg.norm(yp, axis=-1)
+        lhs = cone.dist(y + yp)
+        rhs = cone.dist(y) + np.linalg.norm(yp, axis=-1)
         assert np.all(lhs <= rhs + 1e-10)
 
 
 def test_sign_reflection(rng):
     for cone in ALL_VARIANTS:
         y = sample(rng, cone, 100)
-        np.testing.assert_allclose(dist(cone, -y), dist_neg(cone, y), atol=1e-12)
+        np.testing.assert_allclose(cone.dist(-y), cone.dist_neg(y), atol=1e-12)
 
 
 def test_dist_neg_sq_gradient_matches_finite_differences(rng):
@@ -139,12 +138,12 @@ def test_dist_neg_sq_gradient_matches_finite_differences(rng):
     for cone in ALL_VARIANTS:
         for _ in range(5):
             y = sample(rng, cone)
-            grad = dist_neg_sq_grad(cone, y)
+            grad = cone.dist_neg_sq_grad(y)
             fd = np.zeros_like(y)
             for i in range(cone.dim):
                 e = np.zeros(cone.dim)
                 e[i] = h
-                fd[i] = (dist_neg(cone, y + e) ** 2 - dist_neg(cone, y - e) ** 2) / (2 * h)
+                fd[i] = (cone.dist_neg(y + e) ** 2 - cone.dist_neg(y - e) ** 2) / (2 * h)
             denom = max(np.linalg.norm(grad), 1.0)
             assert np.linalg.norm(fd - grad) / denom < 1e-6
 
@@ -153,5 +152,5 @@ def test_product_dim_bookkeeping():
     cone = ProductCone([ZeroCone(2), SecondOrderCone(3)])
     assert cone.dim == 5
     y = np.arange(5.0)
-    out = project(cone, y)
+    out = cone.project(y)
     np.testing.assert_allclose(out[:2], 0.0)

@@ -1,16 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from simalm.al_core import eval_L
-from simalm.inner_apg import (ApgConfig, BudgetError, apg_solve,
-                              certified_solve, fista, grad_nu,
+from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
+                              apg_solve, certified_solve, fista, grad_nu,
                               iteration_budget, lipschitz_nu, nu_value)
 from simalm.linalg import spectral_norm
-from simalm.model import simplex_prox
+from simalm.model import constraint_value, simplex_prox
 from simalm.reference import simplex_qp
-from conftest import make_small_portfolio, random_simplex_point
+from conftest import make_small_portfolio, make_toy_problem, random_simplex_point
 
 
 def test_momentum_recurrence_values():
@@ -231,38 +232,19 @@ def test_budget_formula(toy_problem):
 
 def test_budget_mode_runs_exact_budget(rng, toy_problem):
     theta = np.array([0.1, -0.2])
-    config = ApgConfig(alpha=1e-2, mode="budget")
+    config = ApgConfig(alpha=1e-2)
     x0 = np.full(3, 1 / 3)
-    x, steps, gap = apg_solve(toy_problem, x0, np.zeros(2), 1.0, theta, config)
+    x, steps = apg_solve(toy_problem, x0, np.zeros(2), 1.0, theta, config)
     assert steps == iteration_budget(toy_problem, 1.0, theta, 1e-2)
-    assert gap == 1e-2
     assert toy_problem.membership(x)
 
 
 def test_budget_cap_error_names_epoch(toy_problem):
-    config = ApgConfig(alpha=1e-12, mode="budget", max_iterations=10)
+    config = ApgConfig(alpha=1e-12)
+    assert iteration_budget(toy_problem, 50.0, np.zeros(2), 1e-12) > MAX_ITERATIONS
     with pytest.raises(BudgetError, match="epoch 7"):
         apg_solve(toy_problem, np.full(3, 1 / 3), np.zeros(2), 50.0,
                   np.zeros(2), config, epoch=7)
-
-
-def test_certified_mode_stops_on_reference_gap(rng):
-    n = 8
-    F = rng.standard_normal((n, n))
-    Q = F @ F.T / n + 0.3 * np.eye(n)
-    c = rng.standard_normal(n) * 0.3
-    problem = _simplex_qp_problem(Q, c)
-    _, f_star, _ = simplex_qp(Q, c)
-    rho = 1.0
-    # reference value of the composite (the inert penalty shifts the value)
-    x0 = np.full(n, 1.0 / n)
-    ref = f_star + nu_value(problem, x0, np.zeros(1), rho, None) \
-        - (0.5 * float(x0 @ Q @ x0) + float(c @ x0))
-    config = ApgConfig(alpha=1e-4, mode="certified", reference_value=ref)
-    x, steps, gap = apg_solve(problem, x0, np.zeros(1), rho, None, config)
-    assert gap <= 1e-4
-    budget = iteration_budget(problem, rho, None, 1e-4)
-    assert steps < budget  # early stop fired
 
 
 def test_certified_solve_gap_certificate(rng):
@@ -284,8 +266,8 @@ def test_iterates_stay_in_domain(rng, toy_problem):
     seen = []
 
     theta = np.array([0.2, 0.1])
-    config = ApgConfig(alpha=1e-3, mode="budget")
-    x, _, _ = apg_solve(toy_problem, np.full(3, 1 / 3), np.ones(2), 2.0, theta,
+    config = ApgConfig(alpha=1e-3)
+    x, _ = apg_solve(toy_problem, np.full(3, 1 / 3), np.ones(2), 2.0, theta,
                         config)
     assert toy_problem.membership(x)
 
@@ -293,7 +275,66 @@ def test_iterates_stay_in_domain(rng, toy_problem):
 def test_config_validation():
     with pytest.raises(ValueError):
         ApgConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        ApgConfig(alpha=1.0, mode="???")
-    with pytest.raises(ValueError):
-        ApgConfig(alpha=1.0, max_iterations=0)
+
+
+def _reference_grad(problem, lam, rho, theta):
+    # gradient of nu_rho written from the public oracles, re-fetched per call
+    def grad(y):
+        A = np.asarray(problem.constraint_matrix(theta), dtype=float)
+        h = constraint_value(problem, y, theta)
+        _, gp = problem.smooth_value_grad(y, theta)
+        return gp + rho * (A.T @ problem.cone.project_dual(h + lam / rho))
+
+    return grad
+
+
+def _pinning_cases(rng):
+    instance, portfolio = make_small_portfolio(sector_limit=0.35)
+    toy = make_toy_problem()
+    return [
+        (portfolio, instance.sigma, np.abs(rng.standard_normal(instance.s)),
+         4.0, np.full(instance.n, 1.0 / instance.n)),
+        (toy, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
+         np.full(3, 1.0 / 3)),
+    ]
+
+
+def test_solvers_match_reference_loop_bit_for_bit(rng):
+    # both stopping rules must produce exactly the iterates of a plain FISTA
+    # loop driven by the independently written gradient
+    for problem, theta, lam, rho, x0 in _pinning_cases(rng):
+        grad = _reference_grad(problem, lam, rho, theta)
+        L = lipschitz_nu(problem, rho, theta)
+
+        def prox(y, g, Lc):
+            return problem.prox_step(y, g, Lc, theta)
+
+        alpha = 1e-4
+        want, want_steps = fista(grad, prox, L, x0,
+                                 iteration_budget(problem, rho, theta, alpha))
+        got, steps = apg_solve(problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
+        assert steps == want_steps
+        assert np.array_equal(got, want)
+
+        def stop(t, z):
+            g = grad(z)
+            return float(g @ (z - problem.linear_minimizer(g))) <= 1e-7
+
+        want, want_steps = fista(grad, prox, L, x0, MAX_ITERATIONS, stop=stop)
+        got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-7)
+        assert steps == want_steps
+        assert np.array_equal(got, want)
+
+        x = random_simplex_point(rng, x0.size)
+        assert np.array_equal(grad_nu(problem, x, lam, rho, theta), grad(x))
+
+
+def test_inconsistent_constraint_shapes_raise(toy_problem):
+    bad = dataclasses.replace(toy_problem, constraint_offset=lambda th: np.zeros(3))
+    x0, lam, theta = np.full(3, 1 / 3), np.zeros(2), np.zeros(2)
+    with pytest.raises(ValueError, match="inconsistent"):
+        apg_solve(bad, x0, lam, 1.0, theta, ApgConfig(alpha=1e-2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        certified_solve(bad, x0, lam, 1.0, theta, gap_tol=1e-6)
+    with pytest.raises(ValueError, match="inconsistent"):
+        grad_nu(bad, x0, lam, 1.0, theta)

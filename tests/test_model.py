@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from simalm.cones import dist_neg
 from simalm.model import (PortfolioInstance, constraint_value, evaluate_f,
                           infeasibility, portfolio_problem, project_simplex,
                           simplex_prox)
@@ -88,7 +87,7 @@ def test_constraint_value_and_infeasibility(rng):
     want = np.linalg.norm(np.maximum(h, 0.0))
     assert infeasibility(problem, x, instance.sigma) == pytest.approx(want)
     assert infeasibility(problem, x, instance.sigma) == pytest.approx(
-        float(dist_neg(problem.cone, h)))
+        float(problem.cone.dist_neg(h)))
 
 
 def test_infeasibility_examples():
