@@ -17,9 +17,9 @@ from .inner_apg import (ApgConfig, BudgetError, apg_solve, certified_solve,
                         fista, grad_nu, iteration_budget, lipschitz_nu,
                         nu_value)
 from .outer_alm import (AlmRecord, AlmTrace, InexactnessSchedule,
-                        PenaltySchedule, ScheduleError, StopRule, alm_run,
-                        make_constant_schedule, make_increasing_schedule,
-                        sequential_baseline)
+                        NonFiniteError, PenaltySchedule, ScheduleError,
+                        StopRule, alm_run, make_constant_schedule,
+                        make_increasing_schedule, sequential_baseline)
 from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem, ScsState,
                        SyntheticLearner, admm_solve, eigh_clip, estimate_tau,
                        scs_admm_step, scs_init)

@@ -6,9 +6,9 @@ Subcommands: generate, solve, table, seqsim, bounds. Exit codes: 0 success,
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
-
 
 from .experiments import (ExperimentConfig, StaleBundleError,
                           bound_inputs_for_run, load_bundle, prepare_bundle,
@@ -21,6 +21,8 @@ from .outer_alm import ScheduleError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
+
+log = logging.getLogger("simalm")
 
 
 def _build_parser():
@@ -76,8 +78,8 @@ def _bundle(config, out):
     if (out / "meta.json").exists():
         try:
             return load_bundle(config, out)
-        except StaleBundleError:
-            pass
+        except StaleBundleError as exc:
+            log.warning("rebuilding the stale cached bundle: %s", exc)
     bundle = prepare_bundle(config)
     save_bundle(bundle, out)
     return bundle

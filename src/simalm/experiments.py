@@ -44,6 +44,9 @@ class StaleBundleError(ValueError):
     """A cached bundle was built for a different instance (n, s, seed)."""
 
 
+# Residual at which the learning iteration counts as converged to Sigma*.
+_ADMM_TOL = 1e-9
+
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}
 
 
@@ -148,20 +151,13 @@ def _sample_instance(config, seed, sector_limit=0.3, psd_floor=1e-2, upsilon=0.4
     return instance, scs, SampleData(mu_true, sigma_true, samples, sample_cov)
 
 
-def generate_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
-                      load_gap=0.04):
-    """Draw a reproducible instance whose sector constraints bind.
+def _draw_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
+                   load_gap=0.04):
+    """The draw loop of generate_instance, plus the solves that accepted the draw.
 
-    The ground-truth covariance is positive definite by construction
-    (checked), and uniform weights must be strictly feasible so first-order
-    runs can start there. Binding is verified at the learned covariance
-    limit: when the nominal cap 0.3 is slack there, the caps are lowered to
-    the midpoint between the uniform sector load and the peak sector
-    exposure of the cap-free optimum, which makes at least one cap active
-    while keeping the uniform start strictly feasible. Seeds whose cap-free
-    optimum is too spread out to leave room for that window (or whose
-    optimal value is degenerate) are skipped deterministically, so a given
-    configuration seed always yields the same instance.
+    Returns (instance, scs, sample, sigma_star, admm_info, reference):
+    admm_info holds the Sigma history of the learning iteration, and
+    reference is the portfolio optimum at sigma_star.
     """
     from .reference import simplex_qp
 
@@ -174,7 +170,7 @@ def generate_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
         uniform_load = instance.sector_matrix.sum(axis=1) / config.n
         if np.any(uniform_load >= instance.sector_limits):
             continue
-        sigma_star, _ = admm_solve(scs, tol=1e-9)
+        sigma_star, info = admm_solve(scs, tol=_ADMM_TOL, collect_history=True)
         x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
                                   -instance.risk_tradeoff * instance.mu)
         free_peak = float(np.max(instance.sector_matrix @ x_free))
@@ -192,9 +188,27 @@ def generate_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
         ref = portfolio_reference(instance, sigma=sigma_star)
         slack = instance.sector_limits - instance.sector_matrix @ ref.x
         if np.min(slack) <= binding_tol and abs(ref.f_value) >= f_floor:
-            return instance, scs, sample
+            return instance, scs, sample, sigma_star, info, ref
     raise RuntimeError(f"no instance with binding sector constraints found "
                        f"in {max_attempts} attempts from seed {config.seed}")
+
+
+def generate_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
+                      load_gap=0.04):
+    """Draw a reproducible instance whose sector constraints bind.
+
+    The ground-truth covariance is positive definite by construction
+    (checked), and uniform weights must be strictly feasible so first-order
+    runs can start there. Binding is verified at the learned covariance
+    limit: when the nominal cap 0.3 is slack there, the caps are lowered to
+    the midpoint between the uniform sector load and the peak sector
+    exposure of the cap-free optimum, which makes at least one cap active
+    while keeping the uniform start strictly feasible. Seeds whose cap-free
+    optimum is too spread out to leave room for that window (or whose
+    optimal value is degenerate) are skipped deterministically, so a given
+    configuration seed always yields the same instance.
+    """
+    return _draw_instance(config, max_attempts, binding_tol, f_floor, load_gap)[:3]
 
 
 @dataclass
@@ -242,29 +256,34 @@ def _certified_rate(errors, floor=1e-10):
     return float(np.clip(max(rates), 1e-12, 1.0 - 1e-12))
 
 
-def prepare_bundle(config, admm_tol=1e-9):
+def prepare_bundle(config):
     """Generate an instance and compute every shared reference quantity.
 
-    Runs the learning iteration to convergence for Sigma*, fits and
-    certifies its geometric rate, and solves the portfolio program at
-    Sigma* for (x*, lambda*, f*). The error history is aligned with the
-    sequence a learner reveals (the inert first sweep dropped), so
-    errors[k] = ||theta_k - Sigma*|| for the k-th revealed estimate.
+    Runs one ADMM solve, to residual _ADMM_TOL, for Sigma* and one
+    reference solve of the portfolio program at Sigma* for (x*, lambda*,
+    f*): the two solves the instance draw makes to accept the instance. It
+    then fits and certifies the geometric rate of the learning iteration.
+    The error history is aligned with the sequence a learner reveals (the
+    inert first sweep dropped), so errors[k] = ||theta_k - Sigma*|| for the
+    k-th revealed estimate. The bundle's ScsProblem keeps its start
+    factorisation cached, so learners built on it skip that eigensolve.
     """
-    instance, scs, _sample = generate_instance(config)
-    sigma_star, info = admm_solve(scs, tol=admm_tol, collect_history=True)
+    instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
                        for S in info["history"][1:]])
-    usable = errors > max(100.0 * admm_tol, 1e-12)
+    usable = errors > max(100.0 * _ADMM_TOL, 1e-12)
     tau_hat = estimate_tau(errors[usable])
     tau_cert = _certified_rate(errors)
-    reference = portfolio_reference(instance, sigma=sigma_star)
     binding = (instance.sector_limits - instance.sector_matrix @ reference.x) <= 1e-7
     return InstanceBundle(
         config=config, instance=instance, scs=scs, sigma_star=sigma_star,
         learner_errors=errors, tau_hat=tau_hat, tau_cert=tau_cert,
         reference=reference, binding=binding, admm_sweeps=info["sweeps"],
     )
+
+
+def _instance_key(config):
+    return {"n": config.n, "s": config.s, "seed": config.seed}
 
 
 def save_bundle(bundle, out_dir):
@@ -275,8 +294,7 @@ def save_bundle(bundle, out_dir):
     np.save(out / "sigma_star.npy", bundle.sigma_star)
     np.save(out / "learner_errors.npy", bundle.learner_errors)
     meta = {
-        "instance_key": {"n": bundle.config.n, "s": bundle.config.s,
-                         "seed": bundle.config.seed},
+        "instance_key": _instance_key(bundle.config),
         "tau_hat": bundle.tau_hat,
         "tau_cert": bundle.tau_cert,
         "f_star": bundle.reference.f_value,
@@ -295,8 +313,9 @@ def load_bundle(config, out_dir):
     out = Path(out_dir)
     meta = json.loads((out / "meta.json").read_text())
     key = meta.get("instance_key", {})
-    if key != {"n": config.n, "s": config.s, "seed": config.seed}:
-        raise StaleBundleError(f"cached bundle in {out} belongs to instance {key}")
+    if key != _instance_key(config):
+        raise StaleBundleError(f"cached bundle in {out} belongs to instance {key}, "
+                               f"not the requested {_instance_key(config)}")
     instance = PortfolioInstance.from_json(out / "instance.json")
     scs = ScsProblem.from_json(out / "scs.json")
     sigma_star = np.load(out / "sigma_star.npy")

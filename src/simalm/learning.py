@@ -10,9 +10,12 @@ selection problem
     subject to Sigma >= psd_floor * I.
 
 Learner instances are single-owner mutable state; the estimates they hand
-out are fresh arrays that may be shared freely.
+out are fresh arrays that may be shared freely. The ADMM start point, the
+floored factorisation of S, is computed once per ScsProblem and shared
+read-only by `admm_solve` and every `AdmmScsLearner` on that problem.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -81,7 +84,9 @@ class ScsProblem:
 
     S is the sample covariance, upsilon the l1 weight on off-diagonal
     entries, psd_floor the eigenvalue floor of the feasible set, and
-    admm_penalty the splitting penalty.
+    admm_penalty the splitting penalty. The floored factorisation of S is
+    cached on the instance (`start`); a problem built anew, by `from_json`
+    or `dataclasses.replace`, factors S again.
     """
 
     S: np.ndarray
@@ -102,6 +107,18 @@ class ScsProblem:
     @property
     def n(self):
         return self.S.shape[0]
+
+    @functools.cached_property
+    def start(self):
+        """(Sigma0, basis): S floored at psd_floor and its eigenvector basis.
+
+        Factored once per problem; both arrays are read-only, so an in-place
+        write raises ValueError instead of corrupting every later start.
+        """
+        Sigma0, basis = eigh_clip(self.S, self.psd_floor)
+        Sigma0.flags.writeable = False
+        basis.flags.writeable = False
+        return Sigma0, basis
 
     def objective(self, Sigma):
         """SCS objective value at Sigma (constraint not included)."""
@@ -165,8 +182,12 @@ def eigh_clip(M, floor, basis=None):
 
 
 def scs_init(problem):
-    """Initial ADMM state: both primal blocks at the floored sample covariance."""
-    Sigma0, basis = eigh_clip(problem.S, problem.psd_floor)
+    """Initial ADMM state: both primal blocks at the floored sample covariance.
+
+    The factorisation comes from `problem.start`, shared read-only by every
+    state started on the same problem; the primal blocks are fresh copies.
+    """
+    Sigma0, basis = problem.start
     return ScsState(
         Sigma=Sigma0.copy(),
         Phi=Sigma0.copy(),
@@ -206,8 +227,10 @@ class AdmmScsLearner:
     The very first sweep provably leaves the covariance block unchanged
     (it shares the eigenbasis of the floored sample covariance), so it is
     consumed at construction; the first step() therefore already moves the
-    estimate. When sigma_ref (the limit point) is supplied the learner
-    records its error history, so rate_tau() can fit a geometric rate to it.
+    estimate. The start factorisation is the problem's cached, read-only
+    `start`, so learners on one ScsProblem factor S only once between them.
+    When sigma_ref (the limit point) is supplied the learner records its
+    error history, so rate_tau() can fit a geometric rate to it.
     """
 
     def __init__(self, problem, sigma_ref=None):

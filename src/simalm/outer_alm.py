@@ -29,10 +29,10 @@ from .inner_apg import ApgConfig, apg_solve, certified_solve
 from .model import evaluate_f, infeasibility
 
 __all__ = [
-    "ScheduleError", "PenaltySchedule", "InexactnessSchedule", "StopRule",
-    "AlmRecord", "AlmTrace", "make_constant_schedule",
-    "make_increasing_schedule", "alm_run", "sequential_baseline",
-    "TRACE_COLUMNS", "BOUND_COLUMNS",
+    "ScheduleError", "NonFiniteError", "PenaltySchedule",
+    "InexactnessSchedule", "StopRule", "AlmRecord", "AlmTrace",
+    "make_constant_schedule", "make_increasing_schedule", "alm_run",
+    "sequential_baseline", "TRACE_COLUMNS", "BOUND_COLUMNS",
 ]
 
 TRACE_COLUMNS = ("k", "rho_k", "alpha_k", "inner_iters", "f_rel_subopt",
@@ -43,6 +43,16 @@ BOUND_COLUMNS = ("v_k_bound", "subopt_upper_bound", "subopt_lower_bound",
 
 class ScheduleError(ValueError):
     """Invalid or incompatible penalty / inexactness configuration."""
+
+
+class NonFiniteError(RuntimeError):
+    """A run produced a non-finite iterate, multiplier or parameter estimate."""
+
+
+def _check_finite(where, **arrays):
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"non-finite {name} at {where}")
 
 
 @dataclass(frozen=True)
@@ -281,6 +291,9 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
     apg_mode : "budget" runs the guaranteed inner iteration count;
         "certified" stops each inner solve on the linear-minimizer gap
         certificate.
+
+    Raises NonFiniteError, naming the epoch and the quantity, as soon as
+    theta_k, x or lam holds a NaN or an infinity.
     """
     if penalty.is_geometric:
         tau = _learner_rate(learner)
@@ -306,6 +319,7 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
         theta_k = learner.theta if k == 0 else learner.step()
         if learner.steps_taken > k:
             raise RuntimeError("learner advanced beyond the outer epoch")
+        _check_finite(f"epoch {k}", theta=theta_k)
         t1 = time.perf_counter()
         cpu_learn += t1 - t0
 
@@ -320,6 +334,7 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
         else:
             raise ValueError(f"unknown apg_mode {apg_mode!r}")
         lam = dual_update(problem, lam, rho_k, x, theta_k)
+        _check_finite(f"epoch {k}", x=x, lam=lam)
         x_sum += x
         x_bar = x_sum / (k + 1.0)
         cpu_opt += time.perf_counter() - t1
@@ -374,6 +389,7 @@ def sequential_baseline(problem, learner, learn_budget, penalty, inexact, x0,
         t0 = time.perf_counter()
         theta_j = learner.step()
         cpu_learn += time.perf_counter() - t0
+        _check_finite(f"epoch {j + 1} of the learning phase", theta=theta_j)
         theta_err, theta_err_rel = _theta_errors(theta_j, theta_star)
         learn_records.append(AlmRecord(
             k=j + 1, rho=0.0, alpha=0.0, inner_iterations=0,

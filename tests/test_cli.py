@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -112,16 +113,23 @@ def test_table_byte_identical_across_runs(tmp_path):
     assert t1 == t2
 
 
-def test_stale_cached_bundle_is_rebuilt(tmp_path):
+def test_stale_cached_bundle_is_rebuilt(tmp_path, caplog):
+    from simalm.cli import main
+
     cfg = small_config(tmp_path, "stale")
     out = tmp_path / "stale"
     out.mkdir()
     (out / "meta.json").write_text(json.dumps(
         {"instance_key": {"n": 30, "s": 5, "seed": 4}}))
-    res = run_cli("bounds", "--config", str(cfg))
-    assert res.returncode == 0, res.stderr
+    with caplog.at_level(logging.INFO, logger="simalm"):
+        assert main(["bounds", "--config", str(cfg)]) == 0
     meta = json.loads((out / "meta.json").read_text())
     assert meta["instance_key"] == {"n": 30, "s": 5, "seed": 3}
+    [record] = [r for r in caplog.records if r.name == "simalm"]
+    message = record.getMessage()
+    assert "rebuilding the stale cached bundle" in message
+    assert "{'n': 30, 's': 5, 'seed': 4}" in message  # cached
+    assert "{'n': 30, 's': 5, 'seed': 3}" in message  # requested
 
 
 def test_corrupt_cached_bundle_is_reported_not_rebuilt(tmp_path):

@@ -60,6 +60,41 @@ def test_generated_instance_is_well_posed(small_bundle):
     assert small_bundle.reference.kkt_residual <= 1e-9
 
 
+def test_setup_runs_each_solve_once(monkeypatch, small_config):
+    import dataclasses
+
+    from simalm import experiments, reference
+    from simalm.learning import admm_solve, estimate_tau
+
+    calls = {"admm": 0, "qp": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "admm_solve", counted("admm", admm_solve))
+    monkeypatch.setattr(reference, "active_set_qp",
+                        counted("qp", reference.active_set_qp))
+    bundle = prepare_bundle(small_config)
+    # one ADMM solve; two QPs: the cap-free simplex_qp and the reference
+    assert calls == {"admm": 1, "qp": 2}
+    monkeypatch.undo()
+
+    # recomputed from scratch on a fresh problem (no cached factorisation)
+    scs = dataclasses.replace(bundle.scs)
+    sigma_star, info = admm_solve(scs, tol=1e-9, collect_history=True)
+    errors = np.array([np.linalg.norm(S - sigma_star, "fro")
+                       for S in info["history"][1:]])
+    ref = reference.portfolio_reference(bundle.instance, sigma=sigma_star)
+    np.testing.assert_array_equal(bundle.sigma_star, sigma_star)
+    np.testing.assert_array_equal(bundle.learner_errors, errors)
+    assert bundle.tau_hat == estimate_tau(errors[errors > 1e-7])
+    assert bundle.reference.f_value == ref.f_value
+    assert bundle.admm_sweeps == info["sweeps"]
+
+
 def test_learner_error_alignment(small_bundle):
     from simalm.learning import AdmmScsLearner
 

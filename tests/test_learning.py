@@ -204,3 +204,42 @@ def test_scs_json_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.S, problem.S)
     assert loaded.upsilon == problem.upsilon
     assert loaded.psd_floor == problem.psd_floor
+
+
+def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
+    import dataclasses
+
+    from simalm import learning
+
+    problem = make_scs(n=8, seed=4)
+    first = AdmmScsLearner(problem)
+    eigensolves = []
+    jacobi = learning.jacobi_eigh
+
+    def counted_jacobi(*args, **kwargs):
+        eigensolves.append(kwargs.get("basis") is None)
+        return jacobi(*args, **kwargs)
+
+    monkeypatch.setattr(learning, "jacobi_eigh", counted_jacobi)
+    # a second learner on the same problem skips the cold factorisation:
+    # it runs only the warm-started sweep consumed at construction
+    second = AdmmScsLearner(problem)
+    assert eigensolves == [False]
+    reloaded = AdmmScsLearner(ScsProblem.from_json(problem.to_json()))
+    assert eigensolves == [False, True, False]
+    for _ in range(5):
+        theta = first.step()
+        np.testing.assert_array_equal(second.step(), theta)
+        np.testing.assert_array_equal(reloaded.step(), theta)
+
+    Sigma0, basis = problem.start
+    assert problem.start[0] is Sigma0
+    with pytest.raises(ValueError):
+        Sigma0[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis[:, 0] *= -1.0
+
+    raised = dataclasses.replace(problem, psd_floor=0.5)
+    assert raised.start[0] is not Sigma0
+    assert np.linalg.eigvalsh(raised.start[0]).min() >= 0.5 - 1e-10
+    assert np.linalg.eigvalsh(Sigma0).min() < 0.5

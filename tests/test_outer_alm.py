@@ -12,8 +12,8 @@ from simalm.learning import SyntheticLearner
 from simalm.linalg import spectral_norm
 from simalm.model import (ParametricProblem, ProblemConstants, evaluate_f,
                           infeasibility, simplex_prox)
-from simalm.outer_alm import (InexactnessSchedule, PenaltySchedule,
-                              ScheduleError, StopRule, alm_run,
+from simalm.outer_alm import (InexactnessSchedule, NonFiniteError,
+                              PenaltySchedule, ScheduleError, StopRule, alm_run,
                               make_constant_schedule, make_increasing_schedule,
                               sequential_baseline, TRACE_COLUMNS)
 from simalm.reference import ReferenceSolution, portfolio_reference
@@ -306,6 +306,64 @@ def test_sequential_plateau_above_zero_budget_zero():
                                 reference=reference)
     plateau = abs(trace.records[-1].f_at_theta_star - reference.f_value)
     assert plateau > 1e-6  # solving at the wrong covariance cannot reach f*
+
+
+class NanAtStepLearner(SyntheticLearner):
+    """Geometric learner whose estimate turns NaN from step `bad_step` on."""
+
+    def __init__(self, theta_star, theta0, tau, bad_step):
+        super().__init__(theta_star, theta0, tau)
+        self.bad_step = bad_step
+
+    def step(self):
+        theta = super().step()
+        if self.steps_taken >= self.bad_step:
+            theta[0, 0] = np.nan
+        return theta
+
+
+def test_non_finite_estimate_raises_naming_epoch_and_quantity():
+    import simalm
+
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    sigma_star = instance.sigma
+    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    run = dict(x0=np.full(instance.n, 0.1), theta_star=sigma_star,
+               stop=StopRule(max_outer=10))
+    assert issubclass(simalm.NonFiniteError, RuntimeError)
+    learner = NanAtStepLearner(sigma_star, 1.4 * sigma_star, 0.6, bad_step=2)
+    with pytest.raises(NonFiniteError, match="non-finite theta at epoch 2$"):
+        alm_run(problem, learner, penalty, inexact, **run)
+    learner = NanAtStepLearner(sigma_star, 1.4 * sigma_star, 0.6, bad_step=2)
+    with pytest.raises(NonFiniteError,
+                       match="theta at epoch 2 of the learning phase"):
+        sequential_baseline(problem, learner, 4, penalty, inexact, **run)
+
+
+@pytest.mark.parametrize("oracle, quantity, corrupt", [
+    ("apg_solve", "x", lambda out: (np.full_like(out[0], np.nan), out[1])),
+    ("dual_update", "lam", lambda out: np.full_like(out, np.inf)),
+])
+def test_non_finite_iterate_raises_naming_epoch_and_quantity(monkeypatch, oracle,
+                                                             quantity, corrupt):
+    from simalm import outer_alm
+
+    original = getattr(outer_alm, oracle)
+    calls = []
+
+    def corrupt_from_epoch_1(*args, **kwargs):
+        calls.append(1)
+        out = original(*args, **kwargs)
+        return corrupt(out) if len(calls) > 1 else out
+
+    monkeypatch.setattr(outer_alm, oracle, corrupt_from_epoch_1)
+    problem, _ = tiny_capped_qp()
+    theta = np.zeros(1)
+    penalty, inexact = make_constant_schedule(1e-2, 1.0, learner_known=True)
+    with pytest.raises(NonFiniteError, match=f"non-finite {quantity} at epoch 1$"):
+        alm_run(problem, SyntheticLearner(theta, theta, 0.5), penalty, inexact,
+                x0=np.array([0.5, 0.5]), theta_star=theta,
+                stop=StopRule(max_outer=5))
 
 
 def test_stop_rule_validation():
