@@ -23,8 +23,8 @@ from .outer_alm import (AlmRecord, AlmTrace, InexactnessSchedule,
 from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem, ScsState,
                        SyntheticLearner, admm_solve, eigh_clip, estimate_tau,
                        scs_admm_step, scs_init)
-from .bounds import (BoundInputs, b_g, b_k, bound_report, c_lambda,
-                     c_lambda_prime, dual_gap_bound,
+from .bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
+                     c_lambda, c_lambda_prime, dual_gap_bound,
                      infeasibility_bound_geometric, inverse_power_series,
                      primal_subopt_lower, primal_subopt_upper, u_const, v_of_k)
 from .linalg import jacobi_eigh, spectral_norm

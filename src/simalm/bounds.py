@@ -20,7 +20,8 @@ import numpy as np
 __all__ = [
     "inverse_power_series", "BoundInputs", "c_lambda", "b_g", "v_of_k",
     "u_const", "primal_subopt_upper", "primal_subopt_lower", "dual_gap_bound",
-    "c_lambda_prime", "b_k", "infeasibility_bound_geometric", "bound_report",
+    "c_lambda_prime", "b_k", "infeasibility_bound_geometric", "bound_curves",
+    "bound_report",
 ]
 
 _TAIL_FROM = 10_000
@@ -137,9 +138,18 @@ def b_g(inputs):
 
 def dual_gap_bound(inputs, k):
     """Bound b_g / k on the dual gap of the averaged multiplier."""
-    if k < 1:
+    if np.any(np.asarray(k) < 1):
         raise ValueError("k must be at least 1")
-    return b_g(inputs) / k
+    return b_g(inputs) / np.asarray(k, dtype=float)
+
+
+def _infeasibility_constants(inputs):
+    """The constants (C1, C2) of the constant-penalty infeasibility bound."""
+    rho = inputs.rho
+    C1 = np.sqrt(2.0 * b_g(inputs) / rho + (c_lambda(inputs) / rho) ** 2)
+    C2 = (np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
+          + (inputs.L_h_theta + inputs.kappa) * inputs.theta0_err / (1.0 - inputs.tau))
+    return float(C1), float(C2)
 
 
 def v_of_k(inputs, k):
@@ -147,11 +157,7 @@ def v_of_k(inputs, k):
     if np.any(np.asarray(k) < 1):
         raise ValueError("k must be at least 1")
     k = np.asarray(k, dtype=float)
-    rho = inputs.rho
-    cl = c_lambda(inputs)
-    C1 = np.sqrt(2.0 * b_g(inputs) / rho + (cl / rho) ** 2)
-    C2 = (np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
-          + (inputs.L_h_theta + inputs.kappa) * inputs.theta0_err / (1.0 - inputs.tau))
+    C1, C2 = _infeasibility_constants(inputs)
     out = C1 / np.sqrt(k) + C2 / k
     return float(out) if out.ndim == 0 else out
 
@@ -244,46 +250,46 @@ def infeasibility_bound_geometric(inputs, k):
     return float(out) if out.ndim == 0 else out
 
 
-def bound_report(inputs, k_max=50):
-    """Every evaluated constant plus the bound curves over epochs 1..k_max.
+def bound_curves(inputs, ks):
+    """The four bound curves at trace rows ks (k >= 1), keyed by overlay column.
 
-    Returns {"constants": name -> value, "curves": name -> array}; the curve
-    names match the trace overlay columns. Constant-penalty inputs report
-    c_lambda, b_g, C1, C2, and u_const with the averaged-iterate curves;
-    geometric inputs report c_lambda_prime and b_0 with the last-iterate
-    curves, where row k describes the iterate produced at epoch k-1.
+    Row k describes the iterate reported after the k-th epoch. Constant
+    penalty: the averaged-iterate bounds evaluated at k. Geometric penalty:
+    the last-iterate bounds, where row k holds the iterate produced at epoch
+    k-1, so every curve is evaluated at k-1; the averaged-iterate dual-gap
+    bound does not apply there and reads NaN.
     """
-    ks = np.arange(1, k_max + 1, dtype=float)
+    ks = np.asarray(ks, dtype=float)
     if inputs.beta == 1.0:
-        rho = inputs.rho
-        cl = c_lambda(inputs)
-        bg = b_g(inputs)
-        constants = {
-            "c_lambda": cl,
-            "b_g": bg,
-            "C1": float(np.sqrt(2.0 * bg / rho + (cl / rho) ** 2)),
-            "C2": float(np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
-                        + (inputs.L_h_theta + inputs.kappa) * inputs.theta0_err
-                        / (1.0 - inputs.tau)),
-            "u_const": u_const(inputs),
-        }
-        curves = {
+        return {
             "v_k_bound": v_of_k(inputs, ks),
             "subopt_upper_bound": primal_subopt_upper(inputs, ks),
             "subopt_lower_bound": np.abs(primal_subopt_lower(inputs, ks)),
-            "dual_gap_bound": bg / ks,
+            "dual_gap_bound": dual_gap_bound(inputs, ks),
         }
+    epochs = ks - 1.0
+    sub = b_k(inputs, epochs) / inputs.beta ** epochs
+    return {
+        "v_k_bound": infeasibility_bound_geometric(inputs, epochs),
+        "subopt_upper_bound": sub,
+        "subopt_lower_bound": sub,
+        "dual_gap_bound": np.full(ks.shape, np.nan),
+    }
+
+
+def bound_report(inputs, k_max=50):
+    """Every evaluated constant plus bound_curves over rows 1..k_max.
+
+    Returns {"constants": name -> value, "curves": name -> array}.
+    Constant-penalty inputs report c_lambda, b_g, C1, C2 and u_const;
+    geometric inputs report c_lambda_prime and b_0.
+    """
+    if inputs.beta == 1.0:
+        C1, C2 = _infeasibility_constants(inputs)
+        constants = {"c_lambda": c_lambda(inputs), "b_g": b_g(inputs),
+                     "C1": C1, "C2": C2, "u_const": u_const(inputs)}
     else:
-        epochs = ks - 1.0
-        constants = {
-            "c_lambda_prime": c_lambda_prime(inputs),
-            "b_0": float(b_k(inputs, 0)),
-        }
-        sub = b_k(inputs, epochs) / inputs.beta ** epochs
-        curves = {
-            "v_k_bound": infeasibility_bound_geometric(inputs, epochs),
-            "subopt_upper_bound": sub,
-            "subopt_lower_bound": sub,
-            "dual_gap_bound": np.full(ks.shape, np.nan),
-        }
-    return {"constants": constants, "curves": curves}
+        constants = {"c_lambda_prime": c_lambda_prime(inputs),
+                     "b_0": float(b_k(inputs, 0))}
+    ks = np.arange(1, k_max + 1, dtype=float)
+    return {"constants": constants, "curves": bound_curves(inputs, ks)}

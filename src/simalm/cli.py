@@ -16,7 +16,7 @@ from .experiments import (ExperimentConfig, StaleBundleError,
                           write_seqsim, write_table, _schedules)
 from .bounds import bound_report
 from .inner_apg import BudgetError
-from .outer_alm import ScheduleError
+from .outer_alm import BOUND_COLUMNS, ScheduleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,15 +145,13 @@ def _cmd_bounds(config, out):
         for eps, report in reports:
             fh.write(f"{eps:.12g}," + ",".join(
                 f"{report['constants'][n]:.12g}" for n in names) + "\n")
-    curve_names = ("v_k_bound", "subopt_upper_bound", "subopt_lower_bound",
-                   "dual_gap_bound")
     with open(out / f"bound_curves_{config.regime}.csv", "w") as fh:
-        fh.write("epsilon,k," + ",".join(curve_names) + "\n")
+        fh.write("epsilon,k," + ",".join(BOUND_COLUMNS) + "\n")
         for eps, report in reports:
             curves = report["curves"]
             for i in range(len(curves["v_k_bound"])):
                 fh.write(f"{eps:.12g},{i + 1},"
-                         + ",".join(f"{curves[n][i]:.12g}" for n in curve_names)
+                         + ",".join(f"{curves[n][i]:.12g}" for n in BOUND_COLUMNS)
                          + "\n")
     print(f"bound files written to {out}")
     return EXIT_OK

@@ -17,9 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (BoundInputs, b_k, dual_gap_bound,
-                     infeasibility_bound_geometric, primal_subopt_lower,
-                     primal_subopt_upper, v_of_k)
+from .bounds import BoundInputs, bound_curves
 from .inner_apg import BudgetError, certified_solve
 from .learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
                        admm_solve, estimate_tau)
@@ -41,11 +39,24 @@ _FMT = "{:.12g}"
 
 
 class StaleBundleError(ValueError):
-    """A cached bundle was built for a different instance (n, s, seed)."""
+    """A cached bundle belongs to another instance (n, s, seed) or generator."""
 
 
-# Residual at which the learning iteration counts as converged to Sigma*.
-_ADMM_TOL = 1e-9
+# Instance-generator constants, recorded in a cached bundle, which is rebuilt
+# when they change; admm_tol is the residual at which Sigma* counts as learned.
+_GENERATOR = {
+    "band_width": 10,
+    "sector_overlap": 0.2,
+    "sector_limit": 0.3,
+    "psd_floor": 1e-2,
+    "upsilon": 0.4,
+    "risk_tradeoff": 0.1,
+    "admm_tol": 1e-9,
+    "max_attempts": 50,
+    "binding_tol": 1e-7,
+    "f_floor": 1e-3,
+    "load_gap": 0.04,
+}
 
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}
 
@@ -105,18 +116,19 @@ class SampleData:
     sample_cov: np.ndarray
 
 
-def band_covariance(n, width=10):
-    """Banded covariance sigma_ij = max(1 - |i-j| / width, 0)."""
+def band_covariance(n):
+    """Banded covariance sigma_ij = max(1 - |i-j| / band_width, 0)."""
     idx = np.arange(n)
+    width = _GENERATOR["band_width"]
     return np.maximum(1.0 - np.abs(idx[:, None] - idx[None, :]) / width, 0.0)
 
 
-def make_sectors(n, s, rng, overlap=0.2):
+def make_sectors(n, s, rng):
     """0/1 sector matrix: contiguous blocks plus random spillover.
 
-    Every asset belongs to its block sector and, with probability `overlap`,
-    also to the next sector (wrapping), so sectors may overlap and are not a
-    partition.
+    Every asset belongs to its block sector and, with probability
+    sector_overlap, also to the next sector (wrapping), so sectors may
+    overlap and are not a partition.
     """
     A = np.zeros((s, n))
     blocks = np.array_split(np.arange(n), s)
@@ -124,13 +136,12 @@ def make_sectors(n, s, rng, overlap=0.2):
     for j, idx in enumerate(blocks):
         A[j, idx] = 1.0
         block_of[idx] = j
-    extra = rng.random(n) < overlap
+    extra = rng.random(n) < _GENERATOR["sector_overlap"]
     A[(block_of + 1) % s, np.arange(n)] = np.where(extra, 1.0, A[(block_of + 1) % s, np.arange(n)])
     return A
 
 
-def _sample_instance(config, seed, sector_limit=0.3, psd_floor=1e-2, upsilon=0.4,
-                     risk_tradeoff=0.1):
+def _sample_instance(config, seed):
     n, s = config.n, config.s
     rng = np.random.default_rng(seed)
     mu_true = rng.uniform(-1.0, 1.0, n)
@@ -143,16 +154,16 @@ def _sample_instance(config, seed, sector_limit=0.3, psd_floor=1e-2, upsilon=0.4
     A = make_sectors(n, s, rng)
     instance = PortfolioInstance(
         n=n, s=s, sector_matrix=A,
-        sector_limits=np.full(s, sector_limit),
-        mu=mu_true, risk_tradeoff=risk_tradeoff,
+        sector_limits=np.full(s, _GENERATOR["sector_limit"]),
+        mu=mu_true, risk_tradeoff=_GENERATOR["risk_tradeoff"],
         sigma=sigma_true, seed=seed,
     )
-    scs = ScsProblem(S=sample_cov, upsilon=upsilon, psd_floor=psd_floor)
+    scs = ScsProblem(S=sample_cov, upsilon=_GENERATOR["upsilon"],
+                     psd_floor=_GENERATOR["psd_floor"])
     return instance, scs, SampleData(mu_true, sigma_true, samples, sample_cov)
 
 
-def _draw_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
-                   load_gap=0.04):
+def _draw_instance(config):
     """The draw loop of generate_instance, plus the solves that accepted the draw.
 
     Returns (instance, scs, sample, sigma_star, admm_info, reference):
@@ -161,7 +172,8 @@ def _draw_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
     """
     from .reference import simplex_qp
 
-    for attempt in range(max_attempts):
+    binding_tol = _GENERATOR["binding_tol"]
+    for attempt in range(_GENERATOR["max_attempts"]):
         seed = config.seed + attempt
         instance, scs, sample = _sample_instance(config, seed)
         w = np.linalg.eigvalsh(sample.sigma_true)
@@ -170,13 +182,14 @@ def _draw_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
         uniform_load = instance.sector_matrix.sum(axis=1) / config.n
         if np.any(uniform_load >= instance.sector_limits):
             continue
-        sigma_star, info = admm_solve(scs, tol=_ADMM_TOL, collect_history=True)
+        sigma_star, info = admm_solve(scs, tol=_GENERATOR["admm_tol"],
+                                      collect_history=True)
         x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
                                   -instance.risk_tradeoff * instance.mu)
         free_peak = float(np.max(instance.sector_matrix @ x_free))
         cap = float(instance.sector_limits[0])
         if free_peak <= cap + binding_tol:
-            if free_peak - float(uniform_load.max()) < load_gap:
+            if free_peak - float(uniform_load.max()) < _GENERATOR["load_gap"]:
                 continue
             cap = round(0.5 * (float(uniform_load.max()) + free_peak), 3)
             instance = PortfolioInstance(
@@ -187,14 +200,13 @@ def _draw_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
                 sigma=instance.sigma, seed=seed)
         ref = portfolio_reference(instance, sigma=sigma_star)
         slack = instance.sector_limits - instance.sector_matrix @ ref.x
-        if np.min(slack) <= binding_tol and abs(ref.f_value) >= f_floor:
+        if np.min(slack) <= binding_tol and abs(ref.f_value) >= _GENERATOR["f_floor"]:
             return instance, scs, sample, sigma_star, info, ref
-    raise RuntimeError(f"no instance with binding sector constraints found "
-                       f"in {max_attempts} attempts from seed {config.seed}")
+    raise RuntimeError(f"no instance with binding sector constraints found in "
+                       f"{_GENERATOR['max_attempts']} attempts from seed {config.seed}")
 
 
-def generate_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
-                      load_gap=0.04):
+def generate_instance(config):
     """Draw a reproducible instance whose sector constraints bind.
 
     The ground-truth covariance is positive definite by construction
@@ -208,7 +220,7 @@ def generate_instance(config, max_attempts=50, binding_tol=1e-7, f_floor=1e-3,
     optimal value is degenerate) are skipped deterministically, so a given
     configuration seed always yields the same instance.
     """
-    return _draw_instance(config, max_attempts, binding_tol, f_floor, load_gap)[:3]
+    return _draw_instance(config)[:3]
 
 
 @dataclass
@@ -259,7 +271,7 @@ def _certified_rate(errors, floor=1e-10):
 def prepare_bundle(config):
     """Generate an instance and compute every shared reference quantity.
 
-    Runs one ADMM solve, to residual _ADMM_TOL, for Sigma* and one
+    Runs one ADMM solve, to residual admm_tol, for Sigma* and one
     reference solve of the portfolio program at Sigma* for (x*, lambda*,
     f*): the two solves the instance draw makes to accept the instance. It
     then fits and certifies the geometric rate of the learning iteration.
@@ -271,7 +283,7 @@ def prepare_bundle(config):
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
                        for S in info["history"][1:]])
-    usable = errors > max(100.0 * _ADMM_TOL, 1e-12)
+    usable = errors > max(100.0 * _GENERATOR["admm_tol"], 1e-12)
     tau_hat = estimate_tau(errors[usable])
     tau_cert = _certified_rate(errors)
     binding = (instance.sector_limits - instance.sector_matrix @ reference.x) <= 1e-7
@@ -295,6 +307,7 @@ def save_bundle(bundle, out_dir):
     np.save(out / "learner_errors.npy", bundle.learner_errors)
     meta = {
         "instance_key": _instance_key(bundle.config),
+        "generator": _GENERATOR,
         "tau_hat": bundle.tau_hat,
         "tau_cert": bundle.tau_cert,
         "f_star": bundle.reference.f_value,
@@ -316,6 +329,10 @@ def load_bundle(config, out_dir):
     if key != _instance_key(config):
         raise StaleBundleError(f"cached bundle in {out} belongs to instance {key}, "
                                f"not the requested {_instance_key(config)}")
+    if meta.get("generator") != _GENERATOR:
+        raise StaleBundleError(f"cached bundle in {out} was drawn with generator "
+                               f"constants {meta.get('generator')}, not the "
+                               f"current {_GENERATOR}")
     instance = PortfolioInstance.from_json(out / "instance.json")
     scs = ScsProblem.from_json(out / "scs.json")
     sigma_star = np.load(out / "sigma_star.npy")
@@ -365,31 +382,15 @@ def bound_inputs_for_run(bundle, penalty, inexact, specification):
 
 
 def bound_curves_for_trace(trace, inputs, f_star):
-    """Theory-overlay columns aligned with the trace records.
+    """bounds.bound_curves at the trace's k column, as theory-overlay columns.
 
-    Suboptimality bounds are scaled by 1/|f*| to match the relative
-    empirical column; infeasibility bounds stay absolute. In the geometric
-    regime row r holds the iterate produced at epoch r-1, so bounds are
-    evaluated at k = r-1 there, and the averaged-iterate dual-gap bound
-    does not apply.
+    The two suboptimality bounds are scaled by 1/|f*| to match the relative
+    empirical column; the other curves stay absolute.
     """
-    ks = trace.column("k").astype(float)
-    scale = abs(f_star)
-    if trace.regime == "constant":
-        return {
-            "v_k_bound": v_of_k(inputs, ks),
-            "subopt_upper_bound": primal_subopt_upper(inputs, ks) / scale,
-            "subopt_lower_bound": np.abs(primal_subopt_lower(inputs, ks)) / scale,
-            "dual_gap_bound": np.array([dual_gap_bound(inputs, k) for k in ks]),
-        }
-    epochs = ks - 1.0
-    sub = b_k(inputs, epochs) / inputs.beta ** epochs / scale
-    return {
-        "v_k_bound": infeasibility_bound_geometric(inputs, epochs),
-        "subopt_upper_bound": sub,
-        "subopt_lower_bound": sub,
-        "dual_gap_bound": np.full(ks.shape, np.nan),
-    }
+    curves = bound_curves(inputs, trace.column("k"))
+    for name in ("subopt_upper_bound", "subopt_lower_bound"):
+        curves[name] = curves[name] / abs(f_star)
+    return curves
 
 
 def dual_gap_estimates(problem, trace, theta_star, f_star, slack=1e-8,

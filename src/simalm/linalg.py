@@ -1,6 +1,7 @@
-"""Dense numerical kernels: Jacobi eigendecomposition, power iteration, soft threshold.
+"""Dense numerical kernels: Jacobi eigendecomposition, spectral norm, soft threshold.
 
-Everything here is pure numpy and deterministic for a fixed seed.
+Everything here is deterministic: pure numpy, plus the LAPACK SVD behind
+the spectral norm.
 """
 
 import numpy as np
@@ -108,34 +109,18 @@ def jacobi_eigh(M, tol=1e-12, max_sweeps=60, basis=None):
     return w[order], V[:, order]
 
 
-def spectral_norm(M, iters=200, tol=1e-10, seed=0):
-    """Largest singular value of M by power iteration on M.T @ M.
+def spectral_norm(M):
+    """Largest singular value of M from the LAPACK SVD; 0.0 when M is empty.
 
-    The starting vector is drawn from a generator with a fixed seed, so the
-    result is deterministic for a given matrix.
+    Unlike an iterative estimate it does not stop short of the top singular
+    value, so the Lipschitz constants built from it are upper bounds.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     if M.size == 0:
         return 0.0
-    G = M.T @ M
-    n = G.shape[0]
-    v = np.random.default_rng(seed).standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma2_prev = 0.0
-    sigma2 = 0.0
-    for _ in range(iters):
-        w = G @ v
-        sigma2 = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(sigma2 - sigma2_prev) <= tol * max(1.0, abs(sigma2)):
-            break
-        sigma2_prev = sigma2
-    return float(np.sqrt(max(sigma2, 0.0)))
+    return float(np.linalg.norm(M, 2))
 
 
 def soft_threshold_offdiag(M, t):

@@ -17,10 +17,14 @@ from .cones import Cone, NonnegativeOrthant
 from .linalg import spectral_norm, symmetrize
 
 __all__ = [
-    "ProblemConstants", "ParametricProblem", "PortfolioInstance",
-    "evaluate_f", "constraint_value", "infeasibility",
+    "NonFiniteError", "ProblemConstants", "ParametricProblem",
+    "PortfolioInstance", "evaluate_f", "constraint_value", "infeasibility",
     "project_simplex", "simplex_prox", "portfolio_problem",
 ]
+
+
+class NonFiniteError(RuntimeError):
+    """A run produced a non-finite iterate, multiplier or parameter estimate."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +112,18 @@ def project_simplex(v):
     """Euclidean projection onto the unit simplex {x >= 0, sum x = 1}.
 
     Sort-and-threshold algorithm, O(n log n); the stable sort makes tie
-    handling deterministic.
+    handling deterministic. Raises NonFiniteError when no threshold exists,
+    as for an all-NaN vector or one holding +inf.
     """
     v = np.asarray(v, dtype=float)
     u = -np.sort(-v, kind="stable")
     cssv = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
-    cond = u - cssv / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
+    passing = np.nonzero(u - cssv / idx > 0)[0]
+    if passing.size == 0:
+        raise NonFiniteError("simplex projection of a vector with no finite "
+                             "threshold (NaN or +inf entries)")
+    rho = int(passing[-1])
     theta = cssv[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -217,8 +225,8 @@ def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
     theta is the covariance matrix. The smooth part is the full objective
     (q == 0), the prox oracle is the simplex projection, and the constraint
     cone is the nonnegative orthant: h(x) = A x - b must be <= 0. The
-    per-theta smooth curvature is the largest eigenvalue of theta, computed
-    by seeded power iteration.
+    per-theta smooth curvature is the spectral norm of theta (its largest
+    eigenvalue when theta is positive semidefinite), from the LAPACK SVD.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, and L_h_theta = 0 because

@@ -26,7 +26,7 @@ import numpy as np
 from .al_core import dual_update
 from .bounds import inverse_power_series
 from .inner_apg import ApgConfig, apg_solve, certified_solve
-from .model import evaluate_f, infeasibility
+from .model import NonFiniteError, evaluate_f, infeasibility
 
 __all__ = [
     "ScheduleError", "NonFiniteError", "PenaltySchedule",
@@ -43,10 +43,6 @@ BOUND_COLUMNS = ("v_k_bound", "subopt_upper_bound", "subopt_lower_bound",
 
 class ScheduleError(ValueError):
     """Invalid or incompatible penalty / inexactness configuration."""
-
-
-class NonFiniteError(RuntimeError):
-    """A run produced a non-finite iterate, multiplier or parameter estimate."""
 
 
 def _check_finite(where, **arrays):
@@ -293,7 +289,8 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
         certificate.
 
     Raises NonFiniteError, naming the epoch and the quantity, as soon as
-    theta_k, x or lam holds a NaN or an infinity.
+    theta_k, x or lam holds a NaN or an infinity, also when the inner solve
+    itself meets one.
     """
     if penalty.is_geometric:
         tau = _learner_rate(learner)
@@ -325,14 +322,17 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
 
         rho_k = penalty.rho(k)
         alpha_k = inexact.alpha(k)
-        if apg_mode == "budget":
-            x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
-                                 ApgConfig(alpha=alpha_k), epoch=k)
-        elif apg_mode == "certified":
-            x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
-                                             gap_tol=alpha_k)
-        else:
-            raise ValueError(f"unknown apg_mode {apg_mode!r}")
+        try:
+            if apg_mode == "budget":
+                x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
+                                     ApgConfig(alpha=alpha_k), epoch=k)
+            elif apg_mode == "certified":
+                x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
+                                                 gap_tol=alpha_k)
+            else:
+                raise ValueError(f"unknown apg_mode {apg_mode!r}")
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"non-finite x at epoch {k}: {exc}") from exc
         lam = dual_update(problem, lam, rho_k, x, theta_k)
         _check_finite(f"epoch {k}", x=x, lam=lam)
         x_sum += x

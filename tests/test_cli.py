@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -130,6 +132,28 @@ def test_stale_cached_bundle_is_rebuilt(tmp_path, caplog):
     assert "rebuilding the stale cached bundle" in message
     assert "{'n': 30, 's': 5, 'seed': 4}" in message  # cached
     assert "{'n': 30, 's': 5, 'seed': 3}" in message  # requested
+
+
+@pytest.mark.parametrize("cached", [None, {"sector_limit": 0.25}],
+                         ids=["missing", "changed"])
+def test_bundle_from_other_generator_constants_is_rebuilt(tmp_path, caplog, cached):
+    from simalm.cli import main
+    from simalm.experiments import _GENERATOR
+
+    cfg = small_config(tmp_path, "regen")
+    out = tmp_path / "regen"
+    out.mkdir()
+    meta = {"instance_key": {"n": 30, "s": 5, "seed": 3}}
+    if cached is not None:
+        meta["generator"] = {**_GENERATOR, **cached}
+    (out / "meta.json").write_text(json.dumps(meta))
+    with caplog.at_level(logging.INFO, logger="simalm"):
+        assert main(["bounds", "--config", str(cfg)]) == 0
+    assert json.loads((out / "meta.json").read_text())["generator"] == _GENERATOR
+    [record] = [r for r in caplog.records if r.name == "simalm"]
+    message = record.getMessage()
+    assert "rebuilding the stale cached bundle" in message
+    assert f"generator constants {meta.get('generator')}" in message
 
 
 def test_corrupt_cached_bundle_is_reported_not_rebuilt(tmp_path):

@@ -4,13 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
+                                bound_curves_for_trace,
                                 generate_instance, load_bundle, make_sectors,
                                 portfolio_kappa, prepare_bundle,
                                 run_seq_vs_sim, run_solve, run_table,
                                 save_bundle, write_seqsim, write_table)
 from simalm.linalg import spectral_norm
-from simalm.outer_alm import TRACE_COLUMNS, BOUND_COLUMNS
+from simalm.outer_alm import AlmRecord, AlmTrace, TRACE_COLUMNS, BOUND_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +260,26 @@ def test_config_validation():
         ExperimentConfig(regime="warp")
     with pytest.raises(ValueError):
         ExperimentConfig(specification="psychic")
+
+
+@pytest.mark.parametrize("regime, beta", [("constant", 1.0), ("increasing", 1.05)])
+def test_trace_overlays_are_the_bound_report_curves(regime, beta):
+    inputs = BoundInputs(rho0=2.0, beta=beta, alpha0=1e-3, c=1.0, tau=0.5,
+                         theta0_err=0.3, lambda0_err=0.7, lambda_star_norm=0.7,
+                         kappa=4.0, L_f=0.5)
+    x = np.full(3, 1.0 / 3.0)
+    records = [AlmRecord(k=k, rho=2.0, alpha=1e-3, inner_iterations=1, x=x,
+                         lam=np.zeros(1), x_bar=x, theta_err=0.0,
+                         theta_err_rel=0.0, f_at_theta_star=0.0,
+                         infeas_at_theta_star=0.0, f_rel_subopt=0.0,
+                         learner_steps=k, cpu_learn_s=0.0, cpu_opt_s=0.0)
+               for k in range(1, 9)]
+    f_star = -0.05
+    got = bound_curves_for_trace(AlmTrace(records=records, regime=regime),
+                                 inputs, f_star)
+    want = bound_report(inputs, k_max=8)["curves"]
+    assert set(got) == set(BOUND_COLUMNS)
+    for name in ("subopt_upper_bound", "subopt_lower_bound"):
+        want[name] = want[name] / abs(f_star)
+    for name in BOUND_COLUMNS:
+        np.testing.assert_array_equal(got[name], want[name])

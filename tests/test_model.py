@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from simalm.model import (PortfolioInstance, constraint_value, evaluate_f,
-                          infeasibility, portfolio_problem, project_simplex,
-                          simplex_prox)
+from simalm.model import (NonFiniteError, PortfolioInstance,
+                          constraint_value, evaluate_f, infeasibility,
+                          portfolio_problem, project_simplex, simplex_prox)
 from conftest import make_small_portfolio, random_simplex_point
 
 
@@ -54,6 +54,12 @@ def test_simplex_projection_properties(rng):
         x = project_simplex(v)
         assert np.all(x >= 0.0)
         assert abs(x.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0]])
+def test_simplex_projection_rejects_non_finite(v):
+    with pytest.raises(NonFiniteError, match="simplex projection"):
+        project_simplex(v)
 
 
 def test_portfolio_objective_known_values():

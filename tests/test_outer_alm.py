@@ -340,6 +340,33 @@ def test_non_finite_estimate_raises_naming_epoch_and_quantity():
         sequential_baseline(problem, learner, 4, penalty, inexact, **run)
 
 
+def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
+    import dataclasses
+
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    sigma_star = instance.sigma
+    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    probe = SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6)
+    probe.step()
+    theta_2 = probe.step()
+    calls = []
+
+    def nan_midway_through_epoch_2(x, theta):
+        value, grad = problem.smooth_value_grad(x, theta)
+        if np.array_equal(theta, theta_2):
+            calls.append(1)
+            if len(calls) > 5:
+                grad = np.full_like(grad, np.nan)
+        return value, grad
+
+    bad = dataclasses.replace(problem, smooth_value_grad=nan_midway_through_epoch_2)
+    with pytest.raises(NonFiniteError, match="non-finite x at epoch 2: simplex projection"):
+        alm_run(bad, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
+                penalty, inexact, x0=np.full(instance.n, 0.1),
+                theta_star=sigma_star, stop=StopRule(max_outer=10))
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("oracle, quantity, corrupt", [
     ("apg_solve", "x", lambda out: (np.full_like(out[0], np.nan), out[1])),
     ("dual_update", "lam", lambda out: np.full_like(out, np.inf)),
