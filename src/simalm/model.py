@@ -8,6 +8,7 @@ across threads.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,17 +113,21 @@ def project_simplex(v):
     """Euclidean projection onto the unit simplex {x >= 0, sum x = 1}.
 
     Sort-and-threshold algorithm, O(n log n); the stable sort makes tie
-    handling deterministic. Raises NonFiniteError when no threshold exists,
-    as for an all-NaN vector or one holding +inf.
+    handling deterministic. Raises NonFiniteError on a NaN or infinite entry
+    (one check of the total sum) and on entries so large (about 2**53) that
+    the unit sum is lost to rounding, leaving no threshold.
     """
     v = np.asarray(v, dtype=float)
     u = -np.sort(-v, kind="stable")
     cssv = np.cumsum(u) - 1.0
+    if not math.isfinite(cssv[-1]):
+        raise NonFiniteError("simplex projection of a vector with NaN or "
+                             "infinite entries")
     idx = np.arange(1, v.size + 1)
     passing = np.nonzero(u - cssv / idx > 0)[0]
     if passing.size == 0:
-        raise NonFiniteError("simplex projection of a vector with no finite "
-                             "threshold (NaN or +inf entries)")
+        raise NonFiniteError("simplex projection of a vector with entries "
+                             "beyond float precision")
     rho = int(passing[-1])
     theta = cssv[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)

@@ -1,24 +1,29 @@
 """High-accuracy reference solutions for the quadratic portfolio family.
 
-The reporting oracle (optimal value, optimal multiplier) is computed by a
-primal active-set method on
+The reporting oracle (optimal value, optimal multiplier) is computed by the
+primal active-set method (Nocedal & Wright, ch. 16) on
 
     minimize   (1/2) x' Q x + c' x
     subject to sum(x) = 1,  x >= 0,  G x <= d,
 
 which terminates finitely for positive definite Q and reaches machine
-precision; the attained KKT residual is computed explicitly and stored so
-callers can verify it meets their tolerance. This sidesteps iterative
-tolerance tuning entirely and gives an oracle that is independent of the
-first-order solve paths it is used to judge.
+precision. Each step solves the reduced KKT system over the free
+coordinates. The solver verifies its KKT residual itself and raises one
+ReferenceSolveError on a singular step, the iteration cap, or a residual
+above KKT_TOL, so the oracle is independent of the first-order solve paths
+it is used to judge.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReferenceSolution", "active_set_qp", "simplex_qp",
-           "portfolio_reference"]
+__all__ = ["ReferenceSolution", "ReferenceSolveError", "active_set_qp",
+           "simplex_qp", "portfolio_reference"]
+
+STEP_TOL = 1e-11    # a step this small (inf-norm) means x is optimal on its working set
+KKT_TOL = 1e-9      # largest KKT residual a returned solution may have
+CAP_PER_ROW = 50    # iteration cap: CAP_PER_ROW * (n + m + 2)
 
 
 @dataclass(frozen=True)
@@ -35,137 +40,120 @@ class ReferenceSolution:
         return float(np.linalg.norm(self.lam))
 
 
-class _ActiveSetFailure(RuntimeError):
-    pass
+class ReferenceSolveError(RuntimeError):
+    """The reference QP hit a singular step, its iteration cap, or missed KKT_TOL."""
 
 
 def _kkt_residual(Q, c, G, d, x, lam, nu, eta):
     """Max of stationarity, feasibility, and complementarity residuals."""
-    n = x.size
-    ones = np.ones(n)
-    stat = Q @ x + c + nu * ones - eta
-    if G.size:
-        stat = stat + G.T @ lam
-        slack = G @ x - d
-        comp_g = np.max(np.abs(lam * slack)) if lam.size else 0.0
-        feas_g = max(float(np.max(slack, initial=-np.inf)), 0.0)
-    else:
-        comp_g, feas_g = 0.0, 0.0
+    slack = G @ x - d
     return max(
-        float(np.linalg.norm(stat, ord=np.inf)),
+        float(np.max(np.abs(Q @ x + c + nu - eta + G.T @ lam))),
         abs(float(np.sum(x)) - 1.0),
-        max(float(np.max(-x)), 0.0),
-        feas_g,
+        float(np.max(-x, initial=0.0)),
+        float(np.max(slack, initial=0.0)),
         float(np.max(np.abs(eta * x))),
-        comp_g,
+        float(np.max(np.abs(lam * slack), initial=0.0)),
     )
 
 
-def active_set_qp(Q, c, G=None, d=None, x0=None, tol=1e-11, max_iter=None):
+def active_set_qp(Q, c, G=None, d=None):
     """Minimize (1/2) x'Qx + c'x over the simplex intersected with Gx <= d.
 
-    Q must be symmetric positive definite. Returns a dict with keys
-    x, lam (multipliers of Gx <= d), nu (simplex equality multiplier),
-    eta (multipliers of x >= 0), iterations, kkt_residual.
+    Q must be symmetric positive definite and the uniform point feasible
+    (ValueError otherwise). Returns a dict with keys x, lam (multipliers of
+    Gx <= d), nu (simplex equality multiplier), eta (multipliers of x >= 0),
+    iterations, kkt_residual.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
     n = c.size
     if G is None:
-        G = np.zeros((0, n))
-        d = np.zeros(0)
+        G, d = np.zeros((0, n)), np.zeros(0)
     G = np.asarray(G, dtype=float).reshape(-1, n)
     d = np.asarray(d, dtype=float).reshape(-1)
     m = G.shape[0]
 
-    # inequality rows: first the m general rows, then the n bound rows -x <= 0
-    C = np.vstack([G, -np.eye(n)])
-    rhs = np.concatenate([d, np.zeros(n)])
-
-    if x0 is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-    if np.any(C @ x > rhs + 1e-12):
-        raise ValueError("starting point is infeasible")
-
-    working = [i for i in range(m + n) if C[i] @ x >= rhs[i] - 10 * tol]
-    if max_iter is None:
-        max_iter = 50 * (n + m + 2)
-    ones = np.ones(n)
+    x = np.full(n, 1.0 / n)
+    if np.any(G @ x > d + 1e-12):
+        raise ValueError("the uniform starting point is infeasible")
+    # working set over the m + n inequality rows (G x <= d, then -x <= 0):
+    # `held` rows of G at equality, `fixed` coordinates at zero; sum(x) = 1
+    # is always in it
+    working = np.zeros(m + n, dtype=bool)
+    held, fixed = working[:m], working[m:]
+    max_iter = CAP_PER_ROW * (n + m + 2)
 
     for it in range(1, max_iter + 1):
+        # reduced KKT system over the free coordinates, E = [1; G_held]
         g = Q @ x + c
-        rows = [ones] + [C[i] for i in working]
-        Cw = np.vstack(rows)
-        k = Cw.shape[0]
-        K = np.zeros((n + k, n + k))
-        K[:n, :n] = Q
-        K[:n, n:] = Cw.T
-        K[n:, :n] = Cw
-        rhs_k = np.concatenate([-g, np.zeros(k)])
-        sol, *_ = np.linalg.lstsq(K, rhs_k, rcond=None)
-        p = sol[:n]
-        mults = sol[n:]
+        free = ~fixed
+        E = np.vstack([np.ones(n), G[held]])
+        k = E.shape[0]
+        K = np.block([[Q[np.ix_(free, free)], E[:, free].T],
+                      [E[:, free], np.zeros((k, k))]])
+        try:
+            sol = np.linalg.solve(K, np.concatenate([-g[free], np.zeros(k)]))
+        except np.linalg.LinAlgError:
+            raise ReferenceSolveError(
+                f"reference QP: singular reduced KKT system at iteration {it}") from None
+        p = np.zeros(n)
+        p[free] = sol[:-k]
+        mu = sol[-k:]
 
-        if np.linalg.norm(p, ord=np.inf) <= tol:
-            ineq_mults = mults[1:]
-            if ineq_mults.size == 0 or np.min(ineq_mults) >= -tol:
-                nu = float(mults[0])
-                lam = np.zeros(m)
-                eta = np.zeros(n)
-                for idx, mult in zip(working, ineq_mults):
-                    if idx < m:
-                        lam[idx] = max(mult, 0.0)
-                    else:
-                        eta[idx - m] = max(mult, 0.0)
-                res = _kkt_residual(Q, c, G, d, x, lam, nu, eta)
-                return {"x": x, "lam": lam, "nu": nu, "eta": eta,
-                        "iterations": it, "kkt_residual": res}
-            drop = int(np.argmin(ineq_mults))
-            working.pop(drop)
+        if np.max(np.abs(p)) <= STEP_TOL:
+            # multipliers of the working rows; those of the fixed
+            # coordinates come from stationarity
+            mults = np.concatenate([mu[1:], (g + Q @ p + E.T @ mu)[fixed]])
+            if mults.min(initial=0.0) >= -STEP_TOL:
+                break
+            working[np.flatnonzero(working)[np.argmin(mults)]] = False
             continue
 
-        # step to the nearest blocking constraint
+        # ratio test: step to the nearest blocking row outside the working set
+        rate = np.concatenate([G @ p, -p])
+        ratio = np.divide(np.concatenate([d - G @ x, x]), rate,
+                          out=np.full(m + n, np.inf), where=~working & (rate > STEP_TOL))
+        block = int(np.argmin(ratio))
         step = 1.0
-        block = None
-        for i in range(m + n):
-            if i in working:
-                continue
-            ci_p = C[i] @ p
-            if ci_p > tol:
-                room = (rhs[i] - C[i] @ x) / ci_p
-                if room < step - 1e-15:
-                    step = max(room, 0.0)
-                    block = i
+        if ratio[block] < 1.0 - 1e-15:
+            step = max(ratio[block], 0.0)
+            working[block] = True
         x = x + step * p
-        if block is not None:
-            working.append(block)
+        x[fixed] = 0.0    # the blocking coordinate lands on zero only up to rounding
+    else:
+        raise ReferenceSolveError(
+            f"reference QP: no optimum within {max_iter} iterations")
 
-    raise _ActiveSetFailure(f"active-set solve did not finish in {max_iter} steps")
+    mult = np.zeros(m + n)
+    mult[working] = np.maximum(mults, 0.0)
+    lam, eta, nu = mult[:m], mult[m:], float(mu[0])
+    res = _kkt_residual(Q, c, G, d, x, lam, nu, eta)
+    if res > KKT_TOL:
+        raise ReferenceSolveError(
+            f"reference QP: KKT residual {res:.3e} above {KKT_TOL:.1e} "
+            f"after {it} iterations")
+    return {"x": x, "lam": lam, "nu": nu, "eta": eta,
+            "iterations": it, "kkt_residual": res}
 
 
-def simplex_qp(Q, c, tol=1e-11):
-    """Minimize (1/2) x'Qx + c'x over the unit simplex alone."""
-    out = active_set_qp(Q, c, tol=tol)
+def simplex_qp(Q, c):
+    """Minimize (1/2) x'Qx + c'x over the unit simplex; (x, value, KKT residual)."""
+    out = active_set_qp(Q, c)
     return out["x"], float(0.5 * out["x"] @ Q @ out["x"] + c @ out["x"]), out["kkt_residual"]
 
 
-def portfolio_reference(instance, sigma=None, tol=1e-9):
+def portfolio_reference(instance, sigma=None):
     """Reference optimum of the portfolio problem at the covariance `sigma`.
 
     Returns a ReferenceSolution whose multiplier is the dual variable of the
-    sector constraints (the cone multiplier). Raises RuntimeError when the
-    verified KKT residual exceeds tol.
+    sector constraints (the cone multiplier). Raises ReferenceSolveError
+    when the solve fails or misses KKT_TOL.
     """
     sigma = instance.sigma if sigma is None else np.asarray(sigma, dtype=float)
     Q = 0.5 * (sigma + sigma.T)
     c = -instance.risk_tradeoff * instance.mu
     out = active_set_qp(Q, c, G=instance.sector_matrix, d=instance.sector_limits)
-    if out["kkt_residual"] > tol:
-        raise RuntimeError(
-            f"reference solve reached KKT residual {out['kkt_residual']:.3e}, "
-            f"above the required {tol:.1e}")
     x = out["x"]
     f_value = float(0.5 * x @ Q @ x + c @ x)
     return ReferenceSolution(x=x, lam=out["lam"], f_value=f_value,

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simalm.model import (NonFiniteError, PortfolioInstance,
                           constraint_value, evaluate_f, infeasibility,
@@ -56,7 +58,22 @@ def test_simplex_projection_properties(rng):
         assert abs(x.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0]])
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.0, 1.0)))
+def test_simplex_projection_is_optimal(v):
+    # p is the projection iff <v - p, z - p> <= 0 for every z on the simplex,
+    # i.e. iff max_i (v - p)_i <= <v - p, p>. The threshold's rounding error
+    # grows like n max|v|^2 eps, so the absolute 1e-12 is for unit-scale v.
+    p = project_simplex(v)
+    assert p.min() >= 0.0
+    assert abs(p.sum() - 1.0) <= 1e-12
+    r = v - p
+    assert r.max() <= r @ p + 1e-12
+
+
+@pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0], [np.nan, 1.0],
+                               [1.0, np.nan, 0.2], [-np.inf, 1.0],
+                               [1e17, 0.0], [-1e17, -1e17]])
 def test_simplex_projection_rejects_non_finite(v):
     with pytest.raises(NonFiniteError, match="simplex projection"):
         project_simplex(v)

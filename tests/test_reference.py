@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
 
-from simalm.reference import active_set_qp, portfolio_reference, simplex_qp
+from simalm import reference
+from simalm.reference import (ReferenceSolveError, active_set_qp,
+                              portfolio_reference, simplex_qp)
 from conftest import make_small_portfolio
 
 
@@ -93,3 +97,74 @@ def test_infeasible_start_rejected():
     c = np.zeros(2)
     with pytest.raises(ValueError):
         active_set_qp(Q, c, G=np.array([[1.0, 1.0]]), d=np.array([0.4]))
+
+
+def _small_qp():
+    gen = np.random.default_rng(5)
+    F = gen.standard_normal((4, 4))
+    return F @ F.T / 4 + 0.1 * np.eye(4), -np.eye(4)
+
+
+def test_row_active_at_the_uniform_start():
+    # x1 + x2 <= 1/2 holds with equality at the start; it enters the
+    # working set only through the ratio test
+    Q, cs = _small_qp()
+    for c in cs:
+        out = active_set_qp(Q, c, G=np.array([[1.0, 1.0, 0.0, 0.0]]), d=np.array([0.5]))
+        assert out["kkt_residual"] <= 1e-12
+        assert out["x"].min() >= 0.0
+
+
+def test_row_parallel_to_the_simplex_row():
+    # sum(x) <= 1 is parallel to sum(x) = 1: it never enters the working set,
+    # so nu carries the whole multiplier and the solution is the simplex one
+    Q, cs = _small_qp()
+    for c in cs:
+        out = active_set_qp(Q, c, G=np.ones((1, 4)), d=np.array([1.0]))
+        assert out["kkt_residual"] <= 1e-12
+        assert out["lam"][0] == 0.0
+        np.testing.assert_array_equal(out["x"], simplex_qp(Q, c)[0])
+
+
+def test_singular_step_raises_naming_the_iteration():
+    with pytest.raises(ReferenceSolveError, match="singular .* at iteration 1$"):
+        active_set_qp(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(reference, "CAP_PER_ROW", 0)
+    with pytest.raises(ReferenceSolveError, match="no optimum within 0 iterations"):
+        active_set_qp(np.eye(3), np.zeros(3))
+
+
+def test_kkt_residual_above_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(reference, "_kkt_residual", lambda *args: 1.0)
+    with pytest.raises(ReferenceSolveError, match="KKT residual 1.000e[+]00"):
+        simplex_qp(np.eye(3), np.zeros(3))
+    instance, _ = make_small_portfolio(sector_limit=0.45)
+    with pytest.raises(ReferenceSolveError, match="KKT residual"):
+        portfolio_reference(instance)
+    assert issubclass(ReferenceSolveError, RuntimeError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_active_set_meets_kkt_conditions(data):
+    n = data.draw(st.integers(2, 12))
+    m = data.draw(st.integers(0, 4))
+    F = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    Q = F @ F.T + 0.1 * np.eye(n)
+    c = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    G = data.draw(hnp.arrays(bool, (m, n))).astype(float)
+    # the uniform point is strictly feasible
+    d = G.sum(axis=1) / n + data.draw(hnp.arrays(np.float64, m, elements=st.floats(0.01, 0.5)))
+    out = active_set_qp(Q, c, G, d)
+    x, lam, nu, eta = out["x"], out["lam"], out["nu"], out["eta"]
+    slack = G @ x - d
+    assert np.max(np.abs(Q @ x + c + nu + G.T @ lam - eta)) <= 1e-10
+    assert abs(x.sum() - 1.0) <= 1e-10
+    assert x.min() >= -1e-10
+    assert np.all(slack <= 1e-10)
+    assert lam.min(initial=0.0) >= 0.0 and eta.min() >= 0.0
+    assert np.max(np.abs(lam * slack), initial=0.0) <= 1e-10
+    assert np.max(np.abs(eta * x)) <= 1e-10
