@@ -27,7 +27,7 @@ from .bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
                      c_lambda, c_lambda_prime, dual_gap_bound,
                      infeasibility_bound_geometric, inverse_power_series,
                      primal_subopt_lower, primal_subopt_upper, u_const, v_of_k)
-from .linalg import jacobi_eigh, spectral_norm
+from .linalg import spectral_norm
 from .reference import ReferenceSolution, active_set_qp, portfolio_reference, simplex_qp
 from .experiments import (ExperimentConfig, InstanceBundle, SampleData,
                           StaleBundleError, TableRow, band_covariance,

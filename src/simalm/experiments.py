@@ -43,7 +43,8 @@ class StaleBundleError(ValueError):
 
 
 # Instance-generator constants, recorded in a cached bundle, which is rebuilt
-# when they change; admm_tol is the residual at which Sigma* counts as learned.
+# when they change; admm_tol is the residual at which Sigma* counts as learned,
+# and eigensolver names the kernel whose rounding Sigma* and tau_hat carry.
 _GENERATOR = {
     "band_width": 10,
     "sector_overlap": 0.2,
@@ -56,6 +57,7 @@ _GENERATOR = {
     "binding_tol": 1e-7,
     "f_floor": 1e-3,
     "load_gap": 0.04,
+    "eigensolver": "lapack",
 }
 
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}

@@ -10,19 +10,22 @@ selection problem
     subject to Sigma >= psd_floor * I.
 
 Learner instances are single-owner mutable state; the estimates they hand
-out are fresh arrays that may be shared freely. The ADMM start point, the
-floored factorisation of S, is computed once per ScsProblem and shared
-read-only by `admm_solve` and every `AdmmScsLearner` on that problem.
+out are fresh arrays that may be shared freely. Each ADMM sweep is one
+eigenvalue-floored projection, factored by LAPACK `eigh` from scratch. The
+ADMM start point, S floored at psd_floor, is computed once per ScsProblem
+and shared read-only by `admm_solve` and every `AdmmScsLearner` on that
+problem.
 """
 
 import functools
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .linalg import jacobi_eigh, soft_threshold_offdiag, symmetrize
+from .linalg import soft_threshold_offdiag, symmetrize
+from .model import NonFiniteError
 
 __all__ = [
     "SyntheticLearner", "FrozenLearner", "ScsProblem", "ScsState",
@@ -84,9 +87,9 @@ class ScsProblem:
 
     S is the sample covariance, upsilon the l1 weight on off-diagonal
     entries, psd_floor the eigenvalue floor of the feasible set, and
-    admm_penalty the splitting penalty. The floored factorisation of S is
-    cached on the instance (`start`); a problem built anew, by `from_json`
-    or `dataclasses.replace`, factors S again.
+    admm_penalty the splitting penalty. S floored at psd_floor is cached on
+    the instance (`start`); a problem built anew, by `from_json` or
+    `dataclasses.replace`, factors S again.
     """
 
     S: np.ndarray
@@ -110,15 +113,15 @@ class ScsProblem:
 
     @functools.cached_property
     def start(self):
-        """(Sigma0, basis): S floored at psd_floor and its eigenvector basis.
+        """S projected onto {Sigma >= psd_floor * I} by `eigh_clip`.
 
-        Factored once per problem; both arrays are read-only, so an in-place
-        write raises ValueError instead of corrupting every later start.
+        Factored once per problem with LAPACK; the matrix is read-only, so
+        an in-place write raises ValueError instead of corrupting every
+        later start.
         """
-        Sigma0, basis = eigh_clip(self.S, self.psd_floor)
+        Sigma0 = eigh_clip(self.S, self.psd_floor)
         Sigma0.flags.writeable = False
-        basis.flags.writeable = False
-        return Sigma0, basis
+        return Sigma0
 
     def objective(self, Sigma):
         """SCS objective value at Sigma (constraint not included)."""
@@ -166,34 +169,38 @@ class ScsState:
     k: int = 0
     primal_residual: float = np.inf
     dual_residual: float = np.inf
-    eig_basis: Optional[np.ndarray] = None
 
 
-def eigh_clip(M, floor, basis=None):
+# The benchmark's tracer times the eigensolve under this name; the benchmark
+# change of ROADMAP item 1 moves that span to eigh_clip and drops the binding.
+jacobi_eigh = np.linalg.eigh
+
+
+def eigh_clip(M, floor):
     """Project a symmetric matrix onto {Sigma : Sigma >= floor * I}.
 
-    Symmetrizes defensively, factors with the Jacobi kernel (warm-started by
-    `basis` when given), clamps eigenvalues below the floor, and returns
-    (projected matrix, eigenvector basis).
+    Symmetrizes defensively, factors with LAPACK `eigh`, clamps the
+    eigenvalues at the floor and returns the projected matrix. LAPACK passes
+    NaN on silently, so a NaN or infinite entry raises NonFiniteError (one
+    check of the eigenvalue sum).
     """
-    w, V = jacobi_eigh(symmetrize(M), basis=basis)
+    w, V = jacobi_eigh(symmetrize(M))
+    if not math.isfinite(w.sum()):
+        raise NonFiniteError("eigenvalue-floored projection of a matrix with "
+                             "NaN or infinite entries")
     w = np.maximum(w, floor)
-    return symmetrize((V * w) @ V.T), V
+    return symmetrize((V * w) @ V.T)
 
 
 def scs_init(problem):
     """Initial ADMM state: both primal blocks at the floored sample covariance.
 
-    The factorisation comes from `problem.start`, shared read-only by every
-    state started on the same problem; the primal blocks are fresh copies.
+    The floored matrix is `problem.start`, shared read-only by every state
+    started on the same problem; the primal blocks are fresh copies.
     """
-    Sigma0, basis = problem.start
-    return ScsState(
-        Sigma=Sigma0.copy(),
-        Phi=Sigma0.copy(),
-        U=np.zeros_like(Sigma0),
-        eig_basis=basis,
-    )
+    Sigma0 = problem.start
+    return ScsState(Sigma=Sigma0.copy(), Phi=Sigma0.copy(),
+                    U=np.zeros_like(Sigma0))
 
 
 def scs_admm_step(problem, state):
@@ -206,7 +213,7 @@ def scs_admm_step(problem, state):
     """
     mu = problem.admm_penalty
     target = (problem.S + mu * (state.Phi - state.U)) / (1.0 + mu)
-    Sigma, basis = eigh_clip(target, problem.psd_floor, basis=state.eig_basis)
+    Sigma = eigh_clip(target, problem.psd_floor)
     Phi = soft_threshold_offdiag(Sigma + state.U, problem.upsilon / mu)
     U = state.U + Sigma - Phi
     new_state = ScsState(
@@ -216,7 +223,6 @@ def scs_admm_step(problem, state):
         k=state.k + 1,
         primal_residual=float(np.linalg.norm(Sigma - Phi, "fro")),
         dual_residual=float(mu * np.linalg.norm(Phi - state.Phi, "fro")),
-        eig_basis=basis,
     )
     return Sigma, new_state
 
@@ -227,8 +233,9 @@ class AdmmScsLearner:
     The very first sweep provably leaves the covariance block unchanged
     (it shares the eigenbasis of the floored sample covariance), so it is
     consumed at construction; the first step() therefore already moves the
-    estimate. The start factorisation is the problem's cached, read-only
-    `start`, so learners on one ScsProblem factor S only once between them.
+    estimate. The start point is the problem's cached, read-only `start`,
+    so learners on one ScsProblem factor S only once between them; every
+    sweep factors its own target with LAPACK, with no warm start.
     When sigma_ref (the limit point) is supplied the learner records its
     error history, so rate_tau() can fit a geometric rate to it.
     """

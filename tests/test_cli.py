@@ -134,8 +134,10 @@ def test_stale_cached_bundle_is_rebuilt(tmp_path, caplog):
     assert "{'n': 30, 's': 5, 'seed': 3}" in message  # requested
 
 
-@pytest.mark.parametrize("cached", [None, {"sector_limit": 0.25}],
-                         ids=["missing", "changed"])
+# "eigensolver": None drops the key, as in a bundle written before the
+# generator constants named the eigensolver
+@pytest.mark.parametrize("cached", [None, {"sector_limit": 0.25}, {"eigensolver": None}],
+                         ids=["missing", "changed", "no_eigensolver"])
 def test_bundle_from_other_generator_constants_is_rebuilt(tmp_path, caplog, cached):
     from simalm.cli import main
     from simalm.experiments import _GENERATOR
@@ -145,7 +147,8 @@ def test_bundle_from_other_generator_constants_is_rebuilt(tmp_path, caplog, cach
     out.mkdir()
     meta = {"instance_key": {"n": 30, "s": 5, "seed": 3}}
     if cached is not None:
-        meta["generator"] = {**_GENERATOR, **cached}
+        meta["generator"] = {k: v for k, v in {**_GENERATOR, **cached}.items()
+                             if v is not None}
     (out / "meta.json").write_text(json.dumps(meta))
     with caplog.at_level(logging.INFO, logger="simalm"):
         assert main(["bounds", "--config", str(cfg)]) == 0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simalm.learning import (AdmmScsLearner, FrozenLearner, ScsProblem,
                              SyntheticLearner, admm_solve, eigh_clip,
                              estimate_tau, scs_admm_step, scs_init)
 from simalm.linalg import symmetrize
+from simalm.model import NonFiniteError
 
 
 def make_scs(n=5, seed=0, upsilon=0.2, psd_floor=1e-2):
@@ -17,7 +20,7 @@ def make_scs(n=5, seed=0, upsilon=0.2, psd_floor=1e-2):
 
 
 def clip_lapack(M, floor):
-    """Eigenvalue floor via LAPACK, independent of the library's Jacobi path."""
+    """Eigenvalue floor via LAPACK, written out apart from the library's eigh_clip."""
     M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
     out = (V * np.maximum(w, floor)) @ V.T
@@ -99,10 +102,45 @@ def test_frozen_learner_has_no_rate():
 
 def test_eigh_clip_floors_spectrum(rng):
     M = symmetrize(rng.standard_normal((8, 8)))
-    out, _ = eigh_clip(M, 0.5)
+    out = eigh_clip(M, 0.5)
     w = np.linalg.eigvalsh(out)
     assert w.min() >= 0.5 - 1e-10
     np.testing.assert_allclose(out, out.T, atol=1e-12)
+
+
+@st.composite
+def clip_cases(draw):
+    """(M, floor, Y): a symmetric M, a floor > 0 and a Y >= floor * I."""
+    n = draw(st.integers(1, 12))
+    A = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3)))
+    B = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    floor = draw(st.floats(1e-3, 10.0))
+    return symmetrize(A), floor, B @ B.T + floor * np.eye(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clip_cases())
+def test_eigh_clip_is_the_projection_onto_the_floored_cone(case):
+    M, floor, Y = case
+    scale = max(1.0, np.linalg.norm(M, 2))
+    P = eigh_clip(M, floor)
+    np.testing.assert_array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P).min() >= floor - 1e-12 * scale
+    # variational inequality of the projection onto a closed convex set
+    assert np.sum((M - P) * (Y - P)) <= 1e-10 * scale ** 2
+    # a matrix already in the set is its own projection
+    shift = floor - np.linalg.eigvalsh(M).min() + 1e-9 * scale
+    feasible = M + max(shift, 0.0) * np.eye(M.shape[0])
+    np.testing.assert_allclose(eigh_clip(feasible, floor), feasible,
+                               rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(feasible, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eigh_clip_rejects_non_finite(bad):
+    M = np.eye(4)
+    M[1, 2] = M[2, 1] = bad
+    with pytest.raises(NonFiniteError, match="NaN or infinite"):
+        eigh_clip(M, 0.1)
 
 
 def test_scs_fixed_point_for_diagonal_feasible_s():
@@ -214,32 +252,34 @@ def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
     problem = make_scs(n=8, seed=4)
     first = AdmmScsLearner(problem)
     eigensolves = []
-    jacobi = learning.jacobi_eigh
+    eigh = learning.jacobi_eigh
 
-    def counted_jacobi(*args, **kwargs):
-        eigensolves.append(kwargs.get("basis") is None)
-        return jacobi(*args, **kwargs)
+    def counted_eigh(M):
+        eigensolves.append(M)
+        return eigh(M)
 
-    monkeypatch.setattr(learning, "jacobi_eigh", counted_jacobi)
-    # a second learner on the same problem skips the cold factorisation:
-    # it runs only the warm-started sweep consumed at construction
+    def factors_of_S(prob):
+        return [np.array_equal(M, prob.S) for M in eigensolves]
+
+    monkeypatch.setattr(learning, "jacobi_eigh", counted_eigh)
+    # a second learner on the same problem skips the start factorisation of
+    # S: it runs only the sweep consumed at construction
     second = AdmmScsLearner(problem)
-    assert eigensolves == [False]
-    reloaded = AdmmScsLearner(ScsProblem.from_json(problem.to_json()))
-    assert eigensolves == [False, True, False]
+    assert factors_of_S(problem) == [False]
+    reloaded_problem = ScsProblem.from_json(problem.to_json())
+    reloaded = AdmmScsLearner(reloaded_problem)
+    assert factors_of_S(reloaded_problem) == [False, True, False]
     for _ in range(5):
         theta = first.step()
         np.testing.assert_array_equal(second.step(), theta)
         np.testing.assert_array_equal(reloaded.step(), theta)
 
-    Sigma0, basis = problem.start
-    assert problem.start[0] is Sigma0
+    Sigma0 = problem.start
+    assert problem.start is Sigma0
     with pytest.raises(ValueError):
         Sigma0[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        basis[:, 0] *= -1.0
 
     raised = dataclasses.replace(problem, psd_floor=0.5)
-    assert raised.start[0] is not Sigma0
-    assert np.linalg.eigvalsh(raised.start[0]).min() >= 0.5 - 1e-10
+    assert raised.start is not Sigma0
+    assert np.linalg.eigvalsh(raised.start).min() >= 0.5 - 1e-10
     assert np.linalg.eigvalsh(Sigma0).min() < 0.5

@@ -5,37 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simalm.experiments import make_sectors
-from simalm.linalg import (jacobi_eigh, soft_threshold_offdiag, spectral_norm,
-                           symmetrize)
-
-
-def test_jacobi_matches_lapack(rng):
-    for n in (1, 2, 7, 30, 60):
-        M = symmetrize(rng.standard_normal((n, n)))
-        w, V = jacobi_eigh(M)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(M), atol=1e-10)
-        np.testing.assert_allclose(V.T @ V, np.eye(n), atol=1e-12)
-        np.testing.assert_allclose((V * w) @ V.T, M, atol=1e-10)
-
-
-def test_jacobi_eigenvalues_sorted(rng):
-    M = symmetrize(rng.standard_normal((15, 15)))
-    w, _ = jacobi_eigh(M)
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_jacobi_warm_start(rng):
-    M = symmetrize(rng.standard_normal((25, 25)))
-    _, V = jacobi_eigh(M)
-    M2 = M + 1e-3 * symmetrize(rng.standard_normal((25, 25)))
-    w2, V2 = jacobi_eigh(M2, basis=V)
-    np.testing.assert_allclose(w2, np.linalg.eigvalsh(M2), atol=1e-10)
-    np.testing.assert_allclose(V2.T @ V2, np.eye(25), atol=1e-11)
-
-
-def test_jacobi_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.ones((2, 3)))
+from simalm.linalg import soft_threshold_offdiag, spectral_norm
 
 
 def assert_upper_bounds_top_singular_value(M):
