@@ -5,7 +5,9 @@ where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2,
 so plain FISTA (momentum (1 + sqrt(1 + 4 m^2)) / 2, no restarts, no line
 search) applies. Both solvers share one set-up of L, gradient and prox and
-differ only in their stopping rule:
+differ only in their stopping rule. The norms behind L are computed once
+per distinct theta, so the solves of an epoch, and every epoch of a frozen
+estimate, share them:
 
 * apg_solve runs the fixed iteration budget
 
@@ -49,15 +51,22 @@ class ApgConfig:
             raise ValueError("target inexactness alpha must be positive")
 
 
+def _theta_norms(problem, theta):
+    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
+    return problem.smooth_curvature(theta), spectral_norm(A) ** 2
+
+
 def lipschitz_nu(problem, rho, theta):
     """Gradient Lipschitz constant of the smooth subproblem part.
 
-    L_p(theta) + rho * ||A(theta)||^2; monotone increasing in rho.
+    L_p(theta) + rho * ||A(theta)||^2; monotone increasing in rho. The two
+    norms are computed once per distinct theta (problem.theta_memo).
     """
     if rho < 0:
         raise ValueError("penalty rho must be nonnegative")
-    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    return problem.smooth_curvature(theta) + rho * spectral_norm(A) ** 2
+    curvature, a_norm_sq = problem.theta_memo(
+        theta, lambda th: _theta_norms(problem, th))
+    return curvature + rho * a_norm_sq
 
 
 def _bound_gradient(problem, lam, rho, theta):
@@ -69,11 +78,11 @@ def _bound_gradient(problem, lam, rho, theta):
     if A.ndim != 2 or b.shape != A.shape[:1]:
         raise ValueError("constraint shapes are inconsistent")
     shift = np.asarray(lam, dtype=float) / rho
-    smooth_value_grad = problem.smooth_value_grad
+    smooth_grad = problem.smooth_grad
     project_dual = problem.cone.project_dual
 
     def grad(y):
-        _, gp = smooth_value_grad(y, theta)
+        gp = smooth_grad(y, theta)
         penalty = A.T @ project_dual((A @ y + b) + shift)
         return np.asarray(gp, dtype=float) + rho * penalty
 

@@ -3,13 +3,14 @@
 A problem instance is a composite objective f(x; theta) = q(x; theta) +
 p(x; theta) minimized over a simple set X with a prox oracle, subject to the
 conic constraint h(x; theta) = A(theta) x + b(theta) lying in -K. Problem
-objects are immutable bundles of pure oracles and can be shared freely
-across threads.
+objects are immutable bundles of pure oracles, plus a one-entry memo of
+per-theta norms, and can be shared freely across threads.
 """
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +60,9 @@ class ProblemConstants:
 class ParametricProblem:
     """Oracle bundle for one parametric conic program.
 
-    smooth_value_grad(x, theta) -> (p, grad_p)
+    smooth_grad(x, theta)       -> grad_p, the gradient the inner loop calls
+    smooth_value_grad(x, theta) -> (p, grad_p), for values (evaluate_f,
+                                   nu_value); its gradient equals smooth_grad's
     nonsmooth_value(x, theta)   -> q
     prox_step(y, g, L, theta)   -> argmin_{z in X} q(z) + <g, z-y> + (L/2)||z-y||^2
     constraint_matrix(theta)    -> A(theta), shape (m, n)
@@ -70,8 +73,16 @@ class ParametricProblem:
                                    falls back to constants.L_p_x
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>; enables
                                    duality-gap certificates on inner solves
+
+    Every oracle must be pure: the same arguments give the same result, bit
+    for bit. theta_memo relies on it to keep one computed quantity (the
+    norms behind the inner solver's L) for the last theta seen, keyed by
+    theta's content; a bit-equal theta reuses it, any other theta replaces
+    it. The memo is private to the object: dataclasses.replace starts an
+    empty one.
     """
 
+    smooth_grad: Callable
     smooth_value_grad: Callable
     nonsmooth_value: Callable
     prox_step: Callable
@@ -82,11 +93,27 @@ class ParametricProblem:
     membership: Optional[Callable] = None
     smooth_lipschitz: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
+    _memo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def smooth_curvature(self, theta):
         if self.smooth_lipschitz is not None:
             return float(self.smooth_lipschitz(theta))
         return self.constants.L_p_x
+
+    def theta_memo(self, theta, compute):
+        """compute(theta), reused while theta stays bit-equal to the last one.
+
+        The key is a private copy of theta, so mutating the caller's array
+        afterwards cannot make a stale entry match. Key and value share one
+        tuple slot, so a concurrent reader sees a consistent pair.
+        """
+        memo = self._memo
+        if memo and np.array_equal(memo[0], theta):
+            return memo[1]
+        key = np.array(theta, copy=True)
+        value = compute(theta)
+        object.__setattr__(self, "_memo", (key, value))
+        return value
 
 
 def evaluate_f(problem, x, theta):
@@ -112,25 +139,39 @@ def infeasibility(problem, x, theta):
 def project_simplex(v):
     """Euclidean projection onto the unit simplex {x >= 0, sum x = 1}.
 
-    Sort-and-threshold algorithm, O(n log n); the stable sort makes tie
-    handling deterministic. Raises NonFiniteError on a NaN or infinite entry
-    (one check of the total sum) and on entries so large (about 2**53) that
-    the unit sum is lost to rounding, leaving no threshold.
+    Sort-and-threshold algorithm (Condat 2016), O(n log n). The entries are
+    sorted ascending and read in reverse. Tied entries are equal numbers, so
+    the descending sequence u, and its partial sums less 1, do not depend on
+    how ties are ordered: a +-0.0 can only flip the sign of a zero partial
+    sum, which subtracting 1 erases. The threshold comes from the last index
+    where u exceeds it. With ties, rounding can leave a gap in the passing
+    indices, so their count can name an earlier index.
+
+    Raises NonFiniteError on a NaN or infinite entry (one check of the
+    total sum) and on entries so large (about 2**53) that the unit sum is
+    lost to rounding, leaving no threshold.
     """
     v = np.asarray(v, dtype=float)
-    u = -np.sort(-v, kind="stable")
-    cssv = np.cumsum(u) - 1.0
+    u = np.sort(v)[::-1]
+    cssv = u.cumsum()
+    cssv -= 1.0
     if not math.isfinite(cssv[-1]):
         raise NonFiniteError("simplex projection of a vector with NaN or "
                              "infinite entries")
-    idx = np.arange(1, v.size + 1)
-    passing = np.nonzero(u - cssv / idx > 0)[0]
+    passing = (u > cssv / _ranks(v.size)).nonzero()[0]
     if passing.size == 0:
         raise NonFiniteError("simplex projection of a vector with entries "
                              "beyond float precision")
-    rho = int(passing[-1])
-    theta = cssv[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    k = int(passing[-1]) + 1
+    return np.maximum(v - cssv[k - 1] / k, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _ranks(n):
+    """Read-only float ranks 1..n, the divisors of the simplex threshold."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def simplex_prox(y, g, L):
@@ -242,13 +283,16 @@ def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
     mu = instance.mu
     gamma = instance.risk_tradeoff
     offset = -b
+    gamma_mu = gamma * mu
+
+    def smooth_grad(x, theta):
+        return theta @ x - gamma_mu
 
     def smooth_value_grad(x, theta):
         x = np.asarray(x, dtype=float)
         Sx = theta @ x
         value = 0.5 * float(x @ Sx) - gamma * float(mu @ x)
-        grad = Sx - gamma * mu
-        return value, grad
+        return value, Sx - gamma_mu
 
     def nonsmooth_value(x, theta):
         return 0.0
@@ -275,6 +319,7 @@ def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
         kappa=kappa,
     )
     return ParametricProblem(
+        smooth_grad=smooth_grad,
         smooth_value_grad=smooth_value_grad,
         nonsmooth_value=nonsmooth_value,
         prox_step=prox_step,

@@ -29,6 +29,9 @@ def make_toy_problem(n=3, m=2, seed=0):
     b0 = gen.standard_normal(m) * 0.1
     B = gen.standard_normal((m, 2)) * 0.1
 
+    def smooth_grad(x, theta):
+        return P @ np.asarray(x, float) + (c + C @ theta)
+
     def smooth_value_grad(x, theta):
         x = np.asarray(x, float)
         lin = c + C @ theta
@@ -54,6 +57,7 @@ def make_toy_problem(n=3, m=2, seed=0):
         return out
 
     return ParametricProblem(
+        smooth_grad=smooth_grad,
         smooth_value_grad=smooth_value_grad,
         nonsmooth_value=lambda x, theta: 0.0,
         prox_step=lambda y, g, L, theta: simplex_prox(y, g, L),

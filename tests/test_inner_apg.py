@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simalm.al_core import eval_L
 from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
@@ -75,6 +79,7 @@ def test_identity_constraint_matrix_curvature():
 
     n = 3
     problem = ParametricProblem(
+        smooth_grad=lambda x, th: np.asarray(x, float),
         smooth_value_grad=lambda x, th: (0.5 * float(x @ x), np.asarray(x, float)),
         nonsmooth_value=lambda x, th: 0.0,
         prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
@@ -93,6 +98,107 @@ def test_portfolio_curvature_is_spectral(rng):
     got = lipschitz_nu(problem, rho, instance.sigma)
     want = spectral_norm(instance.sigma) + rho * spectral_norm(instance.sector_matrix) ** 2
     assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    # counts the spectral norms lipschitz_nu takes, at both names it uses
+    from simalm import inner_apg, model
+
+    calls = []
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return spectral_norm(M)
+
+    monkeypatch.setattr(inner_apg, "spectral_norm", counting)
+    monkeypatch.setattr(model, "spectral_norm", counting)
+    return calls
+
+
+def test_lipschitz_norms_computed_once_per_theta(norm_calls):
+    instance, problem = make_small_portfolio()
+    norm_calls.clear()  # the constants' norms, taken when the problem is built
+    theta = instance.sigma.copy()
+    fresh = spectral_norm(theta) + 2.0 * spectral_norm(instance.sector_matrix) ** 2
+    assert lipschitz_nu(problem, 2.0, theta) == fresh
+    assert len(norm_calls) == 2
+    # a bit-equal copy, and another rho, reuse both norms
+    assert lipschitz_nu(problem, 2.0, theta.copy()) == fresh
+    lipschitz_nu(problem, 5.0, theta)
+    assert iteration_budget(problem, 2.0, theta, 1e-3) > 0
+    assert len(norm_calls) == 2
+    # one entry off recomputes
+    other = theta.copy()
+    other[3, 4] = other[4, 3] = other[3, 4] + 1e-3
+    assert lipschitz_nu(problem, 2.0, other) == (
+        spectral_norm(other) + 2.0 * spectral_norm(instance.sector_matrix) ** 2)
+    assert len(norm_calls) == 4
+    # mutating the caller's array in place cannot hit the stale entry
+    other *= 2.0
+    assert lipschitz_nu(problem, 2.0, other) == (
+        spectral_norm(other) + 2.0 * spectral_norm(instance.sector_matrix) ** 2)
+    assert len(norm_calls) == 6
+    # dataclasses.replace starts an empty memo
+    assert lipschitz_nu(dataclasses.replace(problem), 2.0, other) == lipschitz_nu(
+        problem, 2.0, other)
+    assert len(norm_calls) == 8
+
+
+def test_lipschitz_memo_follows_theta_dependent_constraints(norm_calls):
+    # the toy problem's A depends on theta, so its norm must follow theta
+    toy = make_toy_problem()
+    for theta in (np.array([0.3, 1.0]), np.array([-0.7, 1.0]), np.array([0.3, 1.0])):
+        A = toy.constraint_matrix(theta)
+        want = toy.smooth_curvature(theta) + 3.0 * spectral_norm(A) ** 2
+        assert lipschitz_nu(toy, 3.0, theta) == want
+        assert lipschitz_nu(toy, 3.0, theta) == want
+    assert len(norm_calls) == 3
+
+
+def test_lipschitz_memo_is_consistent_across_threads():
+    # threads sharing one problem never read one theta's norms for another
+    instance, problem = make_small_portfolio(n=4, s=2)
+    thetas = [instance.sigma, 2.0 * instance.sigma, instance.sigma + np.eye(instance.n)]
+    want = [lipschitz_nu(dataclasses.replace(problem), 3.0, t) for t in thetas]
+    wrong = []
+
+    def work(offset):
+        for i in range(2000):
+            j = (i + offset) % len(thetas)
+            if lipschitz_nu(problem, 3.0, thetas[j]) != want[j]:
+                wrong.append(j)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, (12, 12), elements=st.floats(-2.0, 2.0)),
+       st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
+def test_memoized_lipschitz_bounds_gradient_differences(F, rho, seed):
+    # ||grad nu(x) - grad nu(y)|| <= L ||x - y|| with L read back from the memo
+    instance, problem = make_small_portfolio()
+    theta = F @ F.T
+    gen = np.random.default_rng(seed)
+    lam = np.abs(gen.standard_normal(instance.s))
+    L = lipschitz_nu(problem, rho, theta)
+    assert lipschitz_nu(problem, rho, theta.copy()) == L
+    for _ in range(10):
+        x = random_simplex_point(gen, instance.n)
+        y = random_simplex_point(gen, instance.n)
+        diff = grad_nu(problem, x, lam, rho, theta) - grad_nu(problem, y, lam, rho, theta)
+        assert np.linalg.norm(diff) <= L * np.linalg.norm(x - y) * (1 + 1e-10) + 1e-12
 
 
 def test_grad_nu_reduces_to_objective_gradient_when_slack(rng):
@@ -138,6 +244,7 @@ def test_prox_fixed_point_at_solution():
     n = 4
     v = np.array([0.9, -0.3, 0.25, 0.4])
     problem = ParametricProblem(
+        smooth_grad=lambda x, th: np.asarray(x, float) - v,
         smooth_value_grad=lambda x, th: (0.5 * float((x - v) @ (x - v)),
                                          np.asarray(x, float) - v),
         nonsmooth_value=lambda x, th: 0.0,
@@ -166,6 +273,7 @@ def _simplex_qp_problem(Q, c):
         return out
 
     return ParametricProblem(
+        smooth_grad=lambda x, th: Q @ x + c,
         smooth_value_grad=lambda x, th: (0.5 * float(x @ Q @ x) + float(c @ x),
                                          Q @ x + c),
         nonsmooth_value=lambda x, th: 0.0,

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simalm.model import (NonFiniteError, PortfolioInstance,
@@ -71,6 +71,49 @@ def test_simplex_projection_is_optimal(v):
     assert r.max() <= r @ p + 1e-12
 
 
+def reference_project_simplex(v):
+    """The descending stable sort-and-threshold projection, written plainly."""
+    v = np.asarray(v, dtype=float)
+    u = -np.sort(-v, kind="stable")
+    cssv = np.cumsum(u) - 1.0
+    if not np.isfinite(cssv[-1]):
+        raise NonFiniteError("simplex projection")
+    passing = np.nonzero(u - cssv / np.arange(1, v.size + 1) > 0)[0]
+    if passing.size == 0:
+        raise NonFiniteError("simplex projection")
+    rho = int(passing[-1])
+    return np.maximum(v - cssv[rho] / (rho + 1.0), 0.0)
+
+
+@st.composite
+def tied_vectors(draw):
+    # entries drawn from a small pool (+-0.0 included), so ties are common
+    pool = draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]),
+                         min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    scale = draw(st.sampled_from([1.0, 0.2, 3.0, 1e8, 1e15]))
+    return np.array([pool[i] for i in picks]) * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_vectors()
+       | hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e15, 1e15))
+       | hnp.arrays(np.float64, 1, elements=st.floats(-1e15, 1e15)))
+@example(np.array([-0.8, -0.8, 0.2]))
+@example(np.array([0.0, -0.0, -0.0, 0.0]))
+def test_simplex_projection_matches_reference_bit_for_bit(v):
+    # [-0.8, -0.8, 0.2] passes the threshold test at sorted indices 0 and 2
+    # but not 1; taking the count of passing indices instead of the last
+    # one would return exact zeros where the reference returns 1.1e-16.
+    try:
+        want = reference_project_simplex(v)
+    except NonFiniteError:
+        with pytest.raises(NonFiniteError, match="simplex projection"):
+            project_simplex(v)
+        return
+    assert project_simplex(v).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0], [np.nan, 1.0],
                                [1.0, np.nan, 0.2], [-np.inf, 1.0],
                                [1e17, 0.0], [-1e17, -1e17]])
@@ -124,7 +167,6 @@ def test_gradient_matches_finite_differences(rng, toy_problem):
     for _ in range(10):
         x = random_simplex_point(rng, 3)
         theta = rng.standard_normal(2)
-        _, g = toy_problem.smooth_value_grad(x, theta)
         fd = np.zeros(3)
         for i in range(3):
             e = np.zeros(3)
@@ -132,7 +174,20 @@ def test_gradient_matches_finite_differences(rng, toy_problem):
             fp, _ = toy_problem.smooth_value_grad(x + e, theta)
             fm, _ = toy_problem.smooth_value_grad(x - e, theta)
             fd[i] = (fp - fm) / (2 * h)
-        assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
+        for g in (toy_problem.smooth_value_grad(x, theta)[1],
+                  toy_problem.smooth_grad(x, theta)):
+            assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
+
+
+def test_gradient_oracles_agree_bit_for_bit(rng, toy_problem):
+    instance, portfolio = make_small_portfolio()
+    cases = [(toy_problem, 3, lambda: rng.standard_normal(2)),
+             (portfolio, instance.n, lambda: instance.sigma * rng.uniform(0.5, 1.5))]
+    for problem, n, draw_theta in cases:
+        for _ in range(20):
+            x, theta = random_simplex_point(rng, n), draw_theta()
+            want = problem.smooth_value_grad(x, theta)[1]
+            assert problem.smooth_grad(x, theta).tobytes() == want.tobytes()
 
 
 def test_constraint_lipschitz_in_theta(rng, toy_problem):

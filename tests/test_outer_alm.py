@@ -30,11 +30,15 @@ def tiny_capped_qp():
     A = np.array([[1.0, 0.0]])
     b = np.array([0.3])
 
+    def grad(x, theta):
+        return np.asarray(x, float) - np.array([1.0, 0.0])
+
     def svg(x, theta):
         x = np.asarray(x, float)
-        return 0.5 * float(x @ x) - float(x[0]), x - np.array([1.0, 0.0])
+        return 0.5 * float(x @ x) - float(x[0]), grad(x, theta)
 
     problem = ParametricProblem(
+        smooth_grad=grad,
         smooth_value_grad=svg,
         nonsmooth_value=lambda x, th: 0.0,
         prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
@@ -130,6 +134,7 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
     A = np.ones((1, n))
 
     problem = ParametricProblem(
+        smooth_grad=lambda x, th: np.asarray(x, float) - v,
         smooth_value_grad=lambda x, th: (0.5 * float((x - v) @ (x - v)),
                                          np.asarray(x, float) - v),
         nonsmooth_value=lambda x, th: 0.0,
@@ -352,14 +357,14 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
     calls = []
 
     def nan_midway_through_epoch_2(x, theta):
-        value, grad = problem.smooth_value_grad(x, theta)
+        grad = problem.smooth_grad(x, theta)
         if np.array_equal(theta, theta_2):
             calls.append(1)
             if len(calls) > 5:
                 grad = np.full_like(grad, np.nan)
-        return value, grad
+        return grad
 
-    bad = dataclasses.replace(problem, smooth_value_grad=nan_midway_through_epoch_2)
+    bad = dataclasses.replace(problem, smooth_grad=nan_midway_through_epoch_2)
     with pytest.raises(NonFiniteError, match="non-finite x at epoch 2: simplex projection"):
         alm_run(bad, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
                 penalty, inexact, x0=np.full(instance.n, 0.1),
