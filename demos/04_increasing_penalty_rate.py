@@ -33,7 +33,7 @@ inputs = BoundInputs(
     lambda0_err=bundle.reference.lambda_norm,
     lambda_star_norm=bundle.reference.lambda_norm,
     kappa=spectral_norm(bundle.instance.sector_matrix) / mu_min,
-    L_f=0.5, L_h_theta=0.0, L_h_x=problem.constants.L_h_x)
+    L_f=0.5, L_h_theta=0.0)
 
 print(f"{'k':>4} {'|f - f*|':>12} {'bound':>12} {'infeas':>12} {'bound':>12}")
 f_star = bundle.reference.f_value

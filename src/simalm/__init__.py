@@ -30,11 +30,10 @@ from .bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
 from .linalg import spectral_norm
 from .reference import ReferenceSolution, active_set_qp, portfolio_reference, simplex_qp
 from .experiments import (ExperimentConfig, InstanceBundle, SampleData,
-                          StaleBundleError, TableRow, band_covariance,
-                          bound_curves_for_trace, bound_inputs_for_run,
-                          dual_gap_estimates, generate_instance, load_bundle,
-                          make_sectors, portfolio_kappa, prepare_bundle,
-                          run_seq_vs_sim, run_solve, run_table, save_bundle,
-                          write_seqsim, write_table)
+                          TableRow, band_covariance, bound_curves_for_trace,
+                          bound_inputs_for_run, dual_gap_estimates,
+                          generate_instance, make_sectors, portfolio_kappa,
+                          prepare_bundle, run_seq_vs_sim, run_solve, run_table,
+                          save_bundle, write_seqsim, write_table)
 
 __version__ = "0.1.0"

@@ -65,7 +65,6 @@ class BoundInputs:
     kappa: float = 1.0
     L_f: float = 0.0
     L_h_theta: float = 0.0
-    L_h_x: float = 0.0
     lambda0_norm: float = 0.0
 
     def __post_init__(self):
@@ -78,7 +77,7 @@ class BoundInputs:
         if self.beta < 1.0:
             raise ValueError("beta must be at least 1")
         for name in ("theta0_err", "lambda0_err", "lambda_star_norm",
-                     "kappa", "L_f", "L_h_theta", "L_h_x", "lambda0_norm"):
+                     "kappa", "L_f", "L_h_theta", "lambda0_norm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 

@@ -1,19 +1,19 @@
 """Command-line interface for the experiment harness.
 
-Subcommands: generate, solve, table, seqsim, bounds. Exit codes: 0 success,
+Subcommands: generate, solve, table, seqsim, bounds. Each draws its instance
+from the configuration seed with prepare_bundle; only generate writes the
+instance files, and no subcommand reads them. Exit codes: 0 success,
 2 configuration error, 3 convergence-cap failure.
 """
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
-from .experiments import (ExperimentConfig, StaleBundleError,
-                          bound_inputs_for_run, load_bundle, prepare_bundle,
-                          run_seq_vs_sim, run_solve, run_table, save_bundle,
-                          write_seqsim, write_table, _schedules)
+from .experiments import (ExperimentConfig, bound_inputs_for_run,
+                          prepare_bundle, run_seq_vs_sim, run_solve, run_table,
+                          save_bundle, write_seqsim, write_table, _schedules)
 from .bounds import bound_report
 from .inner_apg import BudgetError
 from .outer_alm import BOUND_COLUMNS, ScheduleError
@@ -21,8 +21,6 @@ from .outer_alm import BOUND_COLUMNS, ScheduleError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
-
-log = logging.getLogger("simalm")
 
 
 def _build_parser():
@@ -73,18 +71,6 @@ def _load_config(args):
     return config
 
 
-def _bundle(config, out):
-    """Cached bundle in out, rebuilt only when it belongs to another instance."""
-    if (out / "meta.json").exists():
-        try:
-            return load_bundle(config, out)
-        except StaleBundleError as exc:
-            log.warning("rebuilding the stale cached bundle: %s", exc)
-    bundle = prepare_bundle(config)
-    save_bundle(bundle, out)
-    return bundle
-
-
 def _cmd_generate(config, out):
     bundle = prepare_bundle(config)
     save_bundle(bundle, out)
@@ -95,7 +81,7 @@ def _cmd_generate(config, out):
 
 
 def _cmd_solve(config, out):
-    bundle = _bundle(config, out)
+    bundle = prepare_bundle(config)
     status = EXIT_OK
     for eps in config.epsilon:
         trace, curves = run_solve(config, eps, bundle)
@@ -111,7 +97,7 @@ def _cmd_solve(config, out):
 
 
 def _cmd_table(config, out):
-    bundle = _bundle(config, out)
+    bundle = prepare_bundle(config)
     rows = run_table(config, bundle)
     stem = f"table_{config.regime}_{config.specification}"
     write_table(rows, out / f"{stem}.csv", out / f"{stem}_timing.csv")
@@ -123,7 +109,7 @@ def _cmd_table(config, out):
 
 
 def _cmd_seqsim(config, out):
-    bundle = _bundle(config, out)
+    bundle = prepare_bundle(config)
     curves = run_seq_vs_sim(config, bundle)
     write_seqsim(curves, out / "seqsim.csv")
     for name in sorted(curves):
@@ -132,7 +118,7 @@ def _cmd_seqsim(config, out):
 
 
 def _cmd_bounds(config, out):
-    bundle = _bundle(config, out)
+    bundle = prepare_bundle(config)
     reports = []
     for eps in config.epsilon:
         penalty, inexact = _schedules(config, bundle, eps)

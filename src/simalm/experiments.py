@@ -29,8 +29,8 @@ from .reference import portfolio_reference
 
 __all__ = [
     "ExperimentConfig", "SampleData", "InstanceBundle", "TableRow",
-    "StaleBundleError", "band_covariance", "make_sectors", "generate_instance", "prepare_bundle",
-    "save_bundle", "load_bundle", "portfolio_kappa", "bound_inputs_for_run",
+    "band_covariance", "make_sectors", "generate_instance", "prepare_bundle",
+    "save_bundle", "portfolio_kappa", "bound_inputs_for_run",
     "bound_curves_for_trace", "dual_gap_estimates", "run_solve", "run_table",
     "write_table", "run_seq_vs_sim", "write_seqsim",
 ]
@@ -38,13 +38,9 @@ __all__ = [
 _FMT = "{:.12g}"
 
 
-class StaleBundleError(ValueError):
-    """A cached bundle belongs to another instance (n, s, seed) or generator."""
-
-
-# Instance-generator constants, recorded in a cached bundle, which is rebuilt
-# when they change; admm_tol is the residual at which Sigma* counts as learned,
-# and eigensolver names the kernel whose rounding Sigma* and tau_hat carry.
+# Instance-generator constants: with (n, s, seed) they fix the instance and
+# every derived quantity, and save_bundle records them in meta.json. admm_tol
+# is the residual at which Sigma* counts as learned.
 _GENERATOR = {
     "band_width": 10,
     "sector_overlap": 0.2,
@@ -57,10 +53,13 @@ _GENERATOR = {
     "binding_tol": 1e-7,
     "f_floor": 1e-3,
     "load_gap": 0.04,
-    "eigensolver": "lapack",
 }
 
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}
+
+_RATE_FLOOR = 1e-10  # relative learner errors _certified_rate leaves out
+_DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
+_DUAL_GAP_MAX_ITER = 400_000
 
 
 @dataclass(frozen=True)
@@ -261,12 +260,12 @@ def portfolio_kappa(instance, psd_floor):
     return spectral_norm(instance.sector_matrix) * 1.0 / psd_floor
 
 
-def _certified_rate(errors, floor=1e-10):
-    """Smallest tau with err_k <= tau^k err_0 across the usable history."""
+def _certified_rate(errors):
+    """Smallest tau with err_k <= tau^k err_0 over the err_k above _RATE_FLOOR * err_0."""
     errors = np.asarray(errors, dtype=float)
     e0 = errors[0]
     rates = [(errors[k] / e0) ** (1.0 / k)
-             for k in range(1, errors.size) if errors[k] > floor * e0]
+             for k in range(1, errors.size) if errors[k] > _RATE_FLOOR * e0]
     return float(np.clip(max(rates), 1e-12, 1.0 - 1e-12))
 
 
@@ -296,11 +295,9 @@ def prepare_bundle(config):
     )
 
 
-def _instance_key(config):
-    return {"n": config.n, "s": config.s, "seed": config.seed}
-
-
 def save_bundle(bundle, out_dir):
+    """Write instance.json, scs.json, sigma_star.npy, learner_errors.npy and
+    meta.json (the reference optimum, rates and generator constants)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle.instance.to_json(out / "instance.json")
@@ -308,7 +305,7 @@ def save_bundle(bundle, out_dir):
     np.save(out / "sigma_star.npy", bundle.sigma_star)
     np.save(out / "learner_errors.npy", bundle.learner_errors)
     meta = {
-        "instance_key": _instance_key(bundle.config),
+        "instance_key": {k: getattr(bundle.config, k) for k in ("n", "s", "seed")},
         "generator": _GENERATOR,
         "tau_hat": bundle.tau_hat,
         "tau_cert": bundle.tau_cert,
@@ -320,35 +317,6 @@ def save_bundle(bundle, out_dir):
         "admm_sweeps": bundle.admm_sweeps,
     }
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
-
-
-def load_bundle(config, out_dir):
-    from .reference import ReferenceSolution
-
-    out = Path(out_dir)
-    meta = json.loads((out / "meta.json").read_text())
-    key = meta.get("instance_key", {})
-    if key != _instance_key(config):
-        raise StaleBundleError(f"cached bundle in {out} belongs to instance {key}, "
-                               f"not the requested {_instance_key(config)}")
-    if meta.get("generator") != _GENERATOR:
-        raise StaleBundleError(f"cached bundle in {out} was drawn with generator "
-                               f"constants {meta.get('generator')}, not the "
-                               f"current {_GENERATOR}")
-    instance = PortfolioInstance.from_json(out / "instance.json")
-    scs = ScsProblem.from_json(out / "scs.json")
-    sigma_star = np.load(out / "sigma_star.npy")
-    errors = np.load(out / "learner_errors.npy")
-    reference = ReferenceSolution(
-        x=np.array(meta["x_star"]), lam=np.array(meta["lambda_star"]),
-        f_value=float(meta["f_star"]), kkt_residual=float(meta["kkt_residual"]))
-    return InstanceBundle(
-        config=config, instance=instance, scs=scs, sigma_star=sigma_star,
-        learner_errors=errors, tau_hat=float(meta["tau_hat"]),
-        tau_cert=float(meta["tau_cert"]), reference=reference,
-        binding=np.array(meta["binding"], dtype=bool),
-        admm_sweeps=int(meta["admm_sweeps"]),
-    )
 
 
 def _schedules(config, bundle, epsilon, specification=None, regime=None):
@@ -379,7 +347,7 @@ def bound_inputs_for_run(bundle, penalty, inexact, specification):
         theta0_err=0.0 if known else bundle.theta0_err,
         lambda0_err=lam_star, lambda_star_norm=lam_star, lambda0_norm=0.0,
         kappa=constants.kappa, L_f=constants.L_f,
-        L_h_theta=constants.L_h_theta, L_h_x=constants.L_h_x,
+        L_h_theta=constants.L_h_theta,
     )
 
 
@@ -395,13 +363,13 @@ def bound_curves_for_trace(trace, inputs, f_star):
     return curves
 
 
-def dual_gap_estimates(problem, trace, theta_star, f_star, slack=1e-8,
-                       max_iter=400_000):
+def dual_gap_estimates(problem, trace, theta_star, f_star):
     """Conservative dual-gap estimates f* - g(lambda_bar_k) per logged epoch.
 
     The dual value at the averaged multiplier is estimated by a certified
-    inner solve; its certificate slack is added to the gap so the estimate
-    errs on the large side.
+    inner solve to gap _DUAL_GAP_TOL within _DUAL_GAP_MAX_ITER iterations;
+    its certificate is added to the gap so the estimate errs on the large
+    side.
     """
     records = trace.opt_records
     out = []
@@ -413,7 +381,7 @@ def dual_gap_estimates(problem, trace, theta_star, f_star, slack=1e-8,
         lam_bar = lam_sum / (i + 1.0)
         warm, value, cert, _ = certified_solve(
             problem, warm, lam_bar, rho_k, theta_star,
-            gap_tol=slack, max_iter=max_iter)
+            gap_tol=_DUAL_GAP_TOL, max_iter=_DUAL_GAP_MAX_ITER)
         out.append(max(f_star - value, 0.0) + cert)
     return np.array(out)
 

@@ -53,7 +53,7 @@ class ApgConfig:
 
 def _theta_norms(problem, theta):
     A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    return problem.smooth_curvature(theta), spectral_norm(A) ** 2
+    return float(problem.smooth_lipschitz(theta)), spectral_norm(A) ** 2
 
 
 def lipschitz_nu(problem, rho, theta):

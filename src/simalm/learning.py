@@ -88,8 +88,8 @@ class ScsProblem:
     S is the sample covariance, upsilon the l1 weight on off-diagonal
     entries, psd_floor the eigenvalue floor of the feasible set, and
     admm_penalty the splitting penalty. S floored at psd_floor is cached on
-    the instance (`start`); a problem built anew, by `from_json` or
-    `dataclasses.replace`, factors S again.
+    the object (`start`) and shared by every learner built on it; any other
+    ScsProblem, one from `dataclasses.replace` included, factors S again.
     """
 
     S: np.ndarray
@@ -115,9 +115,9 @@ class ScsProblem:
     def start(self):
         """S projected onto {Sigma >= psd_floor * I} by `eigh_clip`.
 
-        Factored once per problem with LAPACK; the matrix is read-only, so
-        an in-place write raises ValueError instead of corrupting every
-        later start.
+        Factored once per ScsProblem object with LAPACK; the matrix is
+        read-only, so an in-place write raises ValueError instead of
+        corrupting every later start.
         """
         Sigma0 = eigh_clip(self.S, self.psd_floor)
         Sigma0.flags.writeable = False
@@ -142,21 +142,6 @@ class ScsProblem:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
         return text
-
-    @classmethod
-    def from_json(cls, source):
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(source) as fh:
-                payload = json.load(fh)
-        else:
-            payload = json.loads(text)
-        return cls(
-            S=np.array(payload["S"], dtype=float),
-            upsilon=float(payload["upsilon"]),
-            psd_floor=float(payload["psd_floor"]),
-            admm_penalty=float(payload["admm_penalty"]),
-        )
 
 
 @dataclass
@@ -273,15 +258,19 @@ class AdmmScsLearner:
         return estimate_tau(self.errors)
 
 
-def estimate_tau(error_history, floor=1e-14):
+_ERROR_FLOOR = 1e-14  # errors at or below it are left out of the rate fit
+_MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
+
+
+def estimate_tau(error_history):
     """Geometric rate fitted to an error history.
 
-    Least-squares slope of log(error) against the iteration index,
-    exponentiated and clipped into (0, 1). Raises ValueError when fewer
-    than three positive errors are given or when the history does not
-    decrease overall.
+    Least-squares slope of log(error) against the iteration index, over the
+    errors above _ERROR_FLOOR, exponentiated and clipped into (0, 1). Raises
+    ValueError when fewer than three such errors are given or when the
+    history does not decrease overall.
     """
-    err = np.asarray([e for e in error_history if e > floor], dtype=float)
+    err = np.asarray([e for e in error_history if e > _ERROR_FLOOR], dtype=float)
     if err.size < 3:
         raise ValueError("need at least 3 positive error values")
     k = np.arange(err.size, dtype=float)
@@ -292,17 +281,18 @@ def estimate_tau(error_history, floor=1e-14):
     return float(np.clip(np.exp(slope), eps, 1.0 - 1e-16))
 
 
-def admm_solve(problem, tol=1e-9, max_sweeps=10_000, collect_history=False):
+def admm_solve(problem, tol=1e-9, collect_history=False):
     """Run the SCS ADMM iteration to convergence.
 
     Stops when both the primal residual ||Sigma - Phi||_F and the dual
-    residual mu ||Phi_k - Phi_{k-1}||_F fall below tol. Returns
+    residual mu ||Phi_k - Phi_{k-1}||_F fall below tol, and raises
+    RuntimeError after _MAX_SWEEPS sweeps without that. Returns
     (Sigma_star, info) where info records sweeps, final residuals, and the
     Sigma history when collect_history is set.
     """
     state = scs_init(problem)
     history = [state.Sigma.copy()] if collect_history else None
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         Sigma, state = scs_admm_step(problem, state)
         if collect_history:
             history.append(Sigma.copy())
@@ -310,7 +300,7 @@ def admm_solve(problem, tol=1e-9, max_sweeps=10_000, collect_history=False):
             break
     else:
         raise RuntimeError(f"ADMM did not reach residual {tol:g} "
-                           f"within {max_sweeps} sweeps")
+                           f"within {_MAX_SWEEPS} sweeps")
     info = {
         "sweeps": state.k,
         "primal_residual": state.primal_residual,

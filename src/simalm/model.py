@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 
+_MEMBERSHIP_TOL = 1e-9  # slack of the portfolio's simplex-membership check
+
+
 class NonFiniteError(RuntimeError):
     """A run produced a non-finite iterate, multiplier or parameter estimate."""
 
@@ -33,8 +36,9 @@ class NonFiniteError(RuntimeError):
 class ProblemConstants:
     """Problem-level constants consumed by iteration budgets and bound curves.
 
-    L_p_x      Lipschitz constant of grad_x p, uniform in theta.
-    L_h_x      max over theta of the spectral norm of A(theta).
+    The curvature of p and the norm of A(theta) are not here: the inner
+    solver takes both per theta, from smooth_lipschitz and constraint_matrix.
+
     L_h_theta  Lipschitz constant of h in theta (uniform in x over X).
     L_f        Lipschitz constant of f in theta (uniform in x over X).
     D_x        max norm of a point of X.
@@ -42,15 +46,13 @@ class ProblemConstants:
                user-supplied, scales reported bound curves only.
     """
 
-    L_p_x: float
-    L_h_x: float
     L_h_theta: float
     L_f: float
     D_x: float
     kappa: float = 1.0
 
     def __post_init__(self):
-        for name in ("L_p_x", "L_h_x", "L_h_theta", "L_f", "D_x", "kappa"):
+        for name in ("L_h_theta", "L_f", "D_x", "kappa"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"constant {name} must be finite and nonnegative")
@@ -68,9 +70,8 @@ class ParametricProblem:
     constraint_matrix(theta)    -> A(theta), shape (m, n)
     constraint_offset(theta)    -> b(theta), shape (m,)
     cone                        -> constraint cone K of dimension m
+    smooth_lipschitz(theta)     -> Lipschitz constant of grad_x p at theta
     membership(x)               -> optional X-membership check
-    smooth_lipschitz(theta)     -> optional per-theta curvature of p;
-                                   falls back to constants.L_p_x
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>; enables
                                    duality-gap certificates on inner solves
 
@@ -90,15 +91,10 @@ class ParametricProblem:
     constraint_offset: Callable
     cone: Cone
     constants: ProblemConstants
+    smooth_lipschitz: Callable
     membership: Optional[Callable] = None
-    smooth_lipschitz: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
     _memo: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def smooth_curvature(self, theta):
-        if self.smooth_lipschitz is not None:
-            return float(self.smooth_lipschitz(theta))
-        return self.constants.L_p_x
 
     def theta_memo(self, theta, compute):
         """compute(theta), reused while theta stays bit-equal to the last one.
@@ -244,28 +240,8 @@ class PortfolioInstance:
                 fh.write(text + "\n")
         return text
 
-    @classmethod
-    def from_json(cls, source):
-        """Load an instance from a JSON string or file path."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(source) as fh:
-                payload = json.load(fh)
-        else:
-            payload = json.loads(text)
-        return cls(
-            n=int(payload["n"]),
-            s=int(payload["s"]),
-            sector_matrix=np.array(payload["A"], dtype=float),
-            sector_limits=np.array(payload["b"], dtype=float),
-            mu=np.array(payload["mu"], dtype=float),
-            risk_tradeoff=float(payload["risk_tradeoff"]),
-            sigma=np.array(payload["sigma_true"], dtype=float),
-            seed=int(payload["seed"]),
-        )
 
-
-def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
+def portfolio_problem(instance, kappa=1.0):
     """Build the ParametricProblem for a portfolio instance.
 
     theta is the covariance matrix. The smooth part is the full objective
@@ -302,8 +278,8 @@ def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
 
     def in_simplex(x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -membership_tol)
-                    and abs(float(np.sum(x)) - 1.0) <= membership_tol)
+        return bool(np.all(x >= -_MEMBERSHIP_TOL)
+                    and abs(float(np.sum(x)) - 1.0) <= _MEMBERSHIP_TOL)
 
     def vertex_minimizer(g):
         out = np.zeros(instance.n)
@@ -311,8 +287,6 @@ def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
         return out
 
     constants = ProblemConstants(
-        L_p_x=spectral_norm(instance.sigma),
-        L_h_x=spectral_norm(A),
         L_h_theta=0.0,
         L_f=0.5,
         D_x=1.0,
@@ -327,7 +301,7 @@ def portfolio_problem(instance, kappa=1.0, membership_tol=1e-9):
         constraint_offset=lambda theta: offset,
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
-        membership=in_simplex,
         smooth_lipschitz=lambda theta: spectral_norm(theta),
+        membership=in_simplex,
         linear_minimizer=vertex_minimizer,
     )

@@ -43,9 +43,8 @@ def make_toy_problem(n=3, m=2, seed=0):
     def boff(theta):
         return b0 + B @ theta
 
+    L_P = float(np.linalg.norm(P, 2))
     constants = ProblemConstants(
-        L_p_x=float(np.linalg.norm(P, 2)),
-        L_h_x=float(np.linalg.norm(A0, 2) + np.linalg.norm(A1, 2)),
         L_h_theta=float(np.linalg.norm(A1, 2) + np.linalg.norm(B, 2)),
         L_f=float(np.linalg.norm(C, 2)),
         D_x=1.0,
@@ -65,6 +64,7 @@ def make_toy_problem(n=3, m=2, seed=0):
         constraint_offset=boff,
         cone=NonnegativeOrthant(m),
         constants=constants,
+        smooth_lipschitz=lambda theta: L_P,
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
         linear_minimizer=vertex,

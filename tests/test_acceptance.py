@@ -219,7 +219,7 @@ def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem
         lambda0_err=desk_bundle.reference.lambda_norm,
         lambda_star_norm=desk_bundle.reference.lambda_norm,
         kappa=spectral_norm(desk_bundle.instance.sector_matrix) / mu_min,
-        L_f=0.5, L_h_theta=0.0, L_h_x=desk_problem.constants.L_h_x)
+        L_f=0.5, L_h_theta=0.0)
     epochs = ks - 1.0
     assert np.all(errs <= b_k(inputs, epochs) / beta ** epochs)
     assert np.all(trace.column("infeas_at_theta_star")

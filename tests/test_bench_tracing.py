@@ -2,12 +2,20 @@
 
 bench/tracing.py wraps functions at the names their callers look up; a
 renamed or removed name would break ``bench/run.py --trace 1`` without
-failing any library test. This guard installs the tracer and checks that
-every wrapper is removed again.
+failing any library test. These guards install the tracer and check that
+every wrapper is removed again, and wrap a built problem's oracles the way
+the traced run does.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from simalm.inner_apg import ApgConfig, apg_solve
+from simalm.model import evaluate_f
+
+from conftest import make_small_portfolio
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -25,3 +33,22 @@ def test_tracer_installs_and_restores_every_wrapper():
     with tracing.Tracer().installed():
         assert tracing.leftover_wrappers()
     assert tracing.leftover_wrappers() == []
+
+
+def test_wrapped_problem_builds_and_solves_bit_equal():
+    # a change to the ParametricProblem fields must not break wrap_problem,
+    # and the timed oracles must not change a single iterate
+    tracing = load_tracing()
+    instance, problem = make_small_portfolio()
+    tracer = tracing.Tracer()
+    traced = tracer.wrap_problem(problem)
+    x0 = np.full(instance.n, 1.0 / instance.n)
+    lam = np.full(instance.s, 0.3)
+    args = (x0, lam, 2.0, instance.sigma, ApgConfig(alpha=1e-4))
+    x, steps = apg_solve(problem, *args)
+    x_traced, steps_traced = apg_solve(traced, *args)
+    assert steps_traced == steps
+    np.testing.assert_array_equal(x_traced, x)
+    assert evaluate_f(traced, x, instance.sigma) == evaluate_f(problem, x, instance.sigma)
+    assert tracer.calls["model.prox"] == steps
+    assert tracer.calls["model.grad"] == 1

@@ -12,7 +12,7 @@ from simalm.bounds import (BoundInputs, b_g, b_k, bound_report, c_lambda,
 def inputs(**overrides):
     base = dict(rho0=1.0, alpha0=0.1, c=1.0, tau=0.5, theta0_err=1.0,
                 lambda0_err=0.5, lambda_star_norm=0.8, beta=1.0, kappa=1.0,
-                L_f=0.3, L_h_theta=0.2, L_h_x=0.7)
+                L_f=0.3, L_h_theta=0.2)
     base.update(overrides)
     return BoundInputs(**base)
 

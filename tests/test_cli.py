@@ -1,5 +1,5 @@
+import csv
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -115,57 +115,41 @@ def test_table_byte_identical_across_runs(tmp_path):
     assert t1 == t2
 
 
-def test_stale_cached_bundle_is_rebuilt(tmp_path, caplog):
+def csv_outputs(out):
+    """CSV files in out by name; trace CSVs without their wall-clock columns."""
+    outputs = {}
+    for path in sorted(out.glob("*.csv")):
+        rows = list(csv.reader(path.open()))
+        keep = [i for i, name in enumerate(rows[0])
+                if name not in ("cpu_learn_s", "cpu_opt_s")]
+        outputs[path.name] = [[row[i] for i in keep] for row in rows]
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def clean_outputs(tmp_path_factory):
     from simalm.cli import main
 
-    cfg = small_config(tmp_path, "stale")
-    out = tmp_path / "stale"
-    out.mkdir()
-    (out / "meta.json").write_text(json.dumps(
-        {"instance_key": {"n": 30, "s": 5, "seed": 4}}))
-    with caplog.at_level(logging.INFO, logger="simalm"):
-        assert main(["bounds", "--config", str(cfg)]) == 0
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["instance_key"] == {"n": 30, "s": 5, "seed": 3}
-    [record] = [r for r in caplog.records if r.name == "simalm"]
-    message = record.getMessage()
-    assert "rebuilding the stale cached bundle" in message
-    assert "{'n': 30, 's': 5, 'seed': 4}" in message  # cached
-    assert "{'n': 30, 's': 5, 'seed': 3}" in message  # requested
+    tmp = tmp_path_factory.mktemp("clean")
+    cfg = small_config(tmp, "clean")
+    for command in ("solve", "bounds"):
+        assert main([command, "--config", str(cfg)]) == 0
+    return csv_outputs(tmp / "clean")
 
 
-# "eigensolver": None drops the key, as in a bundle written before the
-# generator constants named the eigensolver
-@pytest.mark.parametrize("cached", [None, {"sector_limit": 0.25}, {"eigensolver": None}],
-                         ids=["missing", "changed", "no_eigensolver"])
-def test_bundle_from_other_generator_constants_is_rebuilt(tmp_path, caplog, cached):
+@pytest.mark.parametrize("prior", ["corrupt_meta", "generated_seed_4"])
+def test_files_in_output_dir_do_not_affect_a_run(tmp_path, clean_outputs, prior):
     from simalm.cli import main
-    from simalm.experiments import _GENERATOR
 
-    cfg = small_config(tmp_path, "regen")
-    out = tmp_path / "regen"
-    out.mkdir()
-    meta = {"instance_key": {"n": 30, "s": 5, "seed": 3}}
-    if cached is not None:
-        meta["generator"] = {k: v for k, v in {**_GENERATOR, **cached}.items()
-                             if v is not None}
-    (out / "meta.json").write_text(json.dumps(meta))
-    with caplog.at_level(logging.INFO, logger="simalm"):
-        assert main(["bounds", "--config", str(cfg)]) == 0
-    assert json.loads((out / "meta.json").read_text())["generator"] == _GENERATOR
-    [record] = [r for r in caplog.records if r.name == "simalm"]
-    message = record.getMessage()
-    assert "rebuilding the stale cached bundle" in message
-    assert f"generator constants {meta.get('generator')}" in message
-
-
-def test_corrupt_cached_bundle_is_reported_not_rebuilt(tmp_path):
-    cfg = small_config(tmp_path, "corrupt")
-    out = tmp_path / "corrupt"
-    out.mkdir()
-    (out / "meta.json").write_text('{"instance_key": {"n": 30,')
-    res = run_cli("bounds", "--config", str(cfg))
-    assert res.returncode == 2
-    assert "configuration error" in res.stderr
-    assert (out / "meta.json").read_text() == '{"instance_key": {"n": 30,'
-    assert not (out / "instance.json").exists()
+    cfg = small_config(tmp_path, "used")
+    out = tmp_path / "used"
+    if prior == "corrupt_meta":
+        out.mkdir()
+        (out / "meta.json").write_text('{"instance_key": {"n": 30,')
+    else:
+        assert main(["generate", "--config", str(cfg), "--seed", "4"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    for command in ("solve", "bounds"):
+        assert main([command, "--config", str(cfg)]) == 0
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert csv_outputs(out) == clean_outputs

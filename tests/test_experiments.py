@@ -7,10 +7,10 @@ import pytest
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace,
-                                generate_instance, load_bundle, make_sectors,
+                                generate_instance, make_sectors,
                                 portfolio_kappa, prepare_bundle,
                                 run_seq_vs_sim, run_solve, run_table,
-                                save_bundle, write_seqsim, write_table)
+                                write_seqsim, write_table)
 from simalm.linalg import spectral_norm
 from simalm.outer_alm import AlmRecord, AlmTrace, TRACE_COLUMNS, BOUND_COLUMNS
 
@@ -110,15 +110,6 @@ def test_learner_error_alignment(small_bundle):
     for k in range(1, len(errs)):
         if errs[k] > 1e-8:
             assert errs[k] <= tau ** k * errs[0] * (1 + 1e-9)
-
-
-def test_bundle_round_trip(tmp_path, small_config, small_bundle):
-    save_bundle(small_bundle, tmp_path)
-    loaded = load_bundle(small_config, tmp_path)
-    np.testing.assert_allclose(loaded.sigma_star, small_bundle.sigma_star)
-    assert loaded.tau_hat == small_bundle.tau_hat
-    assert loaded.reference.f_value == small_bundle.reference.f_value
-    np.testing.assert_array_equal(loaded.binding, small_bundle.binding)
 
 
 def test_portfolio_kappa_formula(small_bundle):

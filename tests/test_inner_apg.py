@@ -62,7 +62,7 @@ def test_one_dimensional_clamped_quadratic():
 def test_lipschitz_constant_formula(rng, toy_problem):
     theta = rng.standard_normal(2)
     A = toy_problem.constraint_matrix(theta)
-    base = toy_problem.smooth_curvature(theta)
+    base = toy_problem.smooth_lipschitz(theta)
     assert lipschitz_nu(toy_problem, 0.0, theta) == pytest.approx(base)
     got = lipschitz_nu(toy_problem, 2.0, theta)
     assert got == pytest.approx(base + 2.0 * np.linalg.norm(A, 2) ** 2, rel=1e-8)
@@ -86,8 +86,8 @@ def test_identity_constraint_matrix_curvature():
         constraint_matrix=lambda th: np.eye(n),
         constraint_offset=lambda th: np.zeros(n),
         cone=NonnegativeOrthant(n),
-        constants=ProblemConstants(L_p_x=1.0, L_h_x=1.0, L_h_theta=0.0,
-                                   L_f=0.0, D_x=1.0),
+        constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
+        smooth_lipschitz=lambda th: 1.0,
     )
     assert lipschitz_nu(problem, 2.0, None) == pytest.approx(3.0, rel=1e-9)
 
@@ -150,7 +150,7 @@ def test_lipschitz_memo_follows_theta_dependent_constraints(norm_calls):
     toy = make_toy_problem()
     for theta in (np.array([0.3, 1.0]), np.array([-0.7, 1.0]), np.array([0.3, 1.0])):
         A = toy.constraint_matrix(theta)
-        want = toy.smooth_curvature(theta) + 3.0 * spectral_norm(A) ** 2
+        want = toy.smooth_lipschitz(theta) + 3.0 * spectral_norm(A) ** 2
         assert lipschitz_nu(toy, 3.0, theta) == want
         assert lipschitz_nu(toy, 3.0, theta) == want
     assert len(norm_calls) == 3
@@ -252,8 +252,8 @@ def test_prox_fixed_point_at_solution():
         constraint_matrix=lambda th: np.zeros((1, n)),
         constraint_offset=lambda th: np.array([-1.0]),
         cone=NonnegativeOrthant(1),
-        constants=ProblemConstants(L_p_x=1.0, L_h_x=0.0, L_h_theta=0.0,
-                                   L_f=0.0, D_x=1.0),
+        constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
+        smooth_lipschitz=lambda th: 1.0,
     )
     x_star = project_simplex(v)
     g = grad_nu(problem, x_star, np.zeros(1), 1.0, None)
@@ -266,6 +266,7 @@ def _simplex_qp_problem(Q, c):
     from simalm.model import ParametricProblem, ProblemConstants
 
     n = c.size
+    L_Q = float(np.linalg.norm(Q, 2))
 
     def vertex(g):
         out = np.zeros(n)
@@ -281,8 +282,8 @@ def _simplex_qp_problem(Q, c):
         constraint_matrix=lambda th: np.zeros((1, n)),
         constraint_offset=lambda th: np.array([-1.0]),  # h = -1 <= 0: inert
         cone=NonnegativeOrthant(1),
-        constants=ProblemConstants(L_p_x=float(np.linalg.norm(Q, 2)),
-                                   L_h_x=0.0, L_h_theta=0.0, L_f=0.0, D_x=1.0),
+        constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
+        smooth_lipschitz=lambda th: L_Q,
         linear_minimizer=vertex,
     )
 

@@ -45,8 +45,8 @@ def tiny_capped_qp():
         constraint_matrix=lambda th: A,
         constraint_offset=lambda th: -b,
         cone=NonnegativeOrthant(1),
-        constants=ProblemConstants(L_p_x=1.0, L_h_x=1.0, L_h_theta=0.0,
-                                   L_f=0.0, D_x=1.0),
+        constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
+        smooth_lipschitz=lambda th: 1.0,
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
         linear_minimizer=lambda g: np.eye(2)[int(np.argmin(g))],
@@ -142,8 +142,8 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
         constraint_matrix=lambda th: A,
         constraint_offset=lambda th: np.array([-10.0]),
         cone=NonnegativeOrthant(1),
-        constants=ProblemConstants(L_p_x=1.0, L_h_x=2.0, L_h_theta=0.0,
-                                   L_f=0.0, D_x=1.0),
+        constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
+        smooth_lipschitz=lambda th: 1.0,
         linear_minimizer=lambda g: np.eye(n)[int(np.argmin(g))],
     )
     theta = np.zeros(1)
@@ -182,7 +182,6 @@ def _misspecified_small_run(regime, tau=0.6, max_outer=25):
         lambda0_err=reference.lambda_norm,
         lambda_star_norm=reference.lambda_norm,
         kappa=kappa, L_f=0.5, L_h_theta=0.0,
-        L_h_x=problem.constants.L_h_x,
     )
     return problem, trace, reference, inputs, sigma_star
 
