@@ -9,16 +9,23 @@ differ only in their stopping rule. The norms behind L are computed once
 per distinct theta, so the solves of an epoch, and every epoch of a frozen
 estimate, share them:
 
-* apg_solve runs the fixed iteration budget
+* apg_solve runs the iteration budget
 
-      T = ceil(sqrt(2 L / alpha) * D_x)
+      T = ceil(sqrt(2 L / alpha) * R),   R = min(D_x, sqrt(2 gap / mu)),
 
-  that suffices for an alpha-accurate value;
+  that suffices for an alpha-accurate value (Beck & Teboulle 2009:
+  F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2). R bounds the warm
+  start's distance to the optimum: with mu the strong-convexity modulus of
+  p(.; theta) (problem.smooth_convexity) and gap = <grad nu(x_init),
+  x_init - s> the linear-minimizer certificate at x_init (Jaggi 2013),
+  ||x_init - x*||^2 <= 2 (F(x_init) - F*) / mu <= 2 gap / mu. A problem
+  without either oracle, or with mu = 0, runs R = D_x;
 * certified_solve stops as soon as the linear-minimizer gap certificate
   max_{s in X} <grad, z - s> drops below the tolerance (used by the
   sequential-vs-simultaneous comparison and by dual_gap_estimates).
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -34,6 +41,8 @@ __all__ = [
 
 # Cap on the iterations of one inner solve, for either stopping rule.
 MAX_ITERATIONS = 2_000_000
+
+_log = logging.getLogger("simalm")
 
 
 class BudgetError(RuntimeError):
@@ -99,8 +108,27 @@ def _setup(problem, lam, rho, theta):
     return lipschitz_nu(problem, rho, theta), grad, prox
 
 
-def _budget(problem, L, alpha):
-    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * problem.constants.D_x))
+def _budget(L, alpha, radius):
+    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius))
+
+
+def _warm_radius(problem, grad, x, theta):
+    """(R, mu, gap) of the budget from the warm start x in X.
+
+    R = min(D_x, sqrt(2 gap / mu)); the second term bounds ||x - x*||. mu
+    is 0.0 and gap NaN when the problem lacks smooth_convexity or
+    linear_minimizer; R is then D_x, as it is for mu = 0. A gap rounded
+    below zero counts as zero.
+    """
+    D_x = problem.constants.D_x
+    if problem.smooth_convexity is None or problem.linear_minimizer is None:
+        return D_x, 0.0, math.nan
+    mu = float(problem.smooth_convexity(theta))
+    g = grad(x)
+    gap = float(g @ (x - problem.linear_minimizer(g)))
+    if mu <= 0.0:
+        return D_x, mu, gap
+    return min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu)), mu, gap
 
 
 def grad_nu(problem, x, lam, rho, theta):
@@ -119,12 +147,14 @@ def nu_value(problem, x, lam, rho, theta):
 
 
 def iteration_budget(problem, rho, theta, alpha):
-    """Iteration count sqrt(2 L / alpha) * D_x, rounded up to an integer.
+    """A-priori iteration count sqrt(2 L / alpha) * D_x, rounded up.
 
+    It holds for any start in X; apg_solve runs at most this many steps.
     The bound is a real number while iterations are integral; ceiling keeps
     the accuracy guarantee.
     """
-    return _budget(problem, lipschitz_nu(problem, rho, theta), alpha)
+    return _budget(lipschitz_nu(problem, rho, theta), alpha,
+                   problem.constants.D_x)
 
 
 def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
@@ -153,14 +183,21 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
 
 
 def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
-    """Solve one penalized subproblem from the warm start x_init.
+    """Solve one penalized subproblem from the warm start x_init in X.
 
-    Runs the iteration budget for config.alpha and returns
-    (x, iterations_used). Raises BudgetError when that budget exceeds
-    MAX_ITERATIONS.
+    Runs the iteration budget for config.alpha with the warm-start radius R
+    and returns (x, iterations_used). Logs L, mu, the gap at x_init and both
+    budgets at DEBUG level on the "simalm" logger. Raises BudgetError when
+    the budget exceeds MAX_ITERATIONS.
     """
     L, grad, prox = _setup(problem, lam, rho, theta)
-    budget = _budget(problem, L, config.alpha)
+    x_init = np.asarray(x_init, dtype=float)
+    radius, mu, gap = _warm_radius(problem, grad, x_init, theta)
+    budget = _budget(L, config.alpha, radius)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("inner solve epoch=%s L=%.6g mu=%.6g gap=%.6g "
+                   "a_priori_budget=%d budget=%d", epoch, L, mu, gap,
+                   _budget(L, config.alpha, problem.constants.D_x), budget)
     if budget > MAX_ITERATIONS:
         where = f" at epoch {epoch}" if epoch is not None else ""
         raise BudgetError(

@@ -72,8 +72,13 @@ class ParametricProblem:
     cone                        -> constraint cone K of dimension m
     smooth_lipschitz(theta)     -> Lipschitz constant of grad_x p at theta
     membership(x)               -> optional X-membership check
-    linear_minimizer(g)         -> optional argmin_{s in X} <g, s>; enables
-                                   duality-gap certificates on inner solves
+    linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
+                                   problem with q == 0; enables duality-gap
+                                   certificates on inner solves
+    smooth_convexity(theta)     -> optional strong-convexity modulus mu >= 0
+                                   of p(.; theta) on X; with linear_minimizer
+                                   it shortens the inner iteration budget of
+                                   a warm start (inner_apg.apg_solve)
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. theta_memo relies on it to keep one computed quantity (the
@@ -94,6 +99,7 @@ class ParametricProblem:
     smooth_lipschitz: Callable
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
+    smooth_convexity: Optional[Callable] = None
     _memo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def theta_memo(self, theta, compute):
@@ -249,6 +255,9 @@ def portfolio_problem(instance, kappa=1.0):
     cone is the nonnegative orthant: h(x) = A x - b must be <= 0. The
     per-theta smooth curvature is the spectral norm of theta (its largest
     eigenvalue when theta is positive semidefinite), from the LAPACK SVD.
+    The strong-convexity modulus smooth_convexity(theta) is theta's smallest
+    eigenvalue from np.linalg.eigvalsh, less a rounding margin of
+    n * eps * max |eigenvalue|, floored at 0.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, and L_h_theta = 0 because
@@ -286,6 +295,11 @@ def portfolio_problem(instance, kappa=1.0):
         out[int(np.argmin(g))] = 1.0
         return out
 
+    def smooth_convexity(theta):
+        eig = np.linalg.eigvalsh(theta)
+        margin = eig.size * np.finfo(float).eps * max(-eig[0], eig[-1])
+        return max(0.0, float(eig[0] - margin))
+
     constants = ProblemConstants(
         L_h_theta=0.0,
         L_f=0.5,
@@ -304,4 +318,5 @@ def portfolio_problem(instance, kappa=1.0):
         smooth_lipschitz=lambda theta: spectral_norm(theta),
         membership=in_simplex,
         linear_minimizer=vertex_minimizer,
+        smooth_convexity=smooth_convexity,
     )

@@ -16,8 +16,9 @@ def make_toy_problem(n=3, m=2, seed=0):
 
     p(x; theta) = 0.5 x'Px + (c + C theta)'x, h(x; theta) = A(theta) x +
     b(theta) with A(theta) = A0 + theta_0 A1 and b(theta) = b0 + B theta,
-    q == 0, X the unit simplex, orthant cone. Exercises the
-    theta-dependent-constraint code paths the portfolio family never hits.
+    q == 0, X the unit simplex, orthant cone; p is lambda_min(P)-strongly
+    convex. Exercises the theta-dependent-constraint code paths the
+    portfolio family never hits.
     """
     gen = np.random.default_rng(seed)
     F = gen.standard_normal((n, n))
@@ -44,6 +45,7 @@ def make_toy_problem(n=3, m=2, seed=0):
         return b0 + B @ theta
 
     L_P = float(np.linalg.norm(P, 2))
+    mu_P = float(np.linalg.eigvalsh(P)[0])
     constants = ProblemConstants(
         L_h_theta=float(np.linalg.norm(A1, 2) + np.linalg.norm(B, 2)),
         L_f=float(np.linalg.norm(C, 2)),
@@ -68,6 +70,7 @@ def make_toy_problem(n=3, m=2, seed=0):
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
         linear_minimizer=vertex,
+        smooth_convexity=lambda theta: mu_P,
     )
 
 

@@ -194,6 +194,35 @@ def test_criterion_5_misspecified_constant_penalty(desk_bundle, desk_problem):
                 time.perf_counter() - t0, 300.0)
 
 
+def test_bound_overlays_majorize_every_grid_run(desk_bundle):
+    # every run of the regime x specification x eps grid lies under its
+    # overlay curves: infeasibility under v_k_bound, and the relative
+    # suboptimality under the upper bound above f*, the lower one below it
+    t0 = time.perf_counter()
+    f_star = desk_bundle.reference.f_value
+    margins = {}
+    for regime in ("constant", "increasing"):
+        for spec in ("known", "learned"):
+            for eps in (1e-1, 1e-2, 1e-3):
+                trace, curves = run_solve(DESK, eps, desk_bundle,
+                                          specification=spec, regime=regime)
+                assert trace.converged
+                infeas = trace.column("infeas_at_theta_star")
+                signed = (trace.column("f_at_theta_star") - f_star) / abs(f_star)
+                subopt = np.where(signed >= 0.0, curves["subopt_upper_bound"],
+                                  curves["subopt_lower_bound"])
+                assert np.all(infeas <= curves["v_k_bound"]), (regime, spec, eps)
+                assert np.all(np.abs(signed) <= subopt), (regime, spec, eps)
+                with np.errstate(divide="ignore"):
+                    margins[regime, spec, eps] = min(
+                        np.min(curves["v_k_bound"] / infeas),
+                        np.min(subopt / np.abs(signed)))
+    worst = min(margins, key=margins.get)
+    _report(5, f"overlays majorize all {len(margins)} grid runs, smallest "
+               f"ratio {margins[worst]:.3g} on {'/'.join(map(str, worst))}",
+            time.perf_counter() - t0, 60.0)
+
+
 def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem):
     t0 = time.perf_counter()
     beta, tau = 1.05, 0.91

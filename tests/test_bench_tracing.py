@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from simalm.inner_apg import ApgConfig, apg_solve
+from simalm import outer_alm
+from simalm.inner_apg import ApgConfig, apg_solve, iteration_budget
 from simalm.model import evaluate_f
 
 from conftest import make_small_portfolio
@@ -52,3 +53,27 @@ def test_wrapped_problem_builds_and_solves_bit_equal():
     assert evaluate_f(traced, x, instance.sigma) == evaluate_f(problem, x, instance.sigma)
     assert tracer.calls["model.prox"] == steps
     assert tracer.calls["model.grad"] == 1
+
+
+def test_traced_solves_count_steps_and_budget():
+    # the traced run reads the steps off each solve's return value and adds
+    # iteration_budget for the same arguments; a changed signature of either
+    # solver or of iteration_budget must fail here, not only in --trace 1
+    tracing = load_tracing()
+    instance, problem = make_small_portfolio()
+    theta = instance.sigma
+    lam = np.full(instance.s, 0.3)
+    x0 = np.full(instance.n, 1.0 / instance.n)
+    for alpha, solve in (
+            (1e-4, lambda: outer_alm.apg_solve(problem, x0, lam, 2.0, theta,
+                                               ApgConfig(alpha=1e-4), epoch=0)[1]),
+            (1e-6, lambda: outer_alm.certified_solve(problem, x0, lam, 2.0, theta,
+                                                     gap_tol=1e-6)[3])):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            steps = solve()
+        assert steps > 0
+        assert tracer.calls["inner_apg.solve"] == 1
+        assert tracer.counts["inner_apg.iters"] == steps
+        assert tracer.counts["inner_apg.budget"] == iteration_budget(
+            problem, 2.0, theta, alpha)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import sys
 import threading
@@ -267,6 +268,7 @@ def _simplex_qp_problem(Q, c):
 
     n = c.size
     L_Q = float(np.linalg.norm(Q, 2))
+    mu_Q = float(np.linalg.eigvalsh(Q)[0])
 
     def vertex(g):
         out = np.zeros(n)
@@ -285,6 +287,7 @@ def _simplex_qp_problem(Q, c):
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_lipschitz=lambda th: L_Q,
         linear_minimizer=vertex,
+        smooth_convexity=lambda th: mu_Q,
     )
 
 
@@ -331,6 +334,48 @@ def test_iteration_count_suffices_for_target_gap(rng):
         assert 0.5 * float(z @ Q @ z) + float(c @ z) - f_star <= alpha
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.floats(0.01, 1.0), st.floats(-6.0, -1.0),
+       st.integers(0, 2**32 - 1))
+def test_warm_budget_reaches_alpha_on_random_simplex_qps(n, delta, log_alpha, seed):
+    # Q = FF'/n + delta I is delta-strongly convex; the constraint is inert,
+    # so the subproblem is the QP and the run must end within alpha of f*
+    gen = np.random.default_rng(seed)
+    F = gen.standard_normal((n, n))
+    Q = F @ F.T / n + delta * np.eye(n)
+    c = gen.standard_normal(n)
+    _, f_star, _ = simplex_qp(Q, c)
+    problem = _simplex_qp_problem(Q, c)
+    alpha = 10.0 ** log_alpha
+    x0 = random_simplex_point(gen, n)
+    x, steps = apg_solve(problem, x0, np.zeros(1), 1.0, None, ApgConfig(alpha=alpha))
+    assert 0.5 * float(x @ Q @ x) + float(c @ x) - f_star <= alpha + 1e-12
+    assert steps <= iteration_budget(problem, 1.0, None, alpha)
+
+
+def test_budget_solve_logs_one_debug_line(caplog, toy_problem):
+    theta, lam, rho, alpha = np.array([0.1, -0.2]), np.ones(2), 2.0, 1e-3
+    x0 = np.full(3, 1 / 3)
+    with caplog.at_level(logging.DEBUG, logger="simalm"):
+        _, steps = apg_solve(toy_problem, x0, lam, rho, theta,
+                             ApgConfig(alpha=alpha), epoch=4)
+    [record] = caplog.records
+    assert record.name == "simalm" and record.levelno == logging.DEBUG
+    fields = dict(tok.split("=") for tok in record.getMessage().split() if "=" in tok)
+    grad = _reference_grad(toy_problem, lam, rho, theta)
+    g = grad(x0)
+    assert fields["epoch"] == "4"
+    assert float(fields["L"]) == pytest.approx(lipschitz_nu(toy_problem, rho, theta), rel=1e-5)
+    assert float(fields["mu"]) == pytest.approx(_hessian_min_eig(toy_problem, theta, 3), rel=1e-5)
+    assert float(fields["gap"]) == pytest.approx(float(g @ x0 - g.min()), rel=1e-5)
+    assert int(fields["a_priori_budget"]) == iteration_budget(toy_problem, rho, theta, alpha)
+    assert int(fields["budget"]) == steps
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="simalm"):
+        apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
+    assert caplog.records == []
+
+
 def test_budget_formula(toy_problem):
     theta = np.zeros(2)
     alpha = 1e-3
@@ -339,13 +384,39 @@ def test_budget_formula(toy_problem):
     assert iteration_budget(toy_problem, 2.0, theta, alpha) == want
 
 
+def _hessian_min_eig(problem, theta, n):
+    # p is quadratic: the columns of its Hessian are gradient differences
+    zero = problem.smooth_grad(np.zeros(n), theta)
+    H = np.column_stack([problem.smooth_grad(e, theta) - zero for e in np.eye(n)])
+    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
+
+
+def _warm_budget(grad, L, alpha, x0, mu):
+    # (T, R): T = ceil(sqrt(2L/alpha) R), R = min(D_x = 1, sqrt(2 gap / mu)),
+    # gap the vertex certificate <g, x0> - min_i g_i at the warm start
+    g = grad(x0)
+    gap = float(g @ x0) - float(g.min())
+    radius = min(1.0, math.sqrt(2.0 * max(gap, 0.0) / mu))
+    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius)), radius
+
+
 def test_budget_mode_runs_exact_budget(rng, toy_problem):
     theta = np.array([0.1, -0.2])
-    config = ApgConfig(alpha=1e-2)
+    lam, rho, alpha = np.zeros(2), 1.0, 1e-2
     x0 = np.full(3, 1 / 3)
-    x, steps = apg_solve(toy_problem, x0, np.zeros(2), 1.0, theta, config)
-    assert steps == iteration_budget(toy_problem, 1.0, theta, 1e-2)
+    grad = _reference_grad(toy_problem, lam, rho, theta)
+    L = lipschitz_nu(toy_problem, rho, theta)
+    want, radius = _warm_budget(grad, L, alpha, x0, _hessian_min_eig(toy_problem, theta, 3))
+    assert radius < 1.0
+    x, steps = apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
+    assert steps == want < iteration_budget(toy_problem, rho, theta, alpha)
     assert toy_problem.membership(x)
+    # without a convexity modulus or a certificate the a-priori budget runs
+    for fallback in ({"smooth_convexity": None}, {"linear_minimizer": None},
+                     {"smooth_convexity": lambda th: 0.0}):
+        plain = dataclasses.replace(toy_problem, **fallback)
+        _, steps = apg_solve(plain, x0, lam, rho, theta, ApgConfig(alpha=alpha))
+        assert steps == iteration_budget(toy_problem, rho, theta, alpha)
 
 
 def test_budget_cap_error_names_epoch(toy_problem):
@@ -400,9 +471,15 @@ def _reference_grad(problem, lam, rho, theta):
 def _pinning_cases(rng):
     instance, portfolio = make_small_portfolio(sector_limit=0.35)
     toy = make_toy_problem()
+    lam = np.abs(rng.standard_normal(instance.s))
+    uniform = np.full(instance.n, 1.0 / instance.n)
+    # a warm start 60 plain FISTA steps in, where sqrt(2 gap / mu) < D_x
+    warm, _ = fista(_reference_grad(portfolio, lam, 4.0, instance.sigma),
+                    lambda y, g, Lc: simplex_prox(y, g, Lc),
+                    lipschitz_nu(portfolio, 4.0, instance.sigma), uniform, 60)
     return [
-        (portfolio, instance.sigma, np.abs(rng.standard_normal(instance.s)),
-         4.0, np.full(instance.n, 1.0 / instance.n)),
+        (portfolio, instance.sigma, lam, 4.0, uniform),
+        (portfolio, instance.sigma, lam, 4.0, warm),
         (toy, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
          np.full(3, 1.0 / 3)),
     ]
@@ -410,7 +487,9 @@ def _pinning_cases(rng):
 
 def test_solvers_match_reference_loop_bit_for_bit(rng):
     # both stopping rules must produce exactly the iterates of a plain FISTA
-    # loop driven by the independently written gradient
+    # loop driven by the independently written gradient, the budget one for
+    # the warm-start count computed from the gap and lambda_min of p
+    radii = []
     for problem, theta, lam, rho, x0 in _pinning_cases(rng):
         grad = _reference_grad(problem, lam, rho, theta)
         L = lipschitz_nu(problem, rho, theta)
@@ -419,10 +498,12 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
             return problem.prox_step(y, g, Lc, theta)
 
         alpha = 1e-4
-        want, want_steps = fista(grad, prox, L, x0,
-                                 iteration_budget(problem, rho, theta, alpha))
+        budget, radius = _warm_budget(grad, L, alpha, x0,
+                                      _hessian_min_eig(problem, theta, x0.size))
+        radii.append(radius)
+        want, want_steps = fista(grad, prox, L, x0, budget)
         got, steps = apg_solve(problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
-        assert steps == want_steps
+        assert steps == want_steps == budget
         assert np.array_equal(got, want)
 
         def stop(t, z):
@@ -436,6 +517,7 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
 
         x = random_simplex_point(rng, x0.size)
         assert np.array_equal(grad_nu(problem, x, lam, rho, theta), grad(x))
+    assert radii[0] == 1.0 and radii[1] < 0.1
 
 
 def test_inconsistent_constraint_shapes_raise(toy_problem):

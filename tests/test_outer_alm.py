@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 
 import numpy as np
@@ -125,6 +126,21 @@ def test_run_tiny_qp_reaches_kkt_solution():
     assert abs(evaluate_f(problem, x_bar, theta) - reference.f_value) <= 1e-4
     assert infeasibility(problem, x_bar, theta) <= 1e-4
     assert len(trace) <= 50
+
+
+def test_budget_run_logs_one_debug_line_per_epoch(caplog):
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    learner = SyntheticLearner(instance.sigma, 1.4 * instance.sigma, 0.6)
+    penalty, inexact = make_constant_schedule(1e-2, 1.0, learner_known=False)
+    with caplog.at_level(logging.DEBUG, logger="simalm"):
+        trace = alm_run(problem, learner, penalty, inexact,
+                        x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
+                        stop=StopRule(max_outer=6))
+    lines = [r.getMessage() for r in caplog.records if r.name == "simalm"]
+    assert len(lines) == len(trace) == 6
+    for k, (line, rec) in enumerate(zip(lines, trace.records)):
+        assert f"epoch={k} " in line
+        assert line.endswith(f" budget={rec.inner_iterations}")
 
 
 def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
