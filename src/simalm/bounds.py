@@ -13,6 +13,7 @@ accuracy below 1e-12 by explicit summation plus an integral-test
 (Euler-Maclaurin) tail.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,14 @@ __all__ = [
 _TAIL_FROM = 10_000
 
 
+@functools.lru_cache(maxsize=64)
 def inverse_power_series(p):
     """Sum of k^(-p) over k >= 1 for p > 1, to absolute error below 1e-12.
 
     The first terms are summed explicitly; the tail from K = 10^4 uses the
     Euler-Maclaurin expansion K^(1-p)/(p-1) + K^(-p)/2 + p K^(-p-1)/12,
-    whose truncation error is below p^3 K^(-p-3).
+    whose truncation error is below p^3 K^(-p-3). Results are cached per
+    exponent.
     """
     if p <= 1.0:
         raise ValueError("series diverges for exponent <= 1")

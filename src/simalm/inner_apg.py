@@ -5,9 +5,10 @@ where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2,
 so plain FISTA (momentum (1 + sqrt(1 + 4 m^2)) / 2, no restarts, no line
 search) applies. Both solvers share one set-up of L, gradient and prox and
-differ only in their stopping rule. The norms behind L are computed once
-per distinct theta, so the solves of an epoch, and every epoch of a frozen
-estimate, share them:
+differ only in their stopping rule. The per-theta constants, the curvature
+pair (L_p, mu) from problem.smooth_curvature and ||A(theta)||^2, are
+computed once per distinct theta, so the solves of an epoch, and every
+epoch of a frozen estimate, share them:
 
 * apg_solve runs the iteration budget
 
@@ -16,10 +17,10 @@ estimate, share them:
   that suffices for an alpha-accurate value (Beck & Teboulle 2009:
   F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2). R bounds the warm
   start's distance to the optimum: with mu the strong-convexity modulus of
-  p(.; theta) (problem.smooth_convexity) and gap = <grad nu(x_init),
-  x_init - s> the linear-minimizer certificate at x_init (Jaggi 2013),
-  ||x_init - x*||^2 <= 2 (F(x_init) - F*) / mu <= 2 gap / mu. A problem
-  without either oracle, or with mu = 0, runs R = D_x;
+  p(.; theta) and gap = <grad nu(x_init), x_init - s> the linear-minimizer
+  certificate at x_init (Jaggi 2013), ||x_init - x*||^2 <= 2 (F(x_init) -
+  F*) / mu <= 2 gap / mu. A problem with mu = 0 or without a linear
+  minimizer runs R = D_x;
 * certified_solve stops as soon as the linear-minimizer gap certificate
   max_{s in X} <grad, z - s> drops below the tolerance (used by the
   sequential-vs-simultaneous comparison and by dual_gap_estimates).
@@ -60,22 +61,26 @@ class ApgConfig:
             raise ValueError("target inexactness alpha must be positive")
 
 
-def _theta_norms(problem, theta):
-    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    return float(problem.smooth_lipschitz(theta)), spectral_norm(A) ** 2
+def _theta_constants(problem, theta):
+    """(L_p, mu, ||A(theta)||^2), computed once per distinct theta."""
+    def compute(th):
+        L_p, mu = problem.smooth_curvature(th)
+        A = np.asarray(problem.constraint_matrix(th), dtype=float)
+        return float(L_p), float(mu), spectral_norm(A) ** 2
+
+    return problem.theta_memo(theta, compute)
 
 
 def lipschitz_nu(problem, rho, theta):
     """Gradient Lipschitz constant of the smooth subproblem part.
 
-    L_p(theta) + rho * ||A(theta)||^2; monotone increasing in rho. The two
-    norms are computed once per distinct theta (problem.theta_memo).
+    L_p(theta) + rho * ||A(theta)||^2; monotone increasing in rho. L_p and
+    the norm are computed once per distinct theta (problem.theta_memo).
     """
     if rho < 0:
         raise ValueError("penalty rho must be nonnegative")
-    curvature, a_norm_sq = problem.theta_memo(
-        theta, lambda th: _theta_norms(problem, th))
-    return curvature + rho * a_norm_sq
+    L_p, _, a_norm_sq = _theta_constants(problem, theta)
+    return L_p + rho * a_norm_sq
 
 
 def _bound_gradient(problem, lam, rho, theta):
@@ -99,36 +104,33 @@ def _bound_gradient(problem, lam, rho, theta):
 
 
 def _setup(problem, lam, rho, theta):
-    """(L, grad, prox) of one subproblem solve."""
+    """(L, mu, grad, prox) of one subproblem solve."""
     grad = _bound_gradient(problem, lam, rho, theta)
 
     def prox(y, g, L):
         return problem.prox_step(y, g, L, theta)
 
-    return lipschitz_nu(problem, rho, theta), grad, prox
+    L_p, mu, a_norm_sq = _theta_constants(problem, theta)
+    return L_p + rho * a_norm_sq, mu, grad, prox
 
 
 def _budget(L, alpha, radius):
     return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius))
 
 
-def _warm_radius(problem, grad, x, theta):
-    """(R, mu, gap) of the budget from the warm start x in X.
+def _warm_radius(problem, grad, x, mu):
+    """(R, gap) of the budget from the warm start x in X.
 
-    R = min(D_x, sqrt(2 gap / mu)); the second term bounds ||x - x*||. mu
-    is 0.0 and gap NaN when the problem lacks smooth_convexity or
-    linear_minimizer; R is then D_x, as it is for mu = 0. A gap rounded
-    below zero counts as zero.
+    R = min(D_x, sqrt(2 gap / mu)); the second term bounds ||x - x*||. With
+    mu = 0 or without problem.linear_minimizer, R is D_x and gap NaN (not
+    computed). A gap rounded below zero counts as zero.
     """
     D_x = problem.constants.D_x
-    if problem.smooth_convexity is None or problem.linear_minimizer is None:
-        return D_x, 0.0, math.nan
-    mu = float(problem.smooth_convexity(theta))
+    if mu <= 0.0 or problem.linear_minimizer is None:
+        return D_x, math.nan
     g = grad(x)
     gap = float(g @ (x - problem.linear_minimizer(g)))
-    if mu <= 0.0:
-        return D_x, mu, gap
-    return min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu)), mu, gap
+    return min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu)), gap
 
 
 def grad_nu(problem, x, lam, rho, theta):
@@ -190,9 +192,9 @@ def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
     budgets at DEBUG level on the "simalm" logger. Raises BudgetError when
     the budget exceeds MAX_ITERATIONS.
     """
-    L, grad, prox = _setup(problem, lam, rho, theta)
+    L, mu, grad, prox = _setup(problem, lam, rho, theta)
     x_init = np.asarray(x_init, dtype=float)
-    radius, mu, gap = _warm_radius(problem, grad, x_init, theta)
+    radius, gap = _warm_radius(problem, grad, x_init, mu)
     budget = _budget(L, config.alpha, radius)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("inner solve epoch=%s L=%.6g mu=%.6g gap=%.6g "
@@ -222,7 +224,7 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
     """
     if problem.linear_minimizer is None:
         raise ValueError("problem lacks a linear minimization oracle")
-    L, grad, prox = _setup(problem, lam, rho, theta)
+    L, _, grad, prox = _setup(problem, lam, rho, theta)
     best = {"gap": math.inf, "x": np.asarray(x_init, dtype=float)}
 
     def stop(t, z):

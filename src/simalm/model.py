@@ -4,7 +4,7 @@ A problem instance is a composite objective f(x; theta) = q(x; theta) +
 p(x; theta) minimized over a simple set X with a prox oracle, subject to the
 conic constraint h(x; theta) = A(theta) x + b(theta) lying in -K. Problem
 objects are immutable bundles of pure oracles, plus a one-entry memo of
-per-theta norms, and can be shared freely across threads.
+per-theta curvature constants, and can be shared freely across threads.
 """
 
 import functools
@@ -16,7 +16,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cones import Cone, NonnegativeOrthant
-from .linalg import spectral_norm, symmetrize
+from .linalg import symmetrize
+
+# Unused here: the benchmark's tracer wraps this name as linalg.spectral_norm;
+# the benchmark change of ROADMAP item 1 drops that span and the binding.
+from .linalg import spectral_norm
 
 __all__ = [
     "NonFiniteError", "ProblemConstants", "ParametricProblem",
@@ -37,7 +41,7 @@ class ProblemConstants:
     """Problem-level constants consumed by iteration budgets and bound curves.
 
     The curvature of p and the norm of A(theta) are not here: the inner
-    solver takes both per theta, from smooth_lipschitz and constraint_matrix.
+    solver takes both per theta, from smooth_curvature and constraint_matrix.
 
     L_h_theta  Lipschitz constant of h in theta (uniform in x over X).
     L_f        Lipschitz constant of f in theta (uniform in x over X).
@@ -70,22 +74,24 @@ class ParametricProblem:
     constraint_matrix(theta)    -> A(theta), shape (m, n)
     constraint_offset(theta)    -> b(theta), shape (m,)
     cone                        -> constraint cone K of dimension m
-    smooth_lipschitz(theta)     -> Lipschitz constant of grad_x p at theta
+    smooth_curvature(theta)     -> (L_p, mu): L_p an upper bound on the
+                                   Lipschitz constant of grad_x p at theta,
+                                   mu >= 0 a strong-convexity modulus of
+                                   p(.; theta) on X, 0.0 when none is known;
+                                   with linear_minimizer a positive mu
+                                   shortens the inner iteration budget of a
+                                   warm start (inner_apg.apg_solve)
     membership(x)               -> optional X-membership check
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
                                    problem with q == 0; enables duality-gap
                                    certificates on inner solves
-    smooth_convexity(theta)     -> optional strong-convexity modulus mu >= 0
-                                   of p(.; theta) on X; with linear_minimizer
-                                   it shortens the inner iteration budget of
-                                   a warm start (inner_apg.apg_solve)
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. theta_memo relies on it to keep one computed quantity (the
-    norms behind the inner solver's L) for the last theta seen, keyed by
-    theta's content; a bit-equal theta reuses it, any other theta replaces
-    it. The memo is private to the object: dataclasses.replace starts an
-    empty one.
+    curvature pair and the norm of A behind the inner solver's L and mu)
+    for the last theta seen, keyed by theta's content; a bit-equal theta
+    reuses it, any other theta replaces it. The memo is private to the
+    object: dataclasses.replace starts an empty one.
     """
 
     smooth_grad: Callable
@@ -96,10 +102,9 @@ class ParametricProblem:
     constraint_offset: Callable
     cone: Cone
     constants: ProblemConstants
-    smooth_lipschitz: Callable
+    smooth_curvature: Callable
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
-    smooth_convexity: Optional[Callable] = None
     _memo: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def theta_memo(self, theta, compute):
@@ -253,11 +258,12 @@ def portfolio_problem(instance, kappa=1.0):
     theta is the covariance matrix. The smooth part is the full objective
     (q == 0), the prox oracle is the simplex projection, and the constraint
     cone is the nonnegative orthant: h(x) = A x - b must be <= 0. The
-    per-theta smooth curvature is the spectral norm of theta (its largest
-    eigenvalue when theta is positive semidefinite), from the LAPACK SVD.
-    The strong-convexity modulus smooth_convexity(theta) is theta's smallest
-    eigenvalue from np.linalg.eigvalsh, less a rounding margin of
-    n * eps * max |eigenvalue|, floored at 0.
+    curvature oracle smooth_curvature(theta) takes one spectrum of the
+    symmetric theta from np.linalg.eigvalsh and widens it by the rounding
+    margin n * eps * max |eigenvalue|: L_p is max |eigenvalue| (the spectral
+    norm) plus the margin, and mu is the smallest eigenvalue less the
+    margin, floored at 0. So L_p bounds the curvature from above and mu
+    from below, also for an indefinite theta.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, and L_h_theta = 0 because
@@ -295,10 +301,11 @@ def portfolio_problem(instance, kappa=1.0):
         out[int(np.argmin(g))] = 1.0
         return out
 
-    def smooth_convexity(theta):
+    def smooth_curvature(theta):
         eig = np.linalg.eigvalsh(theta)
-        margin = eig.size * np.finfo(float).eps * max(-eig[0], eig[-1])
-        return max(0.0, float(eig[0] - margin))
+        top = float(max(-eig[0], eig[-1]))
+        margin = eig.size * np.finfo(float).eps * top
+        return top + margin, max(0.0, float(eig[0]) - margin)
 
     constants = ProblemConstants(
         L_h_theta=0.0,
@@ -315,8 +322,7 @@ def portfolio_problem(instance, kappa=1.0):
         constraint_offset=lambda theta: offset,
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
-        smooth_lipschitz=lambda theta: spectral_norm(theta),
+        smooth_curvature=smooth_curvature,
         membership=in_simplex,
         linear_minimizer=vertex_minimizer,
-        smooth_convexity=smooth_convexity,
     )

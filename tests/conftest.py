@@ -1,9 +1,36 @@
 import numpy as np
 import pytest
 
-from simalm.cones import NonnegativeOrthant
+from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
+                          ZeroCone)
 from simalm.model import (ParametricProblem, PortfolioInstance,
                           ProblemConstants, portfolio_problem, simplex_prox)
+
+
+# one of each cone variant, and a product of all three
+ALL_CONES = [
+    ZeroCone(4),
+    NonnegativeOrthant(5),
+    SecondOrderCone(4),
+    ProductCone([ZeroCone(2), NonnegativeOrthant(3), SecondOrderCone(3)]),
+]
+
+
+def cone_member(cone, y, tol, dual=False):
+    """Whether y lies in K (in K* with dual=True) up to tol, written from
+    the cones' definitions rather than their projections."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(cone, ProductCone):
+        blocks = np.split(y, np.cumsum([c.dim for c in cone.components])[:-1])
+        return all(cone_member(c, b, tol, dual)
+                   for c, b in zip(cone.components, blocks))
+    if isinstance(cone, ZeroCone):  # K* is the whole space
+        return dual or bool(np.all(np.abs(y) <= tol))
+    if isinstance(cone, NonnegativeOrthant):  # self-dual
+        return bool(np.all(y >= -tol))
+    if isinstance(cone, SecondOrderCone):  # self-dual
+        return bool(y[0] >= np.linalg.norm(y[1:]) - tol)
+    raise TypeError(f"unknown cone {cone!r}")
 
 
 @pytest.fixture
@@ -66,11 +93,10 @@ def make_toy_problem(n=3, m=2, seed=0):
         constraint_offset=boff,
         cone=NonnegativeOrthant(m),
         constants=constants,
-        smooth_lipschitz=lambda theta: L_P,
+        smooth_curvature=lambda theta: (L_P, mu_P),
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
         linear_minimizer=vertex,
-        smooth_convexity=lambda theta: mu_P,
     )
 
 

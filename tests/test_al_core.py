@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simalm.al_core import dual_update, eval_L, grad_lambda_L
 from simalm.inner_apg import certified_solve
 from simalm.model import constraint_value, evaluate_f, infeasibility
-from conftest import make_small_portfolio, random_simplex_point
+from conftest import (ALL_CONES, cone_member, make_small_portfolio,
+                      make_toy_problem, random_simplex_point)
 
 
 def test_value_reduces_to_objective_when_feasible(rng):
@@ -116,6 +121,29 @@ def test_dual_update_equals_gradient_step(rng, toy_problem):
         np.testing.assert_allclose(new, step, atol=1e-10)
         # stays in the dual cone
         assert np.all(new >= 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dual_update_stays_in_dual_cone(data):
+    # lam + rho h(x; theta) projected onto K*, for every cone and any lam,
+    # rho and h: the multiplier lands in K*
+    cone = data.draw(st.sampled_from(ALL_CONES), label="cone")
+    vector = hnp.arrays(np.float64, cone.dim, elements=st.floats(-1e3, 1e3))
+    lam, b = data.draw(vector, label="lam"), data.draw(vector, label="b")
+    rho = data.draw(st.floats(1e-3, 1e3), label="rho")
+    A = data.draw(hnp.arrays(np.float64, (cone.dim, 3),
+                             elements=st.floats(-10.0, 10.0)), label="A")
+    problem = dataclasses.replace(make_toy_problem(m=cone.dim), cone=cone,
+                                  constraint_matrix=lambda th: A,
+                                  constraint_offset=lambda th: b)
+    x = random_simplex_point(np.random.default_rng(data.draw(
+        st.integers(0, 2**32 - 1), label="seed")), 3)
+    theta = np.zeros(2)
+    new = dual_update(problem, lam, rho, x, theta)
+    step = lam + rho * constraint_value(problem, x, theta)
+    assert cone_member(cone, new, 1e-12 * (1.0 + float(np.linalg.norm(step))),
+                       dual=True)
 
 
 def test_value_upper_bounds_dual_function(rng, toy_problem):

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
-
-ALL_VARIANTS = [
-    ZeroCone(4),
-    NonnegativeOrthant(5),
-    SecondOrderCone(4),
-    ProductCone([ZeroCone(2), NonnegativeOrthant(3), SecondOrderCone(3)]),
-]
+from conftest import ALL_CONES, cone_member
 
 
 def sample(gen, cone, size=None):
@@ -80,7 +76,7 @@ def test_orthant_and_soc_are_self_dual(rng):
 
 
 def test_neg_member_fixed_and_dist_zero(rng):
-    for cone in ALL_VARIANTS:
+    for cone in ALL_CONES:
         y = sample(rng, cone, 40)
         inside = cone.project_neg(y)
         np.testing.assert_allclose(cone.project_neg(inside), inside, atol=1e-12)
@@ -92,25 +88,31 @@ def test_orthant_dist_neg_example():
     assert cone.dist_neg(np.array([3.0, -1.0])) == pytest.approx(3.0)
 
 
-def test_moreau_decomposition(rng):
-    for cone in ALL_VARIANTS:
-        y = sample(rng, cone, 200)
-        neg = cone.project_neg(y)
-        dual = cone.project_dual(y)
-        np.testing.assert_allclose(neg + dual, y, atol=1e-10)
-        inner = np.sum(neg * dual, axis=-1)
-        np.testing.assert_allclose(inner, 0.0, atol=1e-10)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_moreau_decomposition(data):
+    # y = proj_{-K}(y) + proj_{K*}(y), the parts orthogonal, each in its cone
+    cone = data.draw(st.sampled_from(ALL_CONES), label="cone")
+    y = data.draw(hnp.arrays(np.float64, cone.dim,
+                             elements=st.floats(-1e3, 1e3)), label="y")
+    neg = cone.project_neg(y)
+    dual = cone.project_dual(y)
+    scale = 1.0 + float(np.linalg.norm(y))
+    np.testing.assert_allclose(neg + dual, y, rtol=0.0, atol=1e-12 * scale)
+    assert abs(float(neg @ dual)) <= 1e-12 * scale ** 2
+    assert cone_member(cone, dual, 1e-12 * scale, dual=True)
+    assert cone_member(cone, -neg, 1e-12 * scale)
 
 
 def test_idempotence(rng):
-    for cone in ALL_VARIANTS:
+    for cone in ALL_CONES:
         y = sample(rng, cone, 200)
         p = cone.project(y)
         np.testing.assert_allclose(cone.project(p), p, atol=1e-12)
 
 
 def test_nonexpansiveness(rng):
-    for cone in ALL_VARIANTS:
+    for cone in ALL_CONES:
         y1 = sample(rng, cone, 200)
         y2 = sample(rng, cone, 200)
         lhs = np.linalg.norm(cone.project(y1) - cone.project(y2), axis=-1)
@@ -119,7 +121,7 @@ def test_nonexpansiveness(rng):
 
 
 def test_distance_triangle_inequality(rng):
-    for cone in ALL_VARIANTS:
+    for cone in ALL_CONES:
         y = sample(rng, cone, 200)
         yp = sample(rng, cone, 200)
         lhs = cone.dist(y + yp)
@@ -128,14 +130,14 @@ def test_distance_triangle_inequality(rng):
 
 
 def test_sign_reflection(rng):
-    for cone in ALL_VARIANTS:
+    for cone in ALL_CONES:
         y = sample(rng, cone, 100)
         np.testing.assert_allclose(cone.dist(-y), cone.dist_neg(y), atol=1e-12)
 
 
 def test_dist_neg_sq_gradient_matches_finite_differences(rng):
     h = 1e-6
-    for cone in ALL_VARIANTS:
+    for cone in ALL_CONES:
         for _ in range(5):
             y = sample(rng, cone)
             grad = cone.dist_neg_sq_grad(y)

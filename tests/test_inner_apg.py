@@ -14,7 +14,9 @@ from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               apg_solve, certified_solve, fista, grad_nu,
                               iteration_budget, lipschitz_nu, nu_value)
 from simalm.linalg import spectral_norm
+from simalm.learning import FrozenLearner
 from simalm.model import constraint_value, simplex_prox
+from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
 from conftest import make_small_portfolio, make_toy_problem, random_simplex_point
 
@@ -63,7 +65,7 @@ def test_one_dimensional_clamped_quadratic():
 def test_lipschitz_constant_formula(rng, toy_problem):
     theta = rng.standard_normal(2)
     A = toy_problem.constraint_matrix(theta)
-    base = toy_problem.smooth_lipschitz(theta)
+    base = toy_problem.smooth_curvature(theta)[0]
     assert lipschitz_nu(toy_problem, 0.0, theta) == pytest.approx(base)
     got = lipschitz_nu(toy_problem, 2.0, theta)
     assert got == pytest.approx(base + 2.0 * np.linalg.norm(A, 2) ** 2, rel=1e-8)
@@ -88,7 +90,7 @@ def test_identity_constraint_matrix_curvature():
         constraint_offset=lambda th: np.zeros(n),
         cone=NonnegativeOrthant(n),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
-        smooth_lipschitz=lambda th: 1.0,
+        smooth_curvature=lambda th: (1.0, 0.0),
     )
     assert lipschitz_nu(problem, 2.0, None) == pytest.approx(3.0, rel=1e-9)
 
@@ -102,59 +104,94 @@ def test_portfolio_curvature_is_spectral(rng):
 
 
 @pytest.fixture
-def norm_calls(monkeypatch):
-    # counts the spectral norms lipschitz_nu takes, at both names it uses
+def decompositions(monkeypatch):
+    # the dense factorisations behind L and mu, as (kind, matrix shape):
+    # np.linalg.eigvalsh (the portfolio's curvature oracle) and the spectral
+    # norms (SVDs), counted at both module names that bind spectral_norm
     from simalm import inner_apg, model
 
     calls = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting(M):
-        calls.append(np.shape(M))
+    def counting_eigvalsh(M):
+        calls.append(("eigvalsh", np.shape(M)))
+        return eigvalsh(M)
+
+    def counting_norm(M):
+        calls.append(("svd", np.shape(M)))
         return spectral_norm(M)
 
-    monkeypatch.setattr(inner_apg, "spectral_norm", counting)
-    monkeypatch.setattr(model, "spectral_norm", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(inner_apg, "spectral_norm", counting_norm)
+    monkeypatch.setattr(model, "spectral_norm", counting_norm)
     return calls
 
 
-def test_lipschitz_norms_computed_once_per_theta(norm_calls):
+def _portfolio_lipschitz(theta, A, rho):
+    # max |eigenvalue| widened by the n eps rounding margin, plus rho ||A||^2
+    eig = np.linalg.eigvalsh(theta)
+    top = max(-eig[0], eig[-1])
+    return top + eig.size * np.finfo(float).eps * top + rho * spectral_norm(A) ** 2
+
+
+def test_lipschitz_norms_computed_once_per_theta(decompositions):
     instance, problem = make_small_portfolio()
-    norm_calls.clear()  # the constants' norms, taken when the problem is built
+    A = instance.sector_matrix
     theta = instance.sigma.copy()
-    fresh = spectral_norm(theta) + 2.0 * spectral_norm(instance.sector_matrix) ** 2
+    other = theta.copy()
+    other[3, 4] = other[4, 3] = other[3, 4] + 1e-3
+    fresh = _portfolio_lipschitz(theta, A, 2.0)
+    want_other = _portfolio_lipschitz(other, A, 2.0)
+    want_doubled = _portfolio_lipschitz(2.0 * other, A, 2.0)
+    # one spectrum of theta (no SVD of it) and one norm of A per distinct theta
+    once = [("eigvalsh", theta.shape), ("svd", A.shape)]
+    decompositions.clear()
     assert lipschitz_nu(problem, 2.0, theta) == fresh
-    assert len(norm_calls) == 2
-    # a bit-equal copy, and another rho, reuse both norms
+    assert decompositions == once
+    # a bit-equal copy, and another rho, reuse the entry
     assert lipschitz_nu(problem, 2.0, theta.copy()) == fresh
     lipschitz_nu(problem, 5.0, theta)
     assert iteration_budget(problem, 2.0, theta, 1e-3) > 0
-    assert len(norm_calls) == 2
+    assert decompositions == once
     # one entry off recomputes
-    other = theta.copy()
-    other[3, 4] = other[4, 3] = other[3, 4] + 1e-3
-    assert lipschitz_nu(problem, 2.0, other) == (
-        spectral_norm(other) + 2.0 * spectral_norm(instance.sector_matrix) ** 2)
-    assert len(norm_calls) == 4
+    assert lipschitz_nu(problem, 2.0, other) == want_other
+    assert decompositions == 2 * once
     # mutating the caller's array in place cannot hit the stale entry
     other *= 2.0
-    assert lipschitz_nu(problem, 2.0, other) == (
-        spectral_norm(other) + 2.0 * spectral_norm(instance.sector_matrix) ** 2)
-    assert len(norm_calls) == 6
+    assert lipschitz_nu(problem, 2.0, other) == want_doubled
+    assert decompositions == 3 * once
     # dataclasses.replace starts an empty memo
-    assert lipschitz_nu(dataclasses.replace(problem), 2.0, other) == lipschitz_nu(
-        problem, 2.0, other)
-    assert len(norm_calls) == 8
+    assert lipschitz_nu(dataclasses.replace(problem), 2.0, other) == want_doubled
+    assert decompositions == 4 * once
+    # lipschitz_nu, iteration_budget and apg_solve on one theta share one
+    # decomposition, which also gives apg_solve its mu
+    decompositions.clear()
+    unused = dataclasses.replace(problem)
+    lam, x0 = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
+    lipschitz_nu(unused, 2.0, theta)
+    iteration_budget(unused, 2.0, theta, 1e-3)
+    apg_solve(unused, x0, lam, 2.0, theta, ApgConfig(alpha=1e-3))
+    assert decompositions == once
+    # so does a run of several epochs on a frozen estimate
+    decompositions.clear()
+    penalty, inexact = make_constant_schedule(1e-2, 2.0, learner_known=True)
+    trace = alm_run(dataclasses.replace(problem), FrozenLearner(theta), penalty,
+                    inexact, x0=x0, theta_star=instance.sigma,
+                    stop=StopRule(max_outer=4))
+    assert len(trace) == 4
+    assert decompositions == once
 
 
-def test_lipschitz_memo_follows_theta_dependent_constraints(norm_calls):
+def test_lipschitz_memo_follows_theta_dependent_constraints(decompositions):
     # the toy problem's A depends on theta, so its norm must follow theta
     toy = make_toy_problem()
+    decompositions.clear()  # lambda_min(P), taken when the toy is built
     for theta in (np.array([0.3, 1.0]), np.array([-0.7, 1.0]), np.array([0.3, 1.0])):
         A = toy.constraint_matrix(theta)
-        want = toy.smooth_lipschitz(theta) + 3.0 * spectral_norm(A) ** 2
+        want = toy.smooth_curvature(theta)[0] + 3.0 * spectral_norm(A) ** 2
         assert lipschitz_nu(toy, 3.0, theta) == want
         assert lipschitz_nu(toy, 3.0, theta) == want
-    assert len(norm_calls) == 3
+    assert decompositions == 3 * [("svd", (2, 3))]
 
 
 def test_lipschitz_memo_is_consistent_across_threads():
@@ -199,6 +236,24 @@ def test_memoized_lipschitz_bounds_gradient_differences(F, rho, seed):
         x = random_simplex_point(gen, instance.n)
         y = random_simplex_point(gen, instance.n)
         diff = grad_nu(problem, x, lam, rho, theta) - grad_nu(problem, y, lam, rho, theta)
+        assert np.linalg.norm(diff) <= L * np.linalg.norm(x - y) * (1 + 1e-10) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, 2, elements=st.floats(-5.0, 5.0)),
+       st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
+def test_memoized_lipschitz_bounds_toy_gradient_differences(theta, rho, seed):
+    # as above, on the toy problem, whose A(theta) = A0 + theta_0 A1 moves
+    # with theta, so the penalty's curvature rho ||A(theta)||^2 does too
+    toy = make_toy_problem()
+    gen = np.random.default_rng(seed)
+    lam = np.abs(gen.standard_normal(2))
+    L = lipschitz_nu(toy, rho, theta)
+    assert lipschitz_nu(toy, rho, theta.copy()) == L
+    for _ in range(10):
+        x = random_simplex_point(gen, 3)
+        y = random_simplex_point(gen, 3)
+        diff = grad_nu(toy, x, lam, rho, theta) - grad_nu(toy, y, lam, rho, theta)
         assert np.linalg.norm(diff) <= L * np.linalg.norm(x - y) * (1 + 1e-10) + 1e-12
 
 
@@ -254,7 +309,7 @@ def test_prox_fixed_point_at_solution():
         constraint_offset=lambda th: np.array([-1.0]),
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
-        smooth_lipschitz=lambda th: 1.0,
+        smooth_curvature=lambda th: (1.0, 0.0),
     )
     x_star = project_simplex(v)
     g = grad_nu(problem, x_star, np.zeros(1), 1.0, None)
@@ -285,9 +340,8 @@ def _simplex_qp_problem(Q, c):
         constraint_offset=lambda th: np.array([-1.0]),  # h = -1 <= 0: inert
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
-        smooth_lipschitz=lambda th: L_Q,
+        smooth_curvature=lambda th: (L_Q, mu_Q),
         linear_minimizer=vertex,
-        smooth_convexity=lambda th: mu_Q,
     )
 
 
@@ -411,9 +465,11 @@ def test_budget_mode_runs_exact_budget(rng, toy_problem):
     x, steps = apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
     assert steps == want < iteration_budget(toy_problem, rho, theta, alpha)
     assert toy_problem.membership(x)
-    # without a convexity modulus or a certificate the a-priori budget runs
-    for fallback in ({"smooth_convexity": None}, {"linear_minimizer": None},
-                     {"smooth_convexity": lambda th: 0.0}):
+    # without a convexity modulus (mu = 0) or a certificate the a-priori
+    # budget runs
+    L_p = toy_problem.smooth_curvature(theta)[0]
+    for fallback in ({"linear_minimizer": None},
+                     {"smooth_curvature": lambda th: (L_p, 0.0)}):
         plain = dataclasses.replace(toy_problem, **fallback)
         _, steps = apg_solve(plain, x0, lam, rho, theta, ApgConfig(alpha=alpha))
         assert steps == iteration_budget(toy_problem, rho, theta, alpha)

@@ -210,6 +210,33 @@ def test_portfolio_constraints_theta_free(rng):
     assert problem.constants.L_h_theta == 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10).flatmap(
+           lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))),
+       st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_portfolio_curvature_brackets_the_spectrum(M, shift, seed):
+    # symmetric theta, indefinite ones included: L_p bounds the spectral
+    # norm from above, mu the smallest eigenvalue from below, and a positive
+    # mu is a strong-convexity modulus of p(.; theta) between simplex points
+    # (mu = 0 claims none, and p need not be convex)
+    n = M.shape[0]
+    theta = 0.5 * (M + M.T) + shift * np.eye(n)
+    _, problem = make_small_portfolio(n=n, s=1)
+    L_p, mu = problem.smooth_curvature(theta)
+    assert L_p >= np.linalg.norm(theta, 2)
+    assert 0.0 <= mu <= max(float(np.linalg.eigvalsh(theta)[0]), 0.0)
+    if mu == 0.0:
+        return
+    gen = np.random.default_rng(seed)
+    tol = 1e-12 * (1.0 + L_p)
+    for _ in range(10):
+        x, y = random_simplex_point(gen, n), random_simplex_point(gen, n)
+        px, gx = problem.smooth_value_grad(x, theta)
+        py, _ = problem.smooth_value_grad(y, theta)
+        d = y - x
+        assert py >= px + float(gx @ d) + 0.5 * mu * float(d @ d) - tol
+
+
 def test_instance_json_round_trip(tmp_path):
     instance, _ = make_small_portfolio()
     path = tmp_path / "instance.json"

@@ -47,7 +47,7 @@ def tiny_capped_qp():
         constraint_offset=lambda th: -b,
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
-        smooth_lipschitz=lambda th: 1.0,
+        smooth_curvature=lambda th: (1.0, 0.0),
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
         linear_minimizer=lambda g: np.eye(2)[int(np.argmin(g))],
@@ -159,7 +159,7 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
         constraint_offset=lambda th: np.array([-10.0]),
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
-        smooth_lipschitz=lambda th: 1.0,
+        smooth_curvature=lambda th: (1.0, 0.0),
         linear_minimizer=lambda g: np.eye(n)[int(np.argmin(g))],
     )
     theta = np.zeros(1)
