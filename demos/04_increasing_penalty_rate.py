@@ -19,9 +19,9 @@ beta, tau = 1.05, 0.91
 sigma_star = bundle.sigma_star
 sigma0 = 1.3 * sigma_star
 learner = SyntheticLearner(sigma_star, sigma0, tau)
-penalty, inexact = make_increasing_schedule(1.0, beta, 1.0, 1e-3, tau)
+schedule = make_increasing_schedule(1.0, beta, 1.0, 1e-3, tau)
 
-trace = alm_run(problem, learner, penalty, inexact,
+trace = alm_run(problem, learner, schedule,
                 np.full(config.n, 1.0 / config.n), theta_star=sigma_star,
                 stop=StopRule(max_outer=40), reference=bundle.reference)
 

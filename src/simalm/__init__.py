@@ -1,8 +1,8 @@
 """Inexact augmented Lagrangian solver for conic programs with learned data.
 
 The solver interleaves one learning update of an unknown problem parameter
-with one inexact multiplier step per epoch, supports constant and geometric
-penalty schedules with matched inexactness sequences, evaluates the
+with one inexact multiplier step per epoch, supports one schedule family
+(a constant or geometric penalty with its matched inexactness), evaluates the
 corresponding theoretical rate curves, and ships a sector-constrained
 portfolio experiment harness with a CLI.
 """
@@ -16,9 +16,8 @@ from .al_core import dual_update, eval_L, grad_lambda_L
 from .inner_apg import (ApgConfig, BudgetError, apg_solve, certified_solve,
                         fista, grad_nu, iteration_budget, lipschitz_nu,
                         nu_value)
-from .outer_alm import (AlmRecord, AlmTrace, InexactnessSchedule,
-                        NonFiniteError, PenaltySchedule, ScheduleError,
-                        StopRule, alm_run, make_constant_schedule,
+from .outer_alm import (AlmRecord, AlmTrace, NonFiniteError, Schedule,
+                        ScheduleError, StopRule, alm_run, make_constant_schedule,
                         make_increasing_schedule, sequential_baseline)
 from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem, ScsState,
                        SyntheticLearner, admm_solve, eigh_clip, estimate_tau,

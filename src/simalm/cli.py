@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .experiments import (ExperimentConfig, bound_inputs_for_run,
                           prepare_bundle, run_seq_vs_sim, run_solve, run_table,
-                          save_bundle, write_seqsim, write_table, _schedules)
+                          save_bundle, write_seqsim, write_table, _schedule)
 from .bounds import bound_report
 from .inner_apg import BudgetError
 from .outer_alm import BOUND_COLUMNS, ScheduleError
@@ -121,8 +121,7 @@ def _cmd_bounds(config, out):
     bundle = prepare_bundle(config)
     reports = []
     for eps in config.epsilon:
-        penalty, inexact = _schedules(config, bundle, eps)
-        inputs = bound_inputs_for_run(bundle, penalty, inexact,
+        inputs = bound_inputs_for_run(bundle, _schedule(config, bundle, eps),
                                       config.specification)
         reports.append((eps, bound_report(inputs)))
     names = sorted(reports[0][1]["constants"])

@@ -58,6 +58,9 @@ _GENERATOR = {
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}
 
 _RATE_FLOOR = 1e-10  # relative learner errors _certified_rate leaves out
+# Linear rate of the learner that already holds Sigma*: its schedule is
+# validated against it and its bound inputs use it
+_KNOWN_RATE = 0.5
 _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
 _DUAL_GAP_MAX_ITER = 400_000
 
@@ -319,31 +322,31 @@ def save_bundle(bundle, out_dir):
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
-def _schedules(config, bundle, epsilon, specification=None, regime=None):
+def _schedule(config, bundle, epsilon, specification=None, regime=None):
     regime = regime or config.regime
     spec = specification or config.specification
     if regime == "constant":
         return make_constant_schedule(epsilon, config.rho_o, spec == "known",
                                       c=config.c)
-    tau = bundle.tau_hat if spec == "learned" else 1e-9
+    tau = bundle.tau_hat if spec == "learned" else _KNOWN_RATE
     return make_increasing_schedule(config.rho_o, config.beta, 1.0, config.c, tau)
 
 
 def _learner(bundle, specification):
     if specification == "known":
-        return SyntheticLearner(bundle.sigma_star, bundle.sigma_star, 0.5)
+        return SyntheticLearner(bundle.sigma_star, bundle.sigma_star, _KNOWN_RATE)
     return AdmmScsLearner(bundle.scs, sigma_ref=bundle.sigma_star)
 
 
-def bound_inputs_for_run(bundle, penalty, inexact, specification):
+def bound_inputs_for_run(bundle, schedule, specification):
     """Assemble the theoretical-bound inputs for one configured run."""
     constants = bundle.problem().constants
     known = specification == "known"
     lam_star = bundle.reference.lambda_norm
     return BoundInputs(
-        rho0=penalty.rho0, beta=penalty.beta,
-        alpha0=inexact.alpha0, c=inexact.c,
-        tau=bundle.tau_cert if not known else 0.5,
+        rho0=schedule.rho0, beta=schedule.beta,
+        alpha0=schedule.alpha0, c=schedule.c,
+        tau=bundle.tau_cert if not known else _KNOWN_RATE,
         theta0_err=0.0 if known else bundle.theta0_err,
         lambda0_err=lam_star, lambda_star_norm=lam_star, lambda0_norm=0.0,
         kappa=constants.kappa, L_f=constants.L_f,
@@ -402,15 +405,15 @@ def run_solve(config, epsilon, bundle, specification=None, regime=None):
     """One full run at a target accuracy; returns (trace, bound curves)."""
     regime = regime or config.regime
     spec = specification or config.specification
-    penalty, inexact = _schedules(config, bundle, epsilon, spec, regime)
+    schedule = _schedule(config, bundle, epsilon, spec, regime)
     problem = bundle.problem()
     learner = _learner(bundle, spec)
     x0 = np.full(config.n, 1.0 / config.n)
     stop = StopRule(max_outer=_MAX_OUTER[regime][spec], epsilon=epsilon)
-    trace = alm_run(problem, learner, penalty, inexact, x0,
+    trace = alm_run(problem, learner, schedule, x0,
                     theta_star=bundle.sigma_star, stop=stop,
                     reference=bundle.reference)
-    inputs = bound_inputs_for_run(bundle, penalty, inexact, spec)
+    inputs = bound_inputs_for_run(bundle, schedule, spec)
     curves = bound_curves_for_trace(trace, inputs, bundle.reference.f_value)
     return trace, curves
 
@@ -481,15 +484,15 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
     problem = bundle.problem()
     f_star = bundle.reference.f_value
     x0 = np.full(config.n, 1.0 / config.n)
-    penalty, inexact = _schedules(config, bundle, epsilon=1e-2,
-                                  specification="learned", regime="increasing")
+    schedule = _schedule(config, bundle, epsilon=1e-2,
+                          specification="learned", regime="increasing")
     stop = StopRule(max_outer=max_outer)
 
     curves = {}
     for budget in config.sequential_budgets:
         learner = AdmmScsLearner(bundle.scs, sigma_ref=bundle.sigma_star)
         trace = sequential_baseline(
-            problem, learner, budget, penalty, inexact, x0,
+            problem, learner, budget, schedule, x0,
             theta_star=bundle.sigma_star, stop=stop, reference=bundle.reference,
             apg_mode="certified")
         work, subopt = _work_curve(trace, f_star, learn_prefix=budget)
@@ -499,7 +502,7 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
         }
 
     learner = AdmmScsLearner(bundle.scs, sigma_ref=bundle.sigma_star)
-    trace = alm_run(problem, learner, penalty, inexact, x0,
+    trace = alm_run(problem, learner, schedule, x0,
                     theta_star=bundle.sigma_star, stop=stop,
                     reference=bundle.reference, apg_mode="certified")
     work, subopt = _work_curve(trace, f_star, learn_prefix=0, interleaved=True)

@@ -30,6 +30,9 @@ __all__ = [
 
 
 _MEMBERSHIP_TOL = 1e-9  # slack of the portfolio's simplex-membership check
+# eigvalsh's extreme eigenvalue can sit up to ~24 ulps inside the exact one
+# (measured for n = 2..100), more than n ulps when n is small
+_MIN_MARGIN_ULPS = 32
 
 
 class NonFiniteError(RuntimeError):
@@ -260,10 +263,10 @@ def portfolio_problem(instance, kappa=1.0):
     cone is the nonnegative orthant: h(x) = A x - b must be <= 0. The
     curvature oracle smooth_curvature(theta) takes one spectrum of the
     symmetric theta from np.linalg.eigvalsh and widens it by the rounding
-    margin n * eps * max |eigenvalue|: L_p is max |eigenvalue| (the spectral
-    norm) plus the margin, and mu is the smallest eigenvalue less the
-    margin, floored at 0. So L_p bounds the curvature from above and mu
-    from below, also for an indefinite theta.
+    margin max(n, 32) * eps * max |eigenvalue|: L_p is max |eigenvalue|
+    (the spectral norm) plus the margin, and mu is the smallest eigenvalue
+    less the margin, floored at 0. So L_p bounds the curvature from above
+    and mu from below, also for an indefinite theta.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, and L_h_theta = 0 because
@@ -304,7 +307,7 @@ def portfolio_problem(instance, kappa=1.0):
     def smooth_curvature(theta):
         eig = np.linalg.eigvalsh(theta)
         top = float(max(-eig[0], eig[-1]))
-        margin = eig.size * np.finfo(float).eps * top
+        margin = max(eig.size, _MIN_MARGIN_ULPS) * np.finfo(float).eps * top
         return top + margin, max(0.0, float(eig[0]) - margin)
 
     constants = ProblemConstants(

@@ -1,16 +1,17 @@
-"""Outer multiplier loop: schedules, the run driver, and run traces.
+"""Outer multiplier loop: the schedule, the run driver, and run traces.
 
 One outer epoch k requests the parameter estimate theta_k from the learner
 (only estimates up to the current epoch are ever revealed), solves the
 penalized subproblem to inexactness alpha_k warm-started at the previous
-iterate, and applies the multiplier update with penalty rho_k. Two penalty
-regimes are supported:
+iterate, and applies the multiplier update with penalty rho_k. One
+`Schedule` gives both sequences, rho_k = rho0 beta^k and alpha_k =
+alpha0 / ((k+1)^(2(1+c)) beta^k), in one of two regimes:
 
-* constant rho: inexactness alpha_k = alpha0 / (k+1)^(2(1+c)); the running
-  average of the iterates is the reported solution;
-* geometric rho_k = rho0 beta^k with alpha_k additionally divided by
-  beta^k; the last iterate is reported. This regime requires beta * tau < 1
-  against the learner's linear rate.
+* constant (beta == 1): the running average of the iterates is the
+  reported solution;
+* geometric (beta > 1): the last iterate is reported. The schedule holds
+  the learner's linear rate tau and requires beta * tau < 1; alm_run checks
+  the rate the learner itself reports, when it reports one, as well.
 
 The outer loop is sequential by construction; the learner may live
 elsewhere as long as step() blocks until the next estimate is available.
@@ -29,10 +30,9 @@ from .inner_apg import ApgConfig, apg_solve, certified_solve
 from .model import NonFiniteError, evaluate_f, infeasibility
 
 __all__ = [
-    "ScheduleError", "NonFiniteError", "PenaltySchedule",
-    "InexactnessSchedule", "StopRule", "AlmRecord", "AlmTrace",
-    "make_constant_schedule", "make_increasing_schedule", "alm_run",
-    "sequential_baseline", "TRACE_COLUMNS", "BOUND_COLUMNS",
+    "ScheduleError", "NonFiniteError", "Schedule", "StopRule", "AlmRecord",
+    "AlmTrace", "make_constant_schedule", "make_increasing_schedule",
+    "alm_run", "sequential_baseline", "TRACE_COLUMNS", "BOUND_COLUMNS",
 ]
 
 TRACE_COLUMNS = ("k", "rho_k", "alpha_k", "inner_iters", "f_rel_subopt",
@@ -51,28 +51,42 @@ def _check_finite(where, **arrays):
             raise NonFiniteError(f"non-finite {name} at {where}")
 
 
+def _check_rate(beta, tau):
+    if beta * tau >= 1.0:
+        raise ScheduleError(
+            f"penalty growth is incompatible with the learning rate: "
+            f"beta * tau = {beta * tau:.6g} must be below 1")
+
+
 @dataclass(frozen=True)
-class PenaltySchedule:
-    """Penalty sequence rho_k = rho0 * beta^k (beta == 1 means constant)."""
+class Schedule:
+    """Penalty rho_k = rho0 beta^k and inexactness alpha0 / ((k+1)^(2(1+c)) beta^k).
+
+    beta == 1 is the constant regime. With c > 0 the square roots of alpha_k
+    sum to a finite value, which every constant-penalty guarantee relies on;
+    dividing by beta^k keeps sum sqrt(alpha_k rho_k) finite as well. A
+    geometric schedule (beta > 1) needs the learner's linear rate tau in
+    (0, 1) with beta * tau < 1.
+    """
 
     rho0: float
+    alpha0: float
+    c: float
     beta: float = 1.0
+    tau: Optional[float] = None
 
     def __post_init__(self):
         if self.rho0 <= 0:
             raise ScheduleError("rho0 must be positive")
+        if self.alpha0 <= 0 or self.c <= 0:
+            raise ScheduleError("alpha0 and c must be positive")
         if self.beta < 1.0:
             raise ScheduleError("beta must be at least 1")
-
-    @classmethod
-    def constant(cls, rho):
-        return cls(rho0=rho, beta=1.0)
-
-    @classmethod
-    def geometric(cls, rho0, beta):
-        if beta <= 1.0:
-            raise ScheduleError("geometric schedule needs beta > 1")
-        return cls(rho0=rho0, beta=beta)
+        if self.is_geometric:
+            if self.tau is None or not 0.0 < self.tau < 1.0:
+                raise ScheduleError(
+                    "a geometric schedule needs a learning rate tau in (0, 1)")
+            _check_rate(self.beta, self.tau)
 
     @property
     def is_geometric(self):
@@ -81,32 +95,8 @@ class PenaltySchedule:
     def rho(self, k):
         return self.rho0 * self.beta ** k
 
-
-@dataclass(frozen=True)
-class InexactnessSchedule:
-    """Inexactness sequence alpha0 / (k+1)^(2(1+c)), optionally / beta^k.
-
-    With c > 0 the square roots sum to a finite value, which every
-    constant-penalty guarantee relies on; the geometric variant additionally
-    keeps sum sqrt(alpha_k rho_k) finite.
-    """
-
-    alpha0: float
-    c: float
-    geometric_decay: bool = False
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha0 <= 0 or self.c <= 0:
-            raise ScheduleError("alpha0 and c must be positive")
-        if self.geometric_decay and self.beta <= 1.0:
-            raise ScheduleError("geometric decay needs beta > 1")
-
     def alpha(self, k):
-        a = self.alpha0 / (k + 1.0) ** (2.0 * (1.0 + self.c))
-        if self.geometric_decay:
-            a /= self.beta ** k
-        return a
+        return self.alpha0 / (k + 1.0) ** (2.0 * (1.0 + self.c)) / self.beta ** k
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,7 @@ class StopRule:
 
 
 def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0):
-    """Constant-penalty schedule pair for target accuracy epsilon.
+    """Constant-penalty schedule for target accuracy epsilon.
 
     With the parameter known in advance the penalty is rho_o / epsilon; under
     learning it stays at rho_o. In both cases alpha0 solves
@@ -144,12 +134,11 @@ def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0):
         raise ScheduleError("rho_o must be positive")
     rho = rho_o / epsilon if learner_known else rho_o
     series = inverse_power_series(1.0 + c)
-    alpha0 = 1.0 / (2.0 * rho * series ** 2)
-    return PenaltySchedule.constant(rho), InexactnessSchedule(alpha0=alpha0, c=c)
+    return Schedule(rho0=rho, alpha0=1.0 / (2.0 * rho * series ** 2), c=c)
 
 
 def make_increasing_schedule(rho0, beta, alpha0, c, tau):
-    """Geometric-penalty schedule pair rho_k = rho0 beta^k.
+    """Geometric-penalty schedule rho_k = rho0 beta^k against learning rate tau.
 
     Requires beta > 1, tau in (0, 1), and beta * tau < 1; the inexactness
     form alpha0 / ((k+1)^(2(1+c)) beta^k) makes sum sqrt(alpha_k rho_k) =
@@ -157,14 +146,7 @@ def make_increasing_schedule(rho0, beta, alpha0, c, tau):
     """
     if beta <= 1.0:
         raise ScheduleError("beta must exceed 1")
-    if not 0.0 < tau < 1.0:
-        raise ScheduleError("tau must lie in (0, 1)")
-    if beta * tau >= 1.0:
-        raise ScheduleError(
-            f"penalty growth is incompatible with the learning rate: "
-            f"beta * tau = {beta * tau:.6g} must be below 1")
-    return (PenaltySchedule.geometric(rho0, beta),
-            InexactnessSchedule(alpha0=alpha0, c=c, geometric_decay=True, beta=beta))
+    return Schedule(rho0=rho0, alpha0=alpha0, c=c, beta=beta, tau=tau)
 
 
 @dataclass
@@ -267,7 +249,7 @@ def _learner_rate(learner):
         return None
 
 
-def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
+def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
             stop=StopRule(max_outer=50), reference=None, apg_mode="budget"):
     """Run the inexact multiplier scheme and return its trace.
 
@@ -276,7 +258,8 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
     problem : ParametricProblem
     learner : object with .theta, .step(), .steps_taken
         Supplies theta_k; at epoch k exactly k step() calls have been made.
-    penalty, inexact : schedules for rho_k and alpha_k.
+    schedule : Schedule giving rho_k and alpha_k; a geometric one is also
+        checked against the rate the learner reports, when it reports one.
     x0 : starting point in X.
     theta_star : true parameter used for reporting objective values,
         infeasibility, and parameter errors.
@@ -292,12 +275,10 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
     itself meets one.
     """
-    if penalty.is_geometric:
+    if schedule.is_geometric:
         tau = _learner_rate(learner)
-        if tau is not None and penalty.beta * tau >= 1.0:
-            raise ScheduleError(
-                f"penalty growth is incompatible with the learning rate: "
-                f"beta * tau = {penalty.beta * tau:.6g} must be below 1")
+        if tau is not None:
+            _check_rate(schedule.beta, tau)
     m = problem.cone.dim
     lam = np.zeros(m) if lambda0 is None else np.asarray(lambda0, dtype=float)
     lam = problem.cone.project_dual(lam)
@@ -305,7 +286,7 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
     if problem.membership is not None and not problem.membership(x):
         raise ValueError("x0 is not a member of X")
 
-    trace = AlmTrace(regime="increasing" if penalty.is_geometric else "constant",
+    trace = AlmTrace(regime="increasing" if schedule.is_geometric else "constant",
                      f_star=None if reference is None else reference.f_value)
     x_sum = np.zeros_like(x)
     cpu_learn = 0.0
@@ -320,8 +301,8 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
         t1 = time.perf_counter()
         cpu_learn += t1 - t0
 
-        rho_k = penalty.rho(k)
-        alpha_k = inexact.alpha(k)
+        rho_k = schedule.rho(k)
+        alpha_k = schedule.alpha(k)
         try:
             if apg_mode == "budget":
                 x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
@@ -361,7 +342,7 @@ def alm_run(problem, learner, penalty, inexact, x0, theta_star, lambda0=None,
     return trace
 
 
-def sequential_baseline(problem, learner, learn_budget, penalty, inexact, x0,
+def sequential_baseline(problem, learner, learn_budget, schedule, x0,
                         theta_star, **run_kwargs):
     """Learn-then-optimize baseline.
 
@@ -401,7 +382,7 @@ def sequential_baseline(problem, learner, learn_budget, penalty, inexact, x0,
         ))
 
     frozen = FrozenLearner(learner.theta)
-    trace = alm_run(problem, frozen, penalty, inexact, x0, theta_star, **run_kwargs)
+    trace = alm_run(problem, frozen, schedule, x0, theta_star, **run_kwargs)
     for rec in trace.records:
         rec.k += learn_budget
         rec.cpu_learn_s += cpu_learn

@@ -24,7 +24,7 @@ from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
 from simalm.experiments import (ExperimentConfig, bound_inputs_for_run,
                                 dual_gap_estimates, prepare_bundle,
-                                run_seq_vs_sim, run_solve, _schedules)
+                                run_seq_vs_sim, run_solve, _schedule)
 from simalm.inner_apg import grad_nu, nu_value
 from simalm.learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
                              admm_solve, scs_admm_step, scs_init)
@@ -178,9 +178,8 @@ def test_criterion_5_misspecified_constant_penalty(desk_bundle, desk_problem):
         assert last.infeas_at_theta_star <= eps
         if eps == 1e-2:
             assert len(trace) <= 9  # single-digit outer count
-        penalty, inexact = _schedules(DESK, desk_bundle, eps, "learned",
-                                      "constant")
-        inputs = bound_inputs_for_run(desk_bundle, penalty, inexact, "learned")
+        schedule = _schedule(DESK, desk_bundle, eps, "learned", "constant")
+        inputs = bound_inputs_for_run(desk_bundle, schedule, "learned")
         ks = np.arange(1, len(trace) + 1, dtype=float)
         vk = v_of_k(inputs, ks)
         infeas = trace.column("infeas_at_theta_star")
@@ -229,8 +228,8 @@ def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem
     sigma_star = desk_bundle.sigma_star
     sigma0 = 1.3 * sigma_star
     learner = SyntheticLearner(sigma_star, sigma0, tau)
-    penalty, inexact = make_increasing_schedule(1.0, beta, 1.0, 1e-3, tau)
-    trace = alm_run(desk_problem, learner, penalty, inexact,
+    schedule = make_increasing_schedule(1.0, beta, 1.0, 1e-3, tau)
+    trace = alm_run(desk_problem, learner, schedule,
                     np.full(DESK.n, 1.0 / DESK.n), theta_star=sigma_star,
                     stop=StopRule(max_outer=40),
                     reference=desk_bundle.reference)
@@ -264,14 +263,14 @@ def test_criterion_7_schedule_validators():
         make_increasing_schedule(1.0, 1.2, 1.0, 1e-3, 0.91)  # beta*tau = 1.092
     make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.91)  # beta*tau = 0.9555
     for rho_o, eps, c in [(1.0, 1e-2, 1.0), (1.0, 1e-2, 1e-3), (3.0, 0.2, 0.7)]:
-        penalty, inexact = make_constant_schedule(eps, rho_o, True, c=c)
-        rho = penalty.rho(0)
+        schedule = make_constant_schedule(eps, rho_o, True, c=c)
+        rho = schedule.rho(0)
         # independent series evaluation: long partial sum + integral tail
         k = np.arange(1, 2_000_000, dtype=float)
         series = float(np.sum(k ** -(1.0 + c)))
         K = 2_000_000.0
         series += K ** (-c) / c + 0.5 * K ** -(1.0 + c)
-        residual = abs(math.sqrt(inexact.alpha0) * series
+        residual = abs(math.sqrt(schedule.alpha0) * series
                        - 1.0 / math.sqrt(2.0 * rho))
         assert residual <= 1e-10
     _report(7, "growth validator and inexactness normalization verified",

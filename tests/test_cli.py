@@ -50,6 +50,14 @@ def test_incompatible_penalty_growth_is_config_error(tmp_path):
     assert res.returncode == 2
 
 
+def test_increasing_regime_without_growth_is_config_error(tmp_path):
+    # beta = 1 would silently run the constant regime
+    cfg = small_config(tmp_path, "flat", regime="increasing", beta=1.0)
+    res = run_cli("table", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "beta must exceed 1" in res.stderr
+
+
 def test_generate_writes_instance_files(tmp_path):
     cfg = small_config(tmp_path, "gen")
     res = run_cli("generate", "--config", str(cfg))

@@ -1,18 +1,21 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from simalm import experiments
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace,
                                 generate_instance, make_sectors,
                                 portfolio_kappa, prepare_bundle,
                                 run_seq_vs_sim, run_solve, run_table,
-                                write_seqsim, write_table)
+                                write_seqsim, write_table, _schedule)
 from simalm.linalg import spectral_norm
-from simalm.outer_alm import AlmRecord, AlmTrace, TRACE_COLUMNS, BOUND_COLUMNS
+from simalm.outer_alm import (AlmRecord, AlmTrace, Schedule, ScheduleError,
+                              TRACE_COLUMNS, BOUND_COLUMNS)
 
 
 @pytest.fixture(scope="module")
@@ -170,15 +173,39 @@ def test_trivially_feasible_instance_converges_at_first_epoch(small_bundle):
         seed=base.seed)
     problem = portfolio_problem(inst)
     reference = portfolio_reference(inst)
-    penalty, inexact = make_constant_schedule(0.5, 1.0, learner_known=True)
+    schedule = make_constant_schedule(0.5, 1.0, learner_known=True)
     learner = SyntheticLearner(inst.sigma, inst.sigma, 0.5)
-    trace = alm_run(problem, learner, penalty, inexact,
+    trace = alm_run(problem, learner, schedule,
                     x0=np.full(inst.n, 1.0 / inst.n), theta_star=inst.sigma,
                     stop=StopRule(max_outer=10, epsilon=0.5),
                     reference=reference)
     assert trace.converged
     assert len(trace) == 1
     assert trace.records[0].infeas_at_theta_star == 0.0
+
+
+def test_increasing_schedule_is_checked_against_the_admm_rate(
+        monkeypatch, small_config, small_bundle):
+    # the ADMM learner reports no rate at epoch 0, so the schedule's tau_hat
+    # is what stops a penalty that outgrows the learner, before any epoch
+    config = dataclasses.replace(small_config, regime="increasing",
+                                 beta=1.83 / small_bundle.tau_hat)
+    monkeypatch.setattr(experiments, "alm_run",
+                        lambda *args, **kwargs: pytest.fail("an epoch ran"))
+    with pytest.raises(ScheduleError, match="beta \\* tau = 1.83 "):
+        run_solve(config, 0.1, small_bundle)
+    # and no geometric schedule exists without a rate to check
+    with pytest.raises(ScheduleError, match="learning rate tau"):
+        Schedule(rho0=1.0, alpha0=1.0, c=1e-3, beta=1.05)
+
+
+def test_known_schedule_is_checked_against_the_known_rate(small_config,
+                                                          small_bundle):
+    config = dataclasses.replace(small_config, regime="increasing",
+                                 specification="known")
+    assert _schedule(config, small_bundle, 0.1).tau == 0.5
+    with pytest.raises(ScheduleError, match="beta \\* tau = 1.1 "):
+        _schedule(dataclasses.replace(config, beta=2.2), small_bundle, 0.1)
 
 
 def test_solve_emits_bound_overlay_columns(tmp_path, small_config, small_bundle):

@@ -128,10 +128,11 @@ def decompositions(monkeypatch):
 
 
 def _portfolio_lipschitz(theta, A, rho):
-    # max |eigenvalue| widened by the n eps rounding margin, plus rho ||A||^2
+    # max |eigenvalue| widened by the max(n, 32) eps rounding margin, plus rho ||A||^2
     eig = np.linalg.eigvalsh(theta)
     top = max(-eig[0], eig[-1])
-    return top + eig.size * np.finfo(float).eps * top + rho * spectral_norm(A) ** 2
+    margin = max(eig.size, 32) * np.finfo(float).eps * top
+    return top + margin + rho * spectral_norm(A) ** 2
 
 
 def test_lipschitz_norms_computed_once_per_theta(decompositions):
@@ -174,9 +175,9 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     assert decompositions == once
     # so does a run of several epochs on a frozen estimate
     decompositions.clear()
-    penalty, inexact = make_constant_schedule(1e-2, 2.0, learner_known=True)
-    trace = alm_run(dataclasses.replace(problem), FrozenLearner(theta), penalty,
-                    inexact, x0=x0, theta_star=instance.sigma,
+    schedule = make_constant_schedule(1e-2, 2.0, learner_known=True)
+    trace = alm_run(dataclasses.replace(problem), FrozenLearner(theta), schedule,
+                    x0=x0, theta_star=instance.sigma,
                     stop=StopRule(max_outer=4))
     assert len(trace) == 4
     assert decompositions == once

@@ -214,6 +214,9 @@ def test_portfolio_constraints_theta_free(rng):
 @given(st.integers(2, 10).flatmap(
            lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))),
        st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+@example(np.array([[0.0, 0.5, -0.29086416414316385],
+                   [0.0, 0.29086416414316385, 0.0],
+                   [0.5758321537567381, 0.0, 0.0]]), 0.0, 0)
 def test_portfolio_curvature_brackets_the_spectrum(M, shift, seed):
     # symmetric theta, indefinite ones included: L_p bounds the spectral
     # norm from above, mu the smallest eigenvalue from below, and a positive

@@ -13,10 +13,10 @@ from simalm.learning import SyntheticLearner
 from simalm.linalg import spectral_norm
 from simalm.model import (ParametricProblem, ProblemConstants, evaluate_f,
                           infeasibility, simplex_prox)
-from simalm.outer_alm import (InexactnessSchedule, NonFiniteError,
-                              PenaltySchedule, ScheduleError, StopRule, alm_run,
-                              make_constant_schedule, make_increasing_schedule,
-                              sequential_baseline, TRACE_COLUMNS)
+from simalm.outer_alm import (NonFiniteError, Schedule, ScheduleError,
+                              StopRule, alm_run, make_constant_schedule,
+                              make_increasing_schedule, sequential_baseline,
+                              TRACE_COLUMNS)
 from simalm.reference import ReferenceSolution, portfolio_reference
 from conftest import make_small_portfolio
 
@@ -58,34 +58,34 @@ def tiny_capped_qp():
 
 
 def test_constant_schedule_known_case():
-    penalty, inexact = make_constant_schedule(0.01, 1.0, learner_known=True)
-    assert penalty.rho(0) == pytest.approx(100.0)
-    assert not penalty.is_geometric
+    schedule = make_constant_schedule(0.01, 1.0, learner_known=True)
+    assert schedule.rho(0) == pytest.approx(100.0)
+    assert not schedule.is_geometric
 
 
 def test_constant_schedule_learning_case():
-    penalty, inexact = make_constant_schedule(0.01, 1.0, learner_known=False)
-    assert penalty.rho(5) == pytest.approx(1.0)
+    schedule = make_constant_schedule(0.01, 1.0, learner_known=False)
+    assert schedule.rho(5) == pytest.approx(1.0)
 
 
 def test_constant_schedule_alpha0_value():
     # rho = 1, c = 1: sqrt(alpha0) * zeta(2) = 1/sqrt(2)
-    _, inexact = make_constant_schedule(0.5, 0.5, learner_known=True, c=1.0)
+    schedule = make_constant_schedule(0.5, 0.5, learner_known=True, c=1.0)
     want = 1.0 / (2.0 * (np.pi ** 2 / 6.0) ** 2)
-    assert inexact.alpha0 == pytest.approx(want, rel=1e-10)
+    assert schedule.alpha0 == pytest.approx(want, rel=1e-10)
 
 
 def test_constant_schedule_alpha0_condition():
     # independent partial sum with integral-test tail
     for rho_o, eps, c in [(1.0, 0.01, 1.0), (2.0, 0.1, 1e-3), (0.7, 0.3, 0.4)]:
-        penalty, inexact = make_constant_schedule(eps, rho_o, True, c=c)
-        rho = penalty.rho(0)
+        schedule = make_constant_schedule(eps, rho_o, True, c=c)
+        rho = schedule.rho(0)
         k = np.arange(1, 2_000_000, dtype=float)
         head = np.sum(k ** -(1.0 + c))
         K = 2_000_000.0
         tail = K ** (-c) / c + 0.5 * K ** -(1.0 + c)
         series = head + tail
-        assert abs(math.sqrt(inexact.alpha0) * series - 1.0 / math.sqrt(2.0 * rho)) <= 1e-10
+        assert abs(math.sqrt(schedule.alpha0) * series - 1.0 / math.sqrt(2.0 * rho)) <= 1e-10
 
 
 def test_constant_schedule_validates_epsilon():
@@ -96,12 +96,12 @@ def test_constant_schedule_validates_epsilon():
 
 
 def test_increasing_schedule_accepts_compatible_rate():
-    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.91)
-    assert penalty.is_geometric
-    assert penalty.rho(10) == pytest.approx(1.05 ** 10)
-    assert penalty.rho(10) == pytest.approx(1.6289, abs=5e-5)
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.91)
+    assert schedule.is_geometric
+    assert schedule.rho(10) == pytest.approx(1.05 ** 10)
+    assert schedule.rho(10) == pytest.approx(1.6289, abs=5e-5)
     # alpha decays with the extra geometric factor
-    assert inexact.alpha(3) == pytest.approx(1.0 / (4.0 ** (2 * 1.001) * 1.05 ** 3))
+    assert schedule.alpha(3) == pytest.approx(1.0 / (4.0 ** (2 * 1.001) * 1.05 ** 3))
 
 
 def test_increasing_schedule_rejects_fast_growth():
@@ -117,8 +117,8 @@ def test_run_tiny_qp_reaches_kkt_solution():
     problem, reference = tiny_capped_qp()
     theta = np.zeros(1)
     learner = SyntheticLearner(theta, theta, 0.5)
-    penalty, inexact = make_constant_schedule(1e-4, 10.0, learner_known=True)
-    trace = alm_run(problem, learner, penalty, inexact,
+    schedule = make_constant_schedule(1e-4, 10.0, learner_known=True)
+    trace = alm_run(problem, learner, schedule,
                     x0=np.array([0.5, 0.5]), theta_star=theta,
                     stop=StopRule(max_outer=50, epsilon=1e-2),
                     reference=reference, apg_mode="certified")
@@ -131,9 +131,9 @@ def test_run_tiny_qp_reaches_kkt_solution():
 def test_budget_run_logs_one_debug_line_per_epoch(caplog):
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     learner = SyntheticLearner(instance.sigma, 1.4 * instance.sigma, 0.6)
-    penalty, inexact = make_constant_schedule(1e-2, 1.0, learner_known=False)
+    schedule = make_constant_schedule(1e-2, 1.0, learner_known=False)
     with caplog.at_level(logging.DEBUG, logger="simalm"):
-        trace = alm_run(problem, learner, penalty, inexact,
+        trace = alm_run(problem, learner, schedule,
                         x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
                         stop=StopRule(max_outer=6))
     lines = [r.getMessage() for r in caplog.records if r.name == "simalm"]
@@ -164,8 +164,8 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
     )
     theta = np.zeros(1)
     learner = SyntheticLearner(theta, theta, 0.9)
-    penalty, inexact = make_constant_schedule(1e-3, 1.0, learner_known=True)
-    trace = alm_run(problem, learner, penalty, inexact,
+    schedule = make_constant_schedule(1e-3, 1.0, learner_known=True)
+    trace = alm_run(problem, learner, schedule,
                     x0=np.full(n, 0.25), theta_star=theta,
                     stop=StopRule(max_outer=6), apg_mode="certified")
     for rec in trace.records:
@@ -180,10 +180,10 @@ def _misspecified_small_run(regime, tau=0.6, max_outer=25):
     learner = SyntheticLearner(sigma_star, sigma0, tau)
     reference = portfolio_reference(instance, sigma=sigma_star)
     if regime == "constant":
-        penalty, inexact = make_constant_schedule(1e-2, 1.0, learner_known=False)
+        schedule = make_constant_schedule(1e-2, 1.0, learner_known=False)
     else:
-        penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, tau)
-    trace = alm_run(problem, learner, penalty, inexact,
+        schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, tau)
+    trace = alm_run(problem, learner, schedule,
                     x0=np.full(instance.n, 0.1), theta_star=sigma_star,
                     stop=StopRule(max_outer=max_outer), reference=reference)
     # certified sensitivity constant for this family: every revealed
@@ -192,8 +192,8 @@ def _misspecified_small_run(regime, tau=0.6, max_outer=25):
                  np.linalg.eigvalsh(sigma0).min())
     kappa = spectral_norm(instance.sector_matrix) / mu_min
     inputs = BoundInputs(
-        rho0=penalty.rho0, beta=penalty.beta,
-        alpha0=inexact.alpha0, c=inexact.c, tau=tau,
+        rho0=schedule.rho0, beta=schedule.beta,
+        alpha0=schedule.alpha0, c=schedule.c, tau=tau,
         theta0_err=float(np.linalg.norm(sigma0 - sigma_star, "fro")),
         lambda0_err=reference.lambda_norm,
         lambda_star_norm=reference.lambda_norm,
@@ -216,12 +216,12 @@ def test_dual_radius_bound_on_perfectly_specified_run():
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     reference = portfolio_reference(instance)
     learner = SyntheticLearner(instance.sigma, instance.sigma, 0.5)
-    penalty, inexact = make_constant_schedule(1e-2, 1.0, learner_known=True)
-    trace = alm_run(problem, learner, penalty, inexact,
+    schedule = make_constant_schedule(1e-2, 1.0, learner_known=True)
+    trace = alm_run(problem, learner, schedule,
                     x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
                     stop=StopRule(max_outer=20, epsilon=1e-2),
                     reference=reference)
-    inputs = BoundInputs(rho0=penalty.rho0, alpha0=inexact.alpha0, c=inexact.c,
+    inputs = BoundInputs(rho0=schedule.rho0, alpha0=schedule.alpha0, c=schedule.c,
                          tau=0.5, theta0_err=0.0,
                          lambda0_err=reference.lambda_norm,
                          lambda_star_norm=reference.lambda_norm)
@@ -262,10 +262,10 @@ def test_increasing_rate_bounds_majorize_small_run():
 def test_run_rejects_incompatible_learner_rate():
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     learner = SyntheticLearner(instance.sigma, 1.5 * instance.sigma, 0.97)
-    penalty = PenaltySchedule.geometric(1.0, 1.05)
-    inexact = InexactnessSchedule(alpha0=1.0, c=1.0, geometric_decay=True, beta=1.05)
-    with pytest.raises(ScheduleError):
-        alm_run(problem, learner, penalty, inexact,
+    # the schedule's own rate passes; the rate the learner reports does not
+    schedule = Schedule(rho0=1.0, alpha0=1.0, c=1.0, beta=1.05, tau=0.5)
+    with pytest.raises(ScheduleError, match="beta \\* tau"):
+        alm_run(problem, learner, schedule,
                 x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
                 stop=StopRule(max_outer=5))
 
@@ -291,8 +291,8 @@ def test_sequential_baseline_phases():
     sigma_star = instance.sigma
     learner = SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6)
     reference = portfolio_reference(instance, sigma=sigma_star)
-    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
-    trace = sequential_baseline(problem, learner, 5, penalty, inexact,
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    trace = sequential_baseline(problem, learner, 5, schedule,
                                 x0=np.full(instance.n, 0.1),
                                 theta_star=sigma_star,
                                 stop=StopRule(max_outer=15),
@@ -317,9 +317,9 @@ def test_sequential_plateau_above_zero_budget_zero():
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     sigma_star = instance.sigma
     reference = portfolio_reference(instance, sigma=sigma_star)
-    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     learner = SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6)
-    trace = sequential_baseline(problem, learner, 0, penalty, inexact,
+    trace = sequential_baseline(problem, learner, 0, schedule,
                                 x0=np.full(instance.n, 0.1),
                                 theta_star=sigma_star,
                                 stop=StopRule(max_outer=30),
@@ -347,17 +347,17 @@ def test_non_finite_estimate_raises_naming_epoch_and_quantity():
 
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     sigma_star = instance.sigma
-    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     run = dict(x0=np.full(instance.n, 0.1), theta_star=sigma_star,
                stop=StopRule(max_outer=10))
     assert issubclass(simalm.NonFiniteError, RuntimeError)
     learner = NanAtStepLearner(sigma_star, 1.4 * sigma_star, 0.6, bad_step=2)
     with pytest.raises(NonFiniteError, match="non-finite theta at epoch 2$"):
-        alm_run(problem, learner, penalty, inexact, **run)
+        alm_run(problem, learner, schedule, **run)
     learner = NanAtStepLearner(sigma_star, 1.4 * sigma_star, 0.6, bad_step=2)
     with pytest.raises(NonFiniteError,
                        match="theta at epoch 2 of the learning phase"):
-        sequential_baseline(problem, learner, 4, penalty, inexact, **run)
+        sequential_baseline(problem, learner, 4, schedule, **run)
 
 
 def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
@@ -365,7 +365,7 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
 
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     sigma_star = instance.sigma
-    penalty, inexact = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     probe = SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6)
     probe.step()
     theta_2 = probe.step()
@@ -382,7 +382,7 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
     bad = dataclasses.replace(problem, smooth_grad=nan_midway_through_epoch_2)
     with pytest.raises(NonFiniteError, match="non-finite x at epoch 2: simplex projection"):
         alm_run(bad, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
-                penalty, inexact, x0=np.full(instance.n, 0.1),
+                schedule, x0=np.full(instance.n, 0.1),
                 theta_star=sigma_star, stop=StopRule(max_outer=10))
     assert len(calls) == 6
 
@@ -406,9 +406,9 @@ def test_non_finite_iterate_raises_naming_epoch_and_quantity(monkeypatch, oracle
     monkeypatch.setattr(outer_alm, oracle, corrupt_from_epoch_1)
     problem, _ = tiny_capped_qp()
     theta = np.zeros(1)
-    penalty, inexact = make_constant_schedule(1e-2, 1.0, learner_known=True)
+    schedule = make_constant_schedule(1e-2, 1.0, learner_known=True)
     with pytest.raises(NonFiniteError, match=f"non-finite {quantity} at epoch 1$"):
-        alm_run(problem, SyntheticLearner(theta, theta, 0.5), penalty, inexact,
+        alm_run(problem, SyntheticLearner(theta, theta, 0.5), schedule,
                 x0=np.array([0.5, 0.5]), theta_star=theta,
                 stop=StopRule(max_outer=5))
 
