@@ -16,7 +16,8 @@ config = ExperimentConfig(n=100, s=10, seed=12)
 print("preparing instance (learning limit, reference optimum)...")
 bundle = prepare_bundle(config)
 print(f"  f* = {bundle.reference.f_value:.6f}, ||lambda*|| = "
-      f"{bundle.reference.lambda_norm:.4f}, learning rate ~ {bundle.tau_hat:.2f}")
+      f"{bundle.reference.lambda_norm:.4f}, "
+      f"certified learning rate {bundle.tau_hat:.4f}")
 print(f"  binding sectors: {np.flatnonzero(bundle.binding).tolist()}, "
       f"cap {bundle.instance.sector_limits[0]:.3f}")
 

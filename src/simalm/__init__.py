@@ -20,7 +20,7 @@ from .outer_alm import (AlmRecord, AlmTrace, NonFiniteError, Schedule,
                         ScheduleError, StopRule, alm_run, make_constant_schedule,
                         make_increasing_schedule, sequential_baseline)
 from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem, ScsState,
-                       SyntheticLearner, admm_solve, eigh_clip, estimate_tau,
+                       SyntheticLearner, admm_solve, eigh_clip,
                        scs_admm_step, scs_init)
 from .bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
                      c_lambda, c_lambda_prime, dual_gap_bound,

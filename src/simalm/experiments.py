@@ -11,6 +11,7 @@ cpu_learn_s and cpu_opt_s.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -19,8 +20,7 @@ import numpy as np
 
 from .bounds import BoundInputs, bound_curves
 from .inner_apg import BudgetError, certified_solve
-from .learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
-                       admm_solve, estimate_tau)
+from .learning import AdmmScsLearner, ScsProblem, SyntheticLearner, admm_solve
 from .linalg import spectral_norm
 from .model import PortfolioInstance, portfolio_problem
 from .outer_alm import (StopRule, alm_run, make_constant_schedule,
@@ -82,8 +82,11 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if not (self.n >= self.s >= 1):
-            raise ValueError("need n >= s >= 1")
+        if not (self.n >= max(self.s, 4) and self.s >= 1):
+            raise ValueError("need n >= s >= 1 and n >= 4 (n // 2 >= 2 samples)")
+        for name in ("rho_o", "beta", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         eps = tuple(float(e) for e in self.epsilon)
         if not all(0.0 < e < 1.0 for e in eps):
             raise ValueError("epsilon values must lie in (0, 1)")
@@ -229,7 +232,10 @@ def generate_instance(config):
 
 @dataclass
 class InstanceBundle:
-    """Instance plus every derived reference quantity experiments reuse."""
+    """Instance plus every derived reference quantity experiments reuse.
+
+    tau_hat is the certified rate of learner_errors, the one learned rate.
+    """
 
     config: ExperimentConfig
     instance: PortfolioInstance
@@ -237,7 +243,6 @@ class InstanceBundle:
     sigma_star: np.ndarray
     learner_errors: np.ndarray
     tau_hat: float
-    tau_cert: float
     reference: object
     binding: np.ndarray
     admm_sweeps: int
@@ -264,12 +269,20 @@ def portfolio_kappa(instance, psd_floor):
 
 
 def _certified_rate(errors):
-    """Smallest tau with err_k <= tau^k err_0 over the err_k above _RATE_FLOOR * err_0."""
+    """Smallest tau with err_k <= tau^k err_0 over the err_k above _RATE_FLOOR * err_0.
+
+    A history that ever rises above err_0 gives a rate of at least 1, which
+    no Schedule accepts. Raises ValueError when no error after err_0 lies
+    above the floor.
+    """
     errors = np.asarray(errors, dtype=float)
     e0 = errors[0]
     rates = [(errors[k] / e0) ** (1.0 / k)
              for k in range(1, errors.size) if errors[k] > _RATE_FLOOR * e0]
-    return float(np.clip(max(rates), 1e-12, 1.0 - 1e-12))
+    if not rates:
+        raise ValueError(f"no rate from an error history of length {errors.size}: "
+                         f"no error after the first lies above {_RATE_FLOOR:g} of it")
+    return float(max(rates))
 
 
 def prepare_bundle(config):
@@ -278,7 +291,7 @@ def prepare_bundle(config):
     Runs one ADMM solve, to residual admm_tol, for Sigma* and one
     reference solve of the portfolio program at Sigma* for (x*, lambda*,
     f*): the two solves the instance draw makes to accept the instance. It
-    then fits and certifies the geometric rate of the learning iteration.
+    then certifies the geometric rate of the learning iteration, tau_hat.
     The error history is aligned with the sequence a learner reveals (the
     inert first sweep dropped), so errors[k] = ||theta_k - Sigma*|| for the
     k-th revealed estimate. The bundle's ScsProblem keeps its start
@@ -287,20 +300,17 @@ def prepare_bundle(config):
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
                        for S in info["history"][1:]])
-    usable = errors > max(100.0 * _GENERATOR["admm_tol"], 1e-12)
-    tau_hat = estimate_tau(errors[usable])
-    tau_cert = _certified_rate(errors)
     binding = (instance.sector_limits - instance.sector_matrix @ reference.x) <= 1e-7
     return InstanceBundle(
         config=config, instance=instance, scs=scs, sigma_star=sigma_star,
-        learner_errors=errors, tau_hat=tau_hat, tau_cert=tau_cert,
+        learner_errors=errors, tau_hat=_certified_rate(errors),
         reference=reference, binding=binding, admm_sweeps=info["sweeps"],
     )
 
 
 def save_bundle(bundle, out_dir):
     """Write instance.json, scs.json, sigma_star.npy, learner_errors.npy and
-    meta.json (the reference optimum, rates and generator constants)."""
+    meta.json (the reference optimum, the rate and generator constants)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle.instance.to_json(out / "instance.json")
@@ -311,7 +321,6 @@ def save_bundle(bundle, out_dir):
         "instance_key": {k: getattr(bundle.config, k) for k in ("n", "s", "seed")},
         "generator": _GENERATOR,
         "tau_hat": bundle.tau_hat,
-        "tau_cert": bundle.tau_cert,
         "f_star": bundle.reference.f_value,
         "lambda_star": bundle.reference.lam.tolist(),
         "x_star": bundle.reference.x.tolist(),
@@ -335,7 +344,7 @@ def _schedule(config, bundle, epsilon, specification=None, regime=None):
 def _learner(bundle, specification):
     if specification == "known":
         return SyntheticLearner(bundle.sigma_star, bundle.sigma_star, _KNOWN_RATE)
-    return AdmmScsLearner(bundle.scs, sigma_ref=bundle.sigma_star)
+    return AdmmScsLearner(bundle.scs)
 
 
 def bound_inputs_for_run(bundle, schedule, specification):
@@ -346,7 +355,7 @@ def bound_inputs_for_run(bundle, schedule, specification):
     return BoundInputs(
         rho0=schedule.rho0, beta=schedule.beta,
         alpha0=schedule.alpha0, c=schedule.c,
-        tau=bundle.tau_cert if not known else _KNOWN_RATE,
+        tau=_KNOWN_RATE if known else bundle.tau_hat,
         theta0_err=0.0 if known else bundle.theta0_err,
         lambda0_err=lam_star, lambda_star_norm=lam_star, lambda0_norm=0.0,
         kappa=constants.kappa, L_f=constants.L_f,
@@ -490,7 +499,7 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
 
     curves = {}
     for budget in config.sequential_budgets:
-        learner = AdmmScsLearner(bundle.scs, sigma_ref=bundle.sigma_star)
+        learner = AdmmScsLearner(bundle.scs)
         trace = sequential_baseline(
             problem, learner, budget, schedule, x0,
             theta_star=bundle.sigma_star, stop=stop, reference=bundle.reference,
@@ -501,7 +510,7 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
             "budget": budget,
         }
 
-    learner = AdmmScsLearner(bundle.scs, sigma_ref=bundle.sigma_star)
+    learner = AdmmScsLearner(bundle.scs)
     trace = alm_run(problem, learner, schedule, x0,
                     theta_star=bundle.sigma_star, stop=stop,
                     reference=bundle.reference, apg_mode="certified")

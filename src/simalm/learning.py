@@ -1,7 +1,8 @@
 """Learners that reveal the problem parameter one estimate per epoch.
 
 A learner holds the current estimate in `theta`, advances one iteration per
-`step()` call, and reports a linear convergence rate through `rate_tau()`.
+`step()` call, and counts those calls in `steps_taken`. A learner reports no
+rate: `experiments.prepare_bundle` certifies one from the error history.
 Two concrete learners are provided: an exact geometric learner for
 controlled tests, and a two-block ADMM solver for the sparse covariance
 selection problem
@@ -30,7 +31,7 @@ from .model import NonFiniteError
 __all__ = [
     "SyntheticLearner", "FrozenLearner", "ScsProblem", "ScsState",
     "eigh_clip", "scs_init", "scs_admm_step", "AdmmScsLearner",
-    "estimate_tau", "admm_solve",
+    "admm_solve",
 ]
 
 
@@ -58,15 +59,11 @@ class SyntheticLearner:
         self.theta = self.theta_star + drift
         return self.theta.copy()
 
-    def rate_tau(self):
-        return self.tau
-
 
 class FrozenLearner:
     """Degenerate learner that always reveals the same estimate.
 
-    Used by sequential baselines after their learning budget is exhausted;
-    it carries no linear-rate guarantee.
+    Used by sequential baselines after their learning budget is exhausted.
     """
 
     def __init__(self, theta):
@@ -76,9 +73,6 @@ class FrozenLearner:
     def step(self):
         self.steps_taken += 1
         return self.theta.copy()
-
-    def rate_tau(self):
-        raise ValueError("a frozen estimate has no learning rate")
 
 
 @dataclass(frozen=True)
@@ -221,22 +215,13 @@ class AdmmScsLearner:
     estimate. The start point is the problem's cached, read-only `start`,
     so learners on one ScsProblem factor S only once between them; every
     sweep factors its own target with LAPACK, with no warm start.
-    When sigma_ref (the limit point) is supplied the learner records its
-    error history, so rate_tau() can fit a geometric rate to it.
     """
 
-    def __init__(self, problem, sigma_ref=None):
+    def __init__(self, problem):
         self.problem = problem
         self.state = scs_init(problem)
         _, self.state = scs_admm_step(problem, self.state)
         self._calls = 0
-        self.sigma_ref = None if sigma_ref is None else np.asarray(sigma_ref, float)
-        self.errors = []
-        self._record_error(self.state.Sigma)
-
-    def _record_error(self, Sigma):
-        if self.sigma_ref is not None:
-            self.errors.append(float(np.linalg.norm(Sigma - self.sigma_ref, "fro")))
 
     @property
     def theta(self):
@@ -249,36 +234,10 @@ class AdmmScsLearner:
     def step(self):
         Sigma, self.state = scs_admm_step(self.problem, self.state)
         self._calls += 1
-        self._record_error(Sigma)
         return Sigma.copy()
 
-    def rate_tau(self):
-        if self.sigma_ref is None:
-            raise ValueError("rate estimation needs the reference limit point")
-        return estimate_tau(self.errors)
 
-
-_ERROR_FLOOR = 1e-14  # errors at or below it are left out of the rate fit
 _MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
-
-
-def estimate_tau(error_history):
-    """Geometric rate fitted to an error history.
-
-    Least-squares slope of log(error) against the iteration index, over the
-    errors above _ERROR_FLOOR, exponentiated and clipped into (0, 1). Raises
-    ValueError when fewer than three such errors are given or when the
-    history does not decrease overall.
-    """
-    err = np.asarray([e for e in error_history if e > _ERROR_FLOOR], dtype=float)
-    if err.size < 3:
-        raise ValueError("need at least 3 positive error values")
-    k = np.arange(err.size, dtype=float)
-    slope = np.polyfit(k, np.log(err), 1)[0]
-    if slope >= 0:
-        raise ValueError("error history is not decreasing; no geometric rate")
-    eps = np.finfo(float).tiny
-    return float(np.clip(np.exp(slope), eps, 1.0 - 1e-16))
 
 
 def admm_solve(problem, tol=1e-9, collect_history=False):

@@ -10,8 +10,8 @@ alpha0 / ((k+1)^(2(1+c)) beta^k), in one of two regimes:
 * constant (beta == 1): the running average of the iterates is the
   reported solution;
 * geometric (beta > 1): the last iterate is reported. The schedule holds
-  the learner's linear rate tau and requires beta * tau < 1; alm_run checks
-  the rate the learner itself reports, when it reports one, as well.
+  the learner's linear rate tau and requires beta * tau < 1; that check in
+  `Schedule` is the only one, since learners report no rate.
 
 The outer loop is sequential by construction; the learner may live
 elsewhere as long as step() blocks until the next estimate is available.
@@ -51,22 +51,16 @@ def _check_finite(where, **arrays):
             raise NonFiniteError(f"non-finite {name} at {where}")
 
 
-def _check_rate(beta, tau):
-    if beta * tau >= 1.0:
-        raise ScheduleError(
-            f"penalty growth is incompatible with the learning rate: "
-            f"beta * tau = {beta * tau:.6g} must be below 1")
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Penalty rho_k = rho0 beta^k and inexactness alpha0 / ((k+1)^(2(1+c)) beta^k).
 
     beta == 1 is the constant regime. With c > 0 the square roots of alpha_k
     sum to a finite value, which every constant-penalty guarantee relies on;
-    dividing by beta^k keeps sum sqrt(alpha_k rho_k) finite as well. A
-    geometric schedule (beta > 1) needs the learner's linear rate tau in
-    (0, 1) with beta * tau < 1.
+    dividing by beta^k keeps sum sqrt(alpha_k rho_k) finite as well. Every
+    field must be finite, and a given tau must lie in (0, 1). A geometric
+    schedule (beta > 1) needs the learner's linear rate tau with
+    beta * tau < 1.
     """
 
     rho0: float
@@ -76,17 +70,25 @@ class Schedule:
     tau: Optional[float] = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ScheduleError(f"{name} must be finite, got {value}")
         if self.rho0 <= 0:
             raise ScheduleError("rho0 must be positive")
         if self.alpha0 <= 0 or self.c <= 0:
             raise ScheduleError("alpha0 and c must be positive")
         if self.beta < 1.0:
             raise ScheduleError("beta must be at least 1")
+        if self.tau is not None and not 0.0 < self.tau < 1.0:
+            raise ScheduleError(f"the learning rate tau = {self.tau:.6g} "
+                                f"must lie in (0, 1)")
         if self.is_geometric:
-            if self.tau is None or not 0.0 < self.tau < 1.0:
+            if self.tau is None:
+                raise ScheduleError("a geometric schedule needs a learning rate tau")
+            if self.beta * self.tau >= 1.0:
                 raise ScheduleError(
-                    "a geometric schedule needs a learning rate tau in (0, 1)")
-            _check_rate(self.beta, self.tau)
+                    f"penalty growth is incompatible with the learning rate: "
+                    f"beta * tau = {self.beta * self.tau:.6g} must be below 1")
 
     @property
     def is_geometric(self):
@@ -242,13 +244,6 @@ def _theta_errors(theta, theta_star):
     return err, err / scale if scale > 0 else err
 
 
-def _learner_rate(learner):
-    try:
-        return learner.rate_tau()
-    except (ValueError, AttributeError):
-        return None
-
-
 def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
             stop=StopRule(max_outer=50), reference=None, apg_mode="budget"):
     """Run the inexact multiplier scheme and return its trace.
@@ -258,8 +253,7 @@ def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
     problem : ParametricProblem
     learner : object with .theta, .step(), .steps_taken
         Supplies theta_k; at epoch k exactly k step() calls have been made.
-    schedule : Schedule giving rho_k and alpha_k; a geometric one is also
-        checked against the rate the learner reports, when it reports one.
+    schedule : Schedule giving rho_k and alpha_k.
     x0 : starting point in X.
     theta_star : true parameter used for reporting objective values,
         infeasibility, and parameter errors.
@@ -275,10 +269,6 @@ def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
     itself meets one.
     """
-    if schedule.is_geometric:
-        tau = _learner_rate(learner)
-        if tau is not None:
-            _check_rate(schedule.beta, tau)
     m = problem.cone.dim
     lam = np.zeros(m) if lambda0 is None else np.asarray(lambda0, dtype=float)
     lam = problem.cone.project_dual(lam)

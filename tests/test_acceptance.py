@@ -24,7 +24,8 @@ from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
 from simalm.experiments import (ExperimentConfig, bound_inputs_for_run,
                                 dual_gap_estimates, prepare_bundle,
-                                run_seq_vs_sim, run_solve, _schedule)
+                                run_seq_vs_sim, run_solve, _certified_rate,
+                                _schedule)
 from simalm.inner_apg import grad_nu, nu_value
 from simalm.learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
                              admm_solve, scs_admm_step, scs_init)
@@ -297,12 +298,13 @@ def test_criterion_8_scs_learner():
         _, f_sub = projected_subgradient_scs(small)
         assert abs(small.objective(sigma_admm) - f_sub) <= 1e-6
 
-    # fitted rate lies in (0, 1)
+    # the certified rate of the learner's error history lies in (0, 1)
     sigma_ref, _ = admm_solve(scs, tol=1e-10)
-    learner = AdmmScsLearner(scs, sigma_ref=sigma_ref)
-    for _ in range(12):
-        learner.step()
-    tau = learner.rate_tau()
+    learner = AdmmScsLearner(scs)
+    errors = [np.linalg.norm(learner.theta - sigma_ref, "fro")]
+    errors += [np.linalg.norm(learner.step() - sigma_ref, "fro")
+               for _ in range(12)]
+    tau = _certified_rate(errors)
     assert 0.0 < tau < 1.0
     _report(8, f"floor respected, oracle match <= 1e-6, tau_hat {tau:.3f}",
             time.perf_counter() - t0, 30.0)

@@ -58,6 +58,20 @@ def test_increasing_regime_without_growth_is_config_error(tmp_path):
     assert "beta must exceed 1" in res.stderr
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"n": 3, "s": 1}, "n >= 4"),
+    ({"rho_o": float("nan")}, "rho_o must be finite"),
+])
+def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
+                                                          field):
+    # n = 3 draws one sample, and a NaN rho_o reached the first inner solve
+    cfg = small_config(tmp_path, "unusable", **overrides)
+    res = run_cli("solve", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and field in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_generate_writes_instance_files(tmp_path):
     cfg = small_config(tmp_path, "gen")
     res = run_cli("generate", "--config", str(cfg))
@@ -68,6 +82,7 @@ def test_generate_writes_instance_files(tmp_path):
         assert (out / name).exists()
     meta = json.loads((out / "meta.json").read_text())
     assert 0.0 < meta["tau_hat"] < 1.0
+    assert "tau_cert" not in meta
     assert meta["kkt_residual"] <= 1e-9
 
 

@@ -8,11 +8,13 @@ import pytest
 from simalm import experiments
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
-                                bound_curves_for_trace,
+                                bound_curves_for_trace, bound_inputs_for_run,
                                 generate_instance, make_sectors,
                                 portfolio_kappa, prepare_bundle,
                                 run_seq_vs_sim, run_solve, run_table,
-                                write_seqsim, write_table, _schedule)
+                                write_seqsim, write_table, _certified_rate,
+                                _schedule)
+from simalm.learning import AdmmScsLearner
 from simalm.linalg import spectral_norm
 from simalm.outer_alm import (AlmRecord, AlmTrace, Schedule, ScheduleError,
                               TRACE_COLUMNS, BOUND_COLUMNS)
@@ -69,7 +71,7 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
     import dataclasses
 
     from simalm import experiments, reference
-    from simalm.learning import admm_solve, estimate_tau
+    from simalm.learning import admm_solve
 
     calls = {"admm": 0, "qp": 0}
 
@@ -95,24 +97,56 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
     ref = reference.portfolio_reference(bundle.instance, sigma=sigma_star)
     np.testing.assert_array_equal(bundle.sigma_star, sigma_star)
     np.testing.assert_array_equal(bundle.learner_errors, errors)
-    assert bundle.tau_hat == estimate_tau(errors[errors > 1e-7])
+    assert bundle.tau_hat == _certified_rate(errors)
     assert bundle.reference.f_value == ref.f_value
     assert bundle.admm_sweeps == info["sweeps"]
 
 
 def test_learner_error_alignment(small_bundle):
-    from simalm.learning import AdmmScsLearner
+    # errors[k] is the error of the k-th estimate a fresh learner reveals
+    learner = AdmmScsLearner(small_bundle.scs)
+    sigma_star = small_bundle.sigma_star
+    for k in range(4):
+        theta = learner.theta if k == 0 else learner.step()
+        assert np.linalg.norm(theta - sigma_star, "fro") == pytest.approx(
+            small_bundle.learner_errors[k])
+    assert small_bundle.theta0_err == small_bundle.learner_errors[0]
 
-    learner = AdmmScsLearner(small_bundle.scs, sigma_ref=small_bundle.sigma_star)
-    assert learner.errors[0] == pytest.approx(small_bundle.theta0_err)
-    learner.step()
-    assert learner.errors[1] == pytest.approx(small_bundle.learner_errors[1])
-    # certified envelope covers the revealed sequence pointwise
-    errs = small_bundle.learner_errors
-    tau = small_bundle.tau_cert
-    for k in range(1, len(errs)):
-        if errs[k] > 1e-8:
-            assert errs[k] <= tau ** k * errs[0] * (1 + 1e-9)
+
+def test_increasing_schedule_overlays_and_errors_share_one_rate(small_config,
+                                                                small_bundle):
+    config = dataclasses.replace(small_config, regime="increasing")
+    tau = small_bundle.tau_hat
+    schedule = _schedule(config, small_bundle, 0.1)
+    assert schedule.tau == tau
+    assert bound_inputs_for_run(small_bundle, schedule, "learned").tau == tau
+    # a fresh learner's errors stay under that rate's envelope until they
+    # reach the floor below which the ADMM limit itself is inexact
+    learner = AdmmScsLearner(small_bundle.scs)
+    errors = [np.linalg.norm(learner.theta - small_bundle.sigma_star, "fro")]
+    errors += [np.linalg.norm(learner.step() - small_bundle.sigma_star, "fro")
+               for _ in range(small_bundle.admm_sweeps - 2)]
+    checked = [k for k, err in enumerate(errors) if err > 1e-10 * errors[0]]
+    assert len(checked) > 10
+    for k in checked:
+        assert errors[k] <= tau ** k * errors[0] * (1.0 + 1e-12)
+    # and beta * tau < 1 is enforced against that same rate
+    _schedule(dataclasses.replace(config, beta=0.99 / tau), small_bundle, 0.1)
+    with pytest.raises(ScheduleError, match="beta \\* tau = 1.01 "):
+        _schedule(dataclasses.replace(config, beta=1.01 / tau), small_bundle, 0.1)
+
+
+def test_certified_rate_of_error_histories():
+    assert _certified_rate([2.0 * 0.5 ** k for k in range(10)]) == \
+        pytest.approx(0.5, abs=1e-12)
+    for short in ([1.0], [1.0, 1e-12]):
+        with pytest.raises(ValueError, match=f"length {len(short)}"):
+            _certified_rate(short)
+    rising = _certified_rate([1.0, 2.0, 4.0, 8.0])
+    assert rising >= 1.0
+    for beta in (1.0, np.nextafter(1.0, 2.0), 1.05):
+        with pytest.raises(ScheduleError):
+            Schedule(rho0=1.0, alpha0=1.0, c=1.0, beta=beta, tau=rising)
 
 
 def test_portfolio_kappa_formula(small_bundle):
@@ -278,6 +312,15 @@ def test_config_validation():
         ExperimentConfig(regime="warp")
     with pytest.raises(ValueError):
         ExperimentConfig(specification="psychic")
+    # n // 2 samples: below n = 4 the sample covariance divides by zero
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="n >= 4"):
+            ExperimentConfig(n=n, s=1)
+    ExperimentConfig(n=4, s=1)
+    for name in ("rho_o", "beta", "c"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ExperimentConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("regime, beta", [("constant", 1.0), ("increasing", 1.05)])

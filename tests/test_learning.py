@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from simalm.learning import (AdmmScsLearner, FrozenLearner, ScsProblem,
-                             SyntheticLearner, admm_solve, eigh_clip,
-                             estimate_tau, scs_admm_step, scs_init)
+from simalm.experiments import _certified_rate
+from simalm.learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
+                             admm_solve, eigh_clip, scs_admm_step, scs_init)
 from simalm.linalg import symmetrize
 from simalm.model import NonFiniteError
 
@@ -93,13 +93,6 @@ def test_synthetic_learner_already_converged():
 def test_synthetic_learner_validates_tau():
     with pytest.raises(ValueError):
         SyntheticLearner(np.zeros(2), np.ones(2), tau=1.0)
-
-
-def test_frozen_learner_has_no_rate():
-    learner = FrozenLearner(np.ones(3))
-    learner.step()
-    with pytest.raises(ValueError):
-        learner.rate_tau()
 
 
 def test_eigh_clip_floors_spectrum(rng):
@@ -206,27 +199,15 @@ def test_admm_residuals_trend_to_zero():
 def test_learner_facade_records_errors():
     problem = make_scs(n=6, seed=2)
     sigma_star, _ = admm_solve(problem, tol=1e-11)
-    learner = AdmmScsLearner(problem, sigma_ref=sigma_star)
-    for _ in range(12):
-        learner.step()
-    tau = learner.rate_tau()
-    assert 0.0 < tau < 1.0
-    assert learner.steps_taken == 12
-    assert len(learner.errors) == 13
-
-
-def test_estimate_tau_exact_geometric():
-    errs = [2.0 * 0.5 ** k for k in range(10)]
-    assert estimate_tau(errs) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_estimate_tau_failures():
-    with pytest.raises(ValueError):
-        estimate_tau([1.0, 0.5])  # too short
-    with pytest.raises(ValueError):
-        estimate_tau([1.0, 1.0, 1.0, 1.0])  # constant history
-    with pytest.raises(ValueError):
-        estimate_tau([1.0, 2.0, 4.0, 8.0])  # increasing
+    learner = AdmmScsLearner(problem)
+    errors = [np.linalg.norm(learner.theta - sigma_star, "fro")]
+    for k in range(12):
+        revealed = learner.step()
+        np.testing.assert_array_equal(revealed, learner.theta)
+        assert learner.steps_taken == k + 1
+        errors.append(np.linalg.norm(revealed - sigma_star, "fro"))
+    # the history the test records certifies a linear rate in (0, 1)
+    assert 0.0 < _certified_rate(errors) < 1.0
 
 
 def test_scs_problem_validation():

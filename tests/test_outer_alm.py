@@ -113,6 +113,26 @@ def test_increasing_schedule_rejects_fast_growth():
         make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 1.0)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("tau", 5.0, "tau = 5 must lie in \\(0, 1\\)"),
+    ("tau", 1.0, "tau = 1 must lie in \\(0, 1\\)"),
+    ("tau", 0.0, "tau = 0 must lie in \\(0, 1\\)"),
+    ("tau", float("nan"), "tau must be finite"),
+    ("rho0", float("nan"), "rho0 must be finite"),
+    ("alpha0", float("nan"), "alpha0 must be finite"),
+    ("c", float("inf"), "c must be finite"),
+    ("beta", float("nan"), "beta must be finite"),
+    ("beta", float("inf"), "beta must be finite"),
+])
+@pytest.mark.parametrize("beta", [1.0, 1.05])
+def test_schedule_rejects_invalid_fields(field, value, match, beta):
+    # at either regime; a NaN beta would otherwise read as the constant one
+    fields = {"rho0": 1.0, "alpha0": 1.0, "c": 1.0, "beta": beta, "tau": 0.5}
+    Schedule(**fields)
+    with pytest.raises(ScheduleError, match=match):
+        Schedule(**{**fields, field: value})
+
+
 def test_run_tiny_qp_reaches_kkt_solution():
     problem, reference = tiny_capped_qp()
     theta = np.zeros(1)
@@ -257,17 +277,6 @@ def test_increasing_rate_bounds_majorize_small_run():
         assert sub <= b_k(inputs, epoch) / inputs.beta ** epoch + 1e-12
         assert rec.infeas_at_theta_star <= \
             infeasibility_bound_geometric(inputs, epoch) + 1e-12
-
-
-def test_run_rejects_incompatible_learner_rate():
-    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
-    learner = SyntheticLearner(instance.sigma, 1.5 * instance.sigma, 0.97)
-    # the schedule's own rate passes; the rate the learner reports does not
-    schedule = Schedule(rho0=1.0, alpha0=1.0, c=1.0, beta=1.05, tau=0.5)
-    with pytest.raises(ScheduleError, match="beta \\* tau"):
-        alm_run(problem, learner, schedule,
-                x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
-                stop=StopRule(max_outer=5))
 
 
 def test_trace_csv_round_trip(tmp_path):
