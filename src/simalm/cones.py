@@ -81,8 +81,7 @@ class NonnegativeOrthant(Cone):
     def project(self, y):
         return np.maximum(self._check(y), 0.0)
 
-    def project_dual(self, y):
-        return self.project(y)
+    project_dual = project
 
 
 class SecondOrderCone(Cone):

@@ -175,11 +175,16 @@ def _draw_instance(config):
 
     Returns (instance, scs, sample, sigma_star, admm_info, reference):
     admm_info holds the Sigma history of the learning iteration, and
-    reference is the portfolio optimum at sigma_star.
+    reference is the portfolio optimum at sigma_star. Raises ValueError
+    when the uniform portfolio overloads a sector in every draw, so (n, s)
+    admits no instance, and RuntimeError when no draw that passed that test
+    gave binding sector constraints.
     """
     from .reference import simplex_qp
 
     binding_tol = _GENERATOR["binding_tol"]
+    least_peak_load = math.inf  # over the draws skipped for their uniform load
+    load_passed = False
     for attempt in range(_GENERATOR["max_attempts"]):
         seed = config.seed + attempt
         instance, scs, sample = _sample_instance(config, seed)
@@ -188,7 +193,9 @@ def _draw_instance(config):
             raise RuntimeError("ground-truth covariance is not positive definite")
         uniform_load = instance.sector_matrix.sum(axis=1) / config.n
         if np.any(uniform_load >= instance.sector_limits):
+            least_peak_load = min(least_peak_load, float(uniform_load.max()))
             continue
+        load_passed = True
         sigma_star, info = admm_solve(scs, tol=_GENERATOR["admm_tol"],
                                       collect_history=True)
         x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
@@ -209,8 +216,15 @@ def _draw_instance(config):
         slack = instance.sector_limits - instance.sector_matrix @ ref.x
         if np.min(slack) <= binding_tol and abs(ref.f_value) >= _GENERATOR["f_floor"]:
             return instance, scs, sample, sigma_star, info, ref
+    attempts = _GENERATOR["max_attempts"]
+    if not load_passed:
+        raise ValueError(
+            f"n={config.n}, s={config.s} admits no instance: the uniform portfolio "
+            f"overloads a sector in all {attempts} draws from seed {config.seed} "
+            f"(smallest peak uniform load {least_peak_load:.3g}, sector cap "
+            f"{_GENERATOR['sector_limit']:g})")
     raise RuntimeError(f"no instance with binding sector constraints found in "
-                       f"{_GENERATOR['max_attempts']} attempts from seed {config.seed}")
+                       f"{attempts} attempts from seed {config.seed}")
 
 
 def generate_instance(config):
@@ -379,9 +393,9 @@ def dual_gap_estimates(problem, trace, theta_star, f_star):
     """Conservative dual-gap estimates f* - g(lambda_bar_k) per logged epoch.
 
     The dual value at the averaged multiplier is estimated by a certified
-    inner solve to gap _DUAL_GAP_TOL within _DUAL_GAP_MAX_ITER iterations;
-    its certificate is added to the gap so the estimate errs on the large
-    side.
+    inner solve to gap _DUAL_GAP_TOL within _DUAL_GAP_MAX_ITER iterations.
+    Its certificate, an upper bound on the suboptimality of the returned
+    iterate, is added to the gap, so the estimate errs on the large side.
     """
     records = trace.opt_records
     out = []
@@ -482,9 +496,11 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
 
     Returns a dict with one suboptimality-vs-work curve per sequential
     budget plus the simultaneous run; work counts learning steps and inner
-    iterations. Inner solves stop on measured gap certificates so the work
-    axis reflects iterations actually needed, mirroring how effort is
-    compared across schemes. Requires at least two sequential budgets.
+    iterations. Inner solves stop on the certificate of each step's own
+    gradient mapping (certified_solve), so the work axis counts the
+    proximal-gradient steps actually needed, one gradient each, mirroring
+    how effort is compared across schemes. Requires at least two
+    sequential budgets.
     """
     if len(config.sequential_budgets) < 2:
         raise ValueError("need at least two sequential budgets")

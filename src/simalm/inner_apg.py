@@ -21,9 +21,14 @@ epoch of a frozen estimate, share them:
   certificate at x_init (Jaggi 2013), ||x_init - x*||^2 <= 2 (F(x_init) -
   F*) / mu <= 2 gap / mu. A problem with mu = 0 or without a linear
   minimizer runs R = D_x;
-* certified_solve stops as soon as the linear-minimizer gap certificate
-  max_{s in X} <grad, z - s> drops below the tolerance (used by the
-  sequential-vs-simultaneous comparison and by dual_gap_estimates).
+* certified_solve stops as soon as the certificate of the step just taken
+  is at most the tolerance (used by the sequential-vs-simultaneous
+  comparison and by dual_gap_estimates). For q == 0 and the step z =
+  proj_X(y - grad nu(y) / L) from the momentum point y, Beck & Teboulle
+  2009 (Lemma 2.3) gives F(z) - F(x) <= L <e, y - x> - (L/2) ||e||^2 with
+  e = y - z for every x in X; one linear minimization over X bounds
+  F(z) - F*. The certificate reuses the step's gradient, so each certified
+  step evaluates one gradient.
 """
 
 import logging
@@ -92,13 +97,13 @@ def _bound_gradient(problem, lam, rho, theta):
     if A.ndim != 2 or b.shape != A.shape[:1]:
         raise ValueError("constraint shapes are inconsistent")
     shift = np.asarray(lam, dtype=float) / rho
+    A_T = A.T
     smooth_grad = problem.smooth_grad
     project_dual = problem.cone.project_dual
 
     def grad(y):
-        gp = smooth_grad(y, theta)
-        penalty = A.T @ project_dual((A @ y + b) + shift)
-        return np.asarray(gp, dtype=float) + rho * penalty
+        penalty = A_T @ project_dual((A @ y + b) + shift)
+        return smooth_grad(y, theta) + rho * penalty
 
     return grad
 
@@ -163,24 +168,27 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
     """Core accelerated proximal gradient loop.
 
     grad(y) and prox(y, g, L) define the composite model; iterates start at
-    z_0 = x0 with unit momentum. Returns (last iterate, steps taken). The
-    optional stop(t, z) predicate is evaluated after each step; callback(t, z)
-    is invoked for tracing.
+    z_0 = x0 with unit momentum. Returns (last iterate, steps taken).
+    callback(t, z) is invoked after each step, for tracing. The optional
+    stop(y, z) predicate is evaluated after each step with the point y the
+    step was taken from and the new iterate z = prox(y, grad(y), L); the
+    loop returns z as soon as it holds. Raises ValueError unless L > 0.
     """
+    if not L > 0:
+        raise ValueError("prox curvature L must be positive")
     z = np.asarray(x0, dtype=float)
     y = z
     m = 1.0
     t = 0
     for t in range(1, max_steps + 1):
-        g = grad(y)
-        z_new = prox(y, g, L)
+        z_new = prox(y, grad(y), L)
+        if callback is not None:
+            callback(t, z_new)
+        if stop is not None and stop(y, z_new):
+            return z_new, t
         m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * m * m))
         y = z_new + ((m - 1.0) / m_next) * (z_new - z)
         z, m = z_new, m_next
-        if callback is not None:
-            callback(t, z)
-        if stop is not None and stop(t, z):
-            break
     return z, t
 
 
@@ -211,13 +219,15 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
                     max_iter=MAX_ITERATIONS):
     """Inner solve with a self-contained optimality-gap certificate.
 
-    Requires problem.linear_minimizer and q == 0. For a smooth convex
-    objective F over compact X, convexity gives
+    Requires problem.linear_minimizer and q == 0, so that prox_step is the
+    projection onto X. Each step z = proj_X(y - grad F(y) / L), with L at
+    least the Lipschitz constant of grad F and F convex, satisfies
 
-        F(z) - F* <= max_{s in X} <grad F(z), z - s>,
+        F(z) - F* <= L (<e, y - s> - ||e||^2 / 2),   e = y - z,
 
-    and the right-hand side is computable from one linear minimization.
-    Stops once that certificate is at most gap_tol.
+    with s = linear_minimizer(e), the maximizer over X of <e, y - x>
+    (Beck & Teboulle 2009, Lemma 2.3). The certificate needs no gradient
+    beyond the one the step took. Stops once it is at most gap_tol.
 
     Returns (x, value, certified_gap, steps). Raises RuntimeError when the
     certificate is not reached within max_iter steps.
@@ -225,12 +235,13 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
     if problem.linear_minimizer is None:
         raise ValueError("problem lacks a linear minimization oracle")
     L, _, grad, prox = _setup(problem, lam, rho, theta)
+    linear_minimizer = problem.linear_minimizer
     best = {"gap": math.inf, "x": np.asarray(x_init, dtype=float)}
 
-    def stop(t, z):
-        g = grad(z)
-        s = problem.linear_minimizer(g)
-        cert = float(g @ (z - s))
+    def stop(y, z):
+        e = y - z
+        # linear_minimizer is positively homogeneous: argmin <L e, x> = s
+        cert = L * (float(e @ (y - linear_minimizer(e))) - 0.5 * float(e @ e))
         if cert < best["gap"]:
             best["gap"], best["x"] = cert, z
         return cert <= gap_tol

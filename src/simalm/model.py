@@ -69,7 +69,8 @@ class ProblemConstants:
 class ParametricProblem:
     """Oracle bundle for one parametric conic program.
 
-    smooth_grad(x, theta)       -> grad_p, the gradient the inner loop calls
+    smooth_grad(x, theta)       -> grad_p as a float ndarray, the gradient
+                                   the inner loop calls
     smooth_value_grad(x, theta) -> (p, grad_p), for values (evaluate_f,
                                    nu_value); its gradient equals smooth_grad's
     nonsmooth_value(x, theta)   -> q
@@ -86,7 +87,7 @@ class ParametricProblem:
                                    warm start (inner_apg.apg_solve)
     membership(x)               -> optional X-membership check
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
-                                   problem with q == 0; enables duality-gap
+                                   problem with q == 0; enables optimality
                                    certificates on inner solves
 
     Every oracle must be pure: the same arguments give the same result, bit
@@ -292,7 +293,9 @@ def portfolio_problem(instance, kappa=1.0):
         return 0.0
 
     def prox_step(y, g, L, theta):
-        return simplex_prox(y, g, L)
+        # inner_apg.fista checks L > 0 once per solve; simplex_prox is the
+        # checked form of this step
+        return project_simplex(y - g / L)
 
     def in_simplex(x):
         x = np.asarray(x, dtype=float)

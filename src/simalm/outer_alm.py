@@ -262,8 +262,9 @@ def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
         stops once the reported iterate meets the target.
     reference : ReferenceSolution, optional; provides f* for suboptimality.
     apg_mode : "budget" runs the guaranteed inner iteration count;
-        "certified" stops each inner solve on the linear-minimizer gap
-        certificate.
+        "certified" stops each inner solve on the certificate of its last
+        step, an upper bound on that step's suboptimality from the step's own
+        gradient mapping and one linear minimization.
 
     Raises NonFiniteError, naming the epoch and the quantity, as soon as
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve

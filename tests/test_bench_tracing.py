@@ -52,6 +52,8 @@ def test_wrapped_problem_builds_and_solves_bit_equal():
     np.testing.assert_array_equal(x_traced, x)
     assert evaluate_f(traced, x, instance.sigma) == evaluate_f(problem, x, instance.sigma)
     assert tracer.calls["model.prox"] == steps
+    # one projection per step's gradient, plus the warm-start gradient
+    assert tracer.calls["cones.project_dual"] == steps + 1
     assert tracer.calls["model.grad"] == 1
 
 
@@ -64,11 +66,11 @@ def test_traced_solves_count_steps_and_budget():
     theta = instance.sigma
     lam = np.full(instance.s, 0.3)
     x0 = np.full(instance.n, 1.0 / instance.n)
-    for alpha, solve in (
-            (1e-4, lambda: outer_alm.apg_solve(problem, x0, lam, 2.0, theta,
-                                               ApgConfig(alpha=1e-4), epoch=0)[1]),
-            (1e-6, lambda: outer_alm.certified_solve(problem, x0, lam, 2.0, theta,
-                                                     gap_tol=1e-6)[3])):
+    for alpha, certified, solve in (
+            (1e-4, False, lambda: outer_alm.apg_solve(problem, x0, lam, 2.0, theta,
+                                                      ApgConfig(alpha=1e-4), epoch=0)[1]),
+            (1e-6, True, lambda: outer_alm.certified_solve(problem, x0, lam, 2.0, theta,
+                                                           gap_tol=1e-6)[3])):
         tracer = tracing.Tracer()
         with tracer.installed():
             steps = solve()
@@ -77,3 +79,8 @@ def test_traced_solves_count_steps_and_budget():
         assert tracer.counts["inner_apg.iters"] == steps
         assert tracer.counts["inner_apg.budget"] == iteration_budget(
             problem, 2.0, theta, alpha)
+        # one inner_apg.loop span per solve, and the certified solve runs
+        # its loop through fista(stop=...), where each certificate is timed
+        # as an inner_apg.cert span; the budget solve has none
+        assert tracer.calls["inner_apg.loop"] == 1
+        assert tracer.calls["inner_apg.cert"] == (steps if certified else 0)

@@ -72,6 +72,14 @@ def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
     assert "RuntimeWarning" not in res.stderr
 
 
+def test_sector_overload_is_config_error(tmp_path):
+    # at n = 20, s = 4 every draw's uniform portfolio overloads a sector
+    cfg = small_config(tmp_path, "overloaded", n=20, s=4)
+    res = run_cli("generate", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and "n=20, s=4" in res.stderr
+
+
 def test_generate_writes_instance_files(tmp_path):
     cfg = small_config(tmp_path, "gen")
     res = run_cli("generate", "--config", str(cfg))

@@ -303,6 +303,19 @@ def test_config_json_round_trip(tmp_path):
                                "sequential_budgets", "specification"]
 
 
+@pytest.mark.parametrize("n, s, peak", [(20, 4, 0.3), (100, 3, 0.39), (10, 2, 0.5)])
+def test_sector_overload_in_every_draw_is_a_config_error(n, s, peak):
+    # the uniform portfolio loads some sector to at least the 0.3 cap in
+    # every draw, so no seed can give a usable instance: a ValueError that
+    # names n, s, the least peak load and the cap, not a convergence failure
+    with pytest.raises(ValueError) as info:
+        generate_instance(ExperimentConfig(n=n, s=s, seed=0))
+    message = str(info.value)
+    assert f"n={n}, s={s}" in message
+    assert f"smallest peak uniform load {peak:g}" in message
+    assert "sector cap 0.3" in message
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n=5, s=6)

@@ -499,6 +499,68 @@ def test_certified_solve_gap_certificate(rng):
     assert (value - shift) - f_star <= cert + 1e-12
 
 
+def test_step_certificate_bounds_the_gap_at_every_step():
+    # every step z = prox(y) of a certified solve is certified by its own
+    # gradient mapping: cert >= F(z) - F*, also where the momentum point y
+    # has left the simplex. A certified solve started at y with an infinite
+    # tolerance takes that one step and returns (z, F(z), cert, 1).
+    instance, portfolio = make_small_portfolio(n=6, s=2)
+    toy = make_toy_problem()
+    outside = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.booleans(), st.floats(0.05, 1.0), st.floats(0.0, 3.0),
+           st.floats(0.1, 30.0), st.integers(0, 2**32 - 1))
+    def check(on_portfolio, delta, lam_scale, rho, seed):
+        gen = np.random.default_rng(seed)
+        if on_portfolio:
+            problem, n, m = portfolio, instance.n, instance.s
+            F = gen.standard_normal((n, n))
+            theta = F @ F.T / n + delta * np.eye(n)
+        else:
+            problem, n, m, theta = toy, 3, 2, gen.uniform(-3.0, 3.0, 2)
+        lam = lam_scale * np.abs(gen.standard_normal(m))
+        x0 = random_simplex_point(gen, n)
+        _, f_ref, _, _ = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-12)
+        points = []
+
+        def prox_step(y, g, L, th):
+            points.append(y)
+            return problem.prox_step(y, g, L, th)
+
+        recording = dataclasses.replace(problem, prox_step=prox_step)
+        _, _, _, steps = certified_solve(recording, x0, lam, rho, theta, gap_tol=1e-7)
+        assert len(points) == steps
+        for y in points:
+            _, f_z, cert, one = certified_solve(problem, y, lam, rho, theta,
+                                                gap_tol=math.inf)
+            assert one == 1
+            assert cert >= f_z - f_ref - 1e-12
+        outside.append(sum(1 for y in points if y.min() < 0.0))
+
+    check()
+    assert sum(outside) > 0
+
+
+def test_certified_step_evaluates_one_gradient(toy_problem):
+    # the certificate reuses the step's gradient: one smooth_grad per step
+    instance, portfolio = make_small_portfolio()
+    calls = []
+    for problem, theta, lam, x0 in (
+            (portfolio, instance.sigma, np.full(instance.s, 0.3),
+             np.full(instance.n, 1.0 / instance.n)),
+            (toy_problem, np.array([0.7, -0.4]), np.ones(2), np.full(3, 1.0 / 3))):
+        def counting(x, th, grad=problem.smooth_grad):
+            calls.append(1)
+            return grad(x, th)
+
+        counted = dataclasses.replace(problem, smooth_grad=counting)
+        calls.clear()
+        _, _, _, steps = certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)
+        assert steps > 1
+        assert len(calls) == steps
+
+
 def test_iterates_stay_in_domain(rng, toy_problem):
     seen = []
 
@@ -542,10 +604,28 @@ def _pinning_cases(rng):
     ]
 
 
+def _reference_certified_loop(grad, prox, L, x0, gap_tol):
+    # plain FISTA over the simplex, stopped at the first step z = prox(y)
+    # whose gradient-mapping bound max_{x in X} L <y - z, y - x> - (L/2)
+    # ||y - z||^2 on F(z) - F* is at most gap_tol; over the simplex the max
+    # of <e, y - x> is <e, y> - min_i e_i
+    z, y, m = x0, x0, 1.0
+    for t in range(1, MAX_ITERATIONS + 1):
+        z_new = prox(y, grad(y), L)
+        e = y - z_new
+        if L * (float(e @ y) - float(e.min()) - 0.5 * float(e @ e)) <= gap_tol:
+            return z_new, t
+        m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * m * m))
+        y = z_new + ((m - 1.0) / m_next) * (z_new - z)
+        z, m = z_new, m_next
+    raise AssertionError("reference loop did not certify")
+
+
 def test_solvers_match_reference_loop_bit_for_bit(rng):
     # both stopping rules must produce exactly the iterates of a plain FISTA
     # loop driven by the independently written gradient, the budget one for
-    # the warm-start count computed from the gap and lambda_min of p
+    # the warm-start count computed from the gap and lambda_min of p, the
+    # certified one for the gradient-mapping certificate of each step
     radii = []
     for problem, theta, lam, rho, x0 in _pinning_cases(rng):
         grad = _reference_grad(problem, lam, rho, theta)
@@ -563,11 +643,7 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         assert steps == want_steps == budget
         assert np.array_equal(got, want)
 
-        def stop(t, z):
-            g = grad(z)
-            return float(g @ (z - problem.linear_minimizer(g))) <= 1e-7
-
-        want, want_steps = fista(grad, prox, L, x0, MAX_ITERATIONS, stop=stop)
+        want, want_steps = _reference_certified_loop(grad, prox, L, x0, 1e-7)
         got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-7)
         assert steps == want_steps
         assert np.array_equal(got, want)
