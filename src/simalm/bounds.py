@@ -1,12 +1,13 @@
 """Closed-form theoretical constants and bound curves for both penalty regimes.
 
-Given schedule parameters, the learning rate, and reference quantities
-(distance of the starting parameter and multiplier from their limits, norm
-of an optimal multiplier), these functions evaluate the constants that
-bound dual suboptimality, primal infeasibility, and primal suboptimality
-along a run, so empirical traces can be overlaid against theory. The
-pseudo-Lipschitz constant `kappa` of the inner solution map is an input; it
-scales the reported curves only and never enters the algorithm itself.
+Given the run's `outer_alm.Schedule` (rho_k, alpha_k and the learning rate
+tau) and two reference distances, of the starting parameter from theta* and
+of the starting multiplier lambda_0 = 0 from lambda* (that is, ||lambda*||),
+these functions evaluate the constants that bound dual suboptimality,
+primal infeasibility, and primal suboptimality along a run, so empirical
+traces can be overlaid against theory. The pseudo-Lipschitz constant
+`kappa` of the inner solution map is an input; it scales the reported
+curves only and never enters the algorithm itself.
 
 All infinite series reduce to sums of (k+1)^(-p), evaluated to absolute
 accuracy below 1e-12 by explicit summation plus an integral-test
@@ -14,6 +15,7 @@ accuracy below 1e-12 by explicit summation plus an integral-test
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,64 +50,52 @@ def inverse_power_series(p):
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything the bound formulas consume.
+    """The bound formulas' inputs: the run's schedule plus reference distances.
 
-    rho0/beta describe the penalty schedule (beta == 1 means constant
-    penalty rho0); alpha0/c the inexactness schedule alpha0 / (k+1)^(2(1+c))
-    (divided by beta^k in the geometric regime). theta0_err, lambda0_err and
-    lambda_star_norm are ||theta_0 - theta*||, ||lambda_0 - lambda*|| and
-    ||lambda*||, obtained from the reference solve.
+    schedule is the `outer_alm.Schedule` the run used: penalty rho0 beta^k
+    (beta == 1 means constant penalty rho0), inexactness alpha0 /
+    (k+1)^(2(1+c)) (divided by beta^k in the geometric regime), and the
+    learner's linear rate tau, which the overlays need in either regime.
+    theta0_err and lambda_star_norm are ||theta_0 - theta*|| and ||lambda*||,
+    obtained from the reference solve. Every run starts from the multiplier
+    lambda_0 = 0, so ||lambda_0 - lambda*|| is lambda_star_norm.
     """
 
-    rho0: float
-    alpha0: float
-    c: float
-    tau: float
+    schedule: object  # outer_alm.Schedule, which imports this module
     theta0_err: float
-    lambda0_err: float
     lambda_star_norm: float
-    beta: float = 1.0
     kappa: float = 1.0
     L_f: float = 0.0
     L_h_theta: float = 0.0
-    lambda0_norm: float = 0.0
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        if self.alpha0 < 0 or self.c <= 0:
-            raise ValueError("need alpha0 >= 0 and c > 0")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
-        if self.beta < 1.0:
-            raise ValueError("beta must be at least 1")
-        for name in ("theta0_err", "lambda0_err", "lambda_star_norm",
-                     "kappa", "L_f", "L_h_theta", "lambda0_norm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if self.schedule.tau is None:
+            raise ValueError("the bound overlays need the schedule's learning rate tau")
+        for name in ("theta0_err", "lambda_star_norm", "kappa", "L_f", "L_h_theta"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     @property
     def rho(self):
-        if self.beta != 1.0:
+        if self.schedule.is_geometric:
             raise ValueError("constant-penalty quantity requested on a "
                              "geometric schedule")
-        return self.rho0
+        return self.schedule.rho0
 
     @property
     def delta(self):
-        return self.beta * self.tau
+        return self.schedule.beta * self.schedule.tau
 
     def sqrt_alpha_series(self):
         """Sum of sqrt(alpha_k) for the constant regime."""
-        if self.alpha0 == 0.0:
-            return 0.0
-        return np.sqrt(self.alpha0) * inverse_power_series(1.0 + self.c)
+        s = self.schedule
+        return np.sqrt(s.alpha0) * inverse_power_series(1.0 + s.c)
 
     def alpha_series(self):
         """Sum of alpha_k for the constant regime."""
-        if self.alpha0 == 0.0:
-            return 0.0
-        return self.alpha0 * inverse_power_series(2.0 * (1.0 + self.c))
+        s = self.schedule
+        return s.alpha0 * inverse_power_series(2.0 * (1.0 + s.c))
 
     def sqrt_alpha_rho_series(self):
         """Sum of sqrt(2 alpha_k rho_k) in the geometric regime.
@@ -113,29 +103,29 @@ class BoundInputs:
         The beta^k factors cancel, leaving sqrt(2 alpha0 rho0) times the
         same inverse-power series, which is finite for every c > 0.
         """
-        if self.alpha0 == 0.0:
-            return 0.0
-        return np.sqrt(2.0 * self.alpha0 * self.rho0) * inverse_power_series(1.0 + self.c)
+        s = self.schedule
+        return np.sqrt(2.0 * s.alpha0 * s.rho0) * inverse_power_series(1.0 + s.c)
 
 
 def c_lambda(inputs):
     """Radius bound on the multiplier iterates, constant penalty.
 
     sqrt(2 rho) sum sqrt(alpha_i) + rho kappa ||theta_0 - theta*|| / (1-tau)
-    + ||lambda_0 - lambda*||.
+    + ||lambda_0 - lambda*||, which is ||lambda*|| since lambda_0 = 0.
     """
     rho = inputs.rho
     return (np.sqrt(2.0 * rho) * inputs.sqrt_alpha_series()
-            + rho * inputs.kappa * inputs.theta0_err / (1.0 - inputs.tau)
-            + inputs.lambda0_err)
+            + rho * inputs.kappa * inputs.theta0_err / (1.0 - inputs.schedule.tau)
+            + inputs.lambda_star_norm)
 
 
 def b_g(inputs):
     """Dual suboptimality constant: the averaged dual gap is at most b_g / k."""
     rho = inputs.rho
-    return (inputs.lambda0_err ** 2 / (2.0 * rho)
+    return (inputs.lambda_star_norm ** 2 / (2.0 * rho)
             + c_lambda(inputs) * (np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
-                                  + inputs.kappa * inputs.theta0_err / (1.0 - inputs.tau)))
+                                  + inputs.kappa * inputs.theta0_err
+                                  / (1.0 - inputs.schedule.tau)))
 
 
 def dual_gap_bound(inputs, k):
@@ -150,7 +140,8 @@ def _infeasibility_constants(inputs):
     rho = inputs.rho
     C1 = np.sqrt(2.0 * b_g(inputs) / rho + (c_lambda(inputs) / rho) ** 2)
     C2 = (np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
-          + (inputs.L_h_theta + inputs.kappa) * inputs.theta0_err / (1.0 - inputs.tau))
+          + (inputs.L_h_theta + inputs.kappa) * inputs.theta0_err
+          / (1.0 - inputs.schedule.tau))
     return float(C1), float(C2)
 
 
@@ -166,12 +157,11 @@ def v_of_k(inputs, k):
 
 def u_const(inputs):
     """Constant in the averaged-iterate suboptimality bound u_const / k."""
-    rho = inputs.rho
+    rho, tau = inputs.rho, inputs.schedule.tau
     cbar = c_lambda(inputs) + inputs.lambda_star_norm
     return (inputs.alpha_series()
-            + 0.5 * inputs.lambda0_norm ** 2
-            + 0.5 * rho * inputs.L_h_theta ** 2 * inputs.theta0_err ** 2 / (1.0 - inputs.tau ** 2)
-            + (cbar * inputs.L_h_theta + 2.0 * inputs.L_f) * inputs.theta0_err / (1.0 - inputs.tau))
+            + 0.5 * rho * inputs.L_h_theta ** 2 * inputs.theta0_err ** 2 / (1.0 - tau ** 2)
+            + (cbar * inputs.L_h_theta + 2.0 * inputs.L_f) * inputs.theta0_err / (1.0 - tau))
 
 
 def primal_subopt_upper(inputs, k):
@@ -188,24 +178,21 @@ def primal_subopt_lower(inputs, k):
 
 
 def _require_geometric(inputs):
-    if inputs.beta <= 1.0:
+    if not inputs.schedule.is_geometric:
         raise ValueError("geometric-regime quantity needs beta > 1")
-    if inputs.delta >= 1.0:
-        raise ValueError(
-            f"penalty growth is incompatible with the learning rate: "
-            f"beta * tau = {inputs.delta:.6g} must be below 1")
 
 
 def c_lambda_prime(inputs):
     """Multiplier radius bound for the geometric penalty regime.
 
     sum sqrt(2 alpha_i rho_i) + rho0 kappa ||theta_0 - theta*|| / (1 - beta
-    tau) + ||lambda_0 - lambda*||.
+    tau) + ||lambda_0 - lambda*||, which is ||lambda*|| since lambda_0 = 0.
     """
     _require_geometric(inputs)
     return (inputs.sqrt_alpha_rho_series()
-            + inputs.rho0 * inputs.kappa * inputs.theta0_err / (1.0 - inputs.delta)
-            + inputs.lambda0_err)
+            + inputs.schedule.rho0 * inputs.kappa * inputs.theta0_err
+            / (1.0 - inputs.delta)
+            + inputs.lambda_star_norm)
 
 
 def b_k(inputs, k):
@@ -225,15 +212,16 @@ def b_k(inputs, k):
     if np.any(np.asarray(k) < 0):
         raise ValueError("k must be nonnegative")
     k = np.asarray(k, dtype=float)
+    s = inputs.schedule
     cp = c_lambda_prime(inputs)
-    lead = (2.0 * cp + inputs.lambda_star_norm) ** 2 / inputs.rho0
+    lead = (2.0 * cp + inputs.lambda_star_norm) ** 2 / s.rho0
     deltak = inputs.delta ** k
     if inputs.L_h_theta > 0:
-        mid = inputs.rho0 * (inputs.L_h_theta * inputs.theta0_err * deltak
-                             + inputs.L_f / (inputs.rho0 * inputs.L_h_theta)) ** 2
+        mid = s.rho0 * (inputs.L_h_theta * inputs.theta0_err * deltak
+                        + inputs.L_f / (s.rho0 * inputs.L_h_theta)) ** 2
     else:
         mid = 2.0 * inputs.L_f * inputs.theta0_err * deltak
-    out = lead + mid + inputs.alpha0 / (k + 1.0) ** (2.0 * (1.0 + inputs.c))
+    out = lead + mid + s.alpha0 / (k + 1.0) ** (2.0 * (1.0 + s.c))
     return float(out) if out.ndim == 0 else out
 
 
@@ -246,9 +234,10 @@ def infeasibility_bound_geometric(inputs, k):
     if np.any(np.asarray(k) < 0):
         raise ValueError("k must be nonnegative")
     k = np.asarray(k, dtype=float)
+    s = inputs.schedule
     cp = c_lambda_prime(inputs)
-    out = (2.0 * cp / inputs.rho0
-           + inputs.L_h_theta * inputs.theta0_err * inputs.delta ** k) / inputs.beta ** k
+    out = (2.0 * cp / s.rho0
+           + inputs.L_h_theta * inputs.theta0_err * inputs.delta ** k) / s.beta ** k
     return float(out) if out.ndim == 0 else out
 
 
@@ -262,7 +251,7 @@ def bound_curves(inputs, ks):
     bound does not apply there and reads NaN.
     """
     ks = np.asarray(ks, dtype=float)
-    if inputs.beta == 1.0:
+    if not inputs.schedule.is_geometric:
         return {
             "v_k_bound": v_of_k(inputs, ks),
             "subopt_upper_bound": primal_subopt_upper(inputs, ks),
@@ -270,7 +259,7 @@ def bound_curves(inputs, ks):
             "dual_gap_bound": dual_gap_bound(inputs, ks),
         }
     epochs = ks - 1.0
-    sub = b_k(inputs, epochs) / inputs.beta ** epochs
+    sub = b_k(inputs, epochs) / inputs.schedule.beta ** epochs
     return {
         "v_k_bound": infeasibility_bound_geometric(inputs, epochs),
         "subopt_upper_bound": sub,
@@ -286,7 +275,7 @@ def bound_report(inputs, k_max=50):
     Constant-penalty inputs report c_lambda, b_g, C1, C2 and u_const;
     geometric inputs report c_lambda_prime and b_0.
     """
-    if inputs.beta == 1.0:
+    if not inputs.schedule.is_geometric:
         C1, C2 = _infeasibility_constants(inputs)
         constants = {"c_lambda": c_lambda(inputs), "b_g": b_g(inputs),
                      "C1": C1, "C2": C2, "u_const": u_const(inputs)}

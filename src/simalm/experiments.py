@@ -348,10 +348,10 @@ def save_bundle(bundle, out_dir):
 def _schedule(config, bundle, epsilon, specification=None, regime=None):
     regime = regime or config.regime
     spec = specification or config.specification
+    tau = bundle.tau_hat if spec == "learned" else _KNOWN_RATE
     if regime == "constant":
         return make_constant_schedule(epsilon, config.rho_o, spec == "known",
-                                      c=config.c)
-    tau = bundle.tau_hat if spec == "learned" else _KNOWN_RATE
+                                      c=config.c, tau=tau)
     return make_increasing_schedule(config.rho_o, config.beta, 1.0, config.c, tau)
 
 
@@ -362,16 +362,12 @@ def _learner(bundle, specification):
 
 
 def bound_inputs_for_run(bundle, schedule, specification):
-    """Assemble the theoretical-bound inputs for one configured run."""
+    """Assemble the theoretical-bound inputs for one run with this schedule."""
     constants = bundle.problem().constants
-    known = specification == "known"
-    lam_star = bundle.reference.lambda_norm
     return BoundInputs(
-        rho0=schedule.rho0, beta=schedule.beta,
-        alpha0=schedule.alpha0, c=schedule.c,
-        tau=_KNOWN_RATE if known else bundle.tau_hat,
-        theta0_err=0.0 if known else bundle.theta0_err,
-        lambda0_err=lam_star, lambda_star_norm=lam_star, lambda0_norm=0.0,
+        schedule=schedule,
+        theta0_err=0.0 if specification == "known" else bundle.theta0_err,
+        lambda_star_norm=bundle.reference.lambda_norm,
         kappa=constants.kappa, L_f=constants.L_f,
         L_h_theta=constants.L_h_theta,
     )

@@ -60,7 +60,8 @@ class Schedule:
     dividing by beta^k keeps sum sqrt(alpha_k rho_k) finite as well. Every
     field must be finite, and a given tau must lie in (0, 1). A geometric
     schedule (beta > 1) needs the learner's linear rate tau with
-    beta * tau < 1.
+    beta * tau < 1. The bound overlays (`bounds.BoundInputs`) need tau in
+    either regime.
     """
 
     rho0: float
@@ -120,7 +121,7 @@ class StopRule:
             raise ScheduleError("epsilon must be positive")
 
 
-def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0):
+def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0, tau=None):
     """Constant-penalty schedule for target accuracy epsilon.
 
     With the parameter known in advance the penalty is rho_o / epsilon; under
@@ -128,7 +129,8 @@ def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0):
 
         sqrt(alpha0) * sum_k (k+1)^(-(1+c)) = 1 / sqrt(2 rho),
 
-    with the series summed to machine precision.
+    with the series summed to machine precision. tau, the learner's linear
+    rate in (0, 1), does not change the run; the bound overlays need it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ScheduleError("epsilon must lie in (0, 1)")
@@ -136,7 +138,7 @@ def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0):
         raise ScheduleError("rho_o must be positive")
     rho = rho_o / epsilon if learner_known else rho_o
     series = inverse_power_series(1.0 + c)
-    return Schedule(rho0=rho, alpha0=1.0 / (2.0 * rho * series ** 2), c=c)
+    return Schedule(rho0=rho, alpha0=1.0 / (2.0 * rho * series ** 2), c=c, tau=tau)
 
 
 def make_increasing_schedule(rho0, beta, alpha0, c, tau):
@@ -244,9 +246,9 @@ def _theta_errors(theta, theta_star):
     return err, err / scale if scale > 0 else err
 
 
-def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
+def alm_run(problem, learner, schedule, x0, theta_star,
             stop=StopRule(max_outer=50), reference=None, apg_mode="budget"):
-    """Run the inexact multiplier scheme and return its trace.
+    """Run the inexact multiplier scheme from the multiplier 0 and return its trace.
 
     Parameters
     ----------
@@ -257,7 +259,6 @@ def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
     x0 : starting point in X.
     theta_star : true parameter used for reporting objective values,
         infeasibility, and parameter errors.
-    lambda0 : starting multiplier, projected onto the dual cone (default 0).
     stop : StopRule; with epsilon set and `reference` available the run
         stops once the reported iterate meets the target.
     reference : ReferenceSolution, optional; provides f* for suboptimality.
@@ -270,9 +271,7 @@ def alm_run(problem, learner, schedule, x0, theta_star, lambda0=None,
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
     itself meets one.
     """
-    m = problem.cone.dim
-    lam = np.zeros(m) if lambda0 is None else np.asarray(lambda0, dtype=float)
-    lam = problem.cone.project_dual(lam)
+    lam = np.zeros(problem.cone.dim)
     x = np.asarray(x0, dtype=float).copy()
     if problem.membership is not None and not problem.membership(x):
         raise ValueError("x0 is not a member of X")

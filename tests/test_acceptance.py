@@ -243,9 +243,8 @@ def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem
     mu_min = min(np.linalg.eigvalsh(sigma_star).min(),
                  np.linalg.eigvalsh(sigma0).min())
     inputs = BoundInputs(
-        rho0=1.0, beta=beta, alpha0=1.0, c=1e-3, tau=tau,
+        schedule,
         theta0_err=float(np.linalg.norm(sigma0 - sigma_star, "fro")),
-        lambda0_err=desk_bundle.reference.lambda_norm,
         lambda_star_norm=desk_bundle.reference.lambda_norm,
         kappa=spectral_norm(desk_bundle.instance.sector_matrix) / mu_min,
         L_f=0.5, L_h_theta=0.0)

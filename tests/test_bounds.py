@@ -7,14 +7,17 @@ from simalm.bounds import (BoundInputs, b_g, b_k, bound_report, c_lambda,
                            infeasibility_bound_geometric,
                            inverse_power_series, primal_subopt_lower,
                            primal_subopt_upper, u_const, v_of_k)
+from simalm.outer_alm import Schedule, ScheduleError
+
+FIELDS = ("theta0_err", "lambda_star_norm", "kappa", "L_f", "L_h_theta")
 
 
-def inputs(**overrides):
-    base = dict(rho0=1.0, alpha0=0.1, c=1.0, tau=0.5, theta0_err=1.0,
-                lambda0_err=0.5, lambda_star_norm=0.8, beta=1.0, kappa=1.0,
-                L_f=0.3, L_h_theta=0.2)
+def inputs(rho0=1.0, alpha0=0.1, c=1.0, beta=1.0, tau=0.5, **overrides):
+    base = dict(theta0_err=1.0, lambda_star_norm=0.8, kappa=1.0, L_f=0.3,
+                L_h_theta=0.2)
     base.update(overrides)
-    return BoundInputs(**base)
+    schedule = Schedule(rho0, alpha0, c, beta, tau)
+    return BoundInputs(schedule, **base)
 
 
 def test_series_matches_zeta():
@@ -25,26 +28,42 @@ def test_series_matches_zeta():
 
 
 def test_multiplier_radius_trivial_cases():
-    # theta0 = theta*, alpha == 0: only the starting distance survives
-    i = inputs(alpha0=0.0, theta0_err=0.0, lambda0_err=0.4)
-    assert c_lambda(i) == pytest.approx(0.4)
-    # rho=1, kappa=1, tau=0.5, unit parameter error, lambda0 = lambda*
-    i = inputs(alpha0=0.0, theta0_err=1.0, lambda0_err=0.0, kappa=1.0, tau=0.5)
-    assert c_lambda(i) == pytest.approx(2.0)
+    # sqrt(2 rho) sqrt(alpha0) zeta(1+c) + rho kappa theta0_err / (1-tau)
+    # + ||lambda_0 - lambda*||, with lambda_0 = 0
+    series = np.sqrt(0.1) * zeta(2.0)
+    # theta0 = theta*: the inexactness series and the starting distance
+    i = inputs(rho0=2.0, theta0_err=0.0, lambda_star_norm=0.4)
+    assert c_lambda(i) == pytest.approx(2.0 * series + 0.4, rel=1e-12)
+    # rho=1, kappa=1, tau=0.5, unit parameter error, lambda* = 0
+    i = inputs(theta0_err=1.0, lambda_star_norm=0.0, kappa=1.0, tau=0.5)
+    assert c_lambda(i) == pytest.approx(np.sqrt(2.0) * series + 2.0, rel=1e-12)
 
 
 def test_dual_gap_constant_vanishes_for_perfect_runs():
-    i = inputs(alpha0=0.0, theta0_err=0.0, lambda0_err=0.0)
-    assert b_g(i) == 0.0
-    assert dual_gap_bound(i, 7) == 0.0
+    # theta0 = theta* and lambda* = 0: b_g = 2 alpha0 zeta(1+c)^2, linear in
+    # alpha0, so it vanishes as the inner solves become exact
+    for alpha0 in (0.1, 1e-4, 1e-12):
+        i = inputs(alpha0=alpha0, theta0_err=0.0, lambda_star_norm=0.0)
+        assert b_g(i) == pytest.approx(2.0 * alpha0 * zeta(2.0) ** 2, rel=1e-12)
+        assert dual_gap_bound(i, 7) == pytest.approx(b_g(i) / 7.0, rel=1e-15)
 
 
 def test_infeasibility_bound_reduces_to_first_term():
-    i = inputs(alpha0=0.0, theta0_err=0.0, lambda0_err=0.3)
-    rho = i.rho
-    C1 = np.sqrt(2.0 * b_g(i) / rho + (c_lambda(i) / rho) ** 2)
+    # theta0 = theta*: C2 is the inexactness series alone
+    rho, alpha0, lam = 2.0, 0.1, 0.3
+    i = inputs(rho0=rho, alpha0=alpha0, theta0_err=0.0, lambda_star_norm=lam)
+    series = np.sqrt(alpha0) * zeta(2.0)
+    radius = np.sqrt(2.0 * rho) * series + lam
+    bg = lam ** 2 / (2.0 * rho) + radius * np.sqrt(2.0 / rho) * series
+    C1 = np.sqrt(2.0 * bg / rho + (radius / rho) ** 2)
+    C2 = np.sqrt(2.0 / rho) * series
     for k in (1, 4, 9):
-        assert v_of_k(i, k) == pytest.approx(C1 / np.sqrt(k))
+        assert v_of_k(i, k) == pytest.approx(C1 / np.sqrt(k) + C2 / k, rel=1e-12)
+    # as alpha0 -> 0 the second term fades and C1 -> sqrt(2) ||lambda*|| / rho
+    i = inputs(rho0=rho, alpha0=1e-30, theta0_err=0.0, lambda_star_norm=lam)
+    for k in (1, 4, 9):
+        assert v_of_k(i, k) == pytest.approx(np.sqrt(2.0) * lam / rho / np.sqrt(k),
+                                             rel=1e-12)
 
 
 def test_infeasibility_bound_strictly_decreasing():
@@ -76,27 +95,38 @@ def test_zeroed_misspecification_never_larger():
 
 
 def test_geometric_radius_trivial_case():
-    i = inputs(beta=1.05, alpha0=0.0, theta0_err=0.0, lambda0_err=0.0)
-    assert c_lambda_prime(i) == 0.0
+    # theta0 = theta* and lambda* = 0: only sqrt(2 alpha0 rho0) zeta(1+c) is left
+    i = inputs(rho0=3.0, beta=1.05, alpha0=0.1, theta0_err=0.0,
+               lambda_star_norm=0.0)
+    assert c_lambda_prime(i) == pytest.approx(np.sqrt(0.6) * zeta(2.0), rel=1e-12)
+    i = inputs(rho0=3.0, beta=1.05, alpha0=0.1, theta0_err=0.0,
+               lambda_star_norm=0.4)
+    assert c_lambda_prime(i) == pytest.approx(np.sqrt(0.6) * zeta(2.0) + 0.4,
+                                              rel=1e-12)
 
 
 def test_geometric_requires_compatible_rate():
-    i = inputs(beta=1.2, tau=0.91)
-    with pytest.raises(ValueError, match="beta \\* tau"):
+    # no geometric schedule with beta * tau >= 1 can be built
+    with pytest.raises(ScheduleError, match="beta \\* tau"):
+        inputs(beta=1.2, tau=0.91)
+    # and the geometric formulas refuse a constant schedule
+    i = inputs(beta=1.0, tau=0.91)
+    with pytest.raises(ValueError, match="needs beta > 1"):
         c_lambda_prime(i)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs beta > 1"):
         b_k(i, 2)
 
 
 def test_bk_matches_formula_and_decreases():
     i = inputs(beta=1.05, tau=0.6)
+    s = i.schedule
     cp = c_lambda_prime(i)
     delta = 1.05 * 0.6
     k = 4
-    want = ((2 * cp + i.lambda_star_norm) ** 2 / i.rho0
-            + i.rho0 * (i.L_h_theta * i.theta0_err * delta ** k
-                        + i.L_f / (i.rho0 * i.L_h_theta)) ** 2
-            + i.alpha0 / (k + 1) ** (2 * (1 + i.c)))
+    want = ((2 * cp + i.lambda_star_norm) ** 2 / s.rho0
+            + s.rho0 * (i.L_h_theta * i.theta0_err * delta ** k
+                        + i.L_f / (s.rho0 * i.L_h_theta)) ** 2
+            + s.alpha0 / (k + 1) ** (2 * (1 + s.c)))
     assert b_k(i, k) == pytest.approx(want, rel=1e-12)
     ks = np.arange(0, 30)
     bks = b_k(i, ks)
@@ -108,11 +138,12 @@ def test_bk_theta_free_constraints_limit():
     # constraint map independent of theta: completed square degenerates,
     # the pre-completion form applies and stays finite
     i = inputs(beta=1.05, tau=0.6, L_h_theta=0.0)
+    s = i.schedule
     cp = c_lambda_prime(i)
     delta = 1.05 * 0.6
-    want = ((2 * cp + i.lambda_star_norm) ** 2 / i.rho0
+    want = ((2 * cp + i.lambda_star_norm) ** 2 / s.rho0
             + 2.0 * i.L_f * i.theta0_err * delta ** 2
-            + i.alpha0 / 3.0 ** (2 * (1 + i.c)))
+            + s.alpha0 / 3.0 ** (2 * (1 + s.c)))
     assert b_k(i, 2) == pytest.approx(want, rel=1e-12)
 
 
@@ -121,7 +152,8 @@ def test_geometric_infeasibility_bound_form():
     cp = c_lambda_prime(i)
     delta = i.delta
     for k in (0, 2, 7):
-        want = (2 * cp / i.rho0 + i.L_h_theta * i.theta0_err * delta ** k) / 1.05 ** k
+        want = (2 * cp / i.schedule.rho0
+                + i.L_h_theta * i.theta0_err * delta ** k) / 1.05 ** k
         assert infeasibility_bound_geometric(i, k) == pytest.approx(want, rel=1e-12)
     ks = np.arange(0, 25)
     vals = infeasibility_bound_geometric(i, ks)
@@ -144,13 +176,26 @@ def test_bound_report_shapes_and_consistency():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ScheduleError):
         inputs(rho0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScheduleError):
         inputs(tau=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScheduleError):
         inputs(c=0.0)
+    rateless = Schedule(rho0=1.0, alpha0=0.1, c=1.0)
+    with pytest.raises(ValueError, match="learning rate tau"):
+        BoundInputs(rateless, theta0_err=0.0, lambda_star_norm=0.0)
+    for name in FIELDS:
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            inputs(**{name: -1.0})
     with pytest.raises(ValueError):
         v_of_k(inputs(), 0)
     with pytest.raises(ValueError):
         inputs(beta=1.05).rho  # constant-only accessor on geometric inputs
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", FIELDS)
+def test_non_finite_input_is_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        inputs(**{name: value})

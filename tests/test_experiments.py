@@ -119,7 +119,6 @@ def test_increasing_schedule_overlays_and_errors_share_one_rate(small_config,
     tau = small_bundle.tau_hat
     schedule = _schedule(config, small_bundle, 0.1)
     assert schedule.tau == tau
-    assert bound_inputs_for_run(small_bundle, schedule, "learned").tau == tau
     # a fresh learner's errors stay under that rate's envelope until they
     # reach the floor below which the ADMM limit itself is inexact
     learner = AdmmScsLearner(small_bundle.scs)
@@ -233,6 +232,32 @@ def test_increasing_schedule_is_checked_against_the_admm_rate(
         Schedule(rho0=1.0, alpha0=1.0, c=1e-3, beta=1.05)
 
 
+@pytest.mark.parametrize("regime", ["constant", "increasing"])
+@pytest.mark.parametrize("specification", ["known", "learned"])
+def test_rate_is_chosen_once(small_config, small_bundle, regime, specification):
+    config = dataclasses.replace(small_config, regime=regime,
+                                 specification=specification)
+    schedule = _schedule(config, small_bundle, 0.1)
+    if specification == "learned":
+        assert schedule.tau == small_bundle.tau_hat
+    else:
+        assert schedule.tau == experiments._KNOWN_RATE
+    inputs = bound_inputs_for_run(small_bundle, schedule, specification)
+    assert inputs.schedule is schedule
+
+
+def test_constant_schedule_is_checked_against_the_learned_rate(
+        monkeypatch, small_config, small_bundle):
+    # a certified rate >= 1 is refused when the schedule is built, before
+    # any epoch runs
+    bundle = dataclasses.replace(small_bundle, tau_hat=1.2)
+    monkeypatch.setattr(experiments, "alm_run",
+                        lambda *args, **kwargs: pytest.fail("an epoch ran"))
+    with pytest.raises(ScheduleError, match="tau = 1.2 must lie in"):
+        run_solve(small_config, 0.1, bundle, specification="learned",
+                  regime="constant")
+
+
 def test_known_schedule_is_checked_against_the_known_rate(small_config,
                                                           small_bundle):
     config = dataclasses.replace(small_config, regime="increasing",
@@ -338,8 +363,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("regime, beta", [("constant", 1.0), ("increasing", 1.05)])
 def test_trace_overlays_are_the_bound_report_curves(regime, beta):
-    inputs = BoundInputs(rho0=2.0, beta=beta, alpha0=1e-3, c=1.0, tau=0.5,
-                         theta0_err=0.3, lambda0_err=0.7, lambda_star_norm=0.7,
+    schedule = Schedule(rho0=2.0, alpha0=1e-3, c=1.0, beta=beta, tau=0.5)
+    inputs = BoundInputs(schedule, theta0_err=0.3, lambda_star_norm=0.7,
                          kappa=4.0, L_f=0.5)
     x = np.full(3, 1.0 / 3.0)
     records = [AlmRecord(k=k, rho=2.0, alpha=1e-3, inner_iterations=1, x=x,

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import sys
 import threading
 
@@ -497,6 +498,18 @@ def test_certified_solve_gap_certificate(rng):
     # certificate is sound: true gap is below it
     shift = value - (0.5 * float(x @ Q @ x) + float(c @ x))
     assert (value - shift) - f_star <= cert + 1e-12
+
+
+def test_certified_solve_failure_names_the_last_certificate():
+    instance, problem = make_small_portfolio()
+    args = (np.full(instance.n, 1.0 / instance.n), np.full(instance.s, 0.3),
+            2.0, instance.sigma)
+    # with an infinite tolerance the solve stops after one step with its certificate
+    _, _, cert, steps = certified_solve(problem, *args, gap_tol=math.inf)
+    assert steps == 1 and cert > 1e-14
+    message = f"gap certificate {cert:.3e} of the last step above 1.000e-14 after 1 iterations"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        certified_solve(problem, *args, gap_tol=1e-14, max_iter=1)
 
 
 def test_step_certificate_bounds_the_gap_at_every_step():

@@ -200,7 +200,7 @@ def _misspecified_small_run(regime, tau=0.6, max_outer=25):
     learner = SyntheticLearner(sigma_star, sigma0, tau)
     reference = portfolio_reference(instance, sigma=sigma_star)
     if regime == "constant":
-        schedule = make_constant_schedule(1e-2, 1.0, learner_known=False)
+        schedule = make_constant_schedule(1e-2, 1.0, learner_known=False, tau=tau)
     else:
         schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, tau)
     trace = alm_run(problem, learner, schedule,
@@ -212,10 +212,8 @@ def _misspecified_small_run(regime, tau=0.6, max_outer=25):
                  np.linalg.eigvalsh(sigma0).min())
     kappa = spectral_norm(instance.sector_matrix) / mu_min
     inputs = BoundInputs(
-        rho0=schedule.rho0, beta=schedule.beta,
-        alpha0=schedule.alpha0, c=schedule.c, tau=tau,
+        schedule,
         theta0_err=float(np.linalg.norm(sigma0 - sigma_star, "fro")),
-        lambda0_err=reference.lambda_norm,
         lambda_star_norm=reference.lambda_norm,
         kappa=kappa, L_f=0.5, L_h_theta=0.0,
     )
@@ -236,14 +234,12 @@ def test_dual_radius_bound_on_perfectly_specified_run():
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     reference = portfolio_reference(instance)
     learner = SyntheticLearner(instance.sigma, instance.sigma, 0.5)
-    schedule = make_constant_schedule(1e-2, 1.0, learner_known=True)
+    schedule = make_constant_schedule(1e-2, 1.0, learner_known=True, tau=0.5)
     trace = alm_run(problem, learner, schedule,
                     x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
                     stop=StopRule(max_outer=20, epsilon=1e-2),
                     reference=reference)
-    inputs = BoundInputs(rho0=schedule.rho0, alpha0=schedule.alpha0, c=schedule.c,
-                         tau=0.5, theta0_err=0.0,
-                         lambda0_err=reference.lambda_norm,
+    inputs = BoundInputs(schedule, theta0_err=0.0,
                          lambda_star_norm=reference.lambda_norm)
     radius = c_lambda(inputs)
     for rec in trace.records:
@@ -274,7 +270,7 @@ def test_increasing_rate_bounds_majorize_small_run():
     for rec in trace.records:
         epoch = rec.k - 1
         sub = abs(rec.f_at_theta_star - reference.f_value)
-        assert sub <= b_k(inputs, epoch) / inputs.beta ** epoch + 1e-12
+        assert sub <= b_k(inputs, epoch) / inputs.schedule.beta ** epoch + 1e-12
         assert rec.infeas_at_theta_star <= \
             infeasibility_bound_geometric(inputs, epoch) + 1e-12
 
