@@ -10,6 +10,7 @@ files, and trace CSVs differ between runs only in their wall-clock columns
 cpu_learn_s and cpu_opt_s.
 """
 
+import functools
 import json
 import math
 import time
@@ -265,10 +266,14 @@ class InstanceBundle:
     def theta0_err(self):
         return float(self.learner_errors[0])
 
+    @functools.cached_property
+    def kappa(self):
+        """portfolio_kappa of the instance, computed once per bundle."""
+        return portfolio_kappa(self.instance, self.scs.psd_floor)
+
     def problem(self, kappa=None):
-        if kappa is None:
-            kappa = portfolio_kappa(self.instance, self.scs.psd_floor)
-        return portfolio_problem(self.instance, kappa=kappa)
+        return portfolio_problem(self.instance,
+                                 kappa=self.kappa if kappa is None else kappa)
 
 
 def portfolio_kappa(instance, psd_floor):

@@ -2,33 +2,41 @@
 
 Each outer iteration minimizes q(x; theta) + nu_rho(x, lam; theta) over X,
 where nu_rho collects the smooth objective part and the quadratic cone
-penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2,
-so plain FISTA (momentum (1 + sqrt(1 + 4 m^2)) / 2, no restarts, no line
-search) applies. Both solvers share one set-up of L, gradient and prox and
+penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
+and, the penalty being convex, the strong-convexity modulus mu of p(.;
+theta). One loop, fista (no restarts, no line search), serves both solvers:
+FISTA's momentum when mu = 0, the constant momentum of the strongly convex
+method when mu > 0. Both share one set-up of L, mu, gradient and prox and
 differ only in their stopping rule. The per-theta constants, the curvature
 pair (L_p, mu) from problem.smooth_curvature and ||A(theta)||^2, are
 computed once per distinct theta, so the solves of an epoch, and every
 epoch of a frozen estimate, share them:
 
-* apg_solve runs the iteration budget
+* apg_solve runs the shorter of two a-priori budgets for an alpha-accurate
+  value, FISTA's
 
       T = ceil(sqrt(2 L / alpha) * R),   R = min(D_x, sqrt(2 gap / mu)),
 
-  that suffices for an alpha-accurate value (Beck & Teboulle 2009:
-  F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2). R bounds the warm
-  start's distance to the optimum: with mu the strong-convexity modulus of
-  p(.; theta) and gap = <grad nu(x_init), x_init - s> the linear-minimizer
-  certificate at x_init (Jaggi 2013), ||x_init - x*||^2 <= 2 (F(x_init) -
-  F*) / mu <= 2 gap / mu. A problem with mu = 0 or without a linear
-  minimizer runs R = D_x;
-* certified_solve stops as soon as the certificate of the step just taken
-  is at most the tolerance (used by the sequential-vs-simultaneous
-  comparison and by dual_gap_estimates). For q == 0 and the step z =
-  proj_X(y - grad nu(y) / L) from the momentum point y, Beck & Teboulle
-  2009 (Lemma 2.3) gives F(z) - F(x) <= L <e, y - x> - (L/2) ||e||^2 with
-  e = y - z for every x in X; one linear minimization over X bounds
-  F(z) - F*. The certificate reuses the step's gradient, so each certified
-  step evaluates one gradient.
+  from F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2 (Beck & Teboulle
+  2009), and the strongly convex loop's
+
+      T_sc = ceil(ln(2 gap / alpha) / -ln(1 - sqrt(mu / L))),   1 if 2 gap <= alpha,
+
+  from F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x_init) - F* + (mu/2)
+  ||x_init - x*||^2) (Nesterov 2004, 2.2; Beck 2017, Thm 10.42). gap =
+  <grad nu(x_init), x_init - s> is the linear-minimizer certificate at
+  x_init (Jaggi 2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <=
+  gap, so R bounds the warm start's distance to the optimum and 2 gap the
+  bracket of T_sc. A problem with mu = 0 or without a linear minimizer has
+  no gap and runs T with R = D_x;
+* certified_solve runs the loop with mu and stops as soon as the
+  certificate of the step just taken is at most the tolerance (used by the
+  sequential-vs-simultaneous comparison and by dual_gap_estimates). For q
+  == 0 and the step z = proj_X(y - grad nu(y) / L) from any point y, the
+  momentum point included, Beck & Teboulle 2009 (Lemma 2.3) gives F(z) -
+  F(x) <= L <e, y - x> - (L/2) ||e||^2 with e = y - z for every x in X; one
+  linear minimization over X bounds F(z) - F*. The certificate reuses the
+  step's gradient, so each certified step evaluates one gradient.
 """
 
 import logging
@@ -123,6 +131,16 @@ def _budget(L, alpha, radius):
     return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius))
 
 
+def _linear_budget(L, mu, gap, alpha):
+    """Fewest steps T of the strongly convex loop with (1 - sqrt(mu/L))^T 2 gap
+    <= alpha: 1 when 2 gap <= alpha, inf when the gap was not computed (NaN)."""
+    if math.isnan(gap):
+        return math.inf
+    if 2.0 * gap <= alpha or mu == L:
+        return 1
+    return math.ceil(math.log(2.0 * gap / alpha) / -math.log1p(-math.sqrt(mu / L)))
+
+
 def _warm_radius(problem, grad, x, mu):
     """(R, gap) of the budget from the warm start x in X.
 
@@ -164,18 +182,33 @@ def iteration_budget(problem, rho, theta, alpha):
                    problem.constants.D_x)
 
 
-def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
+def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0):
     """Core accelerated proximal gradient loop.
 
     grad(y) and prox(y, g, L) define the composite model; iterates start at
-    z_0 = x0 with unit momentum. Returns (last iterate, steps taken).
+    z_0 = x0 and each step is z_t = prox(y, grad(y), L) from the momentum
+    point y = z_{t-1} + b_t (z_{t-1} - z_{t-2}). With mu = 0, b_t follows
+    the FISTA sequence (m_t - 1) / m_{t+1}, m_1 = 1, m_{t+1} = (1 + sqrt(1
+    + 4 m_t^2)) / 2 (Beck & Teboulle 2009). A modulus 0 < mu <= L of strong
+    convexity of the smooth part on all of R^n (momentum points leave X)
+    selects the constant b = (sqrt(L/mu) - 1) / (sqrt(L/mu) + 1) of the
+    strongly convex method (Nesterov 2004, 2.2; Beck 2017, Thm 10.42,
+    V-FISTA): F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x0) - F* + (mu/2)
+    ||x0 - x*||^2). Returns (last iterate, steps taken).
+
     callback(t, z) is invoked after each step, for tracing. The optional
     stop(y, z) predicate is evaluated after each step with the point y the
     step was taken from and the new iterate z = prox(y, grad(y), L); the
-    loop returns z as soon as it holds. Raises ValueError unless L > 0.
+    loop returns z as soon as it holds. Raises ValueError unless L > 0 and
+    0 <= mu <= L.
     """
     if not L > 0:
         raise ValueError("prox curvature L must be positive")
+    if not 0.0 <= mu <= L:
+        raise ValueError("strong-convexity modulus mu must lie in [0, L]")
+    if mu > 0.0:
+        root = math.sqrt(L / mu)
+        b = (root - 1.0) / (root + 1.0)
     z = np.asarray(x0, dtype=float)
     y = z
     m = 1.0
@@ -186,33 +219,41 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None):
             callback(t, z_new)
         if stop is not None and stop(y, z_new):
             return z_new, t
-        m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * m * m))
-        y = z_new + ((m - 1.0) / m_next) * (z_new - z)
-        z, m = z_new, m_next
+        if mu == 0.0:
+            m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * m * m))
+            b, m = (m - 1.0) / m_next, m_next
+        y = z_new + b * (z_new - z)
+        z = z_new
     return z, t
 
 
 def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
     """Solve one penalized subproblem from the warm start x_init in X.
 
-    Runs the iteration budget for config.alpha with the warm-start radius R
-    and returns (x, iterations_used). Logs L, mu, the gap at x_init and both
-    budgets at DEBUG level on the "simalm" logger. Raises BudgetError when
-    the budget exceeds MAX_ITERATIONS.
+    Runs the shorter of the two budgets for config.alpha (module docstring),
+    FISTA's on a tie, so never more than iteration_budget; the strongly
+    convex loop runs only for its own budget. Returns (x, iterations_used).
+    Logs L, mu, the gap at x_init, the a-priori and FISTA budgets and last
+    the budget run at DEBUG level on the "simalm" logger. Raises BudgetError
+    when the budget run exceeds MAX_ITERATIONS.
     """
     L, mu, grad, prox = _setup(problem, lam, rho, theta)
     x_init = np.asarray(x_init, dtype=float)
     radius, gap = _warm_radius(problem, grad, x_init, mu)
-    budget = _budget(L, config.alpha, radius)
+    fista_budget = _budget(L, config.alpha, radius)
+    linear_budget = _linear_budget(L, mu, gap, config.alpha)
+    budget = min(fista_budget, linear_budget)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("inner solve epoch=%s L=%.6g mu=%.6g gap=%.6g "
-                   "a_priori_budget=%d budget=%d", epoch, L, mu, gap,
-                   _budget(L, config.alpha, problem.constants.D_x), budget)
+                   "a_priori_budget=%d fista_budget=%d budget=%d", epoch, L, mu,
+                   gap, _budget(L, config.alpha, problem.constants.D_x),
+                   fista_budget, budget)
     if budget > MAX_ITERATIONS:
         where = f" at epoch {epoch}" if epoch is not None else ""
         raise BudgetError(
             f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
-    return fista(grad, prox, L, x_init, budget)
+    return fista(grad, prox, L, x_init, budget,
+                 mu=mu if linear_budget < fista_budget else 0.0)
 
 
 def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
@@ -220,21 +261,24 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
     """Inner solve with a self-contained optimality-gap certificate.
 
     Requires problem.linear_minimizer and q == 0, so that prox_step is the
-    projection onto X. Each step z = proj_X(y - grad F(y) / L), with L at
-    least the Lipschitz constant of grad F and F convex, satisfies
+    projection onto X. Runs fista with the modulus mu of smooth_curvature,
+    so the strongly convex momentum when mu > 0. Each step z = proj_X(y -
+    grad F(y) / L), with L at least the Lipschitz constant of grad F and F
+    convex, satisfies
 
         F(z) - F* <= L (<e, y - s> - ||e||^2 / 2),   e = y - z,
 
     with s = linear_minimizer(e), the maximizer over X of <e, y - x>
-    (Beck & Teboulle 2009, Lemma 2.3). The certificate needs no gradient
-    beyond the one the step took. Stops once it is at most gap_tol.
+    (Beck & Teboulle 2009, Lemma 2.3), at any momentum point y. The
+    certificate needs no gradient beyond the one the step took. Stops once
+    it is at most gap_tol.
 
     Returns (x, value, certified_gap, steps). Raises RuntimeError when the
     certificate is not reached within max_iter steps.
     """
     if problem.linear_minimizer is None:
         raise ValueError("problem lacks a linear minimization oracle")
-    L, _, grad, prox = _setup(problem, lam, rho, theta)
+    L, mu, grad, prox = _setup(problem, lam, rho, theta)
     linear_minimizer = problem.linear_minimizer
     cert = math.inf  # certificate of the last step
 
@@ -245,7 +289,7 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
         cert = L * (float(e @ (y - linear_minimizer(e))) - 0.5 * float(e @ e))
         return cert <= gap_tol
 
-    x, steps = fista(grad, prox, L, x_init, max_iter, stop=stop)
+    x, steps = fista(grad, prox, L, x_init, max_iter, stop=stop, mu=mu)
     if not cert <= gap_tol:
         raise RuntimeError(
             f"gap certificate {cert:.3e} of the last step above {gap_tol:.3e} "

@@ -79,12 +79,15 @@ class ParametricProblem:
     constraint_offset(theta)    -> b(theta), shape (m,)
     cone                        -> constraint cone K of dimension m
     smooth_curvature(theta)     -> (L_p, mu): L_p an upper bound on the
-                                   Lipschitz constant of grad_x p at theta,
+                                   Lipschitz constant of grad_x p(.; theta),
                                    mu >= 0 a strong-convexity modulus of
-                                   p(.; theta) on X, 0.0 when none is known;
-                                   with linear_minimizer a positive mu
-                                   shortens the inner iteration budget of a
-                                   warm start (inner_apg.apg_solve)
+                                   p(.; theta), 0.0 when none is known; both
+                                   on all of R^n, not only on X, because the
+                                   inner loop's momentum points leave X; a
+                                   positive mu selects the strongly convex
+                                   momentum of inner_apg.fista and, with
+                                   linear_minimizer, shortens the iteration
+                                   budget of a warm start (inner_apg.apg_solve)
     membership(x)               -> optional X-membership check
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
                                    problem with q == 0; enables optimality

@@ -155,6 +155,26 @@ def test_portfolio_kappa_formula(small_bundle):
         spectral_norm(inst.sector_matrix) / small_bundle.scs.psd_floor)
 
 
+def test_kappa_is_computed_once_per_bundle(monkeypatch, small_config, small_bundle):
+    # each run builds the problem for its solve and for its overlays; both
+    # read the bundle's one kappa
+    norms = []
+
+    def counting_norm(M):
+        norms.append(np.shape(M))
+        return spectral_norm(M)
+
+    monkeypatch.setattr(experiments, "spectral_norm", counting_norm)
+    bundle = dataclasses.replace(small_bundle)
+    for spec in ("known", "learned"):
+        run_solve(small_config, 0.5, bundle, specification=spec)
+    assert norms == [bundle.instance.sector_matrix.shape]
+    want = portfolio_kappa(bundle.instance, bundle.scs.psd_floor)
+    assert bundle.problem().constants.kappa == want
+    assert bound_inputs_for_run(bundle, _schedule(small_config, bundle, 0.5),
+                                "learned").kappa == want
+
+
 def test_run_table_rows_meet_targets(small_config, small_bundle):
     rows = run_table(small_config, small_bundle)
     assert len(rows) == 1

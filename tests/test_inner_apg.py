@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simalm.al_core import eval_L
@@ -390,23 +390,41 @@ def test_iteration_count_suffices_for_target_gap(rng):
         assert 0.5 * float(z @ Q @ z) + float(c @ z) - f_star <= alpha
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 12), st.floats(0.01, 1.0), st.floats(-6.0, -1.0),
-       st.integers(0, 2**32 - 1))
-def test_warm_budget_reaches_alpha_on_random_simplex_qps(n, delta, log_alpha, seed):
+def test_warm_budget_reaches_alpha_on_random_simplex_qps(monkeypatch):
     # Q = FF'/n + delta I is delta-strongly convex; the constraint is inert,
-    # so the subproblem is the QP and the run must end within alpha of f*
-    gen = np.random.default_rng(seed)
-    F = gen.standard_normal((n, n))
-    Q = F @ F.T / n + delta * np.eye(n)
-    c = gen.standard_normal(n)
-    _, f_star, _ = simplex_qp(Q, c)
-    problem = _simplex_qp_problem(Q, c)
-    alpha = 10.0 ** log_alpha
-    x0 = random_simplex_point(gen, n)
-    x, steps = apg_solve(problem, x0, np.zeros(1), 1.0, None, ApgConfig(alpha=alpha))
-    assert 0.5 * float(x @ Q @ x) + float(c @ x) - f_star <= alpha + 1e-12
-    assert steps <= iteration_budget(problem, 1.0, None, alpha)
+    # so the subproblem is the QP and the run must end within alpha of f*.
+    # Across the examples both loops run: the strongly convex one (mu > 0)
+    # where its linear-rate budget is shorter, FISTA's (mu = 0) elsewhere
+    from simalm import inner_apg
+
+    moduli = []
+
+    def recording_fista(*args, mu=0.0, **kwargs):
+        moduli.append(mu)
+        return fista(*args, mu=mu, **kwargs)
+
+    monkeypatch.setattr(inner_apg, "fista", recording_fista)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.floats(0.01, 1.0), st.floats(-6.0, -1.0),
+           st.integers(0, 2**32 - 1))
+    @example(2, 0.01, -1.0, 0)  # ill conditioned: FISTA's budget is shorter
+    @example(12, 1.0, -6.0, 0)  # well conditioned: the linear-rate budget is shorter
+    def check(n, delta, log_alpha, seed):
+        gen = np.random.default_rng(seed)
+        F = gen.standard_normal((n, n))
+        Q = F @ F.T / n + delta * np.eye(n)
+        c = gen.standard_normal(n)
+        _, f_star, _ = simplex_qp(Q, c)
+        problem = _simplex_qp_problem(Q, c)
+        alpha = 10.0 ** log_alpha
+        x0 = random_simplex_point(gen, n)
+        x, steps = apg_solve(problem, x0, np.zeros(1), 1.0, None, ApgConfig(alpha=alpha))
+        assert 0.5 * float(x @ Q @ x) + float(c @ x) - f_star <= alpha + 1e-12
+        assert steps <= iteration_budget(problem, 1.0, None, alpha)
+
+    check()
+    assert 0.0 in moduli and max(moduli) > 0.0
 
 
 def test_budget_solve_logs_one_debug_line(caplog, toy_problem):
@@ -417,15 +435,21 @@ def test_budget_solve_logs_one_debug_line(caplog, toy_problem):
                              ApgConfig(alpha=alpha), epoch=4)
     [record] = caplog.records
     assert record.name == "simalm" and record.levelno == logging.DEBUG
-    fields = dict(tok.split("=") for tok in record.getMessage().split() if "=" in tok)
+    message = record.getMessage()
+    fields = dict(tok.split("=") for tok in message.split() if "=" in tok)
     grad = _reference_grad(toy_problem, lam, rho, theta)
     g = grad(x0)
+    mu = _hessian_min_eig(toy_problem, theta, 3)
+    L = lipschitz_nu(toy_problem, rho, theta)
+    fista_budget, _, linear_budget = _warm_budget(grad, L, alpha, x0, mu)
     assert fields["epoch"] == "4"
-    assert float(fields["L"]) == pytest.approx(lipschitz_nu(toy_problem, rho, theta), rel=1e-5)
-    assert float(fields["mu"]) == pytest.approx(_hessian_min_eig(toy_problem, theta, 3), rel=1e-5)
+    assert float(fields["L"]) == pytest.approx(L, rel=1e-5)
+    assert float(fields["mu"]) == pytest.approx(mu, rel=1e-5)
     assert float(fields["gap"]) == pytest.approx(float(g @ x0 - g.min()), rel=1e-5)
     assert int(fields["a_priori_budget"]) == iteration_budget(toy_problem, rho, theta, alpha)
-    assert int(fields["budget"]) == steps
+    # budget= comes last and is the count run, here the linear-rate one
+    assert message.endswith(f" fista_budget={fista_budget} budget={steps}")
+    assert steps == linear_budget < fista_budget
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="simalm"):
         apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
@@ -448,12 +472,17 @@ def _hessian_min_eig(problem, theta, n):
 
 
 def _warm_budget(grad, L, alpha, x0, mu):
-    # (T, R): T = ceil(sqrt(2L/alpha) R), R = min(D_x = 1, sqrt(2 gap / mu)),
-    # gap the vertex certificate <g, x0> - min_i g_i at the warm start
+    # (T, R, T_sc): FISTA's T = ceil(sqrt(2L/alpha) R), R = min(D_x = 1,
+    # sqrt(2 gap / mu)), gap the vertex certificate <g, x0> - min_i g_i at
+    # the warm start, and T_sc the fewest steps of the strongly convex loop
+    # with (1 - sqrt(mu/L))^T_sc 2 gap <= alpha, counted one by one
     g = grad(x0)
-    gap = float(g @ x0) - float(g.min())
-    radius = min(1.0, math.sqrt(2.0 * max(gap, 0.0) / mu))
-    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius)), radius
+    gap = max(float(g @ x0) - float(g.min()), 0.0)
+    radius = min(1.0, math.sqrt(2.0 * gap / mu))
+    linear = 1
+    while (1.0 - math.sqrt(mu / L)) ** linear * 2.0 * gap > alpha:
+        linear += 1
+    return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius)), radius, linear
 
 
 def test_budget_mode_runs_exact_budget(rng, toy_problem):
@@ -462,10 +491,11 @@ def test_budget_mode_runs_exact_budget(rng, toy_problem):
     x0 = np.full(3, 1 / 3)
     grad = _reference_grad(toy_problem, lam, rho, theta)
     L = lipschitz_nu(toy_problem, rho, theta)
-    want, radius = _warm_budget(grad, L, alpha, x0, _hessian_min_eig(toy_problem, theta, 3))
+    fista_budget, radius, want = _warm_budget(
+        grad, L, alpha, x0, _hessian_min_eig(toy_problem, theta, 3))
     assert radius < 1.0
     x, steps = apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
-    assert steps == want < iteration_budget(toy_problem, rho, theta, alpha)
+    assert steps == want < fista_budget < iteration_budget(toy_problem, rho, theta, alpha)
     assert toy_problem.membership(x)
     # without a convexity modulus (mu = 0) or a certificate the a-priori
     # budget runs
@@ -478,11 +508,65 @@ def test_budget_mode_runs_exact_budget(rng, toy_problem):
 
 
 def test_budget_cap_error_names_epoch(toy_problem):
+    # with mu = 0 only FISTA's budget is available, and it exceeds the cap
+    L_p = toy_problem.smooth_curvature(np.zeros(2))[0]
+    plain = dataclasses.replace(toy_problem, smooth_curvature=lambda th: (L_p, 0.0))
     config = ApgConfig(alpha=1e-12)
-    assert iteration_budget(toy_problem, 50.0, np.zeros(2), 1e-12) > MAX_ITERATIONS
+    assert iteration_budget(plain, 50.0, np.zeros(2), 1e-12) > MAX_ITERATIONS
     with pytest.raises(BudgetError, match="epoch 7"):
-        apg_solve(toy_problem, np.full(3, 1 / 3), np.zeros(2), 50.0,
+        apg_solve(plain, np.full(3, 1 / 3), np.zeros(2), 50.0,
                   np.zeros(2), config, epoch=7)
+
+
+def test_short_linear_budget_is_not_refused(toy_problem):
+    # the cap applies to the budget run: FISTA's exceeds it, the linear-rate
+    # one of the same solve does not
+    theta, lam, rho, alpha = np.zeros(2), np.zeros(2), 50.0, 1e-12
+    x0 = np.full(3, 1 / 3)
+    grad = _reference_grad(toy_problem, lam, rho, theta)
+    L = lipschitz_nu(toy_problem, rho, theta)
+    fista_budget, _, linear = _warm_budget(grad, L, alpha, x0,
+                                           _hessian_min_eig(toy_problem, theta, 3))
+    assert linear < MAX_ITERATIONS < fista_budget
+    x, steps = apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha),
+                         epoch=7)
+    assert steps == linear
+    assert toy_problem.membership(x)
+
+
+@pytest.mark.parametrize("mu", [-1e-9, 2.0 * (1.0 + 1e-12), math.nan, math.inf])
+def test_fista_rejects_modulus_outside_zero_to_L(mu):
+    # a modulus above L would make the momentum negative
+    with pytest.raises(ValueError, match="mu must lie in"):
+        fista(lambda y: y, lambda y, g, L: y - g / L, 2.0, np.zeros(2), 3, mu=mu)
+    fista(lambda y: y, lambda y, g, L: y - g / L, 2.0, np.zeros(2), 3, mu=2.0)
+
+
+def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
+    # mu = 0 (the default) runs the FISTA momentum sequence: every iterate
+    # equals that of the loop written out in the test
+    instance, problem = make_small_portfolio(sector_limit=0.35)
+    lam = np.abs(rng.standard_normal(instance.s))
+    grad = _reference_grad(problem, lam, 4.0, instance.sigma)
+    L = lipschitz_nu(problem, 4.0, instance.sigma)
+
+    def prox(y, g, Lc):
+        return simplex_prox(y, g, Lc)
+
+    x0 = np.full(instance.n, 1.0 / instance.n)
+    want = _reference_loop(grad, prox, L, x0, 0.0, steps=40)
+    for kwargs in ({}, {"mu": 0.0}):
+        seen = []
+        z, steps = fista(grad, prox, L, x0, 40,
+                         callback=lambda t, z: seen.append(z), **kwargs)
+        assert steps == 40 and np.array_equal(z, want[-1])
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want, strict=True))
+    # so does a budget solve of a problem without a modulus
+    L_p = problem.smooth_curvature(instance.sigma)[0]
+    plain = dataclasses.replace(problem, smooth_curvature=lambda th: (L_p, 0.0))
+    x, steps = apg_solve(plain, x0, lam, 4.0, instance.sigma, ApgConfig(alpha=1e-1))
+    assert steps == iteration_budget(plain, 4.0, instance.sigma, 1e-1)
+    assert np.array_equal(x, _reference_loop(grad, prox, L, x0, 0.0, steps=steps)[-1])
 
 
 def test_certified_solve_gap_certificate(rng):
@@ -609,61 +693,85 @@ def _pinning_cases(rng):
     warm, _ = fista(_reference_grad(portfolio, lam, 4.0, instance.sigma),
                     lambda y, g, Lc: simplex_prox(y, g, Lc),
                     lipschitz_nu(portfolio, 4.0, instance.sigma), uniform, 60)
+    # a modulus so small that sqrt(2 gap / mu) > D_x and FISTA's budget runs
+    L_P = toy.smooth_curvature(None)[0]
+    flat = dataclasses.replace(toy, smooth_curvature=lambda th: (L_P, 1e-4))
     return [
         (portfolio, instance.sigma, lam, 4.0, uniform),
         (portfolio, instance.sigma, lam, 4.0, warm),
         (toy, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
          np.full(3, 1.0 / 3)),
+        (flat, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
+         np.full(3, 1.0 / 3)),
     ]
 
 
-def _reference_certified_loop(grad, prox, L, x0, gap_tol):
-    # plain FISTA over the simplex, stopped at the first step z = prox(y)
-    # whose gradient-mapping bound max_{x in X} L <y - z, y - x> - (L/2)
-    # ||y - z||^2 on F(z) - F* is at most gap_tol; over the simplex the max
-    # of <e, y - x> is <e, y> - min_i e_i
+def _reference_loop(grad, prox, L, x0, mu, steps=MAX_ITERATIONS, gap_tol=None):
+    # plain accelerated loop, returning every iterate z_1, z_2, ...: the
+    # momentum is (m_t - 1) / m_{t+1} with m_1 = 1, m_{t+1} = (1 + sqrt(1 +
+    # 4 m_t^2)) / 2 for mu = 0, and (sqrt(L/mu) - 1) / (sqrt(L/mu) + 1) for
+    # mu > 0. With gap_tol it stops at the first step z = prox(y) whose
+    # gradient-mapping bound max_{x in X} L <y - z, y - x> - (L/2) ||y - z||^2
+    # on F(z) - F* is at most gap_tol; over the simplex the max of
+    # <e, y - x> is <e, y> - min_i e_i
+    iterates = []
     z, y, m = x0, x0, 1.0
-    for t in range(1, MAX_ITERATIONS + 1):
+    for _ in range(steps):
         z_new = prox(y, grad(y), L)
+        iterates.append(z_new)
         e = y - z_new
-        if L * (float(e @ y) - float(e.min()) - 0.5 * float(e @ e)) <= gap_tol:
-            return z_new, t
-        m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * m * m))
-        y = z_new + ((m - 1.0) / m_next) * (z_new - z)
-        z, m = z_new, m_next
-    raise AssertionError("reference loop did not certify")
+        if gap_tol is not None and (
+                L * (float(e @ y) - float(e.min()) - 0.5 * float(e @ e)) <= gap_tol):
+            return iterates
+        if mu > 0.0:
+            coef = (math.sqrt(L / mu) - 1.0) / (math.sqrt(L / mu) + 1.0)
+        else:
+            m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * m * m))
+            coef, m = (m - 1.0) / m_next, m_next
+        y = z_new + coef * (z_new - z)
+        z = z_new
+    if gap_tol is not None:
+        raise AssertionError("reference loop did not certify")
+    return iterates
 
 
 def test_solvers_match_reference_loop_bit_for_bit(rng):
-    # both stopping rules must produce exactly the iterates of a plain FISTA
-    # loop driven by the independently written gradient, the budget one for
-    # the warm-start count computed from the gap and lambda_min of p, the
-    # certified one for the gradient-mapping certificate of each step
-    radii = []
+    # both stopping rules must produce exactly the iterates of the loop
+    # written out in the test, driven by the independently written gradient
+    # and the oracle's mu: the budget rule for the shorter of FISTA's
+    # warm-start count and the strongly convex count, computed from the gap
+    # (the strongly convex loop runs only when its count is shorter), the
+    # certified rule for the gradient-mapping certificate of each step with
+    # the strongly convex loop whenever mu > 0
+    radii, linear = [], []
     for problem, theta, lam, rho, x0 in _pinning_cases(rng):
         grad = _reference_grad(problem, lam, rho, theta)
         L = lipschitz_nu(problem, rho, theta)
+        mu = problem.smooth_curvature(theta)[1]
 
         def prox(y, g, Lc):
             return problem.prox_step(y, g, Lc, theta)
 
         alpha = 1e-4
-        budget, radius = _warm_budget(grad, L, alpha, x0,
-                                      _hessian_min_eig(problem, theta, x0.size))
+        fista_budget, radius, linear_budget = _warm_budget(grad, L, alpha, x0, mu)
         radii.append(radius)
-        want, want_steps = fista(grad, prox, L, x0, budget)
+        linear.append(linear_budget < fista_budget)
+        budget = min(fista_budget, linear_budget)
+        want = _reference_loop(grad, prox, L, x0, mu if linear[-1] else 0.0,
+                               steps=budget)
         got, steps = apg_solve(problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
-        assert steps == want_steps == budget
-        assert np.array_equal(got, want)
+        assert steps == len(want) == budget
+        assert np.array_equal(got, want[-1])
 
-        want, want_steps = _reference_certified_loop(grad, prox, L, x0, 1e-7)
+        want = _reference_loop(grad, prox, L, x0, mu, gap_tol=1e-7)
         got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-7)
-        assert steps == want_steps
-        assert np.array_equal(got, want)
+        assert steps == len(want)
+        assert np.array_equal(got, want[-1])
 
         x = random_simplex_point(rng, x0.size)
         assert np.array_equal(grad_nu(problem, x, lam, rho, theta), grad(x))
     assert radii[0] == 1.0 and radii[1] < 0.1
+    assert linear == [True, True, True, False]
 
 
 def test_inconsistent_constraint_shapes_raise(toy_problem):
