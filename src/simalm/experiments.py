@@ -63,7 +63,6 @@ _RATE_FLOOR = 1e-10  # relative learner errors _certified_rate leaves out
 # validated against it and its bound inputs use it
 _KNOWN_RATE = 0.5
 _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
-_DUAL_GAP_MAX_ITER = 400_000
 
 
 @dataclass(frozen=True)
@@ -394,7 +393,7 @@ def dual_gap_estimates(problem, trace, theta_star, f_star):
     """Conservative dual-gap estimates f* - g(lambda_bar_k) per logged epoch.
 
     The dual value at the averaged multiplier is estimated by a certified
-    inner solve to gap _DUAL_GAP_TOL within _DUAL_GAP_MAX_ITER iterations.
+    inner solve to gap _DUAL_GAP_TOL, within its budget for that accuracy.
     Its certificate, an upper bound on the suboptimality of the returned
     iterate, is added to the gap, so the estimate errs on the large side.
     """
@@ -407,8 +406,7 @@ def dual_gap_estimates(problem, trace, theta_star, f_star):
         lam_sum += lam_k
         lam_bar = lam_sum / (i + 1.0)
         warm, value, cert, _ = certified_solve(
-            problem, warm, lam_bar, rho_k, theta_star,
-            gap_tol=_DUAL_GAP_TOL, max_iter=_DUAL_GAP_MAX_ITER)
+            problem, warm, lam_bar, rho_k, theta_star, gap_tol=_DUAL_GAP_TOL)
         out.append(max(f_star - value, 0.0) + cert)
     return np.array(out)
 
@@ -497,11 +495,11 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
 
     Returns a dict with one suboptimality-vs-work curve per sequential
     budget plus the simultaneous run; work counts learning steps and inner
-    iterations. Inner solves stop on the certificate of each step's own
-    gradient mapping (certified_solve), so the work axis counts the
-    proximal-gradient steps actually needed, one gradient each, mirroring
-    how effort is compared across schemes. Requires at least two
-    sequential budgets.
+    iterations. Inner solves exit early, within their budget, on the
+    certificate of each step's own gradient mapping (certified_solve), so
+    the work axis counts the proximal-gradient steps actually needed, one
+    gradient each, mirroring how effort is compared across schemes.
+    Requires at least two sequential budgets.
     """
     if len(config.sequential_budgets) < 2:
         raise ValueError("need at least two sequential budgets")

@@ -4,39 +4,40 @@ Each outer iteration minimizes q(x; theta) + nu_rho(x, lam; theta) over X,
 where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
 and, the penalty being convex, the strong-convexity modulus mu of p(.;
-theta). One loop, fista (no restarts, no line search), serves both solvers:
-FISTA's momentum when mu = 0, the constant momentum of the strongly convex
-method when mu > 0. Both share one set-up of L, mu, gradient and prox and
-differ only in their stopping rule. The per-theta constants, the curvature
-pair (L_p, mu) from problem.smooth_curvature and ||A(theta)||^2, are
-computed once per distinct theta, so the solves of an epoch, and every
-epoch of a frozen estimate, share them:
+theta). One loop, fista (no restarts, no line search), runs every solve.
+The per-theta constants, the curvature pair (L_p, mu) from
+problem.smooth_curvature and ||A(theta)||^2, are computed once per distinct
+theta, so the solves of an epoch, and every epoch of a frozen estimate,
+share them.
 
-* apg_solve runs the shorter of two a-priori budgets for an alpha-accurate
-  value, FISTA's
+A solve runs the shorter of two a-priori budgets for an alpha-accurate
+value, FISTA's on a tie: FISTA's, with its momentum,
 
-      T = ceil(sqrt(2 L / alpha) * R),   R = min(D_x, sqrt(2 gap / mu)),
+    T = ceil(sqrt(2 L / alpha) * R),   R = min(D_x, sqrt(2 gap / mu)),
 
-  from F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2 (Beck & Teboulle
-  2009), and the strongly convex loop's
+from F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2 (Beck & Teboulle
+2009), and the linear-rate one, with the strongly convex momentum,
 
-      T_sc = ceil(ln(2 gap / alpha) / -ln(1 - sqrt(mu / L))),   1 if 2 gap <= alpha,
+    T_sc = ceil(ln(2 gap / alpha) / -ln(1 - sqrt(mu / L))),   1 if 2 gap <= alpha,
 
-  from F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x_init) - F* + (mu/2)
-  ||x_init - x*||^2) (Nesterov 2004, 2.2; Beck 2017, Thm 10.42). gap =
-  <grad nu(x_init), x_init - s> is the linear-minimizer certificate at
-  x_init (Jaggi 2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <=
-  gap, so R bounds the warm start's distance to the optimum and 2 gap the
-  bracket of T_sc. A problem with mu = 0 or without a linear minimizer has
-  no gap and runs T with R = D_x;
-* certified_solve runs the loop with mu and stops as soon as the
-  certificate of the step just taken is at most the tolerance (used by the
-  sequential-vs-simultaneous comparison and by dual_gap_estimates). For q
-  == 0 and the step z = proj_X(y - grad nu(y) / L) from any point y, the
-  momentum point included, Beck & Teboulle 2009 (Lemma 2.3) gives F(z) -
-  F(x) <= L <e, y - x> - (L/2) ||e||^2 with e = y - z for every x in X; one
-  linear minimization over X bounds F(z) - F*. The certificate reuses the
-  step's gradient, so each certified step evaluates one gradient.
+from F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x_init) - F* + (mu/2)
+||x_init - x*||^2) (Nesterov 2004, 2.2; Beck 2017, Thm 10.42). gap =
+<grad nu(x_init), x_init - s> is the linear-minimizer certificate at x_init
+(Jaggi 2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <= gap, so R
+bounds the warm start's distance to the optimum and 2 gap the bracket of
+T_sc. Without mu > 0 and a linear minimizer there is no gap, and T runs
+with R = D_x. The gradient taken for the gap is the first step's, so every
+step evaluates one gradient. A budget above MAX_ITERATIONS raises
+BudgetError, the one cap failure.
+
+apg_solve runs the budget to its end. certified_solve (used by the
+sequential-vs-simultaneous comparison and by dual_gap_estimates) may exit
+before it, never after, once the certificate of the step just taken is at
+most alpha: for q == 0 and the step z = proj_X(y - grad nu(y) / L) from any
+point y, momentum points included, F(z) - F(x) <= L <e, y - x> - (L/2)
+||e||^2 with e = y - z for every x in X (Beck & Teboulle 2009, Lemma 2.3),
+so one linear minimization over X bounds F(z) - F* with the step's own
+gradient.
 """
 
 import logging
@@ -46,14 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_norm
-from .model import constraint_value
+from .model import NonFiniteError, constraint_value
 
 __all__ = [
     "ApgConfig", "BudgetError", "MAX_ITERATIONS", "lipschitz_nu", "grad_nu",
     "nu_value", "iteration_budget", "fista", "apg_solve", "certified_solve",
 ]
 
-# Cap on the iterations of one inner solve, for either stopping rule.
+# Cap on the budget of one inner solve.
 MAX_ITERATIONS = 2_000_000
 
 _log = logging.getLogger("simalm")
@@ -116,17 +117,6 @@ def _bound_gradient(problem, lam, rho, theta):
     return grad
 
 
-def _setup(problem, lam, rho, theta):
-    """(L, mu, grad, prox) of one subproblem solve."""
-    grad = _bound_gradient(problem, lam, rho, theta)
-
-    def prox(y, g, L):
-        return problem.prox_step(y, g, L, theta)
-
-    L_p, mu, a_norm_sq = _theta_constants(problem, theta)
-    return L_p + rho * a_norm_sq, mu, grad, prox
-
-
 def _budget(L, alpha, radius):
     return max(1, math.ceil(math.sqrt(2.0 * L / alpha) * radius))
 
@@ -141,19 +131,21 @@ def _linear_budget(L, mu, gap, alpha):
     return math.ceil(math.log(2.0 * gap / alpha) / -math.log1p(-math.sqrt(mu / L)))
 
 
-def _warm_radius(problem, grad, x, mu):
-    """(R, gap) of the budget from the warm start x in X.
+def _warm_radius(problem, grad, x, mu, where):
+    """(R, gap, grad(x)) of the budget from the warm start x in X.
 
     R = min(D_x, sqrt(2 gap / mu)); the second term bounds ||x - x*||. With
-    mu = 0 or without problem.linear_minimizer, R is D_x and gap NaN (not
-    computed). A gap rounded below zero counts as zero.
+    mu = 0 or without problem.linear_minimizer, (D_x, NaN, None): nothing
+    computed. A gap rounded below zero counts as zero; NaN or inf raises.
     """
     D_x = problem.constants.D_x
     if mu <= 0.0 or problem.linear_minimizer is None:
-        return D_x, math.nan
+        return D_x, math.nan, None
     g = grad(x)
     gap = float(g @ (x - problem.linear_minimizer(g)))
-    return min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu)), gap
+    if not math.isfinite(gap):
+        raise NonFiniteError(f"non-finite gradient at the warm start{where}")
+    return min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu)), gap, g
 
 
 def grad_nu(problem, x, lam, rho, theta):
@@ -174,7 +166,7 @@ def nu_value(problem, x, lam, rho, theta):
 def iteration_budget(problem, rho, theta, alpha):
     """A-priori iteration count sqrt(2 L / alpha) * D_x, rounded up.
 
-    It holds for any start in X; apg_solve runs at most this many steps.
+    It holds for any start in X; no inner solve runs more steps.
     The bound is a real number while iterations are integral; ceiling keeps
     the accuracy guarantee.
     """
@@ -182,7 +174,8 @@ def iteration_budget(problem, rho, theta, alpha):
                    problem.constants.D_x)
 
 
-def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0):
+def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0,
+          g0=None):
     """Core accelerated proximal gradient loop.
 
     grad(y) and prox(y, g, L) define the composite model; iterates start at
@@ -194,7 +187,9 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0):
     selects the constant b = (sqrt(L/mu) - 1) / (sqrt(L/mu) + 1) of the
     strongly convex method (Nesterov 2004, 2.2; Beck 2017, Thm 10.42,
     V-FISTA): F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x0) - F* + (mu/2)
-    ||x0 - x*||^2). Returns (last iterate, steps taken).
+    ||x0 - x*||^2). g0, when given, is grad(x0), already evaluated by the
+    caller; the first step uses it, so every step evaluates one gradient.
+    Returns (last iterate, steps taken).
 
     callback(t, z) is invoked after each step, for tracing. The optional
     stop(y, z) predicate is evaluated after each step with the point y the
@@ -214,7 +209,7 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0):
     m = 1.0
     t = 0
     for t in range(1, max_steps + 1):
-        z_new = prox(y, grad(y), L)
+        z_new = prox(y, grad(y) if t > 1 or g0 is None else g0, L)
         if callback is not None:
             callback(t, z_new)
         if stop is not None and stop(y, z_new):
@@ -227,72 +222,67 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0):
     return z, t
 
 
-def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
-    """Solve one penalized subproblem from the warm start x_init in X.
+def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify):
+    """(x, steps, certificate of the last step, NaN unless certify)."""
+    if certify and problem.linear_minimizer is None:
+        raise ValueError("problem lacks a linear minimization oracle")
+    grad = _bound_gradient(problem, lam, rho, theta)
 
-    Runs the shorter of the two budgets for config.alpha (module docstring),
-    FISTA's on a tie, so never more than iteration_budget; the strongly
-    convex loop runs only for its own budget. Returns (x, iterations_used).
-    Logs L, mu, the gap at x_init, the a-priori and FISTA budgets and last
-    the budget run at DEBUG level on the "simalm" logger. Raises BudgetError
-    when the budget run exceeds MAX_ITERATIONS.
-    """
-    L, mu, grad, prox = _setup(problem, lam, rho, theta)
+    def prox(y, g, L):
+        return problem.prox_step(y, g, L, theta)
+
+    L_p, mu, a_norm_sq = _theta_constants(problem, theta)
+    L = L_p + rho * a_norm_sq
     x_init = np.asarray(x_init, dtype=float)
-    radius, gap = _warm_radius(problem, grad, x_init, mu)
-    fista_budget = _budget(L, config.alpha, radius)
-    linear_budget = _linear_budget(L, mu, gap, config.alpha)
+    where = f" at epoch {epoch}" if epoch is not None else ""
+    radius, gap, g0 = _warm_radius(problem, grad, x_init, mu, where)
+    fista_budget = _budget(L, alpha, radius)
+    linear_budget = _linear_budget(L, mu, gap, alpha)
     budget = min(fista_budget, linear_budget)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("inner solve epoch=%s L=%.6g mu=%.6g gap=%.6g "
                    "a_priori_budget=%d fista_budget=%d budget=%d", epoch, L, mu,
-                   gap, _budget(L, config.alpha, problem.constants.D_x),
+                   gap, _budget(L, alpha, problem.constants.D_x),
                    fista_budget, budget)
     if budget > MAX_ITERATIONS:
-        where = f" at epoch {epoch}" if epoch is not None else ""
         raise BudgetError(
             f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
-    return fista(grad, prox, L, x_init, budget,
-                 mu=mu if linear_budget < fista_budget else 0.0)
+    cert, stop = math.nan, None
+    if certify:
+        linear_minimizer = problem.linear_minimizer
+
+        def stop(y, z):
+            nonlocal cert
+            e = y - z
+            # linear_minimizer is positively homogeneous: argmin <L e, x> = s
+            cert = L * (float(e @ (y - linear_minimizer(e))) - 0.5 * float(e @ e))
+            return cert <= alpha
+
+    x, steps = fista(grad, prox, L, x_init, budget, stop=stop,
+                     mu=mu if linear_budget < fista_budget else 0.0, g0=g0)
+    return x, steps, cert
 
 
-def certified_solve(problem, x_init, lam, rho, theta, gap_tol,
-                    max_iter=MAX_ITERATIONS):
-    """Inner solve with a self-contained optimality-gap certificate.
+def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
+    """Run the budget for config.alpha from the warm start x_init in X.
 
-    Requires problem.linear_minimizer and q == 0, so that prox_step is the
-    projection onto X. Runs fista with the modulus mu of smooth_curvature,
-    so the strongly convex momentum when mu > 0. Each step z = proj_X(y -
-    grad F(y) / L), with L at least the Lipschitz constant of grad F and F
-    convex, satisfies
-
-        F(z) - F* <= L (<e, y - s> - ||e||^2 / 2),   e = y - z,
-
-    with s = linear_minimizer(e), the maximizer over X of <e, y - x>
-    (Beck & Teboulle 2009, Lemma 2.3), at any momentum point y. The
-    certificate needs no gradient beyond the one the step took. Stops once
-    it is at most gap_tol.
-
-    Returns (x, value, certified_gap, steps). Raises RuntimeError when the
-    certificate is not reached within max_iter steps.
+    Returns (x, steps). Logs L, mu, the gap at x_init, the a-priori and
+    FISTA budgets and last the budget run at DEBUG level on the "simalm"
+    logger. Raises BudgetError or NonFiniteError naming the epoch.
     """
-    if problem.linear_minimizer is None:
-        raise ValueError("problem lacks a linear minimization oracle")
-    L, mu, grad, prox = _setup(problem, lam, rho, theta)
-    linear_minimizer = problem.linear_minimizer
-    cert = math.inf  # certificate of the last step
+    x, steps, _ = _solve(problem, x_init, lam, rho, theta, config.alpha, epoch, False)
+    return x, steps
 
-    def stop(y, z):
-        nonlocal cert
-        e = y - z
-        # linear_minimizer is positively homogeneous: argmin <L e, x> = s
-        cert = L * (float(e @ (y - linear_minimizer(e))) - 0.5 * float(e @ e))
-        return cert <= gap_tol
 
-    x, steps = fista(grad, prox, L, x_init, max_iter, stop=stop, mu=mu)
-    if not cert <= gap_tol:
-        raise RuntimeError(
-            f"gap certificate {cert:.3e} of the last step above {gap_tol:.3e} "
-            f"after {steps} iterations")
+def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None):
+    """apg_solve for alpha = gap_tol with the step certificate's early exit.
+
+    Requires problem.linear_minimizer and q == 0 (prox_step projects onto
+    X). Returns (x, value at x, certificate of the last step, steps); the
+    certificate bounds F(x) - F* and is at most gap_tol unless the budget
+    ended the solve.
+    """
+    x, steps, cert = _solve(problem, x_init, lam, rho, theta,
+                            ApgConfig(alpha=gap_tol).alpha, epoch, True)
     value = float(problem.nonsmooth_value(x, theta)) + nu_value(problem, x, lam, rho, theta)
     return x, value, cert, steps

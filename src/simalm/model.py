@@ -83,15 +83,13 @@ class ParametricProblem:
                                    mu >= 0 a strong-convexity modulus of
                                    p(.; theta), 0.0 when none is known; both
                                    on all of R^n, not only on X, because the
-                                   inner loop's momentum points leave X; a
-                                   positive mu selects the strongly convex
-                                   momentum of inner_apg.fista and, with
-                                   linear_minimizer, shortens the iteration
-                                   budget of a warm start (inner_apg.apg_solve)
+                                   inner loop's momentum points leave X; with
+                                   linear_minimizer, mu > 0 gives inner solves
+                                   the linear-rate budget (inner_apg)
     membership(x)               -> optional X-membership check
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
-                                   problem with q == 0; enables optimality
-                                   certificates on inner solves
+                                   problem with q == 0; gives inner solves
+                                   their warm-start gap and step certificate
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. theta_memo relies on it to keep one computed quantity (the

@@ -262,10 +262,10 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     stop : StopRule; with epsilon set and `reference` available the run
         stops once the reported iterate meets the target.
     reference : ReferenceSolution, optional; provides f* for suboptimality.
-    apg_mode : "budget" runs the guaranteed inner iteration count;
-        "certified" stops each inner solve on the certificate of its last
-        step, an upper bound on that step's suboptimality from the step's own
-        gradient mapping and one linear minimization.
+    apg_mode : each inner solve runs within its budget for alpha_k;
+        "budget" runs the budget to its end, "certified" exits early at the
+        first step whose gradient-mapping certificate, an upper bound on
+        that step's suboptimality, is at most alpha_k.
 
     Raises NonFiniteError, naming the epoch and the quantity, as soon as
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
@@ -299,7 +299,7 @@ def alm_run(problem, learner, schedule, x0, theta_star,
                                      ApgConfig(alpha=alpha_k), epoch=k)
             elif apg_mode == "certified":
                 x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
-                                                 gap_tol=alpha_k)
+                                                 gap_tol=alpha_k, epoch=k)
             else:
                 raise ValueError(f"unknown apg_mode {apg_mode!r}")
         except NonFiniteError as exc:

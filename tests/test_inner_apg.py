@@ -1,7 +1,6 @@
 import dataclasses
 import logging
 import math
-import re
 import sys
 import threading
 
@@ -16,7 +15,7 @@ from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               iteration_budget, lipschitz_nu, nu_value)
 from simalm.linalg import spectral_norm
 from simalm.learning import FrozenLearner
-from simalm.model import constraint_value, simplex_prox
+from simalm.model import NonFiniteError, constraint_value, simplex_prox
 from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
 from conftest import make_small_portfolio, make_toy_problem, random_simplex_point
@@ -394,14 +393,17 @@ def test_warm_budget_reaches_alpha_on_random_simplex_qps(monkeypatch):
     # Q = FF'/n + delta I is delta-strongly convex; the constraint is inert,
     # so the subproblem is the QP and the run must end within alpha of f*.
     # Across the examples both loops run: the strongly convex one (mu > 0)
-    # where its linear-rate budget is shorter, FISTA's (mu = 0) elsewhere
+    # where its linear-rate budget is shorter, FISTA's (mu = 0) elsewhere.
+    # The certified solve of the same subproblem runs the same loop, with
+    # the same step limit and momentum, and must also end within alpha of
+    # f*, in no more steps
     from simalm import inner_apg
 
-    moduli = []
+    loops = []  # (step limit, mu) of each fista call
 
-    def recording_fista(*args, mu=0.0, **kwargs):
-        moduli.append(mu)
-        return fista(*args, mu=mu, **kwargs)
+    def recording_fista(grad, prox, L, x0, max_steps, mu=0.0, **kwargs):
+        loops.append((max_steps, mu))
+        return fista(grad, prox, L, x0, max_steps, mu=mu, **kwargs)
 
     monkeypatch.setattr(inner_apg, "fista", recording_fista)
 
@@ -422,8 +424,15 @@ def test_warm_budget_reaches_alpha_on_random_simplex_qps(monkeypatch):
         x, steps = apg_solve(problem, x0, np.zeros(1), 1.0, None, ApgConfig(alpha=alpha))
         assert 0.5 * float(x @ Q @ x) + float(c @ x) - f_star <= alpha + 1e-12
         assert steps <= iteration_budget(problem, 1.0, None, alpha)
+        # the certificate only shortens the same solve
+        x, _, _, early = certified_solve(problem, x0, np.zeros(1), 1.0, None,
+                                         gap_tol=alpha)
+        assert 0.5 * float(x @ Q @ x) + float(c @ x) - f_star <= alpha + 1e-12
+        assert early <= steps
+        assert loops[-1] == loops[-2] == (steps, loops[-1][1])
 
     check()
+    moduli = [mu for _, mu in loops]
     assert 0.0 in moduli and max(moduli) > 0.0
 
 
@@ -508,14 +517,41 @@ def test_budget_mode_runs_exact_budget(rng, toy_problem):
 
 
 def test_budget_cap_error_names_epoch(toy_problem):
-    # with mu = 0 only FISTA's budget is available, and it exceeds the cap
+    # with mu = 0 only FISTA's budget is available, and it exceeds the cap;
+    # the certified solve runs the same budget, so it fails the same way
+    # before taking a step
     L_p = toy_problem.smooth_curvature(np.zeros(2))[0]
     plain = dataclasses.replace(toy_problem, smooth_curvature=lambda th: (L_p, 0.0))
-    config = ApgConfig(alpha=1e-12)
+    args = (np.full(3, 1 / 3), np.zeros(2), 50.0, np.zeros(2))
     assert iteration_budget(plain, 50.0, np.zeros(2), 1e-12) > MAX_ITERATIONS
     with pytest.raises(BudgetError, match="epoch 7"):
-        apg_solve(plain, np.full(3, 1 / 3), np.zeros(2), 50.0,
-                  np.zeros(2), config, epoch=7)
+        apg_solve(plain, *args, ApgConfig(alpha=1e-12), epoch=7)
+    with pytest.raises(BudgetError, match="epoch 7"):
+        certified_solve(plain, *args, gap_tol=1e-12, epoch=7)
+
+
+def test_non_finite_warm_start_gradient_raises_naming_epoch():
+    # a NaN gradient at the warm start makes the gap NaN; unchecked,
+    # min(D_x, NaN) picks D_x and FISTA's budget runs silently to a finite x
+    # (146 steps here, against 35 from a finite gradient), so both stopping
+    # rules must refuse it before the first step
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8)
+    calls = []
+
+    def nan_on_first_call(x, theta):
+        calls.append(1)
+        grad = problem.smooth_grad(x, theta)
+        return np.full_like(grad, np.nan) if len(calls) == 1 else grad
+
+    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call)
+    args = (np.full(instance.n, 0.1), np.zeros(instance.s), 1.0, instance.sigma)
+    message = "non-finite gradient at the warm start at epoch 3$"
+    for solve in (lambda: apg_solve(bad, *args, ApgConfig(alpha=1e-3), epoch=3),
+                  lambda: certified_solve(bad, *args, gap_tol=1e-3, epoch=3)):
+        calls.clear()
+        with pytest.raises(NonFiniteError, match=message):
+            solve()
+        assert len(calls) == 1
 
 
 def test_short_linear_budget_is_not_refused(toy_problem):
@@ -584,18 +620,6 @@ def test_certified_solve_gap_certificate(rng):
     assert (value - shift) - f_star <= cert + 1e-12
 
 
-def test_certified_solve_failure_names_the_last_certificate():
-    instance, problem = make_small_portfolio()
-    args = (np.full(instance.n, 1.0 / instance.n), np.full(instance.s, 0.3),
-            2.0, instance.sigma)
-    # with an infinite tolerance the solve stops after one step with its certificate
-    _, _, cert, steps = certified_solve(problem, *args, gap_tol=math.inf)
-    assert steps == 1 and cert > 1e-14
-    message = f"gap certificate {cert:.3e} of the last step above 1.000e-14 after 1 iterations"
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        certified_solve(problem, *args, gap_tol=1e-14, max_iter=1)
-
-
 def test_step_certificate_bounds_the_gap_at_every_step():
     # every step z = prox(y) of a certified solve is certified by its own
     # gradient mapping: cert >= F(z) - F*, also where the momentum point y
@@ -640,7 +664,9 @@ def test_step_certificate_bounds_the_gap_at_every_step():
 
 
 def test_certified_step_evaluates_one_gradient(toy_problem):
-    # the certificate reuses the step's gradient: one smooth_grad per step
+    # one smooth_grad per step under both stopping rules: the first step
+    # reuses the warm-start gradient of the gap, and the certificate reuses
+    # the step's gradient
     instance, portfolio = make_small_portfolio()
     calls = []
     for problem, theta, lam, x0 in (
@@ -652,10 +678,13 @@ def test_certified_step_evaluates_one_gradient(toy_problem):
             return grad(x, th)
 
         counted = dataclasses.replace(problem, smooth_grad=counting)
-        calls.clear()
-        _, _, _, steps = certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)
-        assert steps > 1
-        assert len(calls) == steps
+        for solve in (
+                lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3],
+                lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1]):
+            calls.clear()
+            steps = solve()
+            assert steps > 1
+            assert len(calls) == steps
 
 
 def test_iterates_stay_in_domain(rng, toy_problem):
@@ -694,8 +723,11 @@ def _pinning_cases(rng):
                     lambda y, g, Lc: simplex_prox(y, g, Lc),
                     lipschitz_nu(portfolio, 4.0, instance.sigma), uniform, 60)
     # a modulus so small that sqrt(2 gap / mu) > D_x and FISTA's budget runs
+    # at alpha = 1e-4 (the linear-rate one at 1e-7), and one smaller still,
+    # where FISTA's budget is the shorter at 1e-7 too
     L_P = toy.smooth_curvature(None)[0]
     flat = dataclasses.replace(toy, smooth_curvature=lambda th: (L_P, 1e-4))
+    flatter = dataclasses.replace(toy, smooth_curvature=lambda th: (L_P, 1e-6))
     return [
         (portfolio, instance.sigma, lam, 4.0, uniform),
         (portfolio, instance.sigma, lam, 4.0, warm),
@@ -703,17 +735,19 @@ def _pinning_cases(rng):
          np.full(3, 1.0 / 3)),
         (flat, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
          np.full(3, 1.0 / 3)),
+        (flatter, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
+         np.full(3, 1.0 / 3)),
     ]
 
 
-def _reference_loop(grad, prox, L, x0, mu, steps=MAX_ITERATIONS, gap_tol=None):
-    # plain accelerated loop, returning every iterate z_1, z_2, ...: the
-    # momentum is (m_t - 1) / m_{t+1} with m_1 = 1, m_{t+1} = (1 + sqrt(1 +
-    # 4 m_t^2)) / 2 for mu = 0, and (sqrt(L/mu) - 1) / (sqrt(L/mu) + 1) for
-    # mu > 0. With gap_tol it stops at the first step z = prox(y) whose
-    # gradient-mapping bound max_{x in X} L <y - z, y - x> - (L/2) ||y - z||^2
-    # on F(z) - F* is at most gap_tol; over the simplex the max of
-    # <e, y - x> is <e, y> - min_i e_i
+def _reference_loop(grad, prox, L, x0, mu, steps, gap_tol=None):
+    # plain accelerated loop of at most `steps` steps, returning every
+    # iterate z_1, z_2, ...: the momentum is (m_t - 1) / m_{t+1} with m_1 =
+    # 1, m_{t+1} = (1 + sqrt(1 + 4 m_t^2)) / 2 for mu = 0, and (sqrt(L/mu) -
+    # 1) / (sqrt(L/mu) + 1) for mu > 0. With gap_tol it stops earlier, at the
+    # first step z = prox(y) whose gradient-mapping bound max_{x in X} L
+    # <y - z, y - x> - (L/2) ||y - z||^2 on F(z) - F* is at most gap_tol;
+    # over the simplex the max of <e, y - x> is <e, y> - min_i e_i
     iterates = []
     z, y, m = x0, x0, 1.0
     for _ in range(steps):
@@ -730,20 +764,18 @@ def _reference_loop(grad, prox, L, x0, mu, steps=MAX_ITERATIONS, gap_tol=None):
             coef, m = (m - 1.0) / m_next, m_next
         y = z_new + coef * (z_new - z)
         z = z_new
-    if gap_tol is not None:
-        raise AssertionError("reference loop did not certify")
     return iterates
 
 
 def test_solvers_match_reference_loop_bit_for_bit(rng):
     # both stopping rules must produce exactly the iterates of the loop
     # written out in the test, driven by the independently written gradient
-    # and the oracle's mu: the budget rule for the shorter of FISTA's
-    # warm-start count and the strongly convex count, computed from the gap
-    # (the strongly convex loop runs only when its count is shorter), the
-    # certified rule for the gradient-mapping certificate of each step with
-    # the strongly convex loop whenever mu > 0
-    radii, linear = [], []
+    # and the oracle's mu. Both run the shorter of FISTA's warm-start count
+    # and the strongly convex count for their alpha, computed from the gap,
+    # with the momentum of that count (the strongly convex loop runs only
+    # when its count is shorter); the certified rule stops earlier, at the
+    # first step whose gradient-mapping certificate is at most its alpha
+    radii, linear, certified_linear = [], [], []
     for problem, theta, lam, rho, x0 in _pinning_cases(rng):
         grad = _reference_grad(problem, lam, rho, theta)
         L = lipschitz_nu(problem, rho, theta)
@@ -763,15 +795,21 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         assert steps == len(want) == budget
         assert np.array_equal(got, want[-1])
 
-        want = _reference_loop(grad, prox, L, x0, mu, gap_tol=1e-7)
-        got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-7)
-        assert steps == len(want)
+        gap_tol = 1e-7
+        fista_budget, _, linear_budget = _warm_budget(grad, L, gap_tol, x0, mu)
+        certified_linear.append(linear_budget < fista_budget)
+        budget = min(fista_budget, linear_budget)
+        want = _reference_loop(grad, prox, L, x0, mu if certified_linear[-1] else 0.0,
+                               steps=budget, gap_tol=gap_tol)
+        got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=gap_tol)
+        assert steps == len(want) <= budget
         assert np.array_equal(got, want[-1])
 
         x = random_simplex_point(rng, x0.size)
         assert np.array_equal(grad_nu(problem, x, lam, rho, theta), grad(x))
     assert radii[0] == 1.0 and radii[1] < 0.1
-    assert linear == [True, True, True, False]
+    assert linear == [True, True, True, False, False]
+    assert certified_linear == [True, True, True, True, False]
 
 
 def test_inconsistent_constraint_shapes_raise(toy_problem):
