@@ -310,14 +310,14 @@ def prepare_bundle(config):
     reference solve of the portfolio program at Sigma* for (x*, lambda*,
     f*): the two solves the instance draw makes to accept the instance. It
     then certifies the geometric rate of the learning iteration, tau_hat.
-    The error history is aligned with the sequence a learner reveals (the
-    inert first sweep dropped), so errors[k] = ||theta_k - Sigma*|| for the
-    k-th revealed estimate. The bundle's ScsProblem keeps its start
-    factorisation cached, so learners built on it skip that eigensolve.
+    The error history is the sequence a learner reveals, so errors[k] =
+    ||theta_k - Sigma*|| for the k-th revealed estimate. The bundle's
+    ScsProblem keeps the ADMM solve's first sweep cached, so learners built
+    on it start without an eigensolve.
     """
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
-                       for S in info["history"][1:]])
+                       for S in info["history"]])
     binding = (instance.sector_limits - instance.sector_matrix @ reference.x) <= 1e-7
     return InstanceBundle(
         config=config, instance=instance, scs=scs, sigma_star=sigma_star,

@@ -258,8 +258,11 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify):
             cert = L * (float(e @ (y - linear_minimizer(e))) - 0.5 * float(e @ e))
             return cert <= alpha
 
-    x, steps = fista(grad, prox, L, x_init, budget, stop=stop,
-                     mu=mu if linear_budget < fista_budget else 0.0, g0=g0)
+    try:
+        x, steps = fista(grad, prox, L, x_init, budget, stop=stop,
+                         mu=mu if linear_budget < fista_budget else 0.0, g0=g0)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"non-finite x{where}: {exc}") from exc
     return x, steps, cert
 
 

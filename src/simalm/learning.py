@@ -12,16 +12,17 @@ selection problem
 
 Learner instances are single-owner mutable state; the estimates they hand
 out are fresh arrays that may be shared freely. Each ADMM sweep is one
-eigenvalue-floored projection, factored by LAPACK `eigh` from scratch. The
-ADMM start point, S floored at psd_floor, is computed once per ScsProblem
-and shared read-only by `admm_solve` and every `AdmmScsLearner` on that
-problem.
+eigenvalue-floored projection: a Cholesky factorisation tests whether the
+target already lies in the floored cone, and only a target outside it is
+factored by LAPACK `eigh`. The first sweep, from S floored at psd_floor,
+is computed once per ScsProblem and shared read-only by `admm_solve` and
+every `AdmmScsLearner` on that problem.
 """
 
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,9 +82,10 @@ class ScsProblem:
 
     S is the sample covariance, upsilon the l1 weight on off-diagonal
     entries, psd_floor the eigenvalue floor of the feasible set, and
-    admm_penalty the splitting penalty. S floored at psd_floor is cached on
-    the object (`start`) and shared by every learner built on it; any other
-    ScsProblem, one from `dataclasses.replace` included, factors S again.
+    admm_penalty the splitting penalty. The ADMM state after the first
+    sweep is cached on the object (`first_sweep`) and shared by every
+    learner built on it; any other ScsProblem, one from
+    `dataclasses.replace` included, computes it again.
     """
 
     S: np.ndarray
@@ -106,16 +108,22 @@ class ScsProblem:
         return self.S.shape[0]
 
     @functools.cached_property
-    def start(self):
-        """S projected onto {Sigma >= psd_floor * I} by `eigh_clip`.
+    def first_sweep(self):
+        """ADMM state after one sweep from S floored at psd_floor.
 
-        Factored once per ScsProblem object with LAPACK; the matrix is
-        read-only, so an in-place write raises ValueError instead of
-        corrupting every later start.
+        Both primal blocks start at `eigh_clip(S, psd_floor)` and the dual
+        at zero. For a rank-deficient S neither that start nor the sweep's
+        target lies in the floored cone, so this takes the two `eigh`
+        factorisations of a cold start, once per ScsProblem object. The
+        arrays are read-only, so an in-place write raises ValueError
+        instead of corrupting every later start.
         """
         Sigma0 = eigh_clip(self.S, self.psd_floor)
-        Sigma0.flags.writeable = False
-        return Sigma0
+        _, state = scs_admm_step(self, ScsState(Sigma=Sigma0, Phi=Sigma0,
+                                                U=np.zeros_like(Sigma0)))
+        for block in (state.Sigma, state.Phi, state.U):
+            block.flags.writeable = False
+        return state
 
     def objective(self, Sigma):
         """SCS objective value at Sigma (constraint not included)."""
@@ -158,28 +166,41 @@ jacobi_eigh = np.linalg.eigh
 def eigh_clip(M, floor):
     """Project a symmetric matrix onto {Sigma : Sigma >= floor * I}.
 
-    Symmetrizes defensively, factors with LAPACK `eigh`, clamps the
-    eigenvalues at the floor and returns the projected matrix. LAPACK passes
-    NaN on silently, so a NaN or infinite entry raises NonFiniteError (one
-    check of the eigenvalue sum).
+    Symmetrizes defensively to S and tries one Cholesky factorisation
+    S - floor * I = R R^T. When it completes, S is returned as its own
+    projection: a completed factorisation is exact for S - floor * I + E
+    with |E| <= gamma_{n+1} |R| |R^T| (Higham 2002, Thm 10.3), so the
+    smallest eigenvalue of S is at least floor - delta and S lies within
+    delta of its exact projection, delta = n (n + 1) eps (||S||_2 + floor)
+    with eps = 2**-52. Otherwise S is factored with LAPACK `eigh`, its
+    eigenvalues are clamped at the floor and V diag(w) V^T is returned,
+    floored up to the rounding of that product. LAPACK's Cholesky carries
+    NaN into the factor without failing and its `eigh` may fail to
+    converge on one, so a factor with a non-finite trace is refused and a
+    NaN or infinite entry raises NonFiniteError before any `eigh`.
     """
-    w, V = jacobi_eigh(symmetrize(M))
-    if not math.isfinite(w.sum()):
+    S = symmetrize(M)
+    try:
+        if math.isfinite(np.linalg.cholesky(S - floor * np.eye(len(S))).trace()):
+            return S
+    except np.linalg.LinAlgError:
+        pass
+    if not np.isfinite(S).all():
         raise NonFiniteError("eigenvalue-floored projection of a matrix with "
                              "NaN or infinite entries")
-    w = np.maximum(w, floor)
-    return symmetrize((V * w) @ V.T)
+    w, V = jacobi_eigh(S)
+    return symmetrize((V * np.maximum(w, floor)) @ V.T)
 
 
 def scs_init(problem):
-    """Initial ADMM state: both primal blocks at the floored sample covariance.
+    """ADMM state after the first sweep, where every solve and learner starts.
 
-    The floored matrix is `problem.start`, shared read-only by every state
-    started on the same problem; the primal blocks are fresh copies.
+    The state is `problem.first_sweep`, shared read-only by every state
+    started on the same problem; the blocks returned are fresh copies.
     """
-    Sigma0 = problem.start
-    return ScsState(Sigma=Sigma0.copy(), Phi=Sigma0.copy(),
-                    U=np.zeros_like(Sigma0))
+    first = problem.first_sweep
+    return replace(first, Sigma=first.Sigma.copy(),
+                   Phi=first.Phi.copy(), U=first.U.copy())
 
 
 def scs_admm_step(problem, state):
@@ -188,7 +209,8 @@ def scs_admm_step(problem, state):
     Sigma-update: eigenvalue-floored projection of
     (S + mu (Phi - U)) / (1 + mu); Phi-update: off-diagonal soft threshold
     of Sigma + U at upsilon / mu, diagonal copied; dual: U += Sigma - Phi.
-    Every emitted Sigma is symmetric with smallest eigenvalue >= psd_floor.
+    Every emitted Sigma is symmetric with smallest eigenvalue >= psd_floor,
+    up to the slack `eigh_clip` states.
     """
     mu = problem.admm_penalty
     target = (problem.S + mu * (state.Phi - state.U)) / (1.0 + mu)
@@ -210,17 +232,19 @@ class AdmmScsLearner:
     """Learner facade over the SCS ADMM iteration.
 
     The very first sweep provably leaves the covariance block unchanged
-    (it shares the eigenbasis of the floored sample covariance), so it is
-    consumed at construction; the first step() therefore already moves the
-    estimate. The start point is the problem's cached, read-only `start`,
-    so learners on one ScsProblem factor S only once between them; every
-    sweep factors its own target with LAPACK, with no warm start.
+    (it shares the eigenbasis of the floored sample covariance), so a
+    learner starts after it, from `scs_init`; the first step() therefore
+    already moves the estimate. That state is the problem's cached
+    `first_sweep`, so learners on one ScsProblem take its two cold
+    factorisations only once between them, and a learner built on a
+    problem that already holds it runs no eigensolve. Each step() is one
+    sweep, factored by `eigh` only when its target lies outside the
+    floored cone.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.state = scs_init(problem)
-        _, self.state = scs_admm_step(problem, self.state)
         self._calls = 0
 
     @property
@@ -243,23 +267,23 @@ _MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
 def admm_solve(problem, tol=1e-9, collect_history=False):
     """Run the SCS ADMM iteration to convergence.
 
-    Stops when both the primal residual ||Sigma - Phi||_F and the dual
-    residual mu ||Phi_k - Phi_{k-1}||_F fall below tol, and raises
-    RuntimeError after _MAX_SWEEPS sweeps without that. Returns
-    (Sigma_star, info) where info records sweeps, final residuals, and the
-    Sigma history when collect_history is set.
+    Starts from `scs_init`, the state after the first sweep, and stops
+    when both the primal residual ||Sigma - Phi||_F and the dual residual
+    mu ||Phi_k - Phi_{k-1}||_F fall below tol; raises RuntimeError after
+    _MAX_SWEEPS sweeps, the first included, without that. Returns
+    (Sigma_star, info) where info records sweeps, final residuals, and,
+    when collect_history is set, the Sigma of every sweep from the first:
+    history[k] is the estimate a learner on the problem reveals at step k.
     """
     state = scs_init(problem)
     history = [state.Sigma.copy()] if collect_history else None
-    for _ in range(_MAX_SWEEPS):
+    while not max(state.primal_residual, state.dual_residual) <= tol:
+        if state.k >= _MAX_SWEEPS:
+            raise RuntimeError(f"ADMM did not reach residual {tol:g} "
+                               f"within {_MAX_SWEEPS} sweeps")
         Sigma, state = scs_admm_step(problem, state)
         if collect_history:
             history.append(Sigma.copy())
-        if max(state.primal_residual, state.dual_residual) <= tol:
-            break
-    else:
-        raise RuntimeError(f"ADMM did not reach residual {tol:g} "
-                           f"within {_MAX_SWEEPS} sweeps")
     info = {
         "sweeps": state.k,
         "primal_residual": state.primal_residual,

@@ -293,17 +293,14 @@ def alm_run(problem, learner, schedule, x0, theta_star,
 
         rho_k = schedule.rho(k)
         alpha_k = schedule.alpha(k)
-        try:
-            if apg_mode == "budget":
-                x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
-                                     ApgConfig(alpha=alpha_k), epoch=k)
-            elif apg_mode == "certified":
-                x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
-                                                 gap_tol=alpha_k, epoch=k)
-            else:
-                raise ValueError(f"unknown apg_mode {apg_mode!r}")
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"non-finite x at epoch {k}: {exc}") from exc
+        if apg_mode == "budget":
+            x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
+                                 ApgConfig(alpha=alpha_k), epoch=k)
+        elif apg_mode == "certified":
+            x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
+                                             gap_tol=alpha_k, epoch=k)
+        else:
+            raise ValueError(f"unknown apg_mode {apg_mode!r}")
         lam = dual_update(problem, lam, rho_k, x, theta_k)
         _check_finite(f"epoch {k}", x=x, lam=lam)
         x_sum += x

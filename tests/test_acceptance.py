@@ -195,6 +195,25 @@ def test_criterion_5_misspecified_constant_penalty(desk_bundle, desk_problem):
                 time.perf_counter() - t0, 300.0)
 
 
+GRID = [(regime, spec, eps) for regime in ("constant", "increasing")
+        for spec in ("known", "learned") for eps in (1e-1, 1e-2, 1e-3)]
+
+
+def overlay_margin(trace, curves, f_star):
+    """Smallest ratio of a run's overlay curves to its trace, after asserting
+    infeasibility under v_k_bound and the relative suboptimality under the
+    upper bound above f*, the lower one below it."""
+    infeas = trace.column("infeas_at_theta_star")
+    signed = (trace.column("f_at_theta_star") - f_star) / abs(f_star)
+    subopt = np.where(signed >= 0.0, curves["subopt_upper_bound"],
+                      curves["subopt_lower_bound"])
+    assert np.all(infeas <= curves["v_k_bound"])
+    assert np.all(np.abs(signed) <= subopt)
+    with np.errstate(divide="ignore"):
+        return min(np.min(curves["v_k_bound"] / infeas),
+                   np.min(subopt / np.abs(signed)))
+
+
 @pytest.mark.parametrize("apg_mode", ["budget", "certified"])
 def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mode):
     # every run of the regime x specification x eps grid lies under its
@@ -209,28 +228,32 @@ def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mo
     monkeypatch.setattr(experiments, "alm_run",
                         functools.partial(alm_run, apg_mode=apg_mode))
     t0 = time.perf_counter()
-    f_star = desk_bundle.reference.f_value
     margins = {}
-    for regime in ("constant", "increasing"):
-        for spec in ("known", "learned"):
-            for eps in (1e-1, 1e-2, 1e-3):
-                trace, curves = run_solve(DESK, eps, desk_bundle,
-                                          specification=spec, regime=regime)
-                assert trace.converged or apg_mode == "certified", (regime, spec, eps)
-                infeas = trace.column("infeas_at_theta_star")
-                signed = (trace.column("f_at_theta_star") - f_star) / abs(f_star)
-                subopt = np.where(signed >= 0.0, curves["subopt_upper_bound"],
-                                  curves["subopt_lower_bound"])
-                assert np.all(infeas <= curves["v_k_bound"]), (regime, spec, eps)
-                assert np.all(np.abs(signed) <= subopt), (regime, spec, eps)
-                with np.errstate(divide="ignore"):
-                    margins[regime, spec, eps] = min(
-                        np.min(curves["v_k_bound"] / infeas),
-                        np.min(subopt / np.abs(signed)))
+    for regime, spec, eps in GRID:
+        trace, curves = run_solve(DESK, eps, desk_bundle,
+                                  specification=spec, regime=regime)
+        assert trace.converged or apg_mode == "certified", (regime, spec, eps)
+        margins[regime, spec, eps] = overlay_margin(
+            trace, curves, desk_bundle.reference.f_value)
     worst = min(margins, key=margins.get)
     _report(5, f"overlays majorize all {len(margins)} {apg_mode} grid runs, smallest "
                f"ratio {margins[worst]:.3g} on {'/'.join(map(str, worst))}",
             time.perf_counter() - t0, 60.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_grid_converges_under_its_overlays_on_other_instances(seed):
+    # the desk grid on other instance seeds: learner targets near the
+    # eigenvalue floor, budgets and overlays on data the desk never shows
+    config = ExperimentConfig(n=DESK.n, s=DESK.s, seed=seed)
+    bundle = prepare_bundle(config)
+    for regime, spec, eps in GRID:
+        trace, curves = run_solve(config, eps, bundle,
+                                  specification=spec, regime=regime)
+        last = trace.records[-1]
+        assert trace.converged, (regime, spec, eps)
+        assert last.f_rel_subopt <= eps and last.infeas_at_theta_star <= eps
+        assert overlay_margin(trace, curves, bundle.reference.f_value) >= 1.0
 
 
 def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem):

@@ -130,12 +130,61 @@ def test_eigh_clip_is_the_projection_onto_the_floored_cone(case):
                                rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(feasible, 2)))
 
 
+@st.composite
+def near_floor_cases(draw):
+    """(M, floor): a symmetric M shifted so that its smallest eigenvalue
+    lies within 4 ulps of floor, up to the rounding of the shift."""
+    n = draw(st.integers(1, 12))
+    A = symmetrize(draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3))))
+    floor = draw(st.floats(1e-3, 10.0))
+    ulps = draw(st.integers(-4, 4))
+    margin = ulps * np.spacing(floor)
+    shift = floor + margin - np.linalg.eigvalsh(A)[0]
+    return A + shift * np.eye(n), floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(clip_cases(), st.floats(1e-6, 1.0))
+def test_eigh_clip_returns_in_cone_input_unchanged(case, margin):
+    # the Cholesky cone test accepts a matrix inside the floored cone and
+    # hands back its symmetrization, bit for bit
+    M, floor, _ = case
+    n = M.shape[0]
+    scale = max(1.0, np.linalg.norm(M, 2))
+    inside = M + (floor + margin * scale - np.linalg.eigvalsh(M)[0]) * np.eye(n)
+    skew = np.triu(np.full((n, n), 1e-3), 1)
+    skewed = inside + skew - skew.T
+    np.testing.assert_array_equal(eigh_clip(skewed, floor), symmetrize(skewed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_floor_cases())
+def test_eigh_clip_near_the_floor_stays_within_the_stated_slack(case):
+    # a smallest eigenvalue a few ulps either side of the floor: whichever
+    # path takes it, the output is floored and within the slack of the
+    # eigh projection, counting the slack once for the cone test and once
+    # for the rounding of the eigensolvers that check it
+    M, floor = case
+    n = M.shape[0]
+    slack = 2.0 * n * (n + 1) * 2.0 ** -52 * (np.linalg.norm(M, 2) + floor)
+    P = eigh_clip(M, floor)
+    np.testing.assert_array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P)[0] >= floor - slack
+    assert np.linalg.norm(P - clip_lapack(M, floor), 2) <= slack
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_eigh_clip_rejects_non_finite(bad):
-    M = np.eye(4)
-    M[1, 2] = M[2, 1] = bad
-    with pytest.raises(NonFiniteError, match="NaN or infinite"):
-        eigh_clip(M, 0.1)
+    # without the bad entry the first base passes the Cholesky cone test and
+    # the second goes to eigh. LAPACK's Cholesky carries NaN, and an
+    # infinite diagonal, into the factor without failing, so the fast path
+    # needs its own check; eigh fails to converge on some positions
+    for base in (np.diag([2.0, 2.0, 2.0, 2.0]), np.diag([-1.0, 2.0, 2.0, 2.0])):
+        for at in [(0, 0), (3, 3), (1, 2), (3, 0)]:  # diagonal, off it, last row
+            M = base.copy()
+            M[at] = bad
+            with pytest.raises(NonFiniteError, match="NaN or infinite"):
+                eigh_clip(M, 0.1)
 
 
 def test_scs_fixed_point_for_diagonal_feasible_s():
@@ -235,7 +284,6 @@ def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
     from simalm import learning
 
     problem = make_scs(n=8, seed=4)
-    first = AdmmScsLearner(problem)
     eigensolves = []
     eigh = learning.jacobi_eigh
 
@@ -247,24 +295,36 @@ def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
         return [np.array_equal(M, prob.S) for M in eigensolves]
 
     monkeypatch.setattr(learning, "jacobi_eigh", counted_eigh)
-    # a second learner on the same problem skips the start factorisation of
-    # S: it runs only the sweep consumed at construction
+    # the cold start factors S, then the target of the first sweep, which
+    # lies outside the floored cone: once per problem
+    first = AdmmScsLearner(problem)
+    assert factors_of_S(problem) == [True, False]
+    eigensolves.clear()
     second = AdmmScsLearner(problem)
-    assert factors_of_S(problem) == [False]
+    assert eigensolves == []
     copied_problem = dataclasses.replace(problem)
     copied = AdmmScsLearner(copied_problem)
-    assert factors_of_S(copied_problem) == [False, True, False]
+    assert factors_of_S(copied_problem) == [True, False]
+    eigensolves.clear()
+    mu = problem.admm_penalty
     for _ in range(5):
+        # a warm sweep whose target lies inside the cone factors nothing
+        target = (problem.S + mu * (first.state.Phi - first.state.U)) / (1.0 + mu)
+        assert np.linalg.eigvalsh(target)[0] >= 2.0 * problem.psd_floor
         theta = first.step()
         np.testing.assert_array_equal(second.step(), theta)
         np.testing.assert_array_equal(copied.step(), theta)
+    assert eigensolves == []
 
-    Sigma0 = problem.start
-    assert problem.start is Sigma0
-    with pytest.raises(ValueError):
-        Sigma0[0, 0] = 1.0
+    start = problem.first_sweep
+    assert problem.first_sweep is start
+    for block in (start.Sigma, start.Phi, start.U):
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    # learners start from copies
+    assert not np.shares_memory(AdmmScsLearner(problem).theta, start.Sigma)
 
     raised = dataclasses.replace(problem, psd_floor=0.5)
-    assert raised.start is not Sigma0
-    assert np.linalg.eigvalsh(raised.start).min() >= 0.5 - 1e-10
-    assert np.linalg.eigvalsh(Sigma0).min() < 0.5
+    assert raised.first_sweep is not start
+    assert np.linalg.eigvalsh(raised.first_sweep.Sigma).min() >= 0.5 - 1e-10
+    assert np.linalg.eigvalsh(start.Sigma).min() < 0.5

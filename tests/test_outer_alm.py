@@ -401,6 +401,31 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("apg_mode", ["budget", "certified"])
+def test_non_finite_warm_start_gradient_names_quantity_and_epoch_once(apg_mode):
+    # the inner solve's own message reaches the caller: it names the
+    # gradient, not x, and the epoch once
+    import dataclasses
+
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8)
+    sigma = instance.sigma
+    calls = []
+
+    def nan_on_first_call(x, theta):
+        calls.append(1)
+        grad = problem.smooth_grad(x, theta)
+        return np.full_like(grad, np.nan) if len(calls) == 1 else grad
+
+    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call)
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    with pytest.raises(NonFiniteError) as err:
+        alm_run(bad, SyntheticLearner(sigma, sigma, 0.6), schedule,
+                x0=np.full(instance.n, 0.1), theta_star=sigma,
+                stop=StopRule(max_outer=3), apg_mode=apg_mode)
+    assert str(err.value) == "non-finite gradient at the warm start at epoch 0"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("oracle, quantity, corrupt", [
     ("apg_solve", "x", lambda out: (np.full_like(out[0], np.nan), out[1])),
     ("dual_update", "lam", lambda out: np.full_like(out, np.inf)),
