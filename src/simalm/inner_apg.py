@@ -5,10 +5,9 @@ where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
 and, the penalty being convex, the strong-convexity modulus mu of p(.;
 theta). One loop, fista (no restarts, no line search), runs every solve.
-The per-theta constants, the curvature pair (L_p, mu) from
-problem.smooth_curvature and ||A(theta)||^2, are computed once per distinct
-theta, so the solves of an epoch, and every epoch of a frozen estimate,
-share them.
+||A(theta)||^2 is computed once per distinct A, and the curvature pair
+(L_p, mu) from problem.smooth_curvature at most once per distinct theta
+(problem.theta_memo).
 
 A solve runs the shorter of two a-priori budgets for an alpha-accurate
 value, FISTA's on a tie: FISTA's, with its momentum,
@@ -25,10 +24,26 @@ from F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x_init) - F* + (mu/2)
 <grad nu(x_init), x_init - s> is the linear-minimizer certificate at x_init
 (Jaggi 2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <= gap, so R
 bounds the warm start's distance to the optimum and 2 gap the bracket of
-T_sc. Without mu > 0 and a linear minimizer there is no gap, and T runs
-with R = D_x. The gradient taken for the gap is the first step's, so every
-step evaluates one gradient. A budget above MAX_ITERATIONS raises
-BudgetError, the one cap failure.
+T_sc. Without a linear minimizer there is no gap, and without mu > 0 no
+linear rate; T then runs with R = D_x. The gap does not depend on (L, mu),
+and its gradient is the first step's, so every step evaluates one
+gradient. A budget above MAX_ITERATIONS raises BudgetError, the one cap
+failure.
+
+A run need not factor every theta. Its CurvatureAnchor holds the last
+theta_a it factored and that pair (L_a, mu_a). By Weyl's inequality (Horn &
+Johnson 2013, Cor. 4.3.15) no eigenvalue of a symmetric Hessian moves by
+more than d = constants.L_curv_theta ||theta - theta_a||_F, rounded up. So
+the carried pair (L_a + d, max(0, mu_a - d)) still bounds the curvature at
+theta, and a factorisation returns no better pair than (L_a - d, mu_a + d),
+up to the oracle's rounding margin. Both budgets grow with L and with
+L / mu, so when these two pairs give the same budget, the smaller of the
+two, factoring could not shorten the solve, and it runs the carried pair.
+Otherwise, or when 2 d > L_a - mu_a (no one pair is the most optimistic),
+it factors theta and the anchor moves there. The anchor is the run's, not
+the pure problem's, so runs sharing a problem do not depend on each other's
+order. lipschitz_nu, iteration_budget and solves without an anchor use
+theta's own pair.
 
 apg_solve runs the budget to its end. certified_solve (used by the
 sequential-vs-simultaneous comparison and by dual_gap_estimates) may exit
@@ -50,12 +65,14 @@ from .linalg import spectral_norm
 from .model import NonFiniteError, constraint_value
 
 __all__ = [
-    "ApgConfig", "BudgetError", "MAX_ITERATIONS", "lipschitz_nu", "grad_nu",
-    "nu_value", "iteration_budget", "fista", "apg_solve", "certified_solve",
+    "ApgConfig", "BudgetError", "CurvatureAnchor", "MAX_ITERATIONS",
+    "lipschitz_nu", "grad_nu", "nu_value", "iteration_budget", "fista",
+    "apg_solve", "certified_solve",
 ]
 
 # Cap on the budget of one inner solve.
 MAX_ITERATIONS = 2_000_000
+_EPS = float(np.finfo(float).eps)
 
 _log = logging.getLogger("simalm")
 
@@ -75,26 +92,78 @@ class ApgConfig:
             raise ValueError("target inexactness alpha must be positive")
 
 
-def _theta_constants(problem, theta):
-    """(L_p, mu, ||A(theta)||^2), computed once per distinct theta."""
-    def compute(th):
-        L_p, mu = problem.smooth_curvature(th)
-        A = np.asarray(problem.constraint_matrix(th), dtype=float)
-        return float(L_p), float(mu), spectral_norm(A) ** 2
+class CurvatureAnchor:
+    """The last theta a run factored and its curvature pair (L_a, mu_a).
 
-    return problem.theta_memo(theta, compute)
+    alm_run keeps one per run and hands it to every inner solve, which
+    carries the pair to a new theta or factors theta and moves the anchor
+    there (module docstring). One run, one anchor: it is not shared.
+    """
+
+    def __init__(self):
+        self._theta = None
+        self._pair = None
+
+    def carry(self, theta, lipschitz):
+        """(carried pair, optimistic pair, d) at theta, or None without an
+        anchor, without lipschitz, for another shape or a NaN or infinite
+        distance. The optimistic pair is None when 2 d > L_a - mu_a. At the
+        anchor's own theta both pairs are the anchor's pair and d = 0."""
+        if lipschitz is None or self._theta is None:
+            return None
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != self._theta.shape:
+            return None
+        if np.array_equal(theta, self._theta):
+            return self._pair, self._pair, 0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = theta - self._theta
+            d = lipschitz * float(np.linalg.norm(diff))
+        if not math.isfinite(d):
+            return None
+        L_a, mu_a = self._pair
+        # the difference and the norm of its N entries err by less than
+        # (N + 4) eps relative, the product by half an ulp
+        d = math.nextafter(d * (1.0 + (diff.size + 4) * _EPS), math.inf)
+        carried = (math.nextafter(L_a + d, math.inf),
+                   max(0.0, math.nextafter(mu_a - d, -math.inf)))
+        optimistic = (L_a - d, mu_a + d) if 2.0 * d <= L_a - mu_a else None
+        return carried, optimistic, d
+
+    def move(self, theta, pair):
+        """Anchor at a private copy of theta, whose pair was just factored;
+        a NaN or infinite theta leaves no anchor."""
+        theta = np.array(theta, dtype=float, copy=True)
+        self._theta = theta if np.isfinite(theta).all() else None
+        self._pair = pair
+
+
+def _factored_curvature(problem, theta):
+    """(L_p, mu) of theta from smooth_curvature, once per distinct theta."""
+    L_p, mu = problem.theta_memo(theta, problem.smooth_curvature)
+    return float(L_p), float(mu)
+
+
+def _squared_norm(A):
+    return spectral_norm(A) ** 2
+
+
+def _a_norm_sq(problem, theta):
+    """||A(theta)||^2, computed once per distinct A."""
+    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
+    return problem.theta_memo(A, _squared_norm)
 
 
 def lipschitz_nu(problem, rho, theta):
     """Gradient Lipschitz constant of the smooth subproblem part.
 
-    L_p(theta) + rho * ||A(theta)||^2; monotone increasing in rho. L_p and
-    the norm are computed once per distinct theta (problem.theta_memo).
+    L_p(theta) + rho * ||A(theta)||^2 from theta's own curvature pair;
+    monotone increasing in rho. L_p is computed once per distinct theta and
+    the norm once per distinct A (problem.theta_memo).
     """
     if rho < 0:
         raise ValueError("penalty rho must be nonnegative")
-    L_p, _, a_norm_sq = _theta_constants(problem, theta)
-    return L_p + rho * a_norm_sq
+    return _factored_curvature(problem, theta)[0] + rho * _a_norm_sq(problem, theta)
 
 
 def _bound_gradient(problem, lam, rho, theta):
@@ -123,29 +192,54 @@ def _budget(L, alpha, radius):
 
 def _linear_budget(L, mu, gap, alpha):
     """Fewest steps T of the strongly convex loop with (1 - sqrt(mu/L))^T 2 gap
-    <= alpha: 1 when 2 gap <= alpha, inf when the gap was not computed (NaN)."""
-    if math.isnan(gap):
+    <= alpha: 1 when 2 gap <= alpha, inf when mu = 0 or the gap was not
+    computed (NaN)."""
+    if math.isnan(gap) or mu <= 0.0:
         return math.inf
     if 2.0 * gap <= alpha or mu == L:
         return 1
     return math.ceil(math.log(2.0 * gap / alpha) / -math.log1p(-math.sqrt(mu / L)))
 
 
-def _warm_radius(problem, grad, x, mu, where):
-    """(R, gap, grad(x)) of the budget from the warm start x in X.
-
-    R = min(D_x, sqrt(2 gap / mu)); the second term bounds ||x - x*||. With
-    mu = 0 or without problem.linear_minimizer, (D_x, NaN, None): nothing
-    computed. A gap rounded below zero counts as zero; NaN or inf raises.
-    """
-    D_x = problem.constants.D_x
-    if mu <= 0.0 or problem.linear_minimizer is None:
-        return D_x, math.nan, None
+def _warm_gap(problem, grad, x, where):
+    """(gap, grad(x)) at the warm start x in X; (NaN, None) without
+    problem.linear_minimizer. A NaN or infinite gap raises."""
+    if problem.linear_minimizer is None:
+        return math.nan, None
     g = grad(x)
     gap = float(g @ (x - problem.linear_minimizer(g)))
     if not math.isfinite(gap):
         raise NonFiniteError(f"non-finite gradient at the warm start{where}")
-    return min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu)), gap, g
+    return gap, g
+
+
+def _budgets(L, mu, gap, alpha, D_x):
+    """(FISTA's budget, the linear-rate budget) of a solve with constants (L, mu).
+
+    FISTA's radius is min(D_x, sqrt(2 gap / mu)), the second term a bound on
+    ||x_init - x*||; a gap rounded below zero counts as zero.
+    """
+    radius = D_x
+    if mu > 0.0 and not math.isnan(gap):
+        radius = min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu))
+    return _budget(L, alpha, radius), _linear_budget(L, mu, gap, alpha)
+
+
+def _curvature(problem, theta, anchor, budgets):
+    """(L_p, mu, d): the anchor's pair carried to theta by the shift d when
+    the carried and the optimistic pair give the same budget, the smaller
+    of budgets(L_p, mu); otherwise theta's own pair, d = None, and the
+    anchor moves to theta."""
+    if anchor is not None:
+        carried = anchor.carry(theta, problem.constants.L_curv_theta)
+        if carried is not None:
+            pair, optimistic, d = carried
+            if optimistic is not None and min(budgets(*pair)) == min(budgets(*optimistic)):
+                return (*pair, d)
+    pair = _factored_curvature(problem, theta)
+    if anchor is not None:
+        anchor.move(theta, pair)
+    return (*pair, None)
 
 
 def grad_nu(problem, x, lam, rho, theta):
@@ -166,7 +260,8 @@ def nu_value(problem, x, lam, rho, theta):
 def iteration_budget(problem, rho, theta, alpha):
     """A-priori iteration count sqrt(2 L / alpha) * D_x, rounded up.
 
-    It holds for any start in X; no inner solve runs more steps.
+    L is lipschitz_nu's, from theta's own curvature pair. It holds for any
+    start in X; no inner solve runs more steps.
     The bound is a real number while iterations are integral; ceiling keeps
     the accuracy guarantee.
     """
@@ -222,7 +317,7 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0,
     return z, t
 
 
-def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify):
+def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     """(x, steps, certificate of the last step, NaN unless certify)."""
     if certify and problem.linear_minimizer is None:
         raise ValueError("problem lacks a linear minimization oracle")
@@ -231,19 +326,24 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify):
     def prox(y, g, L):
         return problem.prox_step(y, g, L, theta)
 
-    L_p, mu, a_norm_sq = _theta_constants(problem, theta)
-    L = L_p + rho * a_norm_sq
+    a_norm_sq = _a_norm_sq(problem, theta)
+    D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""
-    radius, gap, g0 = _warm_radius(problem, grad, x_init, mu, where)
-    fista_budget = _budget(L, alpha, radius)
-    linear_budget = _linear_budget(L, mu, gap, alpha)
+    gap, g0 = _warm_gap(problem, grad, x_init, where)
+
+    def budgets(L_p, mu):
+        return _budgets(L_p + rho * a_norm_sq, mu, gap, alpha, D_x)
+
+    L_p, mu, shift = _curvature(problem, theta, anchor, budgets)
+    L = L_p + rho * a_norm_sq
+    fista_budget, linear_budget = budgets(L_p, mu)
     budget = min(fista_budget, linear_budget)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("inner solve epoch=%s L=%.6g mu=%.6g gap=%.6g "
-                   "a_priori_budget=%d fista_budget=%d budget=%d", epoch, L, mu,
-                   gap, _budget(L, alpha, problem.constants.D_x),
-                   fista_budget, budget)
+        _log.debug("inner solve epoch=%s L=%.6g mu=%.6g gap=%.6g curvature=%s "
+                   "shift=%.3g a_priori_budget=%d fista_budget=%d budget=%d",
+                   epoch, L, mu, gap, "factored" if shift is None else "carried",
+                   shift or 0.0, _budget(L, alpha, D_x), fista_budget, budget)
     if budget > MAX_ITERATIONS:
         raise BudgetError(
             f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
@@ -266,18 +366,24 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify):
     return x, steps, cert
 
 
-def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None):
+def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None):
     """Run the budget for config.alpha from the warm start x_init in X.
 
-    Returns (x, steps). Logs L, mu, the gap at x_init, the a-priori and
-    FISTA budgets and last the budget run at DEBUG level on the "simalm"
-    logger. Raises BudgetError or NonFiniteError naming the epoch.
+    anchor, the run's CurvatureAnchor, lets the solve carry the curvature
+    pair from the last theta the run factored; without one the solve uses
+    theta's own pair. Returns (x, steps). Logs L, mu, the gap at x_init,
+    whether the curvature was factored or carried and by what shift, the
+    a-priori and FISTA budgets and last the budget run at DEBUG level on
+    the "simalm" logger. Raises BudgetError or NonFiniteError naming the
+    epoch.
     """
-    x, steps, _ = _solve(problem, x_init, lam, rho, theta, config.alpha, epoch, False)
+    x, steps, _ = _solve(problem, x_init, lam, rho, theta, config.alpha, epoch,
+                         False, anchor)
     return x, steps
 
 
-def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None):
+def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None,
+                    anchor=None):
     """apg_solve for alpha = gap_tol with the step certificate's early exit.
 
     Requires problem.linear_minimizer and q == 0 (prox_step projects onto
@@ -286,6 +392,6 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None):
     ended the solve.
     """
     x, steps, cert = _solve(problem, x_init, lam, rho, theta,
-                            ApgConfig(alpha=gap_tol).alpha, epoch, True)
+                            ApgConfig(alpha=gap_tol).alpha, epoch, True, anchor)
     value = float(problem.nonsmooth_value(x, theta)) + nu_value(problem, x, lam, rho, theta)
     return x, value, cert, steps

@@ -3,8 +3,8 @@
 A problem instance is a composite objective f(x; theta) = q(x; theta) +
 p(x; theta) minimized over a simple set X with a prox oracle, subject to the
 conic constraint h(x; theta) = A(theta) x + b(theta) lying in -K. Problem
-objects are immutable bundles of pure oracles, plus a one-entry memo of
-per-theta curvature constants, and can be shared freely across threads.
+objects are immutable bundles of pure oracles, plus one-entry memos of the
+curvature pair and of ||A||^2, and can be shared freely across threads.
 """
 
 import functools
@@ -46,21 +46,32 @@ class ProblemConstants:
     The curvature of p and the norm of A(theta) are not here: the inner
     solver takes both per theta, from smooth_curvature and constraint_matrix.
 
-    L_h_theta  Lipschitz constant of h in theta (uniform in x over X).
-    L_f        Lipschitz constant of f in theta (uniform in x over X).
-    D_x        max norm of a point of X.
-    kappa      pseudo-Lipschitz constant of the inner solution map in theta;
-               user-supplied, scales reported bound curves only.
+    L_h_theta     Lipschitz constant of h in theta (uniform in x over X).
+    L_f           Lipschitz constant of f in theta (uniform in x over X).
+    D_x           max norm of a point of X.
+    kappa         pseudo-Lipschitz constant of the inner solution map in
+                  theta; user-supplied, scales reported bound curves only.
+    L_curv_theta  Lipschitz constant of the curvature in theta: the largest
+                  curvature of p(.; theta) and its smallest one each move
+                  by at most L_curv_theta ||theta - theta'||_F. It lets a
+                  run carry the pair from smooth_curvature(theta') to theta
+                  without factoring theta (inner_apg.CurvatureAnchor). 1.0
+                  when the Hessian of p is theta itself, by Weyl's
+                  inequality; None, the default, factors every distinct
+                  theta.
     """
 
     L_h_theta: float
     L_f: float
     D_x: float
     kappa: float = 1.0
+    L_curv_theta: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("L_h_theta", "L_f", "D_x", "kappa"):
+        for name in ("L_h_theta", "L_f", "D_x", "kappa", "L_curv_theta"):
             v = getattr(self, name)
+            if v is None and name == "L_curv_theta":
+                continue
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"constant {name} must be finite and nonnegative")
 
@@ -92,11 +103,13 @@ class ParametricProblem:
                                    their warm-start gap and step certificate
 
     Every oracle must be pure: the same arguments give the same result, bit
-    for bit. theta_memo relies on it to keep one computed quantity (the
-    curvature pair and the norm of A behind the inner solver's L and mu)
-    for the last theta seen, keyed by theta's content; a bit-equal theta
-    reuses it, any other theta replaces it. The memo is private to the
-    object: dataclasses.replace starts an empty one.
+    for bit. theta_memo relies on it to keep, per pure function, its value
+    at the last argument seen, keyed by the argument's content: the inner
+    solver keeps the curvature pair of the last theta it factored and
+    ||A||^2 of the last A. The memo is private to the object:
+    dataclasses.replace starts an empty one. A run's carried curvature
+    (inner_apg.CurvatureAnchor) is not kept here: it depends on the thetas
+    that run saw, and one problem serves many runs in any order.
     """
 
     smooth_grad: Callable
@@ -110,21 +123,25 @@ class ParametricProblem:
     smooth_curvature: Callable
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
-    _memo: tuple = field(default=(), init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def theta_memo(self, theta, compute):
-        """compute(theta), reused while theta stays bit-equal to the last one.
+        """compute(theta) for a pure compute, reused while theta stays
+        bit-equal to the last argument compute was given here.
 
-        The key is a private copy of theta, so mutating the caller's array
-        afterwards cannot make a stale entry match. Key and value share one
-        tuple slot, so a concurrent reader sees a consistent pair.
+        theta may be any array built from theta, such as A(theta). Each
+        compute function has one entry. Its key is a private copy of theta,
+        so mutating the caller's array afterwards cannot make a stale entry
+        match. Key and value share one tuple slot, so a concurrent reader
+        sees a consistent pair.
         """
-        memo = self._memo
-        if memo and np.array_equal(memo[0], theta):
-            return memo[1]
+        entry = self._memo.get(compute)
+        if entry is not None and np.array_equal(entry[0], theta):
+            return entry[1]
         key = np.array(theta, copy=True)
         value = compute(theta)
-        object.__setattr__(self, "_memo", (key, value))
+        self._memo[compute] = (key, value)
         return value
 
 
@@ -271,8 +288,11 @@ def portfolio_problem(instance, kappa=1.0):
     and mu from below, also for an indefinite theta.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
-    risk term under the Frobenius metric on theta, and L_h_theta = 0 because
-    the sector constraints do not depend on theta.
+    risk term under the Frobenius metric on theta, L_h_theta = 0 because
+    the sector constraints do not depend on theta, and L_curv_theta = 1
+    because the Hessian of p is theta: by Weyl's inequality every
+    eigenvalue of a symmetric theta moves by at most ||theta - theta'||_2
+    <= ||theta - theta'||_F (Horn & Johnson 2013, Cor. 4.3.15).
     """
     A = instance.sector_matrix
     b = instance.sector_limits
@@ -319,6 +339,7 @@ def portfolio_problem(instance, kappa=1.0):
         L_f=0.5,
         D_x=1.0,
         kappa=kappa,
+        L_curv_theta=1.0,
     )
     return ParametricProblem(
         smooth_grad=smooth_grad,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .al_core import dual_update
 from .bounds import inverse_power_series
-from .inner_apg import ApgConfig, apg_solve, certified_solve
+from .inner_apg import ApgConfig, CurvatureAnchor, apg_solve, certified_solve
 from .model import NonFiniteError, evaluate_f, infeasibility
 
 __all__ = [
@@ -267,11 +267,15 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         first step whose gradient-mapping certificate, an upper bound on
         that step's suboptimality, is at most alpha_k.
 
+    The run keeps its own CurvatureAnchor, so its inner solves factor the
+    curvature of theta_k only when that could shorten a solve (inner_apg).
+
     Raises NonFiniteError, naming the epoch and the quantity, as soon as
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
     itself meets one.
     """
     lam = np.zeros(problem.cone.dim)
+    anchor = CurvatureAnchor()
     x = np.asarray(x0, dtype=float).copy()
     if problem.membership is not None and not problem.membership(x):
         raise ValueError("x0 is not a member of X")
@@ -295,10 +299,11 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         alpha_k = schedule.alpha(k)
         if apg_mode == "budget":
             x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
-                                 ApgConfig(alpha=alpha_k), epoch=k)
+                                 ApgConfig(alpha=alpha_k), epoch=k, anchor=anchor)
         elif apg_mode == "certified":
             x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
-                                             gap_tol=alpha_k, epoch=k)
+                                             gap_tol=alpha_k, epoch=k,
+                                             anchor=anchor)
         else:
             raise ValueError(f"unknown apg_mode {apg_mode!r}")
         lam = dual_update(problem, lam, rho_k, x, theta_k)

@@ -8,7 +8,8 @@ primal active-set method (Nocedal & Wright, ch. 16) on
 
 which terminates finitely for positive definite Q and reaches machine
 precision. Each step solves the reduced KKT system over the free
-coordinates. The solver verifies its KKT residual itself and raises one
+coordinates. The solver refuses a Q that is not symmetric positive
+definite with ValueError, verifies its KKT residual itself and raises one
 ReferenceSolveError on a singular step, the iteration cap, or a residual
 above KKT_TOL, so the oracle is independent of the first-order solve paths
 it is used to judge.
@@ -22,6 +23,7 @@ __all__ = ["ReferenceSolution", "ReferenceSolveError", "active_set_qp",
            "simplex_qp", "portfolio_reference"]
 
 STEP_TOL = 1e-11    # a step this small (inf-norm) means x is optimal on its working set
+SYM_TOL = 1e-10     # largest |Q - Q'| entry accepted, relative to the largest |Q| entry
 KKT_TOL = 1e-9      # largest KKT residual a returned solution may have
 CAP_PER_ROW = 50    # iteration cap: CAP_PER_ROW * (n + m + 2)
 
@@ -60,14 +62,23 @@ def _kkt_residual(Q, c, G, d, x, lam, nu, eta):
 def active_set_qp(Q, c, G=None, d=None):
     """Minimize (1/2) x'Qx + c'x over the simplex intersected with Gx <= d.
 
-    Q must be symmetric positive definite and the uniform point feasible
-    (ValueError otherwise). Returns a dict with keys x, lam (multipliers of
+    Q must be finite, symmetric (to SYM_TOL) and positive definite (its
+    Cholesky factorisation must complete), and the uniform point feasible;
+    ValueError otherwise. Returns a dict with keys x, lam (multipliers of
     Gx <= d), nu (simplex equality multiplier), eta (multipliers of x >= 0),
     iterations, kkt_residual.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
     n = c.size
+    if Q.shape != (n, n) or not np.isfinite(Q).all():
+        raise ValueError("Q must be a finite n x n matrix")
+    if np.abs(Q - Q.T).max() > SYM_TOL * np.abs(Q).max():
+        raise ValueError("Q must be symmetric")
+    try:
+        np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        raise ValueError("Q must be positive definite") from None
     if G is None:
         G, d = np.zeros((0, n)), np.zeros(0)
     G = np.asarray(G, dtype=float).reshape(-1, n)

@@ -323,6 +323,20 @@ def test_seq_vs_sim_shape(small_config, small_bundle):
     assert zero_budget["work"][0] >= 1
 
 
+def test_seq_vs_sim_csv_does_not_depend_on_the_budget_order(tmp_path, small_config,
+                                                            small_bundle):
+    # the five runs share one problem, and with it the memo of the last
+    # theta factored; each run carries its curvature from its own anchor, so
+    # the order of the runs cannot change a byte of the CSV
+    written = []
+    for budgets in ((0, 2, 4, 6), (6, 2, 0, 4)):
+        config = dataclasses.replace(small_config, sequential_budgets=budgets)
+        path = tmp_path / f"seqsim_{budgets[0]}.csv"
+        write_seqsim(run_seq_vs_sim(config, small_bundle, max_outer=30), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_write_seqsim_csv(tmp_path, small_config, small_bundle):
     curves = run_seq_vs_sim(small_config, small_bundle, max_outer=10)
     path = tmp_path / "seqsim.csv"

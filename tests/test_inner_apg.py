@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import sys
 import threading
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from simalm import outer_alm
 from simalm.al_core import eval_L
 from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
-                              apg_solve, certified_solve, fista, grad_nu,
-                              iteration_budget, lipschitz_nu, nu_value)
-from simalm.linalg import spectral_norm
-from simalm.learning import FrozenLearner
+                              CurvatureAnchor, apg_solve, certified_solve,
+                              fista, grad_nu, iteration_budget, lipschitz_nu,
+                              nu_value)
+from simalm.linalg import spectral_norm, symmetrize
+from simalm.learning import FrozenLearner, SyntheticLearner
 from simalm.model import NonFiniteError, constraint_value, simplex_prox
 from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
@@ -144,8 +147,10 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     fresh = _portfolio_lipschitz(theta, A, 2.0)
     want_other = _portfolio_lipschitz(other, A, 2.0)
     want_doubled = _portfolio_lipschitz(2.0 * other, A, 2.0)
-    # one spectrum of theta (no SVD of it) and one norm of A per distinct theta
-    once = [("eigvalsh", theta.shape), ("svd", A.shape)]
+    # one spectrum per distinct theta (no SVD of it) and one norm per
+    # distinct A, which the portfolio never changes
+    spectrum, norm = ("eigvalsh", theta.shape), ("svd", A.shape)
+    once = [spectrum, norm]
     decompositions.clear()
     assert lipschitz_nu(problem, 2.0, theta) == fresh
     assert decompositions == once
@@ -154,16 +159,16 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     lipschitz_nu(problem, 5.0, theta)
     assert iteration_budget(problem, 2.0, theta, 1e-3) > 0
     assert decompositions == once
-    # one entry off recomputes
+    # one entry off recomputes the spectrum, not the norm of A
     assert lipschitz_nu(problem, 2.0, other) == want_other
-    assert decompositions == 2 * once
+    assert decompositions == once + [spectrum]
     # mutating the caller's array in place cannot hit the stale entry
     other *= 2.0
     assert lipschitz_nu(problem, 2.0, other) == want_doubled
-    assert decompositions == 3 * once
+    assert decompositions == once + 2 * [spectrum]
     # dataclasses.replace starts an empty memo
     assert lipschitz_nu(dataclasses.replace(problem), 2.0, other) == want_doubled
-    assert decompositions == 4 * once
+    assert decompositions == once + 2 * [spectrum] + once
     # lipschitz_nu, iteration_budget and apg_solve on one theta share one
     # decomposition, which also gives apg_solve its mu
     decompositions.clear()
@@ -180,7 +185,117 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
                     x0=x0, theta_star=instance.sigma,
                     stop=StopRule(max_outer=4))
     assert len(trace) == 4
-    assert decompositions == once
+    assert sorted(decompositions) == sorted(once)
+
+
+def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
+                                                         decompositions):
+    # a run on the geometric thetas of a SyntheticLearner: without
+    # L_curv_theta every distinct theta is factored; with the portfolio's
+    # 1.0 fewer are. A carried solve runs as many steps as the same solve
+    # on theta's own constants, so no budget solve runs more steps than
+    # iteration_budget computed from them
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    schedule = make_constant_schedule(1e-2, 1.0, learner_known=False)
+    solves = []
+
+    def recording(problem, x_init, lam, rho, theta, config, **kwargs):
+        x, steps = apg_solve(problem, x_init, lam, rho, theta, config, **kwargs)
+        solves.append((problem, x_init.copy(), lam.copy(), rho, theta.copy(),
+                       config, steps))
+        return x, steps
+
+    monkeypatch.setattr(outer_alm, "apg_solve", recording)
+    spectra = {}
+    for lipschitz in (None, 1.0):
+        run_problem = dataclasses.replace(
+            problem, constants=dataclasses.replace(problem.constants,
+                                                   L_curv_theta=lipschitz))
+        learner = SyntheticLearner(instance.sigma, 1.4 * instance.sigma, 0.3)
+        decompositions.clear()
+        trace = alm_run(run_problem, learner, schedule,
+                        x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
+                        stop=StopRule(max_outer=12))
+        assert len(trace) == 12
+        spectra[lipschitz] = decompositions.count(("eigvalsh", instance.sigma.shape))
+        assert decompositions.count(("svd", instance.sector_matrix.shape)) == 1
+    assert spectra[None] == 12
+    assert 0 < spectra[1.0] < 12
+    assert len(solves) == 24
+    for run_problem, x_init, lam, rho, theta, config, steps in solves:
+        assert apg_solve(run_problem, x_init, lam, rho, theta, config)[1] == steps
+        assert steps <= iteration_budget(run_problem, rho, theta, config.alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(["definite", "singular", "indefinite"]),
+       st.sampled_from([None, 0, -1]), st.floats(-15.0, 0.0),
+       st.integers(0, 2**32 - 1))
+def test_carried_curvature_bounds_the_factored_pair(n, kind, aligned, log_scale,
+                                                    seed):
+    # Weyl: carried from theta_a by d >= ||theta - theta_a||_F, the pair
+    # bounds the curvature oracle's pair at theta = theta_a + E, L_p from
+    # above and mu from below, for a positive definite, a singular positive
+    # semidefinite and an indefinite theta_a. Both pairs bound the exact
+    # spectrum, which neither computes, so they are compared to within the
+    # oracle's rounding margin max(n, 32) eps max|eigenvalue|. An aligned E
+    # lies along the eigenvector of theta_a's smallest (0) or largest (-1)
+    # eigenvalue, where Weyl's bound is tight.
+    _, problem = make_small_portfolio(n=n, s=1)
+    gen = np.random.default_rng(seed)
+    F = gen.standard_normal((n, n))
+    theta_a = {"definite": F @ F.T / n + 0.1 * np.eye(n),
+               "singular": F[:, 1:] @ F[:, 1:].T / n,
+               "indefinite": symmetrize(F)}[kind]
+    scale = 10.0 ** log_scale * gen.choice([-1.0, 1.0])
+    if aligned is None:
+        E = scale * symmetrize(gen.standard_normal((n, n)))
+    else:
+        v = np.linalg.eigh(theta_a)[1][:, aligned]
+        E = scale * np.outer(v, v)
+    theta = theta_a + E
+    anchor = CurvatureAnchor()
+    anchor.move(theta_a, problem.smooth_curvature(theta_a))
+    (L_c, mu_c), _, d = anchor.carry(theta, problem.constants.L_curv_theta)
+    L_p, mu = problem.smooth_curvature(theta)
+    margin = max(n, 32) * np.finfo(float).eps * L_p
+    assert d >= np.linalg.norm(theta - theta_a)
+    assert L_c >= L_p - margin
+    assert mu_c <= mu + margin
+    assert anchor.carry(theta_a, 1.0)[0] == problem.smooth_curvature(theta_a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_theta_is_always_factored(caplog, bad):
+    # the QP ignores theta, so its solves run to the end; only the choice
+    # between a carried and a factored curvature sees theta, and an anchor
+    # at a non-finite theta carries nothing either
+    from simalm.model import ProblemConstants
+
+    n = 6
+    gen = np.random.default_rng(4)
+    F = gen.standard_normal((n, n))
+    qp = _simplex_qp_problem(F @ F.T / n + 0.2 * np.eye(n), gen.standard_normal(n))
+    problem = dataclasses.replace(qp, constants=ProblemConstants(
+        L_h_theta=0.0, L_f=0.0, D_x=1.0, L_curv_theta=1.0))
+    theta = np.zeros(3)
+    near = theta + 1e-12
+    broken = theta.copy()
+    broken[1] = bad
+    anchor = CurvatureAnchor()
+    x0 = np.full(n, 1.0 / n)
+    thetas = (theta, near, broken, near, near, broken, broken)
+    with caplog.at_level(logging.DEBUG, logger="simalm"):
+        for th in thetas:
+            apg_solve(problem, x0, np.zeros(1), 1.0, th, ApgConfig(alpha=1e-6),
+                      anchor=anchor)
+    kinds = [re.search(r" curvature=(\w+) ", r.getMessage()).group(1)
+             for r in caplog.records]
+    assert kinds == ["factored", "carried", "factored", "factored", "carried",
+                     "factored", "factored"]
+    assert anchor.carry(near, 1.0) is None
+    anchor.move(theta, qp.smooth_curvature(theta))
+    assert anchor.carry(broken, 1.0) is None
 
 
 def test_lipschitz_memo_follows_theta_dependent_constraints(decompositions):
@@ -459,6 +574,25 @@ def test_budget_solve_logs_one_debug_line(caplog, toy_problem):
     # budget= comes last and is the count run, here the linear-rate one
     assert message.endswith(f" fista_budget={fista_budget} budget={steps}")
     assert steps == linear_budget < fista_budget
+    # without an anchor the solve factors theta
+    assert fields["curvature"] == "factored" and float(fields["shift"]) == 0.0
+    # a run's anchor carries the pair to a nearby theta, shifted by at least
+    # the distance, and the line keeps budget= last
+    carrying = dataclasses.replace(
+        toy_problem, constants=dataclasses.replace(toy_problem.constants,
+                                                   L_curv_theta=1.0))
+    anchor, near = CurvatureAnchor(), theta + np.array([3e-9, -4e-9])
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="simalm"):
+        for th in (theta, near):
+            apg_solve(carrying, x0, lam, rho, th, ApgConfig(alpha=alpha),
+                      epoch=4, anchor=anchor)
+    first, second = (dict(tok.split("=") for tok in r.getMessage().split()
+                          if "=" in tok) for r in caplog.records)
+    assert first["curvature"] == "factored" and second["curvature"] == "carried"
+    assert float(first["shift"]) == 0.0 and float(second["shift"]) >= 5e-9
+    assert float(second["L"]) >= float(first["L"])
+    assert list(second)[-1] == "budget"
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="simalm"):
         apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))

@@ -126,9 +126,30 @@ def test_row_parallel_to_the_simplex_row():
         np.testing.assert_array_equal(out["x"], simplex_qp(Q, c)[0])
 
 
-def test_singular_step_raises_naming_the_iteration():
+def test_singular_step_raises_naming_the_iteration(monkeypatch):
+    # a positive definite Q keeps every reduced KKT system nonsingular in
+    # exact arithmetic, so the solve of the first step is made to fail
+    def singular(K, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(reference.np.linalg, "solve", singular)
     with pytest.raises(ReferenceSolveError, match="singular .* at iteration 1$"):
-        active_set_qp(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
+        active_set_qp(np.eye(3), np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("Q, message", [
+    (-np.eye(4), "positive definite"),  # its maximizer, the uniform point, has KKT residual 0
+    (np.zeros((4, 4)), "positive definite"),
+    (np.diag([1.0, 1.0, 1.0, 0.0]), "positive definite"),
+    (np.eye(4) + np.triu(np.full((4, 4), 0.1), 1), "symmetric"),
+    (np.diag([1.0, 1.0, np.nan, 1.0]), "finite"),
+    (np.eye(3), "finite n x n"),
+], ids=["negative_definite", "zero", "singular", "nonsymmetric", "nan", "wrong_shape"])
+def test_q_outside_the_contract_is_refused(Q, message):
+    # Q must be symmetric positive definite; the nonsymmetric one has a
+    # positive definite lower triangle, the only part Cholesky reads
+    with pytest.raises(ValueError, match=message):
+        active_set_qp(Q, np.zeros(4))
 
 
 def test_iteration_cap_raises(monkeypatch):
