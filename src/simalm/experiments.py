@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, bound_curves
-from .inner_apg import BudgetError, certified_solve
+from .inner_apg import BudgetError, CurvatureAnchor, certified_solve
 from .learning import AdmmScsLearner, ScsProblem, SyntheticLearner, admm_solve
 from .linalg import spectral_norm
 from .model import PortfolioInstance, portfolio_problem
@@ -396,8 +396,10 @@ def dual_gap_estimates(problem, trace, theta_star, f_star):
     inner solve to gap _DUAL_GAP_TOL, within its budget for that accuracy.
     Its certificate, an upper bound on the suboptimality of the returned
     iterate, is added to the gap, so the estimate errs on the large side.
+    One CurvatureAnchor serves every solve, so theta_star is factored once.
     """
     records = trace.opt_records
+    anchor = CurvatureAnchor()
     out = []
     lam_sum = np.zeros_like(records[0].lam)
     warm = records[0].x
@@ -406,7 +408,8 @@ def dual_gap_estimates(problem, trace, theta_star, f_star):
         lam_sum += lam_k
         lam_bar = lam_sum / (i + 1.0)
         warm, value, cert, _ = certified_solve(
-            problem, warm, lam_bar, rho_k, theta_star, gap_tol=_DUAL_GAP_TOL)
+            problem, warm, lam_bar, rho_k, theta_star, gap_tol=_DUAL_GAP_TOL,
+            anchor=anchor)
         out.append(max(f_star - value, 0.0) + cert)
     return np.array(out)
 
@@ -444,7 +447,8 @@ def run_table(config, bundle=None):
     """Solution quality and effort per requested accuracy.
 
     One row per epsilon; rows that fail to reach their target inside the
-    iteration caps are flagged and the run continues.
+    iteration caps (BudgetError) are flagged and the run continues. Any
+    other error, a NonFiniteError included, propagates.
     """
     if bundle is None:
         bundle = prepare_bundle(config)
@@ -460,7 +464,7 @@ def run_table(config, bundle=None):
                 outer=len(trace.records), inner_total=trace.total_inner,
                 cpu_learn_s=last.cpu_learn_s, cpu_opt_s=last.cpu_opt_s,
                 flagged=not trace.converged))
-        except (BudgetError, RuntimeError):
+        except BudgetError:
             # iteration-cap failures flag the row; the sweep continues
             rows.append(TableRow(epsilon=eps, rel_subopt=np.nan, infeas=np.nan,
                                  outer=0, inner_total=0,

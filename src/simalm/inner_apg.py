@@ -5,9 +5,9 @@ where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
 and, the penalty being convex, the strong-convexity modulus mu of p(.;
 theta). One loop, fista (no restarts, no line search), runs every solve.
-||A(theta)||^2 is computed once per distinct A, and the curvature pair
-(L_p, mu) from problem.smooth_curvature at most once per distinct theta
-(problem.theta_memo).
+A run's CurvatureAnchor holds both constants its solves computed: the
+curvature pair (L_p, mu) from problem.smooth_curvature of the last theta it
+factored, and ||A(theta)||^2, taken once per distinct A.
 
 A solve runs the shorter of two a-priori budgets for an alpha-accurate
 value, FISTA's on a tie: FISTA's, with its momentum,
@@ -42,8 +42,8 @@ two, factoring could not shorten the solve, and it runs the carried pair.
 Otherwise, or when 2 d > L_a - mu_a (no one pair is the most optimistic),
 it factors theta and the anchor moves there. The anchor is the run's, not
 the pure problem's, so runs sharing a problem do not depend on each other's
-order. lipschitz_nu, iteration_budget and solves without an anchor use
-theta's own pair.
+order. lipschitz_nu, iteration_budget and solves without an anchor compute
+theta's own pair and ||A(theta)||^2 on every call.
 
 apg_solve runs the budget to its end. certified_solve (used by the
 sequential-vs-simultaneous comparison and by dual_gap_estimates) may exit
@@ -93,7 +93,8 @@ class ApgConfig:
 
 
 class CurvatureAnchor:
-    """The last theta a run factored and its curvature pair (L_a, mu_a).
+    """A run's curvature constants: the last theta it factored with its
+    pair (L_a, mu_a), and ||A||^2 of the last A.
 
     alm_run keeps one per run and hands it to every inner solve, which
     carries the pair to a new theta or factors theta and moves the anchor
@@ -103,19 +104,24 @@ class CurvatureAnchor:
     def __init__(self):
         self._theta = None
         self._pair = None
+        self._A = None
+        self._A_norm_sq = None
 
     def carry(self, theta, lipschitz):
         """(carried pair, optimistic pair, d) at theta, or None without an
-        anchor, without lipschitz, for another shape or a NaN or infinite
-        distance. The optimistic pair is None when 2 d > L_a - mu_a. At the
-        anchor's own theta both pairs are the anchor's pair and d = 0."""
-        if lipschitz is None or self._theta is None:
+        anchor, for another shape, and away from the anchor's own theta
+        without lipschitz or for a NaN or infinite distance. The optimistic
+        pair is None when 2 d > L_a - mu_a. At the anchor's own theta both
+        pairs are the anchor's pair and d = 0."""
+        if self._theta is None:
             return None
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self._theta.shape:
             return None
         if np.array_equal(theta, self._theta):
             return self._pair, self._pair, 0.0
+        if lipschitz is None:
+            return None
         with np.errstate(invalid="ignore", over="ignore"):
             diff = theta - self._theta
             d = lipschitz * float(np.linalg.norm(diff))
@@ -137,29 +143,33 @@ class CurvatureAnchor:
         self._theta = theta if np.isfinite(theta).all() else None
         self._pair = pair
 
+    def _norm_sq(self, A):
+        """||A||^2, taken again only when A's content changes: the key is a
+        private copy of A, so mutating the caller's array cannot match it."""
+        if self._A is None or not np.array_equal(self._A, A):
+            self._A_norm_sq = spectral_norm(A) ** 2
+            self._A = np.array(A, copy=True)
+        return self._A_norm_sq
+
 
 def _factored_curvature(problem, theta):
-    """(L_p, mu) of theta from smooth_curvature, once per distinct theta."""
-    L_p, mu = problem.theta_memo(theta, problem.smooth_curvature)
+    """(L_p, mu) of theta from smooth_curvature."""
+    L_p, mu = problem.smooth_curvature(theta)
     return float(L_p), float(mu)
 
 
-def _squared_norm(A):
-    return spectral_norm(A) ** 2
-
-
-def _a_norm_sq(problem, theta):
-    """||A(theta)||^2, computed once per distinct A."""
+def _a_norm_sq(problem, theta, anchor=None):
+    """||A(theta)||^2; with the run's anchor, taken once per distinct A."""
     A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    return problem.theta_memo(A, _squared_norm)
+    return spectral_norm(A) ** 2 if anchor is None else anchor._norm_sq(A)
 
 
 def lipschitz_nu(problem, rho, theta):
     """Gradient Lipschitz constant of the smooth subproblem part.
 
     L_p(theta) + rho * ||A(theta)||^2 from theta's own curvature pair;
-    monotone increasing in rho. L_p is computed once per distinct theta and
-    the norm once per distinct A (problem.theta_memo).
+    monotone increasing in rho. Each call factors theta and takes the norm
+    of A.
     """
     if rho < 0:
         raise ValueError("penalty rho must be nonnegative")
@@ -326,7 +336,7 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     def prox(y, g, L):
         return problem.prox_step(y, g, L, theta)
 
-    a_norm_sq = _a_norm_sq(problem, theta)
+    a_norm_sq = _a_norm_sq(problem, theta, anchor)
     D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""
@@ -370,12 +380,12 @@ def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None)
     """Run the budget for config.alpha from the warm start x_init in X.
 
     anchor, the run's CurvatureAnchor, lets the solve carry the curvature
-    pair from the last theta the run factored; without one the solve uses
-    theta's own pair. Returns (x, steps). Logs L, mu, the gap at x_init,
-    whether the curvature was factored or carried and by what shift, the
-    a-priori and FISTA budgets and last the budget run at DEBUG level on
-    the "simalm" logger. Raises BudgetError or NonFiniteError naming the
-    epoch.
+    pair from the last theta the run factored and reuse ||A||^2 of an
+    unchanged A; without one the solve computes both. Returns (x, steps).
+    Logs L, mu, the gap at x_init, whether the curvature was factored or
+    carried and by what shift, the a-priori and FISTA budgets and last the
+    budget run at DEBUG level on the "simalm" logger. Raises BudgetError or
+    NonFiniteError naming the epoch.
     """
     x, steps, _ = _solve(problem, x_init, lam, rho, theta, config.alpha, epoch,
                          False, anchor)

@@ -3,14 +3,14 @@
 A problem instance is a composite objective f(x; theta) = q(x; theta) +
 p(x; theta) minimized over a simple set X with a prox oracle, subject to the
 conic constraint h(x; theta) = A(theta) x + b(theta) lying in -K. Problem
-objects are immutable bundles of pure oracles, plus one-entry memos of the
-curvature pair and of ||A||^2, and can be shared freely across threads.
+objects are immutable bundles of pure oracles and can be shared freely across
+threads.
 """
 
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,13 +103,8 @@ class ParametricProblem:
                                    their warm-start gap and step certificate
 
     Every oracle must be pure: the same arguments give the same result, bit
-    for bit. theta_memo relies on it to keep, per pure function, its value
-    at the last argument seen, keyed by the argument's content: the inner
-    solver keeps the curvature pair of the last theta it factored and
-    ||A||^2 of the last A. The memo is private to the object:
-    dataclasses.replace starts an empty one. A run's carried curvature
-    (inner_apg.CurvatureAnchor) is not kept here: it depends on the thetas
-    that run saw, and one problem serves many runs in any order.
+    for bit. The problem keeps no state: a run's CurvatureAnchor
+    (inner_apg) holds the constants its inner solves computed.
     """
 
     smooth_grad: Callable
@@ -123,26 +118,6 @@ class ParametricProblem:
     smooth_curvature: Callable
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-
-    def theta_memo(self, theta, compute):
-        """compute(theta) for a pure compute, reused while theta stays
-        bit-equal to the last argument compute was given here.
-
-        theta may be any array built from theta, such as A(theta). Each
-        compute function has one entry. Its key is a private copy of theta,
-        so mutating the caller's array afterwards cannot make a stale entry
-        match. Key and value share one tuple slot, so a concurrent reader
-        sees a consistent pair.
-        """
-        entry = self._memo.get(compute)
-        if entry is not None and np.array_equal(entry[0], theta):
-            return entry[1]
-        key = np.array(theta, copy=True)
-        value = compute(theta)
-        self._memo[compute] = (key, value)
-        return value
 
 
 def evaluate_f(problem, x, theta):

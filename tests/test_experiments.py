@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from simalm import experiments
+from simalm import experiments, inner_apg
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace, bound_inputs_for_run,
@@ -16,6 +16,7 @@ from simalm.experiments import (ExperimentConfig, band_covariance,
                                 _schedule)
 from simalm.learning import AdmmScsLearner
 from simalm.linalg import spectral_norm
+from simalm.model import NonFiniteError
 from simalm.outer_alm import (AlmRecord, AlmTrace, Schedule, ScheduleError,
                               TRACE_COLUMNS, BOUND_COLUMNS)
 
@@ -185,6 +186,36 @@ def test_run_table_rows_meet_targets(small_config, small_bundle):
     assert row.outer >= 1 and row.inner_total >= 1
 
 
+@pytest.mark.parametrize("fault", ["budget_cap", "nan_theta"])
+def test_run_table_flags_only_cap_failures(monkeypatch, small_config,
+                                          small_bundle, fault):
+    # a BudgetError, the one cap failure, flags its row; any other error
+    # propagates, a NaN estimate at epoch 2 among them
+    if fault == "budget_cap":
+        monkeypatch.setattr(inner_apg, "MAX_ITERATIONS", 0)
+        [row] = run_table(small_config, small_bundle)
+        assert row.flagged and row.outer == 0 and np.isnan(row.rel_subopt)
+        return
+    make_learner = experiments._learner
+
+    def nan_from_step_2(bundle, specification):
+        learner = make_learner(bundle, specification)
+        step = learner.step
+
+        def faulty_step():
+            theta = np.array(step(), copy=True)
+            if learner.steps_taken >= 2:
+                theta[0, 0] = np.nan
+            return theta
+
+        learner.step = faulty_step
+        return learner
+
+    monkeypatch.setattr(experiments, "_learner", nan_from_step_2)
+    with pytest.raises(NonFiniteError, match="theta at epoch 2$"):
+        run_table(small_config, small_bundle)
+
+
 def test_run_table_deterministic(small_config, small_bundle):
     rows1 = run_table(small_config, small_bundle)
     rows2 = run_table(small_config, small_bundle)
@@ -325,9 +356,9 @@ def test_seq_vs_sim_shape(small_config, small_bundle):
 
 def test_seq_vs_sim_csv_does_not_depend_on_the_budget_order(tmp_path, small_config,
                                                             small_bundle):
-    # the five runs share one problem, and with it the memo of the last
-    # theta factored; each run carries its curvature from its own anchor, so
-    # the order of the runs cannot change a byte of the CSV
+    # the five runs share one problem, which keeps no state; each run keeps
+    # its curvature and ||A||^2 on its own anchor, so the order of the runs
+    # cannot change a byte of the CSV
     written = []
     for budgets in ((0, 2, 4, 6), (6, 2, 0, 4)):
         config = dataclasses.replace(small_config, sequential_budgets=budgets)

@@ -139,53 +139,41 @@ def _portfolio_lipschitz(theta, A, rho):
 
 
 def test_lipschitz_norms_computed_once_per_theta(decompositions):
+    # lipschitz_nu and iteration_budget hold no cache: each call takes one
+    # spectrum of theta and one norm of A. A run's anchor holds both, so a
+    # run on a frozen estimate takes each once
     instance, problem = make_small_portfolio()
-    A = instance.sector_matrix
+    A = problem.constraint_matrix(instance.sigma)  # the instance's own array
     theta = instance.sigma.copy()
-    other = theta.copy()
-    other[3, 4] = other[4, 3] = other[3, 4] + 1e-3
     fresh = _portfolio_lipschitz(theta, A, 2.0)
-    want_other = _portfolio_lipschitz(other, A, 2.0)
-    want_doubled = _portfolio_lipschitz(2.0 * other, A, 2.0)
-    # one spectrum per distinct theta (no SVD of it) and one norm per
-    # distinct A, which the portfolio never changes
     spectrum, norm = ("eigvalsh", theta.shape), ("svd", A.shape)
-    once = [spectrum, norm]
     decompositions.clear()
     assert lipschitz_nu(problem, 2.0, theta) == fresh
-    assert decompositions == once
-    # a bit-equal copy, and another rho, reuse the entry
+    assert decompositions == [spectrum, norm]
     assert lipschitz_nu(problem, 2.0, theta.copy()) == fresh
-    lipschitz_nu(problem, 5.0, theta)
     assert iteration_budget(problem, 2.0, theta, 1e-3) > 0
-    assert decompositions == once
-    # one entry off recomputes the spectrum, not the norm of A
-    assert lipschitz_nu(problem, 2.0, other) == want_other
-    assert decompositions == once + [spectrum]
-    # mutating the caller's array in place cannot hit the stale entry
-    other *= 2.0
-    assert lipschitz_nu(problem, 2.0, other) == want_doubled
-    assert decompositions == once + 2 * [spectrum]
-    # dataclasses.replace starts an empty memo
-    assert lipschitz_nu(dataclasses.replace(problem), 2.0, other) == want_doubled
-    assert decompositions == once + 2 * [spectrum] + once
-    # lipschitz_nu, iteration_budget and apg_solve on one theta share one
-    # decomposition, which also gives apg_solve its mu
-    decompositions.clear()
-    unused = dataclasses.replace(problem)
-    lam, x0 = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
-    lipschitz_nu(unused, 2.0, theta)
-    iteration_budget(unused, 2.0, theta, 1e-3)
-    apg_solve(unused, x0, lam, 2.0, theta, ApgConfig(alpha=1e-3))
-    assert decompositions == once
-    # so does a run of several epochs on a frozen estimate
+    assert decompositions == 3 * [spectrum, norm]
     decompositions.clear()
     schedule = make_constant_schedule(1e-2, 2.0, learner_known=True)
-    trace = alm_run(dataclasses.replace(problem), FrozenLearner(theta), schedule,
-                    x0=x0, theta_star=instance.sigma,
-                    stop=StopRule(max_outer=4))
+    lam, x0 = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
+    trace = alm_run(problem, FrozenLearner(theta), schedule, x0=x0,
+                    theta_star=instance.sigma, stop=StopRule(max_outer=4))
     assert len(trace) == 4
-    assert sorted(decompositions) == sorted(once)
+    assert sorted(decompositions) == sorted([spectrum, norm])
+    # the anchor keys both on private copies: after the caller mutates theta
+    # or A in place, a solve on the anchor recomputes what moved and runs
+    # bit for bit as a solve without an anchor
+    anchor, config = CurvatureAnchor(), ApgConfig(alpha=1e-3)
+    for mutate, taken in ((lambda: None, [norm, spectrum]),
+                          (lambda: theta.__imul__(2.0), [spectrum]),
+                          (lambda: A.__setitem__((0, 0), 1.0 - A[0, 0]), [norm])):
+        mutate()
+        decompositions.clear()
+        x, steps = apg_solve(problem, x0, lam, 2.0, theta, config, anchor=anchor)
+        assert decompositions == taken
+        x_own, steps_own = apg_solve(problem, x0, lam, 2.0, theta, config)
+        assert steps == steps_own
+        np.testing.assert_array_equal(x, x_own)
 
 
 def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
@@ -298,23 +286,64 @@ def test_non_finite_theta_is_always_factored(caplog, bad):
     assert anchor.carry(broken, 1.0) is None
 
 
-def test_lipschitz_memo_follows_theta_dependent_constraints(decompositions):
-    # the toy problem's A depends on theta, so its norm must follow theta
+class _ScriptedLearner:
+    """Reveals the given thetas in order, one per epoch."""
+
+    def __init__(self, thetas):
+        self._thetas = [np.asarray(t, dtype=float) for t in thetas]
+        self.steps_taken = 0
+
+    @property
+    def theta(self):
+        return self._thetas[self.steps_taken].copy()
+
+    def step(self):
+        self.steps_taken += 1
+        return self.theta
+
+
+def test_lipschitz_memo_follows_theta_dependent_constraints(monkeypatch,
+                                                            decompositions):
+    # the toy problem's A = A0 + theta_0 A1 moves with theta_0 only: a run's
+    # anchor takes a new ||A||^2 exactly when A changes, factors the
+    # curvature only when theta changes, also without L_curv_theta, and
+    # every solve runs the exact L of its theta
+    from simalm import inner_apg
+
     toy = make_toy_problem()
+    assert toy.constants.L_curv_theta is None
+    factored = []
+
+    def curvature(theta):
+        factored.append(theta.tolist())
+        return toy.smooth_curvature(theta)
+
+    thetas = [[0.3, 1.0], [0.3, 1.0], [0.3, 2.0], [-0.7, 1.0], [0.3, 2.0]]
+    used = []
+    fista = inner_apg.fista
+
+    def recording(grad, prox, L, *args, **kwargs):
+        used.append(L)
+        return fista(grad, prox, L, *args, **kwargs)
+
+    monkeypatch.setattr(inner_apg, "fista", recording)
     decompositions.clear()  # lambda_min(P), taken when the toy is built
-    for theta in (np.array([0.3, 1.0]), np.array([-0.7, 1.0]), np.array([0.3, 1.0])):
-        A = toy.constraint_matrix(theta)
-        want = toy.smooth_curvature(theta)[0] + 3.0 * spectral_norm(A) ** 2
-        assert lipschitz_nu(toy, 3.0, theta) == want
-        assert lipschitz_nu(toy, 3.0, theta) == want
+    trace = alm_run(dataclasses.replace(toy, smooth_curvature=curvature),
+                    _ScriptedLearner(thetas),
+                    make_constant_schedule(1e-2, 3.0, learner_known=False),
+                    x0=np.full(3, 1.0 / 3.0), theta_star=np.array(thetas[0]),
+                    stop=StopRule(max_outer=len(thetas)))
+    assert len(trace) == len(thetas)
     assert decompositions == 3 * [("svd", (2, 3))]
+    assert factored == thetas[:1] + thetas[2:]
+    assert used == [lipschitz_nu(toy, 3.0, np.array(t)) for t in thetas]
 
 
-def test_lipschitz_memo_is_consistent_across_threads():
+def test_lipschitz_is_consistent_across_threads_sharing_a_problem():
     # threads sharing one problem never read one theta's norms for another
     instance, problem = make_small_portfolio(n=4, s=2)
     thetas = [instance.sigma, 2.0 * instance.sigma, instance.sigma + np.eye(instance.n)]
-    want = [lipschitz_nu(dataclasses.replace(problem), 3.0, t) for t in thetas]
+    want = [lipschitz_nu(problem, 3.0, t) for t in thetas]
     wrong = []
 
     def work(offset):
@@ -340,8 +369,9 @@ def test_lipschitz_memo_is_consistent_across_threads():
 @settings(max_examples=60, deadline=None)
 @given(hnp.arrays(np.float64, (12, 12), elements=st.floats(-2.0, 2.0)),
        st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
-def test_memoized_lipschitz_bounds_gradient_differences(F, rho, seed):
-    # ||grad nu(x) - grad nu(y)|| <= L ||x - y|| with L read back from the memo
+def test_lipschitz_bounds_gradient_differences(F, rho, seed):
+    # ||grad nu(x) - grad nu(y)|| <= L ||x - y||, with the same L on a copy
+    # of theta
     instance, problem = make_small_portfolio()
     theta = F @ F.T
     gen = np.random.default_rng(seed)
@@ -358,7 +388,7 @@ def test_memoized_lipschitz_bounds_gradient_differences(F, rho, seed):
 @settings(max_examples=60, deadline=None)
 @given(hnp.arrays(np.float64, 2, elements=st.floats(-5.0, 5.0)),
        st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
-def test_memoized_lipschitz_bounds_toy_gradient_differences(theta, rho, seed):
+def test_lipschitz_bounds_toy_gradient_differences(theta, rho, seed):
     # as above, on the toy problem, whose A(theta) = A0 + theta_0 A1 moves
     # with theta, so the penalty's curvature rho ||A(theta)||^2 does too
     toy = make_toy_problem()

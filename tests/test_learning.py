@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simalm.experiments import _certified_rate
@@ -27,6 +27,26 @@ def clip_lapack(M, floor):
     w, V = np.linalg.eigh(M)
     out = (V * np.maximum(w, floor)) @ V.T
     return 0.5 * (out + out.T)
+
+
+def eigenvalues(M):
+    """Ascending eigenvalues of a symmetric M from LAPACK's eigh path.
+
+    The values-only path behind np.linalg.eigvalsh is not accurate enough to
+    check a projection on every build: with OpenBLAS 0.3.31 it returns
+    +-14.408 for the 4 x 4 M that holds 14.5 at (0, 1) and (1, 0) and 1e-160
+    everywhere else, whose extreme eigenvalues are +-14.5. eigh, the path
+    eigh_clip itself takes, returns them to the last bits.
+    """
+    return np.linalg.eigh(M)[0]
+
+
+def _tiny_with(n, tiny, entries):
+    """Symmetric n x n matrix of `tiny` but for the given (i, j): value pairs."""
+    M = np.full((n, n), tiny)
+    for (i, j), value in entries.items():
+        M[i, j] = M[j, i] = value
+    return M
 
 
 def projected_subgradient_scs(problem, max_iter=200_000, delta_min=1e-12):
@@ -115,16 +135,22 @@ def clip_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(clip_cases())
+# tiny entries around a few O(1) ones, on which eigvalsh's extreme eigenvalues
+# can be off by more than the 1e-9 margin below (see eigenvalues)
+@example((_tiny_with(4, 1.86e-157, {(0, 1): 14.5}), 1.0, np.eye(4)))
+@example((_tiny_with(4, 1e-160, {(0, 1): 14.5}), 1.0, np.eye(4)))
+@example((_tiny_with(7, 1.7528827788540596e-156, {(0, 2): 11.0, (0, 3): 1.5,
+                                                    (3, 5): 100.5}), 1.0, np.eye(7)))
 def test_eigh_clip_is_the_projection_onto_the_floored_cone(case):
     M, floor, Y = case
     scale = max(1.0, np.linalg.norm(M, 2))
     P = eigh_clip(M, floor)
     np.testing.assert_array_equal(P, P.T)
-    assert np.linalg.eigvalsh(P).min() >= floor - 1e-12 * scale
+    assert eigenvalues(P).min() >= floor - 1e-12 * scale
     # variational inequality of the projection onto a closed convex set
     assert np.sum((M - P) * (Y - P)) <= 1e-10 * scale ** 2
     # a matrix already in the set is its own projection
-    shift = floor - np.linalg.eigvalsh(M).min() + 1e-9 * scale
+    shift = floor - eigenvalues(M).min() + 1e-9 * scale
     feasible = M + max(shift, 0.0) * np.eye(M.shape[0])
     np.testing.assert_allclose(eigh_clip(feasible, floor), feasible,
                                rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(feasible, 2)))
@@ -139,7 +165,7 @@ def near_floor_cases(draw):
     floor = draw(st.floats(1e-3, 10.0))
     ulps = draw(st.integers(-4, 4))
     margin = ulps * np.spacing(floor)
-    shift = floor + margin - np.linalg.eigvalsh(A)[0]
+    shift = floor + margin - eigenvalues(A)[0]
     return A + shift * np.eye(n), floor
 
 
@@ -151,7 +177,7 @@ def test_eigh_clip_returns_in_cone_input_unchanged(case, margin):
     M, floor, _ = case
     n = M.shape[0]
     scale = max(1.0, np.linalg.norm(M, 2))
-    inside = M + (floor + margin * scale - np.linalg.eigvalsh(M)[0]) * np.eye(n)
+    inside = M + (floor + margin * scale - eigenvalues(M)[0]) * np.eye(n)
     skew = np.triu(np.full((n, n), 1e-3), 1)
     skewed = inside + skew - skew.T
     np.testing.assert_array_equal(eigh_clip(skewed, floor), symmetrize(skewed))
@@ -169,7 +195,7 @@ def test_eigh_clip_near_the_floor_stays_within_the_stated_slack(case):
     slack = 2.0 * n * (n + 1) * 2.0 ** -52 * (np.linalg.norm(M, 2) + floor)
     P = eigh_clip(M, floor)
     np.testing.assert_array_equal(P, P.T)
-    assert np.linalg.eigvalsh(P)[0] >= floor - slack
+    assert eigenvalues(P)[0] >= floor - slack
     assert np.linalg.norm(P - clip_lapack(M, floor), 2) <= slack
 
 
