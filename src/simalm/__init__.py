@@ -14,8 +14,7 @@ from .model import (ParametricProblem, PortfolioInstance, ProblemConstants,
                     portfolio_problem, project_simplex, simplex_prox)
 from .al_core import dual_update, eval_L, grad_lambda_L
 from .inner_apg import (ApgConfig, BudgetError, apg_solve, certified_solve,
-                        fista, grad_nu, iteration_budget, lipschitz_nu,
-                        nu_value)
+                        fista, grad_nu, iteration_budget, lipschitz_nu)
 from .outer_alm import (AlmRecord, AlmTrace, NonFiniteError, Schedule,
                         ScheduleError, StopRule, alm_run, make_constant_schedule,
                         make_increasing_schedule, sequential_baseline)

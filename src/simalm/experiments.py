@@ -82,6 +82,15 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        budgets = tuple(self.sequential_budgets)
+        for name, v in (("n", self.n), ("s", self.s), ("seed", self.seed),
+                        *(("sequential_budgets", b) for b in budgets)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if any(b < 0 for b in budgets):
+            raise ValueError(f"sequential_budgets must be nonnegative, got {budgets}")
+        for name in ("n", "s", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.n >= max(self.s, 4) and self.s >= 1):
             raise ValueError("need n >= s >= 1 and n >= 4 (n // 2 >= 2 samples)")
         for name in ("rho_o", "beta", "c"):
@@ -97,8 +106,7 @@ class ExperimentConfig:
         if self.rho_o <= 0 or self.c <= 0:
             raise ValueError("rho_o and c must be positive")
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "sequential_budgets",
-                           tuple(int(b) for b in self.sequential_budgets))
+        object.__setattr__(self, "sequential_budgets", tuple(int(b) for b in budgets))
 
     def to_json(self, path=None):
         text = json.dumps(asdict(self), sort_keys=True, indent=1)

@@ -5,9 +5,10 @@ where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
 and, the penalty being convex, the strong-convexity modulus mu of p(.;
 theta). One loop, fista (no restarts, no line search), runs every solve.
-A run's CurvatureAnchor holds both constants its solves computed: the
-curvature pair (L_p, mu) from problem.smooth_curvature of the last theta it
-factored, and ||A(theta)||^2, taken once per distinct A.
+Every solve asks a CurvatureAnchor for both constants: the curvature pair
+(L_p, mu) from problem.smooth_curvature, and ||A(theta)||^2. A run's
+anchor keeps the last theta it factored with its pair and the norm of the
+last A; any other solve starts a fresh one.
 
 A solve runs the shorter of two a-priori budgets for an alpha-accurate
 value, FISTA's on a tie: FISTA's, with its momentum,
@@ -42,7 +43,8 @@ two, factoring could not shorten the solve, and it runs the carried pair.
 Otherwise, or when 2 d > L_a - mu_a (no one pair is the most optimistic),
 it factors theta and the anchor moves there. The anchor is the run's, not
 the pure problem's, so runs sharing a problem do not depend on each other's
-order. lipschitz_nu, iteration_budget and solves without an anchor compute
+order. A fresh anchor has nothing to carry, so lipschitz_nu,
+iteration_budget and solves without an anchor, each starting one, compute
 theta's own pair and ||A(theta)||^2 on every call.
 
 apg_solve runs the budget to its end. certified_solve (used by the
@@ -61,12 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .al_core import eval_L
 from .linalg import spectral_norm
-from .model import NonFiniteError, constraint_value
+from .model import NonFiniteError
 
 __all__ = [
     "ApgConfig", "BudgetError", "CurvatureAnchor", "MAX_ITERATIONS",
-    "lipschitz_nu", "grad_nu", "nu_value", "iteration_budget", "fista",
+    "lipschitz_nu", "grad_nu", "iteration_budget", "fista",
     "apg_solve", "certified_solve",
 ]
 
@@ -93,8 +96,8 @@ class ApgConfig:
 
 
 class CurvatureAnchor:
-    """A run's curvature constants: the last theta it factored with its
-    pair (L_a, mu_a), and ||A||^2 of the last A.
+    """The source of a solve's curvature constants: the last theta it
+    factored with its pair (L_a, mu_a), and ||A||^2 of the last A.
 
     alm_run keeps one per run and hands it to every inner solve, which
     carries the pair to a new theta or factors theta and moves the anchor
@@ -105,75 +108,64 @@ class CurvatureAnchor:
         self._theta = None
         self._pair = None
         self._A = None
-        self._A_norm_sq = None
+        self._A_sq = None
 
-    def carry(self, theta, lipschitz):
-        """(carried pair, optimistic pair, d) at theta, or None without an
-        anchor, for another shape, and away from the anchor's own theta
-        without lipschitz or for a NaN or infinite distance. The optimistic
-        pair is None when 2 d > L_a - mu_a. At the anchor's own theta both
-        pairs are the anchor's pair and d = 0."""
-        if self._theta is None:
-            return None
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self._theta.shape:
-            return None
-        if np.array_equal(theta, self._theta):
-            return self._pair, self._pair, 0.0
-        if lipschitz is None:
-            return None
-        with np.errstate(invalid="ignore", over="ignore"):
-            diff = theta - self._theta
-            d = lipschitz * float(np.linalg.norm(diff))
-        if not math.isfinite(d):
-            return None
-        L_a, mu_a = self._pair
-        # the difference and the norm of its N entries err by less than
-        # (N + 4) eps relative, the product by half an ulp
-        d = math.nextafter(d * (1.0 + (diff.size + 4) * _EPS), math.inf)
-        carried = (math.nextafter(L_a + d, math.inf),
-                   max(0.0, math.nextafter(mu_a - d, -math.inf)))
-        optimistic = (L_a - d, mu_a + d) if 2.0 * d <= L_a - mu_a else None
-        return carried, optimistic, d
+    def curvature(self, problem, theta, budgets=None):
+        """(L_p, mu, d) at theta.
 
-    def move(self, theta, pair):
-        """Anchor at a private copy of theta, whose pair was just factored;
-        a NaN or infinite theta leaves no anchor."""
-        theta = np.array(theta, dtype=float, copy=True)
-        self._theta = theta if np.isfinite(theta).all() else None
-        self._pair = pair
+        At the anchor's own theta, bit for bit, its pair and d = 0. Else,
+        when problem.constants.L_curv_theta is set, the shift d is finite,
+        2 d <= L_a - mu_a, and budgets(L_p, mu) gives the carried and the
+        optimistic pair the same smaller budget, the carried pair and d.
+        Otherwise theta's own pair from smooth_curvature and d = None; the
+        anchor moves to a private copy of theta, or to none at a NaN or
+        infinite theta.
+        """
+        point = np.asarray(theta, dtype=float)
+        anchored = self._theta is not None and point.shape == self._theta.shape
+        if anchored and np.array_equal(point, self._theta):
+            return (*self._pair, 0.0)
+        lipschitz = problem.constants.L_curv_theta
+        if anchored and lipschitz is not None and budgets is not None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                diff = point - self._theta
+                d = lipschitz * float(np.linalg.norm(diff))
+            # the difference and the norm of its N entries err by less than
+            # (N + 4) eps relative, the product by half an ulp
+            d = math.nextafter(d * (1.0 + (diff.size + 4) * _EPS), math.inf)
+            L_a, mu_a = self._pair
+            carried = (math.nextafter(L_a + d, math.inf),
+                       max(0.0, math.nextafter(mu_a - d, -math.inf)))
+            if (math.isfinite(d) and 2.0 * d <= L_a - mu_a
+                    and min(budgets(*carried)) == min(budgets(L_a - d, mu_a + d))):
+                return (*carried, d)
+        L_p, mu = problem.smooth_curvature(theta)
+        self._theta = point.copy() if np.isfinite(point).all() else None
+        self._pair = (float(L_p), float(mu))
+        return (*self._pair, None)
 
-    def _norm_sq(self, A):
+    def norm_sq(self, A):
         """||A||^2, taken again only when A's content changes: the key is a
         private copy of A, so mutating the caller's array cannot match it."""
+        A = np.asarray(A, dtype=float)
         if self._A is None or not np.array_equal(self._A, A):
-            self._A_norm_sq = spectral_norm(A) ** 2
-            self._A = np.array(A, copy=True)
-        return self._A_norm_sq
-
-
-def _factored_curvature(problem, theta):
-    """(L_p, mu) of theta from smooth_curvature."""
-    L_p, mu = problem.smooth_curvature(theta)
-    return float(L_p), float(mu)
-
-
-def _a_norm_sq(problem, theta, anchor=None):
-    """||A(theta)||^2; with the run's anchor, taken once per distinct A."""
-    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    return spectral_norm(A) ** 2 if anchor is None else anchor._norm_sq(A)
+            self._A_sq = spectral_norm(A) ** 2
+            self._A = A.copy()
+        return self._A_sq
 
 
 def lipschitz_nu(problem, rho, theta):
     """Gradient Lipschitz constant of the smooth subproblem part.
 
-    L_p(theta) + rho * ||A(theta)||^2 from theta's own curvature pair;
-    monotone increasing in rho. Each call factors theta and takes the norm
-    of A.
+    L_p(theta) + rho * ||A(theta)||^2 from a fresh CurvatureAnchor, so
+    theta's own pair; monotone increasing in rho. Each call factors theta
+    and takes the norm of A.
     """
     if rho < 0:
         raise ValueError("penalty rho must be nonnegative")
-    return _factored_curvature(problem, theta)[0] + rho * _a_norm_sq(problem, theta)
+    anchor = CurvatureAnchor()
+    L_p = anchor.curvature(problem, theta)[0]
+    return L_p + rho * anchor.norm_sq(problem.constraint_matrix(theta))
 
 
 def _bound_gradient(problem, lam, rho, theta):
@@ -235,36 +227,9 @@ def _budgets(L, mu, gap, alpha, D_x):
     return _budget(L, alpha, radius), _linear_budget(L, mu, gap, alpha)
 
 
-def _curvature(problem, theta, anchor, budgets):
-    """(L_p, mu, d): the anchor's pair carried to theta by the shift d when
-    the carried and the optimistic pair give the same budget, the smaller
-    of budgets(L_p, mu); otherwise theta's own pair, d = None, and the
-    anchor moves to theta."""
-    if anchor is not None:
-        carried = anchor.carry(theta, problem.constants.L_curv_theta)
-        if carried is not None:
-            pair, optimistic, d = carried
-            if optimistic is not None and min(budgets(*pair)) == min(budgets(*optimistic)):
-                return (*pair, d)
-    pair = _factored_curvature(problem, theta)
-    if anchor is not None:
-        anchor.move(theta, pair)
-    return (*pair, None)
-
-
 def grad_nu(problem, x, lam, rho, theta):
     """Gradient in x of the smooth part: grad p + rho A' proj_{K*}(h + lam/rho)."""
     return _bound_gradient(problem, lam, rho, theta)(np.asarray(x, dtype=float))
-
-
-def nu_value(problem, x, lam, rho, theta):
-    """Value of the smooth subproblem part nu_rho(x, lam; theta)."""
-    if rho <= 0:
-        raise ValueError("penalty rho must be positive")
-    lam = np.asarray(lam, dtype=float)
-    p, _ = problem.smooth_value_grad(x, theta)
-    d = problem.cone.dist_neg(constraint_value(problem, x, theta) + lam / rho)
-    return float(p) + 0.5 * rho * float(d) ** 2 - float(lam @ lam) / (2.0 * rho)
 
 
 def iteration_budget(problem, rho, theta, alpha):
@@ -336,17 +301,19 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     def prox(y, g, L):
         return problem.prox_step(y, g, L, theta)
 
-    a_norm_sq = _a_norm_sq(problem, theta, anchor)
+    if anchor is None:
+        anchor = CurvatureAnchor()
+    A_sq = anchor.norm_sq(problem.constraint_matrix(theta))
     D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""
     gap, g0 = _warm_gap(problem, grad, x_init, where)
 
     def budgets(L_p, mu):
-        return _budgets(L_p + rho * a_norm_sq, mu, gap, alpha, D_x)
+        return _budgets(L_p + rho * A_sq, mu, gap, alpha, D_x)
 
-    L_p, mu, shift = _curvature(problem, theta, anchor, budgets)
-    L = L_p + rho * a_norm_sq
+    L_p, mu, shift = anchor.curvature(problem, theta, budgets)
+    L = L_p + rho * A_sq
     fista_budget, linear_budget = budgets(L_p, mu)
     budget = min(fista_budget, linear_budget)
     if _log.isEnabledFor(logging.DEBUG):
@@ -381,7 +348,8 @@ def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None)
 
     anchor, the run's CurvatureAnchor, lets the solve carry the curvature
     pair from the last theta the run factored and reuse ||A||^2 of an
-    unchanged A; without one the solve computes both. Returns (x, steps).
+    unchanged A; without one the solve starts a fresh anchor, so it
+    computes both. Returns (x, steps).
     Logs L, mu, the gap at x_init, whether the curvature was factored or
     carried and by what shift, the a-priori and FISTA budgets and last the
     budget run at DEBUG level on the "simalm" logger. Raises BudgetError or
@@ -397,11 +365,10 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None,
     """apg_solve for alpha = gap_tol with the step certificate's early exit.
 
     Requires problem.linear_minimizer and q == 0 (prox_step projects onto
-    X). Returns (x, value at x, certificate of the last step, steps); the
+    X). Returns (x, eval_L at x, certificate of the last step, steps); the
     certificate bounds F(x) - F* and is at most gap_tol unless the budget
     ended the solve.
     """
     x, steps, cert = _solve(problem, x_init, lam, rho, theta,
                             ApgConfig(alpha=gap_tol).alpha, epoch, True, anchor)
-    value = float(problem.nonsmooth_value(x, theta)) + nu_value(problem, x, lam, rho, theta)
-    return x, value, cert, steps
+    return x, eval_L(problem, x, lam, rho, theta), cert, steps

@@ -83,7 +83,7 @@ class ParametricProblem:
     smooth_grad(x, theta)       -> grad_p as a float ndarray, the gradient
                                    the inner loop calls
     smooth_value_grad(x, theta) -> (p, grad_p), for values (evaluate_f,
-                                   nu_value); its gradient equals smooth_grad's
+                                   eval_L); its gradient equals smooth_grad's
     nonsmooth_value(x, theta)   -> q
     prox_step(y, g, L, theta)   -> argmin_{z in X} q(z) + <g, z-y> + (L/2)||z-y||^2
     constraint_matrix(theta)    -> A(theta), shape (m, n)

@@ -27,7 +27,7 @@ from simalm.experiments import (ExperimentConfig, bound_inputs_for_run,
                                 dual_gap_estimates, prepare_bundle,
                                 run_seq_vs_sim, run_solve, _certified_rate,
                                 _schedule)
-from simalm.inner_apg import grad_nu, nu_value
+from simalm.inner_apg import grad_nu
 from simalm.learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
                              admm_solve, scs_admm_step, scs_init)
 from simalm.linalg import spectral_norm
@@ -116,8 +116,9 @@ def test_criterion_2_gradient_correctness(desk_bundle, desk_problem):
         for j, i in enumerate(idx):
             e = np.zeros(n)
             e[i] = h_fd
-            fdx[j] = (nu_value(desk_problem, x + e, lam, rho, theta)
-                      - nu_value(desk_problem, x - e, lam, rho, theta)) / (2 * h_fd)
+            # the portfolio has q == 0, so L_rho's x-gradient is grad nu
+            fdx[j] = (eval_L(desk_problem, x + e, lam, rho, theta)
+                      - eval_L(desk_problem, x - e, lam, rho, theta)) / (2 * h_fd)
         worst_x = max(worst_x,
                       np.linalg.norm(fdx - gx[idx]) / max(np.linalg.norm(gx), 1.0))
     assert worst_lam <= 1e-6

@@ -61,10 +61,15 @@ def test_increasing_regime_without_growth_is_config_error(tmp_path):
 @pytest.mark.parametrize("overrides, field", [
     ({"n": 3, "s": 1}, "n >= 4"),
     ({"rho_o": float("nan")}, "rho_o must be finite"),
+    ({"n": 30.0}, "n must be an integer"),
+    ({"seed": 3.5}, "seed must be an integer"),
+    ({"sequential_budgets": [0, -2]}, "must be nonnegative"),
 ])
 def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
                                                           field):
-    # n = 3 draws one sample, and a NaN rho_o reached the first inner solve
+    # n = 3 draws one sample, and a NaN rho_o reached the first inner solve;
+    # a float n or seed died in numpy with exit 1, and a negative budget
+    # went unchecked until a seqsim had prepared its bundle
     cfg = small_config(tmp_path, "unusable", **overrides)
     res = run_cli("solve", "--config", str(cfg))
     assert res.returncode == 2

@@ -424,6 +424,17 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ExperimentConfig(**{name: bad})
+    for name, bad in (("n", 30.0), ("s", True), ("seed", 3.5),
+                      ("sequential_budgets", (0, 2.0))):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: bad})
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        ExperimentConfig(sequential_budgets=(0, -2))
+    # numpy integers are counts too, stored as ints so the config serializes
+    config = ExperimentConfig(n=np.int64(30), s=np.int32(5), seed=np.uint8(3),
+                              sequential_budgets=np.arange(3))
+    assert ExperimentConfig.from_json(config.to_json()) == config
+    assert type(config.n) is int and config.sequential_budgets == (0, 1, 2)
 
 
 @pytest.mark.parametrize("regime, beta", [("constant", 1.0), ("increasing", 1.05)])

@@ -14,8 +14,7 @@ from simalm import outer_alm
 from simalm.al_core import eval_L
 from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               CurvatureAnchor, apg_solve, certified_solve,
-                              fista, grad_nu, iteration_budget, lipschitz_nu,
-                              nu_value)
+                              fista, grad_nu, iteration_budget, lipschitz_nu)
 from simalm.linalg import spectral_norm, symmetrize
 from simalm.learning import FrozenLearner, SyntheticLearner
 from simalm.model import NonFiniteError, constraint_value, simplex_prox
@@ -219,6 +218,7 @@ def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
 @given(st.integers(2, 8), st.sampled_from(["definite", "singular", "indefinite"]),
        st.sampled_from([None, 0, -1]), st.floats(-15.0, 0.0),
        st.integers(0, 2**32 - 1))
+@example(6, "definite", None, -12.0, 0)
 def test_carried_curvature_bounds_the_factored_pair(n, kind, aligned, log_scale,
                                                     seed):
     # Weyl: carried from theta_a by d >= ||theta - theta_a||_F, the pair
@@ -228,7 +228,8 @@ def test_carried_curvature_bounds_the_factored_pair(n, kind, aligned, log_scale,
     # spectrum, which neither computes, so they are compared to within the
     # oracle's rounding margin max(n, 32) eps max|eigenvalue|. An aligned E
     # lies along the eigenvector of theta_a's smallest (0) or largest (-1)
-    # eigenvalue, where Weyl's bound is tight.
+    # eigenvalue, where Weyl's bound is tight. A constant budget makes the
+    # anchor carry whenever 2 d <= L_a - mu_a; the example's tiny E does.
     _, problem = make_small_portfolio(n=n, s=1)
     gen = np.random.default_rng(seed)
     F = gen.standard_normal((n, n))
@@ -243,14 +244,22 @@ def test_carried_curvature_bounds_the_factored_pair(n, kind, aligned, log_scale,
         E = scale * np.outer(v, v)
     theta = theta_a + E
     anchor = CurvatureAnchor()
-    anchor.move(theta_a, problem.smooth_curvature(theta_a))
-    (L_c, mu_c), _, d = anchor.carry(theta, problem.constants.L_curv_theta)
+    pair_a = problem.smooth_curvature(theta_a)
+    assert anchor.curvature(problem, theta_a) == (*pair_a, None)
+    L_c, mu_c, d = anchor.curvature(problem, theta, lambda L_p, mu: (1, 1))
     L_p, mu = problem.smooth_curvature(theta)
+    shift = np.linalg.norm(theta - theta_a)
+    if 2.0 * (1.0 + 1e-9) * shift <= pair_a[0] - pair_a[1]:
+        assert d is not None
+    if d is None:
+        assert (L_c, mu_c) == (L_p, mu)
+        return
     margin = max(n, 32) * np.finfo(float).eps * L_p
-    assert d >= np.linalg.norm(theta - theta_a)
+    assert d >= shift
     assert L_c >= L_p - margin
     assert mu_c <= mu + margin
-    assert anchor.carry(theta_a, 1.0)[0] == problem.smooth_curvature(theta_a)
+    # a carry leaves the anchor where it was
+    assert anchor.curvature(problem, theta_a) == (*pair_a, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -281,9 +290,16 @@ def test_non_finite_theta_is_always_factored(caplog, bad):
              for r in caplog.records]
     assert kinds == ["factored", "carried", "factored", "factored", "carried",
                      "factored", "factored"]
-    assert anchor.carry(near, 1.0) is None
-    anchor.move(theta, qp.smooth_curvature(theta))
-    assert anchor.carry(broken, 1.0) is None
+    # the last solve left no anchor; without budgets an anchor factors; and
+    # one carries nothing to a non-finite theta, even under a budget that
+    # always allows a carry
+    def always(L_p, mu):
+        return 1, 1
+
+    assert anchor.curvature(problem, near, always)[2] is None
+    assert anchor.curvature(problem, theta)[2] is None
+    assert anchor.curvature(problem, near, always)[2] > 0.0
+    assert anchor.curvature(problem, broken, always)[2] is None
 
 
 class _ScriptedLearner:
@@ -423,18 +439,10 @@ def test_grad_nu_matches_finite_differences(rng, toy_problem):
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd[i] = (nu_value(toy_problem, x + e, lam, rho, theta)
-                     - nu_value(toy_problem, x - e, lam, rho, theta)) / (2 * h)
+            # the toy has q == 0, so L_rho's x-gradient is grad nu
+            fd[i] = (eval_L(toy_problem, x + e, lam, rho, theta)
+                     - eval_L(toy_problem, x - e, lam, rho, theta)) / (2 * h)
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
-
-
-def test_composite_value_splits_augmented_lagrangian(rng, toy_problem):
-    theta = rng.standard_normal(2)
-    x = random_simplex_point(rng, 3)
-    lam = np.abs(rng.standard_normal(2))
-    rho = 2.5
-    total = toy_problem.nonsmooth_value(x, theta) + nu_value(toy_problem, x, lam, rho, theta)
-    assert total == pytest.approx(eval_L(toy_problem, x, lam, rho, theta), rel=1e-12)
 
 
 def test_prox_fixed_point_at_solution():
@@ -782,6 +790,42 @@ def test_certified_solve_gap_certificate(rng):
     # certificate is sound: true gap is below it
     shift = value - (0.5 * float(x @ Q @ x) + float(c @ x))
     assert (value - shift) - f_star <= cert + 1e-12
+
+
+def test_certified_value_is_the_augmented_lagrangian(rng, toy_problem):
+    # certified problems have q == 0; the value is eval_L's, bit for bit
+    instance, portfolio = make_small_portfolio()
+    for problem, theta, m in ((portfolio, instance.sigma, instance.s),
+                              (toy_problem, np.array([0.3, -0.5]), 2)):
+        n = problem.constraint_matrix(theta).shape[1]
+        for _ in range(3):
+            lam = np.abs(rng.standard_normal(m))
+            rho = rng.uniform(0.5, 4.0)
+            x, value, _, _ = certified_solve(problem, np.full(n, 1.0 / n), lam,
+                                             rho, theta, gap_tol=1e-6)
+            assert value == eval_L(problem, x, lam, rho, theta)
+
+
+def test_anchorless_solve_runs_on_a_fresh_anchor(rng, toy_problem):
+    # a solve without an anchor is the same call on an empty CurvatureAnchor:
+    # the same x, steps and certificate, bit for bit, with and without a
+    # Lipschitz constant of the curvature
+    instance, portfolio = make_small_portfolio()
+    for problem, theta, m in ((portfolio, 1.1 * instance.sigma, instance.s),
+                              (toy_problem, np.array([0.3, -0.5]), 2)):
+        n = problem.constraint_matrix(theta).shape[1]
+        x0 = random_simplex_point(rng, n)
+        lam = np.abs(rng.standard_normal(m))
+        args = (problem, x0, lam, 2.0, theta)
+        x, steps = apg_solve(*args, ApgConfig(alpha=1e-4))
+        x_a, steps_a = apg_solve(*args, ApgConfig(alpha=1e-4),
+                                 anchor=CurvatureAnchor())
+        assert steps == steps_a
+        np.testing.assert_array_equal(x, x_a)
+        x, value, cert, steps = certified_solve(*args, gap_tol=1e-6)
+        got = certified_solve(*args, gap_tol=1e-6, anchor=CurvatureAnchor())
+        np.testing.assert_array_equal(x, got[0])
+        assert (value, cert, steps) == got[1:]
 
 
 def test_step_certificate_bounds_the_gap_at_every_step():
