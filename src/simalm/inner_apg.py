@@ -47,14 +47,14 @@ order. A fresh anchor has nothing to carry, so lipschitz_nu,
 iteration_budget and solves without an anchor, each starting one, compute
 theta's own pair and ||A(theta)||^2 on every call.
 
-apg_solve runs the budget to its end. certified_solve (used by the
-sequential-vs-simultaneous comparison and by dual_gap_estimates) may exit
-before it, never after, once the certificate of the step just taken is at
-most alpha: for q == 0 and the step z = proj_X(y - grad nu(y) / L) from any
-point y, momentum points included, F(z) - F(x) <= L <e, y - x> - (L/2)
-||e||^2 with e = y - z for every x in X (Beck & Teboulle 2009, Lemma 2.3),
-so one linear minimization over X bounds F(z) - F* with the step's own
-gradient.
+apg_solve runs the budget to its end. With certify=True (the
+sequential-vs-simultaneous comparison), and in certified_solve (used by
+dual_gap_estimates), a solve may exit before it, never after, once the
+certificate of the step just taken is at most alpha: for q == 0 and the
+step z = proj_X(y - grad nu(y) / L) from any point y, momentum points
+included, F(z) - F(x) <= L <e, y - x> - (L/2) ||e||^2 with e = y - z for
+every x in X (Beck & Teboulle 2009, Lemma 2.3), so one linear minimization
+over X bounds F(z) - F* with the step's own gradient.
 """
 
 import logging
@@ -343,20 +343,23 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     return x, steps, cert
 
 
-def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None):
+def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None,
+              certify=False):
     """Run the budget for config.alpha from the warm start x_init in X.
 
     anchor, the run's CurvatureAnchor, lets the solve carry the curvature
     pair from the last theta the run factored and reuse ||A||^2 of an
     unchanged A; without one the solve starts a fresh anchor, so it
-    computes both. Returns (x, steps).
+    computes both. certify=True adds certified_solve's early exit at the
+    first step whose certificate is at most config.alpha, with its
+    requirements, and returns the same x and steps. Returns (x, steps).
     Logs L, mu, the gap at x_init, whether the curvature was factored or
     carried and by what shift, the a-priori and FISTA budgets and last the
     budget run at DEBUG level on the "simalm" logger. Raises BudgetError or
     NonFiniteError naming the epoch.
     """
     x, steps, _ = _solve(problem, x_init, lam, rho, theta, config.alpha, epoch,
-                         False, anchor)
+                         certify, anchor)
     return x, steps
 
 

@@ -180,8 +180,10 @@ def eigh_clip(M, floor):
     NaN or infinite entry raises NonFiniteError before any `eigh`.
     """
     S = symmetrize(M)
+    shifted = S.copy()
+    shifted.flat[::len(S) + 1] -= floor
     try:
-        if math.isfinite(np.linalg.cholesky(S - floor * np.eye(len(S))).trace()):
+        if math.isfinite(np.linalg.cholesky(shifted).trace()):
             return S
     except np.linalg.LinAlgError:
         pass

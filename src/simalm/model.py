@@ -156,7 +156,9 @@ def project_simplex(v):
     lost to rounding, leaving no threshold.
     """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
     cssv = u.cumsum()
     cssv -= 1.0
     if not math.isfinite(cssv[-1]):
@@ -300,7 +302,7 @@ def portfolio_problem(instance, kappa=1.0):
 
     def vertex_minimizer(g):
         out = np.zeros(instance.n)
-        out[int(np.argmin(g))] = 1.0
+        out[g.argmin()] = 1.0
         return out
 
     def smooth_curvature(theta):

@@ -26,7 +26,11 @@ import numpy as np
 
 from .al_core import dual_update
 from .bounds import inverse_power_series
-from .inner_apg import ApgConfig, CurvatureAnchor, apg_solve, certified_solve
+from .inner_apg import ApgConfig, CurvatureAnchor, apg_solve
+# Unused here: the benchmark's tracer wraps this name as inner_apg.solve
+# (alm_run's certified epochs run apg_solve with certify=True); the benchmark
+# change of ROADMAP item 1 drops that span and the binding.
+from .inner_apg import certified_solve
 from .model import NonFiniteError, evaluate_f, infeasibility
 
 __all__ = [
@@ -240,9 +244,9 @@ class AlmTrace:
                 fh.write(",".join(cells) + "\n")
 
 
-def _theta_errors(theta, theta_star):
-    err = float(np.linalg.norm(np.asarray(theta, float) - np.asarray(theta_star, float)))
-    scale = float(np.linalg.norm(np.asarray(theta_star, float)))
+def _theta_errors(theta, theta_star, scale):
+    """(||theta - theta*||_F, that error over scale = ||theta*||_F when positive)."""
+    err = float(np.linalg.norm(np.asarray(theta, float) - theta_star))
     return err, err / scale if scale > 0 else err
 
 
@@ -262,10 +266,11 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     stop : StopRule; with epsilon set and `reference` available the run
         stops once the reported iterate meets the target.
     reference : ReferenceSolution, optional; provides f* for suboptimality.
-    apg_mode : each inner solve runs within its budget for alpha_k;
-        "budget" runs the budget to its end, "certified" exits early at the
-        first step whose gradient-mapping certificate, an upper bound on
-        that step's suboptimality, is at most alpha_k.
+    apg_mode : each inner solve runs apg_solve within its budget for
+        alpha_k; "budget" runs the budget to its end, "certified"
+        (certify=True) exits early at the first step whose gradient-mapping
+        certificate, an upper bound on that step's suboptimality, is at most
+        alpha_k.
 
     The run keeps its own CurvatureAnchor, so its inner solves factor the
     curvature of theta_k only when that could shorten a solve (inner_apg).
@@ -274,6 +279,11 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
     itself meets one.
     """
+    if apg_mode not in ("budget", "certified"):
+        raise ValueError(f"unknown apg_mode {apg_mode!r}")
+    certify = apg_mode == "certified"
+    theta_star = np.asarray(theta_star, dtype=float)
+    theta_scale = float(np.linalg.norm(theta_star))
     lam = np.zeros(problem.cone.dim)
     anchor = CurvatureAnchor()
     x = np.asarray(x0, dtype=float).copy()
@@ -297,15 +307,9 @@ def alm_run(problem, learner, schedule, x0, theta_star,
 
         rho_k = schedule.rho(k)
         alpha_k = schedule.alpha(k)
-        if apg_mode == "budget":
-            x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
-                                 ApgConfig(alpha=alpha_k), epoch=k, anchor=anchor)
-        elif apg_mode == "certified":
-            x, _, _, inner = certified_solve(problem, x, lam, rho_k, theta_k,
-                                             gap_tol=alpha_k, epoch=k,
-                                             anchor=anchor)
-        else:
-            raise ValueError(f"unknown apg_mode {apg_mode!r}")
+        x, inner = apg_solve(problem, x, lam, rho_k, theta_k,
+                             ApgConfig(alpha=alpha_k), epoch=k, anchor=anchor,
+                             certify=certify)
         lam = dual_update(problem, lam, rho_k, x, theta_k)
         _check_finite(f"epoch {k}", x=x, lam=lam)
         x_sum += x
@@ -315,7 +319,7 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         reported = x_bar if trace.regime == "constant" else x
         f_rep = evaluate_f(problem, reported, theta_star)
         infeas_rep = infeasibility(problem, reported, theta_star)
-        theta_err, theta_err_rel = _theta_errors(theta_k, theta_star)
+        theta_err, theta_err_rel = _theta_errors(theta_k, theta_star, theta_scale)
         rel = np.nan
         if reference is not None and reference.f_value != 0.0:
             rel = abs(f_rep - reference.f_value) / abs(reference.f_value)
@@ -350,6 +354,8 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
         raise ValueError("learn_budget must be nonnegative")
     reference = run_kwargs.get("reference")
     x0 = np.asarray(x0, dtype=float)
+    theta_star = np.asarray(theta_star, dtype=float)
+    theta_scale = float(np.linalg.norm(theta_star))
     f0 = evaluate_f(problem, x0, theta_star)
     infeas0 = infeasibility(problem, x0, theta_star)
     rel0 = np.nan
@@ -363,7 +369,7 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
         theta_j = learner.step()
         cpu_learn += time.perf_counter() - t0
         _check_finite(f"epoch {j + 1} of the learning phase", theta=theta_j)
-        theta_err, theta_err_rel = _theta_errors(theta_j, theta_star)
+        theta_err, theta_err_rel = _theta_errors(theta_j, theta_star, theta_scale)
         learn_records.append(AlmRecord(
             k=j + 1, rho=0.0, alpha=0.0, inner_iterations=0,
             x=x0.copy(), lam=np.zeros(problem.cone.dim), x_bar=x0.copy(),

@@ -262,6 +262,38 @@ def test_carried_curvature_bounds_the_factored_pair(n, kind, aligned, log_scale,
     assert anchor.curvature(problem, theta_a) == (*pair_a, 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.floats(-12.0, -0.1), st.sampled_from([-1.0, 1.0]),
+       st.integers(0, 2**32 - 1))
+@example(2, -3.0, 1.0, 0)
+def test_weyl_shift_bounds_the_exact_norm_at_the_tight_case(n, log_scale, sign,
+                                                            seed):
+    # E = theta - theta_a is rank one along theta_a's top eigenvector, so
+    # ||E||_2 = ||E||_F and Weyl's bound is attained: a shift short of the
+    # exact ||E||_F by an ulp would undercut it. np.linalg.norm rounds that
+    # norm down for about half of these E (the example among them), so the
+    # carried d must be rounded up past it, and the pair shifted by d, all
+    # checked in exact arithmetic
+    from fractions import Fraction
+
+    _, problem = make_small_portfolio(n=n, s=1)
+    gen = np.random.default_rng(seed)
+    F = gen.standard_normal((n, n))
+    theta_a = F @ F.T / n + 0.1 * np.eye(n)
+    L_a, mu_a = problem.smooth_curvature(theta_a)
+    v = np.linalg.eigh(theta_a)[1][:, -1]
+    theta = theta_a + sign * 10.0 ** log_scale * 0.5 * (L_a - mu_a) * np.outer(v, v)
+    anchor = CurvatureAnchor()
+    anchor.curvature(problem, theta_a)
+    L_c, mu_c, d = anchor.curvature(problem, theta, lambda L_p, mu: (1, 1))
+    assert d is not None
+    exact_sq = sum((Fraction(t) - Fraction(t_a)) ** 2
+                   for t, t_a in zip(theta.ravel().tolist(), theta_a.ravel().tolist()))
+    assert Fraction(d) ** 2 >= exact_sq
+    assert Fraction(L_c) >= Fraction(L_a) + Fraction(d)
+    assert Fraction(mu_c) <= max(Fraction(0), Fraction(mu_a) - Fraction(d))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_theta_is_always_factored(caplog, bad):
     # the QP ignores theta, so its solves run to the end; only the choice

@@ -240,6 +240,19 @@ def test_portfolio_curvature_brackets_the_spectrum(M, shift, seed):
         assert py >= px + float(gx @ d) + 0.5 * mu * float(d @ d) - tol
 
 
+@pytest.mark.xfail(strict=True, reason="eigvalsh misses the extreme eigenvalues of "
+                   "this theta; ROADMAP item 2 certifies L_p and mu by Cholesky")
+def test_portfolio_curvature_bounds_a_sparse_spectrum():
+    # two O(1) entries and tiny ones elsewhere: the spectral norm is 14.5, but
+    # the values-only eigvalsh path returns L_p = 14.408; the property above
+    # meets such a theta only rarely
+    theta = np.full((4, 4), 1e-160)
+    theta[0, 1] = theta[1, 0] = 14.5
+    _, problem = make_small_portfolio(n=4, s=1)
+    assert np.linalg.norm(theta, 2) == 14.5
+    assert problem.smooth_curvature(theta)[0] >= 14.5
+
+
 def test_instance_json_round_trip(tmp_path):
     instance, _ = make_small_portfolio()
     path = tmp_path / "instance.json"

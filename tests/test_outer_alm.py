@@ -170,6 +170,51 @@ def test_budget_run_logs_one_debug_line_per_epoch(caplog):
     assert linear > 0
 
 
+def test_certified_run_matches_a_certified_solve_loop_without_values(monkeypatch):
+    # apg_mode="certified" takes the same steps as certified_solve, epoch by
+    # epoch on one anchor, bit for bit, but evaluates no augmented
+    # Lagrangian value; the certificate exits before the budget
+    from simalm import inner_apg
+    from simalm.al_core import dual_update
+    from simalm.inner_apg import CurvatureAnchor
+
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    x0 = np.full(instance.n, 0.1)
+    epochs = 8
+
+    def new_learner():
+        return SyntheticLearner(instance.sigma, 1.4 * instance.sigma, 0.6)
+
+    def run(apg_mode):
+        return alm_run(problem, new_learner(), schedule, x0, theta_star=instance.sigma,
+                       stop=StopRule(max_outer=epochs), apg_mode=apg_mode)
+
+    learner = new_learner()
+    anchor = CurvatureAnchor()
+    x, lam = x0, np.zeros(problem.cone.dim)
+    want = []
+    for k in range(epochs):
+        theta = learner.theta if k == 0 else learner.step()
+        rho = schedule.rho(k)
+        x, _, _, steps = certified_solve(problem, x, lam, rho, theta,
+                                         gap_tol=schedule.alpha(k), epoch=k,
+                                         anchor=anchor)
+        lam = dual_update(problem, lam, rho, x, theta)
+        want.append((x, lam, steps))
+
+    values = []
+    monkeypatch.setattr(inner_apg, "eval_L", lambda *args: values.append(args))
+    trace = run("certified")
+    assert values == []
+    assert len(trace) == epochs
+    for rec, (x, lam, steps) in zip(trace.records, want):
+        assert rec.x.tobytes() == x.tobytes()
+        assert rec.lam.tobytes() == lam.tobytes()
+        assert rec.inner_iterations == steps
+    assert trace.total_inner < run("budget").total_inner
+
+
 def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
     # minimizer strictly inside the capped region: multiplier stays zero
     n = 4
