@@ -16,7 +16,7 @@ from .experiments import (ExperimentConfig, bound_inputs_for_run,
                           save_bundle, write_seqsim, write_table, _schedule)
 from .bounds import bound_report
 from .inner_apg import BudgetError
-from .outer_alm import BOUND_COLUMNS, ScheduleError
+from .outer_alm import BOUND_COLUMNS, ScheduleError, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,19 +125,14 @@ def _cmd_bounds(config, out):
                                       config.specification)
         reports.append((eps, bound_report(inputs)))
     names = sorted(reports[0][1]["constants"])
-    with open(out / f"bound_constants_{config.regime}.csv", "w") as fh:
-        fh.write("epsilon," + ",".join(names) + "\n")
-        for eps, report in reports:
-            fh.write(f"{eps:.12g}," + ",".join(
-                f"{report['constants'][n]:.12g}" for n in names) + "\n")
-    with open(out / f"bound_curves_{config.regime}.csv", "w") as fh:
-        fh.write("epsilon,k," + ",".join(BOUND_COLUMNS) + "\n")
-        for eps, report in reports:
-            curves = report["curves"]
-            for i in range(len(curves["v_k_bound"])):
-                fh.write(f"{eps:.12g},{i + 1},"
-                         + ",".join(f"{curves[n][i]:.12g}" for n in BOUND_COLUMNS)
-                         + "\n")
+    write_csv(out / f"bound_constants_{config.regime}.csv", ("epsilon", *names),
+              ((eps, *(report["constants"][n] for n in names))
+               for eps, report in reports))
+    write_csv(out / f"bound_curves_{config.regime}.csv",
+              ("epsilon", "k", *BOUND_COLUMNS),
+              ((eps, k, *row) for eps, report in reports
+               for k, row in enumerate(zip(*(report["curves"][n]
+                                             for n in BOUND_COLUMNS)), 1)))
     print(f"bound files written to {out}")
     return EXIT_OK
 

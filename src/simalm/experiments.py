@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ from .learning import AdmmScsLearner, ScsProblem, SyntheticLearner, admm_solve
 from .linalg import spectral_norm
 from .model import PortfolioInstance, portfolio_problem
 from .outer_alm import (StopRule, alm_run, make_constant_schedule,
-                        make_increasing_schedule, sequential_baseline)
+                        make_increasing_schedule, sequential_baseline,
+                        write_csv)
 from .reference import portfolio_reference
 
 __all__ = [
@@ -35,9 +36,6 @@ __all__ = [
     "bound_curves_for_trace", "dual_gap_estimates", "run_solve", "run_table",
     "write_table", "run_seq_vs_sim", "write_seqsim",
 ]
-
-_FMT = "{:.12g}"
-
 
 # Instance-generator constants: with (n, s, seed) they fix the instance and
 # every derived quantity, and save_bundle records them in meta.json. admm_tol
@@ -214,12 +212,7 @@ def _draw_instance(config):
             if free_peak - float(uniform_load.max()) < _GENERATOR["load_gap"]:
                 continue
             cap = round(0.5 * (float(uniform_load.max()) + free_peak), 3)
-            instance = PortfolioInstance(
-                n=instance.n, s=instance.s,
-                sector_matrix=instance.sector_matrix,
-                sector_limits=np.full(instance.s, cap),
-                mu=instance.mu, risk_tradeoff=instance.risk_tradeoff,
-                sigma=instance.sigma, seed=seed)
+            instance = replace(instance, sector_limits=np.full(instance.s, cap))
         ref = portfolio_reference(instance, sigma=sigma_star)
         slack = instance.sector_limits - instance.sector_matrix @ ref.x
         if np.min(slack) <= binding_tol and abs(ref.f_value) >= _GENERATOR["f_floor"]:
@@ -326,7 +319,8 @@ def prepare_bundle(config):
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
                        for S in info["history"]])
-    binding = (instance.sector_limits - instance.sector_matrix @ reference.x) <= 1e-7
+    slack = instance.sector_limits - instance.sector_matrix @ reference.x
+    binding = slack <= _GENERATOR["binding_tol"]
     return InstanceBundle(
         config=config, instance=instance, scs=scs, sigma_star=sigma_star,
         learner_errors=errors, tau_hat=_certified_rate(errors),
@@ -484,22 +478,12 @@ def run_table(config, bundle=None):
 
 def write_table(rows, path, timing_path=None):
     """Write the deterministic table CSV; timings go to a sidecar file."""
-    with open(path, "w") as fh:
-        fh.write("epsilon,rel_subopt,infeas,outer,inner,flagged\n")
-        for r in rows:
-            fh.write(",".join([
-                _FMT.format(r.epsilon), _FMT.format(r.rel_subopt),
-                _FMT.format(r.infeas), str(r.outer), str(r.inner_total),
-                str(int(r.flagged)),
-            ]) + "\n")
+    write_csv(path, ("epsilon", "rel_subopt", "infeas", "outer", "inner", "flagged"),
+              ((r.epsilon, r.rel_subopt, r.infeas, r.outer, r.inner_total, r.flagged)
+               for r in rows))
     if timing_path is not None:
-        with open(timing_path, "w") as fh:
-            fh.write("epsilon,cpu_learn_s,cpu_opt_s\n")
-            for r in rows:
-                fh.write(",".join([
-                    _FMT.format(r.epsilon), _FMT.format(r.cpu_learn_s),
-                    _FMT.format(r.cpu_opt_s),
-                ]) + "\n")
+        write_csv(timing_path, ("epsilon", "cpu_learn_s", "cpu_opt_s"),
+                  ((r.epsilon, r.cpu_learn_s, r.cpu_opt_s) for r in rows))
 
 
 def run_seq_vs_sim(config, bundle=None, max_outer=50):
@@ -507,10 +491,11 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
 
     Returns a dict with one suboptimality-vs-work curve per sequential
     budget plus the simultaneous run; work counts learning steps and inner
-    iterations. Inner solves exit early, within their budget, on the
-    certificate of each step's own gradient mapping (certified_solve), so
-    the work axis counts the proximal-gradient steps actually needed, one
-    gradient each, mirroring how effort is compared across schemes.
+    iterations. Inner solves run apg_solve with certify=True: each exits
+    early, within its budget, on the certificate of its step's own gradient
+    mapping, so the work axis counts the proximal-gradient steps actually
+    needed, one gradient each, mirroring how effort is compared across
+    schemes.
     Requires at least two sequential budgets.
     """
     if len(config.sequential_budgets) < 2:
@@ -567,9 +552,7 @@ def _work_curve(trace, f_star, learn_prefix, interleaved=False):
 
 
 def write_seqsim(curves, path):
-    with open(path, "w") as fh:
-        fh.write("scheme,step,cum_work,abs_subopt\n")
-        for name in sorted(curves):
-            data = curves[name]
-            for i, (w, v) in enumerate(zip(data["work"], data["subopt"])):
-                fh.write(f"{name},{i + 1},{_FMT.format(w)},{_FMT.format(v)}\n")
+    write_csv(path, ("scheme", "step", "cum_work", "abs_subopt"),
+              ((name, step, w, v) for name in sorted(curves)
+               for step, (w, v) in enumerate(zip(curves[name]["work"],
+                                                 curves[name]["subopt"]), 1)))

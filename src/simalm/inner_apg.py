@@ -244,8 +244,7 @@ def iteration_budget(problem, rho, theta, alpha):
                    problem.constants.D_x)
 
 
-def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0,
-          g0=None):
+def fista(grad, prox, L, x0, max_steps, stop=None, mu=0.0, g0=None):
     """Core accelerated proximal gradient loop.
 
     grad(y) and prox(y, g, L) define the composite model; iterates start at
@@ -261,11 +260,11 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0,
     caller; the first step uses it, so every step evaluates one gradient.
     Returns (last iterate, steps taken).
 
-    callback(t, z) is invoked after each step, for tracing. The optional
-    stop(y, z) predicate is evaluated after each step with the point y the
-    step was taken from and the new iterate z = prox(y, grad(y), L); the
-    loop returns z as soon as it holds. Raises ValueError unless L > 0 and
-    0 <= mu <= L.
+    The optional stop(y, z) predicate is evaluated after each step with the
+    point y the step was taken from and the new iterate z = prox(y, grad(y),
+    L); the loop returns z as soon as it holds. It sees every iterate, so a
+    stop that records z and returns False traces the run. Raises ValueError
+    unless L > 0 and 0 <= mu <= L.
     """
     if not L > 0:
         raise ValueError("prox curvature L must be positive")
@@ -280,8 +279,6 @@ def fista(grad, prox, L, x0, max_steps, callback=None, stop=None, mu=0.0,
     t = 0
     for t in range(1, max_steps + 1):
         z_new = prox(y, grad(y) if t > 1 or g0 is None else g0, L)
-        if callback is not None:
-            callback(t, z_new)
         if stop is not None and stop(y, z_new):
             return z_new, t
         if mu == 0.0:

@@ -36,13 +36,39 @@ from .model import NonFiniteError, evaluate_f, infeasibility
 __all__ = [
     "ScheduleError", "NonFiniteError", "Schedule", "StopRule", "AlmRecord",
     "AlmTrace", "make_constant_schedule", "make_increasing_schedule",
-    "alm_run", "sequential_baseline", "TRACE_COLUMNS", "BOUND_COLUMNS",
+    "alm_run", "sequential_baseline", "write_csv", "TRACE_COLUMNS",
+    "BOUND_COLUMNS",
 ]
 
-TRACE_COLUMNS = ("k", "rho_k", "alpha_k", "inner_iters", "f_rel_subopt",
-                 "infeas", "theta_err_rel", "cpu_learn_s", "cpu_opt_s")
+# Trace CSV column -> AlmRecord field, in the trace's fixed column order
+_TRACE_FIELDS = {"k": "k", "rho_k": "rho", "alpha_k": "alpha",
+                 "inner_iters": "inner_iterations", "f_rel_subopt": "f_rel_subopt",
+                 "infeas": "infeas_at_theta_star", "theta_err_rel": "theta_err_rel",
+                 "cpu_learn_s": "cpu_learn_s", "cpu_opt_s": "cpu_opt_s"}
+TRACE_COLUMNS = tuple(_TRACE_FIELDS)
 BOUND_COLUMNS = ("v_k_bound", "subopt_upper_bound", "subopt_lower_bound",
                  "dual_gap_bound")
+
+
+def _cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+def write_csv(path, header, rows):
+    """Write one artifact CSV: the header line, then one line per row.
+
+    The one cell format of every artifact: strings verbatim, bools and
+    integers (numpy's included) as integers, every other number as
+    float %.12g, so NaN reads "nan".
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 class ScheduleError(ValueError):
@@ -212,36 +238,30 @@ class AlmTrace:
 
         bound_curves, when given, maps each of the theory-overlay column
         names to an array aligned with the records and is appended after
-        the empirical columns.
+        the empirical columns; a curve of another length raises ValueError.
         """
-        headers = list(TRACE_COLUMNS)
-        columns = {
-            "k": self.column("k"),
-            "rho_k": self.column("rho"),
-            "alpha_k": self.column("alpha"),
-            "inner_iters": self.column("inner_iterations"),
-            "f_rel_subopt": self.column("f_rel_subopt"),
-            "infeas": self.column("infeas_at_theta_star"),
-            "theta_err_rel": self.column("theta_err_rel"),
-            "cpu_learn_s": self.column("cpu_learn_s"),
-            "cpu_opt_s": self.column("cpu_opt_s"),
-        }
+        header = list(TRACE_COLUMNS)
+        columns = [self.column(name) for name in _TRACE_FIELDS.values()]
         if bound_curves:
             for name in BOUND_COLUMNS:
                 if name in bound_curves:
-                    headers.append(name)
-                    columns[name] = np.asarray(bound_curves[name])
-        with open(path, "w") as fh:
-            fh.write(",".join(headers) + "\n")
-            for i in range(len(self.records)):
-                cells = []
-                for name in headers:
-                    v = columns[name][i]
-                    if name in ("k", "inner_iters"):
-                        cells.append(str(int(v)))
-                    else:
-                        cells.append(f"{float(v):.12g}")
-                fh.write(",".join(cells) + "\n")
+                    header.append(name)
+                    columns.append(np.asarray(bound_curves[name]))
+        write_csv(path, header, zip(*columns, strict=True))
+
+
+def _report(problem, x, theta_star, f_star):
+    """(f, infeasibility, relative suboptimality) of x at theta*: what a row reports.
+
+    The relative suboptimality |f - f*| / |f*| is NaN unless f* is given and
+    nonzero.
+    """
+    f = evaluate_f(problem, x, theta_star)
+    infeas = infeasibility(problem, x, theta_star)
+    rel = np.nan
+    if f_star is not None and f_star != 0.0:
+        rel = abs(f - f_star) / abs(f_star)
+    return f, infeas, rel
 
 
 def _theta_errors(theta, theta_star, scale):
@@ -317,12 +337,9 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         cpu_opt += time.perf_counter() - t1
 
         reported = x_bar if trace.regime == "constant" else x
-        f_rep = evaluate_f(problem, reported, theta_star)
-        infeas_rep = infeasibility(problem, reported, theta_star)
+        f_rep, infeas_rep, rel = _report(problem, reported, theta_star,
+                                         trace.f_star)
         theta_err, theta_err_rel = _theta_errors(theta_k, theta_star, theta_scale)
-        rel = np.nan
-        if reference is not None and reference.f_value != 0.0:
-            rel = abs(f_rep - reference.f_value) / abs(reference.f_value)
         trace.records.append(AlmRecord(
             k=k + 1, rho=rho_k, alpha=alpha_k, inner_iterations=inner,
             x=x.copy(), lam=lam.copy(), x_bar=x_bar.copy(),
@@ -356,11 +373,8 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     x0 = np.asarray(x0, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
     theta_scale = float(np.linalg.norm(theta_star))
-    f0 = evaluate_f(problem, x0, theta_star)
-    infeas0 = infeasibility(problem, x0, theta_star)
-    rel0 = np.nan
-    if reference is not None and reference.f_value != 0.0:
-        rel0 = abs(f0 - reference.f_value) / abs(reference.f_value)
+    f0, infeas0, rel0 = _report(problem, x0, theta_star,
+                                None if reference is None else reference.f_value)
 
     learn_records = []
     cpu_learn = 0.0

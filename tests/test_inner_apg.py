@@ -542,19 +542,19 @@ def test_fista_rate_against_oracle(rng):
     problem = _simplex_qp_problem(Q, c)
     L = float(np.linalg.norm(Q, 2))
     x0 = np.full(n, 1.0 / n)
-    values = {}
+    values = []
 
-    def track(t, z):
-        if t in (5, 10, 50):
-            values[t] = 0.5 * float(z @ Q @ z) + float(c @ z)
+    def track(y, z):
+        values.append(0.5 * float(z @ Q @ z) + float(c @ z))
+        return False
 
     def grad(y):
         return Q @ y + c
 
-    fista(grad, lambda y, g, Lc: simplex_prox(y, g, Lc), L, x0, 50, callback=track)
+    fista(grad, lambda y, g, Lc: simplex_prox(y, g, Lc), L, x0, 50, stop=track)
     r2 = float((x0 - x_star) @ (x0 - x_star))
     for t in (5, 10, 50):
-        assert values[t] - f_star <= 2.0 * L * r2 / (t + 1) ** 2 + 1e-12
+        assert values[t - 1] - f_star <= 2.0 * L * r2 / (t + 1) ** 2 + 1e-12
 
 
 def test_iteration_count_suffices_for_target_gap(rng):
@@ -797,8 +797,12 @@ def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
     want = _reference_loop(grad, prox, L, x0, 0.0, steps=40)
     for kwargs in ({}, {"mu": 0.0}):
         seen = []
-        z, steps = fista(grad, prox, L, x0, 40,
-                         callback=lambda t, z: seen.append(z), **kwargs)
+
+        def record(y, z):
+            seen.append(z)
+            return False
+
+        z, steps = fista(grad, prox, L, x0, 40, stop=record, **kwargs)
         assert steps == 40 and np.array_equal(z, want[-1])
         assert all(np.array_equal(a, b) for a, b in zip(seen, want, strict=True))
     # so does a budget solve of a problem without a modulus

@@ -17,7 +17,7 @@ from simalm.model import (ParametricProblem, ProblemConstants, evaluate_f,
 from simalm.outer_alm import (NonFiniteError, Schedule, ScheduleError,
                               StopRule, alm_run, make_constant_schedule,
                               make_increasing_schedule, sequential_baseline,
-                              TRACE_COLUMNS)
+                              write_csv, TRACE_COLUMNS)
 from simalm.reference import ReferenceSolution, portfolio_reference
 from conftest import make_small_portfolio
 
@@ -325,6 +325,39 @@ def test_increasing_rate_bounds_majorize_small_run():
         assert sub <= b_k(inputs, epoch) / inputs.schedule.beta ** epoch + 1e-12
         assert rec.infeas_at_theta_star <= \
             infeasibility_bound_geometric(inputs, epoch) + 1e-12
+
+
+def test_write_csv_cell_rule(tmp_path):
+    # the one cell format of every artifact: strings verbatim, bools and
+    # integers (numpy's too) as integers, every other number as float .12g
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("name", "a", "b"), [
+        ("ints", 7, np.int64(-3)),
+        ("big", 10 ** 13, np.int32(2 ** 31 - 1)),
+        ("bools", True, False),
+        ("floats", np.float64(1.0) / 3.0, 2.0),
+        ("large", 1e13, np.float64(-1e-5)),
+        ("narrow", np.float32(0.1), -np.inf),
+        ("nan", np.nan, float("nan")),
+        ("1e-3", "text", "0.5"),
+    ])
+    assert path.read_bytes() == (
+        b"name,a,b\n"
+        b"ints,7,-3\n"
+        b"big,10000000000000,2147483647\n"
+        b"bools,1,0\n"
+        b"floats,0.333333333333,2\n"
+        b"large,1e+13,-1e-05\n"
+        b"narrow,0.10000000149,-inf\n"
+        b"nan,nan,nan\n"
+        b"1e-3,text,0.5\n")
+
+
+def test_trace_csv_rejects_a_misaligned_bound_curve(tmp_path):
+    _, trace, _, _, _ = _misspecified_small_run("constant", max_outer=6)
+    short = np.zeros(len(trace) - 1)
+    with pytest.raises(ValueError):
+        trace.to_csv(tmp_path / "trace.csv", bound_curves={"v_k_bound": short})
 
 
 def test_trace_csv_round_trip(tmp_path):
