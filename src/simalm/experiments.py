@@ -202,8 +202,7 @@ def _draw_instance(config):
             least_peak_load = min(least_peak_load, float(uniform_load.max()))
             continue
         load_passed = True
-        sigma_star, info = admm_solve(scs, tol=_GENERATOR["admm_tol"],
-                                      collect_history=True)
+        sigma_star, info = admm_solve(scs, tol=_GENERATOR["admm_tol"])
         x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
                                   -instance.risk_tradeoff * instance.mu)
         free_peak = float(np.max(instance.sector_matrix @ x_free))
@@ -313,8 +312,8 @@ def prepare_bundle(config):
     then certifies the geometric rate of the learning iteration, tau_hat.
     The error history is the sequence a learner reveals, so errors[k] =
     ||theta_k - Sigma*|| for the k-th revealed estimate. The bundle's
-    ScsProblem keeps the ADMM solve's first sweep cached, so learners built
-    on it start without an eigensolve.
+    ScsProblem keeps the ADMM solve's sweeps in its record, so learners
+    built on it replay them and run no sweep until they pass Sigma*.
     """
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")

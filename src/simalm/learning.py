@@ -10,19 +10,20 @@ selection problem
     minimize (1/2) ||Sigma - S||_F^2 + upsilon * |offdiag(Sigma)|_1
     subject to Sigma >= psd_floor * I.
 
-Learner instances are single-owner mutable state; the estimates they hand
-out are fresh arrays that may be shared freely. Each ADMM sweep is one
-eigenvalue-floored projection: a Cholesky factorisation tests whether the
-target already lies in the floored cone, and only a target outside it is
-factored by LAPACK `eigh`. The first sweep, from S floored at psd_floor,
-is computed once per ScsProblem and shared read-only by `admm_solve` and
-every `AdmmScsLearner` on that problem.
+Learner instances are single-owner mutable state; the estimates step()
+hands out are fresh arrays that may be shared freely. Each ADMM sweep is
+one eigenvalue-floored projection: a Cholesky factorisation tests whether
+the target already lies in the floored cone, and only a target outside it
+is factored by LAPACK `eigh`. The sweep sequence is fixed by its
+ScsProblem, so each problem keeps one read-only record of the sweeps run
+on it: `admm_solve` is the only code that extends it, and every
+`AdmmScsLearner` on the problem replays it before it steps on its own.
 """
 
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .model import NonFiniteError
 
 __all__ = [
     "SyntheticLearner", "FrozenLearner", "ScsProblem", "ScsState",
-    "eigh_clip", "scs_init", "scs_admm_step", "AdmmScsLearner",
+    "SweepRecord", "eigh_clip", "scs_init", "scs_admm_step", "AdmmScsLearner",
     "admm_solve",
 ]
 
@@ -82,10 +83,10 @@ class ScsProblem:
 
     S is the sample covariance, upsilon the l1 weight on off-diagonal
     entries, psd_floor the eigenvalue floor of the feasible set, and
-    admm_penalty the splitting penalty. The ADMM state after the first
-    sweep is cached on the object (`first_sweep`) and shared by every
+    admm_penalty the splitting penalty. The sweeps run on the problem are
+    kept on the object (`record`) and shared by `admm_solve` and every
     learner built on it; any other ScsProblem, one from
-    `dataclasses.replace` included, computes it again.
+    `dataclasses.replace` included, records its own.
     """
 
     S: np.ndarray
@@ -108,22 +109,14 @@ class ScsProblem:
         return self.S.shape[0]
 
     @functools.cached_property
-    def first_sweep(self):
-        """ADMM state after one sweep from S floored at psd_floor.
+    def record(self):
+        """The ADMM sweeps run on this problem, from the first (`SweepRecord`).
 
-        Both primal blocks start at `eigh_clip(S, psd_floor)` and the dual
-        at zero. For a rank-deficient S neither that start nor the sweep's
-        target lies in the floored cone, so this takes the two `eigh`
-        factorisations of a cold start, once per ScsProblem object. The
-        arrays are read-only, so an in-place write raises ValueError
-        instead of corrupting every later start.
+        Created holding the first sweep only, from `scs_init`: for a
+        rank-deficient S that takes the two `eigh` factorisations of a
+        cold start, once per ScsProblem object.
         """
-        Sigma0 = eigh_clip(self.S, self.psd_floor)
-        _, state = scs_admm_step(self, ScsState(Sigma=Sigma0, Phi=Sigma0,
-                                                U=np.zeros_like(Sigma0)))
-        for block in (state.Sigma, state.Phi, state.U):
-            block.flags.writeable = False
-        return state
+        return SweepRecord(scs_init(self))
 
     def objective(self, Sigma):
         """SCS objective value at Sigma (constraint not included)."""
@@ -156,6 +149,31 @@ class ScsState:
     k: int = 0
     primal_residual: float = np.inf
     dual_residual: float = np.inf
+
+
+class SweepRecord:
+    """Sigma and residuals after ADMM sweeps 1..m of one ScsProblem.
+
+    sigmas[i] is Sigma after sweep i + 1 and residuals[i] its (primal,
+    dual) residual pair; `last` is the whole state after sweep m, from
+    which the sweeps past the record continue. Every array is read-only,
+    so an in-place write raises ValueError instead of corrupting every
+    later replay. Only `admm_solve` appends, so the record never holds
+    more sweeps than the solves on its problem ran.
+    """
+
+    def __init__(self, first):
+        self.sigmas = []
+        self.residuals = []
+        self.append(first)
+
+    def append(self, state):
+        """Record `state`, the state after the sweep that follows `last`."""
+        for block in (state.Sigma, state.Phi, state.U):
+            block.flags.writeable = False
+        self.sigmas.append(state.Sigma)
+        self.residuals.append((state.primal_residual, state.dual_residual))
+        self.last = state
 
 
 # The benchmark's tracer times the eigensolve under this name; the benchmark
@@ -197,12 +215,15 @@ def eigh_clip(M, floor):
 def scs_init(problem):
     """ADMM state after the first sweep, where every solve and learner starts.
 
-    The state is `problem.first_sweep`, shared read-only by every state
-    started on the same problem; the blocks returned are fresh copies.
+    Both primal blocks start at `eigh_clip(S, psd_floor)` and the dual at
+    zero. Each call runs the sweep afresh and returns writable blocks; the
+    one copy that every solve and learner on the problem shares is the
+    first entry of `problem.record`.
     """
-    first = problem.first_sweep
-    return replace(first, Sigma=first.Sigma.copy(),
-                   Phi=first.Phi.copy(), U=first.U.copy())
+    Sigma0 = eigh_clip(problem.S, problem.psd_floor)
+    _, state = scs_admm_step(problem, ScsState(Sigma=Sigma0, Phi=Sigma0,
+                                               U=np.zeros_like(Sigma0)))
+    return state
 
 
 def scs_admm_step(problem, state):
@@ -235,30 +256,41 @@ class AdmmScsLearner:
 
     The very first sweep provably leaves the covariance block unchanged
     (it shares the eigenbasis of the floored sample covariance), so a
-    learner starts after it, from `scs_init`; the first step() therefore
-    already moves the estimate. That state is the problem's cached
-    `first_sweep`, so learners on one ScsProblem take its two cold
-    factorisations only once between them, and a learner built on a
-    problem that already holds it runs no eigensolve. Each step() is one
-    sweep, factored by `eigh` only when its target lies outside the
-    floored cone.
+    learner starts after it: theta is Sigma after sweep 1, and the k-th
+    step() reveals Sigma after sweep k + 1. While that sweep lies inside
+    the problem's `record` the learner replays it and runs no sweep, so
+    learners on one ScsProblem take the cold first sweep's two
+    factorisations only once between them. Past the record each step() is
+    one sweep of its own, from the record's last state, factored by `eigh`
+    only when its target lies outside the floored cone. A learner never
+    extends the shared record. theta may be a read-only record entry;
+    step() returns a fresh array.
     """
 
     def __init__(self, problem):
         self.problem = problem
-        self.state = scs_init(problem)
+        self._record = problem.record
+        self._state = None  # the learner's own state, once past the record
         self._calls = 0
 
     @property
     def theta(self):
-        return self.state.Sigma
+        if self._state is None:
+            return self._record.sigmas[self._calls]
+        return self._state.Sigma
 
     @property
     def steps_taken(self):
         return self._calls
 
     def step(self):
-        Sigma, self.state = scs_admm_step(self.problem, self.state)
+        record = self._record
+        if self._state is None and self._calls + 1 < len(record.sigmas):
+            Sigma = record.sigmas[self._calls + 1]
+        else:
+            # scs_admm_step never writes into the state it is given
+            Sigma, self._state = scs_admm_step(
+                self.problem, record.last if self._state is None else self._state)
         self._calls += 1
         return Sigma.copy()
 
@@ -266,30 +298,33 @@ class AdmmScsLearner:
 _MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
 
 
-def admm_solve(problem, tol=1e-9, collect_history=False):
-    """Run the SCS ADMM iteration to convergence.
+def admm_solve(problem, tol=1e-9):
+    """Run the SCS ADMM iteration to convergence, along the problem's record.
 
-    Starts from `scs_init`, the state after the first sweep, and stops
-    when both the primal residual ||Sigma - Phi||_F and the dual residual
-    mu ||Phi_k - Phi_{k-1}||_F fall below tol; raises RuntimeError after
-    _MAX_SWEEPS sweeps, the first included, without that. Returns
-    (Sigma_star, info) where info records sweeps, final residuals, and,
-    when collect_history is set, the Sigma of every sweep from the first:
-    history[k] is the estimate a learner on the problem reveals at step k.
+    Starts from the first sweep and stops at the first sweep whose primal
+    residual ||Sigma - Phi||_F and dual residual mu ||Phi_k - Phi_{k-1}||_F
+    both lie below tol. Sweeps already in `problem.record` are read from
+    it; only sweeps past its end are run, and they are appended to it.
+    Raises RuntimeError after _MAX_SWEEPS sweeps, the first included,
+    without that. Returns (Sigma_star, info) where info records sweeps,
+    the final residuals and history, the recorded Sigma of every sweep
+    from the first (read-only, not copies): history[k] is the estimate a
+    learner on the problem reveals at step k.
     """
-    state = scs_init(problem)
-    history = [state.Sigma.copy()] if collect_history else None
-    while not max(state.primal_residual, state.dual_residual) <= tol:
-        if state.k >= _MAX_SWEEPS:
+    record = problem.record
+    k = 1
+    while not max(record.residuals[k - 1]) <= tol:
+        if k >= _MAX_SWEEPS:
             raise RuntimeError(f"ADMM did not reach residual {tol:g} "
                                f"within {_MAX_SWEEPS} sweeps")
-        Sigma, state = scs_admm_step(problem, state)
-        if collect_history:
-            history.append(Sigma.copy())
+        if k == len(record.sigmas):
+            record.append(scs_admm_step(problem, record.last)[1])
+        k += 1
+    primal, dual = record.residuals[k - 1]
     info = {
-        "sweeps": state.k,
-        "primal_residual": state.primal_residual,
-        "dual_residual": state.dual_residual,
-        "history": history,
+        "sweeps": k,
+        "primal_residual": primal,
+        "dual_residual": dual,
+        "history": record.sigmas[:k],
     }
-    return state.Sigma.copy(), info
+    return record.sigmas[k - 1].copy(), info

@@ -32,7 +32,6 @@ def spectral_norm(M):
 def soft_threshold_offdiag(M, t):
     """Soft-threshold the off-diagonal entries of M at level t; keep the diagonal."""
     M = np.asarray(M, dtype=float)
-    shrunk = np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
-    out = shrunk.copy()
+    out = np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
     np.fill_diagonal(out, np.diag(M))
     return out

@@ -90,9 +90,15 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
     assert calls == {"admm": 1, "qp": 2}
     monkeypatch.undo()
 
-    # recomputed from scratch on a fresh problem (no cached factorisation)
+    # the history is the bundle's record itself, every sweep the solve ran
+    record = bundle.scs.record
+    assert len(record.sigmas) == bundle.admm_sweeps
+    _, info = admm_solve(bundle.scs, tol=1e-9)
+    assert all(a is b for a, b in zip(info["history"], record.sigmas, strict=True))
+
+    # recomputed from scratch on a fresh problem (no recorded sweeps)
     scs = dataclasses.replace(bundle.scs)
-    sigma_star, info = admm_solve(scs, tol=1e-9, collect_history=True)
+    sigma_star, info = admm_solve(scs, tol=1e-9)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
                        for S in info["history"]])
     ref = reference.portfolio_reference(bundle.instance, sigma=sigma_star)
@@ -101,6 +107,45 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
     assert bundle.tau_hat == _certified_rate(errors)
     assert bundle.reference.f_value == ref.f_value
     assert bundle.admm_sweeps == info["sweeps"]
+
+
+def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
+    from simalm import learning
+
+    bundle = prepare_bundle(small_config)
+    counts = {"sweeps": 0, "eigh": 0}
+    learners = []
+    sweep, eigh = learning.scs_admm_step, learning.jacobi_eigh
+
+    def counted_sweep(problem, state):
+        counts["sweeps"] += 1
+        return sweep(problem, state)
+
+    def counted_eigh(M):
+        counts["eigh"] += 1
+        return eigh(M)
+
+    class KeptLearner(AdmmScsLearner):
+        def __init__(self, problem):
+            super().__init__(problem)
+            learners.append(self)
+
+    monkeypatch.setattr(learning, "scs_admm_step", counted_sweep)
+    monkeypatch.setattr(learning, "jacobi_eigh", counted_eigh)
+    monkeypatch.setattr(experiments, "AdmmScsLearner", KeptLearner)
+    for regime in ("constant", "increasing"):
+        for eps in (1e-1, 1e-2, 1e-3):
+            run_solve(small_config, eps, bundle, specification="learned",
+                      regime=regime)
+    assert len(learners) == 6
+    # step k reveals sweep k + 1, and the record holds sweeps 1..admm_sweeps
+    beyond = sum(max(0, learner.steps_taken - (bundle.admm_sweeps - 1))
+                 for learner in learners)
+    assert beyond > 0
+    assert counts == {"sweeps": beyond, "eigh": 0}
+    assert len(bundle.scs.record.sigmas) == bundle.admm_sweeps
+    with pytest.raises(ValueError):
+        AdmmScsLearner(bundle.scs).theta[0, 0] = 1.0
 
 
 def test_learner_error_alignment(small_bundle):

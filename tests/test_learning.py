@@ -333,24 +333,101 @@ def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
     assert factors_of_S(copied_problem) == [True, False]
     eigensolves.clear()
     mu = problem.admm_penalty
+    state = problem.record.last
     for _ in range(5):
         # a warm sweep whose target lies inside the cone factors nothing
-        target = (problem.S + mu * (first.state.Phi - first.state.U)) / (1.0 + mu)
+        target = (problem.S + mu * (state.Phi - state.U)) / (1.0 + mu)
         assert np.linalg.eigvalsh(target)[0] >= 2.0 * problem.psd_floor
-        theta = first.step()
+        theta, state = scs_admm_step(problem, state)
+        np.testing.assert_array_equal(first.step(), theta)
         np.testing.assert_array_equal(second.step(), theta)
         np.testing.assert_array_equal(copied.step(), theta)
     assert eigensolves == []
 
-    start = problem.first_sweep
-    assert problem.first_sweep is start
+    record = problem.record
+    assert problem.record is record
+    assert len(record.sigmas) == 1  # learners never extend the record
+    start = record.last
+    assert start.Sigma is record.sigmas[0]
     for block in (start.Sigma, start.Phi, start.U):
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
-    # learners start from copies
-    assert not np.shares_memory(AdmmScsLearner(problem).theta, start.Sigma)
+    # a fresh learner reveals the record entry itself, read-only, and
+    # steps to fresh writable arrays
+    fresh = AdmmScsLearner(problem)
+    assert fresh.theta is start.Sigma
+    with pytest.raises(ValueError):
+        fresh.theta[0, 0] = 1.0
+    revealed = fresh.step()
+    revealed[0, 0] = 1.0
+    assert not np.shares_memory(revealed, fresh.theta)
 
     raised = dataclasses.replace(problem, psd_floor=0.5)
-    assert raised.first_sweep is not start
-    assert np.linalg.eigvalsh(raised.first_sweep.Sigma).min() >= 0.5 - 1e-10
+    assert raised.record is not record
+    assert np.linalg.eigvalsh(raised.record.sigmas[0]).min() >= 0.5 - 1e-10
     assert np.linalg.eigvalsh(start.Sigma).min() < 0.5
+
+
+def test_learner_hands_off_from_the_record_to_its_own_sweeps(monkeypatch):
+    import dataclasses
+
+    from simalm import learning
+
+    recorded = make_scs(n=8, seed=4)
+    _, info = admm_solve(recorded, tol=1e-9)
+    sweeps = info["sweeps"]
+    unrecorded = dataclasses.replace(recorded)  # holds the first sweep only
+    sweeps_run = []
+    sweep = learning.scs_admm_step
+
+    def counted_sweep(problem, state):
+        sweeps_run.append(problem)
+        return sweep(problem, state)
+
+    monkeypatch.setattr(learning, "scs_admm_step", counted_sweep)
+    replay = AdmmScsLearner(recorded)
+    fresh = AdmmScsLearner(unrecorded)
+    np.testing.assert_array_equal(replay.theta, fresh.theta)
+    for k in range(1, sweeps + 6):
+        np.testing.assert_array_equal(replay.step(), fresh.step())
+        np.testing.assert_array_equal(replay.theta, fresh.theta)
+        # step k reveals sweep k + 1: the record holds sweeps 1..sweeps
+        ran = sum(problem is recorded for problem in sweeps_run)
+        assert ran == max(0, k - (sweeps - 1))
+    assert len(recorded.record.sigmas) == sweeps
+    assert len(unrecorded.record.sigmas) == 1
+
+
+def test_admm_solve_reads_the_record_and_extends_it_only_past_its_end(monkeypatch):
+    import dataclasses
+
+    from simalm import learning
+
+    problem = make_scs(n=6, seed=2)
+    admm_solve(problem, tol=1e-8)
+    record = problem.record
+    recorded = len(record.sigmas)
+
+    # a looser tol stops inside the record, as a fresh problem does
+    sigma, info = admm_solve(problem, tol=1e-5)
+    sigma_fresh, info_fresh = admm_solve(dataclasses.replace(problem), tol=1e-5)
+    np.testing.assert_array_equal(sigma, sigma_fresh)
+    for key in ("sweeps", "primal_residual", "dual_residual"):
+        assert info[key] == info_fresh[key]
+    assert info["sweeps"] < recorded == len(record.sigmas)
+
+    # a tighter one runs on from the record's end and appends what it runs
+    sigma, info = admm_solve(problem, tol=1e-11)
+    sigma_fresh, info_fresh = admm_solve(dataclasses.replace(problem), tol=1e-11)
+    np.testing.assert_array_equal(sigma, sigma_fresh)
+    for key in ("sweeps", "primal_residual", "dual_residual"):
+        assert info[key] == info_fresh[key]
+    assert info["sweeps"] == len(record.sigmas) > recorded
+
+    # the sweep cap holds inside the record and past its end
+    recorded = len(record.sigmas)
+    for cap in (3, recorded + 2):
+        monkeypatch.setattr(learning, "_MAX_SWEEPS", cap)
+        with pytest.raises(RuntimeError, match=f"within {cap} sweeps"):
+            admm_solve(problem, tol=0.0)
+        assert len(record.sigmas) == max(recorded, cap)
