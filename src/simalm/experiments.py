@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,9 @@ _RATE_FLOOR = 1e-10  # relative learner errors _certified_rate leaves out
 # validated against it and its bound inputs use it
 _KNOWN_RATE = 0.5
 _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
+# Curvature pairs a bundle keeps, oldest evicted first; a learned grid or a
+# seqsim pass on an n = 100 instance factors 4-7 distinct thetas
+_CURVATURE_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,16 @@ class InstanceBundle:
     """Instance plus every derived reference quantity experiments reuse.
 
     tau_hat is the certified rate of learner_errors, the one learned rate.
+    The problems problem() builds share one memo of the curvature oracle:
+    the pair of every finite theta factored is stored, keyed on theta's
+    dtype, shape and exact bytes, so the runs on one bundle factor each
+    theta once. The oracle is pure, so a memo hit returns the very pair a
+    factorisation would, and no run depends on the order of the others.
+    The memo holds at most _CURVATURE_MEMO pairs, evicting the oldest, and
+    fills lazily, as runs ask. It is safe to share across threads: each
+    lookup, store and removal is one dict operation, so at worst two
+    threads factor the same theta and store identical pairs, or evict one
+    pair more than the cap asks.
     """
 
     config: ExperimentConfig
@@ -260,6 +273,8 @@ class InstanceBundle:
     reference: object
     binding: np.ndarray
     admm_sweeps: int
+    _curvatures: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def theta0_err(self):
@@ -271,8 +286,23 @@ class InstanceBundle:
         return portfolio_kappa(self.instance, self.scs.psd_floor)
 
     def problem(self, kappa=None):
-        return portfolio_problem(self.instance,
-                                 kappa=self.kappa if kappa is None else kappa)
+        problem = portfolio_problem(self.instance,
+                                    kappa=self.kappa if kappa is None else kappa)
+        oracle, memo = problem.smooth_curvature, self._curvatures
+
+        def smooth_curvature(theta):
+            point = np.asarray(theta)
+            key = (point.dtype.str, point.shape, point.tobytes())
+            pair = memo.get(key)
+            if pair is None:
+                pair = oracle(theta)
+                if np.isfinite(point).all():
+                    memo[key] = pair
+                    for stale in list(memo)[:-_CURVATURE_MEMO]:
+                        memo.pop(stale, None)
+            return pair
+
+        return replace(problem, smooth_curvature=smooth_curvature)
 
 
 def portfolio_kappa(instance, psd_floor):

@@ -44,8 +44,11 @@ Otherwise, or when 2 d > L_a - mu_a (no one pair is the most optimistic),
 it factors theta and the anchor moves there. The anchor is the run's, not
 the pure problem's, so runs sharing a problem do not depend on each other's
 order. A fresh anchor has nothing to carry, so lipschitz_nu,
-iteration_budget and solves without an anchor, each starting one, compute
-theta's own pair and ||A(theta)||^2 on every call.
+iteration_budget and solves without an anchor, each starting one, ask the
+oracle for theta's own pair and compute ||A(theta)||^2 on every call.
+"Factored" (the DEBUG line's curvature=factored) means the anchor asked the
+oracle; a problem built by experiments.InstanceBundle answers from the
+bundle's memo a theta that one of its runs already factored.
 
 apg_solve runs the budget to its end. With certify=True (the
 sequential-vs-simultaneous comparison), and in certified_solve (used by
@@ -91,7 +94,7 @@ class ApgConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("target inexactness alpha must be positive")
 
 

@@ -104,7 +104,9 @@ class ParametricProblem:
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. The problem keeps no state: a run's CurvatureAnchor
-    (inner_apg) holds the constants its inner solves computed.
+    (inner_apg) holds the constants its inner solves computed. An oracle
+    may memoize its results, as the curvature oracle of a problem that
+    experiments.InstanceBundle builds does, since that keeps it pure.
     """
 
     smooth_grad: Callable

@@ -145,6 +145,9 @@ class StopRule:
     epsilon: Optional[float] = None
 
     def __post_init__(self):
+        if (isinstance(self.max_outer, bool)
+                or not isinstance(self.max_outer, (int, np.integer))):
+            raise ScheduleError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ScheduleError("max_outer must be at least 1")
         if self.epsilon is not None and not 0.0 < self.epsilon:

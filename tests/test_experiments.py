@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from simalm.experiments import (ExperimentConfig, band_covariance,
                                 _schedule)
 from simalm.learning import AdmmScsLearner
 from simalm.linalg import spectral_norm
-from simalm.model import NonFiniteError
+from simalm.model import NonFiniteError, portfolio_problem
 from simalm.outer_alm import (AlmRecord, AlmTrace, Schedule, ScheduleError,
-                              TRACE_COLUMNS, BOUND_COLUMNS)
+                              StopRule, TRACE_COLUMNS, BOUND_COLUMNS, alm_run)
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,170 @@ def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
     assert len(bundle.scs.record.sigmas) == bundle.admm_sweeps
     with pytest.raises(ValueError):
         AdmmScsLearner(bundle.scs).theta[0, 0] = 1.0
+
+
+def _count_spectra(monkeypatch):
+    """The bytes of every theta np.linalg.eigvalsh factors from now on."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M):
+        seen.append(np.asarray(M).tobytes())
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return seen
+
+
+def _csv_without_timing(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0])
+            if name not in ("cpu_learn_s", "cpu_opt_s")]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def test_bundle_runs_factor_each_theta_once_bit_for_bit(monkeypatch, tmp_path,
+                                                        small_config):
+    # a fresh bundle: the module's small_bundle carries a warm memo
+    bundle = prepare_bundle(small_config)
+    seen = _count_spectra(monkeypatch)
+
+    def outputs(tag):
+        out = {}
+        for regime in ("constant", "increasing"):
+            for eps in (1e-1, 1e-2, 1e-3):
+                trace, curves = run_solve(small_config, eps, bundle,
+                                          specification="learned", regime=regime)
+                path = tmp_path / f"{tag}_{regime}_{eps:g}.csv"
+                trace.to_csv(path, bound_curves=curves)
+                out[regime, eps] = (
+                    [(r.x, r.lam, r.x_bar) for r in trace.records],
+                    (trace.total_inner, len(trace)), _csv_without_timing(path))
+        return out
+
+    def assert_equal(got, want):
+        assert got.keys() == want.keys()
+        for key, (iterates, counts, csv_rows) in want.items():
+            assert got[key][1] == counts and got[key][2] == csv_rows
+            for a, b in zip(got[key][0], iterates, strict=True):
+                for u, v in zip(a, b, strict=True):
+                    np.testing.assert_array_equal(u, v)
+
+    cold = outputs("cold")
+    assert 0 < len(seen) == len(set(seen))  # once per distinct theta
+    factored = len(seen)
+    assert_equal(outputs("warm"), cold)
+    assert len(seen) == factored
+    path = tmp_path / "seqsim.csv"
+    write_seqsim(run_seq_vs_sim(small_config, bundle, max_outer=30), path)
+    seqsim = path.read_bytes()
+    assert len(seen) == len(set(seen))
+
+    # the same runs on the problem without the memo
+    def plain(self, kappa=None):
+        return portfolio_problem(self.instance,
+                                 kappa=self.kappa if kappa is None else kappa)
+
+    monkeypatch.setattr(experiments.InstanceBundle, "problem", plain)
+    assert_equal(cold, outputs("plain"))
+    write_seqsim(run_seq_vs_sim(small_config, bundle, max_outer=30), path)
+    assert path.read_bytes() == seqsim
+
+
+def test_curvature_memo_skips_non_finite_thetas(monkeypatch, small_config):
+    bundle = prepare_bundle(small_config)
+    problem = bundle.problem()
+    raw = portfolio_problem(bundle.instance).smooth_curvature
+
+    def answer(oracle, theta):
+        # the pair, or the error of a LAPACK build that refuses theta
+        try:
+            return repr(oracle(theta))
+        except np.linalg.LinAlgError as exc:
+            return repr(exc)
+
+    for bad in (np.nan, np.inf):
+        for i, j in ((0, 0), (0, 1)):
+            theta = bundle.sigma_star.copy()
+            theta[i, j] = theta[j, i] = bad
+            want = answer(raw, theta)
+            seen = _count_spectra(monkeypatch)
+            assert [answer(problem.smooth_curvature, theta)
+                    for _ in range(2)] == [want, want]
+            assert len(seen) == 2
+            monkeypatch.undo()
+    # a run still stops at a non-finite estimate, before its solve
+    learner = AdmmScsLearner(bundle.scs)
+    step = learner.step
+
+    def nan_step():
+        theta = step()
+        theta[0, 0] = np.nan
+        return theta
+
+    learner.step = nan_step
+    with pytest.raises(NonFiniteError, match="non-finite theta at epoch 1$"):
+        alm_run(problem, learner, _schedule(small_config, bundle, 0.1),
+                np.full(small_config.n, 1.0 / small_config.n),
+                theta_star=bundle.sigma_star, stop=StopRule(max_outer=5))
+
+
+def test_curvature_memo_evicts_the_oldest_and_is_per_bundle(monkeypatch,
+                                                            small_config):
+    bundle = prepare_bundle(small_config)
+    monkeypatch.setattr(experiments, "_CURVATURE_MEMO", 2)
+    record = bundle.scs.record.sigmas
+    assert not record[0].flags.writeable
+    pairs = [bundle.problem().smooth_curvature(theta) for theta in record[:3]]
+    seen = _count_spectra(monkeypatch)
+    problem = bundle.problem()
+    # record[0] was evicted: factored again, bit-equal
+    assert problem.smooth_curvature(record[0].copy()) == pairs[0]
+    assert len(seen) == 1
+    # ... which evicted record[1]; record[2] stays, read-only or not
+    assert problem.smooth_curvature(record[2]) == pairs[2]
+    assert problem.smooth_curvature(record[2].copy()) == pairs[2]
+    assert len(seen) == 1
+    assert problem.smooth_curvature(record[1]) == pairs[1]
+    assert len(seen) == 2
+    # another bundle, a copy of this one included, starts with no entries
+    other = dataclasses.replace(bundle)
+    assert other.problem().smooth_curvature(record[2]) == pairs[2]
+    assert len(seen) == 3
+
+
+def test_curvature_memo_is_consistent_across_threads(monkeypatch, small_config):
+    # threads sharing a bundle's problem, evicting all the time, never read
+    # one theta's pair for another and never fail
+    bundle = prepare_bundle(small_config)
+    monkeypatch.setattr(experiments, "_CURVATURE_MEMO", 2)
+    problem = bundle.problem()
+    thetas = bundle.scs.record.sigmas[:4]
+    raw = portfolio_problem(bundle.instance).smooth_curvature
+    want = [raw(theta) for theta in thetas]
+    wrong = []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                j = (i + offset) % len(thetas)
+                if problem.smooth_curvature(thetas[j]) != want[j]:
+                    wrong.append(j)
+        except Exception as exc:  # a thread's error would not fail the test
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_learner_error_alignment(small_bundle):
@@ -290,8 +456,8 @@ def test_trivially_loose_accuracy_converges_fast(small_config, small_bundle):
 def test_trivially_feasible_instance_converges_at_first_epoch(small_bundle):
     # caps so generous the constraints never bind: one epoch suffices
     from simalm.learning import SyntheticLearner
-    from simalm.model import PortfolioInstance, portfolio_problem
-    from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
+    from simalm.model import PortfolioInstance
+    from simalm.outer_alm import make_constant_schedule
     from simalm.reference import portfolio_reference
 
     base = small_bundle.instance
@@ -399,11 +565,12 @@ def test_seq_vs_sim_shape(small_config, small_bundle):
     assert zero_budget["work"][0] >= 1
 
 
-def test_seq_vs_sim_csv_does_not_depend_on_the_budget_order(tmp_path, small_config,
-                                                            small_bundle):
-    # the five runs share one problem, which keeps no state; each run keeps
-    # its curvature and ||A||^2 on its own anchor, so the order of the runs
-    # cannot change a byte of the CSV
+def test_seq_vs_sim_csv_does_not_depend_on_the_budget_order(tmp_path, small_config):
+    # each run keeps its curvature and ||A||^2 on its own anchor, and the
+    # bundle's curvature memo answers as the pure oracle does, so the order
+    # of the runs, and of the memo's fill, cannot change a byte of the CSV;
+    # a fresh bundle, so the first order runs on a cold memo
+    small_bundle = prepare_bundle(small_config)
     written = []
     for budgets in ((0, 2, 4, 6), (6, 2, 0, 4)):
         config = dataclasses.replace(small_config, sequential_budgets=budgets)

@@ -941,9 +941,14 @@ def test_iterates_stay_in_domain(rng, toy_problem):
     assert toy_problem.membership(x)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ApgConfig(alpha=0.0)
+def test_config_validation(toy_problem):
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            ApgConfig(alpha=alpha)
+    # certified_solve's gap_tol is the same alpha, refused before any solve
+    x0, lam, theta = np.full(3, 1 / 3), np.ones(2), np.array([0.2, 0.1])
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        certified_solve(toy_problem, x0, lam, 2.0, theta, gap_tol=math.nan)
 
 
 def _reference_grad(problem, lam, rho, theta):

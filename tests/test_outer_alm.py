@@ -114,6 +114,21 @@ def test_increasing_schedule_rejects_fast_growth():
         make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 1.0)
 
 
+@pytest.mark.parametrize("max_outer", [2.5, 3.0, True, "3", None])
+def test_stop_rule_refuses_a_non_integer_epoch_cap(max_outer):
+    StopRule(max_outer=np.int64(3))
+    with pytest.raises(ScheduleError, match="max_outer must be an integer"):
+        StopRule(max_outer=max_outer)
+
+
+def test_seq_vs_sim_refuses_a_non_integer_epoch_cap():
+    from simalm.experiments import ExperimentConfig, prepare_bundle, run_seq_vs_sim
+
+    config = ExperimentConfig(n=30, s=5, seed=3)
+    with pytest.raises(ScheduleError, match="max_outer must be an integer"):
+        run_seq_vs_sim(config, prepare_bundle(config), max_outer=2.5)
+
+
 @pytest.mark.parametrize("field, value, match", [
     ("tau", 5.0, "tau = 5 must lie in \\(0, 1\\)"),
     ("tau", 1.0, "tau = 1 must lie in \\(0, 1\\)"),
