@@ -85,11 +85,19 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
         return wrapper
 
     monkeypatch.setattr(experiments, "admm_solve", counted("admm", admm_solve))
-    monkeypatch.setattr(reference, "active_set_qp",
-                        counted("qp", reference.active_set_qp))
+    qp, qp_iterations = reference.active_set_qp, []
+
+    def qp_counted(*args, **kwargs):
+        out = qp(*args, **kwargs)
+        qp_iterations.append(out["iterations"])
+        return out
+
+    monkeypatch.setattr(reference, "active_set_qp", counted("qp", qp_counted))
     bundle = prepare_bundle(small_config)
     # one ADMM solve; two QPs: the cap-free simplex_qp and the reference
     assert calls == {"admm": 1, "qp": 2}
+    # KKT solves of each QP; the uniform start alone took 20 and 24
+    assert qp_iterations[0] <= 5 and qp_iterations[1] <= 9
     monkeypatch.undo()
 
     # the history is the bundle's record itself, every sweep the solve ran

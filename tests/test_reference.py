@@ -189,3 +189,125 @@ def test_active_set_meets_kkt_conditions(data):
     assert lam.min(initial=0.0) >= 0.0 and eta.min() >= 0.0
     assert np.max(np.abs(lam * slack), initial=0.0) <= 1e-10
     assert np.max(np.abs(eta * x)) <= 1e-10
+
+
+@pytest.mark.parametrize("c, G, d, message", [
+    (np.zeros(3), np.ones((1, 3)), None, "G and d must be given together"),
+    (np.zeros(3), None, np.ones(1), "G and d must be given together"),
+    (np.zeros(3), np.ones((1, 3)), np.array([np.nan]), "d must be a finite vector"),
+    (np.zeros(3), np.ones((1, 3)), np.ones(2), "d must be a finite vector"),
+    (np.array([0.0, np.nan, 0.0]), None, None, "c must be a finite vector"),
+    (np.zeros((3, 1)), None, None, "c must be a finite vector"),
+    (np.zeros(3), np.ones((1, 2)), np.ones(1), "G must be a finite m x n"),
+    (np.zeros(3), np.array([[np.inf, 0.0, 0.0]]), np.ones(1), "G must be a finite m x n"),
+], ids=["G_without_d", "d_without_G", "nan_d", "d_wrong_length", "nan_c", "c_not_a_vector",
+        "G_wrong_width", "infinite_G"])
+def test_inputs_outside_the_contract_are_refused(c, G, d, message):
+    # each used to be dropped or run: G without d (or a NaN d) lost the cap
+    # rows, a NaN c ran to the iteration cap, a short d failed in numpy
+    with pytest.raises(ValueError, match=message):
+        active_set_qp(np.eye(3), c, G, d)
+
+
+def test_nan_kkt_residual_raises(monkeypatch):
+    # a NaN term wins the maximum wherever it sits, and fails the gate
+    Q, c, G, d = np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1)
+    x = np.full(3, 1.0 / 3)
+    # a NaN cap: stationarity is finite, the slack terms are NaN
+    assert np.isnan(reference._kkt_residual(Q, c, G, np.array([np.nan]), x,
+                                            np.zeros(1), -1.0 / 3, np.zeros(3)))
+    monkeypatch.setattr(reference, "_kkt_residual", lambda *args: np.nan)
+    with pytest.raises(ReferenceSolveError, match="KKT residual nan"):
+        active_set_qp(Q, c, G, d)
+
+
+def _cold(Q, c, G=None, d=None):
+    """active_set_qp from the uniform point alone: the crash finds nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "_crash", lambda *args: None)
+        return active_set_qp(Q, c, G, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_crash_start_matches_the_cold_start(data):
+    n = data.draw(st.integers(2, 12))
+    m = data.draw(st.integers(0, 5))
+    # Q with eigenvalues down to 1e-6, in a drawn orthonormal basis
+    F = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    U = np.linalg.qr(F)[0]
+    Q = (U * data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-6, 1.0)))) @ U.T
+    Q = 0.5 * (Q + Q.T)
+    c = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    # degenerate rows: zero, all ones, duplicates, and rows active at the
+    # uniform point (no slack)
+    G = np.zeros((m, n))
+    for i in range(m):
+        kind = data.draw(st.sampled_from(["random", "zero", "ones", "duplicate"]))
+        if kind == "random":
+            G[i] = data.draw(hnp.arrays(bool, n))
+        elif kind == "ones":
+            G[i] = 1.0
+        elif kind == "duplicate" and i > 0:
+            G[i] = G[data.draw(st.integers(0, i - 1))]
+    slack = data.draw(hnp.arrays(np.float64, m, elements=st.sampled_from([0.0, 0.01, 0.1, 0.5])))
+    d = G.sum(axis=1) / n + slack
+    try:
+        cold = _cold(Q, c, G, d)
+    except ReferenceSolveError:
+        # the cold start can stall at its cap on a nearly flat objective
+        # (Q near 1e-6 I); the call may then answer from the crash instead
+        cold = None
+    try:
+        crash = active_set_qp(Q, c, G, d)
+    except ReferenceSolveError:
+        assert cold is None    # it refuses only what the cold start refuses
+        return
+    assert crash["kkt_residual"] <= reference.KKT_TOL
+    if cold is not None:
+        assert cold["kkt_residual"] <= reference.KKT_TOL
+        # a rounding error delta in the gradient moves the minimizer by up
+        # to delta / lambda_min(Q), so the two answers agree to 1e-12 at
+        # lambda_min = 1 and more loosely on flatter objectives
+        np.testing.assert_allclose(crash["x"], cold["x"], rtol=0.0,
+                                   atol=1e-12 / np.linalg.eigvalsh(Q).min())
+
+
+def test_crash_gives_up_on_a_singular_system():
+    # after x1 and x4 are fixed, the simplex row and both held caps are
+    # three equalities on two free coordinates: the reduced system is
+    # singular, and the point it returns (if any) misses a held cap
+    Q, c = np.diag([2.0, 1.0, 2.0, 2.0]), np.array([0.0, -1.0, -1.0, 0.5])
+    G, d = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]), np.array([0.5, 0.25])
+    assert reference._crash(reference._ReducedKKT(Q, G), c, G, d) is None
+    out = active_set_qp(Q, c, G, d)
+    np.testing.assert_array_equal(out["x"], _cold(Q, c, G, d)["x"])
+
+    # a nearly singular solve can also return a point that meets every
+    # cap but misses the simplex row
+    class OffSimplex:
+        def solve(self, fixed, held, top, bottom):
+            return np.array([0.3, 0.3, 0.3, 0.0])
+
+    assert reference._crash(OffSimplex(), np.zeros(3), np.zeros((0, 3)), np.zeros(0)) is None
+
+
+def test_cold_start_answers_when_the_crash_run_fails(monkeypatch):
+    Q, cs = _small_qp()
+    G, d = np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([0.5])
+    cold = _cold(Q, cs[0], G, d)
+    run, starts = reference._active_set, []
+
+    def fail_first(kkt, Q, c, G, d, x, fixed):
+        starts.append(x)
+        if len(starts) == 1:
+            raise ReferenceSolveError("injected")
+        return run(kkt, Q, c, G, d, x, fixed)
+
+    monkeypatch.setattr(reference, "_active_set", fail_first)
+    out = active_set_qp(Q, cs[0], G, d)
+    # the first run started from the crash's point, the second from the uniform one
+    assert not np.array_equal(starts[0], np.full(4, 0.25))
+    np.testing.assert_array_equal(starts[1], np.full(4, 0.25))
+    for key in ("x", "lam", "nu", "eta", "kkt_residual"):
+        np.testing.assert_array_equal(out[key], cold[key])
