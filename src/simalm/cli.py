@@ -7,6 +7,7 @@ instance files, and no subcommand reads them. Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -64,11 +65,7 @@ def _load_config(args):
         overrides["regime"] = args.regime
     if args.spec is not None:
         overrides["specification"] = args.spec
-    if overrides:
-        payload = json.loads(config.to_json())
-        payload.update(overrides)
-        config = ExperimentConfig(**payload)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_generate(config, out):

@@ -474,15 +474,13 @@ def run_solve(config, epsilon, bundle, specification=None, regime=None):
     return trace, curves
 
 
-def run_table(config, bundle=None):
+def run_table(config, bundle):
     """Solution quality and effort per requested accuracy.
 
     One row per epsilon; rows that fail to reach their target inside the
     iteration caps (BudgetError) are flagged and the run continues. Any
     other error, a NonFiniteError included, propagates.
     """
-    if bundle is None:
-        bundle = prepare_bundle(config)
     rows = []
     for eps in config.epsilon:
         t0 = time.perf_counter()
@@ -515,7 +513,7 @@ def write_table(rows, path, timing_path=None):
                   ((r.epsilon, r.cpu_learn_s, r.cpu_opt_s) for r in rows))
 
 
-def run_seq_vs_sim(config, bundle=None, max_outer=50):
+def run_seq_vs_sim(config, bundle, max_outer=50):
     """Learn-then-optimize sweeps against the interleaved scheme.
 
     Returns a dict with one suboptimality-vs-work curve per sequential
@@ -529,8 +527,6 @@ def run_seq_vs_sim(config, bundle=None, max_outer=50):
     """
     if len(config.sequential_budgets) < 2:
         raise ValueError("need at least two sequential budgets")
-    if bundle is None:
-        bundle = prepare_bundle(config)
     problem = bundle.problem()
     f_star = bundle.reference.f_value
     x0 = np.full(config.n, 1.0 / config.n)

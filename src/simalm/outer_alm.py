@@ -370,8 +370,11 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     """
     from .learning import FrozenLearner
 
+    if isinstance(learn_budget, bool) or not isinstance(learn_budget, (int, np.integer)):
+        raise ValueError(f"learn_budget must be an integer, got {learn_budget!r}")
     if learn_budget < 0:
         raise ValueError("learn_budget must be nonnegative")
+    learn_budget = int(learn_budget)
     reference = run_kwargs.get("reference")
     x0 = np.asarray(x0, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)

@@ -7,27 +7,29 @@ primal active-set method (Nocedal & Wright, ch. 16) on
     subject to sum(x) = 1,  x >= 0,  G x <= d,
 
 which terminates finitely for positive definite Q and reaches machine
-precision. Each step solves the reduced KKT system over the free
-coordinates.
+precision. The working set fixes coordinates at zero and holds rows of G at
+equality. Each iteration solves the reduced KKT system for the target, the
+minimizer on the working set. A feasible target becomes the iterate, and
+the loop stops if every working multiplier is nonnegative, else drops the
+most negative one; an infeasible target is approached up to the first row
+it breaks, which joins the working set. Optimality is judged by
+feasibility, not by the size of a step.
 
-The method accepts any feasible start whose working set is active there,
-so a crash phase guesses one first, updating the whole set per solve as a
-primal-dual active-set pass does (Hintermueller, Ito & Kunisch 2002): it
-solves the KKT system on the free coordinates with the held rows of G at
-equality, fixes every coordinate that comes out negative and holds every
-violated row, until the point is feasible (at most n + m solves). The
-active-set loop starts there with the fixed coordinates as its working set
-and verifies the guess. When the crash finds no point or the run from it
-fails, the loop starts cold from the uniform point, and the cold run's
-error is the one raised. The reported `iterations` count every reduced KKT
-solve of the call.
+The loop starts from the uniform point with an empty working set. Its
+first phase guesses the working set as a primal-dual active-set pass does
+(Hintermueller, Ito & Kunisch 2002): until a target is feasible, each one
+fixes every negative coordinate and holds the most violated row, without
+moving the iterate. A recurring working set (a cycle) or a singular system
+ends the run, and the same loop then runs without its first phase; that
+run's error is the one raised. `iterations` counts every reduced KKT solve
+of the call.
 
 The solver refuses input outside its contract (a Q that is not symmetric
 positive definite, a non-finite or misshapen c, G or d) with ValueError,
 verifies its KKT residual itself and raises one ReferenceSolveError on a
-singular step, the iteration cap, or a residual above KKT_TOL (or NaN), so
-the oracle is independent of the first-order solve paths it is used to
-judge.
+singular system, a recurring working set, the iteration cap, or a residual
+above KKT_TOL (or NaN), so the oracle is independent of the first-order
+solve paths it is used to judge.
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ import numpy as np
 __all__ = ["ReferenceSolution", "ReferenceSolveError", "active_set_qp",
            "simplex_qp", "portfolio_reference"]
 
-STEP_TOL = 1e-11    # a step this small (inf-norm) means x is optimal on its working set
+ROUND_TOL = 1e-11   # rounding allowance per unit size of a solution, and for a multiplier's sign
 SYM_TOL = 1e-10     # largest |Q - Q'| entry accepted, relative to the largest |Q| entry
 KKT_TOL = 1e-9      # largest KKT residual a returned solution may have
 CAP_PER_ROW = 50    # iteration cap: CAP_PER_ROW * (n + m + 2)
@@ -58,7 +60,7 @@ class ReferenceSolution:
 
 
 class ReferenceSolveError(RuntimeError):
-    """The reference QP hit a singular step, its iteration cap, or missed KKT_TOL."""
+    """The reference QP hit a singular system, a cycle, its iteration cap, or missed KKT_TOL."""
 
 
 def _kkt_residual(Q, c, G, d, x, lam, nu, eta):
@@ -92,92 +94,93 @@ class _ReducedKKT:
         self.solves = 0
 
     def solve(self, fixed, held, top, bottom):
-        """Solve the reduced system with right-hand side [top; bottom]."""
-        n = fixed.size
-        idx = np.concatenate([np.flatnonzero(~fixed), [n], n + 1 + np.flatnonzero(held)])
+        """Solve the reduced system with right-hand side [top; bottom].
+
+        Raises LinAlgError when it is singular, or so nearly that the
+        solution misses the equality rows by more than ROUND_TOL allows.
+        """
+        n, free = fixed.size, np.flatnonzero(~fixed)
+        idx = np.concatenate([free, [n], n + 1 + np.flatnonzero(held)])
         self.solves += 1
-        return np.linalg.solve(self.full[np.ix_(idx, idx)], np.concatenate([top, bottom]))
+        K = self.full[np.ix_(idx, idx)]
+        sol = np.linalg.solve(K, np.concatenate([top, bottom]))
+        x = sol[:free.size]
+        if np.abs(K[free.size:, :free.size] @ x - bottom).max() > (
+                ROUND_TOL * max(1.0, np.abs(x).max(initial=0.0))):
+            raise np.linalg.LinAlgError("reduced KKT solution misses its equality rows")
+        return sol
 
 
-def _crash(kkt, c, G, d):
-    """Guess the working set: (x, fixed) with x feasible, or None.
-
-    Each round solves for the minimizer over the free coordinates with the
-    held rows of G at equality, then fixes every coordinate that comes out
-    negative and holds every row violated by more than STEP_TOL. Each round
-    that does not stop adds a coordinate or a row, so there are at most
-    n + m rounds. None when a system is singular (LinAlgError, or a point
-    that misses a held row or the simplex row, as a nearly singular solve
-    can return) or every coordinate is fixed.
-    """
-    m, n = G.shape
-    fixed, held = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
-    while not fixed.all():
-        try:
-            sol = kkt.solve(fixed, held, -c[~fixed], np.concatenate([[1.0], d[held]]))
-        except np.linalg.LinAlgError:
-            return None
-        x = np.zeros(n)
-        x[~fixed] = sol[:n - fixed.sum()]
-        neg, over = x < 0.0, G @ x - d > STEP_TOL
-        if not (neg.any() or over.any()):
-            return (x, fixed) if abs(x.sum() - 1.0) <= STEP_TOL else None
-        if not (neg.any() or (over & ~held).any()):
-            return None    # a held row is violated
-        fixed |= neg
-        held |= over
-    return None
-
-
-def _active_set(kkt, Q, c, G, d, x, fixed):
-    """The primal active-set loop from the feasible x with `fixed` at zero.
+def _active_set(kkt, Q, c, G, d, crash):
+    """The active-set loop from the uniform point; `crash` runs its first phase.
 
     Returns active_set_qp's dict without `iterations`; raises
-    ReferenceSolveError on a singular step, the cap or the KKT gate.
+    ReferenceSolveError on a singular system, a repeated working set, the
+    cap or the KKT gate.
     """
     m, n = G.shape
     # working set over the m + n inequality rows (G x <= d, then -x <= 0):
     # `held` rows of G at equality, `fixed` coordinates at zero; sum(x) = 1
     # is always in it
-    working = np.concatenate([np.zeros(m, dtype=bool), fixed])
+    working = np.zeros(m + n, dtype=bool)
     held, fixed = working[:m], working[m:]
+    x = np.full(n, 1.0 / n)
+    seen = set()
     max_iter = CAP_PER_ROW * (n + m + 2)
 
     for it in range(1, max_iter + 1):
-        # reduced KKT system over the free coordinates, E = [1; G_held]
-        g = Q @ x + c
-        free = ~fixed
+        if working.tobytes() in seen:
+            raise ReferenceSolveError(
+                f"reference QP: working set repeated at iteration {it}")
+        seen.add(working.tobytes())
+        # the minimizer on the working set: reduced KKT system over the free
+        # coordinates, E = [1; G_held]
         k = 1 + held.sum()
         try:
-            sol = kkt.solve(fixed, held, -g[free], np.zeros(k))
+            sol = kkt.solve(fixed, held, -c[~fixed], np.concatenate([[1.0], d[held]]))
         except np.linalg.LinAlgError:
             raise ReferenceSolveError(
                 f"reference QP: singular reduced KKT system at iteration {it}") from None
-        p = np.zeros(n)
-        p[free] = sol[:-k]
+        target = np.zeros(n)
+        target[~fixed] = sol[:-k]
         mu = sol[-k:]
+        # how far the target breaks each row outside the working set, beyond
+        # the rounding error of a solve whose solution is this large
+        noise = ROUND_TOL * max(1.0, np.abs(target).max())
+        excess = np.concatenate([G @ target - d, -target]) - noise
+        excess[working] = 0.0
+        broken = excess > 0.0
 
-        if np.max(np.abs(p)) <= STEP_TOL:
+        if not broken.any():
+            x = target
             # multipliers of the working rows; those of the fixed
             # coordinates come from stationarity
-            E = np.vstack([np.ones(n), G[held]])
-            mults = np.concatenate([mu[1:], (g + Q @ p + E.T @ mu)[fixed]])
-            if mults.min(initial=0.0) >= -STEP_TOL:
+            mults = np.concatenate([mu[1:], (Q @ x + c + mu[0] + mu[1:] @ G[held])[fixed]])
+            if mults.min(initial=0.0) >= -ROUND_TOL:
                 break
+            if crash:
+                # the guess is feasible, and the loop goes on to verify it;
+                # x has moved, so the working sets seen so far may recur
+                crash = False
+                seen.clear()
             working[np.flatnonzero(working)[np.argmin(mults)]] = False
-            continue
-
-        # ratio test: step to the nearest blocking row outside the working set
-        rate = np.concatenate([G @ p, -p])
-        ratio = np.divide(np.concatenate([d - G @ x, x]), rate,
-                          out=np.full(m + n, np.inf), where=~working & (rate > STEP_TOL))
-        block = int(np.argmin(ratio))
-        step = 1.0
-        if ratio[block] < 1.0 - 1e-15:
-            step = max(ratio[block], 0.0)
+        elif crash:
+            # fix every negative coordinate and hold the most violated row; x stays
+            fixed |= broken[m:]
+            if broken[:m].any():
+                held[np.argmax(excess[:m])] = True
+        else:
+            # ratio test: step toward the target up to the first row it
+            # breaks; x meets the rows only up to rounding, and a broken row
+            # that the step does not approach blocks at once
+            p = target - x
+            rate = np.concatenate([G @ p, -p])
+            ratio = np.divide(np.concatenate([d - G @ x, x]), rate,
+                              out=np.where(broken, 0.0, np.inf), where=broken & (rate > 0.0))
+            block = int(np.argmin(ratio))
+            x = x + max(ratio[block], 0.0) * p
             working[block] = True
-        x = x + step * p
-        x[fixed] = 0.0    # the blocking coordinate lands on zero only up to rounding
+            x[fixed] = 0.0    # the blocking coordinate lands on zero only up to rounding
     else:
         raise ReferenceSolveError(
             f"reference QP: no optimum within {max_iter} iterations")
@@ -203,8 +206,8 @@ def active_set_qp(Q, c, G=None, d=None):
     ValueError naming the argument otherwise. Returns a dict with keys x,
     lam (multipliers of Gx <= d), nu (simplex equality multiplier), eta
     (multipliers of x >= 0), iterations (every reduced KKT solve the call
-    made: crash rounds, active-set steps, and those of a cold restart) and
-    kkt_residual.
+    made, those of the first-phase guess and of a rerun without it
+    included) and kkt_residual.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or not np.isfinite(c).all():
@@ -230,20 +233,14 @@ def active_set_qp(Q, c, G=None, d=None):
     if d.shape != G.shape[:1] or not np.isfinite(d).all():
         raise ValueError("d must be a finite vector with one entry per row of G")
 
-    uniform = np.full(n, 1.0 / n)
-    if np.any(G @ uniform > d + 1e-12):
+    if np.any(G @ np.full(n, 1.0 / n) > d + 1e-12):
         raise ValueError("the uniform starting point is infeasible")
     kkt = _ReducedKKT(Q, G)
-    start = _crash(kkt, c, G, d)
-    out = None
-    if start is not None:
-        try:
-            out = _active_set(kkt, Q, c, G, d, *start)
-        except ReferenceSolveError:
-            pass
-    if out is None:
-        # the cold start from the uniform point; its error is the one raised
-        out = _active_set(kkt, Q, c, G, d, uniform, np.zeros(n, dtype=bool))
+    try:
+        out = _active_set(kkt, Q, c, G, d, crash=True)
+    except ReferenceSolveError:
+        # the same loop without its crash phase; its error is the one raised
+        out = _active_set(kkt, Q, c, G, d, crash=False)
     out["iterations"] = kkt.solves
     return out
 

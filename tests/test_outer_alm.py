@@ -433,6 +433,24 @@ def test_sequential_plateau_above_zero_budget_zero():
     assert plateau > 1e-6  # solving at the wrong covariance cannot reach f*
 
 
+@pytest.mark.parametrize("learn_budget", [2.5, np.float64(2.0), True, "2", None])
+def test_sequential_baseline_refuses_a_non_integer_budget(learn_budget):
+    # range() would fail on 2.5 with a bare TypeError, and True would run
+    # one learning step and shift every k by 1
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    sigma_star = instance.sigma
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    run = dict(x0=np.full(instance.n, 0.1), theta_star=sigma_star,
+               stop=StopRule(max_outer=2))
+    trace = sequential_baseline(problem, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
+                                np.int64(1), schedule, **run)
+    assert [r.k for r in trace.records] == [1, 2, 3]
+    assert all(type(r.k) is int for r in trace.records)
+    with pytest.raises(ValueError, match="learn_budget must be an integer"):
+        sequential_baseline(problem, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
+                            learn_budget, schedule, **run)
+
+
 class NanAtStepLearner(SyntheticLearner):
     """Geometric learner whose estimate turns NaN from step `bad_step` on."""
 

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from simalm import reference
 from simalm.reference import (ReferenceSolveError, active_set_qp,
                               portfolio_reference, simplex_qp)
+from simalm.experiments import make_sectors
 from conftest import make_small_portfolio
 
 
@@ -221,11 +222,24 @@ def test_nan_kkt_residual_raises(monkeypatch):
         active_set_qp(Q, c, G, d)
 
 
-def _cold(Q, c, G=None, d=None):
-    """active_set_qp from the uniform point alone: the crash finds nothing."""
+def _no_crash(Q, c, G=None, d=None):
+    """active_set_qp with its loop run without the crash phase."""
+    run = reference._active_set
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reference, "_crash", lambda *args: None)
+        mp.setattr(reference, "_active_set", lambda *args, crash: run(*args, crash=False))
         return active_set_qp(Q, c, G, d)
+
+
+def _runs(monkeypatch):
+    """Record the `crash` flag of every run of the loop."""
+    run, runs = reference._active_set, []
+
+    def recorded(*args, crash):
+        runs.append(crash)
+        return run(*args, crash=crash)
+
+    monkeypatch.setattr(reference, "_active_set", recorded)
+    return runs
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,62 +266,143 @@ def test_crash_start_matches_the_cold_start(data):
             G[i] = G[data.draw(st.integers(0, i - 1))]
     slack = data.draw(hnp.arrays(np.float64, m, elements=st.sampled_from([0.0, 0.01, 0.1, 0.5])))
     d = G.sum(axis=1) / n + slack
-    try:
-        cold = _cold(Q, c, G, d)
-    except ReferenceSolveError:
-        # the cold start can stall at its cap on a nearly flat objective
-        # (Q near 1e-6 I); the call may then answer from the crash instead
-        cold = None
-    try:
-        crash = active_set_qp(Q, c, G, d)
-    except ReferenceSolveError:
-        assert cold is None    # it refuses only what the cold start refuses
-        return
+    # both answer every draw, flat objectives (Q near 1e-6 I) included
+    cold = _no_crash(Q, c, G, d)
+    crash = active_set_qp(Q, c, G, d)
+    assert cold["kkt_residual"] <= reference.KKT_TOL
     assert crash["kkt_residual"] <= reference.KKT_TOL
-    if cold is not None:
-        assert cold["kkt_residual"] <= reference.KKT_TOL
-        # a rounding error delta in the gradient moves the minimizer by up
-        # to delta / lambda_min(Q), so the two answers agree to 1e-12 at
-        # lambda_min = 1 and more loosely on flatter objectives
-        np.testing.assert_allclose(crash["x"], cold["x"], rtol=0.0,
-                                   atol=1e-12 / np.linalg.eigvalsh(Q).min())
+    # a rounding error delta in the gradient moves the minimizer by up to
+    # delta / lambda_min(Q), so the two answers agree to 1e-12 at
+    # lambda_min = 1 and more loosely on flatter objectives
+    np.testing.assert_allclose(crash["x"], cold["x"], rtol=0.0,
+                               atol=1e-12 / np.linalg.eigvalsh(Q).min())
 
 
-def test_crash_gives_up_on_a_singular_system():
-    # after x1 and x4 are fixed, the simplex row and both held caps are
-    # three equalities on two free coordinates: the reduced system is
-    # singular, and the point it returns (if any) misses a held cap
-    Q, c = np.diag([2.0, 1.0, 2.0, 2.0]), np.array([0.0, -1.0, -1.0, 0.5])
-    G, d = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]), np.array([0.5, 0.25])
-    assert reference._crash(reference._ReducedKKT(Q, G), c, G, d) is None
+def test_crash_gives_up_on_a_singular_system(monkeypatch):
+    # x2 comes out negative and is fixed, and the violated row x1 + x3 <= 11/12
+    # is then held: on the free coordinates x1, x3 it is parallel to the
+    # simplex row, so the crash run's second system is singular
+    Q, c = np.diag([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0])
+    G = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    d = G.sum(axis=1) / 3 + np.array([0.25, 0.05, 0.05])
+    with pytest.raises(ReferenceSolveError, match="singular .* at iteration 2$"):
+        reference._active_set(reference._ReducedKKT(Q, G), Q, c, G, d, crash=True)
+    cold = _no_crash(Q, c, G, d)
+    runs = _runs(monkeypatch)
     out = active_set_qp(Q, c, G, d)
-    np.testing.assert_array_equal(out["x"], _cold(Q, c, G, d)["x"])
+    assert runs == [True, False]
+    for key in ("x", "lam", "nu", "eta", "kkt_residual"):
+        np.testing.assert_array_equal(out[key], cold[key])
+    # the two solves of the crash run count too
+    assert out["iterations"] == 2 + cold["iterations"]
 
-    # a nearly singular solve can also return a point that meets every
-    # cap but misses the simplex row
-    class OffSimplex:
-        def solve(self, fixed, held, top, bottom):
-            return np.array([0.3, 0.3, 0.3, 0.0])
-
-    assert reference._crash(OffSimplex(), np.zeros(3), np.zeros((0, 3)), np.zeros(0)) is None
+    # one free coordinate under the simplex row and a held row: LAPACK
+    # returns x1 = 0 here without flagging the singular system, a point that
+    # meets every cap but misses the simplex row, and the solve refuses it
+    kkt = reference._ReducedKKT(np.eye(3), np.array([[0.3, 0.5, -1.5]]))
+    fixed, held = np.array([False, True, True]), np.array([True])
+    K = kkt.full[np.ix_([0, 3, 4], [0, 3, 4])]
+    assert np.linalg.solve(K, [0.0, 1.0, -0.2])[0] == 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="misses its equality rows"):
+        kkt.solve(fixed, held, np.zeros(1), np.array([1.0, -0.2]))
 
 
 def test_cold_start_answers_when_the_crash_run_fails(monkeypatch):
     Q, cs = _small_qp()
     G, d = np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([0.5])
-    cold = _cold(Q, cs[0], G, d)
-    run, starts = reference._active_set, []
+    cold = _no_crash(Q, cs[0], G, d)
+    run, runs = reference._active_set, []
 
-    def fail_first(kkt, Q, c, G, d, x, fixed):
-        starts.append(x)
-        if len(starts) == 1:
+    def fail_first(*args, crash):
+        runs.append(crash)
+        if len(runs) == 1:
             raise ReferenceSolveError("injected")
-        return run(kkt, Q, c, G, d, x, fixed)
+        return run(*args, crash=crash)
 
     monkeypatch.setattr(reference, "_active_set", fail_first)
     out = active_set_qp(Q, cs[0], G, d)
-    # the first run started from the crash's point, the second from the uniform one
-    assert not np.array_equal(starts[0], np.full(4, 0.25))
-    np.testing.assert_array_equal(starts[1], np.full(4, 0.25))
+    # the first run had the crash phase, the second did not
+    assert runs == [True, False]
     for key in ("x", "lam", "nu", "eta", "kkt_residual"):
         np.testing.assert_array_equal(out[key], cold[key])
+
+    # when both runs fail, the second run's error is the one raised
+    def fail_both(*args, crash):
+        raise ReferenceSolveError(f"injected, crash={crash}")
+
+    monkeypatch.setattr(reference, "_active_set", fail_both)
+    with pytest.raises(ReferenceSolveError, match="crash=False"):
+        active_set_qp(Q, cs[0], G, d)
+
+
+def test_a_cycle_ends_at_the_first_repeated_working_set(monkeypatch):
+    # a solve that cycles: without the row x1 <= 0.6 held the target breaks
+    # it, and with the row held the target is feasible but the row's
+    # multiplier is negative, so the loop adds and drops it forever
+    def cycling(self, fixed, held, top, bottom):
+        self.solves += 1
+        return np.array([0.6, 0.4, 0.0, -1.0]) if held.any() else np.array([0.8, 0.2, 0.0])
+
+    monkeypatch.setattr(reference._ReducedKKT, "solve", cycling)
+    Q, c, G, d = np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([0.6])
+    kkt = reference._ReducedKKT(Q, G)
+    # the crash phase holds the row and ends at the feasible target; the
+    # sets it saw do not count against the loop after it
+    with pytest.raises(ReferenceSolveError, match="working set repeated at iteration 5$"):
+        reference._active_set(kkt, Q, c, G, d, crash=True)
+    assert kkt.solves == 4
+    with pytest.raises(ReferenceSolveError, match="working set repeated at iteration 3$"):
+        active_set_qp(Q, c, G, d)
+
+
+@pytest.mark.parametrize("crash", [True, False])
+def test_flat_objective_answers(crash):
+    # Q = 1e-6 I up to rounding: the rounding in a step is about
+    # eps |c| / 1e-6, far above any fixed step tolerance, while the first
+    # target is feasible and ends the loop
+    U = np.linalg.qr(np.full((3, 3), 1e-6))[0]
+    Q = (U * np.full(3, 1e-6)) @ U.T
+    out = (active_set_qp if crash else _no_crash)(Q, np.ones(3))
+    assert out["kkt_residual"] <= reference.KKT_TOL
+    assert out["iterations"] == 1
+
+
+def test_rows_that_pin_a_coordinate_with_the_simplex_row():
+    # rows x1 <= 0.2 and x2 + ... + x5 <= 0.8 pin x1 = 0.2 with the simplex
+    # row; on this flat objective the targets are about 1e5 in size, and the
+    # second pinning row must not read as broken by the rounding of x1
+    Q, c = 1e-6 * np.eye(5), np.array([0.6578368251438275, 0.0, 0.0, 0.0, 0.5])
+    G = np.array([np.ones(5), np.eye(5)[0], np.zeros(5), [0.0, 1.0, 1.0, 1.0, 1.0], np.ones(5)])
+    d = np.array([1.0, 0.2, 0.0, 0.8, 1.0])
+    for out in (active_set_qp(Q, c, G, d), _no_crash(Q, c, G, d)):
+        assert out["kkt_residual"] <= reference.KKT_TOL
+        np.testing.assert_allclose(out["x"], [0.2, 0.8 / 3, 0.8 / 3, 0.8 / 3, 0.0], atol=1e-12)
+
+
+def test_a_target_entry_just_below_zero_is_feasible():
+    # the optimum (1, 0) is a degenerate vertex where the cap x1 <= 1, x2 >= 0
+    # and the simplex row meet; the target that reaches it has x2 = -1.1e-16,
+    # and fixing x2 there would leave the cap and the simplex row on x1 alone,
+    # a singular system
+    Q, c = np.diag([1.0, 0.5]), np.array([-0.9, 0.8])
+    G, d = np.array([[1.0, 0.0]]), np.array([1.0])
+    for out in (active_set_qp(Q, c, G, d), _no_crash(Q, c, G, d)):
+        assert out["kkt_residual"] <= reference.KKT_TOL
+        np.testing.assert_allclose(out["x"], [1.0, 0.0], rtol=0.0, atol=1e-15)
+
+
+def test_crash_phase_alone_answers_a_sector_qp(monkeypatch):
+    # caps just above the uniform load: holding every violated cap at once
+    # makes a reduced system singular here, while holding the most violated
+    # one per round reaches a feasible guess that the loop then verifies
+    # (a run from the uniform point without the guess takes 13 solves)
+    rng = np.random.default_rng(131)
+    F = rng.standard_normal((12, 12))
+    Q, c = F @ F.T / 12 + 0.1 * np.eye(12), rng.uniform(-1.0, 1.0, 12)
+    G = make_sectors(12, 4, rng)
+    d = np.full(4, G.sum(axis=1).max() / 12 + 0.01)
+    runs = _runs(monkeypatch)
+    out = active_set_qp(Q, c, G, d)
+    assert runs == [True]
+    assert out["kkt_residual"] <= reference.KKT_TOL
+    assert out["iterations"] <= 3
