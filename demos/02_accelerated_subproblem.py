@@ -31,9 +31,7 @@ def record(y, z):
     return False
 
 
-fista(lambda y: Q @ y + c,
-      lambda y, g, Lc: simplex_prox(y, g, Lc),
-      L, x0, 60, stop=record)
+fista(lambda y: simplex_prox(y, Q @ y + c, L), L, x0, 60, stop=record)
 
 print(f"{'t':>4} {'gap':>12} {'envelope':>12}")
 for t in (1, 2, 5, 10, 20, 40, 60):

@@ -26,10 +26,16 @@ from F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x_init) - F* + (mu/2)
 (Jaggi 2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <= gap, so R
 bounds the warm start's distance to the optimum and 2 gap the bracket of
 T_sc. Without a linear minimizer there is no gap, and without mu > 0 no
-linear rate; T then runs with R = D_x. The gap does not depend on (L, mu),
-and its gradient is the first step's, so every step evaluates one
-gradient. A budget above MAX_ITERATIONS raises BudgetError, the one cap
-failure.
+linear rate; T then runs with R = D_x. The gap does not depend on (L, mu).
+A budget above MAX_ITERATIONS raises BudgetError, the one cap failure.
+
+Each step is one call of a forward-backward map z = proj_X(y - grad
+nu(y) / L), built once per solve after L is fixed: problem.forward_backward
+where the problem has one (the portfolio's stacked [I - theta / L; A] gemv
+with 1/L, rho and the offsets folded in), else the composition of
+smooth_grad, the dual-cone projection and prox_step. The first step is
+taken from the warm start's gradient, the gap's, through prox_step, so a
+solve takes one gradient and then one map per later step.
 
 A run need not factor every theta. Its CurvatureAnchor holds the last
 theta_a it factored and that pair (L_a, mu_a). By Weyl's inequality (Horn &
@@ -164,17 +170,20 @@ def lipschitz_nu(problem, rho, theta):
     theta's own pair; monotone increasing in rho. Each call factors theta
     and takes the norm of A.
     """
-    if rho < 0:
-        raise ValueError("penalty rho must be nonnegative")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError("penalty rho must be finite and nonnegative")
     anchor = CurvatureAnchor()
     L_p = anchor.curvature(problem, theta)[0]
     return L_p + rho * anchor.norm_sq(problem.constraint_matrix(theta))
 
 
 def _bound_gradient(problem, lam, rho, theta):
-    """grad nu_rho(., lam; theta) with A, b, lam/rho and the oracles bound once."""
-    if rho <= 0:
-        raise ValueError("penalty rho must be positive")
+    """grad nu_rho(., lam; theta) with A, b, lam/rho and the oracles bound once.
+
+    Refuses a rho that is not finite and positive before any oracle call.
+    """
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("penalty rho must be finite and positive")
     A = np.asarray(problem.constraint_matrix(theta), dtype=float)
     b = np.asarray(problem.constraint_offset(theta), dtype=float)
     if A.ndim != 2 or b.shape != A.shape[:1]:
@@ -247,27 +256,28 @@ def iteration_budget(problem, rho, theta, alpha):
                    problem.constants.D_x)
 
 
-def fista(grad, prox, L, x0, max_steps, stop=None, mu=0.0, g0=None):
+def fista(step, L, x0, max_steps, stop=None, mu=0.0, first=None):
     """Core accelerated proximal gradient loop.
 
-    grad(y) and prox(y, g, L) define the composite model; iterates start at
-    z_0 = x0 and each step is z_t = prox(y, grad(y), L) from the momentum
-    point y = z_{t-1} + b_t (z_{t-1} - z_{t-2}). With mu = 0, b_t follows
-    the FISTA sequence (m_t - 1) / m_{t+1}, m_1 = 1, m_{t+1} = (1 + sqrt(1
-    + 4 m_t^2)) / 2 (Beck & Teboulle 2009). A modulus 0 < mu <= L of strong
+    step(y) is the forward-backward map z = prox(y - grad(y) / L) of the
+    composite model with curvature L; iterates start at z_0 = x0 and each
+    step is z_t = step(y) from the momentum point y = z_{t-1} + b_t (z_{t-1}
+    - z_{t-2}). With mu = 0, b_t follows the FISTA sequence (m_t - 1) /
+    m_{t+1}, m_1 = 1, m_{t+1} = (1 + sqrt(1 + 4 m_t^2)) / 2 (Beck &
+    Teboulle 2009). A modulus 0 < mu <= L of strong
     convexity of the smooth part on all of R^n (momentum points leave X)
     selects the constant b = (sqrt(L/mu) - 1) / (sqrt(L/mu) + 1) of the
     strongly convex method (Nesterov 2004, 2.2; Beck 2017, Thm 10.42,
     V-FISTA): F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x0) - F* + (mu/2)
-    ||x0 - x*||^2). g0, when given, is grad(x0), already evaluated by the
-    caller; the first step uses it, so every step evaluates one gradient.
-    Returns (last iterate, steps taken).
+    ||x0 - x*||^2). first, when given, takes the first step z_1 = first(x0)
+    in place of step: a caller that already holds grad(x0) passes a map
+    that reuses it. Returns (last iterate, steps taken).
 
     The optional stop(y, z) predicate is evaluated after each step with the
-    point y the step was taken from and the new iterate z = prox(y, grad(y),
-    L); the loop returns z as soon as it holds. It sees every iterate, so a
-    stop that records z and returns False traces the run. Raises ValueError
-    unless L > 0 and 0 <= mu <= L.
+    point y the step was taken from and the new iterate z; the loop returns
+    z as soon as it holds. It sees every iterate, so a stop that records z
+    and returns False traces the run. Raises ValueError unless L > 0 and 0
+    <= mu <= L.
     """
     if not L > 0:
         raise ValueError("prox curvature L must be positive")
@@ -281,7 +291,7 @@ def fista(grad, prox, L, x0, max_steps, stop=None, mu=0.0, g0=None):
     m = 1.0
     t = 0
     for t in range(1, max_steps + 1):
-        z_new = prox(y, grad(y) if t > 1 or g0 is None else g0, L)
+        z_new = step(y) if t > 1 or first is None else first(y)
         if stop is not None and stop(y, z_new):
             return z_new, t
         if mu == 0.0:
@@ -297,10 +307,6 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     if certify and problem.linear_minimizer is None:
         raise ValueError("problem lacks a linear minimization oracle")
     grad = _bound_gradient(problem, lam, rho, theta)
-
-    def prox(y, g, L):
-        return problem.prox_step(y, g, L, theta)
-
     if anchor is None:
         anchor = CurvatureAnchor()
     A_sq = anchor.norm_sq(problem.constraint_matrix(theta))
@@ -324,6 +330,16 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     if budget > MAX_ITERATIONS:
         raise BudgetError(
             f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
+    prox_step = problem.prox_step
+    if problem.forward_backward is not None:
+        step = problem.forward_backward(lam, rho, theta, L)
+    else:
+        def step(y):
+            return prox_step(y, grad(y), L, theta)
+    first = None
+    if g0 is not None:
+        def first(y):
+            return prox_step(y, g0, L, theta)
     cert, stop = math.nan, None
     if certify:
         linear_minimizer = problem.linear_minimizer
@@ -336,8 +352,9 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
             return cert <= alpha
 
     try:
-        x, steps = fista(grad, prox, L, x_init, budget, stop=stop,
-                         mu=mu if linear_budget < fista_budget else 0.0, g0=g0)
+        x, steps = fista(step, L, x_init, budget, stop=stop,
+                         mu=mu if linear_budget < fista_budget else 0.0,
+                         first=first)
     except NonFiniteError as exc:
         raise NonFiniteError(f"non-finite x{where}: {exc}") from exc
     return x, steps, cert
@@ -355,8 +372,9 @@ def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None,
     requirements, and returns the same x and steps. Returns (x, steps).
     Logs L, mu, the gap at x_init, whether the curvature was factored or
     carried and by what shift, the a-priori and FISTA budgets and last the
-    budget run at DEBUG level on the "simalm" logger. Raises BudgetError or
-    NonFiniteError naming the epoch.
+    budget run at DEBUG level on the "simalm" logger. Raises ValueError,
+    before any oracle call, unless rho is finite and positive; BudgetError
+    or NonFiniteError naming the epoch.
     """
     x, steps, _ = _solve(problem, x_init, lam, rho, theta, config.alpha, epoch,
                          certify, anchor)

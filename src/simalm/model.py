@@ -101,12 +101,25 @@ class ParametricProblem:
     linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
                                    problem with q == 0; gives inner solves
                                    their warm-start gap and step certificate
+    forward_backward(lam, rho, theta, L)
+                                -> optional step(y) equal to prox_step(y,
+                                   grad nu_rho(y, lam; theta), L, theta) up
+                                   to rounding for every y in R^n (momentum
+                                   points leave X); an inner solve builds
+                                   it once L is fixed, and without it
+                                   composes the oracles above (inner_apg)
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. The problem keeps no state: a run's CurvatureAnchor
     (inner_apg) holds the constants its inner solves computed. An oracle
     may memoize its results, as the curvature oracle of a problem that
     experiments.InstanceBundle builds does, since that keeps it pure.
+
+    forward_backward restates smooth_grad, prox_step, cone and the
+    constraint oracles in one kernel, so a dataclasses.replace of any of
+    them must also replace forward_backward or clear it (None), or the
+    inner loop keeps stepping on the old oracles. The portfolio's map
+    relies on an orthant cone and a theta-independent A.
     """
 
     smooth_grad: Callable
@@ -120,6 +133,7 @@ class ParametricProblem:
     smooth_curvature: Callable
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
+    forward_backward: Optional[Callable] = None
 
 
 def evaluate_f(problem, x, theta):
@@ -272,7 +286,15 @@ def portfolio_problem(instance, kappa=1.0):
     because the Hessian of p is theta: by Weyl's inequality every
     eigenvalue of a symmetric theta moves by at most ||theta - theta'||_2
     <= ||theta - theta'||_F (Horn & Johnson 2013, Cor. 4.3.15).
+
+    forward_backward(lam, rho, theta, L) folds 1/L, rho and the offsets
+    into one (n + s) x n matrix W = [I - theta / L; A] and the constants c
+    = -b + lam / rho, B = (rho / L) A' and d = gamma mu / L, so a step is
+    w = W y, r = max(w[n:] + c, 0), z = proj_simplex(w[:n] - B r + d):
+    two matrix-vector products and the projection. The projection raises
+    NonFiniteError on a NaN or infinite w.
     """
+    n, s = instance.n, instance.s
     A = instance.sector_matrix
     b = instance.sector_limits
     mu = instance.mu
@@ -296,6 +318,27 @@ def portfolio_problem(instance, kappa=1.0):
         # inner_apg.fista checks L > 0 once per solve; simplex_prox is the
         # checked form of this step
         return project_simplex(y - g / L)
+
+    def forward_backward(lam, rho, theta, L):
+        W = np.empty((n + s, n))
+        np.divide(theta, -L, out=W[:n])
+        W[:n].flat[::n + 1] += 1.0
+        W[n:] = A
+        c = offset + np.asarray(lam, dtype=float) / rho
+        B = (rho / L) * A.T
+        d = gamma_mu / L
+
+        def step(y):
+            w = W @ y
+            r = w[n:]
+            r += c
+            np.maximum(r, 0.0, out=r)
+            v = w[:n]
+            v -= B @ r
+            v += d
+            return project_simplex(v)
+
+        return step
 
     def in_simplex(x):
         x = np.asarray(x, dtype=float)
@@ -332,4 +375,5 @@ def portfolio_problem(instance, kappa=1.0):
         smooth_curvature=smooth_curvature,
         membership=in_simplex,
         linear_minimizer=vertex_minimizer,
+        forward_backward=forward_backward,
     )

@@ -145,8 +145,7 @@ def test_criterion_3_fista_rate():
         return False
 
     from simalm.inner_apg import fista
-    fista(lambda y: Q @ y + c, lambda y, g, Lc: simplex_prox(y, g, Lc),
-          L, x0, 50, stop=track)
+    fista(lambda y: simplex_prox(y, Q @ y + c, L), L, x0, 50, stop=track)
     r2 = float((x0 - x_star) @ (x0 - x_star))
     for t in (5, 10, 50):
         bound = 2.0 * L * r2 / (t + 1) ** 2

@@ -7,6 +7,7 @@ every wrapper is removed again, and wrap a built problem's oracles the way
 the traced run does.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -38,9 +39,12 @@ def test_tracer_installs_and_restores_every_wrapper():
 
 def test_wrapped_problem_builds_and_solves_bit_equal():
     # a change to the ParametricProblem fields must not break wrap_problem,
-    # and the timed oracles must not change a single iterate
+    # and the timed oracles must not change a single iterate. With the
+    # portfolio's forward-backward map cleared, every step composes the
+    # timed oracles
     tracing = load_tracing()
-    instance, problem = make_small_portfolio()
+    instance, portfolio = make_small_portfolio()
+    problem = dataclasses.replace(portfolio, forward_backward=None)
     tracer = tracing.Tracer()
     traced = tracer.wrap_problem(problem)
     x0 = np.full(instance.n, 1.0 / instance.n)
@@ -56,6 +60,27 @@ def test_wrapped_problem_builds_and_solves_bit_equal():
     # at the warm start for its gap
     assert tracer.calls["cones.project_dual"] == steps
     assert tracer.calls["model.grad"] == 1
+
+
+def test_wrapped_portfolio_solves_bit_equal_on_its_forward_backward_map():
+    # wrap_problem keeps the portfolio's forward-backward map, so the traced
+    # solve runs the same steps bit for bit; the timed prox and cone
+    # projection see only the warm start (its gap and the first step), as
+    # the map takes every later step without them
+    tracing = load_tracing()
+    instance, problem = make_small_portfolio()
+    tracer = tracing.Tracer()
+    traced = tracer.wrap_problem(problem)
+    assert traced.forward_backward is problem.forward_backward
+    x0 = np.full(instance.n, 1.0 / instance.n)
+    lam = np.full(instance.s, 0.3)
+    args = (x0, lam, 2.0, instance.sigma, ApgConfig(alpha=1e-4))
+    x, steps = apg_solve(problem, *args)
+    x_traced, steps_traced = apg_solve(traced, *args)
+    assert steps_traced == steps > 1
+    np.testing.assert_array_equal(x_traced, x)
+    assert tracer.calls["model.prox"] == 1
+    assert tracer.calls["cones.project_dual"] == 1
 
 
 def test_traced_solves_count_steps_and_budget():

@@ -17,7 +17,8 @@ from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               fista, grad_nu, iteration_budget, lipschitz_nu)
 from simalm.linalg import spectral_norm, symmetrize
 from simalm.learning import FrozenLearner, SyntheticLearner
-from simalm.model import NonFiniteError, constraint_value, simplex_prox
+from simalm.model import (NonFiniteError, constraint_value, project_simplex,
+                          simplex_prox)
 from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
 from conftest import make_small_portfolio, make_toy_problem, random_simplex_point
@@ -37,14 +38,11 @@ def test_momentum_drives_fista_iterates():
     # capture the implied (m-1)/m_next coefficients from a linear problem
     seen = []
 
-    def grad(y):
-        return np.zeros(1)
-
-    def prox(y, g, L):
+    def step(y):
         seen.append(float(y[0]))
         return y + 1.0  # z_t = t for a unit drift
 
-    fista(grad, prox, 1.0, np.zeros(1), 3)
+    fista(step, 1.0, np.zeros(1), 3)
     # y_2 = z_1 (m_1 = 1), y_3 = z_2 + ((m_2 - 1)/m_3)(z_2 - z_1)
     coef = (1.618033988749895 - 1.0) / 2.193527085331054
     assert seen[1] == pytest.approx(1.0)
@@ -53,13 +51,10 @@ def test_momentum_drives_fista_iterates():
 
 def test_one_dimensional_clamped_quadratic():
     # minimize (1/2)(x - 3)^2 over [0, 1]: one prox step from anywhere
-    def grad(y):
-        return y - 3.0
+    def step(y):
+        return np.clip(y - (y - 3.0) / 1.0, 0.0, 1.0)
 
-    def prox(y, g, L):
-        return np.clip(y - g / L, 0.0, 1.0)
-
-    x, steps = fista(grad, prox, 1.0, np.array([0.2]), 1)
+    x, steps = fista(step, 1.0, np.array([0.2]), 1)
     assert steps == 1
     assert x[0] == pytest.approx(1.0)
 
@@ -75,6 +70,44 @@ def test_lipschitz_constant_formula(rng, toy_problem):
     assert got < lipschitz_nu(toy_problem, 5.0, theta)
     with pytest.raises(ValueError):
         lipschitz_nu(toy_problem, -0.1, theta)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -1.0, 0.0])
+def test_rho_not_finite_and_positive_is_refused_before_any_oracle_call(rho):
+    # the solves divide by rho and scale by it, so they refuse it up front
+    # rather than blame a NaN gradient; lipschitz_nu takes rho = 0, the
+    # curvature of p alone
+    instance, portfolio = make_small_portfolio()
+    called = []
+
+    def spy(name):
+        oracle = getattr(portfolio, name)
+
+        def wrapped(*args):
+            called.append(name)
+            return oracle(*args)
+
+        return wrapped
+
+    spied = dataclasses.replace(portfolio, **{name: spy(name) for name in (
+        "smooth_grad", "smooth_value_grad", "prox_step", "constraint_matrix",
+        "constraint_offset", "smooth_curvature", "linear_minimizer",
+        "forward_backward")})
+    args = (spied, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
+            rho, instance.sigma)
+    for solve in (lambda: apg_solve(*args, ApgConfig(alpha=1e-3)),
+                  lambda: apg_solve(*args, ApgConfig(alpha=1e-3), certify=True),
+                  lambda: certified_solve(*args, gap_tol=1e-3),
+                  lambda: grad_nu(spied, *args[1:3], rho, instance.sigma)):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            solve()
+    assert called == []
+    if rho == 0.0:
+        assert lipschitz_nu(portfolio, rho, instance.sigma) == \
+            portfolio.smooth_curvature(instance.sigma)[0]
+    else:
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            lipschitz_nu(portfolio, rho, instance.sigma)
 
 
 def test_identity_constraint_matrix_curvature():
@@ -370,9 +403,9 @@ def test_lipschitz_memo_follows_theta_dependent_constraints(monkeypatch,
     used = []
     fista = inner_apg.fista
 
-    def recording(grad, prox, L, *args, **kwargs):
+    def recording(step, L, *args, **kwargs):
         used.append(L)
-        return fista(grad, prox, L, *args, **kwargs)
+        return fista(step, L, *args, **kwargs)
 
     monkeypatch.setattr(inner_apg, "fista", recording)
     decompositions.clear()  # lambda_min(P), taken when the toy is built
@@ -548,10 +581,10 @@ def test_fista_rate_against_oracle(rng):
         values.append(0.5 * float(z @ Q @ z) + float(c @ z))
         return False
 
-    def grad(y):
-        return Q @ y + c
+    def step(y):
+        return simplex_prox(y, Q @ y + c, L)
 
-    fista(grad, lambda y, g, Lc: simplex_prox(y, g, Lc), L, x0, 50, stop=track)
+    fista(step, L, x0, 50, stop=track)
     r2 = float((x0 - x_star) @ (x0 - x_star))
     for t in (5, 10, 50):
         assert values[t - 1] - f_star <= 2.0 * L * r2 / (t + 1) ** 2 + 1e-12
@@ -569,8 +602,7 @@ def test_iteration_count_suffices_for_target_gap(rng):
     r = float(np.linalg.norm(x0 - x_star))
     for alpha in (1e-2, 1e-4, 1e-6):
         steps = math.ceil(math.sqrt(2.0 * L / alpha) * r)
-        z, _ = fista(lambda y: Q @ y + c,
-                     lambda y, g, Lc: simplex_prox(y, g, Lc), L, x0, steps)
+        z, _ = fista(lambda y: simplex_prox(y, Q @ y + c, L), L, x0, steps)
         assert 0.5 * float(z @ Q @ z) + float(c @ z) - f_star <= alpha
 
 
@@ -586,9 +618,9 @@ def test_warm_budget_reaches_alpha_on_random_simplex_qps(monkeypatch):
 
     loops = []  # (step limit, mu) of each fista call
 
-    def recording_fista(grad, prox, L, x0, max_steps, mu=0.0, **kwargs):
+    def recording_fista(step, L, x0, max_steps, mu=0.0, **kwargs):
         loops.append((max_steps, mu))
-        return fista(grad, prox, L, x0, max_steps, mu=mu, **kwargs)
+        return fista(step, L, x0, max_steps, mu=mu, **kwargs)
 
     monkeypatch.setattr(inner_apg, "fista", recording_fista)
 
@@ -778,8 +810,8 @@ def test_short_linear_budget_is_not_refused(toy_problem):
 def test_fista_rejects_modulus_outside_zero_to_L(mu):
     # a modulus above L would make the momentum negative
     with pytest.raises(ValueError, match="mu must lie in"):
-        fista(lambda y: y, lambda y, g, L: y - g / L, 2.0, np.zeros(2), 3, mu=mu)
-    fista(lambda y: y, lambda y, g, L: y - g / L, 2.0, np.zeros(2), 3, mu=2.0)
+        fista(lambda y: y - y / 2.0, 2.0, np.zeros(2), 3, mu=mu)
+    fista(lambda y: y - y / 2.0, 2.0, np.zeros(2), 3, mu=2.0)
 
 
 def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
@@ -793,8 +825,11 @@ def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
     def prox(y, g, Lc):
         return simplex_prox(y, g, Lc)
 
+    def step(y):
+        return prox(y, grad(y), L)
+
     x0 = np.full(instance.n, 1.0 / instance.n)
-    want = _reference_loop(grad, prox, L, x0, 0.0, steps=40)
+    want = _reference_loop(step, L, x0, 0.0, steps=40)
     for kwargs in ({}, {"mu": 0.0}):
         seen = []
 
@@ -802,15 +837,22 @@ def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
             seen.append(z)
             return False
 
-        z, steps = fista(grad, prox, L, x0, 40, stop=record, **kwargs)
+        z, steps = fista(step, L, x0, 40, stop=record, **kwargs)
         assert steps == 40 and np.array_equal(z, want[-1])
         assert all(np.array_equal(a, b) for a, b in zip(seen, want, strict=True))
-    # so does a budget solve of a problem without a modulus
+    # so does a budget solve of a problem without a modulus, on the
+    # portfolio's forward-backward map after a first step from the warm
+    # start's gradient, and on the generic composition without the map
     L_p = problem.smooth_curvature(instance.sigma)[0]
     plain = dataclasses.replace(problem, smooth_curvature=lambda th: (L_p, 0.0))
-    x, steps = apg_solve(plain, x0, lam, 4.0, instance.sigma, ApgConfig(alpha=1e-1))
-    assert steps == iteration_budget(plain, 4.0, instance.sigma, 1e-1)
-    assert np.array_equal(x, _reference_loop(grad, prox, L, x0, 0.0, steps=steps)[-1])
+    fused = _fused_reference(problem, lam, 4.0, instance.sigma, L)
+    for run_problem, run_step in ((plain, fused),
+                                  (dataclasses.replace(plain, forward_backward=None), step)):
+        x, steps = apg_solve(run_problem, x0, lam, 4.0, instance.sigma,
+                             ApgConfig(alpha=1e-1))
+        assert steps == iteration_budget(plain, 4.0, instance.sigma, 1e-1)
+        want = _reference_loop(run_step, L, x0, 0.0, steps=steps, first=step)
+        assert np.array_equal(x, want[-1])
 
 
 def test_certified_solve_gap_certificate(rng):
@@ -868,7 +910,9 @@ def test_step_certificate_bounds_the_gap_at_every_step():
     # every step z = prox(y) of a certified solve is certified by its own
     # gradient mapping: cert >= F(z) - F*, also where the momentum point y
     # has left the simplex. A certified solve started at y with an infinite
-    # tolerance takes that one step and returns (z, F(z), cert, 1).
+    # tolerance takes that one step and returns (z, F(z), cert, 1). The
+    # momentum points are recorded through prox_step, so the portfolio's
+    # forward-backward map is cleared and every step composes the oracles.
     instance, portfolio = make_small_portfolio(n=6, s=2)
     toy = make_toy_problem()
     outside = []
@@ -893,7 +937,8 @@ def test_step_certificate_bounds_the_gap_at_every_step():
             points.append(y)
             return problem.prox_step(y, g, L, th)
 
-        recording = dataclasses.replace(problem, prox_step=prox_step)
+        recording = dataclasses.replace(problem, prox_step=prox_step,
+                                        forward_backward=None)
         _, _, _, steps = certified_solve(recording, x0, lam, rho, theta, gap_tol=1e-7)
         assert len(points) == steps
         for y in points:
@@ -907,10 +952,57 @@ def test_step_certificate_bounds_the_gap_at_every_step():
     assert sum(outside) > 0
 
 
+def test_fused_step_certificate_bounds_the_gap_at_every_step():
+    # the twin of the test above on the portfolio's forward-backward map:
+    # every step after the first is one call of the map, and its (y, z) is
+    # certified by its own gradient mapping, cert = L (<e, y - s> - ||e||^2
+    # / 2) >= F(z) - F* with e = y - z and s the vertex minimizing <e, .>,
+    # also where the momentum point y has left the simplex
+    instance, portfolio = make_small_portfolio(n=6, s=2)
+    n, m = instance.n, instance.s
+    records, outside = [], []
+
+    def forward_backward(*args):
+        step, L = portfolio.forward_backward(*args), args[-1]
+
+        def recording(y):
+            z = step(y)
+            records.append((y, z, L))
+            return z
+
+        return recording
+
+    recording = dataclasses.replace(portfolio, forward_backward=forward_backward)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.05, 1.0), st.floats(0.0, 3.0), st.floats(0.1, 30.0),
+           st.integers(0, 2**32 - 1))
+    def check(delta, lam_scale, rho, seed):
+        gen = np.random.default_rng(seed)
+        F = gen.standard_normal((n, n))
+        theta = F @ F.T / n + delta * np.eye(n)
+        lam = lam_scale * np.abs(gen.standard_normal(m))
+        x0 = random_simplex_point(gen, n)
+        _, f_ref, _, _ = certified_solve(portfolio, x0, lam, rho, theta, gap_tol=1e-12)
+        records.clear()
+        _, _, _, steps = certified_solve(recording, x0, lam, rho, theta, gap_tol=1e-7)
+        assert len(records) == steps - 1
+        for y, z, L in records:
+            e = y - z
+            s = portfolio.linear_minimizer(e)
+            cert = L * (float(e @ (y - s)) - 0.5 * float(e @ e))
+            assert cert >= eval_L(portfolio, z, lam, rho, theta) - f_ref - 1e-12
+        outside.append(sum(1 for y, _, _ in records if y.min() < 0.0))
+
+    check()
+    assert sum(outside) > 0
+
+
 def test_certified_step_evaluates_one_gradient(toy_problem):
     # one smooth_grad per step under both stopping rules: the first step
     # reuses the warm-start gradient of the gap, and the certificate reuses
-    # the step's gradient
+    # the step's gradient. The portfolio's forward-backward map is cleared,
+    # so every step composes the oracles (its twin is below)
     instance, portfolio = make_small_portfolio()
     calls = []
     for problem, theta, lam, x0 in (
@@ -921,7 +1013,8 @@ def test_certified_step_evaluates_one_gradient(toy_problem):
             calls.append(1)
             return grad(x, th)
 
-        counted = dataclasses.replace(problem, smooth_grad=counting)
+        counted = dataclasses.replace(problem, smooth_grad=counting,
+                                      forward_backward=None)
         for solve in (
                 lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3],
                 lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1]):
@@ -929,6 +1022,42 @@ def test_certified_step_evaluates_one_gradient(toy_problem):
             steps = solve()
             assert steps > 1
             assert len(calls) == steps
+
+
+def test_fused_solve_evaluates_one_gradient_and_one_map_per_later_step():
+    # on the portfolio's forward-backward map, under both stopping rules: one
+    # smooth_grad, at the warm start for the gap, whose gradient also takes
+    # the first step; one map built per solve; and one call of it per later
+    # step
+    instance, portfolio = make_small_portfolio()
+    theta, lam = instance.sigma, np.full(instance.s, 0.3)
+    x0 = np.full(instance.n, 1.0 / instance.n)
+    grads, builds, maps = [], [], []
+
+    def counting_grad(x, th):
+        grads.append(1)
+        return portfolio.smooth_grad(x, th)
+
+    def counting_forward_backward(*args):
+        builds.append(1)
+        step = portfolio.forward_backward(*args)
+
+        def counting_step(y):
+            maps.append(1)
+            return step(y)
+
+        return counting_step
+
+    counted = dataclasses.replace(portfolio, smooth_grad=counting_grad,
+                                  forward_backward=counting_forward_backward)
+    for solve in (
+            lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3],
+            lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1]):
+        for calls in (grads, builds, maps):
+            calls.clear()
+        steps = solve()
+        assert steps > 1
+        assert (len(grads), len(builds), len(maps)) == (1, 1, steps - 1)
 
 
 def test_iterates_stay_in_domain(rng, toy_problem):
@@ -968,9 +1097,9 @@ def _pinning_cases(rng):
     lam = np.abs(rng.standard_normal(instance.s))
     uniform = np.full(instance.n, 1.0 / instance.n)
     # a warm start 60 plain FISTA steps in, where sqrt(2 gap / mu) < D_x
-    warm, _ = fista(_reference_grad(portfolio, lam, 4.0, instance.sigma),
-                    lambda y, g, Lc: simplex_prox(y, g, Lc),
-                    lipschitz_nu(portfolio, 4.0, instance.sigma), uniform, 60)
+    L = lipschitz_nu(portfolio, 4.0, instance.sigma)
+    grad = _reference_grad(portfolio, lam, 4.0, instance.sigma)
+    warm, _ = fista(lambda y: simplex_prox(y, grad(y), L), L, uniform, 60)
     # a modulus so small that sqrt(2 gap / mu) > D_x and FISTA's budget runs
     # at alpha = 1e-4 (the linear-rate one at 1e-7), and one smaller still,
     # where FISTA's budget is the shorter at 1e-7 too
@@ -980,6 +1109,8 @@ def _pinning_cases(rng):
     return [
         (portfolio, instance.sigma, lam, 4.0, uniform),
         (portfolio, instance.sigma, lam, 4.0, warm),
+        (dataclasses.replace(portfolio, forward_backward=None), instance.sigma,
+         lam, 4.0, warm),
         (toy, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
          np.full(3, 1.0 / 3)),
         (flat, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
@@ -989,9 +1120,30 @@ def _pinning_cases(rng):
     ]
 
 
-def _reference_loop(grad, prox, L, x0, mu, steps, gap_tol=None):
-    # plain accelerated loop of at most `steps` steps, returning every
-    # iterate z_1, z_2, ...: the momentum is (m_t - 1) / m_{t+1} with m_1 =
+def _fused_reference(problem, lam, rho, theta, L):
+    # the portfolio's forward-backward map written out from the public
+    # oracles, in the arithmetic the library uses: w = [I - theta/L; A] y in
+    # one product, r = max(w[n:] + b + lam/rho, 0) and proj(w[:n] - (rho/L)
+    # A' r + gamma mu / L), where -gamma mu = grad p(0)
+    A = problem.constraint_matrix(theta)
+    n = A.shape[1]
+    W = np.vstack([np.eye(n) - theta / L, A])
+    c = problem.constraint_offset(theta) + lam / rho
+    B = (rho / L) * A.T
+    d = -problem.smooth_grad(np.zeros(n), theta) / L
+
+    def step(y):
+        w = W @ y
+        r = np.maximum(w[n:] + c, 0.0)
+        return project_simplex(w[:n] - B @ r + d)
+
+    return step
+
+
+def _reference_loop(step, L, x0, mu, steps, gap_tol=None, first=None):
+    # plain accelerated loop of at most `steps` steps z = step(y), the first
+    # one z_1 = first(x0) when given, returning every iterate z_1, z_2, ...:
+    # the momentum is (m_t - 1) / m_{t+1} with m_1 =
     # 1, m_{t+1} = (1 + sqrt(1 + 4 m_t^2)) / 2 for mu = 0, and (sqrt(L/mu) -
     # 1) / (sqrt(L/mu) + 1) for mu > 0. With gap_tol it stops earlier, at the
     # first step z = prox(y) whose gradient-mapping bound max_{x in X} L
@@ -999,8 +1151,8 @@ def _reference_loop(grad, prox, L, x0, mu, steps, gap_tol=None):
     # over the simplex the max of <e, y - x> is <e, y> - min_i e_i
     iterates = []
     z, y, m = x0, x0, 1.0
-    for _ in range(steps):
-        z_new = prox(y, grad(y), L)
+    for t in range(steps):
+        z_new = first(y) if t == 0 and first is not None else step(y)
         iterates.append(z_new)
         e = y - z_new
         if gap_tol is not None and (
@@ -1019,7 +1171,11 @@ def _reference_loop(grad, prox, L, x0, mu, steps, gap_tol=None):
 def test_solvers_match_reference_loop_bit_for_bit(rng):
     # both stopping rules must produce exactly the iterates of the loop
     # written out in the test, driven by the independently written gradient
-    # and the oracle's mu. Both run the shorter of FISTA's warm-start count
+    # and the oracle's mu: the first step from the warm start's gradient,
+    # the later ones on the portfolio's forward-backward map written out in
+    # the test, or on the composition of gradient and prox for a problem
+    # without the map (the toys, and the portfolio with it cleared). Both
+    # run the shorter of FISTA's warm-start count
     # and the strongly convex count for their alpha, computed from the gap,
     # with the momentum of that count (the strongly convex loop runs only
     # when its count is shorter); the certified rule stops earlier, at the
@@ -1030,16 +1186,19 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         L = lipschitz_nu(problem, rho, theta)
         mu = problem.smooth_curvature(theta)[1]
 
-        def prox(y, g, Lc):
-            return problem.prox_step(y, g, Lc, theta)
+        def generic(y):
+            return problem.prox_step(y, grad(y), L, theta)
 
+        step = generic
+        if problem.forward_backward is not None:
+            step = _fused_reference(problem, lam, rho, theta, L)
         alpha = 1e-4
         fista_budget, radius, linear_budget = _warm_budget(grad, L, alpha, x0, mu)
         radii.append(radius)
         linear.append(linear_budget < fista_budget)
         budget = min(fista_budget, linear_budget)
-        want = _reference_loop(grad, prox, L, x0, mu if linear[-1] else 0.0,
-                               steps=budget)
+        want = _reference_loop(step, L, x0, mu if linear[-1] else 0.0,
+                               steps=budget, first=generic)
         got, steps = apg_solve(problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
         assert steps == len(want) == budget
         assert np.array_equal(got, want[-1])
@@ -1048,17 +1207,17 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         fista_budget, _, linear_budget = _warm_budget(grad, L, gap_tol, x0, mu)
         certified_linear.append(linear_budget < fista_budget)
         budget = min(fista_budget, linear_budget)
-        want = _reference_loop(grad, prox, L, x0, mu if certified_linear[-1] else 0.0,
-                               steps=budget, gap_tol=gap_tol)
+        want = _reference_loop(step, L, x0, mu if certified_linear[-1] else 0.0,
+                               steps=budget, gap_tol=gap_tol, first=generic)
         got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=gap_tol)
         assert steps == len(want) <= budget
         assert np.array_equal(got, want[-1])
 
         x = random_simplex_point(rng, x0.size)
         assert np.array_equal(grad_nu(problem, x, lam, rho, theta), grad(x))
-    assert radii[0] == 1.0 and radii[1] < 0.1
-    assert linear == [True, True, True, False, False]
-    assert certified_linear == [True, True, True, True, False]
+    assert radii[0] == 1.0 and radii[1] < 0.1 and radii[2] == radii[1]
+    assert linear == [True, True, True, True, False, False]
+    assert certified_linear == [True, True, True, True, True, False]
 
 
 def test_inconsistent_constraint_shapes_raise(toy_problem):

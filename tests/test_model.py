@@ -190,6 +190,63 @@ def test_gradient_oracles_agree_bit_for_bit(rng, toy_problem):
             assert problem.smooth_grad(x, theta).tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["definite", "singular", "indefinite"]),
+       st.booleans(), st.floats(-2.0, 3.0), st.floats(0.0, 1e3),
+       st.floats(1e-3, 1e4), st.floats(1.0, 100.0), st.integers(0, 2**32 - 1))
+@example(12, "indefinite", False, 3.0, 1e3, 1e-3, 1.0, 0)
+def test_portfolio_forward_backward_matches_the_composed_step(
+        n, kind, inside, log_y, lam_scale, rho, L_factor, seed):
+    # the fused map equals prox_step(y, grad nu(y), L, theta) up to rounding
+    # for y on and off the simplex, lam >= 0, a symmetric theta of either
+    # sign and any L >= lipschitz_nu: both project a point v whose entries
+    # are at most max(|y|, |grad|/L) in size, and the projection is
+    # 1-Lipschitz, so they agree to 1e-12 relative to that size
+    from simalm.inner_apg import grad_nu, lipschitz_nu
+
+    s = max(1, n // 3)
+    _, problem = make_small_portfolio(n=n, s=s, seed=seed % 1000)
+    gen = np.random.default_rng(seed)
+    F = gen.standard_normal((n, n))
+    theta = {"definite": F @ F.T / n + 0.1 * np.eye(n),
+             "singular": F[:, 1:] @ F[:, 1:].T / n,
+             "indefinite": 0.5 * (F + F.T)}[kind]
+    lam = lam_scale * np.abs(gen.standard_normal(s))
+    L = L_factor * lipschitz_nu(problem, rho, theta)
+    step = problem.forward_backward(lam, rho, theta, L)
+    for _ in range(5):
+        y = (random_simplex_point(gen, n) if inside
+             else 10.0 ** log_y * gen.standard_normal(n))
+        g = grad_nu(problem, y, lam, rho, theta)
+        want = problem.prox_step(y, g, L, theta)
+        got = step(y)
+        scale = max(1.0, float(np.abs(y).max()), float(np.abs(g).max()) / L)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12
+
+
+def test_portfolio_forward_backward_refuses_a_non_finite_w():
+    # a NaN in y or theta makes w = [I - theta/L; A] y NaN, and an infinite
+    # or overflowing y makes it infinite; the simplex projection refuses
+    # either. numpy warns on the infinite products first
+    instance, problem = make_small_portfolio()
+    lam, x = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
+    bad_theta = instance.sigma.copy()
+    bad_theta[1, 2] = bad_theta[2, 1] = np.nan
+    nan_y = x.copy()
+    nan_y[3] = np.nan
+    for theta, y in ((bad_theta, x), (instance.sigma, nan_y)):
+        step = problem.forward_backward(lam, 2.0, theta, 50.0)
+        with pytest.raises(NonFiniteError, match="NaN or infinite entries"):
+            step(y)
+    step = problem.forward_backward(lam, 2.0, instance.sigma, 50.0)
+    for bad in (np.inf, -np.inf, 1e308):
+        y = x.copy()
+        y[3:5] = bad
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+            step(y)
+
+
 def test_constraint_lipschitz_in_theta(rng, toy_problem):
     cst = toy_problem.constants
     for _ in range(20):

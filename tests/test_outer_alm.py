@@ -504,12 +504,31 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
                 grad = np.full_like(grad, np.nan)
         return grad
 
-    bad = dataclasses.replace(problem, smooth_grad=nan_midway_through_epoch_2)
-    with pytest.raises(NonFiniteError, match="non-finite x at epoch 2: simplex projection"):
-        alm_run(bad, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
-                schedule, x0=np.full(instance.n, 0.1),
-                theta_star=sigma_star, stop=StopRule(max_outer=10))
-    assert len(calls) == 2
+    def nan_map_in_epoch_2(lam, rho, theta, L):
+        # the forward-backward map takes every step after the first: its
+        # first call is step 2, here on a NaN point, so w = W y is NaN
+        step = problem.forward_backward(lam, rho, theta, L)
+        if not np.array_equal(theta, theta_2):
+            return step
+
+        def nan_step(y):
+            calls.append(1)
+            return step(np.full_like(y, np.nan))
+
+        return nan_step
+
+    # the composed steps with the map cleared, then the map's own steps
+    for bad, want_calls in (
+            (dataclasses.replace(problem, smooth_grad=nan_midway_through_epoch_2,
+                                 forward_backward=None), 2),
+            (dataclasses.replace(problem, forward_backward=nan_map_in_epoch_2), 1)):
+        calls.clear()
+        with pytest.raises(NonFiniteError,
+                           match="non-finite x at epoch 2: simplex projection"):
+            alm_run(bad, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
+                    schedule, x0=np.full(instance.n, 0.1),
+                    theta_star=sigma_star, stop=StopRule(max_outer=10))
+        assert len(calls) == want_calls
 
 
 @pytest.mark.parametrize("apg_mode", ["budget", "certified"])
