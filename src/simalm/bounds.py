@@ -173,7 +173,10 @@ def primal_subopt_upper(inputs, k):
 
 def primal_subopt_lower(inputs, k):
     """Lower bound -(rho/2) V(k)^2 - ||lambda*|| V(k) on f(xbar_k) - f*."""
-    v = v_of_k(inputs, k)
+    return _subopt_lower(inputs, v_of_k(inputs, k))
+
+
+def _subopt_lower(inputs, v):
     return -(0.5 * inputs.rho * v ** 2 + inputs.lambda_star_norm * v)
 
 
@@ -252,10 +255,11 @@ def bound_curves(inputs, ks):
     """
     ks = np.asarray(ks, dtype=float)
     if not inputs.schedule.is_geometric:
+        v = v_of_k(inputs, ks)
         return {
-            "v_k_bound": v_of_k(inputs, ks),
+            "v_k_bound": v,
             "subopt_upper_bound": primal_subopt_upper(inputs, ks),
-            "subopt_lower_bound": np.abs(primal_subopt_lower(inputs, ks)),
+            "subopt_lower_bound": np.abs(_subopt_lower(inputs, v)),
             "dual_gap_bound": dual_gap_bound(inputs, ks),
         }
     epochs = ks - 1.0

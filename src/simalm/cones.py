@@ -83,6 +83,13 @@ class NonnegativeOrthant(Cone):
 
     project_dual = project
 
+    def dist_neg(self, y):
+        """Distance from y to -K: the norm of y - min(y, 0), which is Cone's
+        y - proj_{-K}(y) up to the sign of zeros (NaN at y = -inf, too)."""
+        d = self._check(y)
+        d = d - np.minimum(d, 0.0)
+        return np.sqrt(np.add.reduce(d * d, axis=-1))
+
 
 class SecondOrderCone(Cone):
     """K = {(t, u) : ||u|| <= t}, self-dual. The first coordinate is t.

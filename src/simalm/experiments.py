@@ -64,6 +64,8 @@ _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solve
 # Curvature pairs a bundle keeps, oldest evicted first; a learned grid or a
 # seqsim pass on an n = 100 instance factors 4-7 distinct thetas
 _CURVATURE_MEMO = 16
+# Entries of theta, evenly strided, in a memo key; the stored bytes decide
+_FINGERPRINT = 16
 
 
 @dataclass(frozen=True)
@@ -252,16 +254,22 @@ class InstanceBundle:
     """Instance plus every derived reference quantity experiments reuse.
 
     tau_hat is the certified rate of learner_errors, the one learned rate.
-    The problems problem() builds share one memo of the curvature oracle:
-    the pair of every finite theta factored is stored, keyed on theta's
-    dtype, shape and exact bytes, so the runs on one bundle factor each
+    problem() builds the portfolio problem on first use and hands that one
+    problem to every run. The bundle takes ||A|| with one SVD: kappa is
+    portfolio_kappa of it, and its problems carry ||A||^2 with A's shape
+    and bytes (ParametricProblem._A_norm_sq), so no run takes it again.
+    They share one memo of the curvature oracle: the pair of every finite
+    theta factored is stored with theta's bytes, keyed on its dtype, shape
+    and _FINGERPRINT evenly strided entries, and a lookup answers only when
+    the bytes match (a theta that shares the key but not the bytes is
+    factored and takes the key over). So the runs on one bundle factor each
     theta once. The oracle is pure, so a memo hit returns the very pair a
     factorisation would, and no run depends on the order of the others.
     The memo holds at most _CURVATURE_MEMO pairs, evicting the oldest, and
     fills lazily, as runs ask. It is safe to share across threads: each
-    lookup, store and removal is one dict operation, so at worst two
-    threads factor the same theta and store identical pairs, or evict one
-    pair more than the cap asks.
+    lookup, store and removal is one dict operation on immutable entries,
+    so at worst two threads factor the same theta and store identical
+    pairs, or evict one pair more than the cap asks.
     """
 
     config: ExperimentConfig
@@ -281,28 +289,48 @@ class InstanceBundle:
         return float(self.learner_errors[0])
 
     @functools.cached_property
+    def _A_norm(self):
+        """((shape, bytes) of the sector matrix, its spectral norm): one SVD."""
+        A = self.instance.sector_matrix
+        return (A.shape, A.tobytes()), spectral_norm(A)
+
+    @functools.cached_property
     def kappa(self):
-        """portfolio_kappa of the instance, computed once per bundle."""
-        return portfolio_kappa(self.instance, self.scs.psd_floor)
+        """portfolio_kappa of the instance, from the bundle's one norm of A."""
+        return self._A_norm[1] * 1.0 / self.scs.psd_floor
+
+    @functools.cached_property
+    def _problem(self):
+        return self._build(self.kappa)
 
     def problem(self, kappa=None):
-        problem = portfolio_problem(self.instance,
-                                    kappa=self.kappa if kappa is None else kappa)
+        """The bundle's problem; with kappa, a new one that differs only there."""
+        return self._problem if kappa is None else self._build(kappa)
+
+    def _build(self, kappa):
+        problem = portfolio_problem(self.instance, kappa=kappa)
         oracle, memo = problem.smooth_curvature, self._curvatures
+        key_A, norm = self._A_norm
 
         def smooth_curvature(theta):
             point = np.asarray(theta)
-            key = (point.dtype.str, point.shape, point.tobytes())
-            pair = memo.get(key)
-            if pair is None:
-                pair = oracle(theta)
-                if np.isfinite(point).all():
-                    memo[key] = pair
-                    for stale in list(memo)[:-_CURVATURE_MEMO]:
-                        memo.pop(stale, None)
+            data = point.tobytes()
+            flat = point.reshape(-1)
+            key = (point.dtype.str, point.shape,
+                   flat[::max(1, flat.size // _FINGERPRINT)].tobytes())
+            entry = memo.get(key)
+            if entry is not None and entry[0] == data:
+                return entry[1]
+            pair = oracle(theta)
+            if np.isfinite(point).all():
+                memo.pop(key, None)  # a colliding theta's entry
+                memo[key] = (data, pair)
+                for stale in list(memo)[:-_CURVATURE_MEMO]:
+                    memo.pop(stale, None)
             return pair
 
-        return replace(problem, smooth_curvature=smooth_curvature)
+        return replace(problem, smooth_curvature=smooth_curvature,
+                       _A_norm_sq=(key_A, norm ** 2))
 
 
 def portfolio_kappa(instance, psd_floor):

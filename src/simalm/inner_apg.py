@@ -8,7 +8,9 @@ theta). One loop, fista (no restarts, no line search), runs every solve.
 Every solve asks a CurvatureAnchor for both constants: the curvature pair
 (L_p, mu) from problem.smooth_curvature, and ||A(theta)||^2. A run's
 anchor keeps the last theta it factored with its pair and the norm of the
-last A; any other solve starts a fresh one.
+last A; any other solve starts a fresh one. A problem built by
+experiments.InstanceBundle carries the bundle's ||A||^2, which every anchor
+reads while A is the one it was taken of.
 
 A solve runs the shorter of two a-priori budgets for an alpha-accurate
 value, FISTA's on a tie: FISTA's, with its momentum,
@@ -51,7 +53,8 @@ it factors theta and the anchor moves there. The anchor is the run's, not
 the pure problem's, so runs sharing a problem do not depend on each other's
 order. A fresh anchor has nothing to carry, so lipschitz_nu,
 iteration_budget and solves without an anchor, each starting one, ask the
-oracle for theta's own pair and compute ||A(theta)||^2 on every call.
+oracle for theta's own pair and compute ||A(theta)||^2 on every call, but
+for a bundle's problem, whose ||A||^2 the bundle took once.
 "Factored" (the DEBUG line's curvature=factored) means the anchor asked the
 oracle; a problem built by experiments.InstanceBundle answers from the
 bundle's memo a theta that one of its runs already factored.
@@ -106,18 +109,20 @@ class ApgConfig:
 
 class CurvatureAnchor:
     """The source of a solve's curvature constants: the last theta it
-    factored with its pair (L_a, mu_a), and ||A||^2 of the last A.
+    factored with its pair (L_a, mu_a), and ||A||^2.
 
     alm_run keeps one per run and hands it to every inner solve, which
     carries the pair to a new theta or factors theta and moves the anchor
     there (module docstring). One run, one anchor: it is not shared.
+    ||A||^2 lives with the problem when an experiments.InstanceBundle built
+    it (the bundle takes it once, shared by all its runs), else with the
+    anchor, keyed on the shape and bytes of the last A it took the norm of.
     """
 
     def __init__(self):
         self._theta = None
         self._pair = None
-        self._A = None
-        self._A_sq = None
+        self._A_norm_sq = None
 
     def curvature(self, problem, theta, budgets=None):
         """(L_p, mu, d) at theta.
@@ -153,14 +158,21 @@ class CurvatureAnchor:
         self._pair = (float(L_p), float(mu))
         return (*self._pair, None)
 
-    def norm_sq(self, A):
-        """||A||^2, taken again only when A's content changes: the key is a
-        private copy of A, so mutating the caller's array cannot match it."""
-        A = np.asarray(A, dtype=float)
-        if self._A is None or not np.array_equal(self._A, A):
-            self._A_sq = spectral_norm(A) ** 2
-            self._A = A.copy()
-        return self._A_sq
+    def norm_sq(self, problem, theta):
+        """||A||^2 of A = problem.constraint_matrix(theta).
+
+        Read from the problem's _A_norm_sq (a bundle's problem) or else the
+        anchor's own record when A has the shape and bytes that norm was
+        taken of; otherwise taken with one SVD and recorded. The record
+        keys on bytes, so mutating the caller's array cannot match it.
+        """
+        A = np.asarray(problem.constraint_matrix(theta), dtype=float)
+        key = (A.shape, A.tobytes())
+        for known in (problem._A_norm_sq, self._A_norm_sq):
+            if known is not None and known[0] == key:
+                return known[1]
+        self._A_norm_sq = (key, spectral_norm(A) ** 2)
+        return self._A_norm_sq[1]
 
 
 def lipschitz_nu(problem, rho, theta):
@@ -168,13 +180,13 @@ def lipschitz_nu(problem, rho, theta):
 
     L_p(theta) + rho * ||A(theta)||^2 from a fresh CurvatureAnchor, so
     theta's own pair; monotone increasing in rho. Each call factors theta
-    and takes the norm of A.
+    and takes the norm of A, unless the problem's bundle holds them.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError("penalty rho must be finite and nonnegative")
     anchor = CurvatureAnchor()
     L_p = anchor.curvature(problem, theta)[0]
-    return L_p + rho * anchor.norm_sq(problem.constraint_matrix(theta))
+    return L_p + rho * anchor.norm_sq(problem, theta)
 
 
 def _bound_gradient(problem, lam, rho, theta):
@@ -309,7 +321,7 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     grad = _bound_gradient(problem, lam, rho, theta)
     if anchor is None:
         anchor = CurvatureAnchor()
-    A_sq = anchor.norm_sq(problem.constraint_matrix(theta))
+    A_sq = anchor.norm_sq(problem, theta)
     D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""

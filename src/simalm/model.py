@@ -10,7 +10,7 @@ threads.
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,7 +113,11 @@ class ParametricProblem:
     for bit. The problem keeps no state: a run's CurvatureAnchor
     (inner_apg) holds the constants its inner solves computed. An oracle
     may memoize its results, as the curvature oracle of a problem that
-    experiments.InstanceBundle builds does, since that keeps it pure.
+    experiments.InstanceBundle builds does, since that keeps it pure. Such
+    a problem also carries, in the private field _A_norm_sq, the bundle's
+    ||A||^2 with the shape and bytes of the A it was taken of; a
+    CurvatureAnchor uses it while constraint_matrix(theta) returns that
+    very A, bit for bit, and takes the norm itself otherwise.
 
     forward_backward restates smooth_grad, prox_step, cone and the
     constraint oracles in one kernel, so a dataclasses.replace of any of
@@ -134,6 +138,7 @@ class ParametricProblem:
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
     forward_backward: Optional[Callable] = None
+    _A_norm_sq: Optional[tuple] = field(default=None, repr=False)
 
 
 def evaluate_f(problem, x, theta):
@@ -322,7 +327,7 @@ def portfolio_problem(instance, kappa=1.0):
     def forward_backward(lam, rho, theta, L):
         W = np.empty((n + s, n))
         np.divide(theta, -L, out=W[:n])
-        W[:n].flat[::n + 1] += 1.0
+        W.reshape(-1)[:n * n:n + 1] += 1.0  # the diagonal of W[:n], a view
         W[n:] = A
         c = offset + np.asarray(lam, dtype=float) / rho
         B = (rho / L) * A.T

@@ -267,9 +267,18 @@ def _report(problem, x, theta_star, f_star):
     return f, infeas, rel
 
 
-def _theta_errors(theta, theta_star, scale):
-    """(||theta - theta*||_F, that error over scale = ||theta*||_F when positive)."""
-    err = float(np.linalg.norm(np.asarray(theta, float) - theta_star))
+def _theta_errors(theta, theta_star, scale, where):
+    """(||theta - theta*||_F, that error over scale = ||theta*||_F when positive).
+
+    Raises NonFiniteError naming `where` when theta holds a NaN or an
+    infinity. A finite error proves it holds neither, so theta's entries
+    are checked only when the error is not finite.
+    """
+    theta = np.asarray(theta, float)
+    diff = (theta - theta_star).ravel(order="K")
+    err = math.sqrt(diff.dot(diff))  # np.linalg.norm's arithmetic
+    if not math.isfinite(err):
+        _check_finite(where, theta=theta)
     return err, err / scale if scale > 0 else err
 
 
@@ -324,9 +333,11 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         theta_k = learner.theta if k == 0 else learner.step()
         if learner.steps_taken > k:
             raise RuntimeError("learner advanced beyond the outer epoch")
-        _check_finite(f"epoch {k}", theta=theta_k)
+        cpu_learn += time.perf_counter() - t0
+        # the row's theta errors, which refuse a non-finite theta_k
+        theta_err, theta_err_rel = _theta_errors(theta_k, theta_star, theta_scale,
+                                                 f"epoch {k}")
         t1 = time.perf_counter()
-        cpu_learn += t1 - t0
 
         rho_k = schedule.rho(k)
         alpha_k = schedule.alpha(k)
@@ -342,7 +353,6 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         reported = x_bar if trace.regime == "constant" else x
         f_rep, infeas_rep, rel = _report(problem, reported, theta_star,
                                          trace.f_star)
-        theta_err, theta_err_rel = _theta_errors(theta_k, theta_star, theta_scale)
         trace.records.append(AlmRecord(
             k=k + 1, rho=rho_k, alpha=alpha_k, inner_iterations=inner,
             x=x.copy(), lam=lam.copy(), x_bar=x_bar.copy(),
@@ -388,8 +398,8 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
         t0 = time.perf_counter()
         theta_j = learner.step()
         cpu_learn += time.perf_counter() - t0
-        _check_finite(f"epoch {j + 1} of the learning phase", theta=theta_j)
-        theta_err, theta_err_rel = _theta_errors(theta_j, theta_star, theta_scale)
+        theta_err, theta_err_rel = _theta_errors(
+            theta_j, theta_star, theta_scale, f"epoch {j + 1} of the learning phase")
         learn_records.append(AlmRecord(
             k=j + 1, rho=0.0, alpha=0.0, inner_iterations=0,
             x=x0.copy(), lam=np.zeros(problem.cone.dim), x_bar=x0.copy(),

@@ -270,6 +270,37 @@ def test_grid_converges_under_its_overlays_on_other_instances(seed, apg_mode,
         assert overlay_margin(trace, curves, bundle.reference.f_value) >= 1.0
 
 
+def test_desk_counts_of_one_benchmark_round(desk_bundle):
+    # one round of the benchmark's calls on the desk instance (bench/run.py):
+    # the known and the learned grid, where every run converges, and
+    # run_seq_vs_sim with budgets (0, 2, 4, 6). Their inner/outer totals
+    # are pinned, so a change of arithmetic that moves an iterate shows here
+    totals = {}
+    for spec in ("known", "learned"):
+        inner = outer = 0
+        for regime, eps in [(r, e) for r in ("constant", "increasing")
+                            for e in (1e-1, 1e-2, 1e-3)]:
+            trace, _ = run_solve(DESK, eps, desk_bundle, specification=spec,
+                                 regime=regime)
+            assert trace.converged, (spec, regime, eps)
+            inner += trace.total_inner
+            outer += len(trace)
+        totals[spec] = inner, outer
+    assert DESK.sequential_budgets == (0, 2, 4, 6)
+    inner = outer = 0
+    for curve in run_seq_vs_sim(DESK, desk_bundle).values():
+        # work counts learning steps and inner iterations: a sequential run
+        # first takes `budget` steps, the simultaneous one (budget -1) one
+        # step per epoch after the first
+        budget = curve["budget"]
+        epochs = len(curve["work"]) - max(budget, 0)
+        inner += int(curve["work"][-1]) - (budget if budget >= 0 else epochs - 1)
+        outer += epochs
+    totals["seqsim"] = inner, outer
+    assert totals == {"known": (2180, 13), "learned": (285, 30),
+                      "seqsim": (2855, 250)}
+
+
 def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem):
     t0 = time.perf_counter()
     beta, tau = 1.05, 0.91

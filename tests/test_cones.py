@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
-                          ZeroCone)
+from simalm.cones import (Cone, NonnegativeOrthant, ProductCone,
+                          SecondOrderCone, ZeroCone)
 from conftest import ALL_CONES, cone_member
 
 
@@ -30,6 +30,29 @@ def test_orthant_projection_clamps():
     cone = NonnegativeOrthant(2)
     np.testing.assert_allclose(cone.project([-1.0, 2.0]), [0.0, 2.0])
     np.testing.assert_allclose(cone.project_neg([-1.0, 2.0]), [-1.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                  elements=st.floats(allow_nan=False) | st.sampled_from(
+                      [0.0, -0.0, np.inf, -np.inf, 5e-324, -1.7976931348623157e308])))
+def test_orthant_distance_is_the_generic_one_bit_for_bit(y):
+    # the orthant's closed form y - min(y, 0) against Cone's y - proj_{-K}(y)
+    # over leading axes, signed zeros and infinities (NaN at y = -inf on
+    # both; entries that overflow when squared warn on both)
+    cone = NonnegativeOrthant(y.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = cone.dist_neg(y), Cone.dist_neg(cone, y)
+    assert np.shape(got) == np.shape(want) == y.shape[:-1]
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_orthant_distance_propagates_nan_like_the_generic_one():
+    cone = NonnegativeOrthant(3)
+    y = np.array([[np.nan, 1.0, -2.0], [3.0, -np.inf, 4.0], [-1.0, 0.0, -0.0]])
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(cone.dist_neg(y), Cone.dist_neg(cone, y))
+    assert cone.dist_neg([3.0, -1.0, 4.0]) == 5.0
 
 
 def test_soc_member_is_fixed():

@@ -322,6 +322,90 @@ def test_curvature_memo_is_consistent_across_threads(monkeypatch, small_config):
     assert wrong == []
 
 
+def test_curvature_memo_keeps_colliding_thetas_apart(monkeypatch, small_config):
+    # two thetas that agree on every fingerprinted entry share a memo key;
+    # each still gets its own exact pair, the one stored bytes decide
+    bundle = prepare_bundle(small_config)
+    raw = portfolio_problem(bundle.instance).smooth_curvature
+    problem = bundle.problem()
+    theta = bundle.sigma_star.copy()
+    n = theta.shape[0]
+    stride = max(1, theta.size // experiments._FINGERPRINT)
+    assert 1 % stride and n % stride  # flat entries 1 and n: (0, 1), (1, 0)
+    other = theta.copy()
+    other[0, 1] = other[1, 0] = theta[0, 1] + 0.5
+    want = [raw(theta), raw(other)]
+    assert want[0] != want[1]
+    seen = _count_spectra(monkeypatch)
+    for _ in range(2):
+        assert [problem.smooth_curvature(t) for t in (theta, other)] == want
+    assert len(seen) == 4  # each takes the key over from the other
+    assert problem.smooth_curvature(other.copy()) == want[1]
+    assert len(seen) == 4
+
+
+def test_curvature_memo_holds_the_newest_finite_thetas(monkeypatch, small_config):
+    # at most _CURVATURE_MEMO (16) pairs: of 20 thetas the 16 newest hit and
+    # the 4 oldest are factored again; a NaN or infinite theta is factored
+    # on every call and evicts nothing
+    bundle = prepare_bundle(small_config)
+    problem = bundle.problem()
+    thetas = [bundle.sigma_star * (1.0 + 0.01 * j) for j in range(20)]
+    pairs = [problem.smooth_curvature(theta) for theta in thetas]
+    assert experiments._CURVATURE_MEMO == 16
+    seen = _count_spectra(monkeypatch)
+    for bad in (np.nan, np.inf):
+        theta = thetas[-1].copy()
+        theta[2, 2] = bad
+        for _ in range(2):
+            try:
+                problem.smooth_curvature(theta)
+            except np.linalg.LinAlgError:  # a LAPACK build that refuses theta
+                pass
+    assert len(seen) == 4
+    assert [problem.smooth_curvature(t) for t in thetas[4:]] == pairs[4:]
+    assert len(seen) == 4
+    assert [problem.smooth_curvature(t) for t in thetas[:4]] == pairs[:4]
+    assert len(seen) == 8
+
+
+def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
+    # a bundle's problem reads ||A||^2 from the bundle while A is the one
+    # it was taken of, bit for bit what an SVD gives; a replaced or mutated
+    # A is normed again, as on a problem without a bundle
+    from simalm.inner_apg import lipschitz_nu
+
+    norms = []
+
+    def counting_norm(M):
+        norms.append(np.asarray(M).copy())
+        return spectral_norm(M)
+
+    bundle = prepare_bundle(small_config)
+    problem = bundle.problem()
+    A = bundle.instance.sector_matrix
+    theta = bundle.sigma_star
+    monkeypatch.setattr(inner_apg, "spectral_norm", counting_norm)
+    plain = lipschitz_nu(portfolio_problem(bundle.instance), 2.0, theta)
+    assert len(norms) == 1
+    assert lipschitz_nu(problem, 2.0, theta) == plain
+    assert len(norms) == 1
+    doubled = dataclasses.replace(problem, constraint_matrix=lambda th: 2.0 * A,
+                                  forward_backward=None)
+    L_p = problem.smooth_curvature(theta)[0]
+    assert lipschitz_nu(doubled, 2.0, theta) == L_p + 2.0 * spectral_norm(2.0 * A) ** 2
+    assert len(norms) == 2
+    A[0, 0] = 1.0 - A[0, 0]
+    try:
+        assert lipschitz_nu(problem, 2.0, theta) == \
+            L_p + 2.0 * spectral_norm(A) ** 2
+        np.testing.assert_array_equal(norms[-1], A)
+    finally:
+        A[0, 0] = 1.0 - A[0, 0]
+    assert lipschitz_nu(problem, 2.0, theta) == plain
+    assert len(norms) == 3
+
+
 def test_learner_error_alignment(small_bundle):
     # errors[k] is the error of the k-th estimate a fresh learner reveals
     learner = AdmmScsLearner(small_bundle.scs)
@@ -376,18 +460,27 @@ def test_portfolio_kappa_formula(small_bundle):
 
 
 def test_kappa_is_computed_once_per_bundle(monkeypatch, small_config, small_bundle):
-    # each run builds the problem for its solve and for its overlays; both
-    # read the bundle's one kappa
+    # each run reads the bundle's one problem for its solve and for its
+    # overlays; across both grids the bundle takes one SVD of A, counted at
+    # every module name that binds spectral_norm, behind kappa and every
+    # solve's ||A||^2
+    from simalm import model
+
     norms = []
 
     def counting_norm(M):
         norms.append(np.shape(M))
         return spectral_norm(M)
 
-    monkeypatch.setattr(experiments, "spectral_norm", counting_norm)
+    for module in (experiments, inner_apg, model):
+        monkeypatch.setattr(module, "spectral_norm", counting_norm)
     bundle = dataclasses.replace(small_bundle)
     for spec in ("known", "learned"):
-        run_solve(small_config, 0.5, bundle, specification=spec)
+        for regime in ("constant", "increasing"):
+            for eps in (1e-1, 1e-2, 1e-3):
+                trace, _ = run_solve(small_config, eps, bundle,
+                                     specification=spec, regime=regime)
+                assert trace.converged, (spec, regime, eps)
     assert norms == [bundle.instance.sector_matrix.shape]
     want = portfolio_kappa(bundle.instance, bundle.scs.psd_floor)
     assert bundle.problem().constants.kappa == want

@@ -779,7 +779,9 @@ def test_non_finite_warm_start_gradient_raises_naming_epoch():
         grad = problem.smooth_grad(x, theta)
         return np.full_like(grad, np.nan) if len(calls) == 1 else grad
 
-    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call)
+    # forward_backward restates smooth_grad, so the replaced problem drops it
+    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call,
+                              forward_backward=None)
     args = (np.full(instance.n, 0.1), np.zeros(instance.s), 1.0, instance.sigma)
     message = "non-finite gradient at the warm start at epoch 3$"
     for solve in (lambda: apg_solve(bad, *args, ApgConfig(alpha=1e-3), epoch=3),

@@ -546,7 +546,9 @@ def test_non_finite_warm_start_gradient_names_quantity_and_epoch_once(apg_mode):
         grad = problem.smooth_grad(x, theta)
         return np.full_like(grad, np.nan) if len(calls) == 1 else grad
 
-    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call)
+    # forward_backward restates smooth_grad, so the replaced problem drops it
+    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call,
+                              forward_backward=None)
     schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     with pytest.raises(NonFiniteError) as err:
         alm_run(bad, SyntheticLearner(sigma, sigma, 0.6), schedule,
