@@ -9,9 +9,11 @@ traces can be overlaid against theory. The pseudo-Lipschitz constant
 `kappa` of the inner solution map is an input; it scales the reported
 curves only and never enters the algorithm itself.
 
-All infinite series reduce to sums of (k+1)^(-p), evaluated to absolute
-accuracy below 1e-12 by explicit summation plus an integral-test
-(Euler-Maclaurin) tail.
+Each constant's formula is written once, in one private evaluator per
+regime; the public functions read their constant from it, and
+`bound_curves` and `bound_report` evaluate it once a call. All infinite
+series reduce to sums of (k+1)^(-p), evaluated to absolute accuracy below
+1e-12 by explicit summation plus an integral-test (Euler-Maclaurin) tail.
 """
 
 import functools
@@ -87,88 +89,124 @@ class BoundInputs:
     def delta(self):
         return self.schedule.beta * self.schedule.tau
 
-    def sqrt_alpha_series(self):
-        """Sum of sqrt(alpha_k) for the constant regime."""
-        s = self.schedule
-        return np.sqrt(s.alpha0) * inverse_power_series(1.0 + s.c)
 
-    def alpha_series(self):
-        """Sum of alpha_k for the constant regime."""
-        s = self.schedule
-        return s.alpha0 * inverse_power_series(2.0 * (1.0 + s.c))
+def _constant_constants(inputs):
+    """Every constant of the constant-penalty bounds, each evaluated once.
 
-    def sqrt_alpha_rho_series(self):
-        """Sum of sqrt(2 alpha_k rho_k) in the geometric regime.
+    With S = sum sqrt(alpha_i), e = ||theta_0 - theta*|| and
+    ||lambda_0 - lambda*|| = ||lambda*|| (lambda_0 = 0):
 
-        The beta^k factors cancel, leaving sqrt(2 alpha0 rho0) times the
-        same inverse-power series, which is finite for every c > 0.
-        """
-        s = self.schedule
-        return np.sqrt(2.0 * s.alpha0 * s.rho0) * inverse_power_series(1.0 + s.c)
+        c_lambda = sqrt(2 rho) S + rho kappa e / (1-tau) + ||lambda*||
+        b_g      = ||lambda*||^2 / (2 rho)
+                   + c_lambda (sqrt(2/rho) S + kappa e / (1-tau))
+        C1       = sqrt(2 b_g / rho + (c_lambda / rho)^2)
+        C2       = sqrt(2/rho) S + (L_h_theta + kappa) e / (1-tau)
+        u_const  = sum alpha_i + (rho/2) L_h_theta^2 e^2 / (1-tau^2)
+                   + ((c_lambda + ||lambda*||) L_h_theta + 2 L_f) e / (1-tau)
+
+    Returns them as a dict under these names, the constants bound_report
+    reports.
+    """
+    s, rho = inputs.schedule, inputs.rho
+    e, kappa, lam = inputs.theta0_err, inputs.kappa, inputs.lambda_star_norm
+    root_alpha = np.sqrt(s.alpha0) * inverse_power_series(1.0 + s.c)
+    inexact = np.sqrt(2.0 / rho) * root_alpha
+    cl = np.sqrt(2.0 * rho) * root_alpha + rho * kappa * e / (1.0 - s.tau) + lam
+    bg = lam ** 2 / (2.0 * rho) + cl * (inexact + kappa * e / (1.0 - s.tau))
+    return {
+        "c_lambda": cl,
+        "b_g": bg,
+        "C1": float(np.sqrt(2.0 * bg / rho + (cl / rho) ** 2)),
+        "C2": float(inexact + (inputs.L_h_theta + kappa) * e / (1.0 - s.tau)),
+        "u_const": (s.alpha0 * inverse_power_series(2.0 * (1.0 + s.c))
+                    + 0.5 * rho * inputs.L_h_theta ** 2 * e ** 2 / (1.0 - s.tau ** 2)
+                    + ((cl + lam) * inputs.L_h_theta + 2.0 * inputs.L_f) * e
+                    / (1.0 - s.tau)),
+    }
+
+
+def _geometric_constants(inputs):
+    """(C', the lead term of B_k) of geometric-penalty inputs, each evaluated once.
+
+    C' = sum sqrt(2 alpha_i rho_i) + rho0 kappa ||theta_0 - theta*|| /
+    (1 - beta tau) + ||lambda*||, where the beta^k factors of the series
+    cancel, leaving sqrt(2 alpha0 rho0) sum (i+1)^-(1+c); the lead term is
+    (2 C' + ||lambda*||)^2 / rho0.
+    """
+    s = inputs.schedule
+    if not s.is_geometric:
+        raise ValueError("geometric-regime quantity needs beta > 1")
+    cp = (np.sqrt(2.0 * s.alpha0 * s.rho0) * inverse_power_series(1.0 + s.c)
+          + s.rho0 * inputs.kappa * inputs.theta0_err / (1.0 - inputs.delta)
+          + inputs.lambda_star_norm)
+    return cp, (2.0 * cp + inputs.lambda_star_norm) ** 2 / s.rho0
+
+
+def _as_k(k, least):
+    """k as a float array, refused unless every entry is at least `least`."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k < least):
+        raise ValueError(f"k must be at least {least}")
+    return k
+
+
+def _float_if_scalar(out):
+    return float(out) if out.ndim == 0 else out
+
+
+def _v_constant(constants, k):
+    return constants["C1"] / np.sqrt(k) + constants["C2"] / k
+
+
+def _subopt_lower(inputs, v):
+    return -(0.5 * inputs.rho * v ** 2 + inputs.lambda_star_norm * v)
+
+
+def _b_k(inputs, lead, k):
+    s = inputs.schedule
+    deltak = inputs.delta ** k
+    if inputs.L_h_theta > 0:
+        mid = s.rho0 * (inputs.L_h_theta * inputs.theta0_err * deltak
+                        + inputs.L_f / (s.rho0 * inputs.L_h_theta)) ** 2
+    else:
+        mid = 2.0 * inputs.L_f * inputs.theta0_err * deltak
+    return lead + mid + s.alpha0 / (k + 1.0) ** (2.0 * (1.0 + s.c))
+
+
+def _v_geometric(inputs, cp, k):
+    s = inputs.schedule
+    return (2.0 * cp / s.rho0
+            + inputs.L_h_theta * inputs.theta0_err * inputs.delta ** k) / s.beta ** k
 
 
 def c_lambda(inputs):
-    """Radius bound on the multiplier iterates, constant penalty.
-
-    sqrt(2 rho) sum sqrt(alpha_i) + rho kappa ||theta_0 - theta*|| / (1-tau)
-    + ||lambda_0 - lambda*||, which is ||lambda*|| since lambda_0 = 0.
-    """
-    rho = inputs.rho
-    return (np.sqrt(2.0 * rho) * inputs.sqrt_alpha_series()
-            + rho * inputs.kappa * inputs.theta0_err / (1.0 - inputs.schedule.tau)
-            + inputs.lambda_star_norm)
+    """Radius bound c_lambda on the multiplier iterates, constant penalty."""
+    return _constant_constants(inputs)["c_lambda"]
 
 
 def b_g(inputs):
     """Dual suboptimality constant: the averaged dual gap is at most b_g / k."""
-    rho = inputs.rho
-    return (inputs.lambda_star_norm ** 2 / (2.0 * rho)
-            + c_lambda(inputs) * (np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
-                                  + inputs.kappa * inputs.theta0_err
-                                  / (1.0 - inputs.schedule.tau)))
+    return _constant_constants(inputs)["b_g"]
 
 
 def dual_gap_bound(inputs, k):
     """Bound b_g / k on the dual gap of the averaged multiplier."""
-    if np.any(np.asarray(k) < 1):
-        raise ValueError("k must be at least 1")
-    return b_g(inputs) / np.asarray(k, dtype=float)
-
-
-def _infeasibility_constants(inputs):
-    """The constants (C1, C2) of the constant-penalty infeasibility bound."""
-    rho = inputs.rho
-    C1 = np.sqrt(2.0 * b_g(inputs) / rho + (c_lambda(inputs) / rho) ** 2)
-    C2 = (np.sqrt(2.0 / rho) * inputs.sqrt_alpha_series()
-          + (inputs.L_h_theta + inputs.kappa) * inputs.theta0_err
-          / (1.0 - inputs.schedule.tau))
-    return float(C1), float(C2)
+    return _constant_constants(inputs)["b_g"] / _as_k(k, 1)
 
 
 def v_of_k(inputs, k):
     """Infeasibility bound C1/sqrt(k) + C2/k for the averaged iterate."""
-    if np.any(np.asarray(k) < 1):
-        raise ValueError("k must be at least 1")
-    k = np.asarray(k, dtype=float)
-    C1, C2 = _infeasibility_constants(inputs)
-    out = C1 / np.sqrt(k) + C2 / k
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(_v_constant(_constant_constants(inputs), _as_k(k, 1)))
 
 
 def u_const(inputs):
     """Constant in the averaged-iterate suboptimality bound u_const / k."""
-    rho, tau = inputs.rho, inputs.schedule.tau
-    cbar = c_lambda(inputs) + inputs.lambda_star_norm
-    return (inputs.alpha_series()
-            + 0.5 * rho * inputs.L_h_theta ** 2 * inputs.theta0_err ** 2 / (1.0 - tau ** 2)
-            + (cbar * inputs.L_h_theta + 2.0 * inputs.L_f) * inputs.theta0_err / (1.0 - tau))
+    return _constant_constants(inputs)["u_const"]
 
 
 def primal_subopt_upper(inputs, k):
     """Upper bound u_const / k on f(xbar_k) - f*."""
-    if np.any(np.asarray(k) < 1):
-        raise ValueError("k must be at least 1")
-    return u_const(inputs) / np.asarray(k, dtype=float)
+    return _constant_constants(inputs)["u_const"] / _as_k(k, 1)
 
 
 def primal_subopt_lower(inputs, k):
@@ -176,26 +214,9 @@ def primal_subopt_lower(inputs, k):
     return _subopt_lower(inputs, v_of_k(inputs, k))
 
 
-def _subopt_lower(inputs, v):
-    return -(0.5 * inputs.rho * v ** 2 + inputs.lambda_star_norm * v)
-
-
-def _require_geometric(inputs):
-    if not inputs.schedule.is_geometric:
-        raise ValueError("geometric-regime quantity needs beta > 1")
-
-
 def c_lambda_prime(inputs):
-    """Multiplier radius bound for the geometric penalty regime.
-
-    sum sqrt(2 alpha_i rho_i) + rho0 kappa ||theta_0 - theta*|| / (1 - beta
-    tau) + ||lambda_0 - lambda*||, which is ||lambda*|| since lambda_0 = 0.
-    """
-    _require_geometric(inputs)
-    return (inputs.sqrt_alpha_rho_series()
-            + inputs.schedule.rho0 * inputs.kappa * inputs.theta0_err
-            / (1.0 - inputs.delta)
-            + inputs.lambda_star_norm)
+    """Multiplier radius bound C' for the geometric penalty regime."""
+    return _geometric_constants(inputs)[0]
 
 
 def b_k(inputs, k):
@@ -211,21 +232,8 @@ def b_k(inputs, k):
     algebraically equal pre-completion form is used: the middle term becomes
     2 L_f ||theta_0 - theta*|| delta^k.
     """
-    _require_geometric(inputs)
-    if np.any(np.asarray(k) < 0):
-        raise ValueError("k must be nonnegative")
-    k = np.asarray(k, dtype=float)
-    s = inputs.schedule
-    cp = c_lambda_prime(inputs)
-    lead = (2.0 * cp + inputs.lambda_star_norm) ** 2 / s.rho0
-    deltak = inputs.delta ** k
-    if inputs.L_h_theta > 0:
-        mid = s.rho0 * (inputs.L_h_theta * inputs.theta0_err * deltak
-                        + inputs.L_f / (s.rho0 * inputs.L_h_theta)) ** 2
-    else:
-        mid = 2.0 * inputs.L_f * inputs.theta0_err * deltak
-    out = lead + mid + s.alpha0 / (k + 1.0) ** (2.0 * (1.0 + s.c))
-    return float(out) if out.ndim == 0 else out
+    _, lead = _geometric_constants(inputs)
+    return _float_if_scalar(_b_k(inputs, lead, _as_k(k, 0)))
 
 
 def infeasibility_bound_geometric(inputs, k):
@@ -233,15 +241,31 @@ def infeasibility_bound_geometric(inputs, k):
 
     (1/beta^k)(2 C'/rho0 + L_h_theta ||theta_0 - theta*|| delta^k).
     """
-    _require_geometric(inputs)
-    if np.any(np.asarray(k) < 0):
-        raise ValueError("k must be nonnegative")
-    k = np.asarray(k, dtype=float)
-    s = inputs.schedule
-    cp = c_lambda_prime(inputs)
-    out = (2.0 * cp / s.rho0
-           + inputs.L_h_theta * inputs.theta0_err * inputs.delta ** k) / s.beta ** k
-    return float(out) if out.ndim == 0 else out
+    cp, _ = _geometric_constants(inputs)
+    return _float_if_scalar(_v_geometric(inputs, cp, _as_k(k, 0)))
+
+
+def _evaluate(inputs, ks):
+    """(the regime's constants, the four curves at rows ks), from one
+    evaluation of the regime's constants."""
+    if not inputs.schedule.is_geometric:
+        constants = _constant_constants(inputs)
+        v = _v_constant(constants, ks)
+        return constants, {
+            "v_k_bound": v,
+            "subopt_upper_bound": constants["u_const"] / ks,
+            "subopt_lower_bound": np.abs(_subopt_lower(inputs, v)),
+            "dual_gap_bound": constants["b_g"] / ks,
+        }
+    constants = cp, lead = _geometric_constants(inputs)
+    epochs = ks - 1.0
+    sub = _b_k(inputs, lead, epochs) / inputs.schedule.beta ** epochs
+    return constants, {
+        "v_k_bound": _v_geometric(inputs, cp, epochs),
+        "subopt_upper_bound": sub,
+        "subopt_lower_bound": sub,
+        "dual_gap_bound": np.full(ks.shape, np.nan),
+    }
 
 
 def bound_curves(inputs, ks):
@@ -253,23 +277,7 @@ def bound_curves(inputs, ks):
     k-1, so every curve is evaluated at k-1; the averaged-iterate dual-gap
     bound does not apply there and reads NaN.
     """
-    ks = np.asarray(ks, dtype=float)
-    if not inputs.schedule.is_geometric:
-        v = v_of_k(inputs, ks)
-        return {
-            "v_k_bound": v,
-            "subopt_upper_bound": primal_subopt_upper(inputs, ks),
-            "subopt_lower_bound": np.abs(_subopt_lower(inputs, v)),
-            "dual_gap_bound": dual_gap_bound(inputs, ks),
-        }
-    epochs = ks - 1.0
-    sub = b_k(inputs, epochs) / inputs.schedule.beta ** epochs
-    return {
-        "v_k_bound": infeasibility_bound_geometric(inputs, epochs),
-        "subopt_upper_bound": sub,
-        "subopt_lower_bound": sub,
-        "dual_gap_bound": np.full(ks.shape, np.nan),
-    }
+    return _evaluate(inputs, _as_k(ks, 1))[1]
 
 
 def bound_report(inputs, k_max=50):
@@ -279,12 +287,9 @@ def bound_report(inputs, k_max=50):
     Constant-penalty inputs report c_lambda, b_g, C1, C2 and u_const;
     geometric inputs report c_lambda_prime and b_0.
     """
-    if not inputs.schedule.is_geometric:
-        C1, C2 = _infeasibility_constants(inputs)
-        constants = {"c_lambda": c_lambda(inputs), "b_g": b_g(inputs),
-                     "C1": C1, "C2": C2, "u_const": u_const(inputs)}
-    else:
-        constants = {"c_lambda_prime": c_lambda_prime(inputs),
-                     "b_0": float(b_k(inputs, 0))}
-    ks = np.arange(1, k_max + 1, dtype=float)
-    return {"constants": constants, "curves": bound_curves(inputs, ks)}
+    constants, curves = _evaluate(inputs, np.arange(1, k_max + 1, dtype=float))
+    if inputs.schedule.is_geometric:
+        cp, lead = constants
+        constants = {"c_lambda_prime": cp,
+                     "b_0": float(_b_k(inputs, lead, np.asarray(0.0)))}
+    return {"constants": constants, "curves": curves}

@@ -32,7 +32,7 @@ from .reference import portfolio_reference
 __all__ = [
     "ExperimentConfig", "SampleData", "InstanceBundle", "TableRow",
     "band_covariance", "make_sectors", "generate_instance", "prepare_bundle",
-    "save_bundle", "portfolio_kappa", "bound_inputs_for_run",
+    "save_bundle", "bound_inputs_for_run",
     "bound_curves_for_trace", "dual_gap_estimates", "run_solve", "run_table",
     "write_table", "run_seq_vs_sim", "write_seqsim",
 ]
@@ -199,9 +199,6 @@ def _draw_instance(config):
     for attempt in range(_GENERATOR["max_attempts"]):
         seed = config.seed + attempt
         instance, scs, sample = _sample_instance(config, seed)
-        w = np.linalg.eigvalsh(sample.sigma_true)
-        if w.min() <= 1e-10:
-            raise RuntimeError("ground-truth covariance is not positive definite")
         uniform_load = instance.sector_matrix.sum(axis=1) / config.n
         if np.any(uniform_load >= instance.sector_limits):
             least_peak_load = min(least_peak_load, float(uniform_load.max()))
@@ -236,12 +233,13 @@ def generate_instance(config):
     """Draw a reproducible instance whose sector constraints bind.
 
     The ground-truth covariance is positive definite by construction
-    (checked), and uniform weights must be strictly feasible so first-order
-    runs can start there. Binding is verified at the learned covariance
-    limit: when the nominal cap 0.3 is slack there, the caps are lowered to
-    the midpoint between the uniform sector load and the peak sector
-    exposure of the cap-free optimum, which makes at least one cap active
-    while keeping the uniform start strictly feasible. Seeds whose cap-free
+    (checked by the Cholesky factorisation that samples from it), and
+    uniform weights must be strictly feasible so first-order runs can start
+    there. Binding is verified at the learned covariance limit: when the
+    nominal cap 0.3 is slack there, the caps are lowered to the midpoint
+    between the uniform sector load and the peak sector exposure of the
+    cap-free optimum, which makes at least one cap active while keeping the
+    uniform start strictly feasible. Seeds whose cap-free
     optimum is too spread out to leave room for that window (or whose
     optimal value is degenerate) are skipped deterministically, so a given
     configuration seed always yields the same instance.
@@ -256,7 +254,7 @@ class InstanceBundle:
     tau_hat is the certified rate of learner_errors, the one learned rate.
     problem() builds the portfolio problem on first use and hands that one
     problem to every run. The bundle takes ||A|| with one SVD: kappa is
-    portfolio_kappa of it, and its problems carry ||A||^2 with A's shape
+    ||A|| / psd_floor, and its problems carry ||A||^2 with A's shape
     and bytes (ParametricProblem._A_norm_sq), so no run takes it again.
     They share one memo of the curvature oracle: the pair of every finite
     theta factored is stored with theta's bytes, keyed on its dtype, shape
@@ -296,7 +294,14 @@ class InstanceBundle:
 
     @functools.cached_property
     def kappa(self):
-        """portfolio_kappa of the instance, from the bundle's one norm of A."""
+        """Certified sensitivity constant of the inner solution map in Sigma.
+
+        The inner problems are psd_floor-strongly convex for every revealed
+        covariance, so the solution map moves by at most D_x / psd_floor
+        times the Frobenius change of Sigma, and the constraint map is
+        theta-free: kappa = ||A|| * D_x / psd_floor, from the bundle's one
+        norm of A.
+        """
         return self._A_norm[1] * 1.0 / self.scs.psd_floor
 
     @functools.cached_property
@@ -331,17 +336,6 @@ class InstanceBundle:
 
         return replace(problem, smooth_curvature=smooth_curvature,
                        _A_norm_sq=(key_A, norm ** 2))
-
-
-def portfolio_kappa(instance, psd_floor):
-    """Certified sensitivity constant of the inner solution map in Sigma.
-
-    The inner problems are psd_floor-strongly convex for every revealed
-    covariance, so the solution map moves by at most D_x / psd_floor times
-    the Frobenius change of Sigma, and the constraint map is theta-free:
-    kappa = ||A|| * D_x / psd_floor.
-    """
-    return spectral_norm(instance.sector_matrix) * 1.0 / psd_floor
 
 
 def _certified_rate(errors):

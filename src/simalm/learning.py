@@ -146,7 +146,6 @@ class ScsState:
     Sigma: np.ndarray
     Phi: np.ndarray
     U: np.ndarray
-    k: int = 0
     primal_residual: float = np.inf
     dual_residual: float = np.inf
 
@@ -244,7 +243,6 @@ def scs_admm_step(problem, state):
         Sigma=Sigma,
         Phi=Phi,
         U=U,
-        k=state.k + 1,
         primal_residual=float(np.linalg.norm(Sigma - Phi, "fro")),
         dual_residual=float(mu * np.linalg.norm(Phi - state.Phi, "fro")),
     )

@@ -130,3 +130,18 @@ def small_portfolio():
 
 def random_simplex_point(gen, n):
     return gen.dirichlet(np.ones(n))
+
+
+def overlay_margin(trace, curves, f_star):
+    """Smallest ratio of a run's overlay curves to its trace, after asserting
+    infeasibility under v_k_bound and the relative suboptimality under the
+    upper bound above f*, the lower one below it."""
+    infeas = trace.column("infeas_at_theta_star")
+    signed = (trace.column("f_at_theta_star") - f_star) / abs(f_star)
+    subopt = np.where(signed >= 0.0, curves["subopt_upper_bound"],
+                      curves["subopt_lower_bound"])
+    assert np.all(infeas <= curves["v_k_bound"])
+    assert np.all(np.abs(signed) <= subopt)
+    with np.errstate(divide="ignore"):
+        return min(np.min(curves["v_k_bound"] / infeas),
+                   np.min(subopt / np.abs(signed)))

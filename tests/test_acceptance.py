@@ -36,6 +36,8 @@ from simalm.outer_alm import (ScheduleError, StopRule, alm_run,
                               make_constant_schedule, make_increasing_schedule)
 from simalm.reference import simplex_qp
 
+from conftest import overlay_margin
+
 ROOT = Path(__file__).resolve().parent.parent
 DESK = ExperimentConfig(n=100, s=10, seed=12, epsilon=(1e-1, 1e-2))
 
@@ -198,21 +200,6 @@ def test_criterion_5_misspecified_constant_penalty(desk_bundle, desk_problem):
 
 GRID = [(regime, spec, eps) for regime in ("constant", "increasing")
         for spec in ("known", "learned") for eps in (1e-1, 1e-2, 1e-3)]
-
-
-def overlay_margin(trace, curves, f_star):
-    """Smallest ratio of a run's overlay curves to its trace, after asserting
-    infeasibility under v_k_bound and the relative suboptimality under the
-    upper bound above f*, the lower one below it."""
-    infeas = trace.column("infeas_at_theta_star")
-    signed = (trace.column("f_at_theta_star") - f_star) / abs(f_star)
-    subopt = np.where(signed >= 0.0, curves["subopt_upper_bound"],
-                      curves["subopt_lower_bound"])
-    assert np.all(infeas <= curves["v_k_bound"])
-    assert np.all(np.abs(signed) <= subopt)
-    with np.errstate(divide="ignore"):
-        return min(np.min(curves["v_k_bound"] / infeas),
-                   np.min(subopt / np.abs(signed)))
 
 
 @pytest.mark.parametrize("apg_mode", ["budget", "certified"])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
-from simalm.bounds import (BoundInputs, b_g, b_k, bound_report, c_lambda,
-                           c_lambda_prime, dual_gap_bound,
+from simalm.bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
+                           c_lambda, c_lambda_prime, dual_gap_bound,
                            infeasibility_bound_geometric,
                            inverse_power_series, primal_subopt_lower,
                            primal_subopt_upper, u_const, v_of_k)
@@ -160,19 +161,66 @@ def test_geometric_infeasibility_bound_form():
     assert np.all(np.diff(vals) < 0)
 
 
-def test_bound_report_shapes_and_consistency():
-    report = bound_report(inputs(), k_max=12)
-    assert set(report["constants"]) == {"c_lambda", "b_g", "C1", "C2", "u_const"}
-    assert report["constants"]["c_lambda"] == c_lambda(inputs())
-    for name, curve in report["curves"].items():
-        assert curve.shape == (12,)
-    np.testing.assert_allclose(report["curves"]["v_k_bound"],
-                               v_of_k(inputs(), np.arange(1.0, 13.0)))
-    geo = bound_report(inputs(beta=1.05, tau=0.6), k_max=8)
-    assert set(geo["constants"]) == {"c_lambda_prime", "b_0"}
-    assert np.all(np.isnan(geo["curves"]["dual_gap_bound"]))
-    got = geo["curves"]["subopt_upper_bound"][3]
-    assert got == pytest.approx(b_k(inputs(beta=1.05, tau=0.6), 3) / 1.05 ** 3)
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def bound_inputs(draw):
+    """BoundInputs in either regime; L_h_theta and theta0_err are 0 or > 0."""
+    tau = draw(st.floats(0.01, 0.99), label="tau")
+    beta = 1.0
+    if draw(st.booleans(), label="geometric"):
+        beta = draw(st.floats(1.001, 0.999 / tau), label="beta")
+    schedule = Schedule(draw(st.floats(1e-2, 1e3), label="rho0"),
+                        draw(st.floats(1e-8, 1.0), label="alpha0"),
+                        draw(st.floats(0.05, 3.0), label="c"), beta, tau)
+    zero_or_positive = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    return BoundInputs(
+        schedule,
+        theta0_err=draw(zero_or_positive, label="theta0_err"),
+        lambda_star_norm=draw(st.floats(0.0, 10.0), label="lambda_star_norm"),
+        kappa=draw(st.floats(0.0, 100.0), label="kappa"),
+        L_f=draw(st.floats(0.0, 10.0), label="L_f"),
+        L_h_theta=draw(zero_or_positive, label="L_h_theta"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=bound_inputs(), k_max=st.integers(1, 40))
+def test_bound_report_shapes_and_consistency(i, k_max):
+    # every curve of bound_curves and bound_report, and every reported
+    # constant, has the bits of the public per-k or constant function
+    report = bound_report(i, k_max=k_max)
+    ks = np.arange(1.0, k_max + 1.0)
+    curves = report["curves"]
+    assert set(curves) == {"v_k_bound", "subopt_upper_bound",
+                           "subopt_lower_bound", "dual_gap_bound"}
+    for name, curve in bound_curves(i, ks).items():
+        assert same_bits(curves[name], curve), name
+    constants = report["constants"]
+    if not i.schedule.is_geometric:
+        assert set(constants) == {"c_lambda", "b_g", "C1", "C2", "u_const"}
+        assert same_bits(curves["v_k_bound"], v_of_k(i, ks))
+        assert same_bits(curves["subopt_upper_bound"], primal_subopt_upper(i, ks))
+        assert same_bits(curves["subopt_lower_bound"],
+                         np.abs(primal_subopt_lower(i, ks)))
+        assert same_bits(curves["dual_gap_bound"], dual_gap_bound(i, ks))
+        for name, constant in (("c_lambda", c_lambda), ("b_g", b_g),
+                               ("u_const", u_const)):
+            assert same_bits(constants[name], constant(i)), name
+        # V(1) = C1 / sqrt(1) + C2 / 1, both divisions exact
+        assert same_bits(constants["C1"] + constants["C2"], v_of_k(i, 1))
+    else:
+        assert set(constants) == {"c_lambda_prime", "b_0"}
+        epochs = ks - 1.0
+        assert same_bits(curves["v_k_bound"], infeasibility_bound_geometric(i, epochs))
+        sub = b_k(i, epochs) / i.schedule.beta ** epochs
+        assert same_bits(curves["subopt_upper_bound"], sub)
+        assert same_bits(curves["subopt_lower_bound"], sub)
+        assert np.all(np.isnan(curves["dual_gap_bound"]))
+        assert same_bits(constants["c_lambda_prime"], c_lambda_prime(i))
+        assert same_bits(constants["b_0"], b_k(i, 0))
 
 
 def test_validation():

@@ -11,8 +11,7 @@ from simalm import experiments, inner_apg
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace, bound_inputs_for_run,
-                                generate_instance, make_sectors,
-                                portfolio_kappa, prepare_bundle,
+                                generate_instance, make_sectors, prepare_bundle,
                                 run_seq_vs_sim, run_solve, run_table,
                                 write_seqsim, write_table, _certified_rate,
                                 _schedule)
@@ -453,10 +452,9 @@ def test_certified_rate_of_error_histories():
 
 
 def test_portfolio_kappa_formula(small_bundle):
-    inst = small_bundle.instance
-    got = portfolio_kappa(inst, small_bundle.scs.psd_floor)
-    assert got == pytest.approx(
-        spectral_norm(inst.sector_matrix) / small_bundle.scs.psd_floor)
+    # kappa = ||A|| D_x / psd_floor, with D_x = 1 on the simplex
+    assert small_bundle.kappa == (spectral_norm(small_bundle.instance.sector_matrix)
+                                  / small_bundle.scs.psd_floor)
 
 
 def test_kappa_is_computed_once_per_bundle(monkeypatch, small_config, small_bundle):
@@ -482,10 +480,9 @@ def test_kappa_is_computed_once_per_bundle(monkeypatch, small_config, small_bund
                                      specification=spec, regime=regime)
                 assert trace.converged, (spec, regime, eps)
     assert norms == [bundle.instance.sector_matrix.shape]
-    want = portfolio_kappa(bundle.instance, bundle.scs.psd_floor)
-    assert bundle.problem().constants.kappa == want
+    assert bundle.problem().constants.kappa == bundle.kappa
     assert bound_inputs_for_run(bundle, _schedule(small_config, bundle, 0.5),
-                                "learned").kappa == want
+                                "learned").kappa == bundle.kappa
 
 
 def test_run_table_rows_meet_targets(small_config, small_bundle):

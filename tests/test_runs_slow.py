@@ -8,6 +8,8 @@ import pytest
 
 from simalm.experiments import ExperimentConfig, prepare_bundle, run_solve
 
+from conftest import overlay_margin
+
 pytestmark = pytest.mark.slow
 
 TIMING_COLUMNS = ("cpu_learn_s", "cpu_opt_s")
@@ -19,11 +21,11 @@ def _csv_without_timing(path):
     return [[row[i] for i in keep] for row in rows]
 
 
-@pytest.mark.parametrize("n, s", [(50, 5), (200, 20)])
+@pytest.mark.parametrize("n, s", [(50, 5), (200, 20), (400, 40)])
 def test_grid_converges_and_repeats_its_traces(n, s, tmp_path):
-    # every run converges, and its trace CSV, timing columns aside, is the
-    # same from a cold bundle, from the same bundle warm, and from a bundle
-    # prepared again
+    # every run converges under its overlay curves, and its trace CSV,
+    # timing columns aside, is the same from a cold bundle, from the same
+    # bundle warm, and from a bundle prepared again
     config = ExperimentConfig(n=n, s=s, seed=12)
     first = prepare_bundle(config)
     bundles = {"cold": first, "warm": first, "again": prepare_bundle(config)}
@@ -34,6 +36,8 @@ def test_grid_converges_and_repeats_its_traces(n, s, tmp_path):
                 trace, curves = run_solve(config, 1e-3, bundle,
                                           specification=spec, regime=regime)
                 assert trace.converged, (regime, spec, tag)
+                assert overlay_margin(trace, curves,
+                                      bundle.reference.f_value) >= 1.0, (regime, spec, tag)
                 path = tmp_path / f"{regime}_{spec}_{tag}.csv"
                 trace.to_csv(path, bound_curves=curves)
                 rows[tag] = _csv_without_timing(path)
