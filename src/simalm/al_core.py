@@ -8,8 +8,11 @@ For penalty rho > 0 the augmented Lagrangian of the conic program is
 
 its gradient in lam is proj_{K*}(lam/rho + h) - lam/rho, and the multiplier
 update is lam <- proj_{K*}(lam + rho h(x; theta)), which keeps every iterate
-inside the dual cone. All functions are stateless.
+inside the dual cone. All functions are stateless, and each refuses a rho
+that is not finite and positive with ValueError.
 """
+
+import math
 
 import numpy as np
 
@@ -18,10 +21,14 @@ from .model import constraint_value, evaluate_f
 __all__ = ["eval_L", "grad_lambda_L", "dual_update"]
 
 
+def _check_rho(rho):
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("penalty rho must be finite and positive")
+
+
 def eval_L(problem, x, lam, rho, theta):
     """Value of the augmented Lagrangian at (x, lam)."""
-    if rho <= 0:
-        raise ValueError("penalty rho must be positive")
+    _check_rho(rho)
     lam = np.asarray(lam, dtype=float)
     h = constraint_value(problem, x, theta)
     d = problem.cone.dist_neg(h + lam / rho)
@@ -36,8 +43,7 @@ def grad_lambda_L(problem, x, lam, rho, theta):
     Equals proj_{K*}(lam/rho + h) - lam/rho, and by the Moreau decomposition
     also h - proj_{-K}(lam/rho + h).
     """
-    if rho <= 0:
-        raise ValueError("penalty rho must be positive")
+    _check_rho(rho)
     lam = np.asarray(lam, dtype=float)
     h = constraint_value(problem, x, theta)
     return problem.cone.project_dual(lam / rho + h) - lam / rho
@@ -49,6 +55,7 @@ def dual_update(problem, lam, rho, x, theta):
     The projected form is used directly (rather than lam + rho grad) so that
     floating-point drift can never push the multiplier out of the dual cone.
     """
+    _check_rho(rho)
     lam = np.asarray(lam, dtype=float)
     h = constraint_value(problem, x, theta)
     return problem.cone.project_dual(lam + rho * h)

@@ -84,10 +84,10 @@ class NonnegativeOrthant(Cone):
     project_dual = project
 
     def dist_neg(self, y):
-        """Distance from y to -K: the norm of y - min(y, 0), which is Cone's
-        y - proj_{-K}(y) up to the sign of zeros (NaN at y = -inf, too)."""
-        d = self._check(y)
-        d = d - np.minimum(d, 0.0)
+        """Distance from y to -K: the norm of max(y, 0), which is Cone's
+        y - proj_{-K}(y) up to the sign of zeros, except at y = -inf, where
+        that difference reads -inf - (-inf) = NaN and max(y, 0) reads 0."""
+        d = np.maximum(self._check(y), 0.0)
         return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +61,6 @@ _RATE_FLOOR = 1e-10  # relative learner errors _certified_rate leaves out
 # validated against it and its bound inputs use it
 _KNOWN_RATE = 0.5
 _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
-# Curvature pairs a bundle keeps, oldest evicted first; a learned grid or a
-# seqsim pass on an n = 100 instance factors 4-7 distinct thetas
-_CURVATURE_MEMO = 16
-# Entries of theta, evenly strided, in a memo key; the stored bytes decide
-_FINGERPRINT = 16
 
 
 @dataclass(frozen=True)
@@ -253,21 +248,11 @@ class InstanceBundle:
 
     tau_hat is the certified rate of learner_errors, the one learned rate.
     problem() builds the portfolio problem on first use and hands that one
-    problem to every run. The bundle takes ||A|| with one SVD: kappa is
-    ||A|| / psd_floor, and its problems carry ||A||^2 with A's shape
-    and bytes (ParametricProblem._A_norm_sq), so no run takes it again.
-    They share one memo of the curvature oracle: the pair of every finite
-    theta factored is stored with theta's bytes, keyed on its dtype, shape
-    and _FINGERPRINT evenly strided entries, and a lookup answers only when
-    the bytes match (a theta that shares the key but not the bytes is
-    factored and takes the key over). So the runs on one bundle factor each
-    theta once. The oracle is pure, so a memo hit returns the very pair a
-    factorisation would, and no run depends on the order of the others.
-    The memo holds at most _CURVATURE_MEMO pairs, evicting the oldest, and
-    fills lazily, as runs ask. It is safe to share across threads: each
-    lookup, store and removal is one dict operation on immutable entries,
-    so at worst two threads factor the same theta and store identical
-    pairs, or evict one pair more than the cap asks.
+    problem to every run, so its curvature oracle's memo
+    (model.portfolio_problem) makes the runs on one bundle factor each
+    theta once; a copy of the bundle builds its own. ||A||, behind kappa
+    and every solve's L, comes from linalg.spectral_norm, which answers an
+    unchanged A without another SVD.
     """
 
     config: ExperimentConfig
@@ -279,18 +264,10 @@ class InstanceBundle:
     reference: object
     binding: np.ndarray
     admm_sweeps: int
-    _curvatures: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     @property
     def theta0_err(self):
         return float(self.learner_errors[0])
-
-    @functools.cached_property
-    def _A_norm(self):
-        """((shape, bytes) of the sector matrix, its spectral norm): one SVD."""
-        A = self.instance.sector_matrix
-        return (A.shape, A.tobytes()), spectral_norm(A)
 
     @functools.cached_property
     def kappa(self):
@@ -299,43 +276,20 @@ class InstanceBundle:
         The inner problems are psd_floor-strongly convex for every revealed
         covariance, so the solution map moves by at most D_x / psd_floor
         times the Frobenius change of Sigma, and the constraint map is
-        theta-free: kappa = ||A|| * D_x / psd_floor, from the bundle's one
-        norm of A.
+        theta-free: kappa = ||A|| * D_x / psd_floor.
         """
-        return self._A_norm[1] * 1.0 / self.scs.psd_floor
+        return (spectral_norm(self.instance.sector_matrix) * 1.0
+                / self.scs.psd_floor)
 
     @functools.cached_property
     def _problem(self):
-        return self._build(self.kappa)
+        return portfolio_problem(self.instance, kappa=self.kappa)
 
     def problem(self, kappa=None):
         """The bundle's problem; with kappa, a new one that differs only there."""
-        return self._problem if kappa is None else self._build(kappa)
-
-    def _build(self, kappa):
-        problem = portfolio_problem(self.instance, kappa=kappa)
-        oracle, memo = problem.smooth_curvature, self._curvatures
-        key_A, norm = self._A_norm
-
-        def smooth_curvature(theta):
-            point = np.asarray(theta)
-            data = point.tobytes()
-            flat = point.reshape(-1)
-            key = (point.dtype.str, point.shape,
-                   flat[::max(1, flat.size // _FINGERPRINT)].tobytes())
-            entry = memo.get(key)
-            if entry is not None and entry[0] == data:
-                return entry[1]
-            pair = oracle(theta)
-            if np.isfinite(point).all():
-                memo.pop(key, None)  # a colliding theta's entry
-                memo[key] = (data, pair)
-                for stale in list(memo)[:-_CURVATURE_MEMO]:
-                    memo.pop(stale, None)
-            return pair
-
-        return replace(problem, smooth_curvature=smooth_curvature,
-                       _A_norm_sq=(key_A, norm ** 2))
+        if kappa is None:
+            return self._problem
+        return portfolio_problem(self.instance, kappa=kappa)
 
 
 def _certified_rate(errors):

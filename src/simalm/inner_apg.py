@@ -5,12 +5,11 @@ where nu_rho collects the smooth objective part and the quadratic cone
 penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
 and, the penalty being convex, the strong-convexity modulus mu of p(.;
 theta). One loop, fista (no restarts, no line search), runs every solve.
-Every solve asks a CurvatureAnchor for both constants: the curvature pair
-(L_p, mu) from problem.smooth_curvature, and ||A(theta)||^2. A run's
-anchor keeps the last theta it factored with its pair and the norm of the
-last A; any other solve starts a fresh one. A problem built by
-experiments.InstanceBundle carries the bundle's ||A||^2, which every anchor
-reads while A is the one it was taken of.
+Every solve takes ||A(theta)|| from linalg.spectral_norm, which answers a
+matrix equal to the last one it normed without an SVD, and asks a
+CurvatureAnchor for the curvature pair (L_p, mu): a run's anchor may carry
+the pair of the last theta it factored (below), any other solve starts a
+fresh one, which asks problem.smooth_curvature.
 
 A solve runs the shorter of two a-priori budgets for an alpha-accurate
 value, FISTA's on a tie: FISTA's, with its momentum,
@@ -51,13 +50,11 @@ two, factoring could not shorten the solve, and it runs the carried pair.
 Otherwise, or when 2 d > L_a - mu_a (no one pair is the most optimistic),
 it factors theta and the anchor moves there. The anchor is the run's, not
 the pure problem's, so runs sharing a problem do not depend on each other's
-order. A fresh anchor has nothing to carry, so lipschitz_nu,
-iteration_budget and solves without an anchor, each starting one, ask the
-oracle for theta's own pair and compute ||A(theta)||^2 on every call, but
-for a bundle's problem, whose ||A||^2 the bundle took once.
-"Factored" (the DEBUG line's curvature=factored) means the anchor asked the
-oracle; a problem built by experiments.InstanceBundle answers from the
-bundle's memo a theta that one of its runs already factored.
+order. A fresh anchor has nothing to carry, so solves without an anchor,
+each starting one, ask the oracle for theta's own pair, as lipschitz_nu and
+iteration_budget do. "Factored" (the DEBUG line's curvature=factored) means
+the anchor asked the oracle; the portfolio's oracle answers from its memo a
+theta that a run on the same problem already factored.
 
 apg_solve runs the budget to its end. With certify=True (the
 sequential-vs-simultaneous comparison), and in certified_solve (used by
@@ -75,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .al_core import eval_L
+from .al_core import _check_rho, eval_L
 from .linalg import spectral_norm
 from .model import NonFiniteError
 
@@ -108,21 +105,16 @@ class ApgConfig:
 
 
 class CurvatureAnchor:
-    """The source of a solve's curvature constants: the last theta it
-    factored with its pair (L_a, mu_a), and ||A||^2.
+    """A run's Weyl carry: the last theta it factored with its pair (L_a, mu_a).
 
     alm_run keeps one per run and hands it to every inner solve, which
     carries the pair to a new theta or factors theta and moves the anchor
     there (module docstring). One run, one anchor: it is not shared.
-    ||A||^2 lives with the problem when an experiments.InstanceBundle built
-    it (the bundle takes it once, shared by all its runs), else with the
-    anchor, keyed on the shape and bytes of the last A it took the norm of.
     """
 
     def __init__(self):
         self._theta = None
         self._pair = None
-        self._A_norm_sq = None
 
     def curvature(self, problem, theta, budgets=None):
         """(L_p, mu, d) at theta.
@@ -158,35 +150,17 @@ class CurvatureAnchor:
         self._pair = (float(L_p), float(mu))
         return (*self._pair, None)
 
-    def norm_sq(self, problem, theta):
-        """||A||^2 of A = problem.constraint_matrix(theta).
-
-        Read from the problem's _A_norm_sq (a bundle's problem) or else the
-        anchor's own record when A has the shape and bytes that norm was
-        taken of; otherwise taken with one SVD and recorded. The record
-        keys on bytes, so mutating the caller's array cannot match it.
-        """
-        A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-        key = (A.shape, A.tobytes())
-        for known in (problem._A_norm_sq, self._A_norm_sq):
-            if known is not None and known[0] == key:
-                return known[1]
-        self._A_norm_sq = (key, spectral_norm(A) ** 2)
-        return self._A_norm_sq[1]
-
 
 def lipschitz_nu(problem, rho, theta):
     """Gradient Lipschitz constant of the smooth subproblem part.
 
-    L_p(theta) + rho * ||A(theta)||^2 from a fresh CurvatureAnchor, so
-    theta's own pair; monotone increasing in rho. Each call factors theta
-    and takes the norm of A, unless the problem's bundle holds them.
+    L_p(theta) + rho * ||A(theta)||^2 with theta's own L_p from
+    problem.smooth_curvature; monotone increasing in rho.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError("penalty rho must be finite and nonnegative")
-    anchor = CurvatureAnchor()
-    L_p = anchor.curvature(problem, theta)[0]
-    return L_p + rho * anchor.norm_sq(problem, theta)
+    L_p = float(problem.smooth_curvature(theta)[0])
+    return L_p + rho * spectral_norm(problem.constraint_matrix(theta)) ** 2
 
 
 def _bound_gradient(problem, lam, rho, theta):
@@ -194,8 +168,7 @@ def _bound_gradient(problem, lam, rho, theta):
 
     Refuses a rho that is not finite and positive before any oracle call.
     """
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError("penalty rho must be finite and positive")
+    _check_rho(rho)
     A = np.asarray(problem.constraint_matrix(theta), dtype=float)
     b = np.asarray(problem.constraint_offset(theta), dtype=float)
     if A.ndim != 2 or b.shape != A.shape[:1]:
@@ -321,7 +294,7 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     grad = _bound_gradient(problem, lam, rho, theta)
     if anchor is None:
         anchor = CurvatureAnchor()
-    A_sq = anchor.norm_sq(problem, theta)
+    A_sq = spectral_norm(problem.constraint_matrix(theta)) ** 2
     D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""
@@ -377,9 +350,8 @@ def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None,
     """Run the budget for config.alpha from the warm start x_init in X.
 
     anchor, the run's CurvatureAnchor, lets the solve carry the curvature
-    pair from the last theta the run factored and reuse ||A||^2 of an
-    unchanged A; without one the solve starts a fresh anchor, so it
-    computes both. certify=True adds certified_solve's early exit at the
+    pair from the last theta the run factored; without one the solve
+    starts a fresh anchor, which asks the oracle. certify=True adds certified_solve's early exit at the
     first step whose certificate is at most config.alpha, with its
     requirements, and returns the same x and steps. Returns (x, steps).
     Logs L, mu, the gap at x_init, whether the curvature was factored or

@@ -10,7 +10,7 @@ threads.
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +33,11 @@ _MEMBERSHIP_TOL = 1e-9  # slack of the portfolio's simplex-membership check
 # eigvalsh's extreme eigenvalue can sit up to ~24 ulps inside the exact one
 # (measured for n = 2..100), more than n ulps when n is small
 _MIN_MARGIN_ULPS = 32
+# Curvature pairs a portfolio problem keeps, oldest evicted first; a learned
+# grid or a seqsim pass on an n = 100 instance factors 4-7 distinct thetas
+_CURVATURE_MEMO = 16
+# Entries of theta, evenly strided, in a memo key; the stored bytes decide
+_FINGERPRINT = 16
 
 
 class NonFiniteError(RuntimeError):
@@ -110,14 +115,9 @@ class ParametricProblem:
                                    composes the oracles above (inner_apg)
 
     Every oracle must be pure: the same arguments give the same result, bit
-    for bit. The problem keeps no state: a run's CurvatureAnchor
-    (inner_apg) holds the constants its inner solves computed. An oracle
-    may memoize its results, as the curvature oracle of a problem that
-    experiments.InstanceBundle builds does, since that keeps it pure. Such
-    a problem also carries, in the private field _A_norm_sq, the bundle's
-    ||A||^2 with the shape and bytes of the A it was taken of; a
-    CurvatureAnchor uses it while constraint_matrix(theta) returns that
-    very A, bit for bit, and takes the norm itself otherwise.
+    for bit. An oracle may memoize its results, as the portfolio's
+    curvature oracle does, since that keeps it pure; the carry from one
+    theta to the next is a run's own state (inner_apg.CurvatureAnchor).
 
     forward_backward restates smooth_grad, prox_step, cone and the
     constraint oracles in one kernel, so a dataclasses.replace of any of
@@ -138,7 +138,6 @@ class ParametricProblem:
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
     forward_backward: Optional[Callable] = None
-    _A_norm_sq: Optional[tuple] = field(default=None, repr=False)
 
 
 def evaluate_f(problem, x, theta):
@@ -272,18 +271,39 @@ class PortfolioInstance:
         return text
 
 
+def _curvature_pair(theta):
+    """(L_p, mu) of the portfolio objective at theta, from one spectrum.
+
+    np.linalg.eigvalsh of the symmetric theta, widened by the rounding
+    margin max(n, 32) * eps * max |eigenvalue|: L_p is max |eigenvalue| (the
+    spectral norm) plus the margin, and mu is the smallest eigenvalue less
+    the margin, floored at 0. So L_p bounds the curvature from above and mu
+    from below, also for an indefinite theta.
+    """
+    eig = np.linalg.eigvalsh(theta)
+    top = float(max(-eig[0], eig[-1]))
+    margin = max(eig.size, _MIN_MARGIN_ULPS) * np.finfo(float).eps * top
+    return top + margin, max(0.0, float(eig[0]) - margin)
+
+
 def portfolio_problem(instance, kappa=1.0):
     """Build the ParametricProblem for a portfolio instance.
 
     theta is the covariance matrix. The smooth part is the full objective
     (q == 0), the prox oracle is the simplex projection, and the constraint
     cone is the nonnegative orthant: h(x) = A x - b must be <= 0. The
-    curvature oracle smooth_curvature(theta) takes one spectrum of the
-    symmetric theta from np.linalg.eigvalsh and widens it by the rounding
-    margin max(n, 32) * eps * max |eigenvalue|: L_p is max |eigenvalue|
-    (the spectral norm) plus the margin, and mu is the smallest eigenvalue
-    less the margin, floored at 0. So L_p bounds the curvature from above
-    and mu from below, also for an indefinite theta.
+    curvature oracle smooth_curvature(theta) is _curvature_pair behind a
+    memo of the problem's own: the pair of every finite theta factored is
+    stored with theta's bytes, keyed on its dtype, shape and _FINGERPRINT
+    evenly strided entries, and a lookup answers only when the bytes match
+    (a theta that shares the key but not the bytes is factored and takes
+    the key over). So the runs sharing one problem factor each theta once,
+    and a hit returns the very pair a factorisation would, whatever the
+    order of the runs. The memo holds at most _CURVATURE_MEMO pairs,
+    evicting the oldest. It is safe to share across threads: each lookup,
+    store and removal is one dict operation on immutable entries, so at
+    worst two threads factor the same theta and store identical pairs, or
+    evict one pair more than the cap asks.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, L_h_theta = 0 because
@@ -355,11 +375,24 @@ def portfolio_problem(instance, kappa=1.0):
         out[g.argmin()] = 1.0
         return out
 
+    memo = {}
+
     def smooth_curvature(theta):
-        eig = np.linalg.eigvalsh(theta)
-        top = float(max(-eig[0], eig[-1]))
-        margin = max(eig.size, _MIN_MARGIN_ULPS) * np.finfo(float).eps * top
-        return top + margin, max(0.0, float(eig[0]) - margin)
+        point = np.asarray(theta)
+        data = point.tobytes()
+        flat = point.reshape(-1)
+        key = (point.dtype.str, point.shape,
+               flat[::max(1, flat.size // _FINGERPRINT)].tobytes())
+        entry = memo.get(key)
+        if entry is not None and entry[0] == data:
+            return entry[1]
+        pair = _curvature_pair(theta)
+        if np.isfinite(point).all():
+            memo.pop(key, None)  # a colliding theta's entry
+            memo[key] = (data, pair)
+            for stale in list(memo)[:-_CURVATURE_MEMO]:
+                memo.pop(stale, None)
+        return pair
 
     constants = ProblemConstants(
         L_h_theta=0.0,

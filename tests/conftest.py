@@ -38,6 +38,31 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def count_factorisations(monkeypatch):
+    """(kind, matrix shape) of every dense factorisation behind L and mu from
+    now on: "eigvalsh" for np.linalg.eigvalsh (the portfolio's curvature
+    pair) and "svd" for each SVD spectral_norm takes. spectral_norm's memo
+    is emptied first, so each "svd" is one of its misses."""
+    from simalm import linalg
+
+    monkeypatch.setattr(linalg, "_last_norm", None)
+    calls = []
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+
+    def counting_eigvalsh(M):
+        calls.append(("eigvalsh", np.shape(M)))
+        return eigvalsh(M)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(("svd", np.shape(x)))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return calls
+
+
 def make_toy_problem(n=3, m=2, seed=0):
     """Tiny QP over the simplex whose constraint map depends on theta.
 

@@ -6,6 +6,7 @@ once per session; each criterion times its own workload against the stated
 runtime cap.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -36,7 +37,7 @@ from simalm.outer_alm import (ScheduleError, StopRule, alm_run,
                               make_constant_schedule, make_increasing_schedule)
 from simalm.reference import simplex_qp
 
-from conftest import overlay_margin
+from conftest import count_factorisations, overlay_margin
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK = ExperimentConfig(n=100, s=10, seed=12, epsilon=(1e-1, 1e-2))
@@ -286,6 +287,36 @@ def test_desk_counts_of_one_benchmark_round(desk_bundle):
     totals["seqsim"] = inner, outer
     assert totals == {"known": (2180, 13), "learned": (285, 30),
                       "seqsim": (2855, 250)}
+
+
+def test_desk_factorisations_of_one_benchmark_round(monkeypatch, desk_bundle):
+    # the same workloads, each twice on its own copy of the desk bundle: a
+    # cold pass factors 1 / 4 / 7 thetas (known / learned / seqsim) and the
+    # second none, since the runs share the copy's one problem and its
+    # curvature memo; A takes at most one SVD per copy
+    def grid(spec):
+        def run(bundle):
+            for regime in ("constant", "increasing"):
+                for eps in (1e-1, 1e-2, 1e-3):
+                    run_solve(DESK, eps, bundle, specification=spec, regime=regime)
+        return run
+
+    workloads = {"known": grid("known"), "learned": grid("learned"),
+                 "seqsim": lambda bundle: run_seq_vs_sim(DESK, bundle)}
+    calls = count_factorisations(monkeypatch)
+    spectrum = ("eigvalsh", desk_bundle.sigma_star.shape)
+    norm = ("svd", desk_bundle.instance.sector_matrix.shape)
+    counts = {}
+    for name, run in workloads.items():
+        bundle = dataclasses.replace(desk_bundle)
+        counts[name], svds = [], 0
+        for _ in range(2):
+            calls.clear()
+            run(bundle)
+            counts[name].append(calls.count(spectrum))
+            svds += calls.count(norm)
+        assert svds <= 1, name
+    assert counts == {"known": [1, 0], "learned": [4, 0], "seqsim": [7, 0]}
 
 
 def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -183,3 +184,15 @@ def test_rejects_nonpositive_rho(rng, toy_problem):
         eval_L(toy_problem, x, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
         grad_lambda_L(toy_problem, x, np.zeros(2), -1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rejects_a_rho_that_is_not_finite_and_positive(toy_problem, rho):
+    # a NaN or infinite rho would give NaN values, and a negative one a
+    # descent step on the multiplier
+    x, lam, theta = np.full(3, 1 / 3), np.ones(2), np.zeros(2)
+    for value in (lambda: eval_L(toy_problem, x, lam, rho, theta),
+                  lambda: grad_lambda_L(toy_problem, x, lam, rho, theta),
+                  lambda: dual_update(toy_problem, lam, rho, x, theta)):
+        with pytest.raises(ValueError, match="^penalty rho must be finite and positive$"):
+            value()

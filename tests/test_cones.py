@@ -37,21 +37,27 @@ def test_orthant_projection_clamps():
                   elements=st.floats(allow_nan=False) | st.sampled_from(
                       [0.0, -0.0, np.inf, -np.inf, 5e-324, -1.7976931348623157e308])))
 def test_orthant_distance_is_the_generic_one_bit_for_bit(y):
-    # the orthant's closed form y - min(y, 0) against Cone's y - proj_{-K}(y)
-    # over leading axes, signed zeros and infinities (NaN at y = -inf on
-    # both; entries that overflow when squared warn on both)
+    # the orthant's closed form max(y, 0) against Cone's y - proj_{-K}(y)
+    # over leading axes, signed zeros and infinities (entries that overflow
+    # when squared warn on both). At y = -inf the generic difference reads
+    # -inf - (-inf) = NaN; the closed form reads 0 there, as the generic
+    # does at any finite negative entry
     cone = NonnegativeOrthant(y.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, want = cone.dist_neg(y), Cone.dist_neg(cone, y)
+    with np.errstate(over="ignore"):
+        got = cone.dist_neg(y)
+        want = Cone.dist_neg(cone, np.where(y == -np.inf, -1.0, y))
     assert np.shape(got) == np.shape(want) == y.shape[:-1]
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert NonnegativeOrthant(4).dist_neg([-np.inf, 1.0, 2.0, 0.0]) == np.sqrt(5.0)
 
 
 def test_orthant_distance_propagates_nan_like_the_generic_one():
     cone = NonnegativeOrthant(3)
     y = np.array([[np.nan, 1.0, -2.0], [3.0, -np.inf, 4.0], [-1.0, 0.0, -0.0]])
+    got = cone.dist_neg(y)
+    np.testing.assert_array_equal(got, [np.nan, 5.0, 0.0])
     with np.errstate(invalid="ignore"):
-        np.testing.assert_array_equal(cone.dist_neg(y), Cone.dist_neg(cone, y))
+        np.testing.assert_array_equal(got[[0, 2]], Cone.dist_neg(cone, y[[0, 2]]))
     assert cone.dist_neg([3.0, -1.0, 4.0]) == 5.0
 
 

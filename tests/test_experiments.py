@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from simalm import experiments, inner_apg
+from simalm import experiments, inner_apg, model
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace, bound_inputs_for_run,
@@ -17,9 +17,10 @@ from simalm.experiments import (ExperimentConfig, band_covariance,
                                 _schedule)
 from simalm.learning import AdmmScsLearner
 from simalm.linalg import spectral_norm
-from simalm.model import NonFiniteError, portfolio_problem
+from simalm.model import NonFiniteError, _curvature_pair, portfolio_problem
 from simalm.outer_alm import (AlmRecord, AlmTrace, Schedule, ScheduleError,
                               StopRule, TRACE_COLUMNS, BOUND_COLUMNS, alm_run)
+from conftest import count_factorisations
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +217,9 @@ def test_bundle_runs_factor_each_theta_once_bit_for_bit(monkeypatch, tmp_path,
 
     # the same runs on the problem without the memo
     def plain(self, kappa=None):
-        return portfolio_problem(self.instance,
-                                 kappa=self.kappa if kappa is None else kappa)
+        problem = portfolio_problem(self.instance,
+                                    kappa=self.kappa if kappa is None else kappa)
+        return dataclasses.replace(problem, smooth_curvature=_curvature_pair)
 
     monkeypatch.setattr(experiments.InstanceBundle, "problem", plain)
     assert_equal(cold, outputs("plain"))
@@ -228,7 +230,7 @@ def test_bundle_runs_factor_each_theta_once_bit_for_bit(monkeypatch, tmp_path,
 def test_curvature_memo_skips_non_finite_thetas(monkeypatch, small_config):
     bundle = prepare_bundle(small_config)
     problem = bundle.problem()
-    raw = portfolio_problem(bundle.instance).smooth_curvature
+    raw = _curvature_pair
 
     def answer(oracle, theta):
         # the pair, or the error of a LAPACK build that refuses theta
@@ -266,7 +268,7 @@ def test_curvature_memo_skips_non_finite_thetas(monkeypatch, small_config):
 def test_curvature_memo_evicts_the_oldest_and_is_per_bundle(monkeypatch,
                                                             small_config):
     bundle = prepare_bundle(small_config)
-    monkeypatch.setattr(experiments, "_CURVATURE_MEMO", 2)
+    monkeypatch.setattr(model, "_CURVATURE_MEMO", 2)
     record = bundle.scs.record.sigmas
     assert not record[0].flags.writeable
     pairs = [bundle.problem().smooth_curvature(theta) for theta in record[:3]]
@@ -291,10 +293,10 @@ def test_curvature_memo_is_consistent_across_threads(monkeypatch, small_config):
     # threads sharing a bundle's problem, evicting all the time, never read
     # one theta's pair for another and never fail
     bundle = prepare_bundle(small_config)
-    monkeypatch.setattr(experiments, "_CURVATURE_MEMO", 2)
+    monkeypatch.setattr(model, "_CURVATURE_MEMO", 2)
     problem = bundle.problem()
     thetas = bundle.scs.record.sigmas[:4]
-    raw = portfolio_problem(bundle.instance).smooth_curvature
+    raw = _curvature_pair
     want = [raw(theta) for theta in thetas]
     wrong = []
 
@@ -325,11 +327,11 @@ def test_curvature_memo_keeps_colliding_thetas_apart(monkeypatch, small_config):
     # two thetas that agree on every fingerprinted entry share a memo key;
     # each still gets its own exact pair, the one stored bytes decide
     bundle = prepare_bundle(small_config)
-    raw = portfolio_problem(bundle.instance).smooth_curvature
+    raw = _curvature_pair
     problem = bundle.problem()
     theta = bundle.sigma_star.copy()
     n = theta.shape[0]
-    stride = max(1, theta.size // experiments._FINGERPRINT)
+    stride = max(1, theta.size // model._FINGERPRINT)
     assert 1 % stride and n % stride  # flat entries 1 and n: (0, 1), (1, 0)
     other = theta.copy()
     other[0, 1] = other[1, 0] = theta[0, 1] + 0.5
@@ -351,7 +353,7 @@ def test_curvature_memo_holds_the_newest_finite_thetas(monkeypatch, small_config
     problem = bundle.problem()
     thetas = [bundle.sigma_star * (1.0 + 0.01 * j) for j in range(20)]
     pairs = [problem.smooth_curvature(theta) for theta in thetas]
-    assert experiments._CURVATURE_MEMO == 16
+    assert model._CURVATURE_MEMO == 16
     seen = _count_spectra(monkeypatch)
     for bad in (np.nan, np.inf):
         theta = thetas[-1].copy()
@@ -369,40 +371,42 @@ def test_curvature_memo_holds_the_newest_finite_thetas(monkeypatch, small_config
 
 
 def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
-    # a bundle's problem reads ||A||^2 from the bundle while A is the one
-    # it was taken of, bit for bit what an SVD gives; a replaced or mutated
-    # A is normed again, as on a problem without a bundle
+    # a bundle's problem reads ||A|| from spectral_norm's memo while A is
+    # bit-equal to the matrix it last normed, bit for bit what an SVD gives;
+    # a replaced or mutated A takes an SVD again, as on a problem without a
+    # bundle
     from simalm.inner_apg import lipschitz_nu
-
-    norms = []
-
-    def counting_norm(M):
-        norms.append(np.asarray(M).copy())
-        return spectral_norm(M)
 
     bundle = prepare_bundle(small_config)
     problem = bundle.problem()
     A = bundle.instance.sector_matrix
     theta = bundle.sigma_star
-    monkeypatch.setattr(inner_apg, "spectral_norm", counting_norm)
-    plain = lipschitz_nu(portfolio_problem(bundle.instance), 2.0, theta)
-    assert len(norms) == 1
-    assert lipschitz_nu(problem, 2.0, theta) == plain
-    assert len(norms) == 1
+    L_p = problem.smooth_curvature(theta)[0]
+    mutated = A.copy()
+    mutated[0, 0] = 1.0 - mutated[0, 0]
+    want = [L_p + 2.0 * float(np.linalg.norm(M, 2)) ** 2
+            for M in (A, 2.0 * A, mutated)]
+    calls = count_factorisations(monkeypatch)
+
+    def svds():
+        return [shape for kind, shape in calls if kind == "svd"]
+
+    assert lipschitz_nu(portfolio_problem(bundle.instance), 2.0, theta) == want[0]
+    assert svds() == [A.shape]
+    assert lipschitz_nu(problem, 2.0, theta) == want[0]
+    assert svds() == [A.shape]
     doubled = dataclasses.replace(problem, constraint_matrix=lambda th: 2.0 * A,
                                   forward_backward=None)
-    L_p = problem.smooth_curvature(theta)[0]
-    assert lipschitz_nu(doubled, 2.0, theta) == L_p + 2.0 * spectral_norm(2.0 * A) ** 2
-    assert len(norms) == 2
+    assert lipschitz_nu(doubled, 2.0, theta) == want[1]
+    assert len(svds()) == 2
     A[0, 0] = 1.0 - A[0, 0]
     try:
-        assert lipschitz_nu(problem, 2.0, theta) == \
-            L_p + 2.0 * spectral_norm(A) ** 2
-        np.testing.assert_array_equal(norms[-1], A)
+        assert lipschitz_nu(problem, 2.0, theta) == want[2]
+        assert len(svds()) == 3
     finally:
         A[0, 0] = 1.0 - A[0, 0]
-    assert lipschitz_nu(problem, 2.0, theta) == plain
-    assert len(norms) == 3
+    assert lipschitz_nu(problem, 2.0, theta) == want[0]
+    assert len(svds()) == 4
 
 
 def test_learner_error_alignment(small_bundle):
@@ -459,19 +463,9 @@ def test_portfolio_kappa_formula(small_bundle):
 
 def test_kappa_is_computed_once_per_bundle(monkeypatch, small_config, small_bundle):
     # each run reads the bundle's one problem for its solve and for its
-    # overlays; across both grids the bundle takes one SVD of A, counted at
-    # every module name that binds spectral_norm, behind kappa and every
-    # solve's ||A||^2
-    from simalm import model
-
-    norms = []
-
-    def counting_norm(M):
-        norms.append(np.shape(M))
-        return spectral_norm(M)
-
-    for module in (experiments, inner_apg, model):
-        monkeypatch.setattr(module, "spectral_norm", counting_norm)
+    # overlays; across both grids, from an empty spectral_norm memo, one
+    # SVD of A is taken, behind kappa and every solve's ||A||^2
+    calls = count_factorisations(monkeypatch)
     bundle = dataclasses.replace(small_bundle)
     for spec in ("known", "learned"):
         for regime in ("constant", "increasing"):
@@ -479,7 +473,8 @@ def test_kappa_is_computed_once_per_bundle(monkeypatch, small_config, small_bund
                 trace, _ = run_solve(small_config, eps, bundle,
                                      specification=spec, regime=regime)
                 assert trace.converged, (spec, regime, eps)
-    assert norms == [bundle.instance.sector_matrix.shape]
+    assert [shape for kind, shape in calls if kind == "svd"] == \
+        [bundle.instance.sector_matrix.shape]
     assert bundle.problem().constants.kappa == bundle.kappa
     assert bound_inputs_for_run(bundle, _schedule(small_config, bundle, 0.5),
                                 "learned").kappa == bundle.kappa
@@ -664,10 +659,10 @@ def test_seq_vs_sim_shape(small_config, small_bundle):
 
 
 def test_seq_vs_sim_csv_does_not_depend_on_the_budget_order(tmp_path, small_config):
-    # each run keeps its curvature and ||A||^2 on its own anchor, and the
-    # bundle's curvature memo answers as the pure oracle does, so the order
-    # of the runs, and of the memo's fill, cannot change a byte of the CSV;
-    # a fresh bundle, so the first order runs on a cold memo
+    # each run keeps its curvature carry on its own anchor, and the memos
+    # of the curvature pair and of ||A|| answer as the pure oracles do, so
+    # the order of the runs, and of the memos' fill, cannot change a byte
+    # of the CSV; a fresh bundle, so the first order runs on a cold memo
     small_bundle = prepare_bundle(small_config)
     written = []
     for budgets in ((0, 2, 4, 6), (6, 2, 0, 4)):

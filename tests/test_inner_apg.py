@@ -17,11 +17,12 @@ from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               fista, grad_nu, iteration_budget, lipschitz_nu)
 from simalm.linalg import spectral_norm, symmetrize
 from simalm.learning import FrozenLearner, SyntheticLearner
-from simalm.model import (NonFiniteError, constraint_value, project_simplex,
-                          simplex_prox)
+from simalm.model import (NonFiniteError, constraint_value, portfolio_problem,
+                          project_simplex, simplex_prox)
 from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
-from conftest import make_small_portfolio, make_toy_problem, random_simplex_point
+from conftest import (count_factorisations, make_small_portfolio,
+                      make_toy_problem, random_simplex_point)
 
 
 def test_momentum_recurrence_values():
@@ -141,39 +142,27 @@ def test_portfolio_curvature_is_spectral(rng):
 @pytest.fixture
 def decompositions(monkeypatch):
     # the dense factorisations behind L and mu, as (kind, matrix shape):
-    # np.linalg.eigvalsh (the portfolio's curvature oracle) and the spectral
-    # norms (SVDs), counted at both module names that bind spectral_norm
-    from simalm import inner_apg, model
-
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting_eigvalsh(M):
-        calls.append(("eigvalsh", np.shape(M)))
-        return eigvalsh(M)
-
-    def counting_norm(M):
-        calls.append(("svd", np.shape(M)))
-        return spectral_norm(M)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(inner_apg, "spectral_norm", counting_norm)
-    monkeypatch.setattr(model, "spectral_norm", counting_norm)
-    return calls
+    # np.linalg.eigvalsh (the portfolio's curvature oracle) and the SVDs
+    # spectral_norm takes, the misses of its memo, which starts empty
+    return count_factorisations(monkeypatch)
 
 
 def _portfolio_lipschitz(theta, A, rho):
-    # max |eigenvalue| widened by the max(n, 32) eps rounding margin, plus rho ||A||^2
+    # max |eigenvalue| widened by the max(n, 32) eps rounding margin, plus
+    # rho ||A||^2, each from its own factorisation
     eig = np.linalg.eigvalsh(theta)
     top = max(-eig[0], eig[-1])
     margin = max(eig.size, 32) * np.finfo(float).eps * top
-    return top + margin + rho * spectral_norm(A) ** 2
+    return top + margin + rho * float(np.linalg.norm(A, 2)) ** 2
 
 
 def test_lipschitz_norms_computed_once_per_theta(decompositions):
-    # lipschitz_nu and iteration_budget hold no cache: each call takes one
-    # spectrum of theta and one norm of A. A run's anchor holds both, so a
-    # run on a frozen estimate takes each once
+    # lipschitz_nu and iteration_budget hold no cache of their own, but the
+    # portfolio's curvature oracle keeps the pair of each theta it factored
+    # and spectral_norm the norm of the last matrix: on one problem a theta
+    # is factored once, copies of it included, and A normed once. A new
+    # problem factors theta again; a run on a frozen estimate takes each
+    # once
     instance, problem = make_small_portfolio()
     A = problem.constraint_matrix(instance.sigma)  # the instance's own array
     theta = instance.sigma.copy()
@@ -184,7 +173,11 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     assert decompositions == [spectrum, norm]
     assert lipschitz_nu(problem, 2.0, theta.copy()) == fresh
     assert iteration_budget(problem, 2.0, theta, 1e-3) > 0
-    assert decompositions == 3 * [spectrum, norm]
+    assert decompositions == [spectrum, norm]
+    assert lipschitz_nu(portfolio_problem(instance), 2.0, theta) == fresh
+    assert decompositions == [spectrum, norm, spectrum]
+    assert spectral_norm(np.eye(2)) == 1.0  # evicts A from spectral_norm's memo
+    problem = portfolio_problem(instance)
     decompositions.clear()
     schedule = make_constant_schedule(1e-2, 2.0, learner_known=True)
     lam, x0 = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
@@ -192,11 +185,12 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
                     theta_star=instance.sigma, stop=StopRule(max_outer=4))
     assert len(trace) == 4
     assert sorted(decompositions) == sorted([spectrum, norm])
-    # the anchor keys both on private copies: after the caller mutates theta
-    # or A in place, a solve on the anchor recomputes what moved and runs
-    # bit for bit as a solve without an anchor
+    # the anchor keeps a private copy of theta, and both memos compare
+    # bytes: after the caller mutates theta or A in place, a solve on the
+    # anchor recomputes what moved and runs bit for bit as a solve without
+    # an anchor
     anchor, config = CurvatureAnchor(), ApgConfig(alpha=1e-3)
-    for mutate, taken in ((lambda: None, [norm, spectrum]),
+    for mutate, taken in ((lambda: None, []),
                           (lambda: theta.__imul__(2.0), [spectrum]),
                           (lambda: A.__setitem__((0, 0), 1.0 - A[0, 0]), [norm])):
         mutate()
@@ -214,8 +208,10 @@ def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
     # L_curv_theta every distinct theta is factored; with the portfolio's
     # 1.0 fewer are. A carried solve runs as many steps as the same solve
     # on theta's own constants, so no budget solve runs more steps than
-    # iteration_budget computed from them
-    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    # iteration_budget computed from them. Each run has a problem of its
+    # own, so its curvature memo starts empty; A is normed once, by the
+    # first run, and the second reads spectral_norm's memo
+    instance, _ = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     schedule = make_constant_schedule(1e-2, 1.0, learner_known=False)
     solves = []
 
@@ -226,8 +222,9 @@ def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
         return x, steps
 
     monkeypatch.setattr(outer_alm, "apg_solve", recording)
-    spectra = {}
+    spectra, svds = {}, {}
     for lipschitz in (None, 1.0):
+        problem = portfolio_problem(instance)
         run_problem = dataclasses.replace(
             problem, constants=dataclasses.replace(problem.constants,
                                                    L_curv_theta=lipschitz))
@@ -238,8 +235,9 @@ def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
                         stop=StopRule(max_outer=12))
         assert len(trace) == 12
         spectra[lipschitz] = decompositions.count(("eigvalsh", instance.sigma.shape))
-        assert decompositions.count(("svd", instance.sector_matrix.shape)) == 1
+        svds[lipschitz] = decompositions.count(("svd", instance.sector_matrix.shape))
     assert spectra[None] == 12
+    assert svds == {None: 1, 1.0: 0}
     assert 0 < spectra[1.0] < 12
     assert len(solves) == 24
     for run_problem, x_init, lam, rho, theta, config, steps in solves:
@@ -385,10 +383,11 @@ class _ScriptedLearner:
 
 def test_lipschitz_memo_follows_theta_dependent_constraints(monkeypatch,
                                                             decompositions):
-    # the toy problem's A = A0 + theta_0 A1 moves with theta_0 only: a run's
-    # anchor takes a new ||A||^2 exactly when A changes, factors the
-    # curvature only when theta changes, also without L_curv_theta, and
-    # every solve runs the exact L of its theta
+    # the toy problem's A = A0 + theta_0 A1 moves with theta_0 only: the
+    # run's solves take an SVD of A exactly when A changes (spectral_norm's
+    # memo answers the others), its anchor factors the curvature only when
+    # theta changes, also without L_curv_theta, and every solve runs the
+    # exact L of its theta
     from simalm import inner_apg
 
     toy = make_toy_problem()
