@@ -148,11 +148,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](config, out)
     except (ScheduleError, ValueError) as exc:

@@ -1,12 +1,12 @@
 """Accelerated proximal gradient (FISTA) for the penalized subproblems.
 
-Each outer iteration minimizes q(x; theta) + nu_rho(x, lam; theta) over X,
-where nu_rho collects the smooth objective part and the quadratic cone
-penalty. nu_rho has Lipschitz gradient with constant L_p + rho ||A(theta)||^2
-and, the penalty being convex, the strong-convexity modulus mu of p(.;
-theta). One loop, fista (no restarts, no line search), runs every solve.
-Every solve takes ||A(theta)|| from linalg.spectral_norm, which answers a
-matrix equal to the last one it normed without an SVD, and asks a
+Each outer iteration minimizes nu_rho(x, lam; theta) over X, where nu_rho
+collects the objective p and the quadratic cone penalty. nu_rho has
+Lipschitz gradient with constant L_p + rho ||A(theta)||^2 and, the penalty
+being convex, the strong-convexity modulus mu of p(.; theta). One loop,
+fista (no restarts, no line search), runs every solve. Every solve takes
+||A(theta)|| from linalg.spectral_norm, which answers a matrix equal to the
+last one it normed without an SVD, and asks a
 CurvatureAnchor for the curvature pair (L_p, mu): a run's anchor may carry
 the pair of the last theta it factored (below), any other solve starts a
 fresh one, which asks problem.smooth_curvature.
@@ -30,13 +30,14 @@ T_sc. Without a linear minimizer there is no gap, and without mu > 0 no
 linear rate; T then runs with R = D_x. The gap does not depend on (L, mu).
 A budget above MAX_ITERATIONS raises BudgetError, the one cap failure.
 
-Each step is one call of a forward-backward map z = proj_X(y - grad
-nu(y) / L), built once per solve after L is fixed: problem.forward_backward
-where the problem has one (the portfolio's stacked [I - theta / L; A] gemv
-with 1/L, rho and the offsets folded in), else the composition of
-smooth_grad, the dual-cone projection and prox_step. The first step is
-taken from the warm start's gradient, the gap's, through prox_step, so a
-solve takes one gradient and then one map per later step.
+Each step is z = prox_step(forward(y)): the forward map y - grad nu(y) / L,
+built once per solve after L is fixed, then the projection onto X. The map
+is problem.forward where the problem has one (the portfolio's stacked [I -
+theta / L; A] gemv with 1/L, rho and the offsets folded in, which refuses a
+problem whose oracles it does not restate), else the gradient composed from
+smooth_value_grad and the dual-cone projection. The first step is taken
+from the warm start's gradient, the gap's, so a solve takes one gradient
+and then one map per later step, and one projection per step.
 
 A run need not factor every theta. Its CurvatureAnchor holds the last
 theta_a it factored and that pair (L_a, mu_a). By Weyl's inequality (Horn &
@@ -59,11 +60,11 @@ theta that a run on the same problem already factored.
 apg_solve runs the budget to its end. With certify=True (the
 sequential-vs-simultaneous comparison), and in certified_solve (used by
 dual_gap_estimates), a solve may exit before it, never after, once the
-certificate of the step just taken is at most alpha: for q == 0 and the
-step z = proj_X(y - grad nu(y) / L) from any point y, momentum points
-included, F(z) - F(x) <= L <e, y - x> - (L/2) ||e||^2 with e = y - z for
-every x in X (Beck & Teboulle 2009, Lemma 2.3), so one linear minimization
-over X bounds F(z) - F* with the step's own gradient.
+certificate of the step just taken is at most alpha: for the step z =
+proj_X(y - grad nu(y) / L) from any point y, momentum points included,
+F(z) - F(x) <= L <e, y - x> - (L/2) ||e||^2 with e = y - z for every x in
+X (Beck & Teboulle 2009, Lemma 2.3), so one linear minimization over X
+bounds F(z) - F* with the step's own gradient.
 """
 
 import logging
@@ -175,12 +176,12 @@ def _bound_gradient(problem, lam, rho, theta):
         raise ValueError("constraint shapes are inconsistent")
     shift = np.asarray(lam, dtype=float) / rho
     A_T = A.T
-    smooth_grad = problem.smooth_grad
+    smooth_value_grad = problem.smooth_value_grad
     project_dual = problem.cone.project_dual
 
     def grad(y):
         penalty = A_T @ project_dual((A @ y + b) + shift)
-        return smooth_grad(y, theta) + rho * penalty
+        return smooth_value_grad(y, theta)[1] + rho * penalty
 
     return grad
 
@@ -316,15 +317,19 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
         raise BudgetError(
             f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
     prox_step = problem.prox_step
-    if problem.forward_backward is not None:
-        step = problem.forward_backward(lam, rho, theta, L)
+    if problem.forward is not None:
+        forward = problem.forward(problem, lam, rho, theta, L)
     else:
-        def step(y):
-            return prox_step(y, grad(y), L, theta)
+        def forward(y):
+            return y - grad(y) / L
+
+    def step(y):
+        return prox_step(forward(y))
+
     first = None
     if g0 is not None:
         def first(y):
-            return prox_step(y, g0, L, theta)
+            return prox_step(y - g0 / L)
     cert, stop = math.nan, None
     if certify:
         linear_minimizer = problem.linear_minimizer
@@ -369,10 +374,9 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None,
                     anchor=None):
     """apg_solve for alpha = gap_tol with the step certificate's early exit.
 
-    Requires problem.linear_minimizer and q == 0 (prox_step projects onto
-    X). Returns (x, eval_L at x, certificate of the last step, steps); the
-    certificate bounds F(x) - F* and is at most gap_tol unless the budget
-    ended the solve.
+    Requires problem.linear_minimizer. Returns (x, eval_L at x, certificate
+    of the last step, steps); the certificate bounds F(x) - F* and is at
+    most gap_tol unless the budget ended the solve.
     """
     x, steps, cert = _solve(problem, x_init, lam, rho, theta,
                             ApgConfig(alpha=gap_tol).alpha, epoch, True, anchor)

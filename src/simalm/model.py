@@ -1,13 +1,14 @@
 """Parametric problem definition and the sector-constrained portfolio family.
 
-A problem instance is a composite objective f(x; theta) = q(x; theta) +
-p(x; theta) minimized over a simple set X with a prox oracle, subject to the
-conic constraint h(x; theta) = A(theta) x + b(theta) lying in -K. Problem
+A problem instance is a smooth objective f(x; theta) = p(x; theta)
+minimized over a simple set X with a Euclidean projection oracle, subject to
+the conic constraint h(x; theta) = A(theta) x + b(theta) lying in -K. Problem
 objects are immutable bundles of pure oracles and can be shared freely across
 threads.
 """
 
 import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -85,12 +86,10 @@ class ProblemConstants:
 class ParametricProblem:
     """Oracle bundle for one parametric conic program.
 
-    smooth_grad(x, theta)       -> grad_p as a float ndarray, the gradient
-                                   the inner loop calls
-    smooth_value_grad(x, theta) -> (p, grad_p), for values (evaluate_f,
-                                   eval_L); its gradient equals smooth_grad's
-    nonsmooth_value(x, theta)   -> q
-    prox_step(y, g, L, theta)   -> argmin_{z in X} q(z) + <g, z-y> + (L/2)||z-y||^2
+    smooth_value_grad(x, theta) -> (p, grad_p), grad_p a float ndarray; the
+                                   one oracle for p, its values and the
+                                   gradient the inner loop steps on
+    prox_step(v)                -> the Euclidean projection of v onto X
     constraint_matrix(theta)    -> A(theta), shape (m, n)
     constraint_offset(theta)    -> b(theta), shape (m,)
     cone                        -> constraint cone K of dimension m
@@ -103,32 +102,29 @@ class ParametricProblem:
                                    linear_minimizer, mu > 0 gives inner solves
                                    the linear-rate budget (inner_apg)
     membership(x)               -> optional X-membership check
-    linear_minimizer(g)         -> optional argmin_{s in X} <g, s>, for a
-                                   problem with q == 0; gives inner solves
-                                   their warm-start gap and step certificate
-    forward_backward(lam, rho, theta, L)
-                                -> optional step(y) equal to prox_step(y,
-                                   grad nu_rho(y, lam; theta), L, theta) up
-                                   to rounding for every y in R^n (momentum
-                                   points leave X); an inner solve builds
-                                   it once L is fixed, and without it
-                                   composes the oracles above (inner_apg)
+    linear_minimizer(g)         -> optional argmin_{s in X} <g, s>; gives
+                                   inner solves their warm-start gap and step
+                                   certificate
+    forward(problem, lam, rho, theta, L)
+                                -> optional map y -> y - grad nu_rho(y, lam;
+                                   theta) / L, equal to the one composed from
+                                   the oracles above up to rounding for every
+                                   y in R^n (momentum points leave X); an
+                                   inner solve builds it once L is fixed and
+                                   projects its result with prox_step
+                                   (inner_apg)
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. An oracle may memoize its results, as the portfolio's
     curvature oracle does, since that keeps it pure; the carry from one
     theta to the next is a run's own state (inner_apg.CurvatureAnchor).
 
-    forward_backward restates smooth_grad, prox_step, cone and the
-    constraint oracles in one kernel, so a dataclasses.replace of any of
-    them must also replace forward_backward or clear it (None), or the
-    inner loop keeps stepping on the old oracles. The portfolio's map
-    relies on an orthant cone and a theta-independent A.
+    A forward map raises ValueError for a problem whose oracles it does not
+    restate, so a dataclasses.replace of one of them is refused, never
+    stepped past.
     """
 
-    smooth_grad: Callable
     smooth_value_grad: Callable
-    nonsmooth_value: Callable
     prox_step: Callable
     constraint_matrix: Callable
     constraint_offset: Callable
@@ -137,13 +133,12 @@ class ParametricProblem:
     smooth_curvature: Callable
     membership: Optional[Callable] = None
     linear_minimizer: Optional[Callable] = None
-    forward_backward: Optional[Callable] = None
+    forward: Optional[Callable] = None
 
 
 def evaluate_f(problem, x, theta):
-    """Composite objective value q(x; theta) + p(x; theta)."""
-    p, _ = problem.smooth_value_grad(x, theta)
-    return float(problem.nonsmooth_value(x, theta)) + float(p)
+    """Objective value p(x; theta)."""
+    return float(problem.smooth_value_grad(x, theta)[0])
 
 
 def constraint_value(problem, x, theta):
@@ -201,10 +196,11 @@ def _ranks(n):
 
 
 def simplex_prox(y, g, L):
-    """Prox step over the unit simplex for a problem with q == 0.
+    """Projected-gradient step over the unit simplex, with curvature L.
 
     Returns the projection of y - g / L onto the simplex, i.e. the minimizer
-    of <g, z - y> + (L/2)||z - y||^2 over the simplex.
+    of <g, z - y> + (L/2)||z - y||^2 over the simplex. Raises ValueError
+    unless L > 0.
     """
     if L <= 0:
         raise ValueError("prox curvature L must be positive")
@@ -289,10 +285,9 @@ def _curvature_pair(theta):
 def portfolio_problem(instance, kappa=1.0):
     """Build the ParametricProblem for a portfolio instance.
 
-    theta is the covariance matrix. The smooth part is the full objective
-    (q == 0), the prox oracle is the simplex projection, and the constraint
-    cone is the nonnegative orthant: h(x) = A x - b must be <= 0. The
-    curvature oracle smooth_curvature(theta) is _curvature_pair behind a
+    theta is the covariance matrix, prox_step is project_simplex, and the
+    constraint cone is the nonnegative orthant: h(x) = A x - b must be <= 0.
+    The curvature oracle smooth_curvature(theta) is _curvature_pair behind a
     memo of the problem's own: the pair of every finite theta factored is
     stored with theta's bytes, keyed on its dtype, shape and _FINGERPRINT
     evenly strided entries, and a lookup answers only when the bytes match
@@ -312,23 +307,21 @@ def portfolio_problem(instance, kappa=1.0):
     eigenvalue of a symmetric theta moves by at most ||theta - theta'||_2
     <= ||theta - theta'||_F (Horn & Johnson 2013, Cor. 4.3.15).
 
-    forward_backward(lam, rho, theta, L) folds 1/L, rho and the offsets
-    into one (n + s) x n matrix W = [I - theta / L; A] and the constants c
-    = -b + lam / rho, B = (rho / L) A' and d = gamma mu / L, so a step is
-    w = W y, r = max(w[n:] + c, 0), z = proj_simplex(w[:n] - B r + d):
-    two matrix-vector products and the projection. The projection raises
-    NonFiniteError on a NaN or infinite w.
+    forward(problem, lam, rho, theta, L) reads A and b through problem's
+    oracles and folds 1/L, rho and the offsets into one (n + s) x n matrix
+    W = [I - theta / L; A] and the constants c = b + lam / rho, B = (rho /
+    L) A' and d = gamma mu / L, so y - grad nu(y) / L is w = W y, r =
+    max(w[n:] + c, 0), w[:n] - B r + d: two matrix-vector products. It
+    restates the gradient of smooth_value_grad and the orthant's dual
+    projection, so it raises ValueError unless
+    inspect.unwrap(problem.smooth_value_grad) is this problem's own oracle
+    and the cone is a NonnegativeOrthant; a functools.wraps wrapper, such as
+    a timer, stands for the oracle it wraps.
     """
-    n, s = instance.n, instance.s
-    A = instance.sector_matrix
-    b = instance.sector_limits
+    offset = -instance.sector_limits
     mu = instance.mu
     gamma = instance.risk_tradeoff
-    offset = -b
     gamma_mu = gamma * mu
-
-    def smooth_grad(x, theta):
-        return theta @ x - gamma_mu
 
     def smooth_value_grad(x, theta):
         x = np.asarray(x, dtype=float)
@@ -336,20 +329,18 @@ def portfolio_problem(instance, kappa=1.0):
         value = 0.5 * float(x @ Sx) - gamma * float(mu @ x)
         return value, Sx - gamma_mu
 
-    def nonsmooth_value(x, theta):
-        return 0.0
-
-    def prox_step(y, g, L, theta):
-        # inner_apg.fista checks L > 0 once per solve; simplex_prox is the
-        # checked form of this step
-        return project_simplex(y - g / L)
-
-    def forward_backward(lam, rho, theta, L):
-        W = np.empty((n + s, n))
+    def forward(problem, lam, rho, theta, L):
+        if (inspect.unwrap(problem.smooth_value_grad) is not smooth_value_grad
+                or type(problem.cone) is not NonnegativeOrthant):
+            raise ValueError("the portfolio's forward map serves only its own "
+                             "smooth_value_grad and a NonnegativeOrthant cone")
+        A = problem.constraint_matrix(theta)
+        m, n = A.shape
+        W = np.empty((n + m, n))
         np.divide(theta, -L, out=W[:n])
         W.reshape(-1)[:n * n:n + 1] += 1.0  # the diagonal of W[:n], a view
         W[n:] = A
-        c = offset + np.asarray(lam, dtype=float) / rho
+        c = problem.constraint_offset(theta) + np.asarray(lam, dtype=float) / rho
         B = (rho / L) * A.T
         d = gamma_mu / L
 
@@ -361,7 +352,7 @@ def portfolio_problem(instance, kappa=1.0):
             v = w[:n]
             v -= B @ r
             v += d
-            return project_simplex(v)
+            return v
 
         return step
 
@@ -402,16 +393,14 @@ def portfolio_problem(instance, kappa=1.0):
         L_curv_theta=1.0,
     )
     return ParametricProblem(
-        smooth_grad=smooth_grad,
         smooth_value_grad=smooth_value_grad,
-        nonsmooth_value=nonsmooth_value,
-        prox_step=prox_step,
-        constraint_matrix=lambda theta: A,
+        prox_step=project_simplex,
+        constraint_matrix=lambda theta: instance.sector_matrix,
         constraint_offset=lambda theta: offset,
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
         smooth_curvature=smooth_curvature,
         membership=in_simplex,
         linear_minimizer=vertex_minimizer,
-        forward_backward=forward_backward,
+        forward=forward,
     )

@@ -4,7 +4,7 @@ import pytest
 from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
 from simalm.model import (ParametricProblem, PortfolioInstance,
-                          ProblemConstants, portfolio_problem, simplex_prox)
+                          ProblemConstants, portfolio_problem, project_simplex)
 
 
 # one of each cone variant, and a product of all three
@@ -68,7 +68,7 @@ def make_toy_problem(n=3, m=2, seed=0):
 
     p(x; theta) = 0.5 x'Px + (c + C theta)'x, h(x; theta) = A(theta) x +
     b(theta) with A(theta) = A0 + theta_0 A1 and b(theta) = b0 + B theta,
-    q == 0, X the unit simplex, orthant cone; p is lambda_min(P)-strongly
+    X the unit simplex, orthant cone; p is lambda_min(P)-strongly
     convex. Exercises the theta-dependent-constraint code paths the
     portfolio family never hits.
     """
@@ -81,9 +81,6 @@ def make_toy_problem(n=3, m=2, seed=0):
     A1 = gen.standard_normal((m, n)) * 0.2
     b0 = gen.standard_normal(m) * 0.1
     B = gen.standard_normal((m, 2)) * 0.1
-
-    def smooth_grad(x, theta):
-        return P @ np.asarray(x, float) + (c + C @ theta)
 
     def smooth_value_grad(x, theta):
         x = np.asarray(x, float)
@@ -110,10 +107,8 @@ def make_toy_problem(n=3, m=2, seed=0):
         return out
 
     return ParametricProblem(
-        smooth_grad=smooth_grad,
         smooth_value_grad=smooth_value_grad,
-        nonsmooth_value=lambda x, theta: 0.0,
-        prox_step=lambda y, g, L, theta: simplex_prox(y, g, L),
+        prox_step=project_simplex,
         constraint_matrix=amat,
         constraint_offset=boff,
         cone=NonnegativeOrthant(m),

@@ -119,7 +119,7 @@ def test_criterion_2_gradient_correctness(desk_bundle, desk_problem):
         for j, i in enumerate(idx):
             e = np.zeros(n)
             e[i] = h_fd
-            # the portfolio has q == 0, so L_rho's x-gradient is grad nu
+            # L_rho's x-gradient is grad nu
             fdx[j] = (eval_L(desk_problem, x + e, lam, rho, theta)
                       - eval_L(desk_problem, x - e, lam, rho, theta)) / (2 * h_fd)
         worst_x = max(worst_x,

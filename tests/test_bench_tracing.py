@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from simalm import outer_alm
 from simalm.inner_apg import ApgConfig, apg_solve, iteration_budget
@@ -37,41 +38,22 @@ def test_tracer_installs_and_restores_every_wrapper():
     assert tracing.leftover_wrappers() == []
 
 
-def test_wrapped_problem_builds_and_solves_bit_equal():
+@pytest.mark.parametrize("forward", ["portfolio", "cleared"])
+def test_wrapped_problem_builds_and_solves_bit_equal(forward):
     # a change to the ParametricProblem fields must not break wrap_problem,
-    # and the timed oracles must not change a single iterate. With the
-    # portfolio's forward-backward map cleared, every step composes the
-    # timed oracles
+    # and the timed oracles must not change a single iterate, on the
+    # portfolio's forward map and with it cleared for the generic one. Every
+    # step projects through the timed prox_step; the timed gradient oracle
+    # and cone projection run at the warm start, for its gap and the first
+    # step, and on the generic map once more per later step
     tracing = load_tracing()
     instance, portfolio = make_small_portfolio()
-    problem = dataclasses.replace(portfolio, forward_backward=None)
+    problem = portfolio
+    if forward == "cleared":
+        problem = dataclasses.replace(portfolio, forward=None)
     tracer = tracing.Tracer()
     traced = tracer.wrap_problem(problem)
-    x0 = np.full(instance.n, 1.0 / instance.n)
-    lam = np.full(instance.s, 0.3)
-    args = (x0, lam, 2.0, instance.sigma, ApgConfig(alpha=1e-4))
-    x, steps = apg_solve(problem, *args)
-    x_traced, steps_traced = apg_solve(traced, *args)
-    assert steps_traced == steps
-    np.testing.assert_array_equal(x_traced, x)
-    assert evaluate_f(traced, x, instance.sigma) == evaluate_f(problem, x, instance.sigma)
-    assert tracer.calls["model.prox"] == steps
-    # one projection per step's gradient; the first step's is the one taken
-    # at the warm start for its gap
-    assert tracer.calls["cones.project_dual"] == steps
-    assert tracer.calls["model.grad"] == 1
-
-
-def test_wrapped_portfolio_solves_bit_equal_on_its_forward_backward_map():
-    # wrap_problem keeps the portfolio's forward-backward map, so the traced
-    # solve runs the same steps bit for bit; the timed prox and cone
-    # projection see only the warm start (its gap and the first step), as
-    # the map takes every later step without them
-    tracing = load_tracing()
-    instance, problem = make_small_portfolio()
-    tracer = tracing.Tracer()
-    traced = tracer.wrap_problem(problem)
-    assert traced.forward_backward is problem.forward_backward
+    assert traced.forward is problem.forward
     x0 = np.full(instance.n, 1.0 / instance.n)
     lam = np.full(instance.s, 0.3)
     args = (x0, lam, 2.0, instance.sigma, ApgConfig(alpha=1e-4))
@@ -79,8 +61,11 @@ def test_wrapped_portfolio_solves_bit_equal_on_its_forward_backward_map():
     x_traced, steps_traced = apg_solve(traced, *args)
     assert steps_traced == steps > 1
     np.testing.assert_array_equal(x_traced, x)
-    assert tracer.calls["model.prox"] == 1
-    assert tracer.calls["cones.project_dual"] == 1
+    later = steps - 1 if forward == "cleared" else 0
+    assert tracer.calls["model.prox"] == steps
+    assert tracer.calls["model.grad"] == 1 + later
+    assert tracer.calls["cones.project_dual"] == 1 + later
+    assert evaluate_f(traced, x, instance.sigma) == evaluate_f(problem, x, instance.sigma)
 
 
 def test_traced_solves_count_steps_and_budget():

@@ -85,6 +85,16 @@ def test_sector_overload_is_config_error(tmp_path):
     assert "configuration error" in res.stderr and "n=20, s=4" in res.stderr
 
 
+def test_output_dir_under_a_file_is_config_error(tmp_path):
+    # the output directory cannot be made below a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    res = run_cli("generate", "--out", str(blocker / "out"))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_generate_writes_instance_files(tmp_path):
     cfg = small_config(tmp_path, "gen")
     res = run_cli("generate", "--config", str(cfg))

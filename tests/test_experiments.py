@@ -395,8 +395,7 @@ def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
     assert svds() == [A.shape]
     assert lipschitz_nu(problem, 2.0, theta) == want[0]
     assert svds() == [A.shape]
-    doubled = dataclasses.replace(problem, constraint_matrix=lambda th: 2.0 * A,
-                                  forward_backward=None)
+    doubled = dataclasses.replace(problem, constraint_matrix=lambda th: 2.0 * A)
     assert lipschitz_nu(doubled, 2.0, theta) == want[1]
     assert len(svds()) == 2
     A[0, 0] = 1.0 - A[0, 0]

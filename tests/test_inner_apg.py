@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 import re
@@ -17,8 +18,8 @@ from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               fista, grad_nu, iteration_budget, lipschitz_nu)
 from simalm.linalg import spectral_norm, symmetrize
 from simalm.learning import FrozenLearner, SyntheticLearner
-from simalm.model import (NonFiniteError, constraint_value, portfolio_problem,
-                          project_simplex, simplex_prox)
+from simalm.model import (NonFiniteError, _curvature_pair, constraint_value,
+                          portfolio_problem, project_simplex, simplex_prox)
 from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
 from conftest import (count_factorisations, make_small_portfolio,
@@ -91,9 +92,9 @@ def test_rho_not_finite_and_positive_is_refused_before_any_oracle_call(rho):
         return wrapped
 
     spied = dataclasses.replace(portfolio, **{name: spy(name) for name in (
-        "smooth_grad", "smooth_value_grad", "prox_step", "constraint_matrix",
+        "smooth_value_grad", "prox_step", "constraint_matrix",
         "constraint_offset", "smooth_curvature", "linear_minimizer",
-        "forward_backward")})
+        "forward")})
     args = (spied, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
             rho, instance.sigma)
     for solve in (lambda: apg_solve(*args, ApgConfig(alpha=1e-3)),
@@ -118,10 +119,8 @@ def test_identity_constraint_matrix_curvature():
 
     n = 3
     problem = ParametricProblem(
-        smooth_grad=lambda x, th: np.asarray(x, float),
         smooth_value_grad=lambda x, th: (0.5 * float(x @ x), np.asarray(x, float)),
-        nonsmooth_value=lambda x, th: 0.0,
-        prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
+        prox_step=project_simplex,
         constraint_matrix=lambda th: np.eye(n),
         constraint_offset=lambda th: np.zeros(n),
         cone=NonnegativeOrthant(n),
@@ -148,12 +147,9 @@ def decompositions(monkeypatch):
 
 
 def _portfolio_lipschitz(theta, A, rho):
-    # max |eigenvalue| widened by the max(n, 32) eps rounding margin, plus
-    # rho ||A||^2, each from its own factorisation
-    eig = np.linalg.eigvalsh(theta)
-    top = max(-eig[0], eig[-1])
-    margin = max(eig.size, 32) * np.finfo(float).eps * top
-    return top + margin + rho * float(np.linalg.norm(A, 2)) ** 2
+    # the curvature oracle's L_p without its memo, plus rho ||A||^2, each
+    # from its own factorisation
+    return _curvature_pair(theta)[0] + rho * float(np.linalg.norm(A, 2)) ** 2
 
 
 def test_lipschitz_norms_computed_once_per_theta(decompositions):
@@ -503,7 +499,7 @@ def test_grad_nu_matches_finite_differences(rng, toy_problem):
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            # the toy has q == 0, so L_rho's x-gradient is grad nu
+            # L_rho's x-gradient is grad nu
             fd[i] = (eval_L(toy_problem, x + e, lam, rho, theta)
                      - eval_L(toy_problem, x - e, lam, rho, theta)) / (2 * h)
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
@@ -513,16 +509,14 @@ def test_prox_fixed_point_at_solution():
     # minimize (1/2)||x - v||^2 over the simplex; the solution is the
     # projection of v and must be a fixed point of the prox-gradient map
     from simalm.cones import NonnegativeOrthant
-    from simalm.model import ParametricProblem, ProblemConstants, project_simplex
+    from simalm.model import ParametricProblem, ProblemConstants
 
     n = 4
     v = np.array([0.9, -0.3, 0.25, 0.4])
     problem = ParametricProblem(
-        smooth_grad=lambda x, th: np.asarray(x, float) - v,
         smooth_value_grad=lambda x, th: (0.5 * float((x - v) @ (x - v)),
                                          np.asarray(x, float) - v),
-        nonsmooth_value=lambda x, th: 0.0,
-        prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
+        prox_step=project_simplex,
         constraint_matrix=lambda th: np.zeros((1, n)),
         constraint_offset=lambda th: np.array([-1.0]),
         cone=NonnegativeOrthant(1),
@@ -531,7 +525,7 @@ def test_prox_fixed_point_at_solution():
     )
     x_star = project_simplex(v)
     g = grad_nu(problem, x_star, np.zeros(1), 1.0, None)
-    np.testing.assert_allclose(problem.prox_step(x_star, g, 1.0, None), x_star,
+    np.testing.assert_allclose(problem.prox_step(x_star - g), x_star,
                                atol=1e-12)
 
 
@@ -549,11 +543,9 @@ def _simplex_qp_problem(Q, c):
         return out
 
     return ParametricProblem(
-        smooth_grad=lambda x, th: Q @ x + c,
         smooth_value_grad=lambda x, th: (0.5 * float(x @ Q @ x) + float(c @ x),
                                          Q @ x + c),
-        nonsmooth_value=lambda x, th: 0.0,
-        prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
+        prox_step=project_simplex,
         constraint_matrix=lambda th: np.zeros((1, n)),
         constraint_offset=lambda th: np.array([-1.0]),  # h = -1 <= 0: inert
         cone=NonnegativeOrthant(1),
@@ -710,8 +702,11 @@ def test_budget_formula(toy_problem):
 
 def _hessian_min_eig(problem, theta, n):
     # p is quadratic: the columns of its Hessian are gradient differences
-    zero = problem.smooth_grad(np.zeros(n), theta)
-    H = np.column_stack([problem.smooth_grad(e, theta) - zero for e in np.eye(n)])
+    def grad(x):
+        return problem.smooth_value_grad(x, theta)[1]
+
+    zero = grad(np.zeros(n))
+    H = np.column_stack([grad(e) - zero for e in np.eye(n)])
     return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
 
 
@@ -775,12 +770,13 @@ def test_non_finite_warm_start_gradient_raises_naming_epoch():
 
     def nan_on_first_call(x, theta):
         calls.append(1)
-        grad = problem.smooth_grad(x, theta)
-        return np.full_like(grad, np.nan) if len(calls) == 1 else grad
+        value, grad = problem.smooth_value_grad(x, theta)
+        return value, (np.full_like(grad, np.nan) if len(calls) == 1 else grad)
 
-    # forward_backward restates smooth_grad, so the replaced problem drops it
-    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call,
-                              forward_backward=None)
+    # the portfolio's forward map refuses a replaced smooth_value_grad, so
+    # the replaced problem drops it for the generic one
+    bad = dataclasses.replace(problem, smooth_value_grad=nan_on_first_call,
+                              forward=None)
     args = (np.full(instance.n, 0.1), np.zeros(instance.s), 1.0, instance.sigma)
     message = "non-finite gradient at the warm start at epoch 3$"
     for solve in (lambda: apg_solve(bad, *args, ApgConfig(alpha=1e-3), epoch=3),
@@ -842,13 +838,13 @@ def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
         assert steps == 40 and np.array_equal(z, want[-1])
         assert all(np.array_equal(a, b) for a, b in zip(seen, want, strict=True))
     # so does a budget solve of a problem without a modulus, on the
-    # portfolio's forward-backward map after a first step from the warm
-    # start's gradient, and on the generic composition without the map
+    # portfolio's forward map after a first step from the warm start's
+    # gradient, and on the generic forward map without it
     L_p = problem.smooth_curvature(instance.sigma)[0]
     plain = dataclasses.replace(problem, smooth_curvature=lambda th: (L_p, 0.0))
     fused = _fused_reference(problem, lam, 4.0, instance.sigma, L)
     for run_problem, run_step in ((plain, fused),
-                                  (dataclasses.replace(plain, forward_backward=None), step)):
+                                  (dataclasses.replace(plain, forward=None), step)):
         x, steps = apg_solve(run_problem, x0, lam, 4.0, instance.sigma,
                              ApgConfig(alpha=1e-1))
         assert steps == iteration_budget(plain, 4.0, instance.sigma, 1e-1)
@@ -872,7 +868,7 @@ def test_certified_solve_gap_certificate(rng):
 
 
 def test_certified_value_is_the_augmented_lagrangian(rng, toy_problem):
-    # certified problems have q == 0; the value is eval_L's, bit for bit
+    # the certified value is eval_L's, bit for bit
     instance, portfolio = make_small_portfolio()
     for problem, theta, m in ((portfolio, instance.sigma, instance.s),
                               (toy_problem, np.array([0.3, -0.5]), 2)):
@@ -912,8 +908,9 @@ def test_step_certificate_bounds_the_gap_at_every_step():
     # gradient mapping: cert >= F(z) - F*, also where the momentum point y
     # has left the simplex. A certified solve started at y with an infinite
     # tolerance takes that one step and returns (z, F(z), cert, 1). The
-    # momentum points are recorded through prox_step, so the portfolio's
-    # forward-backward map is cleared and every step composes the oracles.
+    # momentum points after the warm start are recorded by a forward map
+    # that takes the generic step y - grad nu(y) / L, on the toy and in
+    # place of the portfolio's own map.
     instance, portfolio = make_small_portfolio(n=6, s=2)
     toy = make_toy_problem()
     outside = []
@@ -932,14 +929,16 @@ def test_step_certificate_bounds_the_gap_at_every_step():
         lam = lam_scale * np.abs(gen.standard_normal(m))
         x0 = random_simplex_point(gen, n)
         _, f_ref, _, _ = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-12)
-        points = []
+        points = [x0]
 
-        def prox_step(y, g, L, th):
-            points.append(y)
-            return problem.prox_step(y, g, L, th)
+        def forward(own, lam, rho, theta, L):
+            def recording(y):
+                points.append(y)
+                return y - grad_nu(own, y, lam, rho, theta) / L
 
-        recording = dataclasses.replace(problem, prox_step=prox_step,
-                                        forward_backward=None)
+            return recording
+
+        recording = dataclasses.replace(problem, forward=forward)
         _, _, _, steps = certified_solve(recording, x0, lam, rho, theta, gap_tol=1e-7)
         assert len(points) == steps
         for y in points:
@@ -954,26 +953,27 @@ def test_step_certificate_bounds_the_gap_at_every_step():
 
 
 def test_fused_step_certificate_bounds_the_gap_at_every_step():
-    # the twin of the test above on the portfolio's forward-backward map:
-    # every step after the first is one call of the map, and its (y, z) is
-    # certified by its own gradient mapping, cert = L (<e, y - s> - ||e||^2
-    # / 2) >= F(z) - F* with e = y - z and s the vertex minimizing <e, .>,
-    # also where the momentum point y has left the simplex
+    # the twin of the test above on the portfolio's forward map: every step
+    # after the first is one call of the map, and its (y, z) with z the
+    # projection of the map's point is certified by its own gradient
+    # mapping, cert = L (<e, y - s> - ||e||^2 / 2) >= F(z) - F* with e = y
+    # - z and s the vertex minimizing <e, .>, also where the momentum point
+    # y has left the simplex
     instance, portfolio = make_small_portfolio(n=6, s=2)
     n, m = instance.n, instance.s
     records, outside = [], []
 
-    def forward_backward(*args):
-        step, L = portfolio.forward_backward(*args), args[-1]
+    def forward(*args):
+        step, L = portfolio.forward(*args), args[-1]
 
         def recording(y):
-            z = step(y)
-            records.append((y, z, L))
-            return z
+            v = step(y)
+            records.append((y, portfolio.prox_step(v), L))
+            return v
 
         return recording
 
-    recording = dataclasses.replace(portfolio, forward_backward=forward_backward)
+    recording = dataclasses.replace(portfolio, forward=forward)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.05, 1.0), st.floats(0.0, 3.0), st.floats(0.1, 30.0),
@@ -1000,48 +1000,52 @@ def test_fused_step_certificate_bounds_the_gap_at_every_step():
 
 
 def test_certified_step_evaluates_one_gradient(toy_problem):
-    # one smooth_grad per step under both stopping rules: the first step
-    # reuses the warm-start gradient of the gap, and the certificate reuses
-    # the step's gradient. The portfolio's forward-backward map is cleared,
-    # so every step composes the oracles (its twin is below)
+    # one smooth_value_grad per step under both stopping rules: the first
+    # step reuses the warm-start gradient of the gap, and the certificate
+    # reuses the step's gradient; certified_solve takes one more for the
+    # value eval_L it returns. The portfolio's forward map is cleared, so
+    # every step takes the generic one (its twin is below)
     instance, portfolio = make_small_portfolio()
     calls = []
     for problem, theta, lam, x0 in (
             (portfolio, instance.sigma, np.full(instance.s, 0.3),
              np.full(instance.n, 1.0 / instance.n)),
             (toy_problem, np.array([0.7, -0.4]), np.ones(2), np.full(3, 1.0 / 3))):
-        def counting(x, th, grad=problem.smooth_grad):
+        def counting(x, th, oracle=problem.smooth_value_grad):
             calls.append(1)
-            return grad(x, th)
+            return oracle(x, th)
 
-        counted = dataclasses.replace(problem, smooth_grad=counting,
-                                      forward_backward=None)
-        for solve in (
-                lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3],
-                lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1]):
+        counted = dataclasses.replace(problem, smooth_value_grad=counting,
+                                      forward=None)
+        for solve, value_calls in (
+                (lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3], 1),
+                (lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1], 0)):
             calls.clear()
             steps = solve()
             assert steps > 1
-            assert len(calls) == steps
+            assert len(calls) == steps + value_calls
 
 
 def test_fused_solve_evaluates_one_gradient_and_one_map_per_later_step():
-    # on the portfolio's forward-backward map, under both stopping rules: one
-    # smooth_grad, at the warm start for the gap, whose gradient also takes
-    # the first step; one map built per solve; and one call of it per later
-    # step
+    # on the portfolio's forward map, under both stopping rules: one
+    # smooth_value_grad, at the warm start for the gap, whose gradient also
+    # takes the first step (certified_solve takes one more for the value
+    # eval_L it returns); one map built per solve; one call of it per later
+    # step; and one projection per step. The counting oracle is a
+    # functools.wraps wrapper, which the map takes for the oracle it wraps
     instance, portfolio = make_small_portfolio()
     theta, lam = instance.sigma, np.full(instance.s, 0.3)
     x0 = np.full(instance.n, 1.0 / instance.n)
-    grads, builds, maps = [], [], []
+    grads, builds, maps, projections = [], [], [], []
 
+    @functools.wraps(portfolio.smooth_value_grad)
     def counting_grad(x, th):
         grads.append(1)
-        return portfolio.smooth_grad(x, th)
+        return portfolio.smooth_value_grad(x, th)
 
-    def counting_forward_backward(*args):
+    def counting_forward(*args):
         builds.append(1)
-        step = portfolio.forward_backward(*args)
+        step = portfolio.forward(*args)
 
         def counting_step(y):
             maps.append(1)
@@ -1049,16 +1053,21 @@ def test_fused_solve_evaluates_one_gradient_and_one_map_per_later_step():
 
         return counting_step
 
-    counted = dataclasses.replace(portfolio, smooth_grad=counting_grad,
-                                  forward_backward=counting_forward_backward)
-    for solve in (
-            lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3],
-            lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1]):
-        for calls in (grads, builds, maps):
+    def counting_prox(v):
+        projections.append(1)
+        return portfolio.prox_step(v)
+
+    counted = dataclasses.replace(portfolio, smooth_value_grad=counting_grad,
+                                  forward=counting_forward, prox_step=counting_prox)
+    for solve, value_calls in (
+            (lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3], 1),
+            (lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1], 0)):
+        for calls in (grads, builds, maps, projections):
             calls.clear()
         steps = solve()
         assert steps > 1
-        assert (len(grads), len(builds), len(maps)) == (1, 1, steps - 1)
+        assert (len(grads), len(builds), len(maps), len(projections)) == \
+            (1 + value_calls, 1, steps - 1, steps)
 
 
 def test_iterates_stay_in_domain(rng, toy_problem):
@@ -1110,7 +1119,7 @@ def _pinning_cases(rng):
     return [
         (portfolio, instance.sigma, lam, 4.0, uniform),
         (portfolio, instance.sigma, lam, 4.0, warm),
-        (dataclasses.replace(portfolio, forward_backward=None), instance.sigma,
+        (dataclasses.replace(portfolio, forward=None), instance.sigma,
          lam, 4.0, warm),
         (toy, np.array([0.7, -0.4]), np.abs(rng.standard_normal(2)), 3.0,
          np.full(3, 1.0 / 3)),
@@ -1122,16 +1131,16 @@ def _pinning_cases(rng):
 
 
 def _fused_reference(problem, lam, rho, theta, L):
-    # the portfolio's forward-backward map written out from the public
-    # oracles, in the arithmetic the library uses: w = [I - theta/L; A] y in
-    # one product, r = max(w[n:] + b + lam/rho, 0) and proj(w[:n] - (rho/L)
-    # A' r + gamma mu / L), where -gamma mu = grad p(0)
+    # the portfolio's forward map and the projection written out from the
+    # public oracles, in the arithmetic the library uses: w = [I - theta/L;
+    # A] y in one product, r = max(w[n:] + b + lam/rho, 0) and proj(w[:n] -
+    # (rho/L) A' r + gamma mu / L), where -gamma mu = grad p(0)
     A = problem.constraint_matrix(theta)
     n = A.shape[1]
     W = np.vstack([np.eye(n) - theta / L, A])
     c = problem.constraint_offset(theta) + lam / rho
     B = (rho / L) * A.T
-    d = -problem.smooth_grad(np.zeros(n), theta) / L
+    d = -problem.smooth_value_grad(np.zeros(n), theta)[1] / L
 
     def step(y):
         w = W @ y
@@ -1173,8 +1182,8 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
     # both stopping rules must produce exactly the iterates of the loop
     # written out in the test, driven by the independently written gradient
     # and the oracle's mu: the first step from the warm start's gradient,
-    # the later ones on the portfolio's forward-backward map written out in
-    # the test, or on the composition of gradient and prox for a problem
+    # the later ones on the portfolio's forward map and projection written
+    # out in the test, or on the projected gradient step for a problem
     # without the map (the toys, and the portfolio with it cleared). Both
     # run the shorter of FISTA's warm-start count
     # and the strongly convex count for their alpha, computed from the gap,
@@ -1188,10 +1197,10 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         mu = problem.smooth_curvature(theta)[1]
 
         def generic(y):
-            return problem.prox_step(y, grad(y), L, theta)
+            return problem.prox_step(y - grad(y) / L)
 
         step = generic
-        if problem.forward_backward is not None:
+        if problem.forward is not None:
             step = _fused_reference(problem, lam, rho, theta, L)
         alpha = 1e-4
         fista_budget, radius, linear_budget = _warm_budget(grad, L, alpha, x0, mu)

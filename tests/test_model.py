@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import json
 
@@ -174,20 +176,28 @@ def test_gradient_matches_finite_differences(rng, toy_problem):
             fp, _ = toy_problem.smooth_value_grad(x + e, theta)
             fm, _ = toy_problem.smooth_value_grad(x - e, theta)
             fd[i] = (fp - fm) / (2 * h)
-        for g in (toy_problem.smooth_value_grad(x, theta)[1],
-                  toy_problem.smooth_grad(x, theta)):
-            assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
+        g = toy_problem.smooth_value_grad(x, theta)[1]
+        assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0) < 1e-6
 
 
 def test_gradient_oracles_agree_bit_for_bit(rng, toy_problem):
-    instance, portfolio = make_small_portfolio()
-    cases = [(toy_problem, 3, lambda: rng.standard_normal(2)),
-             (portfolio, instance.n, lambda: instance.sigma * rng.uniform(0.5, 1.5))]
-    for problem, n, draw_theta in cases:
+    # smooth_value_grad is the one oracle for p: evaluate_f returns its
+    # value, and where the penalty vanishes (h(x) <= 0 and lam = 0) the
+    # inner solver's gradient grad_nu is its gradient, bit for bit
+    from simalm.inner_apg import grad_nu
+
+    instance, portfolio = make_small_portfolio(sector_limit=10.0)
+    cases = [(toy_problem, 3, 2, lambda: rng.standard_normal(2)),
+             (portfolio, instance.n, instance.s,
+              lambda: instance.sigma * rng.uniform(0.5, 1.5))]
+    for problem, n, m, draw_theta in cases:
         for _ in range(20):
             x, theta = random_simplex_point(rng, n), draw_theta()
-            want = problem.smooth_value_grad(x, theta)[1]
-            assert problem.smooth_grad(x, theta).tobytes() == want.tobytes()
+            value, grad = problem.smooth_value_grad(x, theta)
+            assert evaluate_f(problem, x, theta) == value
+            if problem is portfolio:
+                got = grad_nu(problem, x, np.zeros(m), 2.0, theta)
+                assert got.tobytes() == grad.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,11 +207,12 @@ def test_gradient_oracles_agree_bit_for_bit(rng, toy_problem):
 @example(12, "indefinite", False, 3.0, 1e3, 1e-3, 1.0, 0)
 def test_portfolio_forward_backward_matches_the_composed_step(
         n, kind, inside, log_y, lam_scale, rho, L_factor, seed):
-    # the fused map equals prox_step(y, grad nu(y), L, theta) up to rounding
-    # for y on and off the simplex, lam >= 0, a symmetric theta of either
-    # sign and any L >= lipschitz_nu: both project a point v whose entries
-    # are at most max(|y|, |grad|/L) in size, and the projection is
-    # 1-Lipschitz, so they agree to 1e-12 relative to that size
+    # the projection of the fused forward map's point equals the generic
+    # step prox_step(y - grad nu(y) / L) up to rounding for y on and off the
+    # simplex, lam >= 0, a symmetric theta of either sign and any L >=
+    # lipschitz_nu: both project a point v whose entries are at most
+    # max(|y|, |grad|/L) in size, and the projection is 1-Lipschitz, so
+    # they agree to 1e-12 relative to that size
     from simalm.inner_apg import grad_nu, lipschitz_nu
 
     s = max(1, n // 3)
@@ -213,13 +224,13 @@ def test_portfolio_forward_backward_matches_the_composed_step(
              "indefinite": 0.5 * (F + F.T)}[kind]
     lam = lam_scale * np.abs(gen.standard_normal(s))
     L = L_factor * lipschitz_nu(problem, rho, theta)
-    step = problem.forward_backward(lam, rho, theta, L)
+    forward = problem.forward(problem, lam, rho, theta, L)
     for _ in range(5):
         y = (random_simplex_point(gen, n) if inside
              else 10.0 ** log_y * gen.standard_normal(n))
         g = grad_nu(problem, y, lam, rho, theta)
-        want = problem.prox_step(y, g, L, theta)
-        got = step(y)
+        want = problem.prox_step(y - g / L)
+        got = problem.prox_step(forward(y))
         scale = max(1.0, float(np.abs(y).max()), float(np.abs(g).max()) / L)
         assert np.abs(got - want).max() <= 1e-12 * scale
         assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12
@@ -227,8 +238,8 @@ def test_portfolio_forward_backward_matches_the_composed_step(
 
 def test_portfolio_forward_backward_refuses_a_non_finite_w():
     # a NaN in y or theta makes w = [I - theta/L; A] y NaN, and an infinite
-    # or overflowing y makes it infinite; the simplex projection refuses
-    # either. numpy warns on the infinite products first
+    # or overflowing y makes it infinite; the simplex projection of the
+    # map's point refuses either. numpy warns on the infinite products first
     instance, problem = make_small_portfolio()
     lam, x = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
     bad_theta = instance.sigma.copy()
@@ -236,15 +247,57 @@ def test_portfolio_forward_backward_refuses_a_non_finite_w():
     nan_y = x.copy()
     nan_y[3] = np.nan
     for theta, y in ((bad_theta, x), (instance.sigma, nan_y)):
-        step = problem.forward_backward(lam, 2.0, theta, 50.0)
+        forward = problem.forward(problem, lam, 2.0, theta, 50.0)
         with pytest.raises(NonFiniteError, match="NaN or infinite entries"):
-            step(y)
-    step = problem.forward_backward(lam, 2.0, instance.sigma, 50.0)
+            problem.prox_step(forward(y))
+    forward = problem.forward(problem, lam, 2.0, instance.sigma, 50.0)
     for bad in (np.inf, -np.inf, 1e308):
         y = x.copy()
         y[3:5] = bad
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
-            step(y)
+            problem.prox_step(forward(y))
+
+
+@pytest.mark.parametrize("field", ["smooth_value_grad", "cone"])
+def test_portfolio_forward_refuses_a_replaced_oracle(field):
+    # the map restates the portfolio's gradient and its orthant's dual
+    # projection, so a replace of either that keeps the map is refused at
+    # the first solve, never stepped past: a plain closure around the
+    # gradient oracle, or a cone of another type (here the same orthant as
+    # a one-factor product)
+    from simalm.cones import ProductCone
+    from simalm.inner_apg import ApgConfig, apg_solve
+
+    instance, problem = make_small_portfolio()
+    own = problem.smooth_value_grad
+    replacement = {"smooth_value_grad": lambda x, theta: own(x, theta),
+                   "cone": ProductCone([problem.cone])}[field]
+    bad = dataclasses.replace(problem, **{field: replacement})
+    with pytest.raises(ValueError, match="forward map serves only"):
+        apg_solve(bad, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
+                  2.0, instance.sigma, ApgConfig(alpha=1e-4))
+
+
+def test_portfolio_forward_takes_a_wrapped_oracle_for_its_own():
+    # a functools.wraps spy of the gradient oracle stands for the oracle it
+    # wraps: the map serves it, and the solve runs bit for bit
+    from simalm.inner_apg import ApgConfig, apg_solve
+
+    instance, problem = make_small_portfolio()
+    calls = []
+
+    @functools.wraps(problem.smooth_value_grad)
+    def spy(x, theta):
+        calls.append(1)
+        return problem.smooth_value_grad(x, theta)
+
+    args = (np.full(instance.n, 1.0 / instance.n), np.ones(instance.s), 2.0,
+            instance.sigma, ApgConfig(alpha=1e-4))
+    x, steps = apg_solve(problem, *args)
+    x_spy, steps_spy = apg_solve(dataclasses.replace(problem, smooth_value_grad=spy),
+                                 *args)
+    assert steps_spy == steps > 1 and calls == [1]
+    assert x_spy.tobytes() == x.tobytes()
 
 
 def test_constraint_lipschitz_in_theta(rng, toy_problem):

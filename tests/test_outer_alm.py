@@ -13,7 +13,7 @@ from simalm.inner_apg import certified_solve
 from simalm.learning import SyntheticLearner
 from simalm.linalg import spectral_norm
 from simalm.model import (ParametricProblem, ProblemConstants, evaluate_f,
-                          infeasibility, simplex_prox)
+                          infeasibility, project_simplex)
 from simalm.outer_alm import (NonFiniteError, Schedule, ScheduleError,
                               StopRule, alm_run, make_constant_schedule,
                               make_increasing_schedule, sequential_baseline,
@@ -40,10 +40,8 @@ def tiny_capped_qp():
         return 0.5 * float(x @ x) - float(x[0]), grad(x, theta)
 
     problem = ParametricProblem(
-        smooth_grad=grad,
         smooth_value_grad=svg,
-        nonsmooth_value=lambda x, th: 0.0,
-        prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
+        prox_step=project_simplex,
         constraint_matrix=lambda th: A,
         constraint_offset=lambda th: -b,
         cone=NonnegativeOrthant(1),
@@ -237,11 +235,9 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
     A = np.ones((1, n))
 
     problem = ParametricProblem(
-        smooth_grad=lambda x, th: np.asarray(x, float) - v,
         smooth_value_grad=lambda x, th: (0.5 * float((x - v) @ (x - v)),
                                          np.asarray(x, float) - v),
-        nonsmooth_value=lambda x, th: 0.0,
-        prox_step=lambda y, g, L, th: simplex_prox(y, g, L),
+        prox_step=project_simplex,
         constraint_matrix=lambda th: A,
         constraint_offset=lambda th: np.array([-10.0]),
         cone=NonnegativeOrthant(1),
@@ -497,31 +493,32 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
     def nan_midway_through_epoch_2(x, theta):
         # call 1 is the warm-start gap and step 1, then one per step: NaN
         # from step 2 on
-        grad = problem.smooth_grad(x, theta)
+        value, grad = problem.smooth_value_grad(x, theta)
         if np.array_equal(theta, theta_2):
             calls.append(1)
             if len(calls) > 1:
                 grad = np.full_like(grad, np.nan)
-        return grad
+        return value, grad
 
-    def nan_map_in_epoch_2(lam, rho, theta, L):
-        # the forward-backward map takes every step after the first: its
-        # first call is step 2, here on a NaN point, so w = W y is NaN
-        step = problem.forward_backward(lam, rho, theta, L)
+    def nan_map_in_epoch_2(bad, lam, rho, theta, L):
+        # the forward map takes every step after the first: its first call
+        # is step 2, here on a NaN point, so w = W y is NaN and the
+        # projection of the map's result refuses it
+        forward = problem.forward(bad, lam, rho, theta, L)
         if not np.array_equal(theta, theta_2):
-            return step
+            return forward
 
-        def nan_step(y):
+        def nan_forward(y):
             calls.append(1)
-            return step(np.full_like(y, np.nan))
+            return forward(np.full_like(y, np.nan))
 
-        return nan_step
+        return nan_forward
 
-    # the composed steps with the map cleared, then the map's own steps
+    # the generic forward map, on the replaced oracle, then the portfolio's
     for bad, want_calls in (
-            (dataclasses.replace(problem, smooth_grad=nan_midway_through_epoch_2,
-                                 forward_backward=None), 2),
-            (dataclasses.replace(problem, forward_backward=nan_map_in_epoch_2), 1)):
+            (dataclasses.replace(problem, smooth_value_grad=nan_midway_through_epoch_2,
+                                 forward=None), 2),
+            (dataclasses.replace(problem, forward=nan_map_in_epoch_2), 1)):
         calls.clear()
         with pytest.raises(NonFiniteError,
                            match="non-finite x at epoch 2: simplex projection"):
@@ -543,12 +540,13 @@ def test_non_finite_warm_start_gradient_names_quantity_and_epoch_once(apg_mode):
 
     def nan_on_first_call(x, theta):
         calls.append(1)
-        grad = problem.smooth_grad(x, theta)
-        return np.full_like(grad, np.nan) if len(calls) == 1 else grad
+        value, grad = problem.smooth_value_grad(x, theta)
+        return value, (np.full_like(grad, np.nan) if len(calls) == 1 else grad)
 
-    # forward_backward restates smooth_grad, so the replaced problem drops it
-    bad = dataclasses.replace(problem, smooth_grad=nan_on_first_call,
-                              forward_backward=None)
+    # the portfolio's forward map refuses a replaced smooth_value_grad, so
+    # the replaced problem drops it for the generic one
+    bad = dataclasses.replace(problem, smooth_value_grad=nan_on_first_call,
+                              forward=None)
     schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     with pytest.raises(NonFiniteError) as err:
         alm_run(bad, SyntheticLearner(sigma, sigma, 0.6), schedule,
