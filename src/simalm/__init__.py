@@ -18,9 +18,9 @@ from .inner_apg import (ApgConfig, BudgetError, apg_solve, certified_solve,
 from .outer_alm import (AlmRecord, AlmTrace, NonFiniteError, Schedule,
                         ScheduleError, StopRule, alm_run, make_constant_schedule,
                         make_increasing_schedule, sequential_baseline)
-from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem, ScsState,
-                       SyntheticLearner, admm_solve, eigh_clip,
-                       scs_admm_step, scs_init)
+from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem,
+                       SyntheticLearner, admm_solve, eigh_clip, scs_admm_step,
+                       scs_init)
 from .bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
                      c_lambda, c_lambda_prime, dual_gap_bound,
                      infeasibility_bound_geometric, inverse_power_series,

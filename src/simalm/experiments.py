@@ -11,6 +11,7 @@ cpu_learn_s and cpu_opt_s.
 """
 
 import functools
+import inspect
 import json
 import math
 import time
@@ -39,7 +40,8 @@ __all__ = [
 
 # Instance-generator constants: with (n, s, seed) they fix the instance and
 # every derived quantity, and save_bundle records them in meta.json. admm_tol
-# is the residual at which Sigma* counts as learned.
+# is the residual at which Sigma* counts as learned: admm_solve's default,
+# the one tolerance at which learners hold Sigma*.
 _GENERATOR = {
     "band_width": 10,
     "sector_overlap": 0.2,
@@ -47,7 +49,7 @@ _GENERATOR = {
     "psd_floor": 1e-2,
     "upsilon": 0.4,
     "risk_tradeoff": 0.1,
-    "admm_tol": 1e-9,
+    "admm_tol": inspect.signature(admm_solve).parameters["tol"].default,
     "max_attempts": 50,
     "binding_tol": 1e-7,
     "f_floor": 1e-3,
@@ -199,7 +201,7 @@ def _draw_instance(config):
             least_peak_load = min(least_peak_load, float(uniform_load.max()))
             continue
         load_passed = True
-        sigma_star, info = admm_solve(scs, tol=_GENERATOR["admm_tol"])
+        sigma_star, info = admm_solve(scs)
         x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
                                   -instance.risk_tradeoff * instance.mu)
         free_peak = float(np.max(instance.sector_matrix @ x_free))
@@ -319,7 +321,8 @@ def prepare_bundle(config):
     The error history is the sequence a learner reveals, so errors[k] =
     ||theta_k - Sigma*|| for the k-th revealed estimate. The bundle's
     ScsProblem keeps the ADMM solve's sweeps in its record, so learners
-    built on it replay them and run no sweep until they pass Sigma*.
+    built on it replay them, run no sweep, and hold Sigma* once they reach
+    it: errors[-1] is 0, and every later estimate keeps it there.
     """
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
@@ -498,8 +501,10 @@ def run_seq_vs_sim(config, bundle, max_outer=50):
     early, within its budget, on the certificate of its step's own gradient
     mapping, so the work axis counts the proximal-gradient steps actually
     needed, one gradient each, mirroring how effort is compared across
-    schemes.
-    Requires at least two sequential budgets.
+    schemes. Every learner replays the bundle's ADMM record and runs no
+    sweep, so the simultaneous run reveals Sigma* from the epoch that
+    reaches the record's last sweep on. Requires at least two sequential
+    budgets.
     """
     if len(config.sequential_budgets) < 2:
         raise ValueError("need at least two sequential budgets")

@@ -10,14 +10,15 @@ selection problem
     minimize (1/2) ||Sigma - S||_F^2 + upsilon * |offdiag(Sigma)|_1
     subject to Sigma >= psd_floor * I.
 
-Learner instances are single-owner mutable state; the estimates step()
-hands out are fresh arrays that may be shared freely. Each ADMM sweep is
-one eigenvalue-floored projection: a Cholesky factorisation tests whether
-the target already lies in the floored cone, and only a target outside it
-is factored by LAPACK `eigh`. The sweep sequence is fixed by its
-ScsProblem, so each problem keeps one read-only record of the sweeps run
-on it: `admm_solve` is the only code that extends it, and every
-`AdmmScsLearner` on the problem replays it before it steps on its own.
+Learner instances are single-owner mutable state. Each ADMM sweep is one
+eigenvalue-floored projection: a Cholesky factorisation tests whether the
+target already lies in the floored cone, and only a target outside it is
+factored by LAPACK `eigh`. The sweep sequence is fixed by its ScsProblem,
+so each problem keeps one read-only record of the sweeps run on it, and
+`admm_solve` is the only code that runs or records a sweep. An
+`AdmmScsLearner` replays the record up to the sweep that meets the ADMM
+stopping test and then holds that Sigma*; the estimates it hands out are
+the record's read-only arrays, shared by every learner on the problem.
 """
 
 import functools
@@ -31,9 +32,8 @@ from .linalg import soft_threshold_offdiag, symmetrize
 from .model import NonFiniteError
 
 __all__ = [
-    "SyntheticLearner", "FrozenLearner", "ScsProblem", "ScsState",
-    "SweepRecord", "eigh_clip", "scs_init", "scs_admm_step", "AdmmScsLearner",
-    "admm_solve",
+    "SyntheticLearner", "FrozenLearner", "ScsProblem", "eigh_clip", "scs_init",
+    "scs_admm_step", "AdmmScsLearner", "admm_solve",
 ]
 
 
@@ -83,10 +83,10 @@ class ScsProblem:
 
     S is the sample covariance, upsilon the l1 weight on off-diagonal
     entries, psd_floor the eigenvalue floor of the feasible set, and
-    admm_penalty the splitting penalty. The sweeps run on the problem are
-    kept on the object (`record`) and shared by `admm_solve` and every
-    learner built on it; any other ScsProblem, one from
-    `dataclasses.replace` included, records its own.
+    admm_penalty the splitting penalty. The sweeps `admm_solve` runs on the
+    problem are kept on the object (`record`), and every learner built on
+    it replays them; any other ScsProblem, one from `dataclasses.replace`
+    included, records its own.
     """
 
     S: np.ndarray
@@ -114,7 +114,8 @@ class ScsProblem:
 
         Created holding the first sweep only, from `scs_init`: for a
         rank-deficient S that takes the two `eigh` factorisations of a
-        cold start, once per ScsProblem object.
+        cold start, once per ScsProblem object. `admm_solve` appends every
+        later sweep, and learners read the sweeps it ran.
         """
         return SweepRecord(scs_init(self))
 
@@ -155,10 +156,10 @@ class SweepRecord:
 
     sigmas[i] is Sigma after sweep i + 1 and residuals[i] its (primal,
     dual) residual pair; `last` is the whole state after sweep m, from
-    which the sweeps past the record continue. Every array is read-only,
-    so an in-place write raises ValueError instead of corrupting every
-    later replay. Only `admm_solve` appends, so the record never holds
-    more sweeps than the solves on its problem ran.
+    which `admm_solve` runs the sweeps past the record. Every array is
+    read-only, so an in-place write raises ValueError instead of
+    corrupting every later replay. Only `admm_solve` appends, so the
+    record never holds more sweeps than the solves on its problem ran.
     """
 
     def __init__(self, first):
@@ -250,47 +251,33 @@ def scs_admm_step(problem, state):
 
 
 class AdmmScsLearner:
-    """Learner facade over the SCS ADMM iteration.
+    """Learner facade over the SCS ADMM iteration, replayed to its limit.
 
     The very first sweep provably leaves the covariance block unchanged
     (it shares the eigenbasis of the floored sample covariance), so a
     learner starts after it: theta is Sigma after sweep 1, and the k-th
-    step() reveals Sigma after sweep k + 1. While that sweep lies inside
-    the problem's `record` the learner replays it and runs no sweep, so
-    learners on one ScsProblem take the cold first sweep's two
-    factorisations only once between them. Past the record each step() is
-    one sweep of its own, from the record's last state, factored by `eigh`
-    only when its target lies outside the floored cone. A learner never
-    extends the shared record. theta may be a read-only record entry;
-    step() returns a fresh array.
+    step() reveals Sigma after sweep k + 1. The sweeps are those of
+    `admm_solve(problem)` at its default tolerance, read from the
+    problem's `record`; once they reach the sweep that meets the
+    tolerance, the learner holds that Sigma*, since a converged ADMM
+    process repeats its limit (Boyd et al. 2011, Sec. 3.3). On a problem
+    whose record already holds that sweep, as a bundle's does, a learner
+    runs no sweep; on any other the constructor runs the solve, or raises
+    its RuntimeError. theta and every step() are the record's read-only
+    arrays, uncopied.
     """
 
     def __init__(self, problem):
-        self.problem = problem
-        self._record = problem.record
-        self._state = None  # the learner's own state, once past the record
-        self._calls = 0
+        self._history = admm_solve(problem)[1]["history"]
+        self.steps_taken = 0
 
     @property
     def theta(self):
-        if self._state is None:
-            return self._record.sigmas[self._calls]
-        return self._state.Sigma
-
-    @property
-    def steps_taken(self):
-        return self._calls
+        return self._history[min(self.steps_taken, len(self._history) - 1)]
 
     def step(self):
-        record = self._record
-        if self._state is None and self._calls + 1 < len(record.sigmas):
-            Sigma = record.sigmas[self._calls + 1]
-        else:
-            # scs_admm_step never writes into the state it is given
-            Sigma, self._state = scs_admm_step(
-                self.problem, record.last if self._state is None else self._state)
-        self._calls += 1
-        return Sigma.copy()
+        self.steps_taken += 1
+        return self.theta
 
 
 _MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
@@ -306,9 +293,12 @@ def admm_solve(problem, tol=1e-9):
     Raises RuntimeError after _MAX_SWEEPS sweeps, the first included,
     without that. Returns (Sigma_star, info) where info records sweeps,
     the final residuals and history, the recorded Sigma of every sweep
-    from the first (read-only, not copies): history[k] is the estimate a
-    learner on the problem reveals at step k.
+    from the first (read-only, not copies): at the default tol, history[k]
+    is the estimate a learner on the problem reveals at step k. Raises
+    ValueError, before any sweep, for a tol that is NaN or negative.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     record = problem.record
     k = 1
     while not max(record.residuals[k - 1]) <= tol:

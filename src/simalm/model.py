@@ -314,9 +314,10 @@ def portfolio_problem(instance, kappa=1.0):
     max(w[n:] + c, 0), w[:n] - B r + d: two matrix-vector products. It
     restates the gradient of smooth_value_grad and the orthant's dual
     projection, so it raises ValueError unless
-    inspect.unwrap(problem.smooth_value_grad) is this problem's own oracle
-    and the cone is a NonnegativeOrthant; a functools.wraps wrapper, such as
-    a timer, stands for the oracle it wraps.
+    inspect.unwrap(problem.smooth_value_grad) is this problem's own oracle,
+    the cone is a NonnegativeOrthant and its project_dual is the orthant's
+    own method; a functools.wraps wrapper, such as a timer, stands for the
+    oracle or method it wraps.
     """
     offset = -instance.sector_limits
     mu = instance.mu
@@ -331,7 +332,9 @@ def portfolio_problem(instance, kappa=1.0):
 
     def forward(problem, lam, rho, theta, L):
         if (inspect.unwrap(problem.smooth_value_grad) is not smooth_value_grad
-                or type(problem.cone) is not NonnegativeOrthant):
+                or type(problem.cone) is not NonnegativeOrthant
+                or getattr(inspect.unwrap(problem.cone.project_dual), "__func__",
+                           None) is not NonnegativeOrthant.project_dual):
             raise ValueError("the portfolio's forward map serves only its own "
                              "smooth_value_grad and a NonnegativeOrthant cone")
         A = problem.constraint_matrix(theta)

@@ -152,6 +152,24 @@ def random_simplex_point(gen, n):
     return gen.dirichlet(np.ones(n))
 
 
+def rate_violations(steps, errors, tau, recorded):
+    """The learner steps k at which errors[k] breaks the linear rate
+    ||theta_k - theta*|| <= tau^k ||theta_0 - theta*|| by more than four
+    ulps of the bound. errors[i] is the error after steps[i] steps, and
+    steps[0] is 0. experiments._certified_rate takes tau over the first
+    `recorded` errors but leaves out those at most _RATE_FLOOR times the
+    first, so at a step inside the record the bound is at least that
+    floor; past the record nothing is left out, and tau^k is the bound."""
+    from simalm.experiments import _RATE_FLOOR
+
+    steps, errors = np.asarray(steps), np.asarray(errors, dtype=float)
+    assert steps[0] == 0
+    rate = tau ** steps
+    rate = np.where(steps < recorded, np.maximum(rate, _RATE_FLOOR), rate)
+    bound = rate * errors[0] * (1.0 + 4.0 * np.finfo(float).eps)
+    return steps[errors > bound].tolist()
+
+
 def overlay_margin(trace, curves, f_star):
     """Smallest ratio of a run's overlay curves to its trace, after asserting
     infeasibility under v_k_bound and the relative suboptimality under the

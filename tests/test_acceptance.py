@@ -24,6 +24,7 @@ from simalm.bounds import BoundInputs, b_k, dual_gap_bound, \
     infeasibility_bound_geometric, v_of_k
 from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
+from simalm import experiments
 from simalm.experiments import (ExperimentConfig, bound_inputs_for_run,
                                 dual_gap_estimates, prepare_bundle,
                                 run_seq_vs_sim, run_solve, _certified_rate,
@@ -37,7 +38,7 @@ from simalm.outer_alm import (ScheduleError, StopRule, alm_run,
                               make_constant_schedule, make_increasing_schedule)
 from simalm.reference import simplex_qp
 
-from conftest import count_factorisations, overlay_margin
+from conftest import count_factorisations, overlay_margin, rate_violations
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK = ExperimentConfig(n=100, s=10, seed=12, epsilon=(1e-1, 1e-2))
@@ -287,6 +288,33 @@ def test_desk_counts_of_one_benchmark_round(desk_bundle):
     totals["seqsim"] = inner, outer
     assert totals == {"known": (2180, 13), "learned": (285, 30),
                       "seqsim": (2855, 250)}
+
+
+def test_learner_meets_its_certified_rate_past_the_record(monkeypatch, desk_bundle):
+    # every learned schedule and overlay rests on ||theta_k - Sigma*|| <=
+    # tau_hat^k ||theta_0 - Sigma*||, which _certified_rate certifies over
+    # the recorded sweeps only; it must hold at every step past them too
+    sweeps, sigma_star, tau = (desk_bundle.admm_sweeps, desk_bundle.sigma_star,
+                               desk_bundle.tau_hat)
+    learner = AdmmScsLearner(desk_bundle.scs)
+    errors = [np.linalg.norm(learner.theta - sigma_star, "fro")]
+    errors += [np.linalg.norm(learner.step() - sigma_star, "fro")
+               for _ in range(2 * sweeps)]
+    assert rate_violations(range(len(errors)), errors, tau, sweeps) == []
+    # ... and at every epoch of seqsim's simultaneous run, which passes them
+    traces = []
+    run = experiments.alm_run
+
+    def kept_run(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(experiments, "alm_run", kept_run)
+    run_seq_vs_sim(DESK, desk_bundle)
+    [trace] = traces
+    steps = trace.column("learner_steps")
+    assert steps[-1] > sweeps
+    assert rate_violations(steps, trace.column("theta_err"), tau, sweeps) == []
 
 
 def test_desk_factorisations_of_one_benchmark_round(monkeypatch, desk_bundle):

@@ -148,11 +148,15 @@ def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
             run_solve(small_config, eps, bundle, specification="learned",
                       regime=regime)
     assert len(learners) == 6
-    # step k reveals sweep k + 1, and the record holds sweeps 1..admm_sweeps
-    beyond = sum(max(0, learner.steps_taken - (bundle.admm_sweeps - 1))
-                 for learner in learners)
-    assert beyond > 0
-    assert counts == {"sweeps": beyond, "eigh": 0}
+    # step k reveals sweep k + 1, and the record holds sweeps 1..admm_sweeps:
+    # a learner past the record holds its last sweep, Sigma*, and runs none
+    beyond = [learner for learner in learners
+              if learner.steps_taken >= bundle.admm_sweeps]
+    assert beyond
+    for learner in beyond:
+        np.testing.assert_array_equal(learner.theta, bundle.sigma_star)
+        assert learner.theta is bundle.scs.record.sigmas[-1]
+    assert counts == {"sweeps": 0, "eigh": 0}
     assert len(bundle.scs.record.sigmas) == bundle.admm_sweeps
     with pytest.raises(ValueError):
         AdmmScsLearner(bundle.scs).theta[0, 0] = 1.0
@@ -254,7 +258,7 @@ def test_curvature_memo_skips_non_finite_thetas(monkeypatch, small_config):
     step = learner.step
 
     def nan_step():
-        theta = step()
+        theta = step().copy()  # the learner hands out read-only record entries
         theta[0, 0] = np.nan
         return theta
 

@@ -304,7 +304,23 @@ def test_scs_json_round_trip(tmp_path):
     assert sorted(payload) == ["S", "admm_penalty", "psd_floor", "upsilon"]
 
 
-def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
+@pytest.fixture
+def sweeps_run(monkeypatch):
+    """The problem of every ADMM sweep run from here on, in order."""
+    from simalm import learning
+
+    run, sweep = [], learning.scs_admm_step
+
+    def counted_sweep(problem, state):
+        run.append(problem)
+        return sweep(problem, state)
+
+    monkeypatch.setattr(learning, "scs_admm_step", counted_sweep)
+    return run
+
+
+def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch,
+                                                                 sweeps_run):
     import dataclasses
 
     from simalm import learning
@@ -322,80 +338,89 @@ def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch):
 
     monkeypatch.setattr(learning, "jacobi_eigh", counted_eigh)
     # the cold start factors S, then the target of the first sweep, which
-    # lies outside the floored cone: once per problem
+    # lies outside the floored cone: once per problem. The first learner's
+    # solve runs on through warm sweeps whose targets lie inside the cone
     first = AdmmScsLearner(problem)
     assert factors_of_S(problem) == [True, False]
+    record = problem.record
+    sweeps = len(record.sigmas)
+    assert len(sweeps_run) == sweeps  # the cold start's sweep included
+    # the record ends at admm_solve's converged sweep ...
+    assert max(record.residuals[-1]) <= 1e-9 < max(record.residuals[-2])
+    assert admm_solve(problem)[1]["sweeps"] == sweeps
+    # ... and a second learner on the problem runs no sweep and no eigh
     eigensolves.clear()
+    sweeps_run.clear()
     second = AdmmScsLearner(problem)
-    assert eigensolves == []
+    assert eigensolves == [] and sweeps_run == []
     copied_problem = dataclasses.replace(problem)
     copied = AdmmScsLearner(copied_problem)
     assert factors_of_S(copied_problem) == [True, False]
+    assert len(sweeps_run) == sweeps
     eigensolves.clear()
-    mu = problem.admm_penalty
-    state = problem.record.last
-    for _ in range(5):
-        # a warm sweep whose target lies inside the cone factors nothing
-        target = (problem.S + mu * (state.Phi - state.U)) / (1.0 + mu)
-        assert np.linalg.eigvalsh(target)[0] >= 2.0 * problem.psd_floor
-        theta, state = scs_admm_step(problem, state)
-        np.testing.assert_array_equal(first.step(), theta)
-        np.testing.assert_array_equal(second.step(), theta)
+    sweeps_run.clear()
+    for _ in range(2 * sweeps):
+        theta = first.step()
+        assert second.step() is theta
         np.testing.assert_array_equal(copied.step(), theta)
-    assert eigensolves == []
+    assert eigensolves == [] and sweeps_run == []
+    assert problem.record is record and len(record.sigmas) == sweeps
 
-    record = problem.record
-    assert problem.record is record
-    assert len(record.sigmas) == 1  # learners never extend the record
-    start = record.last
-    assert start.Sigma is record.sigmas[0]
-    for block in (start.Sigma, start.Phi, start.U):
+    start = record.sigmas[0]
+    for block in (start, record.last.Sigma, record.last.Phi, record.last.U):
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
-    # a fresh learner reveals the record entry itself, read-only, and
-    # steps to fresh writable arrays
+    # a fresh learner reveals the record entries themselves, read-only
     fresh = AdmmScsLearner(problem)
-    assert fresh.theta is start.Sigma
+    assert fresh.theta is start
     with pytest.raises(ValueError):
         fresh.theta[0, 0] = 1.0
     revealed = fresh.step()
-    revealed[0, 0] = 1.0
-    assert not np.shares_memory(revealed, fresh.theta)
+    assert revealed is record.sigmas[1] is fresh.theta
+    with pytest.raises(ValueError):
+        revealed[0, 0] = 1.0
 
     raised = dataclasses.replace(problem, psd_floor=0.5)
     assert raised.record is not record
     assert np.linalg.eigvalsh(raised.record.sigmas[0]).min() >= 0.5 - 1e-10
-    assert np.linalg.eigvalsh(start.Sigma).min() < 0.5
+    assert np.linalg.eigvalsh(start).min() < 0.5
 
 
-def test_learner_hands_off_from_the_record_to_its_own_sweeps(monkeypatch):
+def test_learner_replays_the_record_and_holds_sigma_star(sweeps_run):
     import dataclasses
 
-    from simalm import learning
-
     recorded = make_scs(n=8, seed=4)
-    _, info = admm_solve(recorded, tol=1e-9)
+    sigma_star, info = admm_solve(recorded)
     sweeps = info["sweeps"]
-    unrecorded = dataclasses.replace(recorded)  # holds the first sweep only
-    sweeps_run = []
-    sweep = learning.scs_admm_step
-
-    def counted_sweep(problem, state):
-        sweeps_run.append(problem)
-        return sweep(problem, state)
-
-    monkeypatch.setattr(learning, "scs_admm_step", counted_sweep)
+    unrecorded = dataclasses.replace(recorded)  # has run no sweep yet
+    sweeps_run.clear()
     replay = AdmmScsLearner(recorded)
+    assert sweeps_run == []
+    # on a problem without the record, the learner runs the solve
     fresh = AdmmScsLearner(unrecorded)
+    assert len(sweeps_run) == sweeps
+    assert all(problem is unrecorded for problem in sweeps_run)
+    sweeps_run.clear()
     np.testing.assert_array_equal(replay.theta, fresh.theta)
-    for k in range(1, sweeps + 6):
+    for k in range(1, 2 * sweeps):
         np.testing.assert_array_equal(replay.step(), fresh.step())
         np.testing.assert_array_equal(replay.theta, fresh.theta)
-        # step k reveals sweep k + 1: the record holds sweeps 1..sweeps
-        ran = sum(problem is recorded for problem in sweeps_run)
-        assert ran == max(0, k - (sweeps - 1))
-    assert len(recorded.record.sigmas) == sweeps
-    assert len(unrecorded.record.sigmas) == 1
+        # step k reveals sweep k + 1 up to the converged sweep, then holds it
+        assert replay.theta is recorded.record.sigmas[min(k, sweeps - 1)]
+        assert replay.steps_taken == fresh.steps_taken == k
+    np.testing.assert_array_equal(replay.theta, sigma_star)
+    assert sweeps_run == []
+    assert len(recorded.record.sigmas) == len(unrecorded.record.sigmas) == sweeps
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9, -np.inf])
+def test_admm_solve_refuses_a_nan_or_negative_tol(tol, sweeps_run):
+    # refused before any sweep; tol = 0 stays legal, as the cap checks of
+    # test_admm_solve_reads_the_record_and_extends_it_only_past_its_end use it
+    problem = make_scs(n=6, seed=2)
+    with pytest.raises(ValueError, match="tol must be a non-negative number"):
+        admm_solve(problem, tol=tol)
+    assert sweeps_run == []
 
 
 def test_admm_solve_reads_the_record_and_extends_it_only_past_its_end(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -258,45 +259,62 @@ def test_portfolio_forward_backward_refuses_a_non_finite_w():
             problem.prox_step(forward(y))
 
 
-@pytest.mark.parametrize("field", ["smooth_value_grad", "cone"])
+@pytest.mark.parametrize("field", ["smooth_value_grad", "cone", "project_dual"])
 def test_portfolio_forward_refuses_a_replaced_oracle(field):
     # the map restates the portfolio's gradient and its orthant's dual
     # projection, so a replace of either that keeps the map is refused at
     # the first solve, never stepped past: a plain closure around the
-    # gradient oracle, or a cone of another type (here the same orthant as
-    # a one-factor product)
+    # gradient oracle, a cone of another type (here the same orthant as a
+    # one-factor product), or a copy of the orthant whose dual projection
+    # is a plain closure around its own
     from simalm.cones import ProductCone
     from simalm.inner_apg import ApgConfig, apg_solve
 
     instance, problem = make_small_portfolio()
-    own = problem.smooth_value_grad
-    replacement = {"smooth_value_grad": lambda x, theta: own(x, theta),
-                   "cone": ProductCone([problem.cone])}[field]
-    bad = dataclasses.replace(problem, **{field: replacement})
+    own, cone = problem.smooth_value_grad, problem.cone
+    closed_over = copy.copy(cone)
+    closed_over.project_dual = lambda y: cone.project_dual(y)
+    replacement = {"smooth_value_grad": {"smooth_value_grad": lambda x, theta: own(x, theta)},
+                   "cone": {"cone": ProductCone([cone])},
+                   "project_dual": {"cone": closed_over}}[field]
+    bad = dataclasses.replace(problem, **replacement)
     with pytest.raises(ValueError, match="forward map serves only"):
         apg_solve(bad, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
                   2.0, instance.sigma, ApgConfig(alpha=1e-4))
 
 
 def test_portfolio_forward_takes_a_wrapped_oracle_for_its_own():
-    # a functools.wraps spy of the gradient oracle stands for the oracle it
-    # wraps: the map serves it, and the solve runs bit for bit
+    # a functools.wraps spy of the gradient oracle, or of the orthant's dual
+    # projection, stands for what it wraps: the map serves it, and the
+    # solve runs bit for bit
     from simalm.inner_apg import ApgConfig, apg_solve
 
     instance, problem = make_small_portfolio()
     calls = []
 
-    @functools.wraps(problem.smooth_value_grad)
-    def spy(x, theta):
-        calls.append(1)
-        return problem.smooth_value_grad(x, theta)
+    def spied(oracle):
+        @functools.wraps(oracle)
+        def spy(*args):
+            calls.append(oracle.__name__)
+            return oracle(*args)
+        return spy
 
     args = (np.full(instance.n, 1.0 / instance.n), np.ones(instance.s), 2.0,
             instance.sigma, ApgConfig(alpha=1e-4))
     x, steps = apg_solve(problem, *args)
-    x_spy, steps_spy = apg_solve(dataclasses.replace(problem, smooth_value_grad=spy),
-                                 *args)
-    assert steps_spy == steps > 1 and calls == [1]
+    x_spy, steps_spy = apg_solve(
+        dataclasses.replace(problem, smooth_value_grad=spied(problem.smooth_value_grad)),
+        *args)
+    assert steps_spy == steps > 1 and calls == ["smooth_value_grad"]
+    assert x_spy.tobytes() == x.tobytes()
+
+    calls.clear()
+    cone = copy.copy(problem.cone)
+    cone.project_dual = spied(problem.cone.project_dual)
+    x_spy, steps_spy = apg_solve(dataclasses.replace(problem, cone=cone), *args)
+    # the map projects on its own; only the warm start's gradient calls it,
+    # by the name of the orthant's project, which is its project_dual
+    assert steps_spy == steps and calls == ["project"]
     assert x_spy.tobytes() == x.tobytes()
 
 
