@@ -30,14 +30,19 @@ T_sc. Without a linear minimizer there is no gap, and without mu > 0 no
 linear rate; T then runs with R = D_x. The gap does not depend on (L, mu).
 A budget above MAX_ITERATIONS raises BudgetError, the one cap failure.
 
-Each step is z = prox_step(forward(y)): the forward map y - grad nu(y) / L,
-built once per solve after L is fixed, then the projection onto X. The map
-is problem.forward where the problem has one (the portfolio's stacked [I -
-theta / L; A] gemv with 1/L, rho and the offsets folded in, which refuses a
-problem whose oracles it does not restate), else the gradient composed from
-smooth_value_grad and the dual-cone projection. The first step is taken
-from the warm start's gradient, the gap's, so a solve takes one gradient
-and then one map per later step, and one projection per step.
+Each step is z = prox_step(forward(y), warm): the forward map y - grad
+nu(y) / L, built once per solve after L is fixed, then the projection onto
+X. The map is problem.forward where the problem has one (the portfolio's
+stacked [I - theta / L; A] gemv with 1/L, rho and the offsets folded in,
+which refuses a problem whose oracles it does not restate), else the
+gradient composed from smooth_value_grad and the dual-cone projection. The
+first step is taken from the warm start's gradient, the gap's, so a solve
+takes one gradient and then one map per later step, and one projection per
+step. warm is the solve's hint for its projections: a dict it creates
+empty, as a run creates its CurvatureAnchor, and passes to every
+projection, the first included, so the hint lives as long as its solve.
+project_simplex keeps there the support of its last projection and tests it
+first (model).
 
 A run need not factor every theta. Its CurvatureAnchor holds the last
 theta_a it factored and that pair (L_a, mu_a). By Weyl's inequality (Horn &
@@ -317,6 +322,7 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
         raise BudgetError(
             f"required budget {budget} exceeds cap {MAX_ITERATIONS}{where}")
     prox_step = problem.prox_step
+    warm = {}
     if problem.forward is not None:
         forward = problem.forward(problem, lam, rho, theta, L)
     else:
@@ -324,12 +330,12 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
             return y - grad(y) / L
 
     def step(y):
-        return prox_step(forward(y))
+        return prox_step(forward(y), warm)
 
     first = None
     if g0 is not None:
         def first(y):
-            return prox_step(y - g0 / L)
+            return prox_step(y - g0 / L, warm)
     cert, stop = math.nan, None
     if certify:
         linear_minimizer = problem.linear_minimizer

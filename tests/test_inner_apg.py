@@ -839,16 +839,17 @@ def test_zero_modulus_runs_the_fista_sequence_bit_for_bit(rng):
         assert all(np.array_equal(a, b) for a, b in zip(seen, want, strict=True))
     # so does a budget solve of a problem without a modulus, on the
     # portfolio's forward map after a first step from the warm start's
-    # gradient, and on the generic forward map without it
+    # gradient, and on the generic forward map without it, each step
+    # projecting with the solve's support hint
     L_p = problem.smooth_curvature(instance.sigma)[0]
     plain = dataclasses.replace(problem, smooth_curvature=lambda th: (L_p, 0.0))
-    fused = _fused_reference(problem, lam, 4.0, instance.sigma, L)
-    for run_problem, run_step in ((plain, fused),
-                                  (dataclasses.replace(plain, forward=None), step)):
+    for run_problem in (plain, dataclasses.replace(plain, forward=None)):
         x, steps = apg_solve(run_problem, x0, lam, 4.0, instance.sigma,
                              ApgConfig(alpha=1e-1))
         assert steps == iteration_budget(plain, 4.0, instance.sigma, 1e-1)
-        want = _reference_loop(run_step, L, x0, 0.0, steps=steps, first=step)
+        run_step, first = _reference_steps(run_problem, grad, lam, 4.0,
+                                           instance.sigma, L)
+        want = _reference_loop(run_step, L, x0, 0.0, steps=steps, first=first)
         assert np.array_equal(x, want[-1])
 
 
@@ -901,6 +902,32 @@ def test_anchorless_solve_runs_on_a_fresh_anchor(rng, toy_problem):
         got = certified_solve(*args, gap_tol=1e-6, anchor=CurvatureAnchor())
         np.testing.assert_array_equal(x, got[0])
         assert (value, cert, steps) == got[1:]
+
+
+def test_projection_hint_lives_only_as_long_as_its_solve(rng):
+    # each solve starts its projections without a hint, so a solve gives
+    # the same x and steps, bit for bit, before and after other solves on
+    # the same problem: on the portfolio's map and on the generic one, in
+    # budget mode and with certify=True. The solves start near their
+    # optimum, where a support left over from an earlier solve would pass
+    # its test at the first step and move the iterates by rounding
+    instance, portfolio = make_small_portfolio()
+    n, theta = instance.n, instance.sigma
+    for problem in (portfolio, dataclasses.replace(portfolio, forward=None)):
+        for certify in (False, True):
+            def solve(x_init, lam, rho, theta, alpha):
+                return apg_solve(problem, x_init, lam, rho, theta,
+                                 ApgConfig(alpha=alpha), certify=certify)
+
+            for _ in range(3):
+                lam = np.abs(rng.standard_normal(instance.s))
+                warm, _ = solve(random_simplex_point(rng, n), lam, 3.0, theta, 1e-3)
+                solve(random_simplex_point(rng, n), 10.0 * lam, 5.0, 2.0 * theta, 1e-4)
+                x, steps = solve(warm, lam, 3.0, theta, 1e-9)
+                solve(warm, lam, 3.0, theta, 1e-6)
+                x_again, steps_again = solve(warm, lam, 3.0, theta, 1e-9)
+                assert steps_again == steps
+                assert x_again.tobytes() == x.tobytes()
 
 
 def test_step_certificate_bounds_the_gap_at_every_step():
@@ -1053,9 +1080,9 @@ def test_fused_solve_evaluates_one_gradient_and_one_map_per_later_step():
 
         return counting_step
 
-    def counting_prox(v):
+    def counting_prox(v, warm):
         projections.append(1)
-        return portfolio.prox_step(v)
+        return portfolio.prox_step(v, warm)
 
     counted = dataclasses.replace(portfolio, smooth_value_grad=counting_grad,
                                   forward=counting_forward, prox_step=counting_prox)
@@ -1130,11 +1157,56 @@ def _pinning_cases(rng):
     ]
 
 
-def _fused_reference(problem, lam, rho, theta, L):
+def _hinted_projection():
+    # the simplex projection of one solve written out: a held support, a
+    # 0/1 mask of size k, gives t = (v . mask - 1) / k, and max(v - t, 0) is
+    # the result when t is finite and it sums to within n eps of 1; else the
+    # support of max(v - t, 0) is tested next, three supports in all, and
+    # then, as at the first call, the unhinted project_simplex (pinned by
+    # test_model) runs. The support that passed, or the sorted result's, is
+    # held from then on
+    held = []
+
+    def project(v):
+        if held:
+            mask, k = held
+            for _ in range(3):
+                t = (float(np.vdot(v, mask)) - 1.0) / k
+                if not math.isfinite(t):
+                    break
+                x = np.maximum(v - t, 0.0)
+                if abs(x.dot(np.ones(v.size)) - 1.0) <= v.size * np.finfo(float).eps:
+                    held[:] = [mask, k]
+                    return x
+                mask, k = np.sign(x), np.count_nonzero(x)
+                if k == 0:
+                    break
+        x = project_simplex(v)
+        held[:] = [np.sign(x), np.count_nonzero(x)]
+        return x
+
+    return project
+
+
+def _reference_steps(problem, grad, lam, rho, theta, L):
+    # (step, first) of one solve, sharing a fresh hinted projection: first
+    # projects the gradient step y - grad(y) / L, and so does step, or on a
+    # problem with a forward map it projects the map written out below
+    project = _hinted_projection()
+
+    def generic(y):
+        return project(y - grad(y) / L)
+
+    if problem.forward is None:
+        return generic, generic
+    return _fused_reference(problem, lam, rho, theta, L, project), generic
+
+
+def _fused_reference(problem, lam, rho, theta, L, project):
     # the portfolio's forward map and the projection written out from the
     # public oracles, in the arithmetic the library uses: w = [I - theta/L;
-    # A] y in one product, r = max(w[n:] + b + lam/rho, 0) and proj(w[:n] -
-    # (rho/L) A' r + gamma mu / L), where -gamma mu = grad p(0)
+    # A] y in one product, r = max(w[n:] + b + lam/rho, 0) and project(w[:n]
+    # - (rho/L) A' r + gamma mu / L), where -gamma mu = grad p(0)
     A = problem.constraint_matrix(theta)
     n = A.shape[1]
     W = np.vstack([np.eye(n) - theta / L, A])
@@ -1145,7 +1217,7 @@ def _fused_reference(problem, lam, rho, theta, L):
     def step(y):
         w = W @ y
         r = np.maximum(w[n:] + c, 0.0)
-        return project_simplex(w[:n] - B @ r + d)
+        return project(w[:n] - B @ r + d)
 
     return step
 
@@ -1182,9 +1254,10 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
     # both stopping rules must produce exactly the iterates of the loop
     # written out in the test, driven by the independently written gradient
     # and the oracle's mu: the first step from the warm start's gradient,
-    # the later ones on the portfolio's forward map and projection written
-    # out in the test, or on the projected gradient step for a problem
-    # without the map (the toys, and the portfolio with it cleared). Both
+    # the later ones on the portfolio's forward map written out in the
+    # test, or on the projected gradient step for a problem without the map
+    # (the toys, and the portfolio with it cleared), each step projecting
+    # with the solve's support hint, also written out. Both
     # run the shorter of FISTA's warm-start count
     # and the strongly convex count for their alpha, computed from the gap,
     # with the momentum of that count (the strongly convex loop runs only
@@ -1195,20 +1268,14 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         grad = _reference_grad(problem, lam, rho, theta)
         L = lipschitz_nu(problem, rho, theta)
         mu = problem.smooth_curvature(theta)[1]
-
-        def generic(y):
-            return problem.prox_step(y - grad(y) / L)
-
-        step = generic
-        if problem.forward is not None:
-            step = _fused_reference(problem, lam, rho, theta, L)
         alpha = 1e-4
         fista_budget, radius, linear_budget = _warm_budget(grad, L, alpha, x0, mu)
         radii.append(radius)
         linear.append(linear_budget < fista_budget)
         budget = min(fista_budget, linear_budget)
+        step, first = _reference_steps(problem, grad, lam, rho, theta, L)
         want = _reference_loop(step, L, x0, mu if linear[-1] else 0.0,
-                               steps=budget, first=generic)
+                               steps=budget, first=first)
         got, steps = apg_solve(problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
         assert steps == len(want) == budget
         assert np.array_equal(got, want[-1])
@@ -1217,8 +1284,9 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
         fista_budget, _, linear_budget = _warm_budget(grad, L, gap_tol, x0, mu)
         certified_linear.append(linear_budget < fista_budget)
         budget = min(fista_budget, linear_budget)
+        step, first = _reference_steps(problem, grad, lam, rho, theta, L)
         want = _reference_loop(step, L, x0, mu if certified_linear[-1] else 0.0,
-                               steps=budget, gap_tol=gap_tol, first=generic)
+                               steps=budget, gap_tol=gap_tol, first=first)
         got, _, _, steps = certified_solve(problem, x0, lam, rho, theta, gap_tol=gap_tol)
         assert steps == len(want) <= budget
         assert np.array_equal(got, want[-1])

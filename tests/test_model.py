@@ -3,6 +3,8 @@ import dataclasses
 import functools
 import itertools
 import json
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,8 +42,9 @@ def test_simplex_prox_examples():
 
 
 def test_simplex_prox_requires_positive_curvature():
-    with pytest.raises(ValueError):
-        simplex_prox([0.5, 0.5], np.zeros(2), 0.0)
+    for L in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            simplex_prox([0.5, 0.5], np.zeros(2), L)
 
 
 def test_simplex_projection_against_brute_force(rng):
@@ -115,6 +118,121 @@ def test_simplex_projection_matches_reference_bit_for_bit(v):
             project_simplex(v)
         return
     assert project_simplex(v).tobytes() == want.tobytes()
+
+
+def exact_simplex_projection(v):
+    """The projection of the float vector v in rational arithmetic."""
+    q = [Fraction(e) for e in v.tolist()]
+    total, tau = Fraction(0), None
+    for j, e in enumerate(sorted(q, reverse=True), 1):
+        total += e
+        if e > (total - 1) / j:  # the passing ranks are a prefix
+            tau = (total - 1) / j
+    return [max(e - tau, Fraction(0)) for e in q]
+
+
+HINTS = ("true", "stale", "other", "full", "single")
+
+
+def held_support(kind, v, j, other):
+    """A projection hint for v: the support of v's own projection, that
+    support with entry j flipped (unless that empties it), the support of
+    other's projection, every entry, or entry j alone."""
+    n = v.size
+    if kind == "full":
+        return {"mask": np.ones(n), "k": n}
+    if kind == "single":
+        mask = np.zeros(n)
+        mask[j] = 1.0
+        return {"mask": mask, "k": 1}
+    warm = {}
+    project_simplex(other if kind == "other" else v, warm)
+    if kind == "stale" and warm["k"] - warm["mask"][j] > 0:
+        mask = warm["mask"].copy()
+        mask[j] = 1.0 - mask[j]
+        warm = {"mask": mask, "k": int(np.count_nonzero(mask))}
+    return warm
+
+
+@st.composite
+def hinted_cases(draw):
+    v = draw(tied_vectors()
+             | hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.0, 1.0)))
+    other = draw(hnp.arrays(np.float64, v.size, elements=st.floats(-1.0, 1.0)))
+    return v, draw(st.sampled_from(HINTS)), draw(st.integers(0, v.size - 1)), other
+
+
+def test_hinted_simplex_projection_is_the_projection():
+    # whatever support the hint holds, a projection is the unhinted sort
+    # path's, bit for bit, or one whose tested support passed, within (2 n +
+    # 1) eps of the exact projection (project_simplex's docstring); the held
+    # support passing keeps the hint as it is, and any other outcome holds a
+    # 0/1 mask and its size. On unit-scale v the result passes the
+    # optimality test of test_simplex_projection_is_optimal. The examples
+    # make every kind of hint pass its test at least once, and the full
+    # hint on [0.3, 0.2, -0.4] fails where its refinement, the support of
+    # max(v - t, 0), passes. At 1e15, sum v - 1 rounds to sum v, so the
+    # true support's t is the entries' value and max(v - t, 0) sums to 0,
+    # which a one-sided test, sum <= 1 + n eps, would return
+    passed = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(hinted_cases())
+    @example((np.array([0.3, 0.2, -0.4]), "true", 0, np.zeros(3)))
+    @example((np.array([0.5, 0.5, 0.0]), "stale", 2, np.zeros(3)))
+    @example((np.array([0.3, 0.2, -0.4]), "other", 0, np.array([0.5, 0.6, -0.1])))
+    @example((np.array([0.4, 0.5, 0.3]), "full", 1, np.zeros(3)))
+    @example((np.array([0.3, 0.2, -0.4]), "full", 1, np.zeros(3)))
+    @example((np.array([0.9, -0.5, -0.8]), "single", 0, np.zeros(3)))
+    @example((np.array([-0.8, -0.8, 0.2]), "single", 1, np.zeros(3)))
+    @example((np.full(10, 1e15), "true", 0, np.zeros(10)))
+    def check(case):
+        v, kind, j, other = case
+        try:
+            want = project_simplex(v)
+        except NonFiniteError:
+            warm = held_support(kind, other, j, other)
+            with pytest.raises(NonFiniteError, match="simplex projection"):
+                project_simplex(v, warm)
+            return
+        warm = held_support(kind, v, j, other)
+        held = warm["mask"]
+        got = project_simplex(v, warm)
+        if warm["mask"] is held:
+            passed.add(kind)
+        if warm["mask"] is held or got.tobytes() != want.tobytes():
+            bound = Fraction((2 * v.size + 1) * np.finfo(float).eps)
+            exact = exact_simplex_projection(v)
+            assert all(abs(Fraction(g) - e) <= bound
+                       for g, e in zip(got.tolist(), exact))
+        assert set(warm["mask"].tolist()) <= {0.0, 1.0}
+        assert warm["k"] == np.count_nonzero(warm["mask"]) > 0
+        if np.abs(v).max() <= 1.0:
+            assert got.min() >= 0.0
+            assert abs(got.sum() - 1.0) <= 1e-12
+            r = v - got
+            assert r.max() <= r @ got + 1e-12
+
+    check()
+    assert passed == set(HINTS)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [[0], [3], [0, 3], [1, 2, 3]])
+def test_hinted_simplex_projection_rejects_non_finite(bad, where):
+    # a NaN or infinite entry, inside the held support {0, 1}, outside it or
+    # both, raises NonFiniteError and no RuntimeWarning (no inf - inf in
+    # v - t), under every kind of hint
+    v = np.array([0.9, 0.5, -0.4, -0.8, 0.1])
+    for kind in HINTS:
+        warm = held_support(kind, v, 2, -v)
+        assert kind != "true" or warm["mask"].tolist() == [1, 1, 0, 0, 0]
+        w = v.copy()
+        w[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="NaN or infinite entries"):
+                project_simplex(w, warm)
 
 
 @pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0], [np.nan, 1.0],
