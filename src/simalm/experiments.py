@@ -97,6 +97,8 @@ class ExperimentConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         eps = tuple(float(e) for e in self.epsilon)
+        if not eps:
+            raise ValueError("epsilon must hold at least one accuracy")
         if not all(0.0 < e < 1.0 for e in eps):
             raise ValueError("epsilon values must lie in (0, 1)")
         if self.regime not in ("constant", "increasing"):

@@ -23,12 +23,13 @@ from F(z_T) - F* <= 2 L ||x_init - x*||^2 / (T + 1)^2 (Beck & Teboulle
 
 from F(z_T) - F* <= (1 - sqrt(mu/L))^T (F(x_init) - F* + (mu/2)
 ||x_init - x*||^2) (Nesterov 2004, 2.2; Beck 2017, Thm 10.42). gap =
-<grad nu(x_init), x_init - s> is the linear-minimizer certificate at x_init
-(Jaggi 2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <= gap, so R
-bounds the warm start's distance to the optimum and 2 gap the bracket of
-T_sc. Without a linear minimizer there is no gap, and without mu > 0 no
-linear rate; T then runs with R = D_x. The gap does not depend on (L, mu).
-A budget above MAX_ITERATIONS raises BudgetError, the one cap failure.
+<g, x_init> - problem.linear_min(g), g = grad nu(x_init), is the
+Frank-Wolfe certificate max_{s in X} <g, x_init - s> at x_init (Jaggi
+2013), and (mu/2) ||x_init - x*||^2 <= F(x_init) - F* <= gap, so R bounds
+the warm start's distance to the optimum and 2 gap the bracket of T_sc.
+Without mu > 0 there is no linear rate, and T runs with R = D_x. The gap
+does not depend on (L, mu). A budget above MAX_ITERATIONS raises
+BudgetError, the one cap failure.
 
 Each step is z = prox_step(forward(y), warm): the forward map y - grad
 nu(y) / L, built once per solve after L is fixed, then the projection onto
@@ -68,8 +69,9 @@ dual_gap_estimates), a solve may exit before it, never after, once the
 certificate of the step just taken is at most alpha: for the step z =
 proj_X(y - grad nu(y) / L) from any point y, momentum points included,
 F(z) - F(x) <= L <e, y - x> - (L/2) ||e||^2 with e = y - z for every x in
-X (Beck & Teboulle 2009, Lemma 2.3), so one linear minimization over X
-bounds F(z) - F* with the step's own gradient.
+X (Beck & Teboulle 2009, Lemma 2.3), so the certificate L (<e, y> -
+linear_min(e) - ||e||^2 / 2), L times e's gap at y less ||e||^2 / 2, bounds
+F(z) - F* with the step's own gradient.
 """
 
 import logging
@@ -197,25 +199,17 @@ def _budget(L, alpha, radius):
 
 def _linear_budget(L, mu, gap, alpha):
     """Fewest steps T of the strongly convex loop with (1 - sqrt(mu/L))^T 2 gap
-    <= alpha: 1 when 2 gap <= alpha, inf when mu = 0 or the gap was not
-    computed (NaN)."""
-    if math.isnan(gap) or mu <= 0.0:
+    <= alpha: 1 when 2 gap <= alpha, inf when mu = 0."""
+    if mu <= 0.0:
         return math.inf
     if 2.0 * gap <= alpha or mu == L:
         return 1
     return math.ceil(math.log(2.0 * gap / alpha) / -math.log1p(-math.sqrt(mu / L)))
 
 
-def _warm_gap(problem, grad, x, where):
-    """(gap, grad(x)) at the warm start x in X; (NaN, None) without
-    problem.linear_minimizer. A NaN or infinite gap raises."""
-    if problem.linear_minimizer is None:
-        return math.nan, None
-    g = grad(x)
-    gap = float(g @ (x - problem.linear_minimizer(g)))
-    if not math.isfinite(gap):
-        raise NonFiniteError(f"non-finite gradient at the warm start{where}")
-    return gap, g
+def _gap(linear_min, g, x):
+    """max_{s in X} <g, x - s>, the Frank-Wolfe gap of g at x."""
+    return float(g @ x) - linear_min(g)
 
 
 def _budgets(L, mu, gap, alpha, D_x):
@@ -225,7 +219,7 @@ def _budgets(L, mu, gap, alpha, D_x):
     ||x_init - x*||; a gap rounded below zero counts as zero.
     """
     radius = D_x
-    if mu > 0.0 and not math.isnan(gap):
+    if mu > 0.0:
         radius = min(D_x, math.sqrt(2.0 * max(gap, 0.0) / mu))
     return _budget(L, alpha, radius), _linear_budget(L, mu, gap, alpha)
 
@@ -295,8 +289,6 @@ def fista(step, L, x0, max_steps, stop=None, mu=0.0, first=None):
 
 def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     """(x, steps, certificate of the last step, NaN unless certify)."""
-    if certify and problem.linear_minimizer is None:
-        raise ValueError("problem lacks a linear minimization oracle")
     grad = _bound_gradient(problem, lam, rho, theta)
     if anchor is None:
         anchor = CurvatureAnchor()
@@ -304,7 +296,11 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""
-    gap, g0 = _warm_gap(problem, grad, x_init, where)
+    linear_min = problem.linear_min
+    g0 = grad(x_init)
+    gap = _gap(linear_min, g0, x_init)
+    if not math.isfinite(gap):
+        raise NonFiniteError(f"non-finite gradient at the warm start{where}")
 
     def budgets(L_p, mu):
         return _budgets(L_p + rho * A_sq, mu, gap, alpha, D_x)
@@ -332,19 +328,15 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     def step(y):
         return prox_step(forward(y), warm)
 
-    first = None
-    if g0 is not None:
-        def first(y):
-            return prox_step(y - g0 / L, warm)
+    def first(y):
+        return prox_step(y - g0 / L, warm)
+
     cert, stop = math.nan, None
     if certify:
-        linear_minimizer = problem.linear_minimizer
-
         def stop(y, z):
             nonlocal cert
             e = y - z
-            # linear_minimizer is positively homogeneous: argmin <L e, x> = s
-            cert = L * (float(e @ (y - linear_minimizer(e))) - 0.5 * float(e @ e))
+            cert = L * (_gap(linear_min, e, y) - 0.5 * float(e @ e))
             return cert <= alpha
 
     try:
@@ -362,9 +354,9 @@ def apg_solve(problem, x_init, lam, rho, theta, config, epoch=None, anchor=None,
 
     anchor, the run's CurvatureAnchor, lets the solve carry the curvature
     pair from the last theta the run factored; without one the solve
-    starts a fresh anchor, which asks the oracle. certify=True adds certified_solve's early exit at the
-    first step whose certificate is at most config.alpha, with its
-    requirements, and returns the same x and steps. Returns (x, steps).
+    starts a fresh anchor, which asks the oracle. certify=True adds
+    certified_solve's early exit at the first step whose certificate is at
+    most config.alpha, and returns the same x and steps. Returns (x, steps).
     Logs L, mu, the gap at x_init, whether the curvature was factored or
     carried and by what shift, the a-priori and FISTA budgets and last the
     budget run at DEBUG level on the "simalm" logger. Raises ValueError,
@@ -380,9 +372,9 @@ def certified_solve(problem, x_init, lam, rho, theta, gap_tol, epoch=None,
                     anchor=None):
     """apg_solve for alpha = gap_tol with the step certificate's early exit.
 
-    Requires problem.linear_minimizer. Returns (x, eval_L at x, certificate
-    of the last step, steps); the certificate bounds F(x) - F* and is at
-    most gap_tol unless the budget ended the solve.
+    Returns (x, eval_L at x, certificate of the last step, steps); the
+    certificate bounds F(x) - F* and is at most gap_tol unless the budget
+    ended the solve.
     """
     x, steps, cert = _solve(problem, x_init, lam, rho, theta,
                             ApgConfig(alpha=gap_tol).alpha, epoch, True, anchor)

@@ -31,8 +31,9 @@ __all__ = [
 
 
 _MEMBERSHIP_TOL = 1e-9  # slack of the portfolio's simplex-membership check
-# eigvalsh's extreme eigenvalue can sit up to ~24 ulps inside the exact one
-# (measured for n = 2..100), more than n ulps when n is small
+# eigh's extreme eigenvalue sat up to ~13 ulps inside the SVD norm (measured
+# for n = 2..100, tiny entries around a few O(1) ones included), more than n
+# ulps when n is small
 _MIN_MARGIN_ULPS = 32
 # Curvature pairs a portfolio problem keeps, oldest evicted first; a learned
 # grid or a seqsim pass on an n = 100 instance factors 4-7 distinct thetas
@@ -108,13 +109,13 @@ class ParametricProblem:
                                    mu >= 0 a strong-convexity modulus of
                                    p(.; theta), 0.0 when none is known; both
                                    on all of R^n, not only on X, because the
-                                   inner loop's momentum points leave X; with
-                                   linear_minimizer, mu > 0 gives inner solves
-                                   the linear-rate budget (inner_apg)
-    membership(x)               -> optional X-membership check
-    linear_minimizer(g)         -> optional argmin_{s in X} <g, s>; gives
-                                   inner solves their warm-start gap and step
+                                   inner loop's momentum points leave X;
+                                   mu > 0 gives inner solves the linear-rate
+                                   budget (inner_apg)
+    linear_min(g)               -> min_{s in X} <g, s>, a float; gives inner
+                                   solves their warm-start gap and step
                                    certificate
+    membership(x)               -> optional X-membership check
     forward(problem, lam, rho, theta, L)
                                 -> optional map y -> y - grad nu_rho(y, lam;
                                    theta) / L, equal to the one composed from
@@ -141,8 +142,8 @@ class ParametricProblem:
     cone: Cone
     constants: ProblemConstants
     smooth_curvature: Callable
+    linear_min: Callable
     membership: Optional[Callable] = None
-    linear_minimizer: Optional[Callable] = None
     forward: Optional[Callable] = None
 
 
@@ -196,9 +197,11 @@ def project_simplex(v, warm=None):
     path, which stores the support of its result in warm. Without warm the
     sort path alone runs.
 
-    Raises NonFiniteError on a NaN or infinite entry (one check of the
-    total sum) and on entries so large (about 2**53) that the unit sum is
-    lost to rounding, leaving no threshold.
+    Raises NonFiniteError, with no RuntimeWarning, on a NaN or infinite
+    entry (a check of the sorted extremes, NaN sorting last) and on entries
+    so large that the unit sum is lost to rounding (about 2**53), leaving no
+    threshold, or that a partial sum could overflow (2 n max |v_i| beyond
+    the largest float).
     """
     v = np.asarray(v, dtype=float)
     if warm:
@@ -218,11 +221,15 @@ def project_simplex(v, warm=None):
     u = v.copy()
     u.sort()  # in place: np.sort's dispatch costs more than the copy
     u = u[::-1]
-    tau = u.cumsum()
-    tau -= 1.0
-    if not math.isfinite(tau[-1]):
+    top, bottom = float(u[0]), float(u[-1])
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise NonFiniteError("simplex projection of a vector with NaN or "
                              "infinite entries")
+    if not math.isfinite(max(top, -bottom) * (2 * v.size)):
+        raise NonFiniteError("simplex projection of a vector with entries "
+                             "beyond float precision")
+    tau = u.cumsum()
+    tau -= 1.0
     tau /= _ranks(v.size)  # the threshold of each support size
     passing = (u > tau).nonzero()[0]
     if passing.size == 0:
@@ -326,13 +333,13 @@ class PortfolioInstance:
 def _curvature_pair(theta):
     """(L_p, mu) of the portfolio objective at theta, from one spectrum.
 
-    np.linalg.eigvalsh of the symmetric theta, widened by the rounding
+    np.linalg.eigh of the symmetric theta, widened by the rounding
     margin max(n, 32) * eps * max |eigenvalue|: L_p is max |eigenvalue| (the
     spectral norm) plus the margin, and mu is the smallest eigenvalue less
     the margin, floored at 0. So L_p bounds the curvature from above and mu
     from below, also for an indefinite theta.
     """
-    eig = np.linalg.eigvalsh(theta)
+    eig = np.linalg.eigh(theta)[0]  # eigvalsh's path can miss by percents
     top = float(max(-eig[0], eig[-1]))
     margin = max(eig.size, _MIN_MARGIN_ULPS) * _EPS * top
     return top + margin, max(0.0, float(eig[0]) - margin)
@@ -420,11 +427,6 @@ def portfolio_problem(instance, kappa=1.0):
         return bool(np.all(x >= -_MEMBERSHIP_TOL)
                     and abs(float(np.sum(x)) - 1.0) <= _MEMBERSHIP_TOL)
 
-    def vertex_minimizer(g):
-        out = np.zeros(instance.n)
-        out[g.argmin()] = 1.0
-        return out
-
     memo = {}
 
     def smooth_curvature(theta):
@@ -459,7 +461,9 @@ def portfolio_problem(instance, kappa=1.0):
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
         smooth_curvature=smooth_curvature,
+        # g.min()'s value without ndarray.min's Python wrapper, about 1 us
+        # a call at n = 100, most of the call
+        linear_min=lambda g: float(g[g.argmin()]),
         membership=in_simplex,
-        linear_minimizer=vertex_minimizer,
         forward=forward,
     )

@@ -40,25 +40,25 @@ def rng():
 
 def count_factorisations(monkeypatch):
     """(kind, matrix shape) of every dense factorisation behind L and mu from
-    now on: "eigvalsh" for np.linalg.eigvalsh (the portfolio's curvature
-    pair) and "svd" for each SVD spectral_norm takes. spectral_norm's memo
+    now on: "eigh" for np.linalg.eigh (the portfolio's curvature pair) and
+    "svd" for each SVD spectral_norm takes. spectral_norm's memo
     is emptied first, so each "svd" is one of its misses."""
     from simalm import linalg
 
     monkeypatch.setattr(linalg, "_last_norm", None)
     calls = []
-    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+    eigh, norm = np.linalg.eigh, np.linalg.norm
 
-    def counting_eigvalsh(M):
-        calls.append(("eigvalsh", np.shape(M)))
-        return eigvalsh(M)
+    def counting_eigh(M, *args, **kwargs):
+        calls.append(("eigh", np.shape(M)))
+        return eigh(M, *args, **kwargs)
 
     def counting_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
             calls.append(("svd", np.shape(x)))
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     return calls
 
@@ -101,11 +101,6 @@ def make_toy_problem(n=3, m=2, seed=0):
         D_x=1.0,
     )
 
-    def vertex(g):
-        out = np.zeros(n)
-        out[int(np.argmin(g))] = 1.0
-        return out
-
     return ParametricProblem(
         smooth_value_grad=smooth_value_grad,
         prox_step=project_simplex,
@@ -116,7 +111,7 @@ def make_toy_problem(n=3, m=2, seed=0):
         smooth_curvature=lambda theta: (L_P, mu_P),
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
-        linear_minimizer=vertex,
+        linear_min=lambda g: float(g.min()),
     )
 
 

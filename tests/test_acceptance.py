@@ -332,7 +332,7 @@ def test_desk_factorisations_of_one_benchmark_round(monkeypatch, desk_bundle):
     workloads = {"known": grid("known"), "learned": grid("learned"),
                  "seqsim": lambda bundle: run_seq_vs_sim(DESK, bundle)}
     calls = count_factorisations(monkeypatch)
-    spectrum = ("eigvalsh", desk_bundle.sigma_star.shape)
+    spectrum = ("eigh", desk_bundle.sigma_star.shape)
     norm = ("svd", desk_bundle.instance.sector_matrix.shape)
     counts = {}
     for name, run in workloads.items():

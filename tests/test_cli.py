@@ -77,6 +77,17 @@ def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
     assert "RuntimeWarning" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["bounds", "solve", "table"])
+def test_empty_epsilon_is_config_error(tmp_path, command):
+    # bounds died with an IndexError traceback and exit 1, solve wrote
+    # nothing and table header-only CSVs, both with exit 0
+    cfg = small_config(tmp_path, "empty", epsilon=[])
+    res = run_cli(command, "--config", str(cfg))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and "epsilon" in res.stderr
+    assert not (tmp_path / "empty").exists()
+
+
 def test_sector_overload_is_config_error(tmp_path):
     # at n = 20, s = 4 every draw's uniform portfolio overloads a sector
     cfg = small_config(tmp_path, "overloaded", n=20, s=4)

@@ -163,15 +163,15 @@ def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
 
 
 def _count_spectra(monkeypatch):
-    """The bytes of every theta np.linalg.eigvalsh factors from now on."""
+    """The bytes of every theta np.linalg.eigh factors from now on."""
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    eigh = np.linalg.eigh
 
-    def counted(M):
+    def counted(M, *args, **kwargs):
         seen.append(np.asarray(M).tobytes())
-        return eigvalsh(M)
+        return eigh(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return seen
 
 
@@ -743,6 +743,14 @@ def test_config_validation():
                               sequential_budgets=np.arange(3))
     assert ExperimentConfig.from_json(config.to_json()) == config
     assert type(config.n) is int and config.sequential_budgets == (0, 1, 2)
+
+
+def test_empty_epsilon_is_refused():
+    # an empty accuracy list ran no solve, wrote header-only tables, and
+    # made bounds index its first report
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="epsilon must hold at least one"):
+            ExperimentConfig(epsilon=empty)
 
 
 @pytest.mark.parametrize("regime, beta", [("constant", 1.0), ("increasing", 1.05)])

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from simalm import outer_alm
+from simalm import inner_apg, outer_alm
 from simalm.al_core import eval_L
 from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
-                              CurvatureAnchor, apg_solve, certified_solve,
+                              CurvatureAnchor, _gap, apg_solve, certified_solve,
                               fista, grad_nu, iteration_budget, lipschitz_nu)
 from simalm.linalg import spectral_norm, symmetrize
 from simalm.learning import FrozenLearner, SyntheticLearner
@@ -24,6 +24,8 @@ from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
 from conftest import (count_factorisations, make_small_portfolio,
                       make_toy_problem, random_simplex_point)
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_momentum_recurrence_values():
@@ -93,7 +95,7 @@ def test_rho_not_finite_and_positive_is_refused_before_any_oracle_call(rho):
 
     spied = dataclasses.replace(portfolio, **{name: spy(name) for name in (
         "smooth_value_grad", "prox_step", "constraint_matrix",
-        "constraint_offset", "smooth_curvature", "linear_minimizer",
+        "constraint_offset", "smooth_curvature", "linear_min",
         "forward")})
     args = (spied, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
             rho, instance.sigma)
@@ -126,6 +128,7 @@ def test_identity_constraint_matrix_curvature():
         cone=NonnegativeOrthant(n),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
+        linear_min=lambda g: float(g.min()),
     )
     assert lipschitz_nu(problem, 2.0, None) == pytest.approx(3.0, rel=1e-9)
 
@@ -141,7 +144,7 @@ def test_portfolio_curvature_is_spectral(rng):
 @pytest.fixture
 def decompositions(monkeypatch):
     # the dense factorisations behind L and mu, as (kind, matrix shape):
-    # np.linalg.eigvalsh (the portfolio's curvature oracle) and the SVDs
+    # np.linalg.eigh (the portfolio's curvature oracle) and the SVDs
     # spectral_norm takes, the misses of its memo, which starts empty
     return count_factorisations(monkeypatch)
 
@@ -163,7 +166,7 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     A = problem.constraint_matrix(instance.sigma)  # the instance's own array
     theta = instance.sigma.copy()
     fresh = _portfolio_lipschitz(theta, A, 2.0)
-    spectrum, norm = ("eigvalsh", theta.shape), ("svd", A.shape)
+    spectrum, norm = ("eigh", theta.shape), ("svd", A.shape)
     decompositions.clear()
     assert lipschitz_nu(problem, 2.0, theta) == fresh
     assert decompositions == [spectrum, norm]
@@ -230,7 +233,7 @@ def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
                         x0=np.full(instance.n, 0.1), theta_star=instance.sigma,
                         stop=StopRule(max_outer=12))
         assert len(trace) == 12
-        spectra[lipschitz] = decompositions.count(("eigvalsh", instance.sigma.shape))
+        spectra[lipschitz] = decompositions.count(("eigh", instance.sigma.shape))
         svds[lipschitz] = decompositions.count(("svd", instance.sector_matrix.shape))
     assert spectra[None] == 12
     assert svds == {None: 1, 1.0: 0}
@@ -522,6 +525,7 @@ def test_prox_fixed_point_at_solution():
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
+        linear_min=lambda g: float(g.min()),
     )
     x_star = project_simplex(v)
     g = grad_nu(problem, x_star, np.zeros(1), 1.0, None)
@@ -537,11 +541,6 @@ def _simplex_qp_problem(Q, c):
     L_Q = float(np.linalg.norm(Q, 2))
     mu_Q = float(np.linalg.eigvalsh(Q)[0])
 
-    def vertex(g):
-        out = np.zeros(n)
-        out[int(np.argmin(g))] = 1.0
-        return out
-
     return ParametricProblem(
         smooth_value_grad=lambda x, th: (0.5 * float(x @ Q @ x) + float(c @ x),
                                          Q @ x + c),
@@ -551,7 +550,7 @@ def _simplex_qp_problem(Q, c):
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (L_Q, mu_Q),
-        linear_minimizer=vertex,
+        linear_min=lambda g: float(g.min()),
     )
 
 
@@ -736,14 +735,12 @@ def test_budget_mode_runs_exact_budget(rng, toy_problem):
     x, steps = apg_solve(toy_problem, x0, lam, rho, theta, ApgConfig(alpha=alpha))
     assert steps == want < fista_budget < iteration_budget(toy_problem, rho, theta, alpha)
     assert toy_problem.membership(x)
-    # without a convexity modulus (mu = 0) or a certificate the a-priori
-    # budget runs
+    # without a convexity modulus (mu = 0) the a-priori budget runs
     L_p = toy_problem.smooth_curvature(theta)[0]
-    for fallback in ({"linear_minimizer": None},
-                     {"smooth_curvature": lambda th: (L_p, 0.0)}):
-        plain = dataclasses.replace(toy_problem, **fallback)
-        _, steps = apg_solve(plain, x0, lam, rho, theta, ApgConfig(alpha=alpha))
-        assert steps == iteration_budget(toy_problem, rho, theta, alpha)
+    plain = dataclasses.replace(toy_problem,
+                                smooth_curvature=lambda th: (L_p, 0.0))
+    _, steps = apg_solve(plain, x0, lam, rho, theta, ApgConfig(alpha=alpha))
+    assert steps == iteration_budget(toy_problem, rho, theta, alpha)
 
 
 def test_budget_cap_error_names_epoch(toy_problem):
@@ -979,16 +976,91 @@ def test_step_certificate_bounds_the_gap_at_every_step():
     assert sum(outside) > 0
 
 
-def test_fused_step_certificate_bounds_the_gap_at_every_step():
+def _vertex(g):
+    # the vertex s of the simplex minimizing <g, s>
+    s = np.zeros(g.size)
+    s[int(np.argmin(g))] = 1.0
+    return s
+
+
+def _vertex_certificate(L, y, e):
+    return L * (float(e @ (y - _vertex(e))) - 0.5 * float(e @ e))
+
+
+def _certificate_rounding(L, y, e):
+    # |closed form - vertex form| of the certificate L (gap(e, y) - ||e||^2
+    # / 2): each form's <e, .> over n terms errs by at most n eps (|e| @
+    # |y| + max |e|), y - s by eps |y_j - 1| in one entry, and the two
+    # subtractions and the product by L by eps of their results, each at
+    # most |e| @ |y| + max |e| + ||e||^2 before L
+    n = e.size
+    scale = float(np.abs(e) @ np.abs(y)) + float(np.abs(e).max()) + float(e @ e)
+    return (2 * n + 8) * EPS * L * scale
+
+
+def test_closed_form_gap_and_certificate_equal_the_vertex_forms():
+    # the gap at x in the simplex, <g, x> - min_i g_i, and the certificate
+    # L (<e, y> - min_i e_i - ||e||^2 / 2) at any y, the forms the inner
+    # solve computes through the portfolio's linear_min, equal the forms
+    # with the minimizing vertex s built here, <g, x - s> and L (<e, y - s>
+    # - ||e||^2 / 2), within their rounding: for the gap (3 n + 6) eps max
+    # |g|, as <g, x> errs by n eps max |g| (x >= 0 sums to 1), <g, x - s>
+    # by 2 (n + 1) eps max |g| and the closed form's difference by eps
+    # |gap| <= 2 eps max |g|; for the certificate _certificate_rounding.
+    # Entries reach far outside X's range [0, 1]
+    _, portfolio = make_small_portfolio()
+    linear_min = portfolio.linear_min
+    entries = st.floats(-1e12, 1e12, allow_nan=False, allow_subnormal=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, n, elements=entries),
+        hnp.arrays(float, n, elements=entries),
+        hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))),
+        st.floats(1e-3, 1e6), st.integers(0, 2**32 - 1))
+    @example((np.array([1e12, -1e12, 3.0]), np.array([-1e12, 0.5, 1e12]),
+              np.zeros(3)), 1.0, 0)
+    def check(vectors, L, seed):
+        g, y, weights = vectors
+        n = g.size
+        x = np.random.default_rng(seed).dirichlet(np.ones(n))
+        x[weights > 0.5] = 0.0  # faces of the simplex too
+        x = x / x.sum() if x.sum() > 0.0 else _vertex(weights)
+        gap = _gap(linear_min, g, x)
+        want = float(g @ (x - _vertex(g)))
+        assert abs(gap - want) <= (3 * n + 6) * EPS * float(np.abs(g).max())
+        e = g  # the step's e = y - z ranges as freely as a gradient
+        cert = L * (_gap(linear_min, e, y) - 0.5 * float(e @ e))
+        assert abs(cert - _vertex_certificate(L, y, e)) <= \
+            _certificate_rounding(L, y, e)
+
+    check()
+
+
+def test_fused_step_certificate_bounds_the_gap_at_every_step(monkeypatch):
     # the twin of the test above on the portfolio's forward map: every step
     # after the first is one call of the map, and its (y, z) with z the
     # projection of the map's point is certified by its own gradient
     # mapping, cert = L (<e, y - s> - ||e||^2 / 2) >= F(z) - F* with e = y
     # - z and s the vertex minimizing <e, .>, also where the momentum point
-    # y has left the simplex
+    # y has left the simplex. The certificate certified_solve returns, the
+    # closed form L (<e, y> - min_i e_i - ||e||^2 / 2) at the (y, z) its
+    # last step passed to the stopping test, equals that vertex form within
+    # _certificate_rounding
     instance, portfolio = make_small_portfolio(n=6, s=2)
     n, m = instance.n, instance.s
-    records, outside = [], []
+    records, outside, tested = [], [], []
+    loop = inner_apg.fista
+
+    def recording_fista(step, L, x0, max_steps, stop=None, mu=0.0, first=None):
+        def recording_stop(y, z):
+            tested.append((y, z, L))
+            return stop(y, z)
+
+        return loop(step, L, x0, max_steps, stop=recording_stop, mu=mu,
+                    first=first)
+
+    monkeypatch.setattr(inner_apg, "fista", recording_fista)
 
     def forward(*args):
         step, L = portfolio.forward(*args), args[-1]
@@ -1013,13 +1085,16 @@ def test_fused_step_certificate_bounds_the_gap_at_every_step():
         x0 = random_simplex_point(gen, n)
         _, f_ref, _, _ = certified_solve(portfolio, x0, lam, rho, theta, gap_tol=1e-12)
         records.clear()
-        _, _, _, steps = certified_solve(recording, x0, lam, rho, theta, gap_tol=1e-7)
-        assert len(records) == steps - 1
+        tested.clear()
+        _, _, last, steps = certified_solve(recording, x0, lam, rho, theta,
+                                            gap_tol=1e-7)
+        assert len(records) == steps - 1 and len(tested) == steps
         for y, z, L in records:
-            e = y - z
-            s = portfolio.linear_minimizer(e)
-            cert = L * (float(e @ (y - s)) - 0.5 * float(e @ e))
+            cert = _vertex_certificate(L, y, y - z)
             assert cert >= eval_L(portfolio, z, lam, rho, theta) - f_ref - 1e-12
+        y, z, L = tested[-1]
+        assert abs(last - _vertex_certificate(L, y, y - z)) <= \
+            _certificate_rounding(L, y, y - z)
         outside.append(sum(1 for y, _, _ in records if y.min() < 0.0))
 
     check()

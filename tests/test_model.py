@@ -235,6 +235,23 @@ def test_hinted_simplex_projection_rejects_non_finite(bad, where):
                 project_simplex(w, warm)
 
 
+@pytest.mark.parametrize("v, message", [
+    ([np.inf, -np.inf], "NaN or infinite entries"),
+    ([1e308, 1e308], "entries beyond float precision")])
+def test_simplex_projection_of_extremes_raises_without_warning(v, message):
+    # inf - inf and an overflowing partial sum in the sort path raise the
+    # typed error, not a RuntimeWarning, without a hint, with an empty one
+    # and with each held support; the overflow names no NaN or inf
+    v = np.array(v)
+    for warm in (None, {}, {"mask": np.ones(2), "k": 2},
+                 {"mask": np.array([1.0, 0.0]), "k": 1},
+                 {"mask": np.array([0.0, 1.0]), "k": 1}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=message):
+                project_simplex(v, warm)
+
+
 @pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0], [np.nan, 1.0],
                                [1.0, np.nan, 0.2], [-np.inf, 1.0],
                                [1e17, 0.0], [-1e17, -1e17]])
@@ -357,8 +374,10 @@ def test_portfolio_forward_backward_matches_the_composed_step(
 
 def test_portfolio_forward_backward_refuses_a_non_finite_w():
     # a NaN in y or theta makes w = [I - theta/L; A] y NaN, and an infinite
-    # or overflowing y makes it infinite; the simplex projection of the
-    # map's point refuses either. numpy warns on the infinite products first
+    # y makes it NaN, numpy warning on the infinite products first; the
+    # simplex projection of the map's point refuses either. A y of 1e308
+    # leaves w finite but so large that its partial sums would overflow,
+    # which the projection refuses with no warning
     instance, problem = make_small_portfolio()
     lam, x = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
     bad_theta = instance.sigma.copy()
@@ -370,10 +389,16 @@ def test_portfolio_forward_backward_refuses_a_non_finite_w():
         with pytest.raises(NonFiniteError, match="NaN or infinite entries"):
             problem.prox_step(forward(y))
     forward = problem.forward(problem, lam, 2.0, instance.sigma, 50.0)
-    for bad in (np.inf, -np.inf, 1e308):
+    for bad in (np.inf, -np.inf):
         y = x.copy()
         y[3:5] = bad
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+            problem.prox_step(forward(y))
+    y = x.copy()
+    y[3:5] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="beyond float precision"):
             problem.prox_step(forward(y))
 
 
@@ -486,12 +511,10 @@ def test_portfolio_curvature_brackets_the_spectrum(M, shift, seed):
         assert py >= px + float(gx @ d) + 0.5 * mu * float(d @ d) - tol
 
 
-@pytest.mark.xfail(strict=True, reason="eigvalsh misses the extreme eigenvalues of "
-                   "this theta; ROADMAP item 2 certifies L_p and mu by Cholesky")
 def test_portfolio_curvature_bounds_a_sparse_spectrum():
-    # two O(1) entries and tiny ones elsewhere: the spectral norm is 14.5, but
-    # the values-only eigvalsh path returns L_p = 14.408; the property above
-    # meets such a theta only rarely
+    # two O(1) entries and tiny ones elsewhere: the spectral norm is 14.5,
+    # where the values-only eigvalsh path returns 14.408 and eigh 14.5; the
+    # property above meets such a theta only rarely
     theta = np.full((4, 4), 1e-160)
     theta[0, 1] = theta[1, 0] = 14.5
     _, problem = make_small_portfolio(n=4, s=1)

@@ -49,7 +49,7 @@ def tiny_capped_qp():
         smooth_curvature=lambda th: (1.0, 0.0),
         membership=lambda x: bool(np.all(np.asarray(x) >= -1e-9)
                                   and abs(float(np.sum(x)) - 1.0) <= 1e-9),
-        linear_minimizer=lambda g: np.eye(2)[int(np.argmin(g))],
+        linear_min=lambda g: float(g.min()),
     )
     reference = ReferenceSolution(x=np.array([0.3, 0.7]), lam=np.array([1.4]),
                                   f_value=-0.01, kkt_residual=0.0)
@@ -243,7 +243,7 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
-        linear_minimizer=lambda g: np.eye(n)[int(np.argmin(g))],
+        linear_min=lambda g: float(g.min()),
     )
     theta = np.zeros(1)
     learner = SyntheticLearner(theta, theta, 0.9)
