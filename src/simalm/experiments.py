@@ -89,6 +89,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if any(b < 0 for b in budgets):
             raise ValueError(f"sequential_budgets must be nonnegative, got {budgets}")
+        if len(set(budgets)) < len(budgets):  # each names one seqsim curve
+            raise ValueError(f"sequential_budgets must be distinct, got {budgets}")
         for name in ("n", "s", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.n >= max(self.s, 4) and self.s >= 1):
@@ -505,8 +507,8 @@ def run_seq_vs_sim(config, bundle, max_outer=50):
     needed, one gradient each, mirroring how effort is compared across
     schemes. Every learner replays the bundle's ADMM record and runs no
     sweep, so the simultaneous run reveals Sigma* from the epoch that
-    reaches the record's last sweep on. Requires at least two sequential
-    budgets.
+    reaches the record's last sweep on. Requires at least two distinct
+    sequential budgets (ExperimentConfig refuses a repeated one).
     """
     if len(config.sequential_budgets) < 2:
         raise ValueError("need at least two sequential budgets")

@@ -34,8 +34,9 @@ BudgetError, the one cap failure.
 Each step is z = prox_step(forward(y), warm): the forward map y - grad
 nu(y) / L, built once per solve after L is fixed, then the projection onto
 X. The map is problem.forward where the problem has one (the portfolio's
-stacked [I - theta / L; A] gemv with 1/L, rho and the offsets folded in,
-which refuses a problem whose oracles it does not restate), else the
+augmented [[I - theta / L, gamma mu / L], [A, b + lam / rho]] gemv of [y;
+1], which steps in buffers of its own and refuses a problem whose oracles
+it does not restate), else the
 gradient composed from smooth_value_grad and the dual-cone projection. The
 first step is taken from the warm start's gradient, the gap's, so a solve
 takes one gradient and then one map per later step, and one projection per

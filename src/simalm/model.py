@@ -123,7 +123,10 @@ class ParametricProblem:
                                    y in R^n (momentum points leave X); an
                                    inner solve builds it once L is fixed and
                                    projects its result with prox_step
-                                   (inner_apg)
+                                   (inner_apg); a map may hold buffers it
+                                   overwrites at every call, so it serves
+                                   one solve, and each result must be a
+                                   fresh array
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. An oracle may memoize its results, as the portfolio's
@@ -179,8 +182,11 @@ def project_simplex(v, warm=None):
 
     warm, one inner solve's hint, is a dict: empty, or holding the support
     S of the last projection it saw as a 0/1 array "mask" and its size "k".
-    A held support is tested first, in four numpy calls: t = (v . mask - 1)
-    / k and x = max(v - t, 0). The sum phi(t) = sum_i max(v_i - t, 0) is at
+    The sort path stores there too, as "sum", the ones vector and the
+    tolerance n eps of the sum test below, so a hinted test computes
+    neither; a hint of mask and k alone tests with the same two. A held
+    support is tested first, in four numpy calls: t = (v . mask - 1) / k
+    and x = max(v - t, 0). The sum phi(t) = sum_i max(v_i - t, 0) is at
     least sum_{i in S} (v_i - t) = 1, with equality exactly when t is the
     projection's threshold tau. So x is returned when t is finite and the
     computed sum of x is within n eps of 1. phi falls with slope at most -1
@@ -194,8 +200,8 @@ def project_simplex(v, warm=None):
     is kept in warm. Any NaN or infinite entry makes t NaN or infinite
     (np.vdot, unlike dot and matmul, raises no warning for 0 * inf), so
     such a v, like one whose _HINT_TESTS supports all fail, takes the sort
-    path, which stores the support of its result in warm. Without warm the
-    sort path alone runs.
+    path, which stores the support of its result, and "sum", in warm.
+    Without warm the sort path alone runs.
 
     Raises NonFiniteError, with no RuntimeWarning, on a NaN or infinite
     entry (a check of the sorted extremes, NaN sorting last) and on entries
@@ -206,13 +212,14 @@ def project_simplex(v, warm=None):
     v = np.asarray(v, dtype=float)
     if warm:
         mask, k = warm["mask"], warm["k"]
+        ones, tol = warm.get("sum") or (_ones(v.size), v.size * _EPS)
         for _ in range(_HINT_TESTS):
             t = (float(np.vdot(v, mask)) - 1.0) / k
             if not math.isfinite(t):
                 break
             x = v - t
             np.maximum(x, 0.0, out=x)
-            if abs(x.dot(_ones(v.size)) - 1.0) <= v.size * _EPS:
+            if abs(x.dot(ones) - 1.0) <= tol:
                 warm["mask"], warm["k"] = mask, k
                 return x
             mask, k = np.sign(x), int(np.count_nonzero(x))
@@ -239,6 +246,7 @@ def project_simplex(v, warm=None):
     np.maximum(x, 0.0, out=x)
     if warm is not None:
         warm["mask"], warm["k"] = np.sign(x), int(np.count_nonzero(x))
+        warm["sum"] = _ones(v.size), v.size * _EPS
     return x
 
 
@@ -371,12 +379,15 @@ def portfolio_problem(instance, kappa=1.0):
     <= ||theta - theta'||_F (Horn & Johnson 2013, Cor. 4.3.15).
 
     forward(problem, lam, rho, theta, L) reads A and b through problem's
-    oracles and folds 1/L, rho and the offsets into one (n + s) x n matrix
-    W = [I - theta / L; A] and the constants c = b + lam / rho, B = (rho /
-    L) A' and d = gamma mu / L, so y - grad nu(y) / L is w = W y, r =
-    max(w[n:] + c, 0), w[:n] - B r + d: two matrix-vector products. It
-    restates the gradient of smooth_value_grad and the orthant's dual
-    projection, so it raises ValueError unless
+    oracles and folds 1/L, rho and both offsets into one (n + s) x (n + 1)
+    matrix W = [[I - theta / L, gamma mu / L], [A, b + lam / rho]] and the
+    C-ordered s x n matrix B = (rho / L) A, so y - grad nu(y) / L is w = W
+    [y; 1], r = max(w[n:], 0), w[:n] - r B: two matrix-vector products.
+    The map holds buffers for [y; 1] (its trailing 1 written once), w and r
+    B, which every step overwrites, so it serves one solve; each result is
+    a fresh array, and each map holds buffers of its own, so one problem
+    serves concurrent solves. It restates the gradient of smooth_value_grad
+    and the orthant's dual projection, so it raises ValueError unless
     inspect.unwrap(problem.smooth_value_grad) is this problem's own oracle,
     the cone is a NonnegativeOrthant and its project_dual is the orthant's
     own method; a functools.wraps wrapper, such as a timer, stands for the
@@ -402,23 +413,27 @@ def portfolio_problem(instance, kappa=1.0):
                              "smooth_value_grad and a NonnegativeOrthant cone")
         A = problem.constraint_matrix(theta)
         m, n = A.shape
-        W = np.empty((n + m, n))
-        np.divide(theta, -L, out=W[:n])
-        W.reshape(-1)[:n * n:n + 1] += 1.0  # the diagonal of W[:n], a view
-        W[n:] = A
-        c = problem.constraint_offset(theta) + np.asarray(lam, dtype=float) / rho
-        B = (rho / L) * A.T
-        d = gamma_mu / L
+        W = np.empty((n + m, n + 1))
+        np.divide(theta, -L, out=W[:n, :n])
+        W.reshape(-1)[:n * (n + 1):n + 2] += 1.0  # the diagonal of I - theta / L
+        W[n:, :n] = A
+        np.divide(gamma_mu, L, out=W[:n, n])
+        np.add(problem.constraint_offset(theta),
+               np.asarray(lam, dtype=float) / rho, out=W[n:, n])
+        B = np.multiply(A, rho / L, order="C")
+        y_hat = np.empty(n + 1)
+        y_hat[n] = 1.0
+        head = y_hat[:n]
+        w = np.empty(n + m)
+        v, r = w[:n], w[n:]
+        buf = np.empty(n)
 
         def step(y):
-            w = W @ y
-            r = w[n:]
-            r += c
+            head[...] = y
+            np.dot(W, y_hat, out=w)
             np.maximum(r, 0.0, out=r)
-            v = w[:n]
-            v -= B @ r
-            v += d
-            return v
+            np.dot(r, B, out=buf)
+            return v - buf
 
         return step
 

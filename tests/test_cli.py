@@ -77,6 +77,16 @@ def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
     assert "RuntimeWarning" not in res.stderr
 
 
+def test_repeated_sequential_budget_is_config_error(tmp_path):
+    # [2, 2] passed seqsim's two-budget check, ran the baseline twice, wrote
+    # a single sequential_2 curve and exited 0
+    cfg = small_config(tmp_path, "repeated", sequential_budgets=[2, 2])
+    res = run_cli("seqsim", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and "distinct" in res.stderr
+    assert not (tmp_path / "repeated").exists()
+
+
 @pytest.mark.parametrize("command", ["bounds", "solve", "table"])
 def test_empty_epsilon_is_config_error(tmp_path, command):
     # bounds died with an IndexError traceback and exit 1, solve wrote

@@ -738,6 +738,10 @@ def test_config_validation():
             ExperimentConfig(**{name: bad})
     with pytest.raises(ValueError, match="must be nonnegative"):
         ExperimentConfig(sequential_budgets=(0, -2))
+    # a repeated budget ran its baseline twice for one sequential_<b> curve
+    for repeated in ((2, 2), (0, 4, np.int64(0))):
+        with pytest.raises(ValueError, match="sequential_budgets must be distinct"):
+            ExperimentConfig(sequential_budgets=repeated)
     # numpy integers are counts too, stored as ints so the config serializes
     config = ExperimentConfig(n=np.int64(30), s=np.int32(5), seed=np.uint8(3),
                               sequential_budgets=np.arange(3))

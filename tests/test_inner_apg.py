@@ -1279,20 +1279,21 @@ def _reference_steps(problem, grad, lam, rho, theta, L):
 
 def _fused_reference(problem, lam, rho, theta, L, project):
     # the portfolio's forward map and the projection written out from the
-    # public oracles, in the arithmetic the library uses: w = [I - theta/L;
-    # A] y in one product, r = max(w[n:] + b + lam/rho, 0) and project(w[:n]
-    # - (rho/L) A' r + gamma mu / L), where -gamma mu = grad p(0)
+    # public oracles, in the arithmetic the library uses: the augmented
+    # product w = [[I - theta/L, gamma mu / L], [A, b + lam/rho]] [y; 1],
+    # where -gamma mu = grad p(0), then r = max(w[n:], 0) and project(w[:n]
+    # - r (rho/L) A)
     A = problem.constraint_matrix(theta)
     n = A.shape[1]
-    W = np.vstack([np.eye(n) - theta / L, A])
-    c = problem.constraint_offset(theta) + lam / rho
-    B = (rho / L) * A.T
     d = -problem.smooth_value_grad(np.zeros(n), theta)[1] / L
+    c = problem.constraint_offset(theta) + lam / rho
+    W = np.block([[np.eye(n) - theta / L, d[:, None]], [A, c[:, None]]])
+    B = (rho / L) * A
 
     def step(y):
-        w = W @ y
-        r = np.maximum(w[n:] + c, 0.0)
-        return project(w[:n] - B @ r + d)
+        w = W @ np.append(y, 1.0)
+        r = np.maximum(w[n:], 0.0)
+        return project(w[:n] - r @ B)
 
     return step
 

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import itertools
 import json
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -400,6 +402,78 @@ def test_portfolio_forward_backward_refuses_a_non_finite_w():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="beyond float precision"):
             problem.prox_step(forward(y))
+
+
+def test_portfolio_forward_results_outlive_its_buffers(rng):
+    # a map steps in buffers it holds, but each result is a fresh array:
+    # one the caller keeps reads the same after later calls of the map, and
+    # no call writes to its y
+    instance, problem = make_small_portfolio()
+    lam = np.abs(rng.standard_normal(instance.s))
+    forward = problem.forward(problem, lam, 3.0, instance.sigma, 40.0)
+    ys = [random_simplex_point(rng, instance.n) for _ in range(4)]
+    ys.append(5.0 * rng.standard_normal(instance.n))
+    given_ys = [y.copy() for y in ys]
+    results = [forward(y) for y in ys]
+    kept = [v.copy() for v in results]
+    for y in reversed(ys):
+        forward(y)
+    assert all(v.tobytes() == k.tobytes() for v, k in zip(results, kept))
+    assert all(y.tobytes() == g.tobytes() for y, g in zip(ys, given_ys))
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(results, 2))
+
+
+def test_portfolio_forward_maps_of_one_problem_do_not_share_buffers(rng):
+    # each map holds its own buffers and serves one solve, so one problem
+    # serves concurrent solves: two maps built from it, stepped alternately
+    # or on two threads that take turns within a step, each give bit for bit
+    # the sequence z_{t+1} = prox_step(forward(z_t)) it gives alone
+    instance, problem = make_small_portfolio()
+    maps = [(np.abs(rng.standard_normal(instance.s)), rho, L)
+            for rho, L in ((3.0, 40.0), (8.0, 90.0))]
+    x0 = np.full(instance.n, 1.0 / instance.n)
+
+    def build():
+        return [problem.forward(problem, lam, rho, instance.sigma, L)
+                for lam, rho, L in maps]
+
+    def run(forwards, steps=500):
+        # one step of each map in turn
+        zs, seen = [x0] * len(forwards), [[] for _ in forwards]
+        for _ in range(steps):
+            for i, forward in enumerate(forwards):
+                zs[i] = problem.prox_step(forward(zs[i]))
+                seen[i].append(zs[i].tobytes())
+        return seen
+
+    alone = [run([forward])[0] for forward in build()]
+    assert run(build()) == alone
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda forward: run([forward])[0], build()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == alone
+
+
+def test_hint_holds_the_constants_of_its_sum_test(rng):
+    # the sort path keeps, next to the support, the ones vector and the n
+    # eps tolerance of the hinted sum test; a hint of the support alone,
+    # as held_support builds, projects bit for bit as one that holds them
+    v = 0.1 * rng.standard_normal(30)
+    warm = {}
+    project_simplex(v, warm)
+    ones, tol = warm["sum"]
+    assert ones.tolist() == [1.0] * 30 and tol == 30 * np.finfo(float).eps
+    bare = {"mask": warm["mask"], "k": warm["k"]}
+    for _ in range(30):
+        v = v + 0.01 * rng.standard_normal(30)
+        assert project_simplex(v, warm).tobytes() == project_simplex(v, bare).tobytes()
+        assert warm["mask"].tobytes() == bare["mask"].tobytes()
+        assert warm["k"] == bare["k"]
 
 
 @pytest.mark.parametrize("field", ["smooth_value_grad", "cone", "project_dual"])
