@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import BoundInputs, bound_curves
 from .inner_apg import BudgetError, CurvatureAnchor, certified_solve
-from .learning import AdmmScsLearner, ScsProblem, SyntheticLearner, admm_solve
+from .learning import AdmmScsLearner, FrozenLearner, ScsProblem, admm_solve
 from .linalg import spectral_norm
 from .model import PortfolioInstance, portfolio_problem
 from .outer_alm import (StopRule, alm_run, make_constant_schedule,
@@ -59,8 +59,9 @@ _GENERATOR = {
 _MAX_OUTER = {"constant": {"known": 40, "learned": 400}, "increasing": {"known": 150, "learned": 150}}
 
 _RATE_FLOOR = 1e-10  # relative learner errors _certified_rate leaves out
-# Linear rate of the learner that already holds Sigma*: its schedule is
-# validated against it and its bound inputs use it
+# Linear rate assumed of the known-parameter runs, whose learner holds
+# Sigma* from the start: their schedule is validated against it and their
+# bound inputs use it
 _KNOWN_RATE = 0.5
 _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
 
@@ -375,7 +376,7 @@ def _schedule(config, bundle, epsilon, specification=None, regime=None):
 
 def _learner(bundle, specification):
     if specification == "known":
-        return SyntheticLearner(bundle.sigma_star, bundle.sigma_star, _KNOWN_RATE)
+        return FrozenLearner(bundle.sigma_star)
     return AdmmScsLearner(bundle.scs)
 
 
@@ -500,12 +501,15 @@ def run_seq_vs_sim(config, bundle, max_outer=50):
     """Learn-then-optimize sweeps against the interleaved scheme.
 
     Returns a dict with one suboptimality-vs-work curve per sequential
-    budget plus the simultaneous run; work counts learning steps and inner
-    iterations. Inner solves run apg_solve with certify=True: each exits
-    early, within its budget, on the certificate of its step's own gradient
-    mapping, so the work axis counts the proximal-gradient steps actually
-    needed, one gradient each, mirroring how effort is compared across
-    schemes. Every learner replays the bundle's ADMM record and runs no
+    budget plus the simultaneous run. Inner solves run apg_solve with
+    certify=True: each exits early, within its budget, on the certificate
+    of its step's own gradient mapping, so the work axis counts the
+    proximal-gradient steps actually needed, one gradient each, mirroring
+    how effort is compared across schemes. Every curve reads its work off
+    its trace's records: learner_steps plus the cumulative inner
+    iterations. A learn-phase row counts the learning steps taken so far,
+    and a sequential run's frozen learner learns nothing, so its rows count
+    the budget. Every learner replays the bundle's ADMM record and runs no
     sweep, so the simultaneous run reveals Sigma* from the epoch that
     reaches the record's last sweep on. Requires at least two distinct
     sequential budgets (ExperimentConfig refuses a repeated one).
@@ -517,48 +521,22 @@ def run_seq_vs_sim(config, bundle, max_outer=50):
     x0 = np.full(config.n, 1.0 / config.n)
     schedule = _schedule(config, bundle, epsilon=1e-2,
                           specification="learned", regime="increasing")
-    stop = StopRule(max_outer=max_outer)
+    run = dict(theta_star=bundle.sigma_star, stop=StopRule(max_outer=max_outer),
+               reference=bundle.reference, apg_mode="certified")
 
     curves = {}
-    for budget in config.sequential_budgets:
+    for budget in (*config.sequential_budgets, -1):  # -1: the simultaneous run
         learner = AdmmScsLearner(bundle.scs)
-        trace = sequential_baseline(
-            problem, learner, budget, schedule, x0,
-            theta_star=bundle.sigma_star, stop=stop, reference=bundle.reference,
-            apg_mode="certified")
-        work, subopt = _work_curve(trace, f_star, learn_prefix=budget)
-        curves[f"sequential_{budget}"] = {
-            "work": work, "subopt": subopt, "plateau": float(subopt[-1]),
-            "budget": budget,
-        }
-
-    learner = AdmmScsLearner(bundle.scs)
-    trace = alm_run(problem, learner, schedule, x0,
-                    theta_star=bundle.sigma_star, stop=stop,
-                    reference=bundle.reference, apg_mode="certified")
-    work, subopt = _work_curve(trace, f_star, learn_prefix=0, interleaved=True)
-    curves["simultaneous"] = {
-        "work": work, "subopt": subopt, "plateau": float(subopt[-1]),
-        "budget": -1,
-    }
-    return curves
-
-
-def _work_curve(trace, f_star, learn_prefix, interleaved=False):
-    work = []
-    subopt = []
-    inner_cum = 0
-    for i, rec in enumerate(trace.records):
-        inner_cum += rec.inner_iterations
-        if rec.phase == "learn":
-            w = rec.k
-        elif interleaved:
-            w = rec.learner_steps + inner_cum
+        if budget < 0:
+            name, trace = "simultaneous", alm_run(problem, learner, schedule, x0, **run)
         else:
-            w = learn_prefix + inner_cum
-        work.append(w)
-        subopt.append(abs(rec.f_at_theta_star - f_star))
-    return np.array(work, dtype=float), np.array(subopt)
+            name = f"sequential_{budget}"
+            trace = sequential_baseline(problem, learner, budget, schedule, x0, **run)
+        work = trace.column("learner_steps") + np.cumsum(trace.column("inner_iterations"))
+        subopt = np.abs(trace.column("f_at_theta_star") - f_star)
+        curves[name] = {"work": work.astype(float), "subopt": subopt,
+                        "plateau": float(subopt[-1]), "budget": budget}
+    return curves
 
 
 def write_seqsim(curves, path):

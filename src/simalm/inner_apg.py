@@ -133,12 +133,14 @@ class CurvatureAnchor:
         2 d <= L_a - mu_a, and budgets(L_p, mu) gives the carried and the
         optimistic pair the same smaller budget, the carried pair and d.
         Otherwise theta's own pair from smooth_curvature and d = None; the
-        anchor moves to a private copy of theta, or to none at a NaN or
-        infinite theta.
+        anchor moves to theta, or to none at a NaN or infinite theta. It
+        keeps a read-only theta by reference, which the library assumes
+        stays unchanged, and meets it again by identity; a writable theta
+        it copies, so a caller's later write in place cannot move it.
         """
         point = np.asarray(theta, dtype=float)
         anchored = self._theta is not None and point.shape == self._theta.shape
-        if anchored and np.array_equal(point, self._theta):
+        if anchored and (point is self._theta or np.array_equal(point, self._theta)):
             return (*self._pair, 0.0)
         lipschitz = problem.constants.L_curv_theta
         if anchored and lipschitz is not None and budgets is not None:
@@ -155,7 +157,9 @@ class CurvatureAnchor:
                     and min(budgets(*carried)) == min(budgets(L_a - d, mu_a + d))):
                 return (*carried, d)
         L_p, mu = problem.smooth_curvature(theta)
-        self._theta = point.copy() if np.isfinite(point).all() else None
+        self._theta = None
+        if np.isfinite(point).all():
+            self._theta = point.copy() if point.flags.writeable else point
         self._pair = (float(L_p), float(mu))
         return (*self._pair, None)
 

@@ -1,8 +1,12 @@
 """Learners that reveal the problem parameter one estimate per epoch.
 
-A learner holds the current estimate in `theta`, advances one iteration per
-`step()` call, and counts those calls in `steps_taken`. A learner reports no
-rate: `experiments.prepare_bundle` certifies one from the error history.
+A learner holds the current estimate in `theta`, advances one learning
+iteration per `step()` call, and counts those iterations in `steps_taken`.
+Every estimate is handed out read-only and uncopied: a write raises
+ValueError, and the library assumes a read-only theta stays unchanged, so
+a run that meets the same read-only array again reuses what it computed
+from it. A learner reports no rate: `experiments.prepare_bundle` certifies
+one from the error history.
 Two concrete learners are provided: an exact geometric learner for
 controlled tests, and a two-block ADMM solver for the sparse covariance
 selection problem
@@ -37,11 +41,17 @@ __all__ = [
 ]
 
 
+def _read_only(theta):
+    theta.flags.writeable = False
+    return theta
+
+
 class SyntheticLearner:
     """Geometric test learner: theta_k = theta* + tau^k (theta_0 - theta*).
 
     Realizes the linear-rate contract with equality, which makes it the
-    reference double for rate experiments.
+    reference double for rate experiments. Each step() returns its new
+    theta read-only, uncopied.
     """
 
     def __init__(self, theta_star, theta0, tau):
@@ -53,28 +63,32 @@ class SyntheticLearner:
             raise ValueError("theta0 and theta_star shapes differ")
         self.tau = float(tau)
         self.steps_taken = 0
-        self.theta = self.theta0.copy()
+        self.theta = _read_only(self.theta0.copy())
 
     def step(self):
         self.steps_taken += 1
         drift = self.tau ** self.steps_taken * (self.theta0 - self.theta_star)
-        self.theta = self.theta_star + drift
-        return self.theta.copy()
+        self.theta = _read_only(self.theta_star + drift)
+        return self.theta
 
 
 class FrozenLearner:
     """Degenerate learner that always reveals the same estimate.
 
-    Used by sequential baselines after their learning budget is exhausted.
+    Holds one read-only array: a read-only theta as given, uncopied (the
+    ADMM record's Sigma that `sequential_baseline` freezes), else a
+    read-only copy. step() returns that array and learns nothing, so
+    steps_taken stays 0. Used by the known-parameter runs and by
+    sequential baselines after their learning budget is exhausted.
     """
 
     def __init__(self, theta):
-        self.theta = np.asarray(theta, dtype=float).copy()
+        theta = np.asarray(theta, dtype=float)
+        self.theta = _read_only(theta.copy()) if theta.flags.writeable else theta
         self.steps_taken = 0
 
     def step(self):
-        self.steps_taken += 1
-        return self.theta.copy()
+        return self.theta
 
 
 @dataclass(frozen=True)

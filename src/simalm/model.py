@@ -94,8 +94,9 @@ class ParametricProblem:
     smooth_value_grad(x, theta) -> (p, grad_p), grad_p a float ndarray; the
                                    one oracle for p, its values and the
                                    gradient the inner loop steps on
-    prox_step(v, warm)          -> the Euclidean projection of v onto X, up
-                                   to rounding whatever warm holds; warm is
+    prox_step(v, warm)          -> the Euclidean projection of v onto X, a
+                                   fresh array, up to rounding whatever
+                                   warm holds; warm is
                                    a dict an inner solve creates empty and
                                    passes to each of its projections, where
                                    the oracle may keep what one projection

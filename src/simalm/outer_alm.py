@@ -306,6 +306,10 @@ def alm_run(problem, learner, schedule, x0, theta_star,
 
     The run keeps its own CurvatureAnchor, so its inner solves factor the
     curvature of theta_k only when that could shorten a solve (inner_apg).
+    An epoch whose theta_k is the last epoch's read-only array, as a
+    FrozenLearner's always is, keeps that epoch's theta errors. Each record
+    holds the epoch's own x, lam and x_bar arrays, which no later epoch
+    writes.
 
     Raises NonFiniteError, naming the epoch and the quantity, as soon as
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
@@ -327,6 +331,7 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     x_sum = np.zeros_like(x)
     cpu_learn = 0.0
     cpu_opt = 0.0
+    theta_last = None
 
     for k in range(stop.max_outer):
         t0 = time.perf_counter()
@@ -334,9 +339,12 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         if learner.steps_taken > k:
             raise RuntimeError("learner advanced beyond the outer epoch")
         cpu_learn += time.perf_counter() - t0
-        # the row's theta errors, which refuse a non-finite theta_k
-        theta_err, theta_err_rel = _theta_errors(theta_k, theta_star, theta_scale,
-                                                 f"epoch {k}")
+        # the row's theta errors, which refuse a non-finite theta_k; a
+        # read-only theta_k revealed again keeps the last epoch's
+        if theta_k is not theta_last or np.asarray(theta_k).flags.writeable:
+            theta_err, theta_err_rel = _theta_errors(
+                theta_k, theta_star, theta_scale, f"epoch {k}")
+        theta_last = theta_k
         t1 = time.perf_counter()
 
         rho_k = schedule.rho(k)
@@ -355,7 +363,7 @@ def alm_run(problem, learner, schedule, x0, theta_star,
                                          trace.f_star)
         trace.records.append(AlmRecord(
             k=k + 1, rho=rho_k, alpha=alpha_k, inner_iterations=inner,
-            x=x.copy(), lam=lam.copy(), x_bar=x_bar.copy(),
+            x=x, lam=lam, x_bar=x_bar,
             theta_err=theta_err, theta_err_rel=theta_err_rel,
             f_at_theta_star=f_rep, infeas_at_theta_star=infeas_rep,
             f_rel_subopt=rel, learner_steps=learner.steps_taken,
@@ -376,7 +384,8 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     stays at x0 (logged as flat learning-phase rows), freezes the estimate,
     and then runs the multiplier scheme against it. The frozen estimate
     generally differs from the true parameter, so the optimization phase
-    plateaus at a positive suboptimality.
+    plateaus at a positive suboptimality. A FrozenLearner learns nothing,
+    so every optimization-phase row counts learn_budget learner steps.
     """
     from .learning import FrozenLearner
 

@@ -178,3 +178,11 @@ def overlay_margin(trace, curves, f_star):
     with np.errstate(divide="ignore"):
         return min(np.min(curves["v_k_bound"] / infeas),
                    np.min(subopt / np.abs(signed)))
+
+
+def csv_without_timing(path):
+    """A trace CSV's cells, row by row, without its wall-clock columns."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0])
+            if name not in ("cpu_learn_s", "cpu_opt_s")]
+    return [[row[i] for i in keep] for row in rows]

@@ -25,10 +25,10 @@ from simalm.bounds import BoundInputs, b_k, dual_gap_bound, \
 from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
 from simalm import experiments
-from simalm.experiments import (ExperimentConfig, bound_inputs_for_run,
-                                dual_gap_estimates, prepare_bundle,
-                                run_seq_vs_sim, run_solve, _certified_rate,
-                                _schedule)
+from simalm.experiments import (ExperimentConfig, bound_curves_for_trace,
+                                bound_inputs_for_run, dual_gap_estimates,
+                                prepare_bundle, run_seq_vs_sim, run_solve,
+                                _certified_rate, _schedule)
 from simalm.inner_apg import grad_nu
 from simalm.learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
                              admm_solve, scs_admm_step, scs_init)
@@ -38,7 +38,8 @@ from simalm.outer_alm import (ScheduleError, StopRule, alm_run,
                               make_constant_schedule, make_increasing_schedule)
 from simalm.reference import simplex_qp
 
-from conftest import count_factorisations, overlay_margin, rate_violations
+from conftest import (count_factorisations, csv_without_timing, overlay_margin,
+                      rate_violations)
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK = ExperimentConfig(n=100, s=10, seed=12, epsilon=(1e-1, 1e-2))
@@ -345,6 +346,83 @@ def test_desk_factorisations_of_one_benchmark_round(monkeypatch, desk_bundle):
             svds += calls.count(norm)
         assert svds <= 1, name
     assert counts == {"known": [1, 0], "learned": [4, 0], "seqsim": [7, 0]}
+
+
+def test_certified_desk_grid_converges_under_its_overlays(monkeypatch, desk_bundle):
+    # runs whose every inner solve stops once its certificate reaches
+    # alpha_k, no further, are the runs the theory describes, and each
+    # desk grid run lies under its overlays. All converge but
+    # constant/learned at eps=1e-3, which stops at its 400-epoch cap with
+    # its reported average still carrying the under-solved first epochs
+    monkeypatch.setattr(experiments, "alm_run",
+                        functools.partial(alm_run, apg_mode="certified"))
+    for regime, spec, eps in GRID:
+        trace, curves = run_solve(DESK, eps, desk_bundle,
+                                  specification=spec, regime=regime)
+        capped = (regime, spec, eps) == ("constant", "learned", 1e-3)
+        assert trace.converged != capped, (regime, spec, eps)
+        if capped:
+            assert len(trace) == 400
+        assert overlay_margin(trace, curves,
+                              desk_bundle.reference.f_value) >= 1.0, (regime, spec, eps)
+
+
+def test_known_runs_repeat_the_synthetic_learner_at_sigma_star(tmp_path, desk_bundle):
+    # the known runs freeze Sigma*; the learner they ran before,
+    # SyntheticLearner(Sigma*, Sigma*, 0.5), revealed Sigma* + 0.5^k * 0 =
+    # Sigma* every epoch, so every desk trace CSV repeats that run's byte
+    # for byte once its wall-clock columns are cut
+    sigma_star, f_star = desk_bundle.sigma_star, desk_bundle.reference.f_value
+    for regime in ("constant", "increasing"):
+        for eps in (1e-1, 1e-2, 1e-3):
+            schedule = _schedule(DESK, desk_bundle, eps, "known", regime)
+            old = alm_run(desk_bundle.problem(),
+                          SyntheticLearner(sigma_star, sigma_star, 0.5), schedule,
+                          np.full(DESK.n, 1.0 / DESK.n), theta_star=sigma_star,
+                          stop=StopRule(max_outer=experiments._MAX_OUTER[regime]["known"],
+                                        epsilon=eps),
+                          reference=desk_bundle.reference)
+            old_curves = bound_curves_for_trace(
+                old, bound_inputs_for_run(desk_bundle, schedule, "known"), f_star)
+            new, new_curves = run_solve(DESK, eps, desk_bundle,
+                                        specification="known", regime=regime)
+            old.to_csv(tmp_path / "old.csv", bound_curves=old_curves)
+            new.to_csv(tmp_path / "new.csv", bound_curves=new_curves)
+            assert (csv_without_timing(tmp_path / "new.csv")
+                    == csv_without_timing(tmp_path / "old.csv")), (regime, eps)
+
+
+def test_seqsim_work_repeats_the_per_scheme_count(monkeypatch, desk_bundle):
+    # every curve's work is learner_steps plus the cumulative inner
+    # iterations; written out per scheme it is k on a learn-phase row, the
+    # budget plus the cumulative inner iterations on a sequential run's
+    # rows, and the learner steps plus the cumulative inner iterations on
+    # the simultaneous run
+    traces = []
+    for name in ("alm_run", "sequential_baseline"):
+        def kept_run(*args, _run=getattr(experiments, name), **kwargs):
+            traces.append(_run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(experiments, name, kept_run)
+    curves = run_seq_vs_sim(DESK, desk_bundle)
+    budgets = (*DESK.sequential_budgets, -1)  # the order of the runs
+    assert len(traces) == len(budgets) == len(curves)
+    f_star = desk_bundle.reference.f_value
+    for budget, trace in zip(budgets, traces):
+        curve = curves["simultaneous" if budget < 0 else f"sequential_{budget}"]
+        work, inner = [], 0
+        for rec in trace.records:
+            inner += rec.inner_iterations
+            if rec.phase == "learn":
+                work.append(rec.k)
+            elif budget < 0:
+                work.append(rec.learner_steps + inner)
+            else:
+                work.append(budget + inner)
+        assert curve["work"].dtype == float and curve["work"].tolist() == work
+        assert curve["subopt"].tolist() == [abs(rec.f_at_theta_star - f_star)
+                                            for rec in trace.records]
 
 
 def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem):

@@ -201,6 +201,18 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
         np.testing.assert_array_equal(x, x_own)
 
 
+def test_anchor_keeps_a_read_only_theta_and_meets_it_by_identity(monkeypatch):
+    # a read-only theta is kept uncopied and answered without comparing
+    # its entries; a writable one is copied, as the in-place writes of
+    # test_lipschitz_norms_computed_once_per_theta check
+    instance, problem = make_small_portfolio()
+    theta = FrozenLearner(instance.sigma).theta
+    anchor = CurvatureAnchor()
+    L_p, mu, _ = anchor.curvature(problem, theta)
+    monkeypatch.setattr(np, "array_equal", None)
+    assert anchor.curvature(problem, theta) == (L_p, mu, 0.0)
+
+
 def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,
                                                          decompositions):
     # a run on the geometric thetas of a SyntheticLearner: without

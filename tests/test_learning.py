@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simalm.experiments import _certified_rate
-from simalm.learning import (AdmmScsLearner, ScsProblem, SyntheticLearner,
-                             admm_solve, eigh_clip, scs_admm_step, scs_init)
+from simalm.learning import (AdmmScsLearner, FrozenLearner, ScsProblem,
+                             SyntheticLearner, admm_solve, eigh_clip,
+                             scs_admm_step, scs_init)
 from simalm.linalg import symmetrize
 from simalm.model import NonFiniteError
 
@@ -113,6 +114,33 @@ def test_synthetic_learner_already_converged():
 def test_synthetic_learner_validates_tau():
     with pytest.raises(ValueError):
         SyntheticLearner(np.zeros(2), np.ones(2), tau=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda S: SyntheticLearner(S, 1.5 * S, 0.5),
+    lambda S: FrozenLearner(S),
+    lambda S: AdmmScsLearner(ScsProblem(S=S)),
+], ids=["synthetic", "frozen", "admm"])
+def test_every_learner_hands_out_a_read_only_theta(make):
+    learner = make(make_scs(n=5, seed=1).S)
+    for _ in range(3):
+        for theta in (learner.theta, learner.step()):
+            with pytest.raises(ValueError, match="read-only"):
+                theta[0, 0] = 1.0
+
+
+def test_frozen_learner_holds_one_array_and_learns_nothing():
+    writable = make_scs(n=4, seed=2).S.copy()
+    frozen = FrozenLearner(writable)
+    assert frozen.theta is not writable  # a writable input is copied
+    np.testing.assert_array_equal(frozen.theta, writable)
+    writable[0, 0] += 1.0
+    assert frozen.theta[0, 0] != writable[0, 0]
+    read_only = frozen.theta
+    assert FrozenLearner(read_only).theta is read_only  # taken as is
+    for _ in range(3):
+        assert frozen.step() is read_only
+    assert frozen.steps_taken == 0
 
 
 def test_eigh_clip_floors_spectrum(rng):

@@ -10,7 +10,7 @@ from simalm.bounds import BoundInputs, b_k, c_lambda, dual_gap_bound, \
     infeasibility_bound_geometric, v_of_k
 from simalm.cones import NonnegativeOrthant
 from simalm.inner_apg import certified_solve
-from simalm.learning import SyntheticLearner
+from simalm.learning import FrozenLearner, SyntheticLearner
 from simalm.linalg import spectral_norm
 from simalm.model import (ParametricProblem, ProblemConstants, evaluate_f,
                           infeasibility, project_simplex)
@@ -414,6 +414,43 @@ def test_sequential_baseline_phases():
     assert [r.k for r in trace.records] == list(range(1, 21))
 
 
+def test_theta_errors_are_computed_once_per_revealed_theta(monkeypatch):
+    # a FrozenLearner reveals its one read-only array every epoch, so the
+    # run computes its theta errors once; a SyntheticLearner reveals a new
+    # array every epoch, and each epoch computes them
+    from simalm import outer_alm
+
+    instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
+    sigma_star = instance.sigma
+    schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
+    run = dict(x0=np.full(instance.n, 0.1), theta_star=sigma_star,
+               stop=StopRule(max_outer=6))
+    computed = []
+    theta_errors = outer_alm._theta_errors
+
+    def counting(theta, theta_star, scale, where):
+        computed.append(where)
+        return theta_errors(theta, theta_star, scale, where)
+
+    monkeypatch.setattr(outer_alm, "_theta_errors", counting)
+    frozen = alm_run(problem, FrozenLearner(1.4 * sigma_star), schedule, **run)
+    assert computed == ["epoch 0"]
+    assert len(set(frozen.column("theta_err"))) == 1
+    computed.clear()
+    alm_run(problem, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
+            schedule, **run)
+    assert computed == [f"epoch {k}" for k in range(6)]
+    # one writable array revealed every epoch may have changed in place
+    writable = FrozenLearner(1.4 * sigma_star)
+    writable.theta = writable.theta.copy()
+    computed.clear()
+    alm_run(problem, writable, schedule, **run)
+    assert computed == [f"epoch {k}" for k in range(6)]
+    # each record keeps arrays of its own epoch
+    for name in ("x", "lam", "x_bar"):
+        assert len({id(getattr(r, name)) for r in frozen.records}) == len(frozen)
+
+
 def test_sequential_plateau_above_zero_budget_zero():
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     sigma_star = instance.sigma
@@ -455,7 +492,7 @@ class NanAtStepLearner(SyntheticLearner):
         self.bad_step = bad_step
 
     def step(self):
-        theta = super().step()
+        theta = super().step().copy()  # the learner's own theta is read-only
         if self.steps_taken >= self.bad_step:
             theta[0, 0] = np.nan
         return theta

@@ -9,17 +9,9 @@ import pytest
 
 from simalm.experiments import ExperimentConfig, prepare_bundle, run_solve
 
-from conftest import overlay_margin, rate_violations
+from conftest import csv_without_timing, overlay_margin, rate_violations
 
 pytestmark = pytest.mark.slow
-
-TIMING_COLUMNS = ("cpu_learn_s", "cpu_opt_s")
-
-
-def _csv_without_timing(path):
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
-    return [[row[i] for i in keep] for row in rows]
 
 
 @pytest.mark.parametrize("n, s", [(50, 5), (200, 20), (400, 40)])
@@ -46,5 +38,5 @@ def test_grid_converges_and_repeats_its_traces(n, s, tmp_path):
                         bundle.tau_hat, bundle.admm_sweeps) == [], (regime, tag)
                 path = tmp_path / f"{regime}_{spec}_{tag}.csv"
                 trace.to_csv(path, bound_curves=curves)
-                rows[tag] = _csv_without_timing(path)
+                rows[tag] = csv_without_timing(path)
             assert rows["cold"] == rows["warm"] == rows["again"], (regime, spec)
