@@ -187,8 +187,9 @@ def _draw_instance(config):
     """The draw loop of generate_instance, plus the solves that accepted the draw.
 
     Returns (instance, scs, sample, sigma_star, admm_info, reference):
-    admm_info holds the Sigma history of the learning iteration, and
-    reference is the portfolio optimum at sigma_star. Raises ValueError
+    admm_info holds the Sigma history of the learning iteration, sigma_star
+    is its last entry, the record's read-only array, and reference is the
+    portfolio optimum at sigma_star. Raises ValueError
     when the uniform portfolio overloads a sector in every draw, so (n, s)
     admits no instance, and RuntimeError when no draw that passed that test
     gave binding sector constraints.
@@ -206,7 +207,8 @@ def _draw_instance(config):
             least_peak_load = min(least_peak_load, float(uniform_load.max()))
             continue
         load_passed = True
-        sigma_star, info = admm_solve(scs)
+        info = admm_solve(scs)[1]
+        sigma_star = info["history"][-1]
         x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
                                   -instance.risk_tradeoff * instance.mu)
         free_peak = float(np.max(instance.sector_matrix @ x_free))
@@ -327,7 +329,9 @@ def prepare_bundle(config):
     ||theta_k - Sigma*|| for the k-th revealed estimate. The bundle's
     ScsProblem keeps the ADMM solve's sweeps in its record, so learners
     built on it replay them, run no sweep, and hold Sigma* once they reach
-    it: errors[-1] is 0, and every later estimate keeps it there.
+    it: errors[-1] is 0, and every later estimate keeps it there. The
+    bundle's sigma_star is that recorded, read-only Sigma*, which a known
+    run's FrozenLearner holds uncopied.
     """
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([np.linalg.norm(S - sigma_star, "fro")
@@ -411,7 +415,8 @@ def dual_gap_estimates(problem, trace, theta_star, f_star):
     inner solve to gap _DUAL_GAP_TOL, within its budget for that accuracy.
     Its certificate, an upper bound on the suboptimality of the returned
     iterate, is added to the gap, so the estimate errs on the large side.
-    One CurvatureAnchor serves every solve, so theta_star is factored once.
+    One CurvatureAnchor serves every solve, so theta_star is factored once
+    and the forward map built once.
     """
     records = trace.opt_records
     anchor = CurvatureAnchor()

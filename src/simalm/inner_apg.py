@@ -31,15 +31,17 @@ Without mu > 0 there is no linear rate, and T runs with R = D_x. The gap
 does not depend on (L, mu). A budget above MAX_ITERATIONS raises
 BudgetError, the one cap failure.
 
-Each step is z = prox_step(forward(y), warm): the forward map y - grad
-nu(y) / L, built once per solve after L is fixed, then the projection onto
-X. The map is problem.forward where the problem has one (the portfolio's
-augmented [[I - theta / L, gamma mu / L], [A, b + lam / rho]] gemv of [y;
-1], which steps in buffers of its own and refuses a problem whose oracles
-it does not restate), else the
-gradient composed from smooth_value_grad and the dual-cone projection. The
-first step is taken from the warm start's gradient, the gap's, so a solve
-takes one gradient and then one map per later step, and one projection per
+Each step is z = prox_step(forward(y), warm): the forward step y - grad
+nu(y) / L, set once per solve after L is fixed, then the projection onto
+X. Where the problem has a forward map, the run's CurvatureAnchor builds it
+once, at the run's first solve, and each solve calls it with (theta, lam,
+rho, L) for its step (the portfolio's augmented [[I - theta / L, gamma mu /
+L], [A, b + lam / rho]] gemv of [y; 1], which rewrites only what moved
+since the last solve, steps in buffers of its own and refuses a problem
+whose oracles it does not restate); else the step is the gradient composed
+from smooth_value_grad and the dual-cone projection. The first step is
+taken from the warm start's gradient, the gap's, so a solve takes one
+gradient and then one forward step per later step, and one projection per
 step. warm is the solve's hint for its projections: a dict it creates
 empty, as a run creates its CurvatureAnchor, and passes to every
 projection, the first included, so the hint lives as long as its solve.
@@ -114,16 +116,27 @@ class ApgConfig:
 
 
 class CurvatureAnchor:
-    """A run's Weyl carry: the last theta it factored with its pair (L_a, mu_a).
+    """A run's per-theta state: its Weyl carry, the last theta it factored
+    with its pair (L_a, mu_a), and its problem's forward map.
 
     alm_run keeps one per run and hands it to every inner solve, which
     carries the pair to a new theta or factors theta and moves the anchor
-    there (module docstring). One run, one anchor: it is not shared.
+    there (module docstring), and retargets the run's forward map. One run,
+    one anchor: it is not shared.
     """
 
     def __init__(self):
         self._theta = None
         self._pair = None
+        self._problem = self._map = None
+
+    def forward(self, problem):
+        """problem.forward(problem), built at the first call for problem and
+        held for every later one, so a run builds its map once."""
+        if problem is not self._problem:
+            self._map = problem.forward(problem)
+            self._problem = problem
+        return self._map
 
     def curvature(self, problem, theta, budgets=None):
         """(L_p, mu, d) at theta.
@@ -325,7 +338,7 @@ def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     prox_step = problem.prox_step
     warm = {}
     if problem.forward is not None:
-        forward = problem.forward(problem, lam, rho, theta, L)
+        forward = anchor.forward(problem)(theta, lam, rho, L)
     else:
         def forward(y):
             return y - grad(y) / L

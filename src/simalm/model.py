@@ -117,26 +117,30 @@ class ParametricProblem:
                                    solves their warm-start gap and step
                                    certificate
     membership(x)               -> optional X-membership check
-    forward(problem, lam, rho, theta, L)
-                                -> optional map y -> y - grad nu_rho(y, lam;
-                                   theta) / L, equal to the one composed from
-                                   the oracles above up to rounding for every
-                                   y in R^n (momentum points leave X); an
-                                   inner solve builds it once L is fixed and
-                                   projects its result with prox_step
-                                   (inner_apg); a map may hold buffers it
-                                   overwrites at every call, so it serves
-                                   one solve, and each result must be a
-                                   fresh array
+    forward(problem)            -> optional map of one run: map(theta, lam,
+                                   rho, L) returns the step y -> y - grad
+                                   nu_rho(y, lam; theta) / L, equal to the
+                                   one composed from the oracles above up to
+                                   rounding for every y in R^n (momentum
+                                   points leave X); a run's CurvatureAnchor
+                                   builds the map once and calls it at each
+                                   inner solve once L is fixed, and the
+                                   solve projects each step's result with
+                                   prox_step (inner_apg); a map may hold
+                                   what its last call built and rewrite only
+                                   what moved, and a step may hold buffers
+                                   it overwrites, so a step stays valid
+                                   until the next call of its map, and each
+                                   of its results must be a fresh array
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. An oracle may memoize its results, as the portfolio's
     curvature oracle does, since that keeps it pure; the carry from one
     theta to the next is a run's own state (inner_apg.CurvatureAnchor).
 
-    A forward map raises ValueError for a problem whose oracles it does not
-    restate, so a dataclasses.replace of one of them is refused, never
-    stepped past.
+    forward(problem) raises ValueError for a problem whose oracles its map
+    does not restate, so a dataclasses.replace of one of them is refused,
+    never stepped past.
     """
 
     smooth_value_grad: Callable
@@ -354,6 +358,65 @@ def _curvature_pair(theta):
     return top + margin, max(0.0, float(eig[0]) - margin)
 
 
+class _HeldMap:
+    """The portfolio's forward map of one run: W, B and the step's buffers,
+    rewritten in place where a call's arguments moved (portfolio_problem)."""
+
+    def __init__(self, problem, gamma_mu):
+        self._problem = problem
+        self._gamma_mu = gamma_mu
+        self._shape = None
+        self._theta = self._L = self._scale = None
+
+    def __call__(self, theta, lam, rho, L):
+        if theta is not self._theta:
+            A = self._problem.constraint_matrix(theta)
+            if A.shape != self._shape:
+                self._hold(*A.shape)
+            self._rows[...] = A
+            self._b = self._problem.constraint_offset(theta)
+            read_only = isinstance(theta, np.ndarray) and not theta.flags.writeable
+            self._theta = theta if read_only else None
+            self._L = self._scale = None
+        if L != self._L:
+            np.divide(theta, -L, out=self._top)
+            self._diagonal += 1.0  # of I - theta / L
+            np.divide(self._gamma_mu, L, out=self._gamma_mu_col)
+            self._L = L
+        scale = rho / L
+        if scale != self._scale:
+            np.multiply(self._rows, scale, out=self._B)
+            self._scale = scale
+        np.divide(lam, rho, out=self._offset_col)
+        np.add(self._b, self._offset_col, out=self._offset_col)
+        return self._step
+
+    def _hold(self, m, n):
+        """Allocate W, B and the buffers of a step for an m x n A, and hold
+        the views of W that calls rewrite."""
+        self._shape = (m, n)
+        W = np.empty((n + m, n + 1))
+        self._top, self._gamma_mu_col = W[:n, :n], W[:n, n]
+        self._rows, self._offset_col = W[n:, :n], W[n:, n]
+        self._diagonal = W.reshape(-1)[:n * (n + 1):n + 2]
+        self._B = B = np.empty((m, n))
+        y_hat = np.empty(n + 1)
+        y_hat[n] = 1.0
+        head = y_hat[:n]
+        w = np.empty(n + m)
+        v, r = w[:n], w[n:]
+        buf = np.empty(n)
+
+        def step(y):
+            head[...] = y
+            np.dot(W, y_hat, out=w)
+            np.maximum(r, 0.0, out=r)
+            np.dot(r, B, out=buf)
+            return v - buf
+
+        self._step = step
+
+
 def portfolio_problem(instance, kappa=1.0):
     """Build the ParametricProblem for a portfolio instance.
 
@@ -379,16 +442,22 @@ def portfolio_problem(instance, kappa=1.0):
     eigenvalue of a symmetric theta moves by at most ||theta - theta'||_2
     <= ||theta - theta'||_F (Horn & Johnson 2013, Cor. 4.3.15).
 
-    forward(problem, lam, rho, theta, L) reads A and b through problem's
-    oracles and folds 1/L, rho and both offsets into one (n + s) x (n + 1)
-    matrix W = [[I - theta / L, gamma mu / L], [A, b + lam / rho]] and the
-    C-ordered s x n matrix B = (rho / L) A, so y - grad nu(y) / L is w = W
-    [y; 1], r = max(w[n:], 0), w[:n] - r B: two matrix-vector products.
-    The map holds buffers for [y; 1] (its trailing 1 written once), w and r
-    B, which every step overwrites, so it serves one solve; each result is
-    a fresh array, and each map holds buffers of its own, so one problem
-    serves concurrent solves. It restates the gradient of smooth_value_grad
-    and the orthant's dual projection, so it raises ValueError unless
+    forward(problem) returns a run's map (_HeldMap). It holds one (n + s) x
+    (n + 1) matrix W = [[I - theta / L, gamma mu / L], [A, b + lam / rho]]
+    and the C-ordered s x n matrix B = (rho / L) A, so y - grad nu(y) / L is
+    w = W [y; 1], r = max(w[n:], 0), w[:n] - r B: two matrix-vector
+    products. A call map(theta, lam, rho, L) rewrites only what moved since
+    its last call, each entry as a fresh build computes it, so the step is
+    the same bit for bit: A and b, read through problem's oracles, and W's
+    A rows when theta is not the last call's read-only array (a writable
+    theta is read at every call, as CurvatureAnchor copies it); the top
+    block and gamma mu / L when theta or L moved; B when theta or rho / L
+    moved; and the column b + lam / rho at every call. The step it returns
+    holds buffers for [y; 1] (its trailing 1 written once), w and r B,
+    which every step overwrites; each result is a fresh array, and each map
+    holds W, B and buffers of its own, so one problem serves concurrent
+    runs. The map restates the gradient of smooth_value_grad and the
+    orthant's dual projection, so forward raises ValueError unless
     inspect.unwrap(problem.smooth_value_grad) is this problem's own oracle,
     the cone is a NonnegativeOrthant and its project_dual is the orthant's
     own method; a functools.wraps wrapper, such as a timer, stands for the
@@ -405,38 +474,14 @@ def portfolio_problem(instance, kappa=1.0):
         value = 0.5 * float(x @ Sx) - gamma * float(mu @ x)
         return value, Sx - gamma_mu
 
-    def forward(problem, lam, rho, theta, L):
+    def forward(problem):
         if (inspect.unwrap(problem.smooth_value_grad) is not smooth_value_grad
                 or type(problem.cone) is not NonnegativeOrthant
                 or getattr(inspect.unwrap(problem.cone.project_dual), "__func__",
                            None) is not NonnegativeOrthant.project_dual):
             raise ValueError("the portfolio's forward map serves only its own "
                              "smooth_value_grad and a NonnegativeOrthant cone")
-        A = problem.constraint_matrix(theta)
-        m, n = A.shape
-        W = np.empty((n + m, n + 1))
-        np.divide(theta, -L, out=W[:n, :n])
-        W.reshape(-1)[:n * (n + 1):n + 2] += 1.0  # the diagonal of I - theta / L
-        W[n:, :n] = A
-        np.divide(gamma_mu, L, out=W[:n, n])
-        np.add(problem.constraint_offset(theta),
-               np.asarray(lam, dtype=float) / rho, out=W[n:, n])
-        B = np.multiply(A, rho / L, order="C")
-        y_hat = np.empty(n + 1)
-        y_hat[n] = 1.0
-        head = y_hat[:n]
-        w = np.empty(n + m)
-        v, r = w[:n], w[n:]
-        buf = np.empty(n)
-
-        def step(y):
-            head[...] = y
-            np.dot(W, y_hat, out=w)
-            np.maximum(r, 0.0, out=r)
-            np.dot(r, B, out=buf)
-            return v - buf
-
-        return step
+        return _HeldMap(problem, gamma_mu)
 
     def in_simplex(x):
         x = np.asarray(x, dtype=float)

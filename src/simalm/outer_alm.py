@@ -305,7 +305,9 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         alpha_k.
 
     The run keeps its own CurvatureAnchor, so its inner solves factor the
-    curvature of theta_k only when that could shorten a solve (inner_apg).
+    curvature of theta_k only when that could shorten a solve, and the
+    problem's forward map is built once and retargeted at each solve
+    (inner_apg).
     An epoch whose theta_k is the last epoch's read-only array, as a
     FrozenLearner's always is, keeps that epoch's theta errors. Each record
     holds the epoch's own x, lam and x_bar arrays, which no later epoch

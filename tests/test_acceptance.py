@@ -211,9 +211,11 @@ def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mo
     # overlay curves: infeasibility under v_k_bound, and the relative
     # suboptimality under the upper bound above f*, the lower one below it;
     # under both inner exits, the budget's end and the step certificate.
-    # Every run converges under the budget exit. Under the certificate exit
-    # constant/learned at eps=1e-3 stops at its epoch cap: its reported
-    # average carries the under-solved first epochs with weight 1/k
+    # Every run converges under the budget exit. Under the certificate exit,
+    # where every inner solve stops once its certificate reaches alpha_k,
+    # no further, as the theory describes, all converge but
+    # constant/learned at eps=1e-3, which stops at its 400-epoch cap: its
+    # reported average carries the under-solved first epochs with weight 1/k
     from simalm import experiments
 
     monkeypatch.setattr(experiments, "alm_run",
@@ -223,9 +225,14 @@ def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mo
     for regime, spec, eps in GRID:
         trace, curves = run_solve(DESK, eps, desk_bundle,
                                   specification=spec, regime=regime)
-        assert trace.converged or apg_mode == "certified", (regime, spec, eps)
+        capped = (apg_mode, regime, spec, eps) == ("certified", "constant",
+                                                   "learned", 1e-3)
+        assert trace.converged != capped, (regime, spec, eps)
+        if capped:
+            assert len(trace) == 400
         margins[regime, spec, eps] = overlay_margin(
             trace, curves, desk_bundle.reference.f_value)
+        assert margins[regime, spec, eps] >= 1.0, (regime, spec, eps)
     worst = min(margins, key=margins.get)
     _report(5, f"overlays majorize all {len(margins)} {apg_mode} grid runs, smallest "
                f"ratio {margins[worst]:.3g} on {'/'.join(map(str, worst))}",
@@ -348,25 +355,6 @@ def test_desk_factorisations_of_one_benchmark_round(monkeypatch, desk_bundle):
     assert counts == {"known": [1, 0], "learned": [4, 0], "seqsim": [7, 0]}
 
 
-def test_certified_desk_grid_converges_under_its_overlays(monkeypatch, desk_bundle):
-    # runs whose every inner solve stops once its certificate reaches
-    # alpha_k, no further, are the runs the theory describes, and each
-    # desk grid run lies under its overlays. All converge but
-    # constant/learned at eps=1e-3, which stops at its 400-epoch cap with
-    # its reported average still carrying the under-solved first epochs
-    monkeypatch.setattr(experiments, "alm_run",
-                        functools.partial(alm_run, apg_mode="certified"))
-    for regime, spec, eps in GRID:
-        trace, curves = run_solve(DESK, eps, desk_bundle,
-                                  specification=spec, regime=regime)
-        capped = (regime, spec, eps) == ("constant", "learned", 1e-3)
-        assert trace.converged != capped, (regime, spec, eps)
-        if capped:
-            assert len(trace) == 400
-        assert overlay_margin(trace, curves,
-                              desk_bundle.reference.f_value) >= 1.0, (regime, spec, eps)
-
-
 def test_known_runs_repeat_the_synthetic_learner_at_sigma_star(tmp_path, desk_bundle):
     # the known runs freeze Sigma*; the learner they ran before,
     # SyntheticLearner(Sigma*, Sigma*, 0.5), revealed Sigma* + 0.5^k * 0 =
@@ -390,6 +378,35 @@ def test_known_runs_repeat_the_synthetic_learner_at_sigma_star(tmp_path, desk_bu
             new.to_csv(tmp_path / "new.csv", bound_curves=new_curves)
             assert (csv_without_timing(tmp_path / "new.csv")
                     == csv_without_timing(tmp_path / "old.csv")), (regime, eps)
+
+
+def test_desk_run_builds_its_forward_map_once(desk_bundle, desk_problem):
+    # a run's anchor builds the portfolio's forward map at its first solve
+    # and retargets it at every later one, also in the increasing regime,
+    # where L moves every epoch; the run repeats, bit for bit, the one on
+    # the problem as built
+    builds = []
+
+    def counting(own):
+        builds.append(1)
+        return desk_problem.forward(own)
+
+    counted = dataclasses.replace(desk_problem, forward=counting)
+    for spec in ("known", "learned"):
+        schedule = _schedule(DESK, desk_bundle, 1e-2, spec, "increasing")
+        stop = StopRule(max_outer=experiments._MAX_OUTER["increasing"][spec],
+                        epsilon=1e-2)
+        builds.clear()
+        traces = [alm_run(problem, experiments._learner(desk_bundle, spec),
+                          schedule, np.full(DESK.n, 1.0 / DESK.n),
+                          theta_star=desk_bundle.sigma_star, stop=stop,
+                          reference=desk_bundle.reference)
+                  for problem in (counted, desk_problem)]
+        assert len(builds) == 1 and len(traces[0]) > 1, spec
+        assert len(traces[0]) == len(traces[1])
+        for ours, built in zip(traces[0].records, traces[1].records):
+            assert ours.x.tobytes() == built.x.tobytes()
+            assert ours.lam.tobytes() == built.lam.tobytes()
 
 
 def test_seqsim_work_repeats_the_per_scheme_count(monkeypatch, desk_bundle):

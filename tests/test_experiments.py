@@ -119,6 +119,16 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
     assert bundle.admm_sweeps == info["sweeps"]
 
 
+def test_bundle_shares_the_record_sigma_star(small_bundle):
+    # the bundle keeps the ADMM record's read-only Sigma*, and a known run's
+    # FrozenLearner holds that very array, uncopied
+    sigma_star = small_bundle.sigma_star
+    assert sigma_star is small_bundle.scs.record.sigmas[small_bundle.admm_sweeps - 1]
+    with pytest.raises(ValueError, match="read-only"):
+        sigma_star[0, 0] = 0.0
+    assert experiments._learner(small_bundle, "known").theta is sigma_star
+
+
 def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
     from simalm import learning
 

@@ -967,12 +967,15 @@ def test_step_certificate_bounds_the_gap_at_every_step():
         _, f_ref, _, _ = certified_solve(problem, x0, lam, rho, theta, gap_tol=1e-12)
         points = [x0]
 
-        def forward(own, lam, rho, theta, L):
-            def recording(y):
-                points.append(y)
-                return y - grad_nu(own, y, lam, rho, theta) / L
+        def forward(own):
+            def retarget(theta, lam, rho, L):
+                def recording(y):
+                    points.append(y)
+                    return y - grad_nu(own, y, lam, rho, theta) / L
 
-            return recording
+                return recording
+
+            return retarget
 
         recording = dataclasses.replace(problem, forward=forward)
         _, _, _, steps = certified_solve(recording, x0, lam, rho, theta, gap_tol=1e-7)
@@ -1074,15 +1077,20 @@ def test_fused_step_certificate_bounds_the_gap_at_every_step(monkeypatch):
 
     monkeypatch.setattr(inner_apg, "fista", recording_fista)
 
-    def forward(*args):
-        step, L = portfolio.forward(*args), args[-1]
+    def forward(own):
+        retarget = portfolio.forward(own)
 
-        def recording(y):
-            v = step(y)
-            records.append((y, portfolio.prox_step(v), L))
-            return v
+        def recording_map(theta, lam, rho, L):
+            step = retarget(theta, lam, rho, L)
 
-        return recording
+            def recording(y):
+                v = step(y)
+                records.append((y, portfolio.prox_step(v), L))
+                return v
+
+            return recording
+
+        return recording_map
 
     recording = dataclasses.replace(portfolio, forward=forward)
 
@@ -1144,28 +1152,36 @@ def test_fused_solve_evaluates_one_gradient_and_one_map_per_later_step():
     # on the portfolio's forward map, under both stopping rules: one
     # smooth_value_grad, at the warm start for the gap, whose gradient also
     # takes the first step (certified_solve takes one more for the value
-    # eval_L it returns); one map built per solve; one call of it per later
-    # step; and one projection per step. The counting oracle is a
-    # functools.wraps wrapper, which the map takes for the oracle it wraps
+    # eval_L it returns); one map built per anchor, so per solve without
+    # one and per run with one, and retargeted once per solve; one call of
+    # its step per later step; and one projection per step. The counting
+    # oracle is a functools.wraps wrapper, which the map takes for the
+    # oracle it wraps
     instance, portfolio = make_small_portfolio()
     theta, lam = instance.sigma, np.full(instance.s, 0.3)
     x0 = np.full(instance.n, 1.0 / instance.n)
-    grads, builds, maps, projections = [], [], [], []
+    grads, builds, retargets, maps, projections = [], [], [], [], []
 
     @functools.wraps(portfolio.smooth_value_grad)
     def counting_grad(x, th):
         grads.append(1)
         return portfolio.smooth_value_grad(x, th)
 
-    def counting_forward(*args):
+    def counting_forward(own):
         builds.append(1)
-        step = portfolio.forward(*args)
+        retarget = portfolio.forward(own)
 
-        def counting_step(y):
-            maps.append(1)
-            return step(y)
+        def counting_map(*args):
+            retargets.append(1)
+            step = retarget(*args)
 
-        return counting_step
+            def counting_step(y):
+                maps.append(1)
+                return step(y)
+
+            return counting_step
+
+        return counting_map
 
     def counting_prox(v, warm):
         projections.append(1)
@@ -1173,15 +1189,20 @@ def test_fused_solve_evaluates_one_gradient_and_one_map_per_later_step():
 
     counted = dataclasses.replace(portfolio, smooth_value_grad=counting_grad,
                                   forward=counting_forward, prox_step=counting_prox)
-    for solve, value_calls in (
-            (lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3], 1),
-            (lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1], 0)):
-        for calls in (grads, builds, maps, projections):
+    anchor = CurvatureAnchor()
+    for solve, value_calls, built in (
+            (lambda: certified_solve(counted, x0, lam, 2.0, theta, gap_tol=1e-7)[3], 1, 1),
+            (lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7))[1], 0, 1),
+            (lambda: apg_solve(counted, x0, lam, 2.0, theta, ApgConfig(alpha=1e-7),
+                               anchor=anchor)[1], 0, 1),
+            (lambda: apg_solve(counted, x0, 2.0 * lam, 5.0, theta, ApgConfig(alpha=1e-7),
+                               anchor=anchor)[1], 0, 0)):
+        for calls in (grads, builds, retargets, maps, projections):
             calls.clear()
         steps = solve()
         assert steps > 1
-        assert (len(grads), len(builds), len(maps), len(projections)) == \
-            (1 + value_calls, 1, steps - 1, steps)
+        assert (len(grads), len(builds), len(retargets), len(maps), len(projections)) == \
+            (1 + value_calls, built, 1, steps - 1, steps)
 
 
 def test_iterates_stay_in_domain(rng, toy_problem):

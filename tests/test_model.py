@@ -362,7 +362,7 @@ def test_portfolio_forward_backward_matches_the_composed_step(
              "indefinite": 0.5 * (F + F.T)}[kind]
     lam = lam_scale * np.abs(gen.standard_normal(s))
     L = L_factor * lipschitz_nu(problem, rho, theta)
-    forward = problem.forward(problem, lam, rho, theta, L)
+    forward = problem.forward(problem)(theta, lam, rho, L)
     for _ in range(5):
         y = (random_simplex_point(gen, n) if inside
              else 10.0 ** log_y * gen.standard_normal(n))
@@ -387,10 +387,10 @@ def test_portfolio_forward_backward_refuses_a_non_finite_w():
     nan_y = x.copy()
     nan_y[3] = np.nan
     for theta, y in ((bad_theta, x), (instance.sigma, nan_y)):
-        forward = problem.forward(problem, lam, 2.0, theta, 50.0)
+        forward = problem.forward(problem)(theta, lam, 2.0, 50.0)
         with pytest.raises(NonFiniteError, match="NaN or infinite entries"):
             problem.prox_step(forward(y))
-    forward = problem.forward(problem, lam, 2.0, instance.sigma, 50.0)
+    forward = problem.forward(problem)(instance.sigma, lam, 2.0, 50.0)
     for bad in (np.inf, -np.inf):
         y = x.copy()
         y[3:5] = bad
@@ -410,7 +410,7 @@ def test_portfolio_forward_results_outlive_its_buffers(rng):
     # no call writes to its y
     instance, problem = make_small_portfolio()
     lam = np.abs(rng.standard_normal(instance.s))
-    forward = problem.forward(problem, lam, 3.0, instance.sigma, 40.0)
+    forward = problem.forward(problem)(instance.sigma, lam, 3.0, 40.0)
     ys = [random_simplex_point(rng, instance.n) for _ in range(4)]
     ys.append(5.0 * rng.standard_normal(instance.n))
     given_ys = [y.copy() for y in ys]
@@ -424,39 +424,115 @@ def test_portfolio_forward_results_outlive_its_buffers(rng):
                    for a, b in itertools.combinations(results, 2))
 
 
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def test_portfolio_forward_maps_of_one_problem_do_not_share_buffers(rng):
-    # each map holds its own buffers and serves one solve, so one problem
-    # serves concurrent solves: two maps built from it, stepped alternately
-    # or on two threads that take turns within a step, each give bit for bit
-    # the sequence z_{t+1} = prox_step(forward(z_t)) it gives alone
+    # each map holds its own W, B and buffers and serves one run, so one
+    # problem serves concurrent runs: two maps built from it, each
+    # retargeted every 100 steps and stepped alternately or on two threads
+    # that take turns within a step, each give bit for bit the sequence
+    # z_{t+1} = prox_step(step(z_t)) it gives alone
     instance, problem = make_small_portfolio()
-    maps = [(np.abs(rng.standard_normal(instance.s)), rho, L)
-            for rho, L in ((3.0, 40.0), (8.0, 90.0))]
+    thetas = (_read_only(instance.sigma), _read_only(1.2 * instance.sigma))
+    plans = [[(thetas[(i + j) % 2], np.abs(rng.standard_normal(instance.s)),
+               rho * (i + 1), L * (i + 1)) for i in range(5)]
+             for j, (rho, L) in enumerate(((3.0, 40.0), (8.0, 90.0)))]
     x0 = np.full(instance.n, 1.0 / instance.n)
 
-    def build():
-        return [problem.forward(problem, lam, rho, instance.sigma, L)
-                for lam, rho, L in maps]
-
-    def run(forwards, steps=500):
-        # one step of each map in turn
-        zs, seen = [x0] * len(forwards), [[] for _ in forwards]
-        for _ in range(steps):
-            for i, forward in enumerate(forwards):
-                zs[i] = problem.prox_step(forward(zs[i]))
-                seen[i].append(zs[i].tobytes())
+    def run(plans, steps=100):
+        # one step of each map in turn, each map retargeted along its plan
+        maps = [problem.forward(problem) for _ in plans]
+        zs, seen = [x0] * len(plans), [[] for _ in plans]
+        for targets in zip(*plans):
+            stepping = [held(*target) for held, target in zip(maps, targets)]
+            for _ in range(steps):
+                for i, step in enumerate(stepping):
+                    zs[i] = problem.prox_step(step(zs[i]))
+                    seen[i].append(zs[i].tobytes())
         return seen
 
-    alone = [run([forward])[0] for forward in build()]
-    assert run(build()) == alone
+    alone = [run([plan])[0] for plan in plans]
+    assert run(plans) == alone
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda forward: run([forward])[0], build()))
+            threaded = list(pool.map(lambda plan: run([plan])[0], plans))
     finally:
         sys.setswitchinterval(interval)
     assert threaded == alone
+
+
+def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
+    # a map rewrites only what moved since its last call, so along a
+    # scripted sequence of calls its step equals, bit for bit on y on and
+    # off the simplex, the step of a map built fresh for that call: a new L,
+    # a new rho, rho and L moved together, a new lam, a new read-only theta,
+    # a writable theta, that theta written in place, and the first theta
+    # again. It reads A and b only for a theta that is not the last call's
+    # read-only array, a writable one at every call. A problem whose
+    # constraint_matrix and constraint_offset were replaced by oracles that
+    # depend on theta runs the same script on A and b read through them
+    instance, problem = make_small_portfolio()
+    n, s = instance.n, instance.s
+    theta, other = _read_only(instance.sigma), _read_only(1.3 * instance.sigma)
+    start = 0.8 * instance.sigma
+    writable = start.copy()
+    lam = np.abs(rng.standard_normal(s))
+
+    def write_in_place():
+        writable[2, 5] = writable[5, 2] = writable[2, 5] + 0.25
+
+    script = [(None, (theta, lam, 3.0, 40.0), True),
+              (None, (theta, lam, 3.0, 55.0), False),
+              (None, (theta, lam, 9.0, 55.0), False),
+              (None, (theta, lam, 18.0, 110.0), False),
+              (None, (theta, 2.0 * lam, 18.0, 110.0), False),
+              (None, (other, 2.0 * lam, 18.0, 110.0), True),
+              (None, (writable, lam, 9.0, 55.0), True),
+              (write_in_place, (writable, lam, 9.0, 55.0), True),
+              (None, (theta, lam, 3.0, 40.0), True)]
+    ys = [random_simplex_point(rng, n) for _ in range(3)]
+    ys += [10.0 * rng.standard_normal(n) for _ in range(3)]
+    shifted = instance.sector_matrix[::-1].copy()
+
+    def below(th):  # of the script's thetas, the writable one's only
+        return th[0, 0] < instance.sigma[0, 0]
+
+    reads = []
+
+    def counted(oracle):
+        def read(th):
+            reads.append(1)
+            return oracle(th)
+        return read
+
+    replaced = dataclasses.replace(
+        problem,
+        constraint_matrix=lambda th: shifted if below(th) else instance.sector_matrix,
+        constraint_offset=lambda th: problem.constraint_offset(th) * (2.0 if below(th) else 0.5))
+    steps_of = []
+    for case in (problem, replaced):
+        writable[...] = start
+        counting = dataclasses.replace(case, constraint_matrix=counted(case.constraint_matrix))
+        held = counting.forward(counting)
+        steps_of.append([])
+        for before, args, read in script:
+            if before is not None:
+                before()
+            reads.clear()
+            step = held(*args)
+            assert len(reads) == read
+            fresh = case.forward(case)(*args)
+            for y in ys:
+                got = step(y)
+                assert np.array_equal(got, fresh(y))
+                steps_of[-1].append(got)
+    assert not all(np.array_equal(a, b) for a, b in zip(*steps_of))
 
 
 def test_hint_holds_the_constants_of_its_sum_test(rng):

@@ -537,19 +537,24 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
                 grad = np.full_like(grad, np.nan)
         return value, grad
 
-    def nan_map_in_epoch_2(bad, lam, rho, theta, L):
-        # the forward map takes every step after the first: its first call
-        # is step 2, here on a NaN point, so w = W y is NaN and the
-        # projection of the map's result refuses it
-        forward = problem.forward(bad, lam, rho, theta, L)
-        if not np.array_equal(theta, theta_2):
-            return forward
+    def nan_map_in_epoch_2(bad):
+        # the forward map takes every step after the first: its step's
+        # first call is step 2, here on a NaN point, so w = W y is NaN and
+        # the projection of the map's result refuses it
+        retarget = problem.forward(bad)
 
-        def nan_forward(y):
-            calls.append(1)
-            return forward(np.full_like(y, np.nan))
+        def nan_retarget(theta, lam, rho, L):
+            step = retarget(theta, lam, rho, L)
+            if not np.array_equal(theta, theta_2):
+                return step
 
-        return nan_forward
+            def nan_step(y):
+                calls.append(1)
+                return step(np.full_like(y, np.nan))
+
+            return nan_step
+
+        return nan_retarget
 
     # the generic forward map, on the replaced oracle, then the portfolio's
     for bad, want_calls in (
