@@ -66,6 +66,13 @@ _KNOWN_RATE = 0.5
 _DUAL_GAP_TOL = 1e-8  # certificate tolerance of dual_gap_estimates' inner solves
 
 
+def _sequence(name, value):
+    """value as a tuple; a string or a scalar is refused, naming the field."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Run configuration; serialized verbatim as the config-file schema."""
@@ -83,7 +90,7 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        budgets = tuple(self.sequential_budgets)
+        budgets = _sequence("sequential_budgets", self.sequential_budgets)
         for name, v in (("n", self.n), ("s", self.s), ("seed", self.seed),
                         *(("sequential_budgets", b) for b in budgets)):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -99,11 +106,14 @@ class ExperimentConfig:
         for name in ("rho_o", "beta", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        eps = tuple(float(e) for e in self.epsilon)
+        eps = tuple(float(e) for e in _sequence("epsilon", self.epsilon))
         if not eps:
             raise ValueError("epsilon must hold at least one accuracy")
         if not all(0.0 < e < 1.0 for e in eps):
             raise ValueError("epsilon values must lie in (0, 1)")
+        if len({f"{e:g}" for e in eps}) < len(eps):  # each names one trace file
+            raise ValueError(f"epsilon values must be distinct to 6 significant "
+                             f"digits, got {eps}")
         if self.regime not in ("constant", "increasing"):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.specification not in ("known", "learned"):
@@ -260,8 +270,9 @@ class InstanceBundle:
     problem to every run, so its curvature oracle's memo
     (model.portfolio_problem) makes the runs on one bundle factor each
     theta once; a copy of the bundle builds its own. ||A||, behind kappa
-    and every solve's L, comes from linalg.spectral_norm, which answers an
-    unchanged A without another SVD.
+    and every solve's L, comes from linalg.spectral_norm, which answers the
+    instance's read-only A without another SVD (model.ParametricProblem's
+    caching rule).
     """
 
     config: ExperimentConfig

@@ -5,8 +5,8 @@ collects the objective p and the quadratic cone penalty. nu_rho has
 Lipschitz gradient with constant L_p + rho ||A(theta)||^2 and, the penalty
 being convex, the strong-convexity modulus mu of p(.; theta). One loop,
 fista (no restarts, no line search), runs every solve. Every solve takes
-||A(theta)|| from linalg.spectral_norm, which answers a matrix equal to the
-last one it normed without an SVD, and asks a
+||A(theta)|| from linalg.spectral_norm, which answers the last read-only
+matrix it normed without an SVD, and asks a
 CurvatureAnchor for the curvature pair (L_p, mu): a run's anchor may carry
 the pair of the last theta it factored (below), any other solve starts a
 fresh one, which asks problem.smooth_curvature.
@@ -64,7 +64,7 @@ order. A fresh anchor has nothing to carry, so solves without an anchor,
 each starting one, ask the oracle for theta's own pair, as lipschitz_nu and
 iteration_budget do. "Factored" (the DEBUG line's curvature=factored) means
 the anchor asked the oracle; the portfolio's oracle answers from its memo a
-theta that a run on the same problem already factored.
+read-only theta that a run on the same problem already factored.
 
 apg_solve runs the budget to its end. With certify=True (the
 sequential-vs-simultaneous comparison), and in certified_solve (used by
@@ -146,15 +146,15 @@ class CurvatureAnchor:
         2 d <= L_a - mu_a, and budgets(L_p, mu) gives the carried and the
         optimistic pair the same smaller budget, the carried pair and d.
         Otherwise theta's own pair from smooth_curvature and d = None; the
-        anchor moves to theta, or to none at a NaN or infinite theta. It
-        keeps a read-only theta by reference, which the library assumes
-        stays unchanged, and meets it again by identity; a writable theta
-        it copies, so a caller's later write in place cannot move it.
+        anchor moves to theta when theta is read-only and finite, else to
+        none. It holds theta by reference and meets it again by identity
+        only (model.ParametricProblem's caching rule), so a writable theta
+        is never its own and no write in place can move it.
         """
         point = np.asarray(theta, dtype=float)
-        anchored = self._theta is not None and point.shape == self._theta.shape
-        if anchored and (point is self._theta or np.array_equal(point, self._theta)):
+        if point is self._theta:
             return (*self._pair, 0.0)
+        anchored = self._theta is not None and point.shape == self._theta.shape
         lipschitz = problem.constants.L_curv_theta
         if anchored and lipschitz is not None and budgets is not None:
             with np.errstate(invalid="ignore", over="ignore"):
@@ -170,9 +170,8 @@ class CurvatureAnchor:
                     and min(budgets(*carried)) == min(budgets(L_a - d, mu_a + d))):
                 return (*carried, d)
         L_p, mu = problem.smooth_curvature(theta)
-        self._theta = None
-        if np.isfinite(point).all():
-            self._theta = point.copy() if point.flags.writeable else point
+        read_only = not point.flags.writeable
+        self._theta = point if read_only and np.isfinite(point).all() else None
         self._pair = (float(L_p), float(mu))
         return (*self._pair, None)
 

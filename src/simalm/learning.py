@@ -3,9 +3,9 @@
 A learner holds the current estimate in `theta`, advances one learning
 iteration per `step()` call, and counts those iterations in `steps_taken`.
 Every estimate is handed out read-only and uncopied: a write raises
-ValueError, and the library assumes a read-only theta stays unchanged, so
-a run that meets the same read-only array again reuses what it computed
-from it. A learner reports no rate: `experiments.prepare_bundle` certifies
+ValueError, and a run that meets the same read-only array again reuses
+what it computed from it (model.ParametricProblem's caching rule). A
+learner reports no rate: `experiments.prepare_bundle` certifies
 one from the error history.
 Two concrete learners are provided: an exact geometric learner for
 controlled tests, and a two-block ADMM solver for the sparse covariance
@@ -305,11 +305,12 @@ def admm_solve(problem, tol=1e-9):
     both lie below tol. Sweeps already in `problem.record` are read from
     it; only sweeps past its end are run, and they are appended to it.
     Raises RuntimeError after _MAX_SWEEPS sweeps, the first included,
-    without that. Returns (Sigma_star, info) where info records sweeps,
-    the final residuals and history, the recorded Sigma of every sweep
-    from the first (read-only, not copies): at the default tol, history[k]
-    is the estimate a learner on the problem reveals at step k. Raises
-    ValueError, before any sweep, for a tol that is NaN or negative.
+    without that. Returns (Sigma_star, info): Sigma_star is the last
+    sweep's recorded Sigma, read-only and uncopied, and info records
+    sweeps, the final residuals and history, the recorded Sigma of every
+    sweep from the first (read-only, not copies): at the default tol,
+    history[k] is the estimate a learner on the problem reveals at step k.
+    Raises ValueError, before any sweep, for a tol that is NaN or negative.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
@@ -329,4 +330,4 @@ def admm_solve(problem, tol=1e-9):
         "dual_residual": dual,
         "history": record.sigmas[:k],
     }
-    return record.sigmas[k - 1].copy(), info
+    return record.sigmas[k - 1], info

@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["symmetrize", "spectral_norm", "soft_threshold_offdiag"]
 
-# (shape, bytes, norm) of the last matrix spectral_norm took an SVD of
+# (matrix, norm) of the last read-only matrix spectral_norm normed
 _last_norm = None
 
 
@@ -22,24 +22,24 @@ def spectral_norm(M):
     """Largest singular value of M from the LAPACK SVD; 0.0 when M is empty.
 
     Unlike an iterative estimate it does not stop short of the top singular
-    value, so the Lipschitz constants built from it are upper bounds. The
-    last matrix's shape, bytes and norm are kept, and a matrix equal to it
-    bit for bit gets that norm back without an SVD: an inner solve asks for
-    ||A|| of the same A every time. The entry is one tuple, replaced whole,
-    so threads sharing it at worst take an SVD twice.
+    value, so the Lipschitz constants built from it are upper bounds. It
+    keeps the last read-only matrix it normed and answers that very array
+    without an SVD, and a writable one takes an SVD at every call: the
+    caching rule of model.ParametricProblem. An inner solve asks for ||A||
+    of the same A every time.
     """
     global _last_norm
+    last = _last_norm
+    if last is not None and M is last[0]:
+        return last[1]
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     if M.size == 0:
         return 0.0
-    data = M.tobytes()
-    last = _last_norm
-    if last is not None and last[0] == M.shape and last[1] == data:
-        return last[2]
     norm = float(np.linalg.norm(M, 2))
-    _last_norm = (M.shape, data, norm)
+    if not M.flags.writeable:
+        _last_norm = (M, norm)
     return norm
 
 

@@ -11,6 +11,7 @@ import functools
 import inspect
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,11 +36,6 @@ _MEMBERSHIP_TOL = 1e-9  # slack of the portfolio's simplex-membership check
 # for n = 2..100, tiny entries around a few O(1) ones included), more than n
 # ulps when n is small
 _MIN_MARGIN_ULPS = 32
-# Curvature pairs a portfolio problem keeps, oldest evicted first; a learned
-# grid or a seqsim pass on an n = 100 instance factors 4-7 distinct thetas
-_CURVATURE_MEMO = 16
-# Entries of theta, evenly strided, in a memo key; the stored bytes decide
-_FINGERPRINT = 16
 _EPS = float(np.finfo(float).eps)
 # Supports a hinted simplex projection tests before it sorts: the held one
 # and two refinements; on the desk every refinement run passes by the second
@@ -137,6 +133,17 @@ class ParametricProblem:
     for bit. An oracle may memoize its results, as the portfolio's
     curvature oracle does, since that keeps it pure; the carry from one
     theta to the next is a run's own state (inner_apg.CurvatureAnchor).
+
+    The caching rule. The library assumes that a read-only array stays
+    unchanged, and every array it hands out is read-only: each theta a
+    learner reveals, the admm_solve Sigma*, and a PortfolioInstance's data
+    with the constraint matrix and offset its problem returns. So every
+    cache of what an array determines meets a read-only array by identity
+    and recomputes from a writable one at every call: spectral_norm's
+    last norm, the portfolio's curvature memo, a run's CurvatureAnchor and
+    forward map, and alm_run's theta errors. The rule holds only for
+    arrays the library made read-only: an array's owner can switch the
+    flag back.
 
     forward(problem) raises ValueError for a problem whose oracles its map
     does not restate, so a dataclasses.replace of one of them is refused,
@@ -290,7 +297,8 @@ class PortfolioInstance:
     Objective (1/2) x' Sigma x - risk_tradeoff * mu' x over the unit simplex,
     subject to sector exposure caps sector_matrix @ x <= sector_limits. The
     covariance Sigma is the learnable parameter; sigma holds the value the
-    instance was generated with.
+    instance was generated with. The instance holds read-only copies of its
+    arrays (ParametricProblem's caching rule).
     """
 
     n: int
@@ -303,10 +311,8 @@ class PortfolioInstance:
     seed: int = 0
 
     def __post_init__(self):
-        A = np.asarray(self.sector_matrix, dtype=float)
-        b = np.asarray(self.sector_limits, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+        A, b, mu, sigma = (np.array(v, dtype=float) for v in (
+            self.sector_matrix, self.sector_limits, self.mu, self.sigma))
         if not (self.n >= self.s >= 1):
             raise ValueError("need n >= s >= 1")
         if A.shape != (self.s, self.n):
@@ -319,10 +325,10 @@ class PortfolioInstance:
             raise ValueError("covariance must be n x n")
         if not np.allclose(sigma, sigma.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "sector_matrix", A)
-        object.__setattr__(self, "sector_limits", b)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", symmetrize(sigma))
+        for name, value in (("sector_matrix", A), ("sector_limits", b),
+                            ("mu", mu), ("sigma", symmetrize(sigma))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def to_json(self, path=None):
         """Serialize to the instance-file schema (dense row-major arrays)."""
@@ -360,45 +366,19 @@ def _curvature_pair(theta):
 
 class _HeldMap:
     """The portfolio's forward map of one run: W, B and the step's buffers,
-    rewritten in place where a call's arguments moved (portfolio_problem)."""
+    rewritten in place where a call's arguments moved (portfolio_problem).
+    It meets the last call's theta by identity only when theta is read-only
+    (ParametricProblem's caching rule)."""
 
-    def __init__(self, problem, gamma_mu):
-        self._problem = problem
-        self._gamma_mu = gamma_mu
-        self._shape = None
-        self._theta = self._L = self._scale = None
-
-    def __call__(self, theta, lam, rho, L):
-        if theta is not self._theta:
-            A = self._problem.constraint_matrix(theta)
-            if A.shape != self._shape:
-                self._hold(*A.shape)
-            self._rows[...] = A
-            self._b = self._problem.constraint_offset(theta)
-            read_only = isinstance(theta, np.ndarray) and not theta.flags.writeable
-            self._theta = theta if read_only else None
-            self._L = self._scale = None
-        if L != self._L:
-            np.divide(theta, -L, out=self._top)
-            self._diagonal += 1.0  # of I - theta / L
-            np.divide(self._gamma_mu, L, out=self._gamma_mu_col)
-            self._L = L
-        scale = rho / L
-        if scale != self._scale:
-            np.multiply(self._rows, scale, out=self._B)
-            self._scale = scale
-        np.divide(lam, rho, out=self._offset_col)
-        np.add(self._b, self._offset_col, out=self._offset_col)
-        return self._step
-
-    def _hold(self, m, n):
-        """Allocate W, B and the buffers of a step for an m x n A, and hold
-        the views of W that calls rewrite."""
-        self._shape = (m, n)
+    def __init__(self, A, b, gamma_mu):
+        m, n = A.shape
         W = np.empty((n + m, n + 1))
+        W[n:, :n] = A
         self._top, self._gamma_mu_col = W[:n, :n], W[:n, n]
-        self._rows, self._offset_col = W[n:, :n], W[n:, n]
+        self._A, self._offset_col = A, W[n:, n]
         self._diagonal = W.reshape(-1)[:n * (n + 1):n + 2]
+        self._b, self._gamma_mu = b, gamma_mu
+        self._theta = self._L = self._scale = None
         self._B = B = np.empty((m, n))
         y_hat = np.empty(n + 1)
         y_hat[n] = 1.0
@@ -416,24 +396,37 @@ class _HeldMap:
 
         self._step = step
 
+    def __call__(self, theta, lam, rho, L):
+        if theta is not self._theta or L != self._L:
+            np.divide(theta, -L, out=self._top)
+            self._diagonal += 1.0  # of I - theta / L
+            np.divide(self._gamma_mu, L, out=self._gamma_mu_col)
+            read_only = isinstance(theta, np.ndarray) and not theta.flags.writeable
+            self._theta = theta if read_only else None
+            self._L = L
+        scale = rho / L
+        if scale != self._scale:
+            np.multiply(self._A, scale, out=self._B)
+            self._scale = scale
+        np.divide(lam, rho, out=self._offset_col)
+        np.add(self._b, self._offset_col, out=self._offset_col)
+        return self._step
+
 
 def portfolio_problem(instance, kappa=1.0):
     """Build the ParametricProblem for a portfolio instance.
 
     theta is the covariance matrix, prox_step is project_simplex, and the
     constraint cone is the nonnegative orthant: h(x) = A x - b must be <= 0.
+    The constraint oracles return the instance's read-only A and one
+    read-only -b at every call.
     The curvature oracle smooth_curvature(theta) is _curvature_pair behind a
-    memo of the problem's own: the pair of every finite theta factored is
-    stored with theta's bytes, keyed on its dtype, shape and _FINGERPRINT
-    evenly strided entries, and a lookup answers only when the bytes match
-    (a theta that shares the key but not the bytes is factored and takes
-    the key over). So the runs sharing one problem factor each theta once,
-    and a hit returns the very pair a factorisation would, whatever the
-    order of the runs. The memo holds at most _CURVATURE_MEMO pairs,
-    evicting the oldest. It is safe to share across threads: each lookup,
-    store and removal is one dict operation on immutable entries, so at
-    worst two threads factor the same theta and store identical pairs, or
-    evict one pair more than the cap asks.
+    memo of the problem's own, under ParametricProblem's caching rule: the
+    pair of a read-only theta is kept under id(theta) with a weak reference
+    to theta, which drops the entry when theta is collected, and a lookup
+    answers only when that reference is theta itself. So the runs sharing
+    one problem factor each theta once, and a hit returns the very pair a
+    factorisation would, whatever the order of the runs.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, L_h_theta = 0 because
@@ -446,24 +439,26 @@ def portfolio_problem(instance, kappa=1.0):
     (n + 1) matrix W = [[I - theta / L, gamma mu / L], [A, b + lam / rho]]
     and the C-ordered s x n matrix B = (rho / L) A, so y - grad nu(y) / L is
     w = W [y; 1], r = max(w[n:], 0), w[:n] - r B: two matrix-vector
-    products. A call map(theta, lam, rho, L) rewrites only what moved since
-    its last call, each entry as a fresh build computes it, so the step is
-    the same bit for bit: A and b, read through problem's oracles, and W's
-    A rows when theta is not the last call's read-only array (a writable
-    theta is read at every call, as CurvatureAnchor copies it); the top
-    block and gamma mu / L when theta or L moved; B when theta or rho / L
-    moved; and the column b + lam / rho at every call. The step it returns
-    holds buffers for [y; 1] (its trailing 1 written once), w and r B,
-    which every step overwrites; each result is a fresh array, and each map
-    holds W, B and buffers of its own, so one problem serves concurrent
-    runs. The map restates the gradient of smooth_value_grad and the
-    orthant's dual projection, so forward raises ValueError unless
-    inspect.unwrap(problem.smooth_value_grad) is this problem's own oracle,
-    the cone is a NonnegativeOrthant and its project_dual is the orthant's
-    own method; a functools.wraps wrapper, such as a timer, stands for the
-    oracle or method it wraps.
+    products. W's A rows and b are written once, when forward builds the
+    map. A call map(theta, lam, rho, L) rewrites only what moved since its
+    last call, each entry as a fresh build computes it, so the step is the
+    same bit for bit: the top block and gamma mu / L when theta is not the
+    last call's read-only array (a writable theta at every call) or L
+    moved; B when rho / L moved; and the column b + lam / rho at every
+    call. The step it returns holds buffers for [y; 1] (its trailing 1
+    written once), w and r B, which every step overwrites; each result is a
+    fresh array, and each map holds W, B and buffers of its own, so one
+    problem serves concurrent runs. The map restates smooth_value_grad's gradient, the constraint
+    oracles and the orthant's dual projection, so forward raises ValueError
+    unless inspect.unwrap of problem.smooth_value_grad, constraint_matrix
+    and constraint_offset is this problem's own oracle, the cone is a
+    NonnegativeOrthant and its project_dual is the orthant's own method; a
+    functools.wraps wrapper, such as a timer, stands for the oracle or
+    method it wraps.
     """
+    A = instance.sector_matrix
     offset = -instance.sector_limits
+    offset.flags.writeable = False
     mu = instance.mu
     gamma = instance.risk_tradeoff
     gamma_mu = gamma * mu
@@ -474,14 +469,23 @@ def portfolio_problem(instance, kappa=1.0):
         value = 0.5 * float(x @ Sx) - gamma * float(mu @ x)
         return value, Sx - gamma_mu
 
+    def constraint_matrix(theta):
+        return A
+
+    def constraint_offset(theta):
+        return offset
+
     def forward(problem):
         if (inspect.unwrap(problem.smooth_value_grad) is not smooth_value_grad
+                or inspect.unwrap(problem.constraint_matrix) is not constraint_matrix
+                or inspect.unwrap(problem.constraint_offset) is not constraint_offset
                 or type(problem.cone) is not NonnegativeOrthant
                 or getattr(inspect.unwrap(problem.cone.project_dual), "__func__",
                            None) is not NonnegativeOrthant.project_dual):
             raise ValueError("the portfolio's forward map serves only its own "
-                             "smooth_value_grad and a NonnegativeOrthant cone")
-        return _HeldMap(problem, gamma_mu)
+                             "smooth_value_grad, constraint oracles and a "
+                             "NonnegativeOrthant cone")
+        return _HeldMap(A, offset, gamma_mu)
 
     def in_simplex(x):
         x = np.asarray(x, dtype=float)
@@ -491,20 +495,14 @@ def portfolio_problem(instance, kappa=1.0):
     memo = {}
 
     def smooth_curvature(theta):
-        point = np.asarray(theta)
-        data = point.tobytes()
-        flat = point.reshape(-1)
-        key = (point.dtype.str, point.shape,
-               flat[::max(1, flat.size // _FINGERPRINT)].tobytes())
+        if not isinstance(theta, np.ndarray) or theta.flags.writeable:
+            return _curvature_pair(theta)
+        key = id(theta)
         entry = memo.get(key)
-        if entry is not None and entry[0] == data:
+        if entry is not None and entry[0]() is theta:
             return entry[1]
         pair = _curvature_pair(theta)
-        if np.isfinite(point).all():
-            memo.pop(key, None)  # a colliding theta's entry
-            memo[key] = (data, pair)
-            for stale in list(memo)[:-_CURVATURE_MEMO]:
-                memo.pop(stale, None)
+        memo[key] = (weakref.ref(theta, lambda _: memo.pop(key, None)), pair)
         return pair
 
     constants = ProblemConstants(
@@ -517,8 +515,8 @@ def portfolio_problem(instance, kappa=1.0):
     return ParametricProblem(
         smooth_value_grad=smooth_value_grad,
         prox_step=project_simplex,
-        constraint_matrix=lambda theta: instance.sector_matrix,
-        constraint_offset=lambda theta: offset,
+        constraint_matrix=constraint_matrix,
+        constraint_offset=constraint_offset,
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
         smooth_curvature=smooth_curvature,

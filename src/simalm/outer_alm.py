@@ -309,7 +309,8 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     problem's forward map is built once and retargeted at each solve
     (inner_apg).
     An epoch whose theta_k is the last epoch's read-only array, as a
-    FrozenLearner's always is, keeps that epoch's theta errors. Each record
+    FrozenLearner's always is, keeps that epoch's theta errors
+    (model.ParametricProblem's caching rule). Each record
     holds the epoch's own x, lam and x_bar arrays, which no later epoch
     writes.
 
@@ -387,7 +388,9 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     and then runs the multiplier scheme against it. The frozen estimate
     generally differs from the true parameter, so the optimization phase
     plateaus at a positive suboptimality. A FrozenLearner learns nothing,
-    so every optimization-phase row counts learn_budget learner steps.
+    so every optimization-phase row counts learn_budget learner steps. The
+    learning-phase rows share one read-only copy of x0, as both x and
+    x_bar, and one read-only zero multiplier.
     """
     from .learning import FrozenLearner
 
@@ -402,6 +405,8 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     theta_scale = float(np.linalg.norm(theta_star))
     f0, infeas0, rel0 = _report(problem, x0, theta_star,
                                 None if reference is None else reference.f_value)
+    x_held, lam_held = x0.copy(), np.zeros(problem.cone.dim)
+    x_held.flags.writeable = lam_held.flags.writeable = False
 
     learn_records = []
     cpu_learn = 0.0
@@ -413,7 +418,7 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
             theta_j, theta_star, theta_scale, f"epoch {j + 1} of the learning phase")
         learn_records.append(AlmRecord(
             k=j + 1, rho=0.0, alpha=0.0, inner_iterations=0,
-            x=x0.copy(), lam=np.zeros(problem.cone.dim), x_bar=x0.copy(),
+            x=x_held, lam=lam_held, x_bar=x_held,
             theta_err=theta_err, theta_err_rel=theta_err_rel,
             f_at_theta_star=f0, infeas_at_theta_star=infeas0,
             f_rel_subopt=rel0, learner_steps=learner.steps_taken,

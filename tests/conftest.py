@@ -38,6 +38,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def read_only(a):
+    """A read-only float copy of a, as the library hands out its arrays."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def count_factorisations(monkeypatch):
     """(kind, matrix shape) of every dense factorisation behind L and mu from
     now on: "eigh" for np.linalg.eigh (the portfolio's curvature pair) and

@@ -87,6 +87,29 @@ def test_repeated_sequential_budget_is_config_error(tmp_path):
     assert not (tmp_path / "repeated").exists()
 
 
+@pytest.mark.parametrize("epsilon, field", [
+    (0.1, "epsilon must be a sequence"),
+    ("0.1", "epsilon must be a sequence"),
+    ([0.1, 0.1], "epsilon values must be distinct"),
+])
+def test_scalar_or_repeated_epsilon_is_config_error(tmp_path, epsilon, field):
+    # a scalar exited 2 with "'float' object is not iterable", a string was
+    # read one character at a time, and a repeated epsilon ran twice and
+    # wrote one trace file
+    cfg = small_config(tmp_path, "epsilon", epsilon=epsilon)
+    res = run_cli("solve", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and field in res.stderr
+    assert not (tmp_path / "epsilon").exists()
+
+
+def test_repeated_epsilon_flag_is_config_error(tmp_path):
+    res = run_cli("solve", "--epsilon", "0.1", "0.1", "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "epsilon values must be distinct" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["bounds", "solve", "table"])
 def test_empty_epsilon_is_config_error(tmp_path, command):
     # bounds died with an IndexError traceback and exit 1, solve wrote

@@ -1,13 +1,16 @@
 import csv
 import dataclasses
+import gc
+import inspect
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from simalm import experiments, inner_apg, model
+from simalm import experiments, inner_apg
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace, bound_inputs_for_run,
@@ -20,7 +23,7 @@ from simalm.linalg import spectral_norm
 from simalm.model import NonFiniteError, _curvature_pair, portfolio_problem
 from simalm.outer_alm import (AlmRecord, AlmTrace, Schedule, ScheduleError,
                               StopRule, TRACE_COLUMNS, BOUND_COLUMNS, alm_run)
-from conftest import count_factorisations
+from conftest import count_factorisations, read_only
 
 
 @pytest.fixture(scope="module")
@@ -279,35 +282,68 @@ def test_curvature_memo_skips_non_finite_thetas(monkeypatch, small_config):
                 theta_star=bundle.sigma_star, stop=StopRule(max_outer=5))
 
 
-def test_curvature_memo_evicts_the_oldest_and_is_per_bundle(monkeypatch,
-                                                            small_config):
+def test_curvature_memo_answers_a_read_only_theta_by_identity_per_bundle(
+        monkeypatch, small_config):
+    # a read-only theta is factored once per problem and met again by
+    # identity, each entry as long as its theta lives; another bundle, a
+    # copy of this one included, starts with no entries
     bundle = prepare_bundle(small_config)
-    monkeypatch.setattr(model, "_CURVATURE_MEMO", 2)
     record = bundle.scs.record.sigmas
     assert not record[0].flags.writeable
     pairs = [bundle.problem().smooth_curvature(theta) for theta in record[:3]]
     seen = _count_spectra(monkeypatch)
     problem = bundle.problem()
-    # record[0] was evicted: factored again, bit-equal
-    assert problem.smooth_curvature(record[0].copy()) == pairs[0]
-    assert len(seen) == 1
-    # ... which evicted record[1]; record[2] stays, read-only or not
-    assert problem.smooth_curvature(record[2]) == pairs[2]
-    assert problem.smooth_curvature(record[2].copy()) == pairs[2]
-    assert len(seen) == 1
-    assert problem.smooth_curvature(record[1]) == pairs[1]
-    assert len(seen) == 2
-    # another bundle, a copy of this one included, starts with no entries
+    assert [problem.smooth_curvature(theta) for theta in record[:3]] == pairs
+    assert seen == []
     other = dataclasses.replace(bundle)
     assert other.problem().smooth_curvature(record[2]) == pairs[2]
-    assert len(seen) == 3
+    assert len(seen) == 1
 
 
-def test_curvature_memo_is_consistent_across_threads(monkeypatch, small_config):
-    # threads sharing a bundle's problem, evicting all the time, never read
-    # one theta's pair for another and never fail
+def test_curvature_memo_factors_a_writable_theta_at_every_call(monkeypatch,
+                                                              small_config):
+    # a writable theta, even a copy of a read-only theta the memo holds, is
+    # factored at every call, bit for bit as the read-only one
     bundle = prepare_bundle(small_config)
-    monkeypatch.setattr(model, "_CURVATURE_MEMO", 2)
+    problem = bundle.problem()
+    theta = bundle.sigma_star
+    pair = problem.smooth_curvature(theta)
+    seen = _count_spectra(monkeypatch)
+    writable = theta.copy()
+    assert [problem.smooth_curvature(writable) for _ in range(2)] == [pair, pair]
+    assert len(seen) == 2
+    assert problem.smooth_curvature(theta) == pair
+    assert len(seen) == 2
+
+
+def test_curvature_memo_entry_dies_with_its_theta(monkeypatch, small_config):
+    # an entry holds its theta by weak reference and goes when theta is
+    # collected, so the memo holds no pair of a dead theta; a lookup answers
+    # only for the very array an entry refers to, so an entry left at the
+    # address of another array is factored past
+    bundle = prepare_bundle(small_config)
+    problem = bundle.problem()
+    memo = inspect.getclosurevars(problem.smooth_curvature).nonlocals["memo"]
+    thetas = [read_only(bundle.sigma_star * (1.0 + 0.01 * j)) for j in range(5)]
+    pairs = [problem.smooth_curvature(theta) for theta in thetas]
+    assert len(memo) == 5
+    del thetas[1:]
+    gc.collect()
+    assert len(memo) == 1
+    seen = _count_spectra(monkeypatch)
+    assert problem.smooth_curvature(thetas[0]) == pairs[0]
+    assert seen == []
+    other = read_only(2.0 * bundle.sigma_star)
+    memo[id(other)] = (weakref.ref(thetas[0]), pairs[0])
+    assert problem.smooth_curvature(other) == _curvature_pair(other)
+    assert len(seen) == 2
+
+
+def test_curvature_memo_is_consistent_across_threads(small_config):
+    # threads sharing a bundle's problem, storing entries and dropping them
+    # with their thetas all the time, never read one theta's pair for
+    # another and never fail
+    bundle = prepare_bundle(small_config)
     problem = bundle.problem()
     thetas = bundle.scs.record.sigmas[:4]
     raw = _curvature_pair
@@ -318,7 +354,9 @@ def test_curvature_memo_is_consistent_across_threads(monkeypatch, small_config):
         try:
             for i in range(300):
                 j = (i + offset) % len(thetas)
-                if problem.smooth_curvature(thetas[j]) != want[j]:
+                # every third call a read-only copy, which dies after it
+                theta = read_only(thetas[j]) if i % 3 == 0 else thetas[j]
+                if problem.smooth_curvature(theta) != want[j]:
                     wrong.append(j)
         except Exception as exc:  # a thread's error would not fail the test
             wrong.append(exc)
@@ -337,58 +375,12 @@ def test_curvature_memo_is_consistent_across_threads(monkeypatch, small_config):
     assert wrong == []
 
 
-def test_curvature_memo_keeps_colliding_thetas_apart(monkeypatch, small_config):
-    # two thetas that agree on every fingerprinted entry share a memo key;
-    # each still gets its own exact pair, the one stored bytes decide
-    bundle = prepare_bundle(small_config)
-    raw = _curvature_pair
-    problem = bundle.problem()
-    theta = bundle.sigma_star.copy()
-    n = theta.shape[0]
-    stride = max(1, theta.size // model._FINGERPRINT)
-    assert 1 % stride and n % stride  # flat entries 1 and n: (0, 1), (1, 0)
-    other = theta.copy()
-    other[0, 1] = other[1, 0] = theta[0, 1] + 0.5
-    want = [raw(theta), raw(other)]
-    assert want[0] != want[1]
-    seen = _count_spectra(monkeypatch)
-    for _ in range(2):
-        assert [problem.smooth_curvature(t) for t in (theta, other)] == want
-    assert len(seen) == 4  # each takes the key over from the other
-    assert problem.smooth_curvature(other.copy()) == want[1]
-    assert len(seen) == 4
-
-
-def test_curvature_memo_holds_the_newest_finite_thetas(monkeypatch, small_config):
-    # at most _CURVATURE_MEMO (16) pairs: of 20 thetas the 16 newest hit and
-    # the 4 oldest are factored again; a NaN or infinite theta is factored
-    # on every call and evicts nothing
-    bundle = prepare_bundle(small_config)
-    problem = bundle.problem()
-    thetas = [bundle.sigma_star * (1.0 + 0.01 * j) for j in range(20)]
-    pairs = [problem.smooth_curvature(theta) for theta in thetas]
-    assert model._CURVATURE_MEMO == 16
-    seen = _count_spectra(monkeypatch)
-    for bad in (np.nan, np.inf):
-        theta = thetas[-1].copy()
-        theta[2, 2] = bad
-        for _ in range(2):
-            try:
-                problem.smooth_curvature(theta)
-            except np.linalg.LinAlgError:  # a LAPACK build that refuses theta
-                pass
-    assert len(seen) == 4
-    assert [problem.smooth_curvature(t) for t in thetas[4:]] == pairs[4:]
-    assert len(seen) == 4
-    assert [problem.smooth_curvature(t) for t in thetas[:4]] == pairs[:4]
-    assert len(seen) == 8
-
-
 def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
     # a bundle's problem reads ||A|| from spectral_norm's memo while A is
-    # bit-equal to the matrix it last normed, bit for bit what an SVD gives;
-    # a replaced or mutated A takes an SVD again, as on a problem without a
-    # bundle
+    # the read-only array it last normed, bit for bit what an SVD gives; a
+    # replaced A, or a writable copy of A, takes an SVD at every call, and
+    # the copy written in place gives its new norm. The instance's own A
+    # refuses the write
     from simalm.inner_apg import lipschitz_nu
 
     bundle = prepare_bundle(small_config)
@@ -396,6 +388,7 @@ def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
     A = bundle.instance.sector_matrix
     theta = bundle.sigma_star
     L_p = problem.smooth_curvature(theta)[0]
+    writable = A.copy()
     mutated = A.copy()
     mutated[0, 0] = 1.0 - mutated[0, 0]
     want = [L_p + 2.0 * float(np.linalg.norm(M, 2)) ** 2
@@ -412,11 +405,15 @@ def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
     doubled = dataclasses.replace(problem, constraint_matrix=lambda th: 2.0 * A)
     assert lipschitz_nu(doubled, 2.0, theta) == want[1]
     assert len(svds()) == 2
-    A[0, 0] = 1.0 - A[0, 0]
-    try:
-        assert lipschitz_nu(problem, 2.0, theta) == want[2]
-        assert len(svds()) == 3
-    finally:
+    copied = dataclasses.replace(problem, constraint_matrix=lambda th: writable)
+    assert lipschitz_nu(copied, 2.0, theta) == want[0]
+    assert len(svds()) == 3
+    writable[0, 0] = 1.0 - writable[0, 0]
+    assert lipschitz_nu(copied, 2.0, theta) == want[2]
+    assert len(svds()) == 4
+    assert lipschitz_nu(problem, 2.0, theta) == want[0]
+    assert len(svds()) == 4
+    with pytest.raises(ValueError):
         A[0, 0] = 1.0 - A[0, 0]
     assert lipschitz_nu(problem, 2.0, theta) == want[0]
     assert len(svds()) == 4
@@ -752,6 +749,17 @@ def test_config_validation():
     for repeated in ((2, 2), (0, 4, np.int64(0))):
         with pytest.raises(ValueError, match="sequential_budgets must be distinct"):
             ExperimentConfig(sequential_budgets=repeated)
+    # each epsilon names one trace file, trace_*_eps{epsilon:g}.csv: a
+    # repeated one ran twice into one file
+    for repeated in ((0.1, 0.1), (0.1, 0.01, np.float64(0.1)), (0.1, 0.1000001)):
+        with pytest.raises(ValueError, match="epsilon values must be distinct"):
+            ExperimentConfig(epsilon=repeated)
+    # a scalar failed with "'float' object is not iterable", and a string
+    # was read one character at a time; so for the budgets
+    for name, bad in (("epsilon", 0.1), ("epsilon", "0.1"), ("epsilon", np.float64(0.1)),
+                      ("sequential_budgets", 2), ("sequential_budgets", "024")):
+        with pytest.raises(ValueError, match=f"{name} must be a sequence"):
+            ExperimentConfig(**{name: bad})
     # numpy integers are counts too, stored as ints so the config serializes
     config = ExperimentConfig(n=np.int64(30), s=np.int32(5), seed=np.uint8(3),
                               sequential_budgets=np.arange(3))

@@ -23,7 +23,7 @@ from simalm.model import (NonFiniteError, _curvature_pair, constraint_value,
 from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from simalm.reference import simplex_qp
 from conftest import (count_factorisations, make_small_portfolio,
-                      make_toy_problem, random_simplex_point)
+                      make_toy_problem, random_simplex_point, read_only)
 
 EPS = float(np.finfo(float).eps)
 
@@ -157,25 +157,29 @@ def _portfolio_lipschitz(theta, A, rho):
 
 def test_lipschitz_norms_computed_once_per_theta(decompositions):
     # lipschitz_nu and iteration_budget hold no cache of their own, but the
-    # portfolio's curvature oracle keeps the pair of each theta it factored
-    # and spectral_norm the norm of the last matrix: on one problem a theta
-    # is factored once, copies of it included, and A normed once. A new
-    # problem factors theta again; a run on a frozen estimate takes each
-    # once
+    # portfolio's curvature oracle keeps the pair of each read-only theta
+    # it factored and spectral_norm the norm of the last read-only matrix:
+    # on one problem a read-only theta is factored once, and the instance's
+    # read-only A normed once; a writable copy of theta is factored at every
+    # call. A new problem factors theta again; a run on a frozen estimate
+    # takes each once
     instance, problem = make_small_portfolio()
     A = problem.constraint_matrix(instance.sigma)  # the instance's own array
-    theta = instance.sigma.copy()
+    theta = instance.sigma
+    assert not (A.flags.writeable or theta.flags.writeable)
     fresh = _portfolio_lipschitz(theta, A, 2.0)
     spectrum, norm = ("eigh", theta.shape), ("svd", A.shape)
     decompositions.clear()
     assert lipschitz_nu(problem, 2.0, theta) == fresh
     assert decompositions == [spectrum, norm]
-    assert lipschitz_nu(problem, 2.0, theta.copy()) == fresh
     assert iteration_budget(problem, 2.0, theta, 1e-3) > 0
     assert decompositions == [spectrum, norm]
-    assert lipschitz_nu(portfolio_problem(instance), 2.0, theta) == fresh
+    assert lipschitz_nu(problem, 2.0, theta.copy()) == fresh
     assert decompositions == [spectrum, norm, spectrum]
-    assert spectral_norm(np.eye(2)) == 1.0  # evicts A from spectral_norm's memo
+    assert lipschitz_nu(portfolio_problem(instance), 2.0, theta) == fresh
+    assert decompositions == [spectrum, norm, spectrum, spectrum]
+    # evicts A from spectral_norm's memo
+    assert spectral_norm(read_only(np.eye(2))) == 1.0
     problem = portfolio_problem(instance)
     decompositions.clear()
     schedule = make_constant_schedule(1e-2, 2.0, learner_known=True)
@@ -184,26 +188,29 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
                     theta_star=instance.sigma, stop=StopRule(max_outer=4))
     assert len(trace) == 4
     assert sorted(decompositions) == sorted([spectrum, norm])
-    # the anchor keeps a private copy of theta, and both memos compare
-    # bytes: after the caller mutates theta or A in place, a solve on the
-    # anchor recomputes what moved and runs bit for bit as a solve without
-    # an anchor
+    # a writable theta or A is recomputed at every call: after the caller
+    # writes either in place, a solve on the anchor runs bit for bit as a
+    # solve without an anchor. The portfolio's map serves only the
+    # instance's own A, so the writable one is stepped without a map
+    writable_theta, writable_A = theta.copy(), A.copy()
+    own = dataclasses.replace(problem, constraint_matrix=lambda th: writable_A,
+                              forward=None)
     anchor, config = CurvatureAnchor(), ApgConfig(alpha=1e-3)
-    for mutate, taken in ((lambda: None, []),
-                          (lambda: theta.__imul__(2.0), [spectrum]),
-                          (lambda: A.__setitem__((0, 0), 1.0 - A[0, 0]), [norm])):
+    for mutate in (lambda: None, lambda: writable_theta.__imul__(2.0),
+                   lambda: writable_A.__setitem__((0, 0), 1.0 - writable_A[0, 0])):
         mutate()
         decompositions.clear()
-        x, steps = apg_solve(problem, x0, lam, 2.0, theta, config, anchor=anchor)
-        assert decompositions == taken
-        x_own, steps_own = apg_solve(problem, x0, lam, 2.0, theta, config)
+        x, steps = apg_solve(own, x0, lam, 2.0, writable_theta, config,
+                             anchor=anchor)
+        assert decompositions == [norm, spectrum]
+        x_own, steps_own = apg_solve(own, x0, lam, 2.0, writable_theta, config)
         assert steps == steps_own
         np.testing.assert_array_equal(x, x_own)
 
 
 def test_anchor_keeps_a_read_only_theta_and_meets_it_by_identity(monkeypatch):
     # a read-only theta is kept uncopied and answered without comparing
-    # its entries; a writable one is copied, as the in-place writes of
+    # its entries; a writable one is not kept, as the in-place writes of
     # test_lipschitz_norms_computed_once_per_theta check
     instance, problem = make_small_portfolio()
     theta = FrozenLearner(instance.sigma).theta
@@ -275,9 +282,9 @@ def test_carried_curvature_bounds_the_factored_pair(n, kind, aligned, log_scale,
     _, problem = make_small_portfolio(n=n, s=1)
     gen = np.random.default_rng(seed)
     F = gen.standard_normal((n, n))
-    theta_a = {"definite": F @ F.T / n + 0.1 * np.eye(n),
-               "singular": F[:, 1:] @ F[:, 1:].T / n,
-               "indefinite": symmetrize(F)}[kind]
+    theta_a = read_only({"definite": F @ F.T / n + 0.1 * np.eye(n),
+                         "singular": F[:, 1:] @ F[:, 1:].T / n,
+                         "indefinite": symmetrize(F)}[kind])
     scale = 10.0 ** log_scale * gen.choice([-1.0, 1.0])
     if aligned is None:
         E = scale * symmetrize(gen.standard_normal((n, n)))
@@ -321,7 +328,7 @@ def test_weyl_shift_bounds_the_exact_norm_at_the_tight_case(n, log_scale, sign,
     _, problem = make_small_portfolio(n=n, s=1)
     gen = np.random.default_rng(seed)
     F = gen.standard_normal((n, n))
-    theta_a = F @ F.T / n + 0.1 * np.eye(n)
+    theta_a = read_only(F @ F.T / n + 0.1 * np.eye(n))
     L_a, mu_a = problem.smooth_curvature(theta_a)
     v = np.linalg.eigh(theta_a)[1][:, -1]
     theta = theta_a + sign * 10.0 ** log_scale * 0.5 * (L_a - mu_a) * np.outer(v, v)
@@ -340,7 +347,8 @@ def test_weyl_shift_bounds_the_exact_norm_at_the_tight_case(n, log_scale, sign,
 def test_non_finite_theta_is_always_factored(caplog, bad):
     # the QP ignores theta, so its solves run to the end; only the choice
     # between a carried and a factored curvature sees theta, and an anchor
-    # at a non-finite theta carries nothing either
+    # at a non-finite theta carries nothing either. The thetas are
+    # read-only, as a learner hands them out, so the anchor may hold them
     from simalm.model import ProblemConstants
 
     n = 6
@@ -349,10 +357,11 @@ def test_non_finite_theta_is_always_factored(caplog, bad):
     qp = _simplex_qp_problem(F @ F.T / n + 0.2 * np.eye(n), gen.standard_normal(n))
     problem = dataclasses.replace(qp, constants=ProblemConstants(
         L_h_theta=0.0, L_f=0.0, D_x=1.0, L_curv_theta=1.0))
-    theta = np.zeros(3)
-    near = theta + 1e-12
+    theta = read_only(np.zeros(3))
+    near = read_only(theta + 1e-12)
     broken = theta.copy()
     broken[1] = bad
+    broken = read_only(broken)
     anchor = CurvatureAnchor()
     x0 = np.full(n, 1.0 / n)
     thetas = (theta, near, broken, near, near, broken, broken)
@@ -377,15 +386,16 @@ def test_non_finite_theta_is_always_factored(caplog, bad):
 
 
 class _ScriptedLearner:
-    """Reveals the given thetas in order, one per epoch."""
+    """Reveals the given read-only thetas in order, one per epoch, uncopied."""
 
     def __init__(self, thetas):
-        self._thetas = [np.asarray(t, dtype=float) for t in thetas]
+        assert not any(t.flags.writeable for t in thetas)
+        self._thetas = thetas
         self.steps_taken = 0
 
     @property
     def theta(self):
-        return self._thetas[self.steps_taken].copy()
+        return self._thetas[self.steps_taken]
 
     def step(self):
         self.steps_taken += 1
@@ -394,11 +404,11 @@ class _ScriptedLearner:
 
 def test_lipschitz_memo_follows_theta_dependent_constraints(monkeypatch,
                                                             decompositions):
-    # the toy problem's A = A0 + theta_0 A1 moves with theta_0 only: the
-    # run's solves take an SVD of A exactly when A changes (spectral_norm's
-    # memo answers the others), its anchor factors the curvature only when
-    # theta changes, also without L_curv_theta, and every solve runs the
-    # exact L of its theta
+    # the toy problem's A = A0 + theta_0 A1 is a fresh, writable array at
+    # every call, so the run's solves take an SVD of A at every solve; the
+    # learner reveals one read-only array until theta changes, and the
+    # run's anchor factors the curvature only when it does, also without
+    # L_curv_theta, and every solve runs the exact L of its theta
     from simalm import inner_apg
 
     toy = make_toy_problem()
@@ -409,7 +419,9 @@ def test_lipschitz_memo_follows_theta_dependent_constraints(monkeypatch,
         factored.append(theta.tolist())
         return toy.smooth_curvature(theta)
 
-    thetas = [[0.3, 1.0], [0.3, 1.0], [0.3, 2.0], [-0.7, 1.0], [0.3, 2.0]]
+    first, second, third = (read_only(t) for t in ([0.3, 1.0], [0.3, 2.0],
+                                                    [-0.7, 1.0]))
+    thetas = [first, first, second, third, second]
     used = []
     fista = inner_apg.fista
 
@@ -422,12 +434,12 @@ def test_lipschitz_memo_follows_theta_dependent_constraints(monkeypatch,
     trace = alm_run(dataclasses.replace(toy, smooth_curvature=curvature),
                     _ScriptedLearner(thetas),
                     make_constant_schedule(1e-2, 3.0, learner_known=False),
-                    x0=np.full(3, 1.0 / 3.0), theta_star=np.array(thetas[0]),
+                    x0=np.full(3, 1.0 / 3.0), theta_star=first,
                     stop=StopRule(max_outer=len(thetas)))
     assert len(trace) == len(thetas)
-    assert decompositions == 3 * [("svd", (2, 3))]
-    assert factored == thetas[:1] + thetas[2:]
-    assert used == [lipschitz_nu(toy, 3.0, np.array(t)) for t in thetas]
+    assert decompositions == len(thetas) * [("svd", (2, 3))]
+    assert factored == [t.tolist() for t in thetas[:1] + thetas[2:]]
+    assert used == [lipschitz_nu(toy, 3.0, t) for t in thetas]
 
 
 def test_lipschitz_is_consistent_across_threads_sharing_a_problem():
@@ -656,7 +668,8 @@ def test_warm_budget_reaches_alpha_on_random_simplex_qps(monkeypatch):
 
 
 def test_budget_solve_logs_one_debug_line(caplog, toy_problem):
-    theta, lam, rho, alpha = np.array([0.1, -0.2]), np.ones(2), 2.0, 1e-3
+    # theta is read-only, as a learner hands it out, so an anchor may hold it
+    theta, lam, rho, alpha = read_only([0.1, -0.2]), np.ones(2), 2.0, 1e-3
     x0 = np.full(3, 1 / 3)
     with caplog.at_level(logging.DEBUG, logger="simalm"):
         _, steps = apg_solve(toy_problem, x0, lam, rho, theta,

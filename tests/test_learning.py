@@ -420,6 +420,9 @@ def test_learner_replays_the_record_and_holds_sigma_star(sweeps_run):
     recorded = make_scs(n=8, seed=4)
     sigma_star, info = admm_solve(recorded)
     sweeps = info["sweeps"]
+    # the solve hands out the record's read-only Sigma*, uncopied
+    assert sigma_star is info["history"][-1] is recorded.record.sigmas[sweeps - 1]
+    assert not sigma_star.flags.writeable
     unrecorded = dataclasses.replace(recorded)  # has run no sweep yet
     sweeps_run.clear()
     replay = AdmmScsLearner(recorded)

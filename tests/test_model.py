@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from simalm.model import (NonFiniteError, PortfolioInstance,
                           constraint_value, evaluate_f, infeasibility,
                           portfolio_problem, project_simplex, simplex_prox)
-from conftest import make_small_portfolio, random_simplex_point
+from conftest import make_small_portfolio, random_simplex_point, read_only
 
 
 def brute_force_simplex_projection(v):
@@ -424,12 +424,6 @@ def test_portfolio_forward_results_outlive_its_buffers(rng):
                    for a, b in itertools.combinations(results, 2))
 
 
-def _read_only(a):
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def test_portfolio_forward_maps_of_one_problem_do_not_share_buffers(rng):
     # each map holds its own W, B and buffers and serves one run, so one
     # problem serves concurrent runs: two maps built from it, each
@@ -437,7 +431,7 @@ def test_portfolio_forward_maps_of_one_problem_do_not_share_buffers(rng):
     # that take turns within a step, each give bit for bit the sequence
     # z_{t+1} = prox_step(step(z_t)) it gives alone
     instance, problem = make_small_portfolio()
-    thetas = (_read_only(instance.sigma), _read_only(1.2 * instance.sigma))
+    thetas = (read_only(instance.sigma), read_only(1.2 * instance.sigma))
     plans = [[(thetas[(i + j) % 2], np.abs(rng.standard_normal(instance.s)),
                rho * (i + 1), L * (i + 1)) for i in range(5)]
              for j, (rho, L) in enumerate(((3.0, 40.0), (8.0, 90.0)))]
@@ -473,13 +467,12 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
     # off the simplex, the step of a map built fresh for that call: a new L,
     # a new rho, rho and L moved together, a new lam, a new read-only theta,
     # a writable theta, that theta written in place, and the first theta
-    # again. It reads A and b only for a theta that is not the last call's
-    # read-only array, a writable one at every call. A problem whose
-    # constraint_matrix and constraint_offset were replaced by oracles that
-    # depend on theta runs the same script on A and b read through them
+    # again. It holds A and b from its build and reads neither oracle at a
+    # call, so a problem whose constraint_matrix or constraint_offset was
+    # replaced by an oracle that depends on theta is refused by forward
     instance, problem = make_small_portfolio()
     n, s = instance.n, instance.s
-    theta, other = _read_only(instance.sigma), _read_only(1.3 * instance.sigma)
+    theta, other = read_only(instance.sigma), read_only(1.3 * instance.sigma)
     start = 0.8 * instance.sigma
     writable = start.copy()
     lam = np.abs(rng.standard_normal(s))
@@ -487,15 +480,15 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
     def write_in_place():
         writable[2, 5] = writable[5, 2] = writable[2, 5] + 0.25
 
-    script = [(None, (theta, lam, 3.0, 40.0), True),
-              (None, (theta, lam, 3.0, 55.0), False),
-              (None, (theta, lam, 9.0, 55.0), False),
-              (None, (theta, lam, 18.0, 110.0), False),
-              (None, (theta, 2.0 * lam, 18.0, 110.0), False),
-              (None, (other, 2.0 * lam, 18.0, 110.0), True),
-              (None, (writable, lam, 9.0, 55.0), True),
-              (write_in_place, (writable, lam, 9.0, 55.0), True),
-              (None, (theta, lam, 3.0, 40.0), True)]
+    script = [(None, (theta, lam, 3.0, 40.0)),
+              (None, (theta, lam, 3.0, 55.0)),
+              (None, (theta, lam, 9.0, 55.0)),
+              (None, (theta, lam, 18.0, 110.0)),
+              (None, (theta, 2.0 * lam, 18.0, 110.0)),
+              (None, (other, 2.0 * lam, 18.0, 110.0)),
+              (None, (writable, lam, 9.0, 55.0)),
+              (write_in_place, (writable, lam, 9.0, 55.0)),
+              (None, (theta, lam, 3.0, 40.0))]
     ys = [random_simplex_point(rng, n) for _ in range(3)]
     ys += [10.0 * rng.standard_normal(n) for _ in range(3)]
     shifted = instance.sector_matrix[::-1].copy()
@@ -506,33 +499,31 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
     reads = []
 
     def counted(oracle):
+        @functools.wraps(oracle)  # stands for the oracle it wraps
         def read(th):
             reads.append(1)
             return oracle(th)
         return read
 
-    replaced = dataclasses.replace(
-        problem,
-        constraint_matrix=lambda th: shifted if below(th) else instance.sector_matrix,
-        constraint_offset=lambda th: problem.constraint_offset(th) * (2.0 if below(th) else 0.5))
-    steps_of = []
-    for case in (problem, replaced):
-        writable[...] = start
-        counting = dataclasses.replace(case, constraint_matrix=counted(case.constraint_matrix))
-        held = counting.forward(counting)
-        steps_of.append([])
-        for before, args, read in script:
-            if before is not None:
-                before()
-            reads.clear()
-            step = held(*args)
-            assert len(reads) == read
-            fresh = case.forward(case)(*args)
-            for y in ys:
-                got = step(y)
-                assert np.array_equal(got, fresh(y))
-                steps_of[-1].append(got)
-    assert not all(np.array_equal(a, b) for a, b in zip(*steps_of))
+    counting = dataclasses.replace(
+        problem, constraint_matrix=counted(problem.constraint_matrix),
+        constraint_offset=counted(problem.constraint_offset))
+    held = counting.forward(counting)
+    for before, args in script:
+        if before is not None:
+            before()
+        step = held(*args)
+        fresh = problem.forward(problem)(*args)
+        for y in ys:
+            assert np.array_equal(step(y), fresh(y))
+    assert reads == []
+    for replaced in (
+            dataclasses.replace(problem, constraint_matrix=lambda th: (
+                shifted if below(th) else instance.sector_matrix)),
+            dataclasses.replace(problem, constraint_offset=lambda th: (
+                problem.constraint_offset(th) * (2.0 if below(th) else 0.5)))):
+        with pytest.raises(ValueError, match="constraint oracles"):
+            replaced.forward(replaced)
 
 
 def test_hint_holds_the_constants_of_its_sum_test(rng):
@@ -552,14 +543,15 @@ def test_hint_holds_the_constants_of_its_sum_test(rng):
         assert warm["k"] == bare["k"]
 
 
-@pytest.mark.parametrize("field", ["smooth_value_grad", "cone", "project_dual"])
+@pytest.mark.parametrize("field", ["smooth_value_grad", "cone", "project_dual",
+                                   "constraint_matrix", "constraint_offset"])
 def test_portfolio_forward_refuses_a_replaced_oracle(field):
-    # the map restates the portfolio's gradient and its orthant's dual
-    # projection, so a replace of either that keeps the map is refused at
-    # the first solve, never stepped past: a plain closure around the
-    # gradient oracle, a cone of another type (here the same orthant as a
-    # one-factor product), or a copy of the orthant whose dual projection
-    # is a plain closure around its own
+    # the map restates the portfolio's gradient, its constraint oracles and
+    # its orthant's dual projection, so a replace of any that keeps the map
+    # is refused at the first solve, never stepped past: a plain closure
+    # around the gradient or a constraint oracle, a cone of another type
+    # (here the same orthant as a one-factor product), or a copy of the
+    # orthant whose dual projection is a plain closure around its own
     from simalm.cones import ProductCone
     from simalm.inner_apg import ApgConfig, apg_solve
 
@@ -567,9 +559,12 @@ def test_portfolio_forward_refuses_a_replaced_oracle(field):
     own, cone = problem.smooth_value_grad, problem.cone
     closed_over = copy.copy(cone)
     closed_over.project_dual = lambda y: cone.project_dual(y)
+    A, b = problem.constraint_matrix, problem.constraint_offset
     replacement = {"smooth_value_grad": {"smooth_value_grad": lambda x, theta: own(x, theta)},
                    "cone": {"cone": ProductCone([cone])},
-                   "project_dual": {"cone": closed_over}}[field]
+                   "project_dual": {"cone": closed_over},
+                   "constraint_matrix": {"constraint_matrix": lambda theta: A(theta)},
+                   "constraint_offset": {"constraint_offset": lambda theta: b(theta)}}[field]
     bad = dataclasses.replace(problem, **replacement)
     with pytest.raises(ValueError, match="forward map serves only"):
         apg_solve(bad, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),

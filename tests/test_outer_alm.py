@@ -402,10 +402,15 @@ def test_sequential_baseline_phases():
     opt = trace.opt_records
     assert len(learn) == 5
     assert len(opt) == 15
-    # learning rows are flat in x and consume no inner iterations
+    # learning rows are flat in x and consume no inner iterations; they
+    # share one read-only x0, as x and x_bar, and one read-only zero
+    # multiplier
     for rec in learn:
         np.testing.assert_allclose(rec.x, np.full(instance.n, 0.1))
         assert rec.inner_iterations == 0
+        assert rec.x is rec.x_bar is learn[0].x and rec.lam is learn[0].lam
+    assert not (learn[0].x.flags.writeable or learn[0].lam.flags.writeable)
+    assert learn[0].lam.tolist() == [0.0] * instance.s
     # parameter error improves during learning, then freezes
     errs = [r.theta_err for r in trace.records]
     assert errs[4] < errs[0]

@@ -1,4 +1,5 @@
-"""Slow lane for the reference QP: a seeded fuzz and set-up beyond the desk size.
+"""Slow lane for the reference QP: a seeded fuzz, set-up beyond the desk
+size, and set-up at the desk size over twelve seeds.
 
 Deselected by default; run with `pytest -m slow`.
 """
@@ -8,6 +9,7 @@ import pytest
 
 from simalm import reference
 from simalm.experiments import ExperimentConfig, make_sectors, prepare_bundle
+from simalm.inner_apg import grad_nu, lipschitz_nu
 from simalm.reference import ReferenceSolveError, active_set_qp
 from test_reference import _no_crash
 
@@ -105,3 +107,27 @@ def test_setup_beyond_the_desk_size(monkeypatch, n, s):
     assert bundle.reference.kkt_residual <= reference.KKT_TOL
     assert bundle.binding.any()
     assert solves and max(solves) <= 20
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_setup_at_the_desk_size_over_seeds(seed):
+    # at (100, 10), seeds 1-12: the reference optimum meets its KKT
+    # conditions to 1e-9; the instance's arrays and Sigma* refuse writes,
+    # since every cache meets a read-only array by identity; and the
+    # bundle's problem builds its forward map, whose step is the composed
+    # gradient step up to rounding
+    bundle = prepare_bundle(ExperimentConfig(n=100, s=10, seed=seed))
+    ref = bundle.reference
+    assert ref.kkt_residual <= 1e-9
+    inst = bundle.instance
+    for array in (inst.sector_matrix, inst.sector_limits, inst.mu, inst.sigma,
+                  bundle.sigma_star):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+    problem = bundle.problem()
+    theta, rho = bundle.sigma_star, 2.0
+    L = lipschitz_nu(problem, rho, theta)
+    step = problem.forward(problem)(theta, ref.lam, rho, L)
+    for y in (ref.x, np.full(inst.n, 1.0 / inst.n)):
+        want = y - grad_nu(problem, y, ref.lam, rho, theta) / L
+        np.testing.assert_allclose(step(y), want, rtol=0.0, atol=1e-13)
