@@ -8,8 +8,8 @@ like B_k / beta^k. The run is overlaid against that bound curve.
 import numpy as np
 
 from simalm import (BoundInputs, ExperimentConfig, StopRule, SyntheticLearner,
-                    alm_run, b_k, infeasibility_bound_geometric,
-                    make_increasing_schedule, prepare_bundle, spectral_norm)
+                    alm_run, bound_curves, make_increasing_schedule,
+                    prepare_bundle, spectral_norm)
 
 config = ExperimentConfig(n=100, s=10, seed=12)
 bundle = prepare_bundle(config)
@@ -34,14 +34,17 @@ inputs = BoundInputs(
     kappa=spectral_norm(bundle.instance.sector_matrix) / mu_min,
     L_f=0.5, L_h_theta=0.0)
 
+# the overlay columns of the trace CSV: row k holds epoch k - 1, against
+# B_{k-1} / beta^(k-1) and the infeasibility bound at that epoch
+curves = bound_curves(inputs, trace.column("k"))
 print(f"{'k':>4} {'|f - f*|':>12} {'bound':>12} {'infeas':>12} {'bound':>12}")
 f_star = bundle.reference.f_value
-for rec in trace.records[::4]:
-    k = rec.k - 1
+for row in range(0, len(trace), 4):
+    rec = trace.records[row]
     print(f"{rec.k:>4} {abs(rec.f_at_theta_star - f_star):>12.3e} "
-          f"{b_k(inputs, k) / beta ** k:>12.3e} "
+          f"{curves['subopt_upper_bound'][row]:>12.3e} "
           f"{rec.infeas_at_theta_star:>12.3e} "
-          f"{infeasibility_bound_geometric(inputs, k):>12.3e}")
+          f"{curves['v_k_bound'][row]:>12.3e}")
 
 errs = [abs(r.f_at_theta_star - f_star) for r in trace.records]
 ks = np.arange(1, len(errs) + 1)

@@ -21,10 +21,8 @@ from .outer_alm import (AlmRecord, AlmTrace, NonFiniteError, Schedule,
 from .learning import (AdmmScsLearner, FrozenLearner, ScsProblem,
                        SyntheticLearner, admm_solve, eigh_clip, scs_admm_step,
                        scs_init)
-from .bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
-                     c_lambda, c_lambda_prime, dual_gap_bound,
-                     infeasibility_bound_geometric, inverse_power_series,
-                     primal_subopt_lower, primal_subopt_upper, u_const, v_of_k)
+from .bounds import (BoundInputs, bound_curves, bound_report,
+                     inverse_power_series)
 from .linalg import spectral_norm
 from .reference import ReferenceSolution, active_set_qp, portfolio_reference, simplex_qp
 from .experiments import (ExperimentConfig, InstanceBundle, SampleData,

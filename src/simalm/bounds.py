@@ -3,17 +3,17 @@
 Given the run's `outer_alm.Schedule` (rho_k, alpha_k and the learning rate
 tau) and two reference distances, of the starting parameter from theta* and
 of the starting multiplier lambda_0 = 0 from lambda* (that is, ||lambda*||),
-these functions evaluate the constants that bound dual suboptimality,
-primal infeasibility, and primal suboptimality along a run, so empirical
-traces can be overlaid against theory. The pseudo-Lipschitz constant
-`kappa` of the inner solution map is an input; it scales the reported
-curves only and never enters the algorithm itself.
+`bound_curves` and `bound_report` evaluate the constants that bound dual
+suboptimality, primal infeasibility, and primal suboptimality along a run,
+so empirical traces can be overlaid against theory. The pseudo-Lipschitz
+constant `kappa` of the inner solution map is an input; it scales the
+reported curves only and never enters the algorithm itself.
 
 Each constant's formula is written once, in one private evaluator per
-regime; the public functions read their constant from it, and
-`bound_curves` and `bound_report` evaluate it once a call. All infinite
-series reduce to sums of (k+1)^(-p), evaluated to absolute accuracy below
-1e-12 by explicit summation plus an integral-test (Euler-Maclaurin) tail.
+regime, which each call of `bound_curves` or `bound_report` runs once.
+All infinite series reduce to sums of (k+1)^(-p), evaluated to absolute
+accuracy below 1e-12 by explicit summation plus an integral-test
+(Euler-Maclaurin) tail.
 """
 
 import functools
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "inverse_power_series", "BoundInputs", "c_lambda", "b_g", "v_of_k",
-    "u_const", "primal_subopt_upper", "primal_subopt_lower", "dual_gap_bound",
-    "c_lambda_prime", "b_k", "infeasibility_bound_geometric", "bound_curves",
-    "bound_report",
-]
+__all__ = ["inverse_power_series", "BoundInputs", "bound_curves", "bound_report"]
 
 _TAIL_FROM = 10_000
 
@@ -41,6 +36,8 @@ def inverse_power_series(p):
     whose truncation error is below p^3 K^(-p-3). Results are cached per
     exponent.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"series exponent must be finite, got {p}")
     if p <= 1.0:
         raise ValueError("series diverges for exponent <= 1")
     k = np.arange(1, _TAIL_FROM, dtype=float)
@@ -79,13 +76,6 @@ class BoundInputs:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     @property
-    def rho(self):
-        if self.schedule.is_geometric:
-            raise ValueError("constant-penalty quantity requested on a "
-                             "geometric schedule")
-        return self.schedule.rho0
-
-    @property
     def delta(self):
         return self.schedule.beta * self.schedule.tau
 
@@ -107,7 +97,7 @@ def _constant_constants(inputs):
     Returns them as a dict under these names, the constants bound_report
     reports.
     """
-    s, rho = inputs.schedule, inputs.rho
+    s, rho = inputs.schedule, inputs.schedule.rho0
     e, kappa, lam = inputs.theta0_err, inputs.kappa, inputs.lambda_star_norm
     root_alpha = np.sqrt(s.alpha0) * inverse_power_series(1.0 + s.c)
     inexact = np.sqrt(2.0 / rho) * root_alpha
@@ -134,93 +124,14 @@ def _geometric_constants(inputs):
     (2 C' + ||lambda*||)^2 / rho0.
     """
     s = inputs.schedule
-    if not s.is_geometric:
-        raise ValueError("geometric-regime quantity needs beta > 1")
     cp = (np.sqrt(2.0 * s.alpha0 * s.rho0) * inverse_power_series(1.0 + s.c)
           + s.rho0 * inputs.kappa * inputs.theta0_err / (1.0 - inputs.delta)
           + inputs.lambda_star_norm)
     return cp, (2.0 * cp + inputs.lambda_star_norm) ** 2 / s.rho0
 
 
-def _as_k(k, least):
-    """k as a float array, refused unless every entry is at least `least`."""
-    k = np.asarray(k, dtype=float)
-    if np.any(k < least):
-        raise ValueError(f"k must be at least {least}")
-    return k
-
-
-def _float_if_scalar(out):
-    return float(out) if out.ndim == 0 else out
-
-
-def _v_constant(constants, k):
-    return constants["C1"] / np.sqrt(k) + constants["C2"] / k
-
-
-def _subopt_lower(inputs, v):
-    return -(0.5 * inputs.rho * v ** 2 + inputs.lambda_star_norm * v)
-
-
 def _b_k(inputs, lead, k):
-    s = inputs.schedule
-    deltak = inputs.delta ** k
-    if inputs.L_h_theta > 0:
-        mid = s.rho0 * (inputs.L_h_theta * inputs.theta0_err * deltak
-                        + inputs.L_f / (s.rho0 * inputs.L_h_theta)) ** 2
-    else:
-        mid = 2.0 * inputs.L_f * inputs.theta0_err * deltak
-    return lead + mid + s.alpha0 / (k + 1.0) ** (2.0 * (1.0 + s.c))
-
-
-def _v_geometric(inputs, cp, k):
-    s = inputs.schedule
-    return (2.0 * cp / s.rho0
-            + inputs.L_h_theta * inputs.theta0_err * inputs.delta ** k) / s.beta ** k
-
-
-def c_lambda(inputs):
-    """Radius bound c_lambda on the multiplier iterates, constant penalty."""
-    return _constant_constants(inputs)["c_lambda"]
-
-
-def b_g(inputs):
-    """Dual suboptimality constant: the averaged dual gap is at most b_g / k."""
-    return _constant_constants(inputs)["b_g"]
-
-
-def dual_gap_bound(inputs, k):
-    """Bound b_g / k on the dual gap of the averaged multiplier."""
-    return _constant_constants(inputs)["b_g"] / _as_k(k, 1)
-
-
-def v_of_k(inputs, k):
-    """Infeasibility bound C1/sqrt(k) + C2/k for the averaged iterate."""
-    return _float_if_scalar(_v_constant(_constant_constants(inputs), _as_k(k, 1)))
-
-
-def u_const(inputs):
-    """Constant in the averaged-iterate suboptimality bound u_const / k."""
-    return _constant_constants(inputs)["u_const"]
-
-
-def primal_subopt_upper(inputs, k):
-    """Upper bound u_const / k on f(xbar_k) - f*."""
-    return _constant_constants(inputs)["u_const"] / _as_k(k, 1)
-
-
-def primal_subopt_lower(inputs, k):
-    """Lower bound -(rho/2) V(k)^2 - ||lambda*|| V(k) on f(xbar_k) - f*."""
-    return _subopt_lower(inputs, v_of_k(inputs, k))
-
-
-def c_lambda_prime(inputs):
-    """Multiplier radius bound C' for the geometric penalty regime."""
-    return _geometric_constants(inputs)[0]
-
-
-def b_k(inputs, k):
-    """Constant B_k in the geometric suboptimality bound B_k / beta^k.
+    """B_k of the geometric suboptimality bound B_k / beta^k.
 
     When L_h_theta > 0 this is the completed-square form
 
@@ -232,36 +143,45 @@ def b_k(inputs, k):
     algebraically equal pre-completion form is used: the middle term becomes
     2 L_f ||theta_0 - theta*|| delta^k.
     """
-    _, lead = _geometric_constants(inputs)
-    return _float_if_scalar(_b_k(inputs, lead, _as_k(k, 0)))
-
-
-def infeasibility_bound_geometric(inputs, k):
-    """Geometric-regime infeasibility bound.
-
-    (1/beta^k)(2 C'/rho0 + L_h_theta ||theta_0 - theta*|| delta^k).
-    """
-    cp, _ = _geometric_constants(inputs)
-    return _float_if_scalar(_v_geometric(inputs, cp, _as_k(k, 0)))
+    s = inputs.schedule
+    deltak = inputs.delta ** k
+    if inputs.L_h_theta > 0:
+        mid = s.rho0 * (inputs.L_h_theta * inputs.theta0_err * deltak
+                        + inputs.L_f / (s.rho0 * inputs.L_h_theta)) ** 2
+    else:
+        mid = 2.0 * inputs.L_f * inputs.theta0_err * deltak
+    return lead + mid + s.alpha0 / (k + 1.0) ** (2.0 * (1.0 + s.c))
 
 
 def _evaluate(inputs, ks):
     """(the regime's constants, the four curves at rows ks), from one
-    evaluation of the regime's constants."""
-    if not inputs.schedule.is_geometric:
+    evaluation of the regime's constants.
+
+    Constant penalty: V(k) = C1/sqrt(k) + C2/k bounds the infeasibility of
+    the averaged iterate, f(xbar_k) - f* lies in [-((rho/2) V(k)^2 +
+    ||lambda*|| V(k)), u_const / k], of which the lower curve holds the
+    magnitude, and b_g / k bounds the averaged multiplier's dual gap.
+    Geometric penalty, at epoch k: (1/beta^k)(2 C'/rho0 + L_h_theta
+    ||theta_0 - theta*|| delta^k) bounds the infeasibility and B_k / beta^k
+    the suboptimality on either side.
+    """
+    s = inputs.schedule
+    if not s.is_geometric:
         constants = _constant_constants(inputs)
-        v = _v_constant(constants, ks)
+        v = constants["C1"] / np.sqrt(ks) + constants["C2"] / ks
         return constants, {
             "v_k_bound": v,
             "subopt_upper_bound": constants["u_const"] / ks,
-            "subopt_lower_bound": np.abs(_subopt_lower(inputs, v)),
+            "subopt_lower_bound": 0.5 * s.rho0 * v ** 2 + inputs.lambda_star_norm * v,
             "dual_gap_bound": constants["b_g"] / ks,
         }
     constants = cp, lead = _geometric_constants(inputs)
     epochs = ks - 1.0
-    sub = _b_k(inputs, lead, epochs) / inputs.schedule.beta ** epochs
+    growth = s.beta ** epochs
+    sub = _b_k(inputs, lead, epochs) / growth
     return constants, {
-        "v_k_bound": _v_geometric(inputs, cp, epochs),
+        "v_k_bound": (2.0 * cp / s.rho0 + inputs.L_h_theta * inputs.theta0_err
+                      * inputs.delta ** epochs) / growth,
         "subopt_upper_bound": sub,
         "subopt_lower_bound": sub,
         "dual_gap_bound": np.full(ks.shape, np.nan),
@@ -277,7 +197,10 @@ def bound_curves(inputs, ks):
     k-1, so every curve is evaluated at k-1; the averaged-iterate dual-gap
     bound does not apply there and reads NaN.
     """
-    return _evaluate(inputs, _as_k(ks, 1))[1]
+    ks = np.asarray(ks, dtype=float)
+    if np.any(ks < 1):
+        raise ValueError("k must be at least 1")
+    return _evaluate(inputs, ks)[1]
 
 
 def bound_report(inputs, k_max=50):
@@ -291,5 +214,5 @@ def bound_report(inputs, k_max=50):
     if inputs.schedule.is_geometric:
         cp, lead = constants
         constants = {"c_lambda_prime": cp,
-                     "b_0": float(_b_k(inputs, lead, np.asarray(0.0)))}
+                     "b_0": float(_b_k(inputs, lead, 0.0))}
     return {"constants": constants, "curves": curves}

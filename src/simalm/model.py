@@ -40,6 +40,9 @@ _EPS = float(np.finfo(float).eps)
 # Supports a hinted simplex projection tests before it sorts: the held one
 # and two refinements; on the desk every refinement run passes by the second
 _HINT_TESTS = 3
+# A hinted test whose |t| exceeds this hands v to the sort path: below it,
+# v - t cannot overflow, as 2**960 is under half an ulp of the largest float
+_HINT_T_MAX = 2.0 ** 960
 
 
 class NonFiniteError(RuntimeError):
@@ -200,7 +203,7 @@ def project_simplex(v, warm=None):
     support is tested first, in four numpy calls: t = (v . mask - 1) / k
     and x = max(v - t, 0). The sum phi(t) = sum_i max(v_i - t, 0) is at
     least sum_{i in S} (v_i - t) = 1, with equality exactly when t is the
-    projection's threshold tau. So x is returned when t is finite and the
+    projection's threshold tau. So x is returned when |t| <= 2**960 and the
     computed sum of x is within n eps of 1. phi falls with slope at most -1
     wherever it is positive, so |t - tau| <= |phi(t) - 1|, at most n eps
     plus the sum's own rounding, n eps / 2, to first order; with the half
@@ -210,9 +213,10 @@ def project_simplex(v, warm=None):
     Michelot's algorithm (Michelot 1986; Condat 2016), where from then on
     each support holds the next and t rises to tau. The support that passes
     is kept in warm. Any NaN or infinite entry makes t NaN or infinite
-    (np.vdot, unlike dot and matmul, raises no warning for 0 * inf), so
-    such a v, like one whose _HINT_TESTS supports all fail, takes the sort
-    path, which stores the support of its result, and "sum", in warm.
+    (np.vdot, unlike dot and matmul, raises no warning for 0 * inf or an
+    overflowing sum, so it takes both sums), so such a v, like one whose t
+    is beyond 2**960, where v - t could overflow, or whose _HINT_TESTS
+    supports all fail, takes the sort path, which stores the support of its result, and "sum", in warm.
     Without warm the sort path alone runs.
 
     Raises NonFiniteError, with no RuntimeWarning, on a NaN or infinite
@@ -227,11 +231,11 @@ def project_simplex(v, warm=None):
         ones, tol = warm.get("sum") or (_ones(v.size), v.size * _EPS)
         for _ in range(_HINT_TESTS):
             t = (float(np.vdot(v, mask)) - 1.0) / k
-            if not math.isfinite(t):
+            if not abs(t) <= _HINT_T_MAX:
                 break
             x = v - t
             np.maximum(x, 0.0, out=x)
-            if abs(x.dot(ones) - 1.0) <= tol:
+            if abs(np.vdot(x, ones) - 1.0) <= tol:
                 warm["mask"], warm["k"] = mask, k
                 return x
             mask, k = np.sign(x), int(np.count_nonzero(x))

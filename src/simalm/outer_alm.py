@@ -169,6 +169,8 @@ def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0, tau=None):
         raise ScheduleError("epsilon must lie in (0, 1)")
     if rho_o <= 0:
         raise ScheduleError("rho_o must be positive")
+    if not (math.isfinite(c) and c > 0):
+        raise ScheduleError(f"c must be finite and positive, got {c}")
     rho = rho_o / epsilon if learner_known else rho_o
     series = inverse_power_series(1.0 + c)
     return Schedule(rho0=rho, alpha0=1.0 / (2.0 * rho * series ** 2), c=c, tau=tau)

@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from simalm.al_core import eval_L, grad_lambda_L
-from simalm.bounds import BoundInputs, b_k, dual_gap_bound, \
-    infeasibility_bound_geometric, v_of_k
+from simalm.bounds import BoundInputs, bound_curves
 from simalm.cones import (NonnegativeOrthant, ProductCone, SecondOrderCone,
                           ZeroCone)
 from simalm import experiments
@@ -188,14 +187,12 @@ def test_criterion_5_misspecified_constant_penalty(desk_bundle, desk_problem):
             assert len(trace) <= 9  # single-digit outer count
         schedule = _schedule(DESK, desk_bundle, eps, "learned", "constant")
         inputs = bound_inputs_for_run(desk_bundle, schedule, "learned")
-        ks = np.arange(1, len(trace) + 1, dtype=float)
-        vk = v_of_k(inputs, ks)
+        curves = bound_curves(inputs, trace.column("k"))
         infeas = trace.column("infeas_at_theta_star")
-        assert np.all(infeas <= vk)
+        assert np.all(infeas <= curves["v_k_bound"])
         gaps = dual_gap_estimates(desk_problem, trace, desk_bundle.sigma_star,
                                   desk_bundle.reference.f_value)
-        bg = np.array([dual_gap_bound(inputs, k) for k in ks])
-        assert np.all(gaps <= bg)
+        assert np.all(gaps <= curves["dual_gap_bound"])
         _report(5, f"eps={eps:g}: errors within target, V(k) and B_g/k "
                    f"majorize at all {len(trace)} epochs",
                 time.perf_counter() - t0, 300.0)
@@ -467,10 +464,11 @@ def test_criterion_6_increasing_penalty_geometric_rate(desk_bundle, desk_problem
         lambda_star_norm=desk_bundle.reference.lambda_norm,
         kappa=spectral_norm(desk_bundle.instance.sector_matrix) / mu_min,
         L_f=0.5, L_h_theta=0.0)
-    epochs = ks - 1.0
-    assert np.all(errs <= b_k(inputs, epochs) / beta ** epochs)
-    assert np.all(trace.column("infeas_at_theta_star")
-                  <= infeasibility_bound_geometric(inputs, epochs))
+    # row k holds epoch k - 1: B_{k-1} / beta^(k-1) and the infeasibility
+    # bound at epoch k - 1
+    curves = bound_curves(inputs, ks)
+    assert np.all(errs <= curves["subopt_upper_bound"])
+    assert np.all(trace.column("infeas_at_theta_star") <= curves["v_k_bound"])
     _report(6, f"slope {slope:.3f} <= {-math.log(beta) + 0.02:.3f}, "
                f"bounds majorize over {errs.size} epochs",
             time.perf_counter() - t0, 120.0)

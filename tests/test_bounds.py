@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
-from simalm.bounds import (BoundInputs, b_g, b_k, bound_curves, bound_report,
-                           c_lambda, c_lambda_prime, dual_gap_bound,
-                           infeasibility_bound_geometric,
-                           inverse_power_series, primal_subopt_lower,
-                           primal_subopt_upper, u_const, v_of_k)
+from simalm.bounds import (BoundInputs, bound_curves, bound_report,
+                           inverse_power_series)
 from simalm.outer_alm import Schedule, ScheduleError
 
 FIELDS = ("theta0_err", "lambda_star_norm", "kappa", "L_f", "L_h_theta")
@@ -21,11 +18,23 @@ def inputs(rho0=1.0, alpha0=0.1, c=1.0, beta=1.0, tau=0.5, **overrides):
     return BoundInputs(schedule, **base)
 
 
+def constants(i):
+    return bound_report(i)["constants"]
+
+
+def at_epochs(i, name, epochs):
+    """A geometric curve at epochs: row k of a trace holds epoch k - 1."""
+    return bound_curves(i, np.asarray(epochs, dtype=float) + 1.0)[name]
+
+
 def test_series_matches_zeta():
     for p in (1.001, 1.5, 2.0, 2.002, 4.0):
         assert abs(inverse_power_series(p) - zeta(p)) < 1e-12
     with pytest.raises(ValueError):
         inverse_power_series(1.0)
+    for p in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            inverse_power_series(p)
 
 
 def test_multiplier_radius_trivial_cases():
@@ -34,10 +43,11 @@ def test_multiplier_radius_trivial_cases():
     series = np.sqrt(0.1) * zeta(2.0)
     # theta0 = theta*: the inexactness series and the starting distance
     i = inputs(rho0=2.0, theta0_err=0.0, lambda_star_norm=0.4)
-    assert c_lambda(i) == pytest.approx(2.0 * series + 0.4, rel=1e-12)
+    assert constants(i)["c_lambda"] == pytest.approx(2.0 * series + 0.4, rel=1e-12)
     # rho=1, kappa=1, tau=0.5, unit parameter error, lambda* = 0
     i = inputs(theta0_err=1.0, lambda_star_norm=0.0, kappa=1.0, tau=0.5)
-    assert c_lambda(i) == pytest.approx(np.sqrt(2.0) * series + 2.0, rel=1e-12)
+    assert constants(i)["c_lambda"] == pytest.approx(np.sqrt(2.0) * series + 2.0,
+                                                     rel=1e-12)
 
 
 def test_dual_gap_constant_vanishes_for_perfect_runs():
@@ -45,8 +55,10 @@ def test_dual_gap_constant_vanishes_for_perfect_runs():
     # alpha0, so it vanishes as the inner solves become exact
     for alpha0 in (0.1, 1e-4, 1e-12):
         i = inputs(alpha0=alpha0, theta0_err=0.0, lambda_star_norm=0.0)
-        assert b_g(i) == pytest.approx(2.0 * alpha0 * zeta(2.0) ** 2, rel=1e-12)
-        assert dual_gap_bound(i, 7) == pytest.approx(b_g(i) / 7.0, rel=1e-15)
+        bg = constants(i)["b_g"]
+        assert bg == pytest.approx(2.0 * alpha0 * zeta(2.0) ** 2, rel=1e-12)
+        assert bound_curves(i, 7)["dual_gap_bound"] == pytest.approx(bg / 7.0,
+                                                                      rel=1e-15)
 
 
 def test_infeasibility_bound_reduces_to_first_term():
@@ -58,81 +70,88 @@ def test_infeasibility_bound_reduces_to_first_term():
     bg = lam ** 2 / (2.0 * rho) + radius * np.sqrt(2.0 / rho) * series
     C1 = np.sqrt(2.0 * bg / rho + (radius / rho) ** 2)
     C2 = np.sqrt(2.0 / rho) * series
-    for k in (1, 4, 9):
-        assert v_of_k(i, k) == pytest.approx(C1 / np.sqrt(k) + C2 / k, rel=1e-12)
+    ks = np.array([1.0, 4.0, 9.0])
+    assert bound_curves(i, ks)["v_k_bound"] == pytest.approx(
+        C1 / np.sqrt(ks) + C2 / ks, rel=1e-12)
     # as alpha0 -> 0 the second term fades and C1 -> sqrt(2) ||lambda*|| / rho
     i = inputs(rho0=rho, alpha0=1e-30, theta0_err=0.0, lambda_star_norm=lam)
-    for k in (1, 4, 9):
-        assert v_of_k(i, k) == pytest.approx(np.sqrt(2.0) * lam / rho / np.sqrt(k),
-                                             rel=1e-12)
+    assert bound_curves(i, ks)["v_k_bound"] == pytest.approx(
+        np.sqrt(2.0) * lam / rho / np.sqrt(ks), rel=1e-12)
 
 
 def test_infeasibility_bound_strictly_decreasing():
     i = inputs()
     ks = np.arange(1, 60)
-    vals = v_of_k(i, ks)
+    vals = bound_curves(i, ks)["v_k_bound"]
     assert np.all(np.diff(vals) < 0)
 
 
 def test_primal_bounds_signs():
-    i = inputs()
-    assert primal_subopt_upper(i, 3) == pytest.approx(u_const(i) / 3)
-    assert primal_subopt_lower(i, 3) < 0
+    # u_const / k above f(xbar_k) - f*, and below it -((rho/2) V(k)^2 +
+    # ||lambda*|| V(k)) < 0, whose magnitude the lower curve holds
+    i = inputs(rho0=1.0, lambda_star_norm=0.8)
+    curves = bound_curves(i, 3)
+    assert curves["subopt_upper_bound"] == pytest.approx(constants(i)["u_const"] / 3)
+    v = curves["v_k_bound"]
+    assert curves["subopt_lower_bound"] == pytest.approx(0.5 * v ** 2 + 0.8 * v)
+    assert curves["subopt_lower_bound"] > 0
 
 
 def test_zeroed_misspecification_never_larger():
     present = inputs()
     zeroed = inputs(theta0_err=0.0)
-    assert c_lambda(zeroed) <= c_lambda(present)
-    assert b_g(zeroed) <= b_g(present)
-    assert u_const(zeroed) <= u_const(present)
-    for k in (1, 5, 20):
-        assert v_of_k(zeroed, k) <= v_of_k(present, k)
+    for name in ("c_lambda", "b_g", "u_const"):
+        assert constants(zeroed)[name] <= constants(present)[name], name
+    ks = [1, 5, 20]
+    assert np.all(bound_curves(zeroed, ks)["v_k_bound"]
+                  <= bound_curves(present, ks)["v_k_bound"])
     gp = inputs(beta=1.05, tau=0.5)
     gz = inputs(beta=1.05, tau=0.5, theta0_err=0.0)
-    assert c_lambda_prime(gz) <= c_lambda_prime(gp)
-    for k in (0, 3, 10):
-        assert b_k(gz, k) <= b_k(gp, k)
+    assert constants(gz)["c_lambda_prime"] <= constants(gp)["c_lambda_prime"]
+    # B_k / beta^k at epochs k: the ordering of B_k, as beta^k is shared
+    epochs = [0, 3, 10]
+    assert np.all(at_epochs(gz, "subopt_upper_bound", epochs)
+                  <= at_epochs(gp, "subopt_upper_bound", epochs))
 
 
 def test_geometric_radius_trivial_case():
     # theta0 = theta* and lambda* = 0: only sqrt(2 alpha0 rho0) zeta(1+c) is left
     i = inputs(rho0=3.0, beta=1.05, alpha0=0.1, theta0_err=0.0,
                lambda_star_norm=0.0)
-    assert c_lambda_prime(i) == pytest.approx(np.sqrt(0.6) * zeta(2.0), rel=1e-12)
+    assert constants(i)["c_lambda_prime"] == pytest.approx(
+        np.sqrt(0.6) * zeta(2.0), rel=1e-12)
     i = inputs(rho0=3.0, beta=1.05, alpha0=0.1, theta0_err=0.0,
                lambda_star_norm=0.4)
-    assert c_lambda_prime(i) == pytest.approx(np.sqrt(0.6) * zeta(2.0) + 0.4,
-                                              rel=1e-12)
+    assert constants(i)["c_lambda_prime"] == pytest.approx(
+        np.sqrt(0.6) * zeta(2.0) + 0.4, rel=1e-12)
 
 
 def test_geometric_requires_compatible_rate():
     # no geometric schedule with beta * tau >= 1 can be built
     with pytest.raises(ScheduleError, match="beta \\* tau"):
         inputs(beta=1.2, tau=0.91)
-    # and the geometric formulas refuse a constant schedule
-    i = inputs(beta=1.0, tau=0.91)
-    with pytest.raises(ValueError, match="needs beta > 1"):
-        c_lambda_prime(i)
-    with pytest.raises(ValueError, match="needs beta > 1"):
-        b_k(i, 2)
 
 
 def test_bk_matches_formula_and_decreases():
     i = inputs(beta=1.05, tau=0.6)
     s = i.schedule
-    cp = c_lambda_prime(i)
+    report = bound_report(i)
+    cp = report["constants"]["c_lambda_prime"]
     delta = 1.05 * 0.6
-    k = 4
-    want = ((2 * cp + i.lambda_star_norm) ** 2 / s.rho0
-            + s.rho0 * (i.L_h_theta * i.theta0_err * delta ** k
-                        + i.L_f / (s.rho0 * i.L_h_theta)) ** 2
-            + s.alpha0 / (k + 1) ** (2 * (1 + s.c)))
-    assert b_k(i, k) == pytest.approx(want, rel=1e-12)
-    ks = np.arange(0, 30)
-    bks = b_k(i, ks)
-    assert np.all(np.diff(bks) < 0)
-    assert np.all(np.diff(bks / 1.05 ** ks) < 0)
+
+    def want(k):
+        return ((2 * cp + i.lambda_star_norm) ** 2 / s.rho0
+                + s.rho0 * (i.L_h_theta * i.theta0_err * delta ** k
+                            + i.L_f / (s.rho0 * i.L_h_theta)) ** 2
+                + s.alpha0 / (k + 1) ** (2 * (1 + s.c)))
+
+    assert report["constants"]["b_0"] == pytest.approx(want(0), rel=1e-12)
+    assert at_epochs(i, "subopt_upper_bound", 4) == pytest.approx(
+        want(4) / 1.05 ** 4, rel=1e-12)
+    epochs = np.arange(0, 30)
+    sub = at_epochs(i, "subopt_upper_bound", epochs)
+    assert np.all(np.diff(sub * 1.05 ** epochs) < 0)  # B_k
+    assert np.all(np.diff(sub) < 0)
 
 
 def test_bk_theta_free_constraints_limit():
@@ -140,24 +159,23 @@ def test_bk_theta_free_constraints_limit():
     # the pre-completion form applies and stays finite
     i = inputs(beta=1.05, tau=0.6, L_h_theta=0.0)
     s = i.schedule
-    cp = c_lambda_prime(i)
+    cp = constants(i)["c_lambda_prime"]
     delta = 1.05 * 0.6
     want = ((2 * cp + i.lambda_star_norm) ** 2 / s.rho0
             + 2.0 * i.L_f * i.theta0_err * delta ** 2
             + s.alpha0 / 3.0 ** (2 * (1 + s.c)))
-    assert b_k(i, 2) == pytest.approx(want, rel=1e-12)
+    assert at_epochs(i, "subopt_upper_bound", 2) == pytest.approx(
+        want / 1.05 ** 2, rel=1e-12)
 
 
 def test_geometric_infeasibility_bound_form():
     i = inputs(beta=1.05, tau=0.6)
-    cp = c_lambda_prime(i)
-    delta = i.delta
-    for k in (0, 2, 7):
-        want = (2 * cp / i.schedule.rho0
-                + i.L_h_theta * i.theta0_err * delta ** k) / 1.05 ** k
-        assert infeasibility_bound_geometric(i, k) == pytest.approx(want, rel=1e-12)
-    ks = np.arange(0, 25)
-    vals = infeasibility_bound_geometric(i, ks)
+    cp = constants(i)["c_lambda_prime"]
+    epochs = np.array([0.0, 2.0, 7.0])
+    want = (2 * cp / i.schedule.rho0
+            + i.L_h_theta * i.theta0_err * i.delta ** epochs) / 1.05 ** epochs
+    assert at_epochs(i, "v_k_bound", epochs) == pytest.approx(want, rel=1e-12)
+    vals = at_epochs(i, "v_k_bound", np.arange(0, 25))
     assert np.all(np.diff(vals) < 0)
 
 
@@ -189,8 +207,9 @@ def bound_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(i=bound_inputs(), k_max=st.integers(1, 40))
 def test_bound_report_shapes_and_consistency(i, k_max):
-    # every curve of bound_curves and bound_report, and every reported
-    # constant, has the bits of the public per-k or constant function
+    # bound_report's curves have the bits of bound_curves over rows
+    # 1..k_max, and at row 1, where every power, square root and division by
+    # k is exact, the bits of the reported constants' closed forms
     report = bound_report(i, k_max=k_max)
     ks = np.arange(1.0, k_max + 1.0)
     curves = report["curves"]
@@ -198,29 +217,24 @@ def test_bound_report_shapes_and_consistency(i, k_max):
                            "subopt_lower_bound", "dual_gap_bound"}
     for name, curve in bound_curves(i, ks).items():
         assert same_bits(curves[name], curve), name
+    first = {name: curve[0] for name, curve in curves.items()}
     constants = report["constants"]
     if not i.schedule.is_geometric:
         assert set(constants) == {"c_lambda", "b_g", "C1", "C2", "u_const"}
-        assert same_bits(curves["v_k_bound"], v_of_k(i, ks))
-        assert same_bits(curves["subopt_upper_bound"], primal_subopt_upper(i, ks))
-        assert same_bits(curves["subopt_lower_bound"],
-                         np.abs(primal_subopt_lower(i, ks)))
-        assert same_bits(curves["dual_gap_bound"], dual_gap_bound(i, ks))
-        for name, constant in (("c_lambda", c_lambda), ("b_g", b_g),
-                               ("u_const", u_const)):
-            assert same_bits(constants[name], constant(i)), name
-        # V(1) = C1 / sqrt(1) + C2 / 1, both divisions exact
-        assert same_bits(constants["C1"] + constants["C2"], v_of_k(i, 1))
+        v = constants["C1"] + constants["C2"]
+        assert same_bits(first["v_k_bound"], v)
+        assert same_bits(first["subopt_upper_bound"], constants["u_const"])
+        assert same_bits(first["subopt_lower_bound"],
+                         0.5 * i.schedule.rho0 * v ** 2 + i.lambda_star_norm * v)
+        assert same_bits(first["dual_gap_bound"], constants["b_g"])
     else:
         assert set(constants) == {"c_lambda_prime", "b_0"}
-        epochs = ks - 1.0
-        assert same_bits(curves["v_k_bound"], infeasibility_bound_geometric(i, epochs))
-        sub = b_k(i, epochs) / i.schedule.beta ** epochs
-        assert same_bits(curves["subopt_upper_bound"], sub)
-        assert same_bits(curves["subopt_lower_bound"], sub)
+        assert same_bits(first["v_k_bound"],
+                         2.0 * constants["c_lambda_prime"] / i.schedule.rho0
+                         + i.L_h_theta * i.theta0_err)
+        assert same_bits(first["subopt_upper_bound"], constants["b_0"])
+        assert same_bits(curves["subopt_lower_bound"], curves["subopt_upper_bound"])
         assert np.all(np.isnan(curves["dual_gap_bound"]))
-        assert same_bits(constants["c_lambda_prime"], c_lambda_prime(i))
-        assert same_bits(constants["b_0"], b_k(i, 0))
 
 
 def test_validation():
@@ -236,10 +250,9 @@ def test_validation():
     for name in FIELDS:
         with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
             inputs(**{name: -1.0})
-    with pytest.raises(ValueError):
-        v_of_k(inputs(), 0)
-    with pytest.raises(ValueError):
-        inputs(beta=1.05).rho  # constant-only accessor on geometric inputs
+    for i in (inputs(), inputs(beta=1.05)):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            bound_curves(i, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -237,17 +237,31 @@ def test_hinted_simplex_projection_rejects_non_finite(bad, where):
                 project_simplex(w, warm)
 
 
-@pytest.mark.parametrize("v, message", [
-    ([np.inf, -np.inf], "NaN or infinite entries"),
-    ([1e308, 1e308], "entries beyond float precision")])
-def test_simplex_projection_of_extremes_raises_without_warning(v, message):
-    # inf - inf and an overflowing partial sum in the sort path raise the
-    # typed error, not a RuntimeWarning, without a hint, with an empty one
-    # and with each held support; the overflow names no NaN or inf
+# (v, the supports a hint holds for it, the error's message). In the last
+# three a hinted test overflowed: v - t in the first, the sum of x in the
+# others, after a t of -1e308 in the second and of -0.5 in the third
+EXTREMES = [
+    ([np.inf, -np.inf], [[0, 1], [0], [1]], "NaN or infinite entries"),
+    ([1e308, 1e308], [[0, 1], [0], [1]], "entries beyond float precision"),
+    ([1e308, -1e308], [[1]], "entries beyond float precision"),
+    ([-1e308, -1e308, 0.5, 0.5], [[0]], "entries beyond float precision"),
+    ([1e308, 1e308, 0.5], [[2]], "entries beyond float precision")]
+
+
+@pytest.mark.parametrize("v, held, message", EXTREMES,
+                         ids=[f"v{i}-{case[2]}" for i, case in enumerate(EXTREMES)])
+def test_simplex_projection_of_extremes_raises_without_warning(v, held, message):
+    # inf - inf and an overflowing partial sum in the sort path, and an
+    # overflow in a hinted test, raise the typed error, not a RuntimeWarning,
+    # without a hint, with an empty one and with each held support; the
+    # overflow names no NaN or inf
     v = np.array(v)
-    for warm in (None, {}, {"mask": np.ones(2), "k": 2},
-                 {"mask": np.array([1.0, 0.0]), "k": 1},
-                 {"mask": np.array([0.0, 1.0]), "k": 1}):
+    warms = [None, {}]
+    for support in held:
+        mask = np.zeros(v.size)
+        mask[support] = 1.0
+        warms.append({"mask": mask, "k": len(support)})
+    for warm in warms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=message):

@@ -6,8 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from simalm.bounds import BoundInputs, b_k, c_lambda, dual_gap_bound, \
-    infeasibility_bound_geometric, v_of_k
+from simalm.bounds import BoundInputs, bound_curves, bound_report
 from simalm.cones import NonnegativeOrthant
 from simalm.inner_apg import certified_solve
 from simalm.learning import FrozenLearner, SyntheticLearner
@@ -92,6 +91,15 @@ def test_constant_schedule_validates_epsilon():
         make_constant_schedule(1.5, 1.0, True)
     with pytest.raises(ScheduleError):
         make_constant_schedule(0.1, -1.0, True)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"),
+                               0.0, -0.5])
+def test_constant_schedule_refuses_a_bad_exponent(c):
+    # a c that is not finite and positive is refused by name, before the
+    # series sum(k^-(1+c)) is taken
+    with pytest.raises(ScheduleError, match="c must be finite and positive"):
+        make_constant_schedule(0.1, 1.0, True, c=c)
 
 
 def test_increasing_schedule_accepts_compatible_rate():
@@ -304,7 +312,7 @@ def test_dual_radius_bound_on_perfectly_specified_run():
                     reference=reference)
     inputs = BoundInputs(schedule, theta0_err=0.0,
                          lambda_star_norm=reference.lambda_norm)
-    radius = c_lambda(inputs)
+    radius = bound_report(inputs)["constants"]["c_lambda"]
     for rec in trace.records:
         assert np.linalg.norm(rec.lam - reference.lam) <= radius + 1e-9
 
@@ -312,9 +320,10 @@ def test_dual_radius_bound_on_perfectly_specified_run():
 def test_constant_rate_bounds_majorize_small_run():
     problem, trace, reference, inputs, sigma_star = _misspecified_small_run(
         "constant", max_outer=12)
+    curves = bound_curves(inputs, trace.column("k"))
     # infeasibility of the averaged iterate against the bound curve
-    for rec in trace.records:
-        assert rec.infeas_at_theta_star <= v_of_k(inputs, rec.k) + 1e-12
+    assert np.all(trace.column("infeas_at_theta_star")
+                  <= curves["v_k_bound"] + 1e-12)
     # dual gap of the averaged multiplier against b_g / k
     lam_sum = np.zeros_like(trace.records[0].lam)
     warm = trace.records[0].x
@@ -324,18 +333,19 @@ def test_constant_rate_bounds_majorize_small_run():
         warm, value, cert, _ = certified_solve(problem, warm, lam_bar, rec.rho,
                                                sigma_star, gap_tol=1e-9)
         gap_high = max(reference.f_value - value, 0.0) + cert
-        assert gap_high <= dual_gap_bound(inputs, rec.k) + 1e-12
+        assert gap_high <= curves["dual_gap_bound"][i] + 1e-12
 
 
 def test_increasing_rate_bounds_majorize_small_run():
     problem, trace, reference, inputs, sigma_star = _misspecified_small_run(
         "increasing", max_outer=25)
-    for rec in trace.records:
-        epoch = rec.k - 1
-        sub = abs(rec.f_at_theta_star - reference.f_value)
-        assert sub <= b_k(inputs, epoch) / inputs.schedule.beta ** epoch + 1e-12
-        assert rec.infeas_at_theta_star <= \
-            infeasibility_bound_geometric(inputs, epoch) + 1e-12
+    # row k holds epoch k - 1, against B_{k-1} / beta^(k-1) and the
+    # infeasibility bound at that epoch
+    curves = bound_curves(inputs, trace.column("k"))
+    sub = np.abs(trace.column("f_at_theta_star") - reference.f_value)
+    assert np.all(sub <= curves["subopt_upper_bound"] + 1e-12)
+    assert np.all(trace.column("infeas_at_theta_star")
+                  <= curves["v_k_bound"] + 1e-12)
 
 
 def test_write_csv_cell_rule(tmp_path):
@@ -375,8 +385,8 @@ def test_trace_csv_round_trip(tmp_path):
     _, trace, reference, inputs, _ = _misspecified_small_run("constant",
                                                              max_outer=6)
     path = tmp_path / "trace.csv"
-    ks = trace.column("k").astype(float)
-    trace.to_csv(path, bound_curves={"v_k_bound": v_of_k(inputs, ks)})
+    curves = bound_curves(inputs, trace.column("k"))
+    trace.to_csv(path, bound_curves={"v_k_bound": curves["v_k_bound"]})
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(trace)

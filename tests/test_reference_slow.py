@@ -1,5 +1,5 @@
 """Slow lane for the reference QP: a seeded fuzz, set-up beyond the desk
-size, and set-up at the desk size over twelve seeds.
+size over three seeds, and set-up at the desk size over twelve seeds.
 
 Deselected by default; run with `pytest -m slow`.
 """
@@ -91,7 +91,12 @@ def test_fuzz_answers_meet_kkt_and_agree(family):
         assert refused == []
 
 
-@pytest.mark.parametrize("n, s", [(200, 20), (400, 40)])
+# config seeds per size whose accepted draws differ (at (200, 20) seeds
+# 11-14 all land on draw 14)
+BEYOND_SEEDS = {(200, 20): (12, 15, 17), (400, 40): (12, 13, 17)}
+
+
+@pytest.mark.parametrize("n, s", list(BEYOND_SEEDS))
 def test_setup_beyond_the_desk_size(monkeypatch, n, s):
     # at n = 400 a run from the uniform point without the crash phase takes
     # hundreds of solves, one fresh dense factorisation each
@@ -103,10 +108,15 @@ def test_setup_beyond_the_desk_size(monkeypatch, n, s):
         return out
 
     monkeypatch.setattr(reference, "active_set_qp", counted)
-    bundle = prepare_bundle(ExperimentConfig(n=n, s=s, seed=12))
-    assert bundle.reference.kkt_residual <= reference.KKT_TOL
-    assert bundle.binding.any()
-    assert solves and max(solves) <= 20
+    draws = set()
+    for seed in BEYOND_SEEDS[n, s]:
+        solves.clear()
+        bundle = prepare_bundle(ExperimentConfig(n=n, s=s, seed=seed))
+        draws.add(bundle.instance.seed)
+        assert bundle.reference.kkt_residual <= reference.KKT_TOL, seed
+        assert bundle.binding.any(), seed
+        assert solves and max(solves) <= 20, seed
+    assert len(draws) == len(BEYOND_SEEDS[n, s])
 
 
 @pytest.mark.parametrize("seed", range(1, 13))
