@@ -177,7 +177,9 @@ def _evaluate(inputs, ks):
         }
     constants = cp, lead = _geometric_constants(inputs)
     epochs = ks - 1.0
-    growth = s.beta ** epochs
+    # beta^(k-1) overflows to inf far out, where every curve reads 0, its limit
+    with np.errstate(over="ignore"):
+        growth = s.beta ** epochs
     sub = _b_k(inputs, lead, epochs) / growth
     return constants, {
         "v_k_bound": (2.0 * cp / s.rho0 + inputs.L_h_theta * inputs.theta0_err

@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import BoundInputs, bound_curves
 from .inner_apg import BudgetError, CurvatureAnchor, certified_solve
 from .learning import AdmmScsLearner, FrozenLearner, ScsProblem, admm_solve
-from .linalg import spectral_norm
+from .linalg import frobenius_distance, spectral_norm
 from .model import PortfolioInstance, portfolio_problem
 from .outer_alm import (StopRule, alm_run, make_constant_schedule,
                         make_increasing_schedule, sequential_baseline,
@@ -342,11 +342,12 @@ def prepare_bundle(config):
     built on it replay them, run no sweep, and hold Sigma* once they reach
     it: errors[-1] is 0, and every later estimate keeps it there. The
     bundle's sigma_star is that recorded, read-only Sigma*, which a known
-    run's FrozenLearner holds uncopied.
+    run's FrozenLearner holds uncopied. The errors come from
+    linalg.frobenius_distance, whose memo then holds the distance of every
+    recorded Sigma_k from Sigma*, so the runs' theta errors are lookups.
     """
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
-    errors = np.array([np.linalg.norm(S - sigma_star, "fro")
-                       for S in info["history"]])
+    errors = np.array([frobenius_distance(S, sigma_star) for S in info["history"]])
     slack = instance.sector_limits - instance.sector_matrix @ reference.x
     binding = slack <= _GENERATOR["binding_tol"]
     return InstanceBundle(

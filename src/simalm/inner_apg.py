@@ -84,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .al_core import _check_rho, eval_L
-from .linalg import spectral_norm
+from .linalg import frobenius_distance, spectral_norm
 from .model import NonFiniteError
 
 __all__ = [
@@ -141,8 +141,11 @@ class CurvatureAnchor:
     def curvature(self, problem, theta, budgets=None):
         """(L_p, mu, d) at theta.
 
-        At the anchor's own theta, bit for bit, its pair and d = 0. Else,
-        when problem.constants.L_curv_theta is set, the shift d is finite,
+        At the anchor's own theta, bit for bit, its pair and d = 0. Else
+        the Weyl shift d is L_curv_theta ||theta - theta_a||_F, rounded up,
+        from linalg.frobenius_distance, whose memo answers a read-only pair
+        that any run met before. When problem.constants.L_curv_theta is
+        set, d is finite,
         2 d <= L_a - mu_a, and budgets(L_p, mu) gives the carried and the
         optimistic pair the same smaller budget, the carried pair and d.
         Otherwise theta's own pair from smooth_curvature and d = None; the
@@ -157,12 +160,11 @@ class CurvatureAnchor:
         anchored = self._theta is not None and point.shape == self._theta.shape
         lipschitz = problem.constants.L_curv_theta
         if anchored and lipschitz is not None and budgets is not None:
-            with np.errstate(invalid="ignore", over="ignore"):
-                diff = point - self._theta
-                d = lipschitz * float(np.linalg.norm(diff))
+            # Python floats, so a non-finite theta gives inf or NaN silently
+            d = float(lipschitz) * frobenius_distance(point, self._theta)
             # the difference and the norm of its N entries err by less than
             # (N + 4) eps relative, the product by half an ulp
-            d = math.nextafter(d * (1.0 + (diff.size + 4) * _EPS), math.inf)
+            d = math.nextafter(d * (1.0 + (point.size + 4) * _EPS), math.inf)
             L_a, mu_a = self._pair
             carried = (math.nextafter(L_a + d, math.inf),
                        max(0.0, math.nextafter(mu_a - d, -math.inf)))

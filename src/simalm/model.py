@@ -144,7 +144,8 @@ class ParametricProblem:
     cache of what an array determines meets a read-only array by identity
     and recomputes from a writable one at every call: spectral_norm's
     last norm, the portfolio's curvature memo, a run's CurvatureAnchor and
-    forward map, and alm_run's theta errors. The rule holds only for
+    forward map, and linalg.frobenius_distance's memo of ||a - b||_F,
+    behind every theta error and the anchor's Weyl shift. The rule holds only for
     arrays the library made read-only: an array's owner can switch the
     flag back.
 

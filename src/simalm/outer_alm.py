@@ -31,6 +31,7 @@ from .inner_apg import ApgConfig, CurvatureAnchor, apg_solve
 # (alm_run's certified epochs run apg_solve with certify=True); the benchmark
 # change of ROADMAP item 1 drops that span and the binding.
 from .inner_apg import certified_solve
+from .linalg import frobenius_distance
 from .model import NonFiniteError, evaluate_f, infeasibility
 
 __all__ = [
@@ -167,8 +168,8 @@ def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0, tau=None):
     """
     if not 0.0 < epsilon < 1.0:
         raise ScheduleError("epsilon must lie in (0, 1)")
-    if rho_o <= 0:
-        raise ScheduleError("rho_o must be positive")
+    if not (math.isfinite(rho_o) and rho_o > 0):
+        raise ScheduleError(f"rho_o must be finite and positive, got {rho_o}")
     if not (math.isfinite(c) and c > 0):
         raise ScheduleError(f"c must be finite and positive, got {c}")
     rho = rho_o / epsilon if learner_known else rho_o
@@ -272,15 +273,15 @@ def _report(problem, x, theta_star, f_star):
 def _theta_errors(theta, theta_star, scale, where):
     """(||theta - theta*||_F, that error over scale = ||theta*||_F when positive).
 
+    The error is linalg.frobenius_distance(theta, theta*), so a read-only
+    pair met before, by any run or by prepare_bundle, costs a lookup.
     Raises NonFiniteError naming `where` when theta holds a NaN or an
     infinity. A finite error proves it holds neither, so theta's entries
     are checked only when the error is not finite.
     """
-    theta = np.asarray(theta, float)
-    diff = (theta - theta_star).ravel(order="K")
-    err = math.sqrt(diff.dot(diff))  # np.linalg.norm's arithmetic
+    err = frobenius_distance(theta, theta_star)
     if not math.isfinite(err):
-        _check_finite(where, theta=theta)
+        _check_finite(where, theta=np.asarray(theta, float))
     return err, err / scale if scale > 0 else err
 
 
@@ -310,8 +311,8 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     curvature of theta_k only when that could shorten a solve, and the
     problem's forward map is built once and retargeted at each solve
     (inner_apg).
-    An epoch whose theta_k is the last epoch's read-only array, as a
-    FrozenLearner's always is, keeps that epoch's theta errors
+    Each epoch's theta errors come from linalg.frobenius_distance, whose
+    memo answers a read-only theta_k met before against the same theta*
     (model.ParametricProblem's caching rule). Each record
     holds the epoch's own x, lam and x_bar arrays, which no later epoch
     writes.
@@ -336,7 +337,6 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     x_sum = np.zeros_like(x)
     cpu_learn = 0.0
     cpu_opt = 0.0
-    theta_last = None
 
     for k in range(stop.max_outer):
         t0 = time.perf_counter()
@@ -344,12 +344,9 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         if learner.steps_taken > k:
             raise RuntimeError("learner advanced beyond the outer epoch")
         cpu_learn += time.perf_counter() - t0
-        # the row's theta errors, which refuse a non-finite theta_k; a
-        # read-only theta_k revealed again keeps the last epoch's
-        if theta_k is not theta_last or np.asarray(theta_k).flags.writeable:
-            theta_err, theta_err_rel = _theta_errors(
-                theta_k, theta_star, theta_scale, f"epoch {k}")
-        theta_last = theta_k
+        # the row's theta errors, which refuse a non-finite theta_k
+        theta_err, theta_err_rel = _theta_errors(
+            theta_k, theta_star, theta_scale, f"epoch {k}")
         t1 = time.perf_counter()
 
         rho_k = schedule.rho(k)

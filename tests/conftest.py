@@ -70,6 +70,27 @@ def count_factorisations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def distances(monkeypatch):
+    """(id(a), id(b)) of every ||a - b||_F linalg.frobenius_distance computes
+    from now on. Its memo is emptied first, as count_factorisations empties
+    spectral_norm's, so each entry is one of its misses; it is emptied
+    again at the end."""
+    from simalm import linalg
+
+    linalg._distances.clear()
+    computed = []
+    distance = linalg._distance
+
+    def counting_distance(a, b):
+        computed.append((id(a), id(b)))
+        return distance(a, b)
+
+    monkeypatch.setattr(linalg, "_distance", counting_distance)
+    yield computed
+    linalg._distances.clear()
+
+
 def make_toy_problem(n=3, m=2, seed=0):
     """Tiny QP over the simplex whose constraint map depends on theta.
 

@@ -237,6 +237,38 @@ def test_bound_report_shapes_and_consistency(i, k_max):
         assert np.all(np.isnan(curves["dual_gap_bound"]))
 
 
+def test_geometric_curves_far_out_read_their_limit():
+    # beta^(k-1) overflows past k ~ 14,550 at beta = 1.05; the geometric
+    # curves then read 0, their limit, without an overflow warning (tier-1
+    # turns a RuntimeWarning into an error)
+    i = BoundInputs(Schedule(1.0, 1e-3, 1.0, 1.05, 0.91), theta0_err=1.0,
+                    lambda_star_norm=1.0)
+    curves = bound_curves(i, [15000.0])
+    for name in ("v_k_bound", "subopt_upper_bound", "subopt_lower_bound"):
+        assert curves[name].tolist() == [0.0], name
+    assert np.isnan(curves["dual_gap_bound"]).all()
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.05])
+def test_bound_report_over_many_rows(beta):
+    # a k_max far past the overflow of beta^(k-1): every curve stays
+    # finite and nonnegative, the geometric ones reach 0 and the constant
+    # ones decrease; the report's curves are bound_curves' over the rows
+    i = inputs(beta=beta, tau=0.9)
+    k_max = 20_000
+    report = bound_report(i, k_max=k_max)
+    ks = np.arange(1.0, k_max + 1.0)
+    for name, curve in bound_curves(i, ks).items():
+        assert same_bits(report["curves"][name], curve), name
+    for name in ("v_k_bound", "subopt_upper_bound", "subopt_lower_bound"):
+        curve = report["curves"][name]
+        assert curve.shape == (k_max,)
+        assert np.all(np.isfinite(curve)) and np.all(curve >= 0.0), name
+        assert np.all(np.diff(curve) <= 0.0), name
+        if beta > 1.0:
+            assert curve[-1] == 0.0, name
+
+
 def test_validation():
     with pytest.raises(ScheduleError):
         inputs(rho0=0.0)

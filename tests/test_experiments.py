@@ -175,6 +175,25 @@ def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
         AdmmScsLearner(bundle.scs).theta[0, 0] = 1.0
 
 
+def test_learned_grid_computes_each_distance_once(distances, small_config):
+    # prepare_bundle takes the distance of every recorded Sigma_k from
+    # Sigma*, which every run's theta errors then read from the memo; the
+    # grid's six runs add only the anchors' Weyl shifts between recorded
+    # thetas, and no pair is computed twice
+    bundle = prepare_bundle(small_config)
+    record = bundle.scs.record.sigmas
+    assert distances == [(id(S), id(bundle.sigma_star)) for S in record]
+    for regime in ("constant", "increasing"):
+        for eps in (1e-1, 1e-2, 1e-3):
+            run_solve(small_config, eps, bundle, specification="learned",
+                      regime=regime)
+    shifts = distances[len(record):]
+    assert shifts
+    recorded = {id(S) for S in record}
+    assert all(a in recorded and b in recorded for a, b in shifts)
+    assert len(set(distances)) == len(distances)
+
+
 def _count_spectra(monkeypatch):
     """The bytes of every theta np.linalg.eigh factors from now on."""
     seen = []

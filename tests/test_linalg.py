@@ -1,11 +1,17 @@
+import gc
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from simalm import linalg
 from simalm.experiments import make_sectors
-from simalm.linalg import soft_threshold_offdiag, spectral_norm
+from simalm.linalg import frobenius_distance, soft_threshold_offdiag, spectral_norm
+from conftest import read_only
 
 
 def assert_upper_bounds_top_singular_value(M):
@@ -56,3 +62,122 @@ def test_soft_threshold_keeps_diagonal():
     assert T[0, 1] == 0.0
     assert T[0, 2] == pytest.approx(-0.5)
     assert T[1, 2] == 0.0
+
+
+def _old_soft_threshold(M, t):
+    """The two-temporary formula soft_threshold_offdiag replaced."""
+    out = np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
+    np.fill_diagonal(out, np.diag(M))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_soft_threshold_matches_the_two_temporary_formula(seed):
+    # bit for bit, signed zeros included: entries of +-0.0 and ties at +-t,
+    # where the threshold leaves a zero whose sign is the product's
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 40))
+    t = float(gen.uniform(0.0, 1.0)) if seed else 0.0
+    M = gen.standard_normal((n, n))
+    for value, share in ((0.0, 0.1), (-0.0, 0.1), (t, 0.1), (-t, 0.1)):
+        M[gen.random((n, n)) < share] = value
+    kept = M.copy()
+    for given in (M, np.asfortranarray(M), M.T):
+        got = soft_threshold_offdiag(given, t)
+        assert got.view(np.int64).tolist() == \
+            _old_soft_threshold(given, t).view(np.int64).tolist()
+    assert M.view(np.int64).tolist() == kept.view(np.int64).tolist()
+
+
+def _layout(draw, a, frozen):
+    """a as a C-ordered array, an F-ordered one or a strided view, read-only
+    when frozen."""
+    kind = draw(st.sampled_from(["C", "F", "strided"]))
+    if kind == "C":
+        out = np.ascontiguousarray(a)
+    elif kind == "F":
+        out = np.asfortranarray(a)
+    else:
+        big = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        big[::2, ::-3] = a
+        out = big[::2, ::-3]
+    if frozen:
+        out.flags.writeable = False
+    return out
+
+
+@st.composite
+def _distance_pairs(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=12))
+    elements = st.floats(-1e6, 1e6, allow_subnormal=True)
+    a = draw(hnp.arrays(np.float64, shape, elements=elements))
+    b = draw(hnp.arrays(np.float64, shape, elements=elements))
+    return (_layout(draw, a, draw(st.booleans())),
+            _layout(draw, b, draw(st.booleans())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distance_pairs())
+def test_frobenius_distance_is_numpy_norm_bit_for_bit(pair):
+    a, b = pair
+    expected = float(np.linalg.norm(a - b)).hex()
+    assert frobenius_distance(a, b).hex() == expected
+    # a memo hit, or a recomputation, gives the same bits
+    assert frobenius_distance(a, b).hex() == expected
+
+
+def test_frobenius_distance_memo_answers_only_the_same_pair(distances):
+    gen = np.random.default_rng(0)
+    a, b = read_only(gen.standard_normal((5, 5))), read_only(gen.standard_normal((5, 5)))
+    d = frobenius_distance(a, b)
+    assert distances == [(id(a), id(b))]
+    assert frobenius_distance(a, b) == d
+    assert len(distances) == 1
+    # equal values in other objects, or the pair swapped, are new pairs
+    twin = read_only(a)
+    assert frobenius_distance(twin, b) == d
+    assert frobenius_distance(b, a) == d
+    assert distances[1:] == [(id(twin), id(b)), (id(b), id(a))]
+    assert frobenius_distance(a, b) == d and len(distances) == 3
+
+
+def test_frobenius_distance_recomputes_a_writable_array(distances):
+    gen = np.random.default_rng(1)
+    a, b = gen.standard_normal((4, 6)), read_only(gen.standard_normal((4, 6)))
+    first = frobenius_distance(a, b)
+    a += 1.0
+    assert frobenius_distance(a, b) == float(np.linalg.norm(a - b)) != first
+    assert distances == [(id(a), id(b))] * 2
+    assert not linalg._distances
+
+
+def test_frobenius_distance_memo_drops_a_collected_pair(distances):
+    gen = np.random.default_rng(2)
+    a, b, c = (read_only(gen.standard_normal((3, 3))) for _ in range(3))
+    frobenius_distance(a, b)
+    frobenius_distance(b, c)
+    frobenius_distance(a, a)
+    assert len(linalg._distances) == 3
+    del a
+    gc.collect()
+    assert list(linalg._distances) == [(id(b), id(c))]
+    del c
+    gc.collect()
+    assert not linalg._distances
+
+
+@pytest.mark.parametrize("read_only_pair", [True, False])
+def test_frobenius_distance_of_non_finite_pairs_warns_nothing(read_only_pair):
+    def pair(x, y):
+        x, y = np.array([[x, 1.0]]), np.array([[y, 1.0]])
+        if read_only_pair:
+            x.flags.writeable = y.flags.writeable = False
+        return x, y
+
+    inf, nan = float("inf"), float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(frobenius_distance(*pair(inf, inf)))
+        assert math.isnan(frobenius_distance(*pair(nan, 0.0)))
+        assert frobenius_distance(*pair(inf, 0.0)) == inf
+        assert frobenius_distance(*pair(1e200, -1e200)) == inf

@@ -102,6 +102,16 @@ def test_constant_schedule_refuses_a_bad_exponent(c):
         make_constant_schedule(0.1, 1.0, True, c=c)
 
 
+@pytest.mark.parametrize("rho_o", [float("nan"), float("inf"), -float("inf"),
+                                   0.0, -1.0])
+@pytest.mark.parametrize("known", [True, False])
+def test_constant_schedule_refuses_a_bad_penalty(rho_o, known):
+    # a rho_o that is not finite and positive is refused by its own name,
+    # not as the Schedule's derived rho0
+    with pytest.raises(ScheduleError, match="rho_o must be finite and positive"):
+        make_constant_schedule(0.1, rho_o, known)
+
+
 def test_increasing_schedule_accepts_compatible_rate():
     schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.91)
     assert schedule.is_geometric
@@ -429,38 +439,33 @@ def test_sequential_baseline_phases():
     assert [r.k for r in trace.records] == list(range(1, 21))
 
 
-def test_theta_errors_are_computed_once_per_revealed_theta(monkeypatch):
+def test_theta_errors_are_computed_once_per_revealed_theta(distances):
     # a FrozenLearner reveals its one read-only array every epoch, so the
-    # run computes its theta errors once; a SyntheticLearner reveals a new
-    # array every epoch, and each epoch computes them
-    from simalm import outer_alm
-
+    # run computes its distance from theta* once and the later epochs read
+    # frobenius_distance's memo; a SyntheticLearner reveals a new array
+    # every epoch, and each epoch computes it
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     sigma_star = instance.sigma
     schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     run = dict(x0=np.full(instance.n, 0.1), theta_star=sigma_star,
                stop=StopRule(max_outer=6))
-    computed = []
-    theta_errors = outer_alm._theta_errors
 
-    def counting(theta, theta_star, scale, where):
-        computed.append(where)
-        return theta_errors(theta, theta_star, scale, where)
+    def from_theta_star():
+        return [pair for pair in distances if pair[1] == id(sigma_star)]
 
-    monkeypatch.setattr(outer_alm, "_theta_errors", counting)
     frozen = alm_run(problem, FrozenLearner(1.4 * sigma_star), schedule, **run)
-    assert computed == ["epoch 0"]
+    assert len(from_theta_star()) == 1
     assert len(set(frozen.column("theta_err"))) == 1
-    computed.clear()
+    distances.clear()
     alm_run(problem, SyntheticLearner(sigma_star, 1.4 * sigma_star, 0.6),
             schedule, **run)
-    assert computed == [f"epoch {k}" for k in range(6)]
+    assert len(from_theta_star()) == 6
     # one writable array revealed every epoch may have changed in place
     writable = FrozenLearner(1.4 * sigma_star)
     writable.theta = writable.theta.copy()
-    computed.clear()
+    distances.clear()
     alm_run(problem, writable, schedule, **run)
-    assert computed == [f"epoch {k}" for k in range(6)]
+    assert from_theta_star() == [(id(writable.theta), id(sigma_star))] * 6
     # each record keeps arrays of its own epoch
     for name in ("x", "lam", "x_bar"):
         assert len({id(getattr(r, name)) for r in frozen.records}) == len(frozen)
