@@ -271,8 +271,7 @@ class InstanceBundle:
     (model.portfolio_problem) makes the runs on one bundle factor each
     theta once; a copy of the bundle builds its own. ||A||, behind kappa
     and every solve's L, comes from linalg.spectral_norm, which answers the
-    instance's read-only A without another SVD (model.ParametricProblem's
-    caching rule).
+    instance's frozen A without another SVD (linalg.frozen_memo).
     """
 
     config: ExperimentConfig
@@ -341,10 +340,11 @@ def prepare_bundle(config):
     ScsProblem keeps the ADMM solve's sweeps in its record, so learners
     built on it replay them, run no sweep, and hold Sigma* once they reach
     it: errors[-1] is 0, and every later estimate keeps it there. The
-    bundle's sigma_star is that recorded, read-only Sigma*, which a known
+    bundle's sigma_star is that recorded, frozen Sigma*, which a known
     run's FrozenLearner holds uncopied. The errors come from
-    linalg.frobenius_distance, whose memo then holds the distance of every
-    recorded Sigma_k from Sigma*, so the runs' theta errors are lookups.
+    linalg.frobenius_distance, a linalg.frozen_memo that then holds the
+    distance of every recorded Sigma_k from Sigma*, so the runs' theta
+    errors are lookups.
     """
     instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
     errors = np.array([frobenius_distance(S, sigma_star) for S in info["history"]])

@@ -5,8 +5,8 @@ collects the objective p and the quadratic cone penalty. nu_rho has
 Lipschitz gradient with constant L_p + rho ||A(theta)||^2 and, the penalty
 being convex, the strong-convexity modulus mu of p(.; theta). One loop,
 fista (no restarts, no line search), runs every solve. Every solve takes
-||A(theta)|| from linalg.spectral_norm, which answers the last read-only
-matrix it normed without an SVD, and asks a
+||A(theta)|| from linalg.spectral_norm, which answers a frozen matrix it
+normed before without an SVD (linalg.frozen_memo's caching rule), and asks a
 CurvatureAnchor for the curvature pair (L_p, mu): a run's anchor may carry
 the pair of the last theta it factored (below), any other solve starts a
 fresh one, which asks problem.smooth_curvature.
@@ -64,7 +64,7 @@ order. A fresh anchor has nothing to carry, so solves without an anchor,
 each starting one, ask the oracle for theta's own pair, as lipschitz_nu and
 iteration_budget do. "Factored" (the DEBUG line's curvature=factored) means
 the anchor asked the oracle; the portfolio's oracle answers from its memo a
-read-only theta that a run on the same problem already factored.
+frozen theta that a run on the same problem already factored.
 
 apg_solve runs the budget to its end. With certify=True (the
 sequential-vs-simultaneous comparison), and in certified_solve (used by
@@ -84,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .al_core import _check_rho, eval_L
-from .linalg import frobenius_distance, spectral_norm
+from .linalg import frobenius_distance, frozen, frozen_memo, spectral_norm
 from .model import NonFiniteError
 
 __all__ = [
@@ -98,6 +98,9 @@ MAX_ITERATIONS = 2_000_000
 _EPS = float(np.finfo(float).eps)
 
 _log = logging.getLogger("simalm")
+# whether an array holds neither a NaN nor an infinity, checked once per
+# frozen theta however many anchors factor it
+_all_finite = frozen_memo(lambda a: bool(np.isfinite(a).all()))
 
 
 class BudgetError(RuntimeError):
@@ -143,16 +146,14 @@ class CurvatureAnchor:
 
         At the anchor's own theta, bit for bit, its pair and d = 0. Else
         the Weyl shift d is L_curv_theta ||theta - theta_a||_F, rounded up,
-        from linalg.frobenius_distance, whose memo answers a read-only pair
-        that any run met before. When problem.constants.L_curv_theta is
-        set, d is finite,
-        2 d <= L_a - mu_a, and budgets(L_p, mu) gives the carried and the
-        optimistic pair the same smaller budget, the carried pair and d.
-        Otherwise theta's own pair from smooth_curvature and d = None; the
-        anchor moves to theta when theta is read-only and finite, else to
-        none. It holds theta by reference and meets it again by identity
-        only (model.ParametricProblem's caching rule), so a writable theta
-        is never its own and no write in place can move it.
+        from linalg.frobenius_distance. When problem.constants.L_curv_theta
+        is set, d is finite, 2 d <= L_a - mu_a, and budgets(L_p, mu) gives
+        the carried and the optimistic pair the same smaller budget, the
+        carried pair and d. Otherwise theta's own pair from
+        smooth_curvature and d = None; the anchor moves to theta when theta
+        is frozen and finite, else to none. It holds theta by reference and
+        meets it again by identity only (linalg.frozen_memo's caching
+        rule), so no write in place can move it.
         """
         point = np.asarray(theta, dtype=float)
         if point is self._theta:
@@ -172,8 +173,7 @@ class CurvatureAnchor:
                     and min(budgets(*carried)) == min(budgets(L_a - d, mu_a + d))):
                 return (*carried, d)
         L_p, mu = problem.smooth_curvature(theta)
-        read_only = not point.flags.writeable
-        self._theta = point if read_only and np.isfinite(point).all() else None
+        self._theta = point if frozen(point) and _all_finite(point) else None
         self._pair = (float(L_p), float(mu))
         return (*self._pair, None)
 

@@ -2,9 +2,9 @@
 
 A learner holds the current estimate in `theta`, advances one learning
 iteration per `step()` call, and counts those iterations in `steps_taken`.
-Every estimate is handed out read-only and uncopied: a write raises
-ValueError, and a run that meets the same read-only array again reuses
-what it computed from it (model.ParametricProblem's caching rule). A
+Every estimate is handed out frozen and uncopied: a write raises
+ValueError, and a run that meets the same frozen array again reuses
+what it computed from it (linalg.frozen_memo's caching rule). A
 learner reports no rate: `experiments.prepare_bundle` certifies
 one from the error history.
 Two concrete learners are provided: an exact geometric learner for
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import soft_threshold_offdiag, symmetrize
+from .linalg import frozen, soft_threshold_offdiag, symmetrize
 from .model import NonFiniteError
 
 __all__ = [
@@ -75,16 +75,16 @@ class SyntheticLearner:
 class FrozenLearner:
     """Degenerate learner that always reveals the same estimate.
 
-    Holds one read-only array: a read-only theta as given, uncopied (the
-    ADMM record's Sigma that `sequential_baseline` freezes), else a
-    read-only copy. step() returns that array and learns nothing, so
+    Holds one frozen array (linalg.frozen): a frozen theta as given,
+    uncopied (the ADMM record's Sigma that `sequential_baseline` freezes),
+    else a frozen copy. step() returns that array and learns nothing, so
     steps_taken stays 0. Used by the known-parameter runs and by
     sequential baselines after their learning budget is exhausted.
     """
 
     def __init__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        self.theta = _read_only(theta.copy()) if theta.flags.writeable else theta
+        self.theta = theta if frozen(theta) else _read_only(theta.copy())
         self.steps_taken = 0
 
     def step(self):

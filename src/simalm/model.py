@@ -11,14 +11,13 @@ import functools
 import inspect
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .cones import Cone, NonnegativeOrthant
-from .linalg import symmetrize
+from .linalg import frozen, frozen_memo, symmetrize
 
 # Unused here: the benchmark's tracer wraps this name as linalg.spectral_norm;
 # the benchmark change of ROADMAP item 1 drops that span and the binding.
@@ -137,17 +136,9 @@ class ParametricProblem:
     curvature oracle does, since that keeps it pure; the carry from one
     theta to the next is a run's own state (inner_apg.CurvatureAnchor).
 
-    The caching rule. The library assumes that a read-only array stays
-    unchanged, and every array it hands out is read-only: each theta a
-    learner reveals, the admm_solve Sigma*, and a PortfolioInstance's data
-    with the constraint matrix and offset its problem returns. So every
-    cache of what an array determines meets a read-only array by identity
-    and recomputes from a writable one at every call: spectral_norm's
-    last norm, the portfolio's curvature memo, a run's CurvatureAnchor and
-    forward map, and linalg.frobenius_distance's memo of ||a - b||_F,
-    behind every theta error and the anchor's Weyl shift. The rule holds only for
-    arrays the library made read-only: an array's owner can switch the
-    flag back.
+    Every cache of what an array determines follows the caching rule of
+    linalg.frozen_memo: the portfolio's curvature oracle, spectral_norm,
+    frobenius_distance, and a run's CurvatureAnchor and forward map.
 
     forward(problem) raises ValueError for a problem whose oracles its map
     does not restate, so a dataclasses.replace of one of them is refused,
@@ -302,8 +293,8 @@ class PortfolioInstance:
     Objective (1/2) x' Sigma x - risk_tradeoff * mu' x over the unit simplex,
     subject to sector exposure caps sector_matrix @ x <= sector_limits. The
     covariance Sigma is the learnable parameter; sigma holds the value the
-    instance was generated with. The instance holds read-only copies of its
-    arrays (ParametricProblem's caching rule).
+    instance was generated with. The instance holds frozen copies of its
+    arrays (linalg.frozen_memo's caching rule).
     """
 
     n: int
@@ -372,8 +363,8 @@ def _curvature_pair(theta):
 class _HeldMap:
     """The portfolio's forward map of one run: W, B and the step's buffers,
     rewritten in place where a call's arguments moved (portfolio_problem).
-    It meets the last call's theta by identity only when theta is read-only
-    (ParametricProblem's caching rule)."""
+    It meets the last call's theta by identity only when theta is frozen
+    (linalg.frozen_memo's caching rule)."""
 
     def __init__(self, A, b, gamma_mu):
         m, n = A.shape
@@ -406,8 +397,7 @@ class _HeldMap:
             np.divide(theta, -L, out=self._top)
             self._diagonal += 1.0  # of I - theta / L
             np.divide(self._gamma_mu, L, out=self._gamma_mu_col)
-            read_only = isinstance(theta, np.ndarray) and not theta.flags.writeable
-            self._theta = theta if read_only else None
+            self._theta = theta if frozen(theta) else None
             self._L = L
         scale = rho / L
         if scale != self._scale:
@@ -423,15 +413,12 @@ def portfolio_problem(instance, kappa=1.0):
 
     theta is the covariance matrix, prox_step is project_simplex, and the
     constraint cone is the nonnegative orthant: h(x) = A x - b must be <= 0.
-    The constraint oracles return the instance's read-only A and one
-    read-only -b at every call.
+    The constraint oracles return the instance's frozen A and one frozen
+    -b at every call.
     The curvature oracle smooth_curvature(theta) is _curvature_pair behind a
-    memo of the problem's own, under ParametricProblem's caching rule: the
-    pair of a read-only theta is kept under id(theta) with a weak reference
-    to theta, which drops the entry when theta is collected, and a lookup
-    answers only when that reference is theta itself. So the runs sharing
-    one problem factor each theta once, and a hit returns the very pair a
-    factorisation would, whatever the order of the runs.
+    linalg.frozen_memo of the problem's own. So the runs sharing one
+    problem factor each frozen theta once, and a hit returns the very pair
+    a factorisation would, whatever the order of the runs.
 
     Constants: D_x = 1 on the simplex, L_f = D_x^2 / 2 for the quadratic
     risk term under the Frobenius metric on theta, L_h_theta = 0 because
@@ -448,7 +435,7 @@ def portfolio_problem(instance, kappa=1.0):
     map. A call map(theta, lam, rho, L) rewrites only what moved since its
     last call, each entry as a fresh build computes it, so the step is the
     same bit for bit: the top block and gamma mu / L when theta is not the
-    last call's read-only array (a writable theta at every call) or L
+    last call's frozen array (any other theta at every call) or L
     moved; B when rho / L moved; and the column b + lam / rho at every
     call. The step it returns holds buffers for [y; 1] (its trailing 1
     written once), w and r B, which every step overwrites; each result is a
@@ -497,19 +484,6 @@ def portfolio_problem(instance, kappa=1.0):
         return bool(np.all(x >= -_MEMBERSHIP_TOL)
                     and abs(float(np.sum(x)) - 1.0) <= _MEMBERSHIP_TOL)
 
-    memo = {}
-
-    def smooth_curvature(theta):
-        if not isinstance(theta, np.ndarray) or theta.flags.writeable:
-            return _curvature_pair(theta)
-        key = id(theta)
-        entry = memo.get(key)
-        if entry is not None and entry[0]() is theta:
-            return entry[1]
-        pair = _curvature_pair(theta)
-        memo[key] = (weakref.ref(theta, lambda _: memo.pop(key, None)), pair)
-        return pair
-
     constants = ProblemConstants(
         L_h_theta=0.0,
         L_f=0.5,
@@ -524,7 +498,7 @@ def portfolio_problem(instance, kappa=1.0):
         constraint_offset=constraint_offset,
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
-        smooth_curvature=smooth_curvature,
+        smooth_curvature=frozen_memo(_curvature_pair),
         # g.min()'s value without ndarray.min's Python wrapper, about 1 us
         # a call at n = 100, most of the call
         linear_min=lambda g: float(g[g.argmin()]),

@@ -31,7 +31,7 @@ from .inner_apg import ApgConfig, CurvatureAnchor, apg_solve
 # (alm_run's certified epochs run apg_solve with certify=True); the benchmark
 # change of ROADMAP item 1 drops that span and the binding.
 from .inner_apg import certified_solve
-from .linalg import frobenius_distance
+from .linalg import frobenius_distance, frozen_memo
 from .model import NonFiniteError, evaluate_f, infeasibility
 
 __all__ = [
@@ -270,10 +270,15 @@ def _report(problem, x, theta_star, f_star):
     return f, infeas, rel
 
 
+# ||a||_F as np.linalg.norm computes it, the scale of a run's theta errors:
+# computed once per frozen theta* however many runs report against it
+_frobenius_norm = frozen_memo(lambda a: float(np.linalg.norm(a)))
+
+
 def _theta_errors(theta, theta_star, scale, where):
     """(||theta - theta*||_F, that error over scale = ||theta*||_F when positive).
 
-    The error is linalg.frobenius_distance(theta, theta*), so a read-only
+    The error is linalg.frobenius_distance(theta, theta*), so a frozen
     pair met before, by any run or by prepare_bundle, costs a lookup.
     Raises NonFiniteError naming `where` when theta holds a NaN or an
     infinity. A finite error proves it holds neither, so theta's entries
@@ -312,8 +317,8 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     problem's forward map is built once and retargeted at each solve
     (inner_apg).
     Each epoch's theta errors come from linalg.frobenius_distance, whose
-    memo answers a read-only theta_k met before against the same theta*
-    (model.ParametricProblem's caching rule). Each record
+    memo answers a frozen theta_k met before against the same theta*
+    (linalg.frozen_memo's caching rule). Each record
     holds the epoch's own x, lam and x_bar arrays, which no later epoch
     writes.
 
@@ -325,7 +330,7 @@ def alm_run(problem, learner, schedule, x0, theta_star,
         raise ValueError(f"unknown apg_mode {apg_mode!r}")
     certify = apg_mode == "certified"
     theta_star = np.asarray(theta_star, dtype=float)
-    theta_scale = float(np.linalg.norm(theta_star))
+    theta_scale = _frobenius_norm(theta_star)
     lam = np.zeros(problem.cone.dim)
     anchor = CurvatureAnchor()
     x = np.asarray(x0, dtype=float).copy()
@@ -401,7 +406,7 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     reference = run_kwargs.get("reference")
     x0 = np.asarray(x0, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
-    theta_scale = float(np.linalg.norm(theta_star))
+    theta_scale = _frobenius_norm(theta_star)
     f0, infeas0, rel0 = _report(problem, x0, theta_star,
                                 None if reference is None else reference.f_value)
     x_held, lam_held = x0.copy(), np.zeros(problem.cone.dim)

@@ -52,7 +52,7 @@ def count_factorisations(monkeypatch):
     is emptied first, so each "svd" is one of its misses."""
     from simalm import linalg
 
-    monkeypatch.setattr(linalg, "_last_norm", None)
+    linalg.spectral_norm.entries.clear()
     calls = []
     eigh, norm = np.linalg.eigh, np.linalg.norm
 
@@ -73,22 +73,21 @@ def count_factorisations(monkeypatch):
 @pytest.fixture
 def distances(monkeypatch):
     """(id(a), id(b)) of every ||a - b||_F linalg.frobenius_distance computes
-    from now on. Its memo is emptied first, as count_factorisations empties
-    spectral_norm's, so each entry is one of its misses; it is emptied
-    again at the end."""
-    from simalm import linalg
+    from now on. Every module that calls it gets a fresh, empty frozen_memo
+    of the same distance, so each entry is one of that memo's misses."""
+    from simalm import experiments, inner_apg, linalg, outer_alm
 
-    linalg._distances.clear()
     computed = []
-    distance = linalg._distance
+    distance = linalg.frobenius_distance.__wrapped__
 
     def counting_distance(a, b):
         computed.append((id(a), id(b)))
         return distance(a, b)
 
-    monkeypatch.setattr(linalg, "_distance", counting_distance)
-    yield computed
-    linalg._distances.clear()
+    memo = linalg.frozen_memo(counting_distance)
+    for module in (linalg, inner_apg, outer_alm, experiments):
+        monkeypatch.setattr(module, "frobenius_distance", memo)
+    return computed
 
 
 def make_toy_problem(n=3, m=2, seed=0):

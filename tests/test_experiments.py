@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import gc
-import inspect
 import json
 import sys
 import threading
@@ -336,13 +335,14 @@ def test_curvature_memo_factors_a_writable_theta_at_every_call(monkeypatch,
 
 
 def test_curvature_memo_entry_dies_with_its_theta(monkeypatch, small_config):
-    # an entry holds its theta by weak reference and goes when theta is
-    # collected, so the memo holds no pair of a dead theta; a lookup answers
-    # only for the very array an entry refers to, so an entry left at the
-    # address of another array is factored past
+    # the oracle is a frozen_memo of the problem's own: an entry holds its
+    # theta by weak reference and goes when theta is collected, so the memo
+    # holds no pair of a dead theta; a lookup answers only for the very
+    # array an entry refers to, so an entry left at the address of another
+    # array is factored past
     bundle = prepare_bundle(small_config)
     problem = bundle.problem()
-    memo = inspect.getclosurevars(problem.smooth_curvature).nonlocals["memo"]
+    memo = problem.smooth_curvature.entries
     thetas = [read_only(bundle.sigma_star * (1.0 + 0.01 * j)) for j in range(5)]
     pairs = [problem.smooth_curvature(theta) for theta in thetas]
     assert len(memo) == 5
@@ -353,7 +353,7 @@ def test_curvature_memo_entry_dies_with_its_theta(monkeypatch, small_config):
     assert problem.smooth_curvature(thetas[0]) == pairs[0]
     assert seen == []
     other = read_only(2.0 * bundle.sigma_star)
-    memo[id(other)] = (weakref.ref(thetas[0]), pairs[0])
+    memo[(id(other),)] = (pairs[0], weakref.ref(thetas[0]))
     assert problem.smooth_curvature(other) == _curvature_pair(other)
     assert len(seen) == 2
 

@@ -16,7 +16,7 @@ from simalm.al_core import eval_L
 from simalm.inner_apg import (MAX_ITERATIONS, ApgConfig, BudgetError,
                               CurvatureAnchor, _gap, apg_solve, certified_solve,
                               fista, grad_nu, iteration_budget, lipschitz_nu)
-from simalm.linalg import spectral_norm, symmetrize
+from simalm.linalg import frobenius_distance, spectral_norm, symmetrize
 from simalm.learning import FrozenLearner, SyntheticLearner
 from simalm.model import (NonFiniteError, _curvature_pair, constraint_value,
                           portfolio_problem, project_simplex, simplex_prox)
@@ -157,12 +157,13 @@ def _portfolio_lipschitz(theta, A, rho):
 
 def test_lipschitz_norms_computed_once_per_theta(decompositions):
     # lipschitz_nu and iteration_budget hold no cache of their own, but the
-    # portfolio's curvature oracle keeps the pair of each read-only theta
-    # it factored and spectral_norm the norm of the last read-only matrix:
-    # on one problem a read-only theta is factored once, and the instance's
-    # read-only A normed once; a writable copy of theta is factored at every
-    # call. A new problem factors theta again; a run on a frozen estimate
-    # takes each once
+    # portfolio's curvature oracle keeps the pair of each frozen theta it
+    # factored and spectral_norm the norm of each frozen matrix while it
+    # lives: on one problem a frozen theta is factored once, and the
+    # instance's frozen A normed once; a writable copy of theta is factored
+    # at every call. A new problem factors theta again; norming another
+    # matrix keeps A's entry, so a run on a frozen estimate on a new problem
+    # factors theta once and takes no SVD
     instance, problem = make_small_portfolio()
     A = problem.constraint_matrix(instance.sigma)  # the instance's own array
     theta = instance.sigma
@@ -178,7 +179,6 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     assert decompositions == [spectrum, norm, spectrum]
     assert lipschitz_nu(portfolio_problem(instance), 2.0, theta) == fresh
     assert decompositions == [spectrum, norm, spectrum, spectrum]
-    # evicts A from spectral_norm's memo
     assert spectral_norm(read_only(np.eye(2))) == 1.0
     problem = portfolio_problem(instance)
     decompositions.clear()
@@ -187,7 +187,7 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     trace = alm_run(problem, FrozenLearner(theta), schedule, x0=x0,
                     theta_star=instance.sigma, stop=StopRule(max_outer=4))
     assert len(trace) == 4
-    assert sorted(decompositions) == sorted([spectrum, norm])
+    assert decompositions == [spectrum]
     # a writable theta or A is recomputed at every call: after the caller
     # writes either in place, a solve on the anchor runs bit for bit as a
     # solve without an anchor. The portfolio's map serves only the
@@ -211,13 +211,56 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
 def test_anchor_keeps_a_read_only_theta_and_meets_it_by_identity(monkeypatch):
     # a read-only theta is kept uncopied and answered without comparing
     # its entries; a writable one is not kept, as the in-place writes of
-    # test_lipschitz_norms_computed_once_per_theta check
+    # test_lipschitz_norms_computed_once_per_theta check. Whether the
+    # frozen theta is finite is read once, for every anchor that factors it
     instance, problem = make_small_portfolio()
     theta = FrozenLearner(instance.sigma).theta
+    isfinite, checks = np.isfinite, []
+
+    def counting_isfinite(x, *args, **kwargs):
+        checks.append(x is theta)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
     anchor = CurvatureAnchor()
     L_p, mu, _ = anchor.curvature(problem, theta)
+    assert CurvatureAnchor().curvature(problem, theta) == (L_p, mu, None)
+    assert checks.count(True) == 1
     monkeypatch.setattr(np, "array_equal", None)
     assert anchor.curvature(problem, theta) == (L_p, mu, 0.0)
+
+
+def test_no_cache_serves_a_read_only_view_of_a_writable_array_stale():
+    # a write through its base changes a read-only view of a writable
+    # array, so the view is not frozen (linalg.frozen): every cache of what
+    # an array determines answers it as it is at the call, bit for bit as
+    # from a fresh copy, and FrozenLearner holds a copy of it
+    instance, problem = make_small_portfolio()
+    theta_base, A_base = instance.sigma.copy(), instance.sector_matrix.copy()
+    theta, A = theta_base[:], A_base[:]
+    theta.flags.writeable = A.flags.writeable = False
+    learner = FrozenLearner(theta)
+    anchor, held = CurvatureAnchor(), problem.forward(problem)
+    lam, rho, L = np.ones(instance.s), 2.0, 40.0
+    y = np.full(instance.n, 1.0 / instance.n)
+    stale = []
+    for write in range(3):
+        fresh_theta, fresh_A = theta.copy(), A.copy()
+        pair = _curvature_pair(fresh_theta)
+        served = {
+            "spectral_norm": (spectral_norm(A), float(np.linalg.norm(fresh_A, 2))),
+            "frobenius_distance": (frobenius_distance(theta, instance.sigma),
+                                   float(np.linalg.norm(fresh_theta - instance.sigma))),
+            "smooth_curvature": (problem.smooth_curvature(theta), pair),
+            "CurvatureAnchor": (anchor.curvature(problem, theta), (*pair, None)),
+            "forward map": (held(theta, lam, rho, L)(y).tolist(),
+                            problem.forward(problem)(fresh_theta, lam, rho, L)(y).tolist()),
+        }
+        stale += [(name, write) for name, (got, want) in served.items() if got != want]
+        theta_base *= 3.0
+        A_base *= 2.0
+    assert stale == []
+    assert learner.theta.tolist() == instance.sigma.tolist()
 
 
 def test_curvature_carried_only_with_a_lipschitz_constant(monkeypatch,

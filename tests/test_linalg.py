@@ -127,43 +127,108 @@ def test_frobenius_distance_is_numpy_norm_bit_for_bit(pair):
 
 
 def test_frobenius_distance_memo_answers_only_the_same_pair(distances):
+    # the distances fixture's memo, which linalg.frobenius_distance names
+    # for the test
+    distance = linalg.frobenius_distance
     gen = np.random.default_rng(0)
     a, b = read_only(gen.standard_normal((5, 5))), read_only(gen.standard_normal((5, 5)))
-    d = frobenius_distance(a, b)
+    d = distance(a, b)
     assert distances == [(id(a), id(b))]
-    assert frobenius_distance(a, b) == d
+    assert distance(a, b) == d
     assert len(distances) == 1
     # equal values in other objects, or the pair swapped, are new pairs
     twin = read_only(a)
-    assert frobenius_distance(twin, b) == d
-    assert frobenius_distance(b, a) == d
+    assert distance(twin, b) == d
+    assert distance(b, a) == d
     assert distances[1:] == [(id(twin), id(b)), (id(b), id(a))]
-    assert frobenius_distance(a, b) == d and len(distances) == 3
+    assert distance(a, b) == d and len(distances) == 3
 
 
 def test_frobenius_distance_recomputes_a_writable_array(distances):
+    distance = linalg.frobenius_distance
     gen = np.random.default_rng(1)
     a, b = gen.standard_normal((4, 6)), read_only(gen.standard_normal((4, 6)))
-    first = frobenius_distance(a, b)
+    first = distance(a, b)
     a += 1.0
-    assert frobenius_distance(a, b) == float(np.linalg.norm(a - b)) != first
+    assert distance(a, b) == float(np.linalg.norm(a - b)) != first
     assert distances == [(id(a), id(b))] * 2
-    assert not linalg._distances
+    assert not distance.entries
 
 
 def test_frobenius_distance_memo_drops_a_collected_pair(distances):
+    distance = linalg.frobenius_distance
     gen = np.random.default_rng(2)
     a, b, c = (read_only(gen.standard_normal((3, 3))) for _ in range(3))
-    frobenius_distance(a, b)
-    frobenius_distance(b, c)
-    frobenius_distance(a, a)
-    assert len(linalg._distances) == 3
+    distance(a, b)
+    distance(b, c)
+    distance(a, a)
+    assert len(distance.entries) == 3
     del a
     gc.collect()
-    assert list(linalg._distances) == [(id(b), id(c))]
+    assert list(distance.entries) == [(id(b), id(c))]
     del c
     gc.collect()
-    assert not linalg._distances
+    assert not distance.entries
+
+
+# how a frozen_memo argument is made from an array's values: a frozen array
+# or view, a writable array or view, a read-only view of a writable array,
+# a read-only array over bytes, which no ndarray owns, and a list
+_ARGUMENT_KINDS = ("frozen", "frozen view", "writable", "writable view",
+                   "read-only view of writable", "over bytes", "list")
+
+
+def _argument(kind, values):
+    """(argument, the writable array whose writes change it, or None)."""
+    if kind == "list":
+        return values.ravel().tolist(), None
+    if kind == "over bytes":
+        return np.frombuffer(values.tobytes()).reshape(values.shape), None
+    base = np.array(values)
+    base.flags.writeable = kind.startswith("writable") or kind.endswith("of writable")
+    out = base if kind in ("frozen", "writable") else base[::-1]
+    if kind == "read-only view of writable":
+        out.flags.writeable = False
+    return out, base if base.flags.writeable else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_ARGUMENT_KINDS), min_size=1, max_size=3),
+       hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=4),
+                  elements=st.floats(-1e6, 1e6)))
+def test_frozen_memo_hits_only_the_same_frozen_objects(kinds, values):
+    # a frozen_memo answers from an entry only the very objects it was
+    # computed for, and only when every one is frozen; every answer is the
+    # wrapped function's, bit for bit, also after a write through the base
+    # of an argument; and an entry goes with any of its objects
+    def weighted_sum(*args):
+        calls.append(None)
+        return sum((i + 1.0) * float(np.sum(a)) for i, a in enumerate(args))
+
+    calls = []
+    memo = linalg.frozen_memo(weighted_sum)
+    made = [_argument(kind, values) for kind in kinds]
+    args = [arg for arg, _ in made]
+    all_frozen = all(map(linalg.frozen, args))
+    assert all_frozen == all(kind.startswith("frozen") for kind in kinds)
+    first = memo(*args)
+    assert first.hex() == weighted_sum(*args).hex() and len(calls) == 2
+    for arg, base in made:
+        if base is not None:
+            base += 1.0
+        elif isinstance(arg, list):
+            arg.append(1.0)
+    second = memo(*args)
+    assert second.hex() == weighted_sum(*args).hex()
+    assert len(calls) == (3 if all_frozen else 4)
+    assert len(memo.entries) == all_frozen
+    # equal frozen copies are other objects
+    copies = [read_only(arg) for arg in args]
+    assert memo(*copies).hex() == weighted_sum(*copies).hex()
+    assert len(memo.entries) == all_frozen + 1
+    del made, args, arg, base, copies
+    gc.collect()
+    assert memo.entries == {}
 
 
 @pytest.mark.parametrize("read_only_pair", [True, False])

@@ -439,13 +439,22 @@ def test_sequential_baseline_phases():
     assert [r.k for r in trace.records] == list(range(1, 21))
 
 
-def test_theta_errors_are_computed_once_per_revealed_theta(distances):
+def test_theta_errors_are_computed_once_per_revealed_theta(monkeypatch, distances):
     # a FrozenLearner reveals its one read-only array every epoch, so the
     # run computes its distance from theta* once and the later epochs read
     # frobenius_distance's memo; a SyntheticLearner reveals a new array
-    # every epoch, and each epoch computes it
+    # every epoch, and each epoch computes it. The runs' scale ||theta*||_F
+    # of the frozen theta* is computed once, by the first run
     instance, problem = make_small_portfolio(n=10, s=2, seed=8, sector_limit=0.65)
     sigma_star = instance.sigma
+    norm, scales = np.linalg.norm, []
+
+    def counting_norm(x, *args, **kwargs):
+        if x is sigma_star:
+            scales.append(args)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
     schedule = make_increasing_schedule(1.0, 1.05, 1.0, 1e-3, 0.6)
     run = dict(x0=np.full(instance.n, 0.1), theta_star=sigma_star,
                stop=StopRule(max_outer=6))
@@ -466,6 +475,7 @@ def test_theta_errors_are_computed_once_per_revealed_theta(distances):
     distances.clear()
     alm_run(problem, writable, schedule, **run)
     assert from_theta_star() == [(id(writable.theta), id(sigma_star))] * 6
+    assert scales == [()]
     # each record keeps arrays of its own epoch
     for name in ("x", "lam", "x_bar"):
         assert len({id(getattr(r, name)) for r in frozen.records}) == len(frozen)

@@ -1,5 +1,6 @@
 """Slow lane for the reference QP: a seeded fuzz, set-up beyond the desk
-size over three seeds, and set-up at the desk size over twelve seeds.
+size over three seeds, and set-up at the desk size over twelve seeds, where
+the crash phase of every drawn instance's QP must find the optimum.
 
 Deselected by default; run with `pytest -m slow`.
 """
@@ -10,6 +11,7 @@ import pytest
 from simalm import reference
 from simalm.experiments import ExperimentConfig, make_sectors, prepare_bundle
 from simalm.inner_apg import grad_nu, lipschitz_nu
+from simalm.linalg import frozen
 from simalm.reference import ReferenceSolveError, active_set_qp
 from test_reference import _no_crash
 
@@ -91,15 +93,30 @@ def test_fuzz_answers_meet_kkt_and_agree(family):
         assert refused == []
 
 
+@pytest.fixture
+def crash_flags(monkeypatch):
+    """The crash flag of every reference._active_set call from now on; a
+    False is the rerun of a QP whose crash phase gave up."""
+    flags, run = [], reference._active_set
+
+    def recorded(*args, crash):
+        flags.append(crash)
+        return run(*args, crash=crash)
+
+    monkeypatch.setattr(reference, "_active_set", recorded)
+    return flags
+
+
 # config seeds per size whose accepted draws differ (at (200, 20) seeds
 # 11-14 all land on draw 14)
 BEYOND_SEEDS = {(200, 20): (12, 15, 17), (400, 40): (12, 13, 17)}
 
 
 @pytest.mark.parametrize("n, s", list(BEYOND_SEEDS))
-def test_setup_beyond_the_desk_size(monkeypatch, n, s):
+def test_setup_beyond_the_desk_size(monkeypatch, crash_flags, n, s):
     # at n = 400 a run from the uniform point without the crash phase takes
-    # hundreds of solves, one fresh dense factorisation each
+    # hundreds of solves, one fresh dense factorisation each; no drawn
+    # instance's QP reruns without it
     qp, solves = reference.active_set_qp, []
 
     def counted(*args, **kwargs):
@@ -111,7 +128,9 @@ def test_setup_beyond_the_desk_size(monkeypatch, n, s):
     draws = set()
     for seed in BEYOND_SEEDS[n, s]:
         solves.clear()
+        crash_flags.clear()
         bundle = prepare_bundle(ExperimentConfig(n=n, s=s, seed=seed))
+        assert crash_flags and all(crash_flags), seed
         draws.add(bundle.instance.seed)
         assert bundle.reference.kkt_residual <= reference.KKT_TOL, seed
         assert bundle.binding.any(), seed
@@ -120,18 +139,21 @@ def test_setup_beyond_the_desk_size(monkeypatch, n, s):
 
 
 @pytest.mark.parametrize("seed", range(1, 13))
-def test_setup_at_the_desk_size_over_seeds(seed):
-    # at (100, 10), seeds 1-12: the reference optimum meets its KKT
-    # conditions to 1e-9; the instance's arrays and Sigma* refuse writes,
-    # since every cache meets a read-only array by identity; and the
-    # bundle's problem builds its forward map, whose step is the composed
-    # gradient step up to rounding
+def test_setup_at_the_desk_size_over_seeds(crash_flags, seed):
+    # at (100, 10), seeds 1-12: the crash phase of every drawn instance's QP
+    # finds the optimum, so none reruns; the reference optimum meets its
+    # KKT conditions to 1e-9; the instance's arrays and Sigma* are frozen
+    # and refuse writes, since every cache meets a frozen array by
+    # identity; and the bundle's problem builds its forward map, whose step
+    # is the composed gradient step up to rounding
     bundle = prepare_bundle(ExperimentConfig(n=100, s=10, seed=seed))
+    assert crash_flags and all(crash_flags)
     ref = bundle.reference
     assert ref.kkt_residual <= 1e-9
     inst = bundle.instance
     for array in (inst.sector_matrix, inst.sector_limits, inst.mu, inst.sigma,
                   bundle.sigma_star):
+        assert frozen(array)
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
     problem = bundle.problem()
