@@ -25,11 +25,11 @@ from .bounds import (BoundInputs, bound_curves, bound_report,
                      inverse_power_series)
 from .linalg import spectral_norm
 from .reference import ReferenceSolution, active_set_qp, portfolio_reference, simplex_qp
-from .experiments import (ExperimentConfig, InstanceBundle, SampleData,
-                          TableRow, band_covariance, bound_curves_for_trace,
+from .experiments import (ExperimentConfig, InstanceBundle, TableRow,
+                          band_covariance, bound_curves_for_trace,
                           bound_inputs_for_run, dual_gap_estimates,
-                          generate_instance, make_sectors, prepare_bundle,
-                          run_seq_vs_sim, run_solve, run_table, save_bundle,
-                          write_seqsim, write_table)
+                          make_sectors, prepare_bundle, run_seq_vs_sim,
+                          run_solve, run_table, save_bundle, write_seqsim,
+                          write_table)
 
 __version__ = "0.1.0"

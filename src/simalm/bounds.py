@@ -200,7 +200,7 @@ def bound_curves(inputs, ks):
     bound does not apply there and reads NaN.
     """
     ks = np.asarray(ks, dtype=float)
-    if np.any(ks < 1):
+    if not np.all(ks >= 1):  # a NaN row fails too
         raise ValueError("k must be at least 1")
     return _evaluate(inputs, ks)[1]
 

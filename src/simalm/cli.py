@@ -1,9 +1,10 @@
 """Command-line interface for the experiment harness.
 
-Subcommands: generate, solve, table, seqsim, bounds. Each draws its instance
-from the configuration seed with prepare_bundle; only generate writes the
-instance files, and no subcommand reads them. Exit codes: 0 success,
-2 configuration error, 3 convergence-cap failure.
+Subcommands: generate, solve, table, seqsim, bounds. main draws the
+instance once per call, from the configuration seed with prepare_bundle,
+and hands that bundle to the subcommand; only generate writes the instance
+files, and no subcommand reads them. Exit codes: 0 success, 2 configuration
+error, 3 convergence-cap failure.
 """
 
 import argparse
@@ -68,8 +69,7 @@ def _load_config(args):
     return dataclasses.replace(config, **overrides)
 
 
-def _cmd_generate(config, out):
-    bundle = prepare_bundle(config)
+def _cmd_generate(config, bundle, out):
     save_bundle(bundle, out)
     print(f"instance written to {out} "
           f"(f*={bundle.reference.f_value:.6g}, tau_hat={bundle.tau_hat:.4f}, "
@@ -77,8 +77,7 @@ def _cmd_generate(config, out):
     return EXIT_OK
 
 
-def _cmd_solve(config, out):
-    bundle = prepare_bundle(config)
+def _cmd_solve(config, bundle, out):
     status = EXIT_OK
     for eps in config.epsilon:
         trace, curves = run_solve(config, eps, bundle)
@@ -93,8 +92,7 @@ def _cmd_solve(config, out):
     return status
 
 
-def _cmd_table(config, out):
-    bundle = prepare_bundle(config)
+def _cmd_table(config, bundle, out):
     rows = run_table(config, bundle)
     stem = f"table_{config.regime}_{config.specification}"
     write_table(rows, out / f"{stem}.csv", out / f"{stem}_timing.csv")
@@ -105,8 +103,7 @@ def _cmd_table(config, out):
     return EXIT_CAP if any(r.flagged for r in rows) else EXIT_OK
 
 
-def _cmd_seqsim(config, out):
-    bundle = prepare_bundle(config)
+def _cmd_seqsim(config, bundle, out):
     curves = run_seq_vs_sim(config, bundle)
     write_seqsim(curves, out / "seqsim.csv")
     for name in sorted(curves):
@@ -114,8 +111,7 @@ def _cmd_seqsim(config, out):
     return EXIT_OK
 
 
-def _cmd_bounds(config, out):
-    bundle = prepare_bundle(config)
+def _cmd_bounds(config, bundle, out):
     reports = []
     for eps in config.epsilon:
         inputs = bound_inputs_for_run(bundle, _schedule(config, bundle, eps),
@@ -154,7 +150,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](config, out)
+        return _COMMANDS[args.command](config, prepare_bundle(config), out)
     except (ScheduleError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

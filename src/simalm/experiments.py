@@ -1,13 +1,16 @@
-"""Experiment harness: instance generation, full runs, tables, comparisons.
+"""Experiment harness: instance set-up, full runs, tables, comparisons.
 
 The pipeline mirrors the portfolio study: banded ground-truth covariance and
 uniform mean returns generate a sample covariance, the sparse covariance
 selection problem defines the learning target Sigma*, and the portfolio
 program at Sigma* is solved under four regimes (constant or geometric
-penalty, parameter known or learned). Every derived file is a deterministic
-function of the configuration seed; table timings are written to sidecar
-files, and trace CSVs differ between runs only in their wall-clock columns
-cpu_learn_s and cpu_opt_s.
+penalty, parameter known or learned). prepare_bundle is the one set-up
+path: it draws the instance, learns Sigma*, solves the reference program
+and certifies the learner's rate, and every run takes the bundle it
+returns; save_bundle writes that bundle's files. Every derived file is a
+deterministic function of the configuration seed; table timings are
+written to sidecar files, and trace CSVs differ between runs only in their
+wall-clock columns cpu_learn_s and cpu_opt_s.
 """
 
 import functools
@@ -31,9 +34,8 @@ from .outer_alm import (StopRule, alm_run, make_constant_schedule,
 from .reference import portfolio_reference
 
 __all__ = [
-    "ExperimentConfig", "SampleData", "InstanceBundle", "TableRow",
-    "band_covariance", "make_sectors", "generate_instance", "prepare_bundle",
-    "save_bundle", "bound_inputs_for_run",
+    "ExperimentConfig", "InstanceBundle", "TableRow", "band_covariance",
+    "make_sectors", "prepare_bundle", "save_bundle", "bound_inputs_for_run",
     "bound_curves_for_trace", "dual_gap_estimates", "run_solve", "run_table",
     "write_table", "run_seq_vs_sim", "write_seqsim",
 ]
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"sequential_budgets must be distinct, got {budgets}")
         for name in ("n", "s", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (self.n >= max(self.s, 4) and self.s >= 1):
             raise ValueError("need n >= s >= 1 and n >= 4 (n // 2 >= 2 samples)")
         for name in ("rho_o", "beta", "c"):
@@ -134,16 +138,6 @@ class ExperimentConfig:
         path = Path(source) if not str(source).lstrip().startswith("{") else None
         payload = json.loads(path.read_text() if path else source)
         return cls(**payload)
-
-
-@dataclass
-class SampleData:
-    """Ground truth and the sampled returns behind one instance."""
-
-    mu_true: np.ndarray
-    sigma_true: np.ndarray
-    samples: np.ndarray
-    sample_cov: np.ndarray
 
 
 def band_covariance(n):
@@ -190,19 +184,31 @@ def _sample_instance(config, seed):
     )
     scs = ScsProblem(S=sample_cov, upsilon=_GENERATOR["upsilon"],
                      psd_floor=_GENERATOR["psd_floor"])
-    return instance, scs, SampleData(mu_true, sigma_true, samples, sample_cov)
+    return instance, scs
 
 
 def _draw_instance(config):
-    """The draw loop of generate_instance, plus the solves that accepted the draw.
+    """Draw a reproducible instance whose sector constraints bind.
 
-    Returns (instance, scs, sample, sigma_star, admm_info, reference):
+    The ground-truth covariance is positive definite by construction
+    (checked by the Cholesky factorisation that samples from it), and
+    uniform weights must be strictly feasible so first-order runs can start
+    there. Binding is verified at the learned covariance limit: when the
+    nominal cap 0.3 is slack there, the caps are lowered to the midpoint
+    between the uniform sector load and the peak sector exposure of the
+    cap-free optimum, which makes at least one cap active while keeping the
+    uniform start strictly feasible. Seeds whose cap-free optimum is too
+    spread out to leave room for that window (or whose optimal value is
+    degenerate) are skipped deterministically, so a given configuration
+    seed always yields the same instance.
+
+    Returns (instance, scs, sigma_star, admm_info, reference, binding):
     admm_info holds the Sigma history of the learning iteration, sigma_star
-    is its last entry, the record's read-only array, and reference is the
-    portfolio optimum at sigma_star. Raises ValueError
-    when the uniform portfolio overloads a sector in every draw, so (n, s)
-    admits no instance, and RuntimeError when no draw that passed that test
-    gave binding sector constraints.
+    is its last entry, the record's read-only array, reference is the
+    portfolio optimum at sigma_star, and binding marks the caps active
+    there. Raises ValueError when the uniform portfolio overloads a sector
+    in every draw, so (n, s) admits no instance, and RuntimeError when no
+    draw that passed that test gave binding sector constraints.
     """
     from .reference import simplex_qp
 
@@ -211,7 +217,7 @@ def _draw_instance(config):
     load_passed = False
     for attempt in range(_GENERATOR["max_attempts"]):
         seed = config.seed + attempt
-        instance, scs, sample = _sample_instance(config, seed)
+        instance, scs = _sample_instance(config, seed)
         uniform_load = instance.sector_matrix.sum(axis=1) / config.n
         if np.any(uniform_load >= instance.sector_limits):
             least_peak_load = min(least_peak_load, float(uniform_load.max()))
@@ -229,9 +235,9 @@ def _draw_instance(config):
             cap = round(0.5 * (float(uniform_load.max()) + free_peak), 3)
             instance = replace(instance, sector_limits=np.full(instance.s, cap))
         ref = portfolio_reference(instance, sigma=sigma_star)
-        slack = instance.sector_limits - instance.sector_matrix @ ref.x
-        if np.min(slack) <= binding_tol and abs(ref.f_value) >= _GENERATOR["f_floor"]:
-            return instance, scs, sample, sigma_star, info, ref
+        binding = instance.sector_limits - instance.sector_matrix @ ref.x <= binding_tol
+        if binding.any() and abs(ref.f_value) >= _GENERATOR["f_floor"]:
+            return instance, scs, sigma_star, info, ref, binding
     attempts = _GENERATOR["max_attempts"]
     if not load_passed:
         raise ValueError(
@@ -241,24 +247,6 @@ def _draw_instance(config):
             f"{_GENERATOR['sector_limit']:g})")
     raise RuntimeError(f"no instance with binding sector constraints found in "
                        f"{attempts} attempts from seed {config.seed}")
-
-
-def generate_instance(config):
-    """Draw a reproducible instance whose sector constraints bind.
-
-    The ground-truth covariance is positive definite by construction
-    (checked by the Cholesky factorisation that samples from it), and
-    uniform weights must be strictly feasible so first-order runs can start
-    there. Binding is verified at the learned covariance limit: when the
-    nominal cap 0.3 is slack there, the caps are lowered to the midpoint
-    between the uniform sector load and the peak sector exposure of the
-    cap-free optimum, which makes at least one cap active while keeping the
-    uniform start strictly feasible. Seeds whose cap-free
-    optimum is too spread out to leave room for that window (or whose
-    optimal value is degenerate) are skipped deterministically, so a given
-    configuration seed always yields the same instance.
-    """
-    return _draw_instance(config)[:3]
 
 
 @dataclass
@@ -346,10 +334,8 @@ def prepare_bundle(config):
     distance of every recorded Sigma_k from Sigma*, so the runs' theta
     errors are lookups.
     """
-    instance, scs, _sample, sigma_star, info, reference = _draw_instance(config)
+    instance, scs, sigma_star, info, reference, binding = _draw_instance(config)
     errors = np.array([frobenius_distance(S, sigma_star) for S in info["history"]])
-    slack = instance.sector_limits - instance.sector_matrix @ reference.x
-    binding = slack <= _GENERATOR["binding_tol"]
     return InstanceBundle(
         config=config, instance=instance, scs=scs, sigma_star=sigma_star,
         learner_errors=errors, tau_hat=_certified_rate(errors),
@@ -357,13 +343,16 @@ def prepare_bundle(config):
     )
 
 
+# Unused here: the benchmark's tracer wraps this name as experiments.generate;
+# the benchmark change of ROADMAP item 1 drops that span and the binding.
+generate_instance = prepare_bundle
+
+
 def save_bundle(bundle, out_dir):
     """Write instance.json, scs.json, sigma_star.npy, learner_errors.npy and
     meta.json (the reference optimum, the rate and generator constants)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle.instance.to_json(out / "instance.json")
-    bundle.scs.to_json(out / "scs.json")
     np.save(out / "sigma_star.npy", bundle.sigma_star)
     np.save(out / "learner_errors.npy", bundle.learner_errors)
     meta = {
@@ -377,7 +366,10 @@ def save_bundle(bundle, out_dir):
         "binding": bundle.binding.astype(int).tolist(),
         "admm_sweeps": bundle.admm_sweeps,
     }
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    for name, text in (("instance.json", bundle.instance.to_json()),
+                       ("scs.json", bundle.scs.to_json()),
+                       ("meta.json", json.dumps(meta, sort_keys=True, indent=1))):
+        (out / name).write_text(text + "\n")
 
 
 def _schedule(config, bundle, epsilon, specification=None, regime=None):

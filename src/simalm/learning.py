@@ -140,18 +140,14 @@ class ScsProblem:
         return 0.5 * np.linalg.norm(Sigma - self.S, "fro") ** 2 \
             + self.upsilon * np.sum(np.abs(off))
 
-    def to_json(self, path=None):
+    def to_json(self):
         payload = {
             "S": self.S.tolist(),
             "upsilon": self.upsilon,
             "psd_floor": self.psd_floor,
             "admm_penalty": self.admm_penalty,
         }
-        text = json.dumps(payload, sort_keys=True, indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return json.dumps(payload, sort_keys=True, indent=1)
 
 
 @dataclass

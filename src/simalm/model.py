@@ -326,7 +326,7 @@ class PortfolioInstance:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def to_json(self, path=None):
+    def to_json(self):
         """Serialize to the instance-file schema (dense row-major arrays)."""
         payload = {
             "n": self.n,
@@ -338,11 +338,7 @@ class PortfolioInstance:
             "sigma_true": self.sigma.tolist(),
             "seed": self.seed,
         }
-        text = json.dumps(payload, sort_keys=True, indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return json.dumps(payload, sort_keys=True, indent=1)
 
 
 def _curvature_pair(theta):

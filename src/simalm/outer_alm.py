@@ -151,8 +151,9 @@ class StopRule:
             raise ScheduleError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ScheduleError("max_outer must be at least 1")
-        if self.epsilon is not None and not 0.0 < self.epsilon:
-            raise ScheduleError("epsilon must be positive")
+        if self.epsilon is not None and (isinstance(self.epsilon, bool)
+                                         or not 0.0 < self.epsilon < math.inf):
+            raise ScheduleError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 def make_constant_schedule(epsilon, rho_o, learner_known, c=1.0, tau=None):

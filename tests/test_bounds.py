@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
 from simalm.bounds import (BoundInputs, bound_curves, bound_report,
@@ -206,10 +206,19 @@ def bound_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(i=bound_inputs(), k_max=st.integers(1, 40))
+@example(i=BoundInputs(Schedule(623.6767341839956, 0.0806804056639297,
+                                2.645477016829493, 1.0, 0.010000000000000002),
+                       theta0_err=6.363867389653089,
+                       lambda_star_norm=4.204691649466291,
+                       kappa=10.689192737099365, L_f=0.0,
+                       L_h_theta=5.145796259806507), k_max=1)
 def test_bound_report_shapes_and_consistency(i, k_max):
     # bound_report's curves have the bits of bound_curves over rows
     # 1..k_max, and at row 1, where every power, square root and division by
-    # k is exact, the bits of the reported constants' closed forms
+    # k is exact, the bits of the reported constants' closed forms. The
+    # closed forms square by v * v, the correctly rounded square an array's
+    # ** 2 takes: a Python float's ** 2 goes through libm's pow, which can
+    # miss it by an ulp, as at the example's v = 220.858488491211
     report = bound_report(i, k_max=k_max)
     ks = np.arange(1.0, k_max + 1.0)
     curves = report["curves"]
@@ -225,7 +234,7 @@ def test_bound_report_shapes_and_consistency(i, k_max):
         assert same_bits(first["v_k_bound"], v)
         assert same_bits(first["subopt_upper_bound"], constants["u_const"])
         assert same_bits(first["subopt_lower_bound"],
-                         0.5 * i.schedule.rho0 * v ** 2 + i.lambda_star_norm * v)
+                         0.5 * i.schedule.rho0 * (v * v) + i.lambda_star_norm * v)
         assert same_bits(first["dual_gap_bound"], constants["b_g"])
     else:
         assert set(constants) == {"c_lambda_prime", "b_0"}
@@ -284,7 +293,8 @@ def test_validation():
             inputs(**{name: -1.0})
     for i in (inputs(), inputs(beta=1.05)):
         with pytest.raises(ValueError, match="k must be at least 1"):
-            bound_curves(i, [0.0, 1.0])
+            for ks in ([0.0, 1.0], [np.nan, 2.0]):
+                bound_curves(i, ks)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -129,6 +129,15 @@ def test_sector_overload_is_config_error(tmp_path):
     assert "configuration error" in res.stderr and "n=20, s=4" in res.stderr
 
 
+def test_negative_seed_is_config_error(tmp_path):
+    # a negative seed reached np.random.default_rng at the first draw and
+    # printed "expected non-negative integer" without naming the field
+    res = run_cli("generate", "--seed", "-3", "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and "seed" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_dir_under_a_file_is_config_error(tmp_path):
     # the output directory cannot be made below a regular file
     blocker = tmp_path / "blocker"

@@ -13,10 +13,9 @@ from simalm import experiments, inner_apg
 from simalm.bounds import BoundInputs, bound_report
 from simalm.experiments import (ExperimentConfig, band_covariance,
                                 bound_curves_for_trace, bound_inputs_for_run,
-                                generate_instance, make_sectors, prepare_bundle,
-                                run_seq_vs_sim, run_solve, run_table,
-                                write_seqsim, write_table, _certified_rate,
-                                _schedule)
+                                make_sectors, prepare_bundle, run_seq_vs_sim,
+                                run_solve, run_table, write_seqsim,
+                                write_table, _certified_rate, _schedule)
 from simalm.learning import AdmmScsLearner
 from simalm.linalg import spectral_norm
 from simalm.model import NonFiniteError, _curvature_pair, portfolio_problem
@@ -46,12 +45,11 @@ def test_band_covariance_values():
 
 def test_sample_counts_and_reproducibility():
     config = ExperimentConfig(n=30, s=5, seed=3, epsilon=(0.1,))
-    inst1, scs1, sample1 = generate_instance(config)
-    inst2, scs2, sample2 = generate_instance(config)
-    assert sample1.samples.shape == (15, 30)  # p = n / 2
-    assert inst1.to_json() == inst2.to_json()
-    np.testing.assert_array_equal(sample1.samples, sample2.samples)
-    np.testing.assert_array_equal(scs1.S, scs2.S)
+    bundle1, bundle2 = prepare_bundle(config), prepare_bundle(config)
+    # p = n // 2 = 15 centred samples span a sample covariance of rank p - 1
+    assert np.linalg.matrix_rank(bundle1.scs.S) == 14
+    assert bundle1.instance.to_json() == bundle2.instance.to_json()
+    np.testing.assert_array_equal(bundle1.scs.S, bundle2.scs.S)
 
 
 def test_sectors_cover_every_asset(rng):
@@ -733,7 +731,7 @@ def test_sector_overload_in_every_draw_is_a_config_error(n, s, peak):
     # every draw, so no seed can give a usable instance: a ValueError that
     # names n, s, the least peak load and the cap, not a convergence failure
     with pytest.raises(ValueError) as info:
-        generate_instance(ExperimentConfig(n=n, s=s, seed=0))
+        prepare_bundle(ExperimentConfig(n=n, s=s, seed=0))
     message = str(info.value)
     assert f"n={n}, s={s}" in message
     assert f"smallest peak uniform load {peak:g}" in message
@@ -764,6 +762,10 @@ def test_config_validation():
             ExperimentConfig(**{name: bad})
     with pytest.raises(ValueError, match="must be nonnegative"):
         ExperimentConfig(sequential_budgets=(0, -2))
+    # a negative seed passed and failed at the first draw, in numpy
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ExperimentConfig(seed=-3)
+    ExperimentConfig(seed=0)
     # a repeated budget ran its baseline twice for one sequential_<b> curve
     for repeated in ((2, 2), (0, 4, np.int64(0))):
         with pytest.raises(ValueError, match="sequential_budgets must be distinct"):

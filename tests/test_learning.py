@@ -320,11 +320,9 @@ def test_scs_problem_validation():
         ScsProblem(S=np.eye(2), upsilon=0.0)
 
 
-def test_scs_json_round_trip(tmp_path):
+def test_scs_json_round_trip():
     problem = make_scs(n=4)
-    path = tmp_path / "scs.json"
-    problem.to_json(path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(problem.to_json())
     np.testing.assert_allclose(np.array(payload["S"]), problem.S)
     assert payload["upsilon"] == problem.upsilon
     assert payload["psd_floor"] == problem.psd_floor

@@ -681,11 +681,9 @@ def test_portfolio_curvature_bounds_a_sparse_spectrum():
     assert problem.smooth_curvature(theta)[0] >= 14.5
 
 
-def test_instance_json_round_trip(tmp_path):
+def test_instance_json_round_trip():
     instance, _ = make_small_portfolio()
-    path = tmp_path / "instance.json"
-    instance.to_json(path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(instance.to_json())
     np.testing.assert_allclose(np.array(payload["sigma_true"]), instance.sigma)
     np.testing.assert_allclose(np.array(payload["A"]), instance.sector_matrix)
     np.testing.assert_allclose(np.array(payload["mu"]), instance.mu)

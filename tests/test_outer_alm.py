@@ -137,6 +137,14 @@ def test_stop_rule_refuses_a_non_integer_epoch_cap(max_outer):
         StopRule(max_outer=max_outer)
 
 
+@pytest.mark.parametrize("epsilon", [True, math.inf, math.nan, 0.0, -0.1])
+def test_stop_rule_refuses_a_non_positive_or_non_finite_epsilon(epsilon):
+    # epsilon = inf stopped every run after its first epoch, and True read as 1.0
+    StopRule(max_outer=3, epsilon=np.float64(0.1))
+    with pytest.raises(ScheduleError, match="epsilon must be positive and finite"):
+        StopRule(max_outer=3, epsilon=epsilon)
+
+
 def test_seq_vs_sim_refuses_a_non_integer_epoch_cap():
     from simalm.experiments import ExperimentConfig, prepare_bundle, run_seq_vs_sim
 
