@@ -52,7 +52,7 @@ def _build_parser():
 
 def _load_config(args):
     if args.config:
-        config = ExperimentConfig.from_json(args.config)
+        config = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
         config = ExperimentConfig()
     overrides = {}

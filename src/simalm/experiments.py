@@ -108,8 +108,11 @@ class ExperimentConfig:
         if not (self.n >= max(self.s, 4) and self.s >= 1):
             raise ValueError("need n >= s >= 1 and n >= 4 (n // 2 >= 2 samples)")
         for name in ("rho_o", "beta", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if isinstance(v, bool):  # a JSON true is no penalty or rate
+                raise ValueError(f"{name} must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         eps = tuple(float(e) for e in _sequence("epsilon", self.epsilon))
         if not eps:
             raise ValueError("epsilon must hold at least one accuracy")
@@ -127,17 +130,12 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "sequential_budgets", tuple(int(b) for b in budgets))
 
-    def to_json(self, path=None):
-        text = json.dumps(asdict(self), sort_keys=True, indent=1)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
+    def to_json(self):
+        return json.dumps(asdict(self), sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, source):
-        path = Path(source) if not str(source).lstrip().startswith("{") else None
-        payload = json.loads(path.read_text() if path else source)
-        return cls(**payload)
+    def from_json(cls, text):
+        return cls(**json.loads(text))
 
 
 def band_covariance(n):
@@ -496,14 +494,13 @@ def run_table(config, bundle):
     return rows
 
 
-def write_table(rows, path, timing_path=None):
+def write_table(rows, path, timing_path):
     """Write the deterministic table CSV; timings go to a sidecar file."""
     write_csv(path, ("epsilon", "rel_subopt", "infeas", "outer", "inner", "flagged"),
               ((r.epsilon, r.rel_subopt, r.infeas, r.outer, r.inner_total, r.flagged)
                for r in rows))
-    if timing_path is not None:
-        write_csv(timing_path, ("epsilon", "cpu_learn_s", "cpu_opt_s"),
-                  ((r.epsilon, r.cpu_learn_s, r.cpu_opt_s) for r in rows))
+    write_csv(timing_path, ("epsilon", "cpu_learn_s", "cpu_opt_s"),
+              ((r.epsilon, r.cpu_learn_s, r.cpu_opt_s) for r in rows))
 
 
 def run_seq_vs_sim(config, bundle, max_outer=50):

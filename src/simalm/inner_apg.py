@@ -36,8 +36,8 @@ nu(y) / L, set once per solve after L is fixed, then the projection onto
 X. Where the problem has a forward map, the run's CurvatureAnchor builds it
 once, at the run's first solve, and each solve calls it with (theta, lam,
 rho, L) for its step (the portfolio's augmented [[I - theta / L, gamma mu /
-L], [A, b + lam / rho]] gemv of [y; 1], which rewrites only what moved
-since the last solve, steps in buffers of its own and refuses a problem
+L], [A, b + lam / rho]] gemv of [y; 1], which writes that matrix for
+each call's arguments, steps in buffers of its own and refuses a problem
 whose oracles it does not restate); else the step is the gradient composed
 from smooth_value_grad and the dual-cone projection. The first step is
 taken from the warm start's gradient, the gap's, so a solve takes one

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cones import Cone, NonnegativeOrthant
-from .linalg import frozen, frozen_memo, symmetrize
+from .linalg import frozen_memo, symmetrize
 
 # Unused here: the benchmark's tracer wraps this name as linalg.spectral_norm;
 # the benchmark change of ROADMAP item 1 drops that span and the binding.
@@ -124,12 +124,12 @@ class ParametricProblem:
                                    builds the map once and calls it at each
                                    inner solve once L is fixed, and the
                                    solve projects each step's result with
-                                   prox_step (inner_apg); a map may hold
-                                   what its last call built and rewrite only
-                                   what moved, and a step may hold buffers
-                                   it overwrites, so a step stays valid
-                                   until the next call of its map, and each
-                                   of its results must be a fresh array
+                                   prox_step (inner_apg); a map writes the
+                                   step's data for each call's arguments
+                                   into buffers of its own, so a step stays
+                                   valid until the next call of its map,
+                                   and each of its results must be a fresh
+                                   array
 
     Every oracle must be pure: the same arguments give the same result, bit
     for bit. An oracle may memoize its results, as the portfolio's
@@ -138,7 +138,7 @@ class ParametricProblem:
 
     Every cache of what an array determines follows the caching rule of
     linalg.frozen_memo: the portfolio's curvature oracle, spectral_norm,
-    frobenius_distance, and a run's CurvatureAnchor and forward map.
+    frobenius_distance, and a run's CurvatureAnchor.
 
     forward(problem) raises ValueError for a problem whose oracles its map
     does not restate, so a dataclasses.replace of one of them is refused,
@@ -356,54 +356,6 @@ def _curvature_pair(theta):
     return top + margin, max(0.0, float(eig[0]) - margin)
 
 
-class _HeldMap:
-    """The portfolio's forward map of one run: W, B and the step's buffers,
-    rewritten in place where a call's arguments moved (portfolio_problem).
-    It meets the last call's theta by identity only when theta is frozen
-    (linalg.frozen_memo's caching rule)."""
-
-    def __init__(self, A, b, gamma_mu):
-        m, n = A.shape
-        W = np.empty((n + m, n + 1))
-        W[n:, :n] = A
-        self._top, self._gamma_mu_col = W[:n, :n], W[:n, n]
-        self._A, self._offset_col = A, W[n:, n]
-        self._diagonal = W.reshape(-1)[:n * (n + 1):n + 2]
-        self._b, self._gamma_mu = b, gamma_mu
-        self._theta = self._L = self._scale = None
-        self._B = B = np.empty((m, n))
-        y_hat = np.empty(n + 1)
-        y_hat[n] = 1.0
-        head = y_hat[:n]
-        w = np.empty(n + m)
-        v, r = w[:n], w[n:]
-        buf = np.empty(n)
-
-        def step(y):
-            head[...] = y
-            np.dot(W, y_hat, out=w)
-            np.maximum(r, 0.0, out=r)
-            np.dot(r, B, out=buf)
-            return v - buf
-
-        self._step = step
-
-    def __call__(self, theta, lam, rho, L):
-        if theta is not self._theta or L != self._L:
-            np.divide(theta, -L, out=self._top)
-            self._diagonal += 1.0  # of I - theta / L
-            np.divide(self._gamma_mu, L, out=self._gamma_mu_col)
-            self._theta = theta if frozen(theta) else None
-            self._L = L
-        scale = rho / L
-        if scale != self._scale:
-            np.multiply(self._A, scale, out=self._B)
-            self._scale = scale
-        np.divide(lam, rho, out=self._offset_col)
-        np.add(self._b, self._offset_col, out=self._offset_col)
-        return self._step
-
-
 def portfolio_problem(instance, kappa=1.0):
     """Build the ParametricProblem for a portfolio instance.
 
@@ -423,26 +375,23 @@ def portfolio_problem(instance, kappa=1.0):
     eigenvalue of a symmetric theta moves by at most ||theta - theta'||_2
     <= ||theta - theta'||_F (Horn & Johnson 2013, Cor. 4.3.15).
 
-    forward(problem) returns a run's map (_HeldMap). It holds one (n + s) x
-    (n + 1) matrix W = [[I - theta / L, gamma mu / L], [A, b + lam / rho]]
-    and the C-ordered s x n matrix B = (rho / L) A, so y - grad nu(y) / L is
-    w = W [y; 1], r = max(w[n:], 0), w[:n] - r B: two matrix-vector
-    products. W's A rows and b are written once, when forward builds the
-    map. A call map(theta, lam, rho, L) rewrites only what moved since its
-    last call, each entry as a fresh build computes it, so the step is the
-    same bit for bit: the top block and gamma mu / L when theta is not the
-    last call's frozen array (any other theta at every call) or L
-    moved; B when rho / L moved; and the column b + lam / rho at every
-    call. The step it returns holds buffers for [y; 1] (its trailing 1
+    forward(problem) returns a run's map, retarget(theta, lam, rho, L). The
+    map holds one (n + s) x (n + 1) matrix W = [[I - theta / L, gamma mu /
+    L], [A, b + lam / rho]] and the C-ordered s x n matrix B = (rho / L) A,
+    so y - grad nu(y) / L is w = W [y; 1], r = max(w[n:], 0), w[:n] - r B:
+    two matrix-vector products. W's A rows are written once, when forward
+    builds the map. Each call writes the rest, the top block, gamma mu / L,
+    B and the column b + lam / rho, from its own arguments, and keeps none
+    of them. The step it returns holds buffers for [y; 1] (its trailing 1
     written once), w and r B, which every step overwrites; each result is a
     fresh array, and each map holds W, B and buffers of its own, so one
-    problem serves concurrent runs. The map restates smooth_value_grad's gradient, the constraint
-    oracles and the orthant's dual projection, so forward raises ValueError
-    unless inspect.unwrap of problem.smooth_value_grad, constraint_matrix
-    and constraint_offset is this problem's own oracle, the cone is a
-    NonnegativeOrthant and its project_dual is the orthant's own method; a
-    functools.wraps wrapper, such as a timer, stands for the oracle or
-    method it wraps.
+    problem serves concurrent runs. The map restates smooth_value_grad's
+    gradient, the constraint oracles and the orthant's dual projection, so
+    forward raises ValueError unless inspect.unwrap of
+    problem.smooth_value_grad, constraint_matrix and constraint_offset is
+    this problem's own oracle, the cone is a NonnegativeOrthant and its
+    project_dual is the orthant's own method; a functools.wraps wrapper,
+    such as a timer, stands for the oracle or method it wraps.
     """
     A = instance.sector_matrix
     offset = -instance.sector_limits
@@ -473,7 +422,36 @@ def portfolio_problem(instance, kappa=1.0):
             raise ValueError("the portfolio's forward map serves only its own "
                              "smooth_value_grad, constraint oracles and a "
                              "NonnegativeOrthant cone")
-        return _HeldMap(A, offset, gamma_mu)
+        m, n = A.shape
+        W = np.empty((n + m, n + 1))
+        W[n:, :n] = A
+        top, gamma_mu_col, col = W[:n, :n], W[:n, n], W[n:, n]
+        diagonal = W.reshape(-1)[:n * (n + 1):n + 2]  # of the top block
+        B = np.empty((m, n))
+        y_hat = np.empty(n + 1)
+        y_hat[n] = 1.0
+        head = y_hat[:n]
+        w = np.empty(n + m)
+        v, r = w[:n], w[n:]
+        buf = np.empty(n)
+
+        def step(y):
+            head[...] = y
+            np.dot(W, y_hat, out=w)
+            np.maximum(r, 0.0, out=r)
+            np.dot(r, B, out=buf)
+            return v - buf
+
+        def retarget(theta, lam, rho, L):
+            np.divide(theta, -L, out=top)
+            np.add(diagonal, 1.0, out=diagonal)  # I - theta / L
+            np.divide(gamma_mu, L, out=gamma_mu_col)
+            np.multiply(A, rho / L, out=B)
+            np.divide(lam, rho, out=col)
+            np.add(offset, col, out=col)
+            return step
+
+        return retarget
 
     def in_simplex(x):
         x = np.asarray(x, dtype=float)

@@ -315,8 +315,8 @@ def alm_run(problem, learner, schedule, x0, theta_star,
 
     The run keeps its own CurvatureAnchor, so its inner solves factor the
     curvature of theta_k only when that could shorten a solve, and the
-    problem's forward map is built once and retargeted at each solve
-    (inner_apg).
+    problem's forward map is built once and called at each solve, which
+    writes that solve's data into the map's buffers (inner_apg).
     Each epoch's theta errors come from linalg.frobenius_distance, whose
     memo answers a frozen theta_k met before against the same theta*
     (linalg.frozen_memo's caching rule). Each record

@@ -64,17 +64,20 @@ def test_increasing_regime_without_growth_is_config_error(tmp_path):
     ({"n": 30.0}, "n must be an integer"),
     ({"seed": 3.5}, "seed must be an integer"),
     ({"sequential_budgets": [0, -2]}, "must be nonnegative"),
+    ({"rho_o": True}, "rho_o must be a number"),
 ])
 def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
                                                           field):
     # n = 3 draws one sample, and a NaN rho_o reached the first inner solve;
     # a float n or seed died in numpy with exit 1, and a negative budget
-    # went unchecked until a seqsim had prepared its bundle
+    # went unchecked until a seqsim had prepared its bundle; "rho_o": true
+    # ran with a penalty of 1.0 and exited 0
     cfg = small_config(tmp_path, "unusable", **overrides)
     res = run_cli("solve", "--config", str(cfg))
     assert res.returncode == 2
     assert "configuration error" in res.stderr and field in res.stderr
     assert "RuntimeWarning" not in res.stderr
+    assert not (tmp_path / "unusable").exists()
 
 
 def test_repeated_sequential_budget_is_config_error(tmp_path):

@@ -716,8 +716,8 @@ def test_config_json_round_trip(tmp_path):
                               rho_o=2.0, beta=1.04, c=0.5,
                               sequential_budgets=(0, 3), output_dir="x")
     path = tmp_path / "config.json"
-    config.to_json(path)
-    loaded = ExperimentConfig.from_json(path)
+    path.write_text(config.to_json() + "\n")
+    loaded = ExperimentConfig.from_json(path.read_text())
     assert loaded == config
     payload = json.loads(config.to_json())
     assert sorted(payload) == ["beta", "c", "epsilon", "n", "output_dir",
@@ -756,6 +756,9 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ExperimentConfig(**{name: bad})
+        # a JSON true passed as 1.0 and was written back as true
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            ExperimentConfig(**{name: True})
     for name, bad in (("n", 30.0), ("s", True), ("seed", 3.5),
                       ("sequential_budgets", (0, 2.0))):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):

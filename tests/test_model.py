@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import sys
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -476,7 +478,7 @@ def test_portfolio_forward_maps_of_one_problem_do_not_share_buffers(rng):
 
 
 def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
-    # a map rewrites only what moved since its last call, so along a
+    # a map writes the step's data for each call's arguments, so along a
     # scripted sequence of calls its step equals, bit for bit on y on and
     # off the simplex, the step of a map built fresh for that call: a new L,
     # a new rho, rho and L moved together, a new lam, a new read-only theta,
@@ -538,6 +540,23 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
                 problem.constraint_offset(th) * (2.0 if below(th) else 0.5)))):
         with pytest.raises(ValueError, match="constraint oracles"):
             replaced.forward(replaced)
+
+
+def test_portfolio_map_keeps_no_theta_alive():
+    # a call writes what it needs of theta into the map's buffers and keeps
+    # no reference to it, so a frozen theta dies with its last owner while
+    # the map and its step live on and step as before
+    instance, problem = make_small_portfolio()
+    retarget = problem.forward(problem)
+    theta = read_only(instance.sigma)
+    lam, y = np.ones(instance.s), np.full(instance.n, 1.0 / instance.n)
+    step = retarget(theta, lam, 3.0, 40.0)
+    before = step(y)
+    alive = weakref.ref(theta)
+    del theta
+    gc.collect()
+    assert alive() is None
+    assert step(y).tobytes() == before.tobytes()
 
 
 def test_hint_holds_the_constants_of_its_sum_test(rng):
