@@ -14,9 +14,9 @@ wall-clock columns cpu_learn_s and cpu_opt_s.
 """
 
 import functools
-import inspect
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
@@ -25,7 +25,8 @@ import numpy as np
 
 from .bounds import BoundInputs, bound_curves
 from .inner_apg import BudgetError, CurvatureAnchor, certified_solve
-from .learning import AdmmScsLearner, FrozenLearner, ScsProblem, admm_solve
+from .learning import (ADMM_TOL, AdmmScsLearner, FrozenLearner, ScsProblem,
+                       admm_solve)
 from .linalg import frobenius_distance, spectral_norm
 from .model import PortfolioInstance, portfolio_problem
 from .outer_alm import (StopRule, alm_run, make_constant_schedule,
@@ -51,7 +52,7 @@ _GENERATOR = {
     "psd_floor": 1e-2,
     "upsilon": 0.4,
     "risk_tradeoff": 0.1,
-    "admm_tol": inspect.signature(admm_solve).parameters["tol"].default,
+    "admm_tol": ADMM_TOL,
     "max_attempts": 50,
     "binding_tol": 1e-7,
     "f_floor": 1e-3,
@@ -109,7 +110,8 @@ class ExperimentConfig:
             raise ValueError("need n >= s >= 1 and n >= 4 (n // 2 >= 2 samples)")
         for name in ("rho_o", "beta", "c"):
             v = getattr(self, name)
-            if isinstance(v, bool):  # a JSON true is no penalty or rate
+            # a JSON true or "1.0" is no penalty or rate
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {v!r}")
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -252,6 +254,8 @@ class InstanceBundle:
     """Instance plus every derived reference quantity experiments reuse.
 
     tau_hat is the certified rate of learner_errors, the one learned rate.
+    learner_errors holds one error per ADMM sweep, so its size is the sweep
+    count, which save_bundle records in meta.json as admm_sweeps.
     problem() builds the portfolio problem on first use and hands that one
     problem to every run, so its curvature oracle's memo
     (model.portfolio_problem) makes the runs on one bundle factor each
@@ -268,7 +272,6 @@ class InstanceBundle:
     tau_hat: float
     reference: object
     binding: np.ndarray
-    admm_sweeps: int
 
     @property
     def theta0_err(self):
@@ -337,7 +340,7 @@ def prepare_bundle(config):
     return InstanceBundle(
         config=config, instance=instance, scs=scs, sigma_star=sigma_star,
         learner_errors=errors, tau_hat=_certified_rate(errors),
-        reference=reference, binding=binding, admm_sweeps=info["sweeps"],
+        reference=reference, binding=binding,
     )
 
 
@@ -362,7 +365,7 @@ def save_bundle(bundle, out_dir):
         "x_star": bundle.reference.x.tolist(),
         "kkt_residual": bundle.reference.kkt_residual,
         "binding": bundle.binding.astype(int).tolist(),
-        "admm_sweeps": bundle.admm_sweeps,
+        "admm_sweeps": bundle.learner_errors.size,
     }
     for name, text in (("instance.json", bundle.instance.to_json()),
                        ("scs.json", bundle.scs.to_json()),
@@ -528,7 +531,7 @@ def run_seq_vs_sim(config, bundle, max_outer=50):
     schedule = _schedule(config, bundle, epsilon=1e-2,
                           specification="learned", regime="increasing")
     run = dict(theta_star=bundle.sigma_star, stop=StopRule(max_outer=max_outer),
-               reference=bundle.reference, apg_mode="certified")
+               reference=bundle.reference, certify=True)
 
     curves = {}
     for budget in (*config.sequential_budgets, -1):  # -1: the simultaneous run

@@ -85,7 +85,7 @@ import numpy as np
 
 from .al_core import _check_rho, eval_L
 from .linalg import frobenius_distance, frozen, frozen_memo, spectral_norm
-from .model import NonFiniteError
+from .model import NonFiniteError, constraint_pair
 
 __all__ = [
     "ApgConfig", "BudgetError", "CurvatureAnchor", "MAX_ITERATIONS",
@@ -187,19 +187,17 @@ def lipschitz_nu(problem, rho, theta):
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError("penalty rho must be finite and nonnegative")
     L_p = float(problem.smooth_curvature(theta)[0])
-    return L_p + rho * spectral_norm(problem.constraint_matrix(theta)) ** 2
+    return L_p + rho * spectral_norm(constraint_pair(problem, theta)[0]) ** 2
 
 
 def _bound_gradient(problem, lam, rho, theta):
-    """grad nu_rho(., lam; theta) with A, b, lam/rho and the oracles bound once.
+    """(grad nu_rho(., lam; theta), A(theta)), with A, b, lam/rho and the
+    oracles bound once, from one constraint_pair.
 
     Refuses a rho that is not finite and positive before any oracle call.
     """
     _check_rho(rho)
-    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    b = np.asarray(problem.constraint_offset(theta), dtype=float)
-    if A.ndim != 2 or b.shape != A.shape[:1]:
-        raise ValueError("constraint shapes are inconsistent")
+    A, b = constraint_pair(problem, theta)
     shift = np.asarray(lam, dtype=float) / rho
     A_T = A.T
     smooth_value_grad = problem.smooth_value_grad
@@ -209,7 +207,7 @@ def _bound_gradient(problem, lam, rho, theta):
         penalty = A_T @ project_dual((A @ y + b) + shift)
         return smooth_value_grad(y, theta)[1] + rho * penalty
 
-    return grad
+    return grad, A
 
 
 def _budget(L, alpha, radius):
@@ -245,7 +243,7 @@ def _budgets(L, mu, gap, alpha, D_x):
 
 def grad_nu(problem, x, lam, rho, theta):
     """Gradient in x of the smooth part: grad p + rho A' proj_{K*}(h + lam/rho)."""
-    return _bound_gradient(problem, lam, rho, theta)(np.asarray(x, dtype=float))
+    return _bound_gradient(problem, lam, rho, theta)[0](np.asarray(x, dtype=float))
 
 
 def iteration_budget(problem, rho, theta, alpha):
@@ -308,10 +306,10 @@ def fista(step, L, x0, max_steps, stop=None, mu=0.0, first=None):
 
 def _solve(problem, x_init, lam, rho, theta, alpha, epoch, certify, anchor):
     """(x, steps, certificate of the last step, NaN unless certify)."""
-    grad = _bound_gradient(problem, lam, rho, theta)
+    grad, A = _bound_gradient(problem, lam, rho, theta)
     if anchor is None:
         anchor = CurvatureAnchor()
-    A_sq = spectral_norm(problem.constraint_matrix(theta)) ** 2
+    A_sq = spectral_norm(A) ** 2
     D_x = problem.constants.D_x
     x_init = np.asarray(x_init, dtype=float)
     where = f" at epoch {epoch}" if epoch is not None else ""

@@ -118,10 +118,6 @@ class ScsProblem:
             raise ValueError("upsilon, psd_floor and admm_penalty must be positive")
         object.__setattr__(self, "S", symmetrize(S))
 
-    @property
-    def n(self):
-        return self.S.shape[0]
-
     @functools.cached_property
     def record(self):
         """The ADMM sweeps run on this problem, from the first (`SweepRecord`).
@@ -291,9 +287,10 @@ class AdmmScsLearner:
 
 
 _MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
+ADMM_TOL = 1e-9  # admm_solve's residual tolerance, at which learners hold Sigma*
 
 
-def admm_solve(problem, tol=1e-9):
+def admm_solve(problem, tol=ADMM_TOL):
     """Run the SCS ADMM iteration to convergence, along the problem's record.
 
     Starts from the first sweep and stops at the first sweep whose primal

@@ -25,8 +25,8 @@ from .linalg import spectral_norm
 
 __all__ = [
     "NonFiniteError", "ProblemConstants", "ParametricProblem",
-    "PortfolioInstance", "evaluate_f", "constraint_value", "infeasibility",
-    "project_simplex", "simplex_prox", "portfolio_problem",
+    "PortfolioInstance", "evaluate_f", "constraint_pair", "constraint_value",
+    "infeasibility", "project_simplex", "simplex_prox", "portfolio_problem",
 ]
 
 
@@ -53,7 +53,7 @@ class ProblemConstants:
     """Problem-level constants consumed by iteration budgets and bound curves.
 
     The curvature of p and the norm of A(theta) are not here: the inner
-    solver takes both per theta, from smooth_curvature and constraint_matrix.
+    solver takes both per theta, from smooth_curvature and constraint.
 
     L_h_theta     Lipschitz constant of h in theta (uniform in x over X).
     L_f           Lipschitz constant of f in theta (uniform in x over X).
@@ -100,8 +100,10 @@ class ParametricProblem:
                                    the oracle may keep what one projection
                                    learns for the next (project_simplex
                                    keeps the support)
-    constraint_matrix(theta)    -> A(theta), shape (m, n)
-    constraint_offset(theta)    -> b(theta), shape (m,)
+    constraint(theta)           -> (A(theta), b(theta)), shapes (m, n) and
+                                   (m,): the affine map h(x; theta) =
+                                   A(theta) x + b(theta), read through
+                                   constraint_pair
     cone                        -> constraint cone K of dimension m
     smooth_curvature(theta)     -> (L_p, mu): L_p an upper bound on the
                                    Lipschitz constant of grad_x p(.; theta),
@@ -147,8 +149,7 @@ class ParametricProblem:
 
     smooth_value_grad: Callable
     prox_step: Callable
-    constraint_matrix: Callable
-    constraint_offset: Callable
+    constraint: Callable
     cone: Cone
     constants: ProblemConstants
     smooth_curvature: Callable
@@ -162,14 +163,24 @@ def evaluate_f(problem, x, theta):
     return float(problem.smooth_value_grad(x, theta)[0])
 
 
+def constraint_pair(problem, theta):
+    """(A(theta), b(theta)) from one problem.constraint call, as float arrays.
+
+    The one reader of the oracle: raises ValueError unless A is a matrix and
+    b a vector with one entry per row of A.
+    """
+    A, b = problem.constraint(theta)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError("constraint shapes are inconsistent")
+    return A, b
+
+
 def constraint_value(problem, x, theta):
     """Affine constraint map h(x; theta) = A(theta) x + b(theta)."""
-    A = np.asarray(problem.constraint_matrix(theta), dtype=float)
-    b = np.asarray(problem.constraint_offset(theta), dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.shape[1] != x.shape[0] or A.shape[0] != b.shape[0]:
-        raise ValueError("constraint shapes are inconsistent")
-    return A @ x + b
+    A, b = constraint_pair(problem, theta)
+    return A @ np.asarray(x, dtype=float) + b
 
 def infeasibility(problem, x, theta):
     """Distance of h(x; theta) to -K; zero exactly on the feasible set."""
@@ -361,7 +372,7 @@ def portfolio_problem(instance, kappa=1.0):
 
     theta is the covariance matrix, prox_step is project_simplex, and the
     constraint cone is the nonnegative orthant: h(x) = A x - b must be <= 0.
-    The constraint oracles return the instance's frozen A and one frozen
+    The constraint oracle returns the instance's frozen A and one frozen
     -b at every call.
     The curvature oracle smooth_curvature(theta) is _curvature_pair behind a
     linalg.frozen_memo of the problem's own. So the runs sharing one
@@ -386,10 +397,10 @@ def portfolio_problem(instance, kappa=1.0):
     written once), w and r B, which every step overwrites; each result is a
     fresh array, and each map holds W, B and buffers of its own, so one
     problem serves concurrent runs. The map restates smooth_value_grad's
-    gradient, the constraint oracles and the orthant's dual projection, so
+    gradient, the constraint oracle and the orthant's dual projection, so
     forward raises ValueError unless inspect.unwrap of
-    problem.smooth_value_grad, constraint_matrix and constraint_offset is
-    this problem's own oracle, the cone is a NonnegativeOrthant and its
+    problem.smooth_value_grad and of problem.constraint is this problem's
+    own oracle, the cone is a NonnegativeOrthant and its
     project_dual is the orthant's own method; a functools.wraps wrapper,
     such as a timer, stands for the oracle or method it wraps.
     """
@@ -406,21 +417,17 @@ def portfolio_problem(instance, kappa=1.0):
         value = 0.5 * float(x @ Sx) - gamma * float(mu @ x)
         return value, Sx - gamma_mu
 
-    def constraint_matrix(theta):
-        return A
-
-    def constraint_offset(theta):
-        return offset
+    def constraint(theta):
+        return A, offset
 
     def forward(problem):
         if (inspect.unwrap(problem.smooth_value_grad) is not smooth_value_grad
-                or inspect.unwrap(problem.constraint_matrix) is not constraint_matrix
-                or inspect.unwrap(problem.constraint_offset) is not constraint_offset
+                or inspect.unwrap(problem.constraint) is not constraint
                 or type(problem.cone) is not NonnegativeOrthant
                 or getattr(inspect.unwrap(problem.cone.project_dual), "__func__",
                            None) is not NonnegativeOrthant.project_dual):
             raise ValueError("the portfolio's forward map serves only its own "
-                             "smooth_value_grad, constraint oracles and a "
+                             "smooth_value_grad, constraint oracle and a "
                              "NonnegativeOrthant cone")
         m, n = A.shape
         W = np.empty((n + m, n + 1))
@@ -468,8 +475,7 @@ def portfolio_problem(instance, kappa=1.0):
     return ParametricProblem(
         smooth_value_grad=smooth_value_grad,
         prox_step=project_simplex,
-        constraint_matrix=constraint_matrix,
-        constraint_offset=constraint_offset,
+        constraint=constraint,
         cone=NonnegativeOrthant(instance.s),
         constants=constants,
         smooth_curvature=frozen_memo(_curvature_pair),

@@ -292,7 +292,7 @@ def _theta_errors(theta, theta_star, scale, where):
 
 
 def alm_run(problem, learner, schedule, x0, theta_star,
-            stop=StopRule(max_outer=50), reference=None, apg_mode="budget"):
+            stop=StopRule(max_outer=50), reference=None, certify=False):
     """Run the inexact multiplier scheme from the multiplier 0 and return its trace.
 
     Parameters
@@ -307,11 +307,10 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     stop : StopRule; with epsilon set and `reference` available the run
         stops once the reported iterate meets the target.
     reference : ReferenceSolution, optional; provides f* for suboptimality.
-    apg_mode : each inner solve runs apg_solve within its budget for
-        alpha_k; "budget" runs the budget to its end, "certified"
-        (certify=True) exits early at the first step whose gradient-mapping
-        certificate, an upper bound on that step's suboptimality, is at most
-        alpha_k.
+    certify : each inner solve runs apg_solve within its budget for
+        alpha_k, with this certify: False runs the budget to its end, True
+        exits early at the first step whose gradient-mapping certificate,
+        an upper bound on that step's suboptimality, is at most alpha_k.
 
     The run keeps its own CurvatureAnchor, so its inner solves factor the
     curvature of theta_k only when that could shorten a solve, and the
@@ -327,9 +326,6 @@ def alm_run(problem, learner, schedule, x0, theta_star,
     theta_k, x or lam holds a NaN or an infinity, also when the inner solve
     itself meets one.
     """
-    if apg_mode not in ("budget", "certified"):
-        raise ValueError(f"unknown apg_mode {apg_mode!r}")
-    certify = apg_mode == "certified"
     theta_star = np.asarray(theta_star, dtype=float)
     theta_scale = _frobenius_norm(theta_star)
     lam = np.zeros(problem.cone.dim)

@@ -114,11 +114,8 @@ def make_toy_problem(n=3, m=2, seed=0):
         lin = c + C @ theta
         return 0.5 * float(x @ P @ x) + float(lin @ x), P @ x + lin
 
-    def amat(theta):
-        return A0 + theta[0] * A1
-
-    def boff(theta):
-        return b0 + B @ theta
+    def constraint(theta):
+        return A0 + theta[0] * A1, b0 + B @ theta
 
     L_P = float(np.linalg.norm(P, 2))
     mu_P = float(np.linalg.eigvalsh(P)[0])
@@ -131,8 +128,7 @@ def make_toy_problem(n=3, m=2, seed=0):
     return ParametricProblem(
         smooth_value_grad=smooth_value_grad,
         prox_step=project_simplex,
-        constraint_matrix=amat,
-        constraint_offset=boff,
+        constraint=constraint,
         cone=NonnegativeOrthant(m),
         constants=constants,
         smooth_curvature=lambda theta: (L_P, mu_P),

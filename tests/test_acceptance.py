@@ -202,8 +202,8 @@ GRID = [(regime, spec, eps) for regime in ("constant", "increasing")
         for spec in ("known", "learned") for eps in (1e-1, 1e-2, 1e-3)]
 
 
-@pytest.mark.parametrize("apg_mode", ["budget", "certified"])
-def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mode):
+@pytest.mark.parametrize("certify", [False, True], ids=["budget", "certified"])
+def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, certify):
     # every run of the regime x specification x eps grid lies under its
     # overlay curves: infeasibility under v_k_bound, and the relative
     # suboptimality under the upper bound above f*, the lower one below it;
@@ -216,14 +216,13 @@ def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mo
     from simalm import experiments
 
     monkeypatch.setattr(experiments, "alm_run",
-                        functools.partial(alm_run, apg_mode=apg_mode))
+                        functools.partial(alm_run, certify=certify))
     t0 = time.perf_counter()
     margins = {}
     for regime, spec, eps in GRID:
         trace, curves = run_solve(DESK, eps, desk_bundle,
                                   specification=spec, regime=regime)
-        capped = (apg_mode, regime, spec, eps) == ("certified", "constant",
-                                                   "learned", 1e-3)
+        capped = certify and (regime, spec, eps) == ("constant", "learned", 1e-3)
         assert trace.converged != capped, (regime, spec, eps)
         if capped:
             assert len(trace) == 400
@@ -231,15 +230,16 @@ def test_bound_overlays_majorize_every_grid_run(desk_bundle, monkeypatch, apg_mo
             trace, curves, desk_bundle.reference.f_value)
         assert margins[regime, spec, eps] >= 1.0, (regime, spec, eps)
     worst = min(margins, key=margins.get)
-    _report(5, f"overlays majorize all {len(margins)} {apg_mode} grid runs, smallest "
+    inner_exit = "certified" if certify else "budget"
+    _report(5, f"overlays majorize all {len(margins)} {inner_exit} grid runs, smallest "
                f"ratio {margins[worst]:.3g} on {'/'.join(map(str, worst))}",
             time.perf_counter() - t0, 60.0)
 
 
-@pytest.mark.parametrize("seed, apg_mode", [
-    pytest.param(seed, mode, id=str(seed) if mode == "budget" else f"{seed}-{mode}")
-    for mode in ("budget", "certified") for seed in (1, 2, 3, 4, 5)])
-def test_grid_converges_under_its_overlays_on_other_instances(seed, apg_mode,
+@pytest.mark.parametrize("seed, certify", [
+    pytest.param(seed, certify, id=f"{seed}-certified" if certify else str(seed))
+    for certify in (False, True) for seed in (1, 2, 3, 4, 5)])
+def test_grid_converges_under_its_overlays_on_other_instances(seed, certify,
                                                               monkeypatch):
     # the desk grid on other instance seeds: learner targets near the
     # eigenvalue floor, budgets, carried curvature and overlays on data the
@@ -249,15 +249,14 @@ def test_grid_converges_under_its_overlays_on_other_instances(seed, apg_mode,
     from simalm import experiments
 
     monkeypatch.setattr(experiments, "alm_run",
-                        functools.partial(alm_run, apg_mode=apg_mode))
+                        functools.partial(alm_run, certify=certify))
     config = ExperimentConfig(n=DESK.n, s=DESK.s, seed=seed)
     bundle = prepare_bundle(config)
     for regime, spec, eps in GRID:
         trace, curves = run_solve(config, eps, bundle,
                                   specification=spec, regime=regime)
         last = trace.records[-1]
-        capped = (apg_mode, regime, spec, eps) == ("certified", "constant",
-                                                   "learned", 1e-3)
+        capped = certify and (regime, spec, eps) == ("constant", "learned", 1e-3)
         assert trace.converged != capped, (regime, spec, eps)
         if trace.converged:
             assert last.f_rel_subopt <= eps and last.infeas_at_theta_star <= eps
@@ -299,7 +298,7 @@ def test_learner_meets_its_certified_rate_past_the_record(monkeypatch, desk_bund
     # every learned schedule and overlay rests on ||theta_k - Sigma*|| <=
     # tau_hat^k ||theta_0 - Sigma*||, which _certified_rate certifies over
     # the recorded sweeps only; it must hold at every step past them too
-    sweeps, sigma_star, tau = (desk_bundle.admm_sweeps, desk_bundle.sigma_star,
+    sweeps, sigma_star, tau = (desk_bundle.learner_errors.size, desk_bundle.sigma_star,
                                desk_bundle.tau_hat)
     learner = AdmmScsLearner(desk_bundle.scs)
     errors = [np.linalg.norm(learner.theta - sigma_star, "fro")]

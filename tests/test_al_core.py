@@ -136,8 +136,7 @@ def test_dual_update_stays_in_dual_cone(data):
     A = data.draw(hnp.arrays(np.float64, (cone.dim, 3),
                              elements=st.floats(-10.0, 10.0)), label="A")
     problem = dataclasses.replace(make_toy_problem(m=cone.dim), cone=cone,
-                                  constraint_matrix=lambda th: A,
-                                  constraint_offset=lambda th: b)
+                                  constraint=lambda th: (A, b))
     x = random_simplex_point(np.random.default_rng(data.draw(
         st.integers(0, 2**32 - 1), label="seed")), 3)
     theta = np.zeros(2)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,13 +66,15 @@ def test_increasing_regime_without_growth_is_config_error(tmp_path):
     ({"seed": 3.5}, "seed must be an integer"),
     ({"sequential_budgets": [0, -2]}, "must be nonnegative"),
     ({"rho_o": True}, "rho_o must be a number"),
+    ({"rho_o": "1.0"}, "rho_o must be a number"),
 ])
 def test_unusable_config_is_config_error_before_any_solve(tmp_path, overrides,
                                                           field):
     # n = 3 draws one sample, and a NaN rho_o reached the first inner solve;
     # a float n or seed died in numpy with exit 1, and a negative budget
     # went unchecked until a seqsim had prepared its bundle; "rho_o": true
-    # ran with a penalty of 1.0 and exited 0
+    # ran with a penalty of 1.0 and exited 0, and "rho_o": "1.0" exited 2
+    # naming no field
     cfg = small_config(tmp_path, "unusable", **overrides)
     res = run_cli("solve", "--config", str(cfg))
     assert res.returncode == 2
@@ -163,6 +166,9 @@ def test_generate_writes_instance_files(tmp_path):
     assert 0.0 < meta["tau_hat"] < 1.0
     assert "tau_cert" not in meta
     assert meta["kkt_residual"] <= 1e-9
+    # one learner error per ADMM sweep, at admm_solve's default tolerance
+    assert meta["admm_sweeps"] == np.load(out / "learner_errors.npy").size
+    assert meta["generator"]["admm_tol"] == 1e-9
 
 
 def test_solve_writes_trace(tmp_path):

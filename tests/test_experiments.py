@@ -102,7 +102,7 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
 
     # the history is the bundle's record itself, every sweep the solve ran
     record = bundle.scs.record
-    assert len(record.sigmas) == bundle.admm_sweeps
+    assert len(record.sigmas) == bundle.learner_errors.size
     _, info = admm_solve(bundle.scs, tol=1e-9)
     assert all(a is b for a, b in zip(info["history"], record.sigmas, strict=True))
 
@@ -116,14 +116,14 @@ def test_setup_runs_each_solve_once(monkeypatch, small_config):
     np.testing.assert_array_equal(bundle.learner_errors, errors)
     assert bundle.tau_hat == _certified_rate(errors)
     assert bundle.reference.f_value == ref.f_value
-    assert bundle.admm_sweeps == info["sweeps"]
+    assert bundle.learner_errors.size == info["sweeps"]
 
 
 def test_bundle_shares_the_record_sigma_star(small_bundle):
     # the bundle keeps the ADMM record's read-only Sigma*, and a known run's
     # FrozenLearner holds that very array, uncopied
     sigma_star = small_bundle.sigma_star
-    assert sigma_star is small_bundle.scs.record.sigmas[small_bundle.admm_sweeps - 1]
+    assert sigma_star is small_bundle.scs.record.sigmas[small_bundle.learner_errors.size - 1]
     with pytest.raises(ValueError, match="read-only"):
         sigma_star[0, 0] = 0.0
     assert experiments._learner(small_bundle, "known").theta is sigma_star
@@ -158,16 +158,17 @@ def test_learned_grid_replays_the_bundle_record(monkeypatch, small_config):
             run_solve(small_config, eps, bundle, specification="learned",
                       regime=regime)
     assert len(learners) == 6
-    # step k reveals sweep k + 1, and the record holds sweeps 1..admm_sweeps:
-    # a learner past the record holds its last sweep, Sigma*, and runs none
+    # step k reveals sweep k + 1, and the record holds one sweep per learner
+    # error: a learner past the record holds its last sweep, Sigma*, and
+    # runs none
     beyond = [learner for learner in learners
-              if learner.steps_taken >= bundle.admm_sweeps]
+              if learner.steps_taken >= bundle.learner_errors.size]
     assert beyond
     for learner in beyond:
         np.testing.assert_array_equal(learner.theta, bundle.sigma_star)
         assert learner.theta is bundle.scs.record.sigmas[-1]
     assert counts == {"sweeps": 0, "eigh": 0}
-    assert len(bundle.scs.record.sigmas) == bundle.admm_sweeps
+    assert len(bundle.scs.record.sigmas) == bundle.learner_errors.size
     with pytest.raises(ValueError):
         AdmmScsLearner(bundle.scs).theta[0, 0] = 1.0
 
@@ -419,10 +420,11 @@ def test_bundle_norm_answers_only_its_own_A(monkeypatch, small_config):
     assert svds() == [A.shape]
     assert lipschitz_nu(problem, 2.0, theta) == want[0]
     assert svds() == [A.shape]
-    doubled = dataclasses.replace(problem, constraint_matrix=lambda th: 2.0 * A)
+    offset = problem.constraint(theta)[1]
+    doubled = dataclasses.replace(problem, constraint=lambda th: (2.0 * A, offset))
     assert lipschitz_nu(doubled, 2.0, theta) == want[1]
     assert len(svds()) == 2
-    copied = dataclasses.replace(problem, constraint_matrix=lambda th: writable)
+    copied = dataclasses.replace(problem, constraint=lambda th: (writable, offset))
     assert lipschitz_nu(copied, 2.0, theta) == want[0]
     assert len(svds()) == 3
     writable[0, 0] = 1.0 - writable[0, 0]
@@ -458,7 +460,7 @@ def test_increasing_schedule_overlays_and_errors_share_one_rate(small_config,
     learner = AdmmScsLearner(small_bundle.scs)
     errors = [np.linalg.norm(learner.theta - small_bundle.sigma_star, "fro")]
     errors += [np.linalg.norm(learner.step() - small_bundle.sigma_star, "fro")
-               for _ in range(small_bundle.admm_sweeps - 2)]
+               for _ in range(small_bundle.learner_errors.size - 2)]
     checked = [k for k, err in enumerate(errors) if err > 1e-10 * errors[0]]
     assert len(checked) > 10
     for k in checked:
@@ -756,9 +758,11 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ExperimentConfig(**{name: bad})
-        # a JSON true passed as 1.0 and was written back as true
-        with pytest.raises(ValueError, match=f"{name} must be a number"):
-            ExperimentConfig(**{name: True})
+        # a JSON true passed as 1.0 and was written back as true, and a
+        # string died in math.isfinite, naming no field
+        for bad in (True, "1.0"):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                ExperimentConfig(**{name: bad})
     for name, bad in (("n", 30.0), ("s", True), ("seed", 3.5),
                       ("sequential_budgets", (0, 2.0))):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):

@@ -65,7 +65,7 @@ def test_one_dimensional_clamped_quadratic():
 
 def test_lipschitz_constant_formula(rng, toy_problem):
     theta = rng.standard_normal(2)
-    A = toy_problem.constraint_matrix(theta)
+    A = toy_problem.constraint(theta)[0]
     base = toy_problem.smooth_curvature(theta)[0]
     assert lipschitz_nu(toy_problem, 0.0, theta) == pytest.approx(base)
     got = lipschitz_nu(toy_problem, 2.0, theta)
@@ -94,9 +94,8 @@ def test_rho_not_finite_and_positive_is_refused_before_any_oracle_call(rho):
         return wrapped
 
     spied = dataclasses.replace(portfolio, **{name: spy(name) for name in (
-        "smooth_value_grad", "prox_step", "constraint_matrix",
-        "constraint_offset", "smooth_curvature", "linear_min",
-        "forward")})
+        "smooth_value_grad", "prox_step", "constraint", "smooth_curvature",
+        "linear_min", "forward")})
     args = (spied, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
             rho, instance.sigma)
     for solve in (lambda: apg_solve(*args, ApgConfig(alpha=1e-3)),
@@ -114,7 +113,7 @@ def test_rho_not_finite_and_positive_is_refused_before_any_oracle_call(rho):
             lipschitz_nu(portfolio, rho, instance.sigma)
 
 
-def test_identity_constraint_matrix_curvature():
+def test_identity_constraint_map_curvature():
     # A = I, rho = 2, L_p = 1 -> 3
     from simalm.cones import NonnegativeOrthant
     from simalm.model import ParametricProblem, ProblemConstants
@@ -123,8 +122,7 @@ def test_identity_constraint_matrix_curvature():
     problem = ParametricProblem(
         smooth_value_grad=lambda x, th: (0.5 * float(x @ x), np.asarray(x, float)),
         prox_step=project_simplex,
-        constraint_matrix=lambda th: np.eye(n),
-        constraint_offset=lambda th: np.zeros(n),
+        constraint=lambda th: (np.eye(n), np.zeros(n)),
         cone=NonnegativeOrthant(n),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
@@ -165,7 +163,7 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     # matrix keeps A's entry, so a run on a frozen estimate on a new problem
     # factors theta once and takes no SVD
     instance, problem = make_small_portfolio()
-    A = problem.constraint_matrix(instance.sigma)  # the instance's own array
+    A, offset = problem.constraint(instance.sigma)  # the instance's own A
     theta = instance.sigma
     assert not (A.flags.writeable or theta.flags.writeable)
     fresh = _portfolio_lipschitz(theta, A, 2.0)
@@ -193,7 +191,7 @@ def test_lipschitz_norms_computed_once_per_theta(decompositions):
     # solve without an anchor. The portfolio's map serves only the
     # instance's own A, so the writable one is stepped without a map
     writable_theta, writable_A = theta.copy(), A.copy()
-    own = dataclasses.replace(problem, constraint_matrix=lambda th: writable_A,
+    own = dataclasses.replace(problem, constraint=lambda th: (writable_A, offset),
                               forward=None)
     anchor, config = CurvatureAnchor(), ApgConfig(alpha=1e-3)
     for mutate in (lambda: None, lambda: writable_theta.__imul__(2.0),
@@ -587,8 +585,7 @@ def test_prox_fixed_point_at_solution():
         smooth_value_grad=lambda x, th: (0.5 * float((x - v) @ (x - v)),
                                          np.asarray(x, float) - v),
         prox_step=project_simplex,
-        constraint_matrix=lambda th: np.zeros((1, n)),
-        constraint_offset=lambda th: np.array([-1.0]),
+        constraint=lambda th: (np.zeros((1, n)), np.array([-1.0])),
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
@@ -612,8 +609,8 @@ def _simplex_qp_problem(Q, c):
         smooth_value_grad=lambda x, th: (0.5 * float(x @ Q @ x) + float(c @ x),
                                          Q @ x + c),
         prox_step=project_simplex,
-        constraint_matrix=lambda th: np.zeros((1, n)),
-        constraint_offset=lambda th: np.array([-1.0]),  # h = -1 <= 0: inert
+        # h = -1 <= 0: inert
+        constraint=lambda th: (np.zeros((1, n)), np.array([-1.0])),
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (L_Q, mu_Q),
@@ -938,7 +935,7 @@ def test_certified_value_is_the_augmented_lagrangian(rng, toy_problem):
     instance, portfolio = make_small_portfolio()
     for problem, theta, m in ((portfolio, instance.sigma, instance.s),
                               (toy_problem, np.array([0.3, -0.5]), 2)):
-        n = problem.constraint_matrix(theta).shape[1]
+        n = problem.constraint(theta)[0].shape[1]
         for _ in range(3):
             lam = np.abs(rng.standard_normal(m))
             rho = rng.uniform(0.5, 4.0)
@@ -954,7 +951,7 @@ def test_anchorless_solve_runs_on_a_fresh_anchor(rng, toy_problem):
     instance, portfolio = make_small_portfolio()
     for problem, theta, m in ((portfolio, 1.1 * instance.sigma, instance.s),
                               (toy_problem, np.array([0.3, -0.5]), 2)):
-        n = problem.constraint_matrix(theta).shape[1]
+        n = problem.constraint(theta)[0].shape[1]
         x0 = random_simplex_point(rng, n)
         lam = np.abs(rng.standard_normal(m))
         args = (problem, x0, lam, 2.0, theta)
@@ -1284,7 +1281,7 @@ def test_config_validation(toy_problem):
 def _reference_grad(problem, lam, rho, theta):
     # gradient of nu_rho written from the public oracles, re-fetched per call
     def grad(y):
-        A = np.asarray(problem.constraint_matrix(theta), dtype=float)
+        A = np.asarray(problem.constraint(theta)[0], dtype=float)
         h = constraint_value(problem, y, theta)
         _, gp = problem.smooth_value_grad(y, theta)
         return gp + rho * (A.T @ problem.cone.project_dual(h + lam / rho))
@@ -1372,10 +1369,10 @@ def _fused_reference(problem, lam, rho, theta, L, project):
     # product w = [[I - theta/L, gamma mu / L], [A, b + lam/rho]] [y; 1],
     # where -gamma mu = grad p(0), then r = max(w[n:], 0) and project(w[:n]
     # - r (rho/L) A)
-    A = problem.constraint_matrix(theta)
+    A, b = problem.constraint(theta)
     n = A.shape[1]
     d = -problem.smooth_value_grad(np.zeros(n), theta)[1] / L
-    c = problem.constraint_offset(theta) + lam / rho
+    c = b + lam / rho
     W = np.block([[np.eye(n) - theta / L, d[:, None]], [A, c[:, None]]])
     B = (rho / L) * A
 
@@ -1464,7 +1461,8 @@ def test_solvers_match_reference_loop_bit_for_bit(rng):
 
 
 def test_inconsistent_constraint_shapes_raise(toy_problem):
-    bad = dataclasses.replace(toy_problem, constraint_offset=lambda th: np.zeros(3))
+    bad = dataclasses.replace(toy_problem, constraint=lambda th: (
+        toy_problem.constraint(th)[0], np.zeros(3)))
     x0, lam, theta = np.full(3, 1 / 3), np.zeros(2), np.zeros(2)
     with pytest.raises(ValueError, match="inconsistent"):
         apg_solve(bad, x0, lam, 1.0, theta, ApgConfig(alpha=1e-2))

@@ -15,9 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from simalm.al_core import dual_update, eval_L
+from simalm.inner_apg import ApgConfig, apg_solve, certified_solve, grad_nu
+from simalm.learning import FrozenLearner
 from simalm.model import (NonFiniteError, PortfolioInstance,
                           constraint_value, evaluate_f, infeasibility,
                           portfolio_problem, project_simplex, simplex_prox)
+from simalm.outer_alm import StopRule, alm_run, make_constant_schedule
 from conftest import make_small_portfolio, random_simplex_point, read_only
 
 
@@ -312,6 +316,93 @@ def test_constraint_value_and_infeasibility(rng):
         float(problem.cone.dist_neg(h)))
 
 
+def _counted_constraint(problem, calls):
+    """problem with its constraint oracle wrapped to record each theta it
+    is called with; functools.wraps keeps it the portfolio's own oracle
+    for its forward map."""
+    oracle = problem.constraint
+
+    @functools.wraps(oracle)
+    def constraint(theta):
+        calls.append(theta)
+        return oracle(theta)
+
+    return dataclasses.replace(problem, constraint=constraint)
+
+
+_CONSTRAINT_READERS = {
+    "apg_solve": lambda p, x, lam, th: apg_solve(p, x, lam, 1.0, th,
+                                                  ApgConfig(alpha=1e-2)),
+    "certified_solve": lambda p, x, lam, th: certified_solve(p, x, lam, 1.0, th,
+                                                              gap_tol=1e-6),
+    "dual_update": lambda p, x, lam, th: dual_update(p, lam, 1.0, x, th),
+    "eval_L": lambda p, x, lam, th: eval_L(p, x, lam, 1.0, th),
+    "grad_nu": lambda p, x, lam, th: grad_nu(p, x, lam, 1.0, th),
+    "infeasibility": lambda p, x, lam, th: infeasibility(p, x, th),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_CONSTRAINT_READERS))
+@pytest.mark.parametrize("misshapen", ["offset", "1-d matrix"])
+def test_constraint_shapes_are_checked_in_one_place(toy_problem, reader, misshapen):
+    # every reader of the constraint oracle fetches (A, b) through
+    # constraint_pair, the one function that raises the shape error: a b
+    # with a length other than A's row count, or a 1-d A, is refused there
+    # before any gradient, projection or curvature oracle runs
+    def constraint(theta):
+        A, b = toy_problem.constraint(theta)
+        return (A, np.zeros(b.size + 1)) if misshapen == "offset" else (A[0], b[:1])
+
+    called = []
+
+    def spy(name):
+        oracle = getattr(toy_problem, name)
+
+        def wrapped(*args):
+            called.append(name)
+            return oracle(*args)
+
+        return wrapped
+
+    bad = dataclasses.replace(toy_problem, constraint=constraint, **{
+        name: spy(name) for name in ("smooth_value_grad", "prox_step",
+                                     "smooth_curvature", "linear_min")})
+    x0, lam, theta = np.full(3, 1 / 3), np.zeros(2), np.zeros(2)
+    with pytest.raises(ValueError, match="constraint shapes are inconsistent") as err:
+        _CONSTRAINT_READERS[reader](bad, x0, lam, theta)
+    assert err.traceback[-1].name == "constraint_pair"
+    assert called == []
+
+
+def test_one_constraint_call_per_inner_solve(rng, toy_problem):
+    # an inner solve reads the constraint oracle once, for its gradient and
+    # for ||A||, under either exit; certified_solve reads it once more for
+    # its eval_L value, and a run's epoch reads it three times: its solve,
+    # its dual update and its report's infeasibility
+    instance, portfolio = make_small_portfolio()
+    for problem, theta, m in ((portfolio, instance.sigma, instance.s),
+                              (toy_problem, np.array([0.3, -0.5]), 2)):
+        calls = []
+        counting = _counted_constraint(problem, calls)
+        n = problem.constraint(theta)[0].shape[1]
+        x0, lam = random_simplex_point(rng, n), np.abs(rng.standard_normal(m))
+        for certify in (False, True):
+            calls.clear()
+            apg_solve(counting, x0, lam, 2.0, theta, ApgConfig(alpha=1e-4),
+                      certify=certify)
+            assert len(calls) == 1 and calls[0] is theta
+        calls.clear()
+        certified_solve(counting, x0, lam, 2.0, theta, gap_tol=1e-4)
+        assert len(calls) == 2
+    calls = []
+    counting = _counted_constraint(portfolio, calls)
+    schedule = make_constant_schedule(1e-2, 2.0, learner_known=True)
+    trace = alm_run(counting, FrozenLearner(instance.sigma), schedule,
+                    x0=np.full(instance.n, 1.0 / instance.n),
+                    theta_star=instance.sigma, stop=StopRule(max_outer=4))
+    assert len(calls) == 3 * len(trace) == 12
+
+
 def test_infeasibility_examples():
     instance, problem = make_small_portfolio(n=6, s=2, sector_limit=10.0)
     # generous limits: any simplex point is feasible
@@ -338,8 +429,6 @@ def test_gradient_oracles_agree_bit_for_bit(rng, toy_problem):
     # smooth_value_grad is the one oracle for p: evaluate_f returns its
     # value, and where the penalty vanishes (h(x) <= 0 and lam = 0) the
     # inner solver's gradient grad_nu is its gradient, bit for bit
-    from simalm.inner_apg import grad_nu
-
     instance, portfolio = make_small_portfolio(sector_limit=10.0)
     cases = [(toy_problem, 3, 2, lambda: rng.standard_normal(2)),
              (portfolio, instance.n, instance.s,
@@ -367,7 +456,7 @@ def test_portfolio_forward_backward_matches_the_composed_step(
     # lipschitz_nu: both project a point v whose entries are at most
     # max(|y|, |grad|/L) in size, and the projection is 1-Lipschitz, so
     # they agree to 1e-12 relative to that size
-    from simalm.inner_apg import grad_nu, lipschitz_nu
+    from simalm.inner_apg import lipschitz_nu
 
     s = max(1, n // 3)
     _, problem = make_small_portfolio(n=n, s=s, seed=seed % 1000)
@@ -483,9 +572,9 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
     # off the simplex, the step of a map built fresh for that call: a new L,
     # a new rho, rho and L moved together, a new lam, a new read-only theta,
     # a writable theta, that theta written in place, and the first theta
-    # again. It holds A and b from its build and reads neither oracle at a
-    # call, so a problem whose constraint_matrix or constraint_offset was
-    # replaced by an oracle that depends on theta is refused by forward
+    # again. It holds A and b from its build and reads no constraint at a
+    # call, so a problem whose constraint oracle was replaced by one whose
+    # A or b depends on theta is refused by forward
     instance, problem = make_small_portfolio()
     n, s = instance.n, instance.s
     theta, other = read_only(instance.sigma), read_only(1.3 * instance.sigma)
@@ -521,9 +610,7 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
             return oracle(th)
         return read
 
-    counting = dataclasses.replace(
-        problem, constraint_matrix=counted(problem.constraint_matrix),
-        constraint_offset=counted(problem.constraint_offset))
+    counting = dataclasses.replace(problem, constraint=counted(problem.constraint))
     held = counting.forward(counting)
     for before, args in script:
         if before is not None:
@@ -534,11 +621,13 @@ def test_portfolio_held_map_steps_as_a_fresh_map_at_every_call(rng):
             assert np.array_equal(step(y), fresh(y))
     assert reads == []
     for replaced in (
-            dataclasses.replace(problem, constraint_matrix=lambda th: (
-                shifted if below(th) else instance.sector_matrix)),
-            dataclasses.replace(problem, constraint_offset=lambda th: (
-                problem.constraint_offset(th) * (2.0 if below(th) else 0.5)))):
-        with pytest.raises(ValueError, match="constraint oracles"):
+            dataclasses.replace(problem, constraint=lambda th: (
+                shifted if below(th) else instance.sector_matrix,
+                problem.constraint(th)[1])),
+            dataclasses.replace(problem, constraint=lambda th: (
+                instance.sector_matrix,
+                problem.constraint(th)[1] * (2.0 if below(th) else 0.5)))):
+        with pytest.raises(ValueError, match="constraint oracle"):
             replaced.forward(replaced)
 
 
@@ -577,27 +666,25 @@ def test_hint_holds_the_constants_of_its_sum_test(rng):
 
 
 @pytest.mark.parametrize("field", ["smooth_value_grad", "cone", "project_dual",
-                                   "constraint_matrix", "constraint_offset"])
+                                   "constraint"])
 def test_portfolio_forward_refuses_a_replaced_oracle(field):
-    # the map restates the portfolio's gradient, its constraint oracles and
+    # the map restates the portfolio's gradient, its constraint oracle and
     # its orthant's dual projection, so a replace of any that keeps the map
     # is refused at the first solve, never stepped past: a plain closure
-    # around the gradient or a constraint oracle, a cone of another type
+    # around the gradient or the constraint oracle, a cone of another type
     # (here the same orthant as a one-factor product), or a copy of the
     # orthant whose dual projection is a plain closure around its own
     from simalm.cones import ProductCone
-    from simalm.inner_apg import ApgConfig, apg_solve
 
     instance, problem = make_small_portfolio()
     own, cone = problem.smooth_value_grad, problem.cone
     closed_over = copy.copy(cone)
     closed_over.project_dual = lambda y: cone.project_dual(y)
-    A, b = problem.constraint_matrix, problem.constraint_offset
+    constraint = problem.constraint
     replacement = {"smooth_value_grad": {"smooth_value_grad": lambda x, theta: own(x, theta)},
                    "cone": {"cone": ProductCone([cone])},
                    "project_dual": {"cone": closed_over},
-                   "constraint_matrix": {"constraint_matrix": lambda theta: A(theta)},
-                   "constraint_offset": {"constraint_offset": lambda theta: b(theta)}}[field]
+                   "constraint": {"constraint": lambda theta: constraint(theta)}}[field]
     bad = dataclasses.replace(problem, **replacement)
     with pytest.raises(ValueError, match="forward map serves only"):
         apg_solve(bad, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
@@ -608,8 +695,6 @@ def test_portfolio_forward_takes_a_wrapped_oracle_for_its_own():
     # a functools.wraps spy of the gradient oracle, or of the orthant's dual
     # projection, stands for what it wraps: the map serves it, and the
     # solve runs bit for bit
-    from simalm.inner_apg import ApgConfig, apg_solve
-
     instance, problem = make_small_portfolio()
     calls = []
 

@@ -41,8 +41,7 @@ def tiny_capped_qp():
     problem = ParametricProblem(
         smooth_value_grad=svg,
         prox_step=project_simplex,
-        constraint_matrix=lambda th: A,
-        constraint_offset=lambda th: -b,
+        constraint=lambda th: (A, -b),
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
@@ -181,7 +180,7 @@ def test_run_tiny_qp_reaches_kkt_solution():
     trace = alm_run(problem, learner, schedule,
                     x0=np.array([0.5, 0.5]), theta_star=theta,
                     stop=StopRule(max_outer=50, epsilon=1e-2),
-                    reference=reference, apg_mode="certified")
+                    reference=reference, certify=True)
     x_bar = trace.reported_x
     assert abs(evaluate_f(problem, x_bar, theta) - reference.f_value) <= 1e-4
     assert infeasibility(problem, x_bar, theta) <= 1e-4
@@ -210,7 +209,7 @@ def test_budget_run_logs_one_debug_line_per_epoch(caplog):
 
 
 def test_certified_run_matches_a_certified_solve_loop_without_values(monkeypatch):
-    # apg_mode="certified" takes the same steps as certified_solve, epoch by
+    # certify=True takes the same steps as certified_solve, epoch by
     # epoch on one anchor, bit for bit, but evaluates no augmented
     # Lagrangian value; the certificate exits before the budget
     from simalm import inner_apg
@@ -225,9 +224,9 @@ def test_certified_run_matches_a_certified_solve_loop_without_values(monkeypatch
     def new_learner():
         return SyntheticLearner(instance.sigma, 1.4 * instance.sigma, 0.6)
 
-    def run(apg_mode):
+    def run(certify):
         return alm_run(problem, new_learner(), schedule, x0, theta_star=instance.sigma,
-                       stop=StopRule(max_outer=epochs), apg_mode=apg_mode)
+                       stop=StopRule(max_outer=epochs), certify=certify)
 
     learner = new_learner()
     anchor = CurvatureAnchor()
@@ -244,14 +243,14 @@ def test_certified_run_matches_a_certified_solve_loop_without_values(monkeypatch
 
     values = []
     monkeypatch.setattr(inner_apg, "eval_L", lambda *args: values.append(args))
-    trace = run("certified")
+    trace = run(True)
     assert values == []
     assert len(trace) == epochs
     for rec, (x, lam, steps) in zip(trace.records, want):
         assert rec.x.tobytes() == x.tobytes()
         assert rec.lam.tobytes() == lam.tobytes()
         assert rec.inner_iterations == steps
-    assert trace.total_inner < run("budget").total_inner
+    assert trace.total_inner < run(False).total_inner
 
 
 def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
@@ -264,8 +263,7 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
         smooth_value_grad=lambda x, th: (0.5 * float((x - v) @ (x - v)),
                                          np.asarray(x, float) - v),
         prox_step=project_simplex,
-        constraint_matrix=lambda th: A,
-        constraint_offset=lambda th: np.array([-10.0]),
+        constraint=lambda th: (A, np.array([-10.0])),
         cone=NonnegativeOrthant(1),
         constants=ProblemConstants(L_h_theta=0.0, L_f=0.0, D_x=1.0),
         smooth_curvature=lambda th: (1.0, 0.0),
@@ -276,7 +274,7 @@ def test_run_with_slack_constraints_keeps_zero_multiplier(rng):
     schedule = make_constant_schedule(1e-3, 1.0, learner_known=True)
     trace = alm_run(problem, learner, schedule,
                     x0=np.full(n, 0.25), theta_star=theta,
-                    stop=StopRule(max_outer=6), apg_mode="certified")
+                    stop=StopRule(max_outer=6), certify=True)
     for rec in trace.records:
         np.testing.assert_allclose(rec.lam, 0.0, atol=1e-12)
     np.testing.assert_allclose(trace.reported_x, v, atol=1e-3)
@@ -608,8 +606,8 @@ def test_non_finite_gradient_inside_inner_solve_raises_naming_epoch():
         assert len(calls) == want_calls
 
 
-@pytest.mark.parametrize("apg_mode", ["budget", "certified"])
-def test_non_finite_warm_start_gradient_names_quantity_and_epoch_once(apg_mode):
+@pytest.mark.parametrize("certify", [False, True], ids=["budget", "certified"])
+def test_non_finite_warm_start_gradient_names_quantity_and_epoch_once(certify):
     # the inner solve's own message reaches the caller: it names the
     # gradient, not x, and the epoch once
     import dataclasses
@@ -631,7 +629,7 @@ def test_non_finite_warm_start_gradient_names_quantity_and_epoch_once(apg_mode):
     with pytest.raises(NonFiniteError) as err:
         alm_run(bad, SyntheticLearner(sigma, sigma, 0.6), schedule,
                 x0=np.full(instance.n, 0.1), theta_star=sigma,
-                stop=StopRule(max_outer=3), apg_mode=apg_mode)
+                stop=StopRule(max_outer=3), certify=certify)
     assert str(err.value) == "non-finite gradient at the warm start at epoch 0"
     assert len(calls) == 1
 

@@ -35,7 +35,7 @@ def test_grid_converges_and_repeats_its_traces(n, s, tmp_path):
                 if spec == "learned":
                     assert rate_violations(
                         trace.column("learner_steps"), trace.column("theta_err"),
-                        bundle.tau_hat, bundle.admm_sweeps) == [], (regime, tag)
+                        bundle.tau_hat, bundle.learner_errors.size) == [], (regime, tag)
                 path = tmp_path / f"{regime}_{spec}_{tag}.csv"
                 trace.to_csv(path, bound_curves=curves)
                 rows[tag] = csv_without_timing(path)
