@@ -666,13 +666,15 @@ def test_hint_holds_the_constants_of_its_sum_test(rng):
 
 
 @pytest.mark.parametrize("field", ["smooth_value_grad", "cone", "project_dual",
-                                   "constraint"])
+                                   "constraint", "constraint_matrix",
+                                   "constraint_offset"])
 def test_portfolio_forward_refuses_a_replaced_oracle(field):
     # the map restates the portfolio's gradient, its constraint oracle and
     # its orthant's dual projection, so a replace of any that keeps the map
     # is refused at the first solve, never stepped past: a plain closure
-    # around the gradient or the constraint oracle, a cone of another type
-    # (here the same orthant as a one-factor product), or a copy of the
+    # around the gradient or the constraint oracle, a constraint oracle
+    # whose A or whose b differs from the portfolio's, a cone of another
+    # type (here the same orthant as a one-factor product), or a copy of the
     # orthant whose dual projection is a plain closure around its own
     from simalm.cones import ProductCone
 
@@ -684,7 +686,11 @@ def test_portfolio_forward_refuses_a_replaced_oracle(field):
     replacement = {"smooth_value_grad": {"smooth_value_grad": lambda x, theta: own(x, theta)},
                    "cone": {"cone": ProductCone([cone])},
                    "project_dual": {"cone": closed_over},
-                   "constraint": {"constraint": lambda theta: constraint(theta)}}[field]
+                   "constraint": {"constraint": lambda theta: constraint(theta)},
+                   "constraint_matrix": {"constraint": lambda theta: (
+                       2.0 * constraint(theta)[0], constraint(theta)[1])},
+                   "constraint_offset": {"constraint": lambda theta: (
+                       constraint(theta)[0], constraint(theta)[1] + 1.0)}}[field]
     bad = dataclasses.replace(problem, **replacement)
     with pytest.raises(ValueError, match="forward map serves only"):
         apg_solve(bad, np.full(instance.n, 1.0 / instance.n), np.ones(instance.s),
