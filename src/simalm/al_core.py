@@ -27,7 +27,10 @@ def _check_rho(rho):
 
 
 def eval_L(problem, x, lam, rho, theta):
-    """Value of the augmented Lagrangian at (x, lam)."""
+    """Value of the augmented Lagrangian at (x, lam).
+
+    The one evaluation of L_rho; certified_solve reports it at its x.
+    """
     _check_rho(rho)
     lam = np.asarray(lam, dtype=float)
     h = constraint_value(problem, x, theta)

@@ -121,7 +121,9 @@ def _geometric_constants(inputs):
     C' = sum sqrt(2 alpha_i rho_i) + rho0 kappa ||theta_0 - theta*|| /
     (1 - beta tau) + ||lambda*||, where the beta^k factors of the series
     cancel, leaving sqrt(2 alpha0 rho0) sum (i+1)^-(1+c); the lead term is
-    (2 C' + ||lambda*||)^2 / rho0.
+    (2 C' + ||lambda*||)^2 / rho0. The geometric branch of `_evaluate`
+    names what bound_report reports: C' as c_lambda_prime and B_0 (`_b_k`
+    at k = 0) as b_0.
     """
     s = inputs.schedule
     cp = (np.sqrt(2.0 * s.alpha0 * s.rho0) * inverse_power_series(1.0 + s.c)
@@ -175,7 +177,8 @@ def _evaluate(inputs, ks):
             "subopt_lower_bound": 0.5 * s.rho0 * v ** 2 + inputs.lambda_star_norm * v,
             "dual_gap_bound": constants["b_g"] / ks,
         }
-    constants = cp, lead = _geometric_constants(inputs)
+    cp, lead = _geometric_constants(inputs)
+    constants = {"c_lambda_prime": cp, "b_0": float(_b_k(inputs, lead, 0.0))}
     epochs = ks - 1.0
     # beta^(k-1) overflows to inf far out, where every curve reads 0, its limit
     with np.errstate(over="ignore"):
@@ -209,12 +212,10 @@ def bound_report(inputs, k_max=50):
     """Every evaluated constant plus bound_curves over rows 1..k_max.
 
     Returns {"constants": name -> value, "curves": name -> array}.
-    Constant-penalty inputs report c_lambda, b_g, C1, C2 and u_const;
-    geometric inputs report c_lambda_prime and b_0.
+    Constant-penalty inputs report c_lambda, b_g, C1, C2 and u_const, the
+    names `_constant_constants` sets; geometric inputs report
+    c_lambda_prime and b_0, the names the geometric branch of `_evaluate`
+    sets.
     """
     constants, curves = _evaluate(inputs, np.arange(1, k_max + 1, dtype=float))
-    if inputs.schedule.is_geometric:
-        cp, lead = constants
-        constants = {"c_lambda_prime": cp,
-                     "b_0": float(_b_k(inputs, lead, 0.0))}
     return {"constants": constants, "curves": curves}

@@ -27,12 +27,12 @@ from .bounds import BoundInputs, bound_curves
 from .inner_apg import BudgetError, CurvatureAnchor, certified_solve
 from .learning import (ADMM_TOL, AdmmScsLearner, FrozenLearner, ScsProblem,
                        admm_solve)
-from .linalg import frobenius_distance, spectral_norm
+from .linalg import frobenius_distance, spectral_norm, symmetrize
 from .model import PortfolioInstance, portfolio_problem
 from .outer_alm import (StopRule, alm_run, make_constant_schedule,
                         make_increasing_schedule, sequential_baseline,
                         write_csv)
-from .reference import portfolio_reference
+from .reference import portfolio_reference, simplex_qp
 
 __all__ = [
     "ExperimentConfig", "InstanceBundle", "TableRow", "band_covariance",
@@ -210,8 +210,6 @@ def _draw_instance(config):
     in every draw, so (n, s) admits no instance, and RuntimeError when no
     draw that passed that test gave binding sector constraints.
     """
-    from .reference import simplex_qp
-
     binding_tol = _GENERATOR["binding_tol"]
     least_peak_load = math.inf  # over the draws skipped for their uniform load
     load_passed = False
@@ -225,7 +223,7 @@ def _draw_instance(config):
         load_passed = True
         info = admm_solve(scs)[1]
         sigma_star = info["history"][-1]
-        x_free, _, _ = simplex_qp(0.5 * (sigma_star + sigma_star.T),
+        x_free, _, _ = simplex_qp(symmetrize(sigma_star),
                                   -instance.risk_tradeoff * instance.mu)
         free_peak = float(np.max(instance.sector_matrix @ x_free))
         cap = float(instance.sector_limits[0])
@@ -253,7 +251,9 @@ def _draw_instance(config):
 class InstanceBundle:
     """Instance plus every derived reference quantity experiments reuse.
 
-    tau_hat is the certified rate of learner_errors, the one learned rate.
+    tau_hat is the certified rate of learner_errors, the one learned rate:
+    learned schedules are checked against it and learned bound overlays
+    use it.
     learner_errors holds one error per ADMM sweep, so its size is the sweep
     count, which save_bundle records in meta.json as admm_sweeps.
     problem() builds the portfolio problem on first use and hands that one
@@ -390,7 +390,11 @@ def _learner(bundle, specification):
 
 
 def bound_inputs_for_run(bundle, schedule, specification):
-    """Assemble the theoretical-bound inputs for one run with this schedule."""
+    """Assemble the theoretical-bound inputs for one run with this schedule.
+
+    kappa, L_f and L_h_theta are the constants of the bundle's problem,
+    whose kappa is InstanceBundle.kappa.
+    """
     constants = bundle.problem().constants
     return BoundInputs(
         schedule=schedule,

@@ -14,15 +14,16 @@ selection problem
     minimize (1/2) ||Sigma - S||_F^2 + upsilon * |offdiag(Sigma)|_1
     subject to Sigma >= psd_floor * I.
 
-Learner instances are single-owner mutable state. Each ADMM sweep is one
-eigenvalue-floored projection: a Cholesky factorisation tests whether the
-target already lies in the floored cone, and only a target outside it is
-factored by LAPACK `eigh`. The sweep sequence is fixed by its ScsProblem,
-so each problem keeps one read-only record of the sweeps run on it, and
-`admm_solve` is the only code that runs or records a sweep. An
-`AdmmScsLearner` replays the record up to the sweep that meets the ADMM
-stopping test and then holds that Sigma*; the estimates it hands out are
-the record's read-only arrays, shared by every learner on the problem.
+Learner instances are single-owner mutable state. Each ADMM sweep splits
+at the one penalty ADMM_PENALTY and is one eigenvalue-floored projection:
+a Cholesky factorisation tests whether the target already lies in the
+floored cone, and only a target outside it is factored by LAPACK `eigh`.
+The sweep sequence is fixed by its ScsProblem, so each problem keeps one
+read-only record of the sweeps run on it, and `admm_solve` is the only
+code that runs or records a sweep. An `AdmmScsLearner` replays the record
+up to the sweep that meets the ADMM stopping test and then holds that
+Sigma*; the estimates it hands out are the record's read-only arrays,
+shared by every learner on the problem.
 """
 
 import functools
@@ -96,8 +97,9 @@ class ScsProblem:
     """Sparse covariance selection inputs.
 
     S is the sample covariance, upsilon the l1 weight on off-diagonal
-    entries, psd_floor the eigenvalue floor of the feasible set, and
-    admm_penalty the splitting penalty. The sweeps `admm_solve` runs on the
+    entries and psd_floor the eigenvalue floor of the feasible set; the
+    splitting penalty is the module's ADMM_PENALTY, which `to_json` writes
+    under "admm_penalty". The sweeps `admm_solve` runs on the
     problem are kept on the object (`record`), and every learner built on
     it replays them; any other ScsProblem, one from `dataclasses.replace`
     included, records its own.
@@ -106,7 +108,6 @@ class ScsProblem:
     S: np.ndarray
     upsilon: float = 0.4
     psd_floor: float = 1e-2
-    admm_penalty: float = 1.0
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -114,8 +115,8 @@ class ScsProblem:
             raise ValueError("S must be square")
         if not np.allclose(S, S.T, atol=1e-8):
             raise ValueError("S must be symmetric")
-        if self.upsilon <= 0 or self.psd_floor <= 0 or self.admm_penalty <= 0:
-            raise ValueError("upsilon, psd_floor and admm_penalty must be positive")
+        if self.upsilon <= 0 or self.psd_floor <= 0:
+            raise ValueError("upsilon and psd_floor must be positive")
         object.__setattr__(self, "S", symmetrize(S))
 
     @functools.cached_property
@@ -141,7 +142,7 @@ class ScsProblem:
             "S": self.S.tolist(),
             "upsilon": self.upsilon,
             "psd_floor": self.psd_floor,
-            "admm_penalty": self.admm_penalty,
+            "admm_penalty": ADMM_PENALTY,
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -227,33 +228,32 @@ def scs_init(problem):
     first entry of `problem.record`.
     """
     Sigma0 = eigh_clip(problem.S, problem.psd_floor)
-    _, state = scs_admm_step(problem, ScsState(Sigma=Sigma0, Phi=Sigma0,
-                                               U=np.zeros_like(Sigma0)))
-    return state
+    return scs_admm_step(problem, ScsState(Sigma=Sigma0, Phi=Sigma0,
+                                           U=np.zeros_like(Sigma0)))
 
 
 def scs_admm_step(problem, state):
-    """One two-block ADMM sweep; returns (Sigma_k, new state).
+    """One two-block ADMM sweep from `state`; returns the new ScsState.
 
-    Sigma-update: eigenvalue-floored projection of
-    (S + mu (Phi - U)) / (1 + mu); Phi-update: off-diagonal soft threshold
-    of Sigma + U at upsilon / mu, diagonal copied; dual: U += Sigma - Phi.
+    With mu = ADMM_PENALTY, Sigma-update: eigenvalue-floored projection
+    of (S + mu (Phi - U)) / (1 + mu); Phi-update: off-diagonal soft
+    threshold of Sigma + U at upsilon / mu, diagonal copied; dual:
+    U += Sigma - Phi.
     Every emitted Sigma is symmetric with smallest eigenvalue >= psd_floor,
     up to the slack `eigh_clip` states.
     """
-    mu = problem.admm_penalty
+    mu = ADMM_PENALTY
     target = (problem.S + mu * (state.Phi - state.U)) / (1.0 + mu)
     Sigma = eigh_clip(target, problem.psd_floor)
     Phi = soft_threshold_offdiag(Sigma + state.U, problem.upsilon / mu)
     U = state.U + Sigma - Phi
-    new_state = ScsState(
+    return ScsState(
         Sigma=Sigma,
         Phi=Phi,
         U=U,
         primal_residual=float(np.linalg.norm(Sigma - Phi, "fro")),
         dual_residual=float(mu * np.linalg.norm(Phi - state.Phi, "fro")),
     )
-    return Sigma, new_state
 
 
 class AdmmScsLearner:
@@ -288,6 +288,7 @@ class AdmmScsLearner:
 
 _MAX_SWEEPS = 10_000  # cap on the sweeps of one admm_solve
 ADMM_TOL = 1e-9  # admm_solve's residual tolerance, at which learners hold Sigma*
+ADMM_PENALTY = 1.0  # the splitting penalty mu of every ADMM sweep
 
 
 def admm_solve(problem, tol=ADMM_TOL):
@@ -314,7 +315,7 @@ def admm_solve(problem, tol=ADMM_TOL):
             raise RuntimeError(f"ADMM did not reach residual {tol:g} "
                                f"within {_MAX_SWEEPS} sweeps")
         if k == len(record.sigmas):
-            record.append(scs_admm_step(problem, record.last)[1])
+            record.append(scs_admm_step(problem, record.last))
         k += 1
     primal, dual = record.residuals[k - 1]
     info = {

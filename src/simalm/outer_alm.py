@@ -31,6 +31,7 @@ from .inner_apg import ApgConfig, CurvatureAnchor, apg_solve
 # (alm_run's certified epochs run apg_solve with certify=True); the benchmark
 # change of ROADMAP item 1 drops that span and the binding.
 from .inner_apg import certified_solve
+from .learning import FrozenLearner
 from .linalg import frobenius_distance, frozen_memo
 from .model import NonFiniteError, evaluate_f, infeasibility
 
@@ -393,8 +394,6 @@ def sequential_baseline(problem, learner, learn_budget, schedule, x0,
     learning-phase rows share one read-only copy of x0, as both x and
     x_bar, and one read-only zero multiplier.
     """
-    from .learning import FrozenLearner
-
     if isinstance(learn_budget, bool) or not isinstance(learn_budget, (int, np.integer)):
         raise ValueError(f"learn_budget must be an integer, got {learn_budget!r}")
     if learn_budget < 0:

@@ -501,9 +501,9 @@ def test_criterion_8_scs_learner():
     scs = ScsProblem(S=F @ F.T / 20, upsilon=0.4, psd_floor=1e-2)
     state = scs_init(scs)
     for _ in range(12):
-        sigma, state = scs_admm_step(scs, state)
-        assert np.allclose(sigma, sigma.T, atol=1e-10)
-        assert np.linalg.eigvalsh(sigma).min() >= scs.psd_floor - 1e-10
+        state = scs_admm_step(scs, state)
+        assert np.allclose(state.Sigma, state.Sigma.T, atol=1e-10)
+        assert np.linalg.eigvalsh(state.Sigma).min() >= scs.psd_floor - 1e-10
 
     # n = 5: limit matches a projected-subgradient oracle in objective
     from test_learning import make_scs, projected_subgradient_scs

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from simalm import learning
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -169,6 +171,10 @@ def test_generate_writes_instance_files(tmp_path):
     # one learner error per ADMM sweep, at admm_solve's default tolerance
     assert meta["admm_sweeps"] == np.load(out / "learner_errors.npy").size
     assert meta["generator"]["admm_tol"] == 1e-9
+    # the splitting penalty is learning's constant, written as admm_penalty
+    scs = json.loads((out / "scs.json").read_text())
+    assert sorted(scs) == ["S", "admm_penalty", "psd_floor", "upsilon"]
+    assert scs["admm_penalty"] == learning.ADMM_PENALTY == 1.0
 
 
 def test_solve_writes_trace(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simalm.experiments import _certified_rate
-from simalm.learning import (AdmmScsLearner, FrozenLearner, ScsProblem,
-                             SyntheticLearner, admm_solve, eigh_clip,
-                             scs_admm_step, scs_init)
+from simalm.learning import (ADMM_PENALTY, AdmmScsLearner, FrozenLearner,
+                             ScsProblem, SyntheticLearner, admm_solve,
+                             eigh_clip, scs_admm_step, scs_init)
 from simalm.linalg import symmetrize
 from simalm.model import NonFiniteError
 
@@ -247,10 +248,10 @@ def test_scs_fixed_point_for_diagonal_feasible_s():
     S = np.diag([1.0, 2.0, 3.0])
     problem = ScsProblem(S=S, upsilon=0.4, psd_floor=0.5)
     state = scs_init(problem)
-    sigma, state = scs_admm_step(problem, state)
-    np.testing.assert_allclose(sigma, S, atol=1e-12)
-    sigma2, state = scs_admm_step(problem, state)
-    np.testing.assert_allclose(sigma2, S, atol=1e-12)
+    state = scs_admm_step(problem, state)
+    np.testing.assert_allclose(state.Sigma, S, atol=1e-12)
+    state = scs_admm_step(problem, state)
+    np.testing.assert_allclose(state.Sigma, S, atol=1e-12)
     assert state.primal_residual <= 1e-12
 
 
@@ -265,9 +266,9 @@ def test_scs_iterates_stay_feasible_and_symmetric():
     problem = make_scs(n=6, seed=3)
     state = scs_init(problem)
     for _ in range(15):
-        sigma, state = scs_admm_step(problem, state)
-        np.testing.assert_allclose(sigma, sigma.T, atol=1e-10)
-        assert np.linalg.eigvalsh(sigma).min() >= problem.psd_floor - 1e-10
+        state = scs_admm_step(problem, state)
+        np.testing.assert_allclose(state.Sigma, state.Sigma.T, atol=1e-10)
+        assert np.linalg.eigvalsh(state.Sigma).min() >= problem.psd_floor - 1e-10
 
 
 def test_scs_admm_matches_projected_subgradient_oracle():
@@ -291,7 +292,7 @@ def test_admm_residuals_trend_to_zero():
     state = scs_init(problem)
     residuals = []
     for _ in range(120):
-        _, state = scs_admm_step(problem, state)
+        state = scs_admm_step(problem, state)
         residuals.append(state.primal_residual)
     # monotone-trending: transient increases allowed up to 10%
     for a, b in zip(residuals, residuals[1:]):
@@ -326,8 +327,11 @@ def test_scs_json_round_trip():
     np.testing.assert_allclose(np.array(payload["S"]), problem.S)
     assert payload["upsilon"] == problem.upsilon
     assert payload["psd_floor"] == problem.psd_floor
-    # schema keys are fixed
+    # schema keys are fixed; the splitting penalty is no field but the
+    # module's ADMM_PENALTY, which the file keeps under admm_penalty
     assert sorted(payload) == ["S", "admm_penalty", "psd_floor", "upsilon"]
+    assert [f.name for f in dataclasses.fields(ScsProblem)] == ["S", "upsilon", "psd_floor"]
+    assert payload["admm_penalty"] == ADMM_PENALTY == 1.0
 
 
 @pytest.fixture
@@ -347,8 +351,6 @@ def sweeps_run(monkeypatch):
 
 def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch,
                                                                  sweeps_run):
-    import dataclasses
-
     from simalm import learning
 
     problem = make_scs(n=8, seed=4)
@@ -413,8 +415,6 @@ def test_start_factorisation_is_shared_read_only_and_per_problem(monkeypatch,
 
 
 def test_learner_replays_the_record_and_holds_sigma_star(sweeps_run):
-    import dataclasses
-
     recorded = make_scs(n=8, seed=4)
     sigma_star, info = admm_solve(recorded)
     sweeps = info["sweeps"]
@@ -453,8 +453,6 @@ def test_admm_solve_refuses_a_nan_or_negative_tol(tol, sweeps_run):
 
 
 def test_admm_solve_reads_the_record_and_extends_it_only_past_its_end(monkeypatch):
-    import dataclasses
-
     from simalm import learning
 
     problem = make_scs(n=6, seed=2)
